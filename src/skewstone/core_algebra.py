@@ -9,7 +9,7 @@ immutable values; results and reported witnesses are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import wraps
 
 import numpy as np
 
@@ -29,6 +29,23 @@ class CongruenceError(ValueError):
         self.op_name = op_name
         self.witness = witness
         super().__init__(f"not a congruence for {op_name}, witness {witness}")
+
+
+def per_object(fn):
+    """Memoize a one-argument function on its argument.  The result is kept
+    in the object's own ``__dict__`` (frozen dataclasses allow that), so it
+    is computed once per object and freed together with the object."""
+    key = "_memo_" + fn.__name__
+
+    @wraps(fn)
+    def memoized(obj):
+        try:
+            return obj.__dict__[key]
+        except KeyError:
+            value = obj.__dict__[key] = fn(obj)
+            return value
+
+    return memoized
 
 
 def _check_table(name, table, n):
@@ -148,12 +165,12 @@ def natural_preceq_via_join(A, x, y):
     return A.join(A.join(y, x), y) == y
 
 
-@lru_cache(maxsize=None)
+@per_object
 def leq_matrix(A):
     return tuple(tuple(natural_leq(A, x, y) for y in A.elements) for x in A.elements)
 
 
-@lru_cache(maxsize=None)
+@per_object
 def preceq_matrix(A):
     return tuple(tuple(natural_preceq(A, x, y) for y in A.elements) for x in A.elements)
 
@@ -162,10 +179,6 @@ def preceq_matrix(A):
 # Law catalogue.  Each law has a pointwise predicate so that any witness a
 # validator reports can be re-checked independently of the vectorized path.
 # ---------------------------------------------------------------------------
-
-def _leq(A, x, y):
-    return A.meet(x, y) == x and A.meet(y, x) == x
-
 
 LAW_PREDICATES = {
     "meet_idempotent": lambda A, w: A.meet(w[0], w[0]) == w[0],
@@ -181,8 +194,8 @@ LAW_PREDICATES = {
     "zero_neutral_join": lambda A, w: A.join(A.zero, w[0]) == w[0] and A.join(w[0], A.zero) == w[0],
     "complement_meet_zero": lambda A, w: A.meet(A.diff(w[0], w[1]), A.meet(A.meet(w[0], w[1]), w[0])) == A.zero,
     "complement_join_restore": lambda A, w: A.join(A.diff(w[0], w[1]), A.meet(A.meet(w[0], w[1]), w[0])) == w[0],
-    "cap_is_lower_bound": lambda A, w: _leq(A, A.cap(w[0], w[1]), w[0]) and _leq(A, A.cap(w[0], w[1]), w[1]),
-    "cap_is_greatest_lower_bound": lambda A, w: not (_leq(A, w[2], w[0]) and _leq(A, w[2], w[1])) or _leq(A, w[2], A.cap(w[0], w[1])),
+    "cap_is_lower_bound": lambda A, w: natural_leq(A, A.cap(w[0], w[1]), w[0]) and natural_leq(A, A.cap(w[0], w[1]), w[1]),
+    "cap_is_greatest_lower_bound": lambda A, w: not (natural_leq(A, w[2], w[0]) and natural_leq(A, w[2], w[1])) or natural_leq(A, w[2], A.cap(w[0], w[1])),
     "cap_commutative": lambda A, w: A.cap(w[0], w[1]) == A.cap(w[1], w[0]),
     "cap_associative": lambda A, w: A.cap(A.cap(w[0], w[1]), w[2]) == A.cap(w[0], A.cap(w[1], w[2])),
     "cap_idempotent": lambda A, w: A.cap(w[0], w[0]) == w[0],
@@ -322,7 +335,7 @@ def is_congruence(A, part, op_names=("meet", "join", "diff")):
     return None
 
 
-@lru_cache(maxsize=None)
+@per_object
 def green_partitions(A):
     """Green's relations as partitions: (D, L, R).
 
@@ -403,6 +416,12 @@ def quotient_by(A, part):
     return quotient, tuple(lab)
 
 
+@per_object
+def reflection(A):
+    """The commutative reflection A/D with its quotient map."""
+    return quotient_by(A, green_partitions(A)[0])
+
+
 def handedness(A):
     """One of 'commutative', 'right', 'left', 'neither' by exhaustive test."""
     M = np.asarray(A.meet_table, dtype=np.int64)
@@ -423,7 +442,7 @@ def second_decomposition_check(A):
     d, l, r = green_partitions(A)
     AR, to_r = quotient_by(A, r)
     AL, to_l = quotient_by(A, l)
-    AD, to_d = quotient_by(A, d)
+    AD, to_d = reflection(A)
     # Induced maps to the reflection (R and L refine D).
     r_to_d = [to_d[block[0]] for block in r.blocks]
     l_to_d = [to_d[block[0]] for block in l.blocks]

@@ -10,19 +10,18 @@ generated by P, and carries a rectangular band.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .core_algebra import (
     Partition,
     SizeCapError,
     StructuralError,
-    green_partitions,
     is_congruence,
     leq_matrix,
     partition_from_labels,
+    per_object,
     preceq_matrix,
-    quotient_by,
+    reflection,
 )
 
 
@@ -88,7 +87,7 @@ def make_space(size_e, size_b, p, band=None):
     return RectSkewSpace(int(size_e), int(size_b), tuple(int(v) for v in p), frozen_band)
 
 
-@lru_cache(maxsize=None)
+@per_object
 def fibers(sp):
     """E-points of each fiber, in index order, indexed by base point."""
     out = [[] for _ in range(sp.size_b)]
@@ -171,7 +170,7 @@ def enumerate_prime_ideals(A):
     map to the two-element lattice preserves 0, meet and join and is not
     constantly zero, which is exactly primality.
     """
-    Q, to_d = quotient_by(A, green_partitions(A)[0])
+    Q, to_d = reflection(A)
     leq_q = leq_matrix(Q)
     found = []
     for atom in _reflection_atoms(Q):
@@ -239,7 +238,7 @@ def ideal_congruence(A, ideal):
 def prime_reflection_bijection(A):
     """Map each prime ideal of A to the prime of A/D given by blockwise image;
     verified bijective.  Returns a tuple of indices into the primes of A/D."""
-    Q, to_d = quotient_by(A, green_partitions(A)[0])
+    Q, to_d = reflection(A)
     primes_a = enumerate_prime_ideals(A)
     primes_q = enumerate_prime_ideals(Q)
     index_q = {p.members: p.index for p in primes_q}
@@ -262,19 +261,19 @@ def prime_reflection_bijection(A):
 class SpectrumData:
     """Spectrum of an algebra with the lookup structure the duality needs."""
 
-    algebra: object
     primes: tuple[PrimeIdeal, ...]
     thetas: tuple[Partition, ...]
     space: RectSkewSpace
     points: tuple[SpectrumPoint, ...]
+    label_index: dict[tuple[int, int], int]
 
     def point_of(self, prime_index, element):
         """E-index of the point (prime, class of element); element not in P."""
         label = self.thetas[prime_index].labels[element]
-        return self._label_index[(prime_index, label)]
+        return self.label_index[(prime_index, label)]
 
 
-@lru_cache(maxsize=None)
+@per_object
 def spectrum_data(A):
     primes = enumerate_prime_ideals(A)
     thetas = tuple(ideal_congruence(A, p) for p in primes)
@@ -300,10 +299,8 @@ def spectrum_data(A):
             m = A.meet(points[x].rep, points[y].rep)
             band[x][y] = label_index[(pi, theta.labels[m])]
     space = make_space(size_e, len(primes), p_map, band)
-    sd = SpectrumData(algebra=A, primes=primes, thetas=thetas, space=space,
-                      points=tuple(points))
-    object.__setattr__(sd, "_label_index", label_index)
-    return sd
+    return SpectrumData(primes=primes, thetas=thetas, space=space,
+                        points=tuple(points), label_index=label_index)
 
 
 def skew_spectrum(A):

@@ -76,12 +76,6 @@ def _resolve(obj, base_dir, reader):
     return reader(obj)
 
 
-def hom_to_dict(f):
-    return {"map": list(f.map),
-            "source": algebra_to_dict(f.source),
-            "target": algebra_to_dict(f.target)}
-
-
 def hom_from_dict(obj, base_dir="."):
     try:
         source = _resolve(obj["source"], base_dir, algebra_from_dict)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core_algebra import green_partitions, handedness, quotient_by
+from .core_algebra import green_partitions, handedness, reflection
 from .ideals_spectra import basic_copen, fibers, spectrum_data
 
 
@@ -48,7 +48,7 @@ def is_lattice_section(A, choice):
     for i, c in enumerate(choice):
         if d.labels[c] != i:
             return False
-    AD, to_d = quotient_by(A, d)
+    AD, to_d = reflection(A)
     if choice[to_d[A.zero]] != A.zero:
         return False
     for i in range(AD.n):
@@ -66,7 +66,7 @@ def find_lattice_section(A):
     choice.  Returns the first section found, or None."""
     _require_right_handed(A)
     d = green_partitions(A)[0]
-    AD, to_d = quotient_by(A, d)
+    AD, to_d = reflection(A)
     k = AD.n
     # class pairs whose meet or join lands in class t, checked when t is filled
     triggers = [[] for _ in range(k)]
@@ -117,7 +117,7 @@ def lattice_section_to_global(A, section):
     of the spectrum, verifying the gluing compatibilities on the way."""
     sd = spectrum_data(A)
     d = green_partitions(A)[0]
-    AD, to_d = quotient_by(A, d)
+    AD, _ = reflection(A)
     base_of = []
     for i in range(AD.n):
         rep = d.blocks[i][0]
@@ -142,7 +142,7 @@ def global_section_to_lattice(A, section):
     D-class, and read the chosen elements back through the section bijection."""
     sd = spectrum_data(A)
     d = green_partitions(A)[0]
-    AD, to_d = quotient_by(A, d)
+    AD, _ = reflection(A)
     element_of = {basic_copen(A, a): a for a in A.elements}
     pts = set(section.points)
     choice = []

@@ -10,7 +10,7 @@ acts on sections by preimage under g.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from .core_algebra import (
     SizeCapError,
@@ -22,13 +22,20 @@ from .core_algebra import (
     subalgebra_on,
 )
 from .ideals_spectra import (
+    basic_copen,
     fibers,
     leq_ideal_generated,
     make_space,
     preceq_ideal_generated,
     spectrum_data,
 )
-from .spaces_sections import PartialMap, dual_algebra, partial_map
+from .spaces_sections import (
+    PartialMap,
+    dual_algebra,
+    dual_algebra_rect,
+    fiber_band_classes,
+    partial_map,
+)
 
 
 @dataclass(frozen=True)
@@ -139,18 +146,6 @@ def enumerate_homs(A, B, max_candidates=10 ** 6):
 
     extend(0)
     return tuple(found)
-
-
-def enumerate_homs_bruteforce(A, B, max_candidates=10 ** 4):
-    """Oracle path: try every map and keep the ones that validate."""
-    if B.n ** A.n > max_candidates:
-        raise SizeCapError(f"{B.n}^{A.n} candidate maps exceed {max_candidates}")
-    out = []
-    for image in product(range(B.n), repeat=A.n):
-        f = Homomorphism(A, B, image)
-        if validate_hom(f).ok:
-            out.append(f)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +311,6 @@ def algebra_roundtrip_iso(A):
     """Canonical isomorphism from A onto the section algebra of its spectrum
     (a is sent to its basic section).  Any failed check here means a bug, so
     failures raise with a witness."""
-    from .ideals_spectra import basic_copen
-    from .spaces_sections import dual_algebra_rect
-
     sd = spectrum_data(A)
     dual, labels = dual_algebra_rect(sd.space)
     index = {s: i for i, s in enumerate(labels)}
@@ -375,7 +367,6 @@ def to_space_pair(sp):
     component collapses onto the base and the second keeps the total space."""
     if sp.band is None:
         raise ValueError("pair decomposition needs a band")
-    from .spaces_sections import _fiber_band_classes
 
     def quotient(selector):
         p_q = []
@@ -384,8 +375,8 @@ def to_space_pair(sp):
                 p_q.append(b)
         return make_space(len(p_q), sp.size_b, p_q)
 
-    left = quotient(lambda s, f: _fiber_band_classes(s, f)[0])
-    right = quotient(lambda s, f: _fiber_band_classes(s, f)[1])
+    left = quotient(lambda s, f: fiber_band_classes(s, f)[0])
+    right = quotient(lambda s, f: fiber_band_classes(s, f)[1])
     return left, right
 
 
@@ -476,7 +467,7 @@ def classify_space_morphism(m):
     g = m.g.as_dict()
     lifting = True
     base_subsets = [frozenset(c) for k in range(tp.size_b + 1)
-                    for c in _combinations(range(tp.size_b), k)]
+                    for c in combinations(range(tp.size_b), k)]
     for U in base_subsets:
         pre_base = tuple(sorted(x for x, hx in h.items() if hx in U))
         for s in _sections_above(sp, pre_base):
@@ -493,11 +484,6 @@ def classify_space_morphism(m):
             break
     return SpaceMorphismFlags(total=total, semitotal=semitotal,
                               saturated=saturated, section_lifting=lifting)
-
-
-def _combinations(iterable, k):
-    from itertools import combinations
-    return combinations(tuple(iterable), k)
 
 
 def is_partial_identity_up_to_iso(m):

@@ -11,9 +11,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
-from .core_algebra import SizeCapError, ValidationReport, make_algebra
+from .core_algebra import (
+    SizeCapError,
+    ValidationReport,
+    green_partitions,
+    make_algebra,
+    per_object,
+    preceq_matrix,
+)
 from .ideals_spectra import fibers, make_space, saturate
 
 
@@ -187,14 +194,14 @@ def _section_tools(sp, sections):
     return index, sets, sats, over
 
 
-def dual_algebra_right(sp, max_sections=4096):
+def dual_algebra_right(sp):
     """Right-handed section algebra of a plain space.
 
     With sigma the fiber saturation: S ^ R = sigma(S) & R,
     S v R = S | (R - sigma(S)), S \\ R = S - sigma(R), S cap R = S & R.
     Returns the algebra and the section labels (element i is labels[i]).
     """
-    sections = enumerate_sections(sp, max_sections)
+    sections = enumerate_sections(sp)
     index, sets, sats, _ = _section_tools(sp, sections)
     n = len(sections)
     meet = [[0] * n for _ in range(n)]
@@ -210,7 +217,7 @@ def dual_algebra_right(sp, max_sections=4096):
     return make_algebra(n, index[()], meet, join, diff, cap), sections
 
 
-def dual_algebra_rect(sp, max_sections=4096):
+def dual_algebra_rect(sp):
     """Two-sided section algebra of a rectangular space.
 
     The meet combines the overlapping parts of two sections through the
@@ -220,7 +227,7 @@ def dual_algebra_rect(sp, max_sections=4096):
     """
     if sp.band is None:
         raise ValueError("space carries no band; use dual_algebra_right")
-    sections = enumerate_sections(sp, max_sections)
+    sections = enumerate_sections(sp)
     index, sets, sats, over = _section_tools(sp, sections)
     n = len(sections)
 
@@ -242,11 +249,12 @@ def dual_algebra_rect(sp, max_sections=4096):
     return make_algebra(n, index[()], meet, join, diff, cap), sections
 
 
-def dual_algebra(sp, max_sections=4096):
+@per_object
+def dual_algebra(sp):
     """Section algebra matching the space kind: banded if a band is present."""
     if sp.band is None:
-        return dual_algebra_right(sp, max_sections)
-    return dual_algebra_rect(sp, max_sections)
+        return dual_algebra_right(sp)
+    return dual_algebra_rect(sp)
 
 
 def reflection_check(sp):
@@ -254,12 +262,10 @@ def reflection_check(sp):
     algebra: a surjective {0, meet, join}-map onto the subsets of B whose
     kernel is the Green D relation, with the preorder matching image
     inclusion."""
-    from .core_algebra import green_partitions, preceq_matrix
-
     A, sections = dual_algebra(sp)
     img = [frozenset(sp.p[e] for e in s) for s in sections]
     if {frozenset(u) for u in img} != {frozenset(c) for k in range(sp.size_b + 1)
-                                       for c in _subsets(range(sp.size_b), k)}:
+                                       for c in combinations(range(sp.size_b), k)}:
         return False
     if img[A.zero] != frozenset():
         return False
@@ -278,11 +284,6 @@ def reflection_check(sp):
             if pre[i][j] != (img[i] <= img[j]):
                 return False
     return True
-
-
-def _subsets(iterable, k):
-    from itertools import combinations
-    return combinations(tuple(iterable), k)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +317,7 @@ def validate_coherent_family(x_size, y_size, sand, max_carrier=4096):
     for f in maps:
         by_domain.setdefault(f.domain, []).append(f)
     for dom, fs in by_domain.items():
-        subs = [tuple(c) for k in range(len(dom) + 1) for c in _subsets(dom, k)]
+        subs = [tuple(c) for k in range(len(dom) + 1) for c in combinations(dom, k)]
         for f in fs:
             for g in fs:
                 whole = sand(f, g)
@@ -430,7 +431,7 @@ def random_space(size_b, max_fiber, seed, band="none"):
 # Isomorphism of spaces
 # ---------------------------------------------------------------------------
 
-def _fiber_band_classes(sp, fiber):
+def fiber_band_classes(sp, fiber):
     """R-classes and L-classes of one fiber band, ordered by least element."""
     def classes(rel):
         out = []
@@ -465,7 +466,7 @@ def spaces_isomorphic(sp1, sp2):
     def invariant(sp, f):
         if sp.band is None:
             return (len(f),)
-        r_cls, l_cls = _fiber_band_classes(sp, f)
+        r_cls, l_cls = fiber_band_classes(sp, f)
         return (len(f), len(r_cls), len(l_cls))
 
     inv1 = sorted(range(sp1.size_b), key=lambda b: (invariant(sp1, fib1[b]), b))
@@ -481,8 +482,8 @@ def spaces_isomorphic(sp1, sp2):
             for e1, e2 in zip(f1, f2):
                 g_total[e1] = e2
         else:
-            r1, l1 = _fiber_band_classes(sp1, f1)
-            r2, l2 = _fiber_band_classes(sp2, f2)
+            r1, l1 = fiber_band_classes(sp1, f1)
+            r2, l2 = fiber_band_classes(sp2, f2)
             coord2 = {}
             for ri, rc in enumerate(r2):
                 for e in rc:

@@ -1,6 +1,8 @@
 """Shared corpus builders and independent oracles for the test suite."""
 
-from skewstone import dual_algebra, make_space, random_space
+from itertools import product
+
+from skewstone import Homomorphism, SizeCapError, dual_algebra, make_space, random_space, validate_hom
 from skewstone.spaces_sections import all_partial_maps
 
 
@@ -99,3 +101,15 @@ def partial_map_oracle_tables(x_size, y_size):
         tables[name] = tuple(tuple(look(op(dicts[i], dicts[j])) for j in range(n))
                              for i in range(n))
     return maps, tables
+
+
+def enumerate_homs_bruteforce(A, B, max_candidates=10 ** 4):
+    """Oracle for enumerate_homs: try every map and keep the ones that validate."""
+    if B.n ** A.n > max_candidates:
+        raise SizeCapError(f"{B.n}^{A.n} candidate maps exceed {max_candidates}")
+    out = []
+    for image in product(range(B.n), repeat=A.n):
+        f = Homomorphism(A, B, image)
+        if validate_hom(f).ok:
+            out.append(f)
+    return tuple(out)

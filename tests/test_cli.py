@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -203,3 +205,25 @@ class TestMaxSizeOverride:
                         "--format", "json", "--max-size", str(9 ** 9))
         assert code == 0
         assert len(json.loads(out)["homs"]) == 25
+
+
+def load_script(name):
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSurveyScript:
+    def test_instance_over_the_size_cap_is_reported_not_raised(self, capsys):
+        # the last of these 20 instances is a 2x2 band over 4 points, n = 625,
+        # above the survey's validation cap of 256
+        survey = load_script("duality_survey")
+        code = survey.main(["--count", "20", "--size-b", "4", "--max-fiber", "2"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.rstrip().endswith("20 instances, 0 failures, 1 over the size cap")
+        limit_rows = [line.split() for line in out.splitlines() if " limit " in line]
+        assert [row[0] for row in limit_rows] == ["19"]
+        assert "625" in limit_rows[0]

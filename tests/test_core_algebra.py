@@ -29,6 +29,7 @@ from skewstone.core_algebra import (
     natural_preceq_via_join,
     partition_from_labels,
     preceq_matrix,
+    reflection,
     subalgebra_on,
 )
 
@@ -155,6 +156,22 @@ class TestGreen:
             for x in A.elements:
                 for y in A.elements:
                     assert (d.labels[x] == d.labels[y]) == (pre[x][y] and pre[y][x])
+
+
+class TestPerObjectMemo:
+    def test_equal_objects_keep_their_own_results(self, three):
+        twin = mirror(mirror(three))
+        assert green_partitions(three) is green_partitions(three)
+        assert reflection(twin) == reflection(three)
+        assert reflection(twin) is not reflection(three)
+
+    def test_memo_leaves_equality_hash_and_repr_alone(self, three):
+        fresh = mirror(mirror(three))
+        for derive in (leq_matrix, green_partitions, reflection):
+            derive(three)
+        assert three == fresh
+        assert hash(three) == hash(fresh)
+        assert repr(three) == repr(fresh)
 
 
 class TestQuotients:

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from helpers import all_surjection_spaces, seeded_rect_space
+from helpers import all_surjection_spaces, enumerate_homs_bruteforce, seeded_rect_space
 from skewstone import (
     Homomorphism,
     algebra_roundtrip_iso,
@@ -33,10 +33,7 @@ from skewstone import (
     zero_hom,
 )
 from skewstone.catalog import boolean_algebra, small_test_algebras
-from skewstone.morphisms_duality import (
-    enumerate_homs_bruteforce,
-    is_partial_identity_up_to_iso,
-)
+from skewstone.morphisms_duality import is_partial_identity_up_to_iso
 
 
 def two():

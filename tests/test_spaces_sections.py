@@ -1,4 +1,7 @@
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import all_surjection_spaces, corpus_params, partial_map_oracle_tables
 from skewstone import (
     algebras_isomorphic,
+    dual_algebra,
     dual_algebra_rect,
     dual_algebra_right,
     enumerate_sections,
@@ -23,7 +27,8 @@ from skewstone import (
     validate_space,
 )
 from skewstone.catalog import boolean_algebra
-from skewstone.core_algebra import leq_matrix, mirror
+from skewstone.core_algebra import green_partitions, leq_matrix, mirror, preceq_matrix, reflection
+from skewstone.ideals_spectra import fibers, spectrum_data
 from skewstone.jsonio import dumps, space_to_dict
 from skewstone.morphisms_duality import Homomorphism
 from skewstone.spaces_sections import (
@@ -138,6 +143,23 @@ class TestDualAlgebras:
             assert reflection_check(sp)
         assert reflection_check(random_space(3, 2, seed=11, band="right"))
         assert reflection_check(random_space(2, 1, seed=3, band=("product", 2, 2)))
+
+
+class TestDerivedStructureLifetime:
+    def test_dual_algebra_is_built_once_per_space(self):
+        sp = random_space(2, 2, seed=3, band="right")
+        assert dual_algebra(sp) is dual_algebra(sp)
+
+    def test_derived_structure_is_freed_with_its_objects(self):
+        sp = random_space(2, 2, seed=3, band="right")
+        A, _ = dual_algebra(sp)
+        for derive in (leq_matrix, preceq_matrix, green_partitions, reflection, spectrum_data):
+            derive(A)
+        fibers(sp)
+        refs = (weakref.ref(A), weakref.ref(sp))
+        del A, sp
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
 
 
 class TestPartialMapAlgebra:
