@@ -11,6 +11,7 @@ status is 1 only when some law or check fails.
 import argparse
 import sys
 import time
+from math import prod
 
 from skewstone import (
     SizeCapError,
@@ -23,8 +24,10 @@ from skewstone import (
     space_roundtrip_iso,
     validate_algebra,
 )
+from skewstone.ideals_spectra import fibers
 
 KINDS = ("none", "right", "left", ("product", 2, 1), ("product", 2, 2))
+MAX_N = 256
 
 
 def survey(count, base_seed, size_b, max_fiber):
@@ -33,11 +36,13 @@ def survey(count, base_seed, size_b, max_fiber):
         kind = KINDS[i % len(KINDS)]
         sp = random_space(1 + i % size_b, max_fiber, seed=base_seed + i, band=kind)
         t0 = time.perf_counter()
-        n = None
+        n = prod(1 + len(f) for f in fibers(sp))
         try:
+            if n > MAX_N:
+                # refused before the section algebra is built
+                raise SizeCapError(f"n={n} exceeds the survey cap {MAX_N}")
             A, _ = dual_algebra(sp)
-            n = A.n
-            ok_valid = validate_algebra(A, max_n=256).ok
+            ok_valid = validate_algebra(A, max_n=MAX_N).ok
             algebra_roundtrip_iso(A)
             space_roundtrip_iso(sp)
             ok_decomp = second_decomposition_check(A)
@@ -70,7 +75,7 @@ def main(argv=None):
             limited += 1
         else:
             bad += not (ok_valid and ok_decomp and ok_section in (None, True))
-        print(f"{seed:>6} {kind:<18} {size_e:>4} {'-' if n is None else n:>4} {hand:<12} "
+        print(f"{seed:>6} {kind:<18} {size_e:>4} {n:>4} {hand:<12} "
               f"{verdict(ok_valid):>5} {verdict(ok_decomp):>6} "
               f"{verdict(ok_section):>7} {dt * 1000:>5.0f}ms")
     print(f"\n{len(rows)} instances, {bad} failures, {limited} over the size cap")

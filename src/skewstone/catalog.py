@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .core_algebra import glb_cap_table, make_algebra, mirror, reflection
 from .ideals_spectra import make_space
-from .spaces_sections import dual_algebra_right
+from .spaces_sections import dual_algebra
 
 
 def one_element():
@@ -41,7 +41,7 @@ def left_three():
 def primitive_right(k):
     """Right-handed algebra with a single nonzero D-class of k elements
     (the section algebra of the one-fiber space with k points)."""
-    algebra, _ = dual_algebra_right(make_space(k, 1, [0] * k))
+    algebra, _ = dual_algebra(make_space(k, 1, [0] * k))
     return algebra
 
 

@@ -32,7 +32,6 @@ from .ideals_spectra import (
 from .spaces_sections import (
     PartialMap,
     dual_algebra,
-    dual_algebra_rect,
     fiber_band_classes,
     partial_map,
 )
@@ -312,7 +311,9 @@ def algebra_roundtrip_iso(A):
     (a is sent to its basic section).  Any failed check here means a bug, so
     failures raise with a witness."""
     sd = spectrum_data(A)
-    dual, labels = dual_algebra_rect(sd.space)
+    # not memoized on the spectrum, which lives as long as A does: its
+    # section algebra is as large as A and is wanted only here
+    dual, labels = dual_algebra.__wrapped__(sd.space)
     index = {s: i for i, s in enumerate(labels)}
     image = []
     for a in A.elements:

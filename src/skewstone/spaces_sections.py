@@ -1,10 +1,14 @@
 """Finite skew Boolean spaces, their section algebras, and partial-map algebras.
 
-A section of p : E -> B is a subset of E meeting each fiber at most once.
-The sections of a space form a right-handed algebra; a fiberwise rectangular
-band upgrades them to a two-sided one.  Partial maps X -> Y with a coherent
-family of rectangular bands form the ambient algebra both constructions
-restrict.
+A section of p : E -> B is a subset of E meeting each fiber at most once:
+one independent choice per base point, either no point or a point of that
+fiber.  All four operations act base point by base point through the fiber
+band (a plain space carries the right band, and its sections form a
+right-handed algebra; other bands give two-sided ones).  So the section
+algebra is the product of tiny per-fiber algebras, and one builder makes it.
+Partial maps X -> Y are the sections of X x Y -> X, so the partial-map
+algebra of a coherent family of rectangular bands, the ambient algebra of
+both constructions, comes out of the same builder.
 """
 
 from __future__ import annotations
@@ -13,15 +17,17 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, product
 
+import numpy as np
+
 from .core_algebra import (
     SizeCapError,
+    SkewAlgebra,
     ValidationReport,
     green_partitions,
-    make_algebra,
     per_object,
     preceq_matrix,
 )
-from .ideals_spectra import fibers, make_space, saturate
+from .ideals_spectra import fibers, make_space
 
 
 @dataclass(frozen=True)
@@ -161,9 +167,7 @@ def validate_space(sp):
                     failures.append(("band_in_fiber", (x, y)))
         if not failures:
             for f in fib:
-                pos = {e: i for i, e in enumerate(f)}
-                local = [[pos[sp.band[x][y]] for y in f] for x in f]
-                bad = band_law_witness(local)
+                bad = band_law_witness(_fiber_band(sp, f))
                 if bad is not None:
                     law, w = bad
                     failures.append((law, tuple(f[i] for i in w)))
@@ -186,75 +190,77 @@ def enumerate_sections(sp, max_sections=4096):
     return tuple(sorted(out))
 
 
-def _section_tools(sp, sections):
-    index = {s: i for i, s in enumerate(sections)}
-    sets = [frozenset(s) for s in sections]
-    sats = [frozenset(saturate(sp, s)) for s in sections]
-    over = [{sp.p[e]: e for e in s} for s in sections]
-    return index, sets, sats, over
-
-
-def dual_algebra_right(sp):
-    """Right-handed section algebra of a plain space.
-
-    With sigma the fiber saturation: S ^ R = sigma(S) & R,
-    S v R = S | (R - sigma(S)), S \\ R = S - sigma(R), S cap R = S & R.
-    Returns the algebra and the section labels (element i is labels[i]).
-    """
-    sections = enumerate_sections(sp)
-    index, sets, sats, _ = _section_tools(sp, sections)
-    n = len(sections)
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    diff = [[0] * n for _ in range(n)]
-    cap = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            meet[i][j] = index[tuple(sorted(sats[i] & sets[j]))]
-            join[i][j] = index[tuple(sorted(sets[i] | (sets[j] - sats[i])))]
-            diff[i][j] = index[tuple(sorted(sets[i] - sats[j]))]
-            cap[i][j] = index[tuple(sorted(sets[i] & sets[j]))]
-    return make_algebra(n, index[()], meet, join, diff, cap), sections
-
-
-def dual_algebra_rect(sp):
-    """Two-sided section algebra of a rectangular space.
-
-    The meet combines the overlapping parts of two sections through the
-    fiber band; join, complement and intersection only add set algebra:
-    S ^ R = (S & sigma(R)) band (sigma(S) & R) fiberwise,
-    S v R = (S - sigma(R)) | (R - sigma(S)) | (R ^ S).
-    """
+def _fiber_band(sp, fiber):
+    """Band of one fiber as a table on the positions 0..|fiber|-1 of its
+    points; a plain space carries the right band x y = y."""
     if sp.band is None:
-        raise ValueError("space carries no band; use dual_algebra_right")
-    sections = enumerate_sections(sp)
-    index, sets, sats, over = _section_tools(sp, sections)
-    n = len(sections)
+        return [list(range(len(fiber)))] * len(fiber)
+    pos = {e: i for i, e in enumerate(fiber)}
+    return [[pos[sp.band[x][y]] for y in fiber] for x in fiber]
 
-    def banded_meet(i, j):
-        # one point per base point covered by both sections
-        return frozenset(sp.band[over[i][b]][over[j][b]] for b in over[i] if b in over[j])
 
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    diff = [[0] * n for _ in range(n)]
-    cap = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            meet[i][j] = index[tuple(sorted(banded_meet(i, j)))]
-            join[i][j] = index[tuple(sorted((sets[i] - sats[j]) | (sets[j] - sats[i])
-                                            | banded_meet(j, i)))]
-            diff[i][j] = index[tuple(sorted(sets[i] - sats[j]))]
-            cap[i][j] = index[tuple(sorted(sets[i] & sets[j]))]
-    return make_algebra(n, index[()], meet, join, diff, cap), sections
+def _product_algebra(bands, choices):
+    """Algebra of independent choices, one per coordinate: nothing, or a
+    point of that coordinate's rectangular band.  bands[b] is the band of
+    coordinate b as a table on 0..m-1; choices[k] lists the (coordinate,
+    point) pairs of the caller's element k, which stays element k.
+
+    Coordinate b is read as a digit, 0 for absent and 1 + i for point i, and
+    every operation acts digitwise; with s the left operand and r the right:
+    meet is band(s, r) where both are present, join keeps a lone point and
+    combines two as band(r, s), diff keeps s where r is absent, and cap
+    keeps s where the two agree.  A table row is these digit tables read at
+    the row's digits and summed as mixed-radix codes, then renumbered into
+    the caller's order; rows are made one at a time, so no n x n array
+    exists.
+    """
+    n = len(choices)
+    digits = np.zeros((n, len(bands)), dtype=np.int64)
+    for k, pairs in enumerate(choices):
+        for b, i in pairs:
+            digits[k, b] = 1 + i
+    ops = []
+    for band in bands:
+        m = len(band)
+        s, r = np.ogrid[:m + 1, :m + 1]
+        both = np.zeros((m + 1, m + 1), dtype=np.int64)
+        both[1:, 1:] = np.reshape(band, (m, m)) + 1
+        ops.append((np.where((s > 0) & (r > 0), both, 0),
+                    np.where(r == 0, s, np.where(s == 0, r, both.T)),
+                    np.where(r == 0, s, 0),
+                    np.where(s == r, s, 0)))
+    radix = np.cumprod([1] + [1 + len(band) for band in bands])[:-1]
+    rank = np.empty(n, dtype=np.int64)
+    rank[digits @ radix] = np.arange(n)
+    element = list(range(n))  # one int object per element, shared by every entry
+    tables = []
+    for k in range(4):
+        # per coordinate, the code that each digit of a row gives each column
+        parts = [(op[k] * weight)[:, col] for col, op, weight in zip(digits.T, ops, radix)]
+        # equal rows share one tuple: on a plain space, for one, a meet row
+        # depends only on the base image of its left operand
+        table, rows = [], {}
+        for row in digits:
+            code = np.zeros(n, dtype=np.int64)
+            for part, d in zip(parts, row):
+                code += part[d]
+            values = tuple(map(element.__getitem__, rank[code].tolist()))
+            table.append(rows.setdefault(values, values))
+        tables.append(tuple(table))
+    return SkewAlgebra(n, element[rank[0]], *tables)
 
 
 @per_object
 def dual_algebra(sp):
-    """Section algebra matching the space kind: banded if a band is present."""
-    if sp.band is None:
-        return dual_algebra_right(sp)
-    return dual_algebra_rect(sp)
+    """Section algebra of a space, through its fiber bands (the right band on
+    a plain space).  Returns the algebra and the section labels: element i
+    is labels[i], in lexicographic order, so element 0 is the empty section.
+    """
+    sections = enumerate_sections(sp)
+    fib = fibers(sp)
+    pos = {e: i for f in fib for i, e in enumerate(f)}
+    choices = [[(sp.p[e], pos[e]) for e in s] for s in sections]
+    return _product_algebra([_fiber_band(sp, f) for f in fib], choices), sections
 
 
 def reflection_check(sp):
@@ -327,38 +333,14 @@ def validate_coherent_family(x_size, y_size, sand, max_carrier=4096):
     return None
 
 
-def _partial_map_tables(maps, sand):
-    index = {f: i for i, f in enumerate(maps)}
-    n = len(maps)
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    diff = [[0] * n for _ in range(n)]
-    cap = [[0] * n for _ in range(n)]
-    for i, f in enumerate(maps):
-        fd = set(f.domain)
-        fg = f.graph()
-        for j, g in enumerate(maps):
-            gd = set(g.domain)
-            common = fd & gd
-            m = sand(f.restrict(common), g.restrict(common))
-            meet[i][j] = index[m]
-            w = sand(g.restrict(common), f.restrict(common))
-            joined = dict(w.as_dict())
-            joined.update({x: f(x) for x in fd - gd})
-            joined.update({x: g(x) for x in gd - fd})
-            join[i][j] = index[partial_map(joined)]
-            diff[i][j] = index[f.restrict(fd - gd)]
-            cap[i][j] = index[PartialMap(*zip(*sorted(fg & g.graph())) if fg & g.graph() else ((), ()))]
-    zero = index[PartialMap((), ())]
-    return make_algebra(n, zero, meet, join, diff, cap)
-
-
 def partial_map_algebra(x_size, y_size, band, max_carrier=4096):
     """Skew algebra on all partial maps X -> Y, with the band applied
     pointwise on overlaps:
     f ^ g = f|c sand g|c on c = dom f & dom g,
     f v g = f|(F-G) | g|(G-F) | (g ^ f),
     f \\ g = f|(F-G), and cap is graph intersection.
+    These are the sections of X x Y -> X with the band on every fiber, so
+    the algebra is built as one; the labels are in all_partial_maps order.
     A pointwise lift commutes with restrictions by construction, so the
     family is coherent; the band laws themselves are checked here.
     """
@@ -368,17 +350,30 @@ def partial_map_algebra(x_size, y_size, band, max_carrier=4096):
     if band.m != y_size:
         raise ValueError("band size does not match the value set")
     maps = all_partial_maps(x_size, y_size, max_carrier)
-    return _partial_map_tables(maps, pointwise_family(band)), maps
+    graphs = [zip(f.domain, f.values) for f in maps]
+    return _product_algebra([band.table] * x_size, graphs), maps
 
 
 def partial_map_algebra_from_family(x_size, y_size, sand, max_carrier=4096):
     """Same construction for an arbitrary user-supplied family; the coherence
-    equation is validated first."""
+    equation is validated first.  Coherence makes the family pointwise:
+    f sand g applies at each x the table that the family gives on the
+    singleton maps at x, which is read off here."""
     witness = validate_coherent_family(x_size, y_size, sand, max_carrier)
     if witness is not None:
         raise ValueError(f"family is not coherent: witness {witness}")
     maps = all_partial_maps(x_size, y_size, max_carrier)
-    return _partial_map_tables(maps, sand), maps
+    bands = []
+    for x in range(x_size):
+        table = [[sand(PartialMap((x,), (u,)), PartialMap((x,), (v,))) for v in range(y_size)]
+                 for u in range(y_size)]
+        for h in (h for row in table for h in row):
+            if h.domain != (x,) or not 0 <= h.values[0] < y_size:
+                raise ValueError(f"family gives no value table at {x}: "
+                                 f"two maps defined at {x} alone give {h}")
+        bands.append([[h.values[0] for h in row] for row in table])
+    graphs = [zip(f.domain, f.values) for f in maps]
+    return _product_algebra(bands, graphs), maps
 
 
 # ---------------------------------------------------------------------------

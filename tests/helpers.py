@@ -2,7 +2,16 @@
 
 from itertools import product
 
-from skewstone import Homomorphism, SizeCapError, dual_algebra, make_space, random_space, validate_hom
+from skewstone import (
+    Homomorphism,
+    SizeCapError,
+    dual_algebra,
+    make_algebra,
+    make_space,
+    random_space,
+    right_band,
+    validate_hom,
+)
 from skewstone.spaces_sections import all_partial_maps
 
 
@@ -63,33 +72,70 @@ def seeded_rect_space(i, base_seed=7000, max_grid=3, max_b=2):
 
 
 # ---------------------------------------------------------------------------
-# Independent oracle for the right-handed partial-map algebra: partial maps
-# as dicts, operations written directly from their set-theoretic definitions.
+# Enumerative oracle for the section algebra: sections as sets of points,
+# operations written with fiber saturation and the fiber band.
 # ---------------------------------------------------------------------------
 
-def _o_meet(f, g):
-    return {x: g[x] for x in f if x in g}
+def section_algebra_oracle(sp):
+    """Section algebra of sp from set formulas over its enumerated sections.
+    With sigma the fiber saturation and the fiber band (the right band
+    x y = y on a plain space) applied where two sections share a base point:
+    S ^ R = (S & sigma(R)) band (sigma(S) & R),
+    S v R = (S - sigma(R)) | (R - sigma(S)) | (R ^ S),
+    S \\ R = S - sigma(R) and S cap R = S & R.
+    Returns the algebra and the sections as sorted tuples, in sorted order."""
+    fib = [[e for e in range(sp.size_e) if sp.p[e] == b] for b in range(sp.size_b)]
+    sections = sorted(tuple(sorted(e for e in choice if e is not None))
+                      for choice in product(*[[None] + f for f in fib]))
+    band = (lambda x, y: y) if sp.band is None else (lambda x, y: sp.band[x][y])
+    index = {s: i for i, s in enumerate(sections)}
+    sets = [frozenset(s) for s in sections]
+    sats = [frozenset(e for x in s for e in fib[sp.p[x]]) for s in sections]
+    over = [{sp.p[e]: e for e in s} for s in sections]
+
+    def banded_meet(i, j):
+        return frozenset(band(over[i][b], over[j][b]) for b in over[i] if b in over[j])
+
+    look = lambda points: index[tuple(sorted(points))]
+    rng = range(len(sections))
+    meet = [[look(banded_meet(i, j)) for j in rng] for i in rng]
+    join = [[look((sets[i] - sats[j]) | (sets[j] - sats[i]) | banded_meet(j, i)) for j in rng]
+            for i in rng]
+    diff = [[look(sets[i] - sats[j]) for j in rng] for i in rng]
+    cap = [[look(sets[i] & sets[j]) for j in rng] for i in rng]
+    return make_algebra(len(sections), index[()], meet, join, diff, cap), tuple(sections)
 
 
-def _o_join(f, g):
-    out = dict(f)
-    for x, v in g.items():
-        if x not in f:
-            out[x] = v
+# ---------------------------------------------------------------------------
+# Independent oracle for the partial-map algebra: partial maps as dicts,
+# operations written directly from their set-theoretic definitions.
+# ---------------------------------------------------------------------------
+
+def _o_meet(f, g, bands):
+    return {x: bands[x](f[x], g[x]) for x in f if x in g}
+
+
+def _o_join(f, g, bands):
+    out = {x: v for x, v in f.items() if x not in g}
+    out.update((x, v) for x, v in g.items() if x not in f)
+    out.update(_o_meet(g, f, bands))
     return out
 
 
-def _o_diff(f, g):
+def _o_diff(f, g, bands):
     return {x: f[x] for x in f if x not in g}
 
 
-def _o_cap(f, g):
+def _o_cap(f, g, bands):
     return {x: f[x] for x in f if x in g and g[x] == f[x]}
 
 
-def partial_map_oracle_tables(x_size, y_size):
-    """Operation tables of the right-handed partial-map algebra computed by a
+def partial_map_oracle_tables(x_size, y_size, bands=None):
+    """Operation tables of the partial-map algebra with band bands[x] at
+    point x (by default the right band everywhere) computed by a
     from-scratch dict implementation, over the canonical carrier order."""
+    if bands is None:
+        bands = [right_band(y_size)] * x_size
     maps = all_partial_maps(x_size, y_size)
     dicts = [m.as_dict() for m in maps]
     index = {tuple(sorted(d.items())): i for i, d in enumerate(dicts)}
@@ -98,7 +144,7 @@ def partial_map_oracle_tables(x_size, y_size):
     tables = {}
     for name, op in (("meet", _o_meet), ("join", _o_join),
                      ("diff", _o_diff), ("cap", _o_cap)):
-        tables[name] = tuple(tuple(look(op(dicts[i], dicts[j])) for j in range(n))
+        tables[name] = tuple(tuple(look(op(dicts[i], dicts[j], bands)) for j in range(n))
                              for i in range(n))
     return maps, tables
 

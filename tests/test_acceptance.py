@@ -20,8 +20,6 @@ from skewstone import (
     compose_homs,
     compose_space_morphisms,
     dual_algebra,
-    dual_algebra_rect,
-    dual_algebra_right,
     dual_of_hom,
     enumerate_homs,
     enumerate_space_morphisms,
@@ -148,14 +146,14 @@ def test_criterion_02_two_point_spectra():
 def test_criterion_03_object_roundtrip_algebra_side():
     problems = []
     for sp in all_surjection_spaces(5):
-        A, _ = dual_algebra_right(sp)
+        A, _ = dual_algebra(sp)
         try:
             algebra_roundtrip_iso(A)
         except RuntimeError as exc:
             problems.append(f"plain |E|={sp.size_e}: {exc}")
     for i in range(100):
         sp = seeded_rect_space(i)
-        A, _ = dual_algebra_rect(sp)
+        A, _ = dual_algebra(sp)
         try:
             algebra_roundtrip_iso(A)
         except RuntimeError as exc:

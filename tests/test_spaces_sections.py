@@ -1,17 +1,24 @@
 
 import gc
+import time
 import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_surjection_spaces, corpus_params, partial_map_oracle_tables
+from helpers import (
+    all_surjection_spaces,
+    corpus_params,
+    corpus_spaces,
+    partial_map_oracle_tables,
+    section_algebra_oracle,
+    space_from_fibers,
+)
 from skewstone import (
+    SizeCapError,
     algebras_isomorphic,
     dual_algebra,
-    dual_algebra_rect,
-    dual_algebra_right,
     enumerate_sections,
     handedness,
     left_band,
@@ -98,21 +105,21 @@ class TestSections:
 
 class TestDualAlgebras:
     def test_two_to_one_is_three(self, three):
-        algebra, labels = dual_algebra_right(make_space(2, 1, [0, 0]))
+        algebra, labels = dual_algebra(make_space(2, 1, [0, 0]))
         assert algebra == three
         assert labels == ((), (0,), (1,))
 
     def test_identity_space_gives_boolean(self):
-        algebra, _ = dual_algebra_right(make_space(3, 3, [0, 1, 2]))
+        algebra, _ = dual_algebra(make_space(3, 3, [0, 1, 2]))
         assert algebras_isomorphic(algebra, boolean_algebra(3)) is not None
 
     def test_empty_space_gives_one_element(self, trivial):
-        algebra, _ = dual_algebra_right(make_space(0, 0, []))
+        algebra, _ = dual_algebra(make_space(0, 0, []))
         assert algebra == trivial
 
     def test_rect_left_band_gives_mirror(self, three):
         sp = make_space(2, 1, [0, 0], [[0, 0], [1, 1]])
-        algebra, _ = dual_algebra_rect(sp)
+        algebra, _ = dual_algebra(sp)
         assert algebra == mirror(three)
 
     def test_rect_with_right_band_matches_right_dual(self):
@@ -120,29 +127,73 @@ class TestDualAlgebras:
             size_b, max_fiber, _ = corpus_params(i)
             sp = random_space(size_b, max_fiber, seed=500 + i, band="right")
             plain = make_space(sp.size_e, sp.size_b, sp.p)
-            rect, _ = dual_algebra_rect(sp)
-            right, _ = dual_algebra_right(plain)
+            rect, _ = dual_algebra(sp)
+            right, _ = dual_algebra(plain)
             assert rect == right
 
     def test_product_fiber_two_by_two_is_neither(self):
         sp = random_space(1, 1, seed=0, band=("product", 2, 2))
-        algebra, _ = dual_algebra_rect(sp)
+        algebra, _ = dual_algebra(sp)
         assert validate_algebra(algebra).ok
         assert handedness(algebra) == "neither"
 
     def test_natural_order_is_inclusion(self):
         for sp in all_surjection_spaces(5):
-            algebra, labels = dual_algebra_right(sp)
+            algebra, labels = dual_algebra(sp)
             leq = leq_matrix(algebra)
             for i, s in enumerate(labels):
                 for j, r in enumerate(labels):
                     assert leq[i][j] == (set(s) <= set(r))
+
+    def test_section_cap_raises_before_building_tables(self):
+        sp = space_from_fibers((4,) * 6)  # 5^6 = 15625 sections
+        start = time.perf_counter()
+        with pytest.raises(SizeCapError, match="more than 4096 sections"):
+            dual_algebra(sp)
+        assert time.perf_counter() - start < 1.0
 
     def test_reflection(self):
         for sp in all_surjection_spaces(6):
             assert reflection_check(sp)
         assert reflection_check(random_space(3, 2, seed=11, band="right"))
         assert reflection_check(random_space(2, 1, seed=3, band=("product", 2, 2)))
+
+
+class TestSectionAlgebraOracle:
+    """The product builder against the enumerative set-formula oracles."""
+
+    @staticmethod
+    def assert_matches_oracle(sp):
+        algebra, labels = dual_algebra(sp)
+        assert (algebra, labels) == section_algebra_oracle(sp)
+
+    def test_seeded_corpus(self):
+        for sp in corpus_spaces():
+            self.assert_matches_oracle(sp)
+
+    def test_all_small_surjections(self):
+        for sp in all_surjection_spaces(6):
+            self.assert_matches_oracle(sp)
+
+    def test_every_band_kind(self):
+        for kind in ("none", "right", "left", ("product", 2, 1), ("product", 1, 2)):
+            self.assert_matches_oracle(random_space(3, 3, seed=31, band=kind))
+        grid = random_space(3, 1, seed=32, band=("product", 2, 2))
+        assert [len(f) for f in fibers(grid)] == [4, 4, 4]
+        self.assert_matches_oracle(grid)
+
+    def test_partial_maps(self):
+        cases = [(y_size, band) for y_size in (1, 2, 3)
+                 for band in (right_band(y_size), left_band(y_size))]
+        cases.append((4, product_band(2, 2)))
+        for x_size in (1, 2, 3):
+            for y_size, band in cases:
+                algebra, labels = partial_map_algebra(x_size, y_size, band)
+                maps, tables = partial_map_oracle_tables(x_size, y_size, [band] * x_size)
+                assert labels == maps
+                assert algebra.zero == labels.index(PartialMap((), ())) == 0
+                for name in ("meet", "join", "diff", "cap"):
+                    assert getattr(algebra, name + "_table") == tables[name]
 
 
 class TestDerivedStructureLifetime:
@@ -230,6 +281,32 @@ class TestPartialMapAlgebra:
         general, _ = partial_map_algebra_from_family(2, 2, pointwise_family(band))
         assert direct == general
 
+    def test_family_whose_band_varies_by_point(self):
+        bands = [left_band(2), right_band(2)]
+
+        def sand(f, g):
+            return PartialMap(f.domain, tuple(bands[x](u, v)
+                                              for x, u, v in zip(f.domain, f.values, g.values)))
+
+        algebra, labels = partial_map_algebra_from_family(2, 2, sand)
+        maps, tables = partial_map_oracle_tables(2, 2, bands)
+        assert labels == maps
+        assert algebra.zero == 0
+        for name in ("meet", "join", "diff", "cap"):
+            assert getattr(algebra, name + "_table") == tables[name]
+        assert validate_algebra(algebra).ok
+        assert handedness(algebra) == "neither"
+
+    def test_coherent_family_that_drops_points_is_refused(self):
+        # restricting the empty map gives the empty map, so this is coherent,
+        # yet it is no band on the values at any point
+        def forget(f, g):
+            return PartialMap((), ())
+
+        assert validate_coherent_family(2, 2, forget) is None
+        with pytest.raises(ValueError, match="at 0 alone"):
+            partial_map_algebra_from_family(2, 2, forget)
+
     def test_band_table_validator(self):
         assert band_law_witness(right_band(3).table) is None
         assert band_law_witness(((1, 1), (0, 0))) == ("band_idempotent", (0,))
@@ -259,7 +336,7 @@ class TestPartialMapAlgebra:
             ambient_band = right_band(sp.size_e) if kind == "right" else grid_global_band(sp, 2)
             assert ambient_band.m == sp.size_e
             assert band_law_witness(ambient_band.table) is None
-            algebra, labels = dual_algebra_rect(sp)
+            algebra, labels = dual_algebra(sp)
             ambient, maps = partial_map_algebra(sp.size_b, sp.size_e, ambient_band)
             index = {m: i for i, m in enumerate(maps)}
             image = []
