@@ -14,6 +14,7 @@ import time
 from math import prod
 
 from skewstone import (
+    EXHAUSTIVE_N,
     SizeCapError,
     algebra_roundtrip_iso,
     dual_algebra,
@@ -27,7 +28,6 @@ from skewstone import (
 from skewstone.ideals_spectra import fibers
 
 KINDS = ("none", "right", "left", ("product", 2, 1), ("product", 2, 2))
-MAX_N = 256
 
 
 def survey(count, base_seed, size_b, max_fiber):
@@ -38,11 +38,11 @@ def survey(count, base_seed, size_b, max_fiber):
         t0 = time.perf_counter()
         n = prod(1 + len(f) for f in fibers(sp))
         try:
-            if n > MAX_N:
+            if n > EXHAUSTIVE_N:
                 # refused before the section algebra is built
-                raise SizeCapError(f"n={n} exceeds the survey cap {MAX_N}")
+                raise SizeCapError(f"n={n} exceeds the exhaustive-check cap {EXHAUSTIVE_N}")
             A, _ = dual_algebra(sp)
-            ok_valid = validate_algebra(A, max_n=MAX_N).ok
+            ok_valid = validate_algebra(A).ok
             algebra_roundtrip_iso(A)
             space_roundtrip_iso(sp)
             ok_decomp = second_decomposition_check(A)

@@ -32,7 +32,7 @@ def main(argv=None):
                               (f"algebra_{i:03d}", jsonio.algebra_to_dict(A))):
             path = os.path.join(args.out, name + ".json")
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(jsonio.dumps(payload) + "\n")
+                jsonio.dump(payload, fh)
             print(path)
     return 0
 

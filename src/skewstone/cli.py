@@ -2,8 +2,8 @@
 morphism analysis, corpus generation, and DOT export.
 
 Exit codes: 0 on success, 1 on a domain failure (invalid instance, failed
-check), 2 on unreadable input.  All randomness flows from --seed; identical
-invocations print identical bytes.
+check), 2 on unreadable input, 3 when a size limit stops the work.  All
+randomness flows from --seed; identical invocations print identical bytes.
 """
 
 from __future__ import annotations
@@ -12,10 +12,15 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import jsonio
-from .core_algebra import SizeCapError, StructuralError, leq_matrix, validate_algebra
+from .core_algebra import (
+    EXHAUSTIVE_N,
+    SizeCapError,
+    StructuralError,
+    leq_matrix,
+    validate_algebra,
+)
 from .ideals_spectra import skew_spectrum
 from .lattice_sections import find_global_section, find_lattice_section
 from .morphisms_duality import (
@@ -30,25 +35,6 @@ from .morphisms_duality import (
 from .spaces_sections import dual_algebra, random_space, validate_space
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation: subcommand, input paths, and the shared knobs."""
-
-    command: str
-    paths: tuple[str, ...]
-    seed: int = 0
-    max_size: int = 64
-    fmt: str = "text"
-    out: str | None = None
-    size_b: int = 2
-    max_fiber: int = 2
-    band: str = "none"
-    k_left: int = 2
-    k_right: int = 1
-    count: int = 1
-    with_sections: bool = False
-
-
 def _load(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -56,9 +42,9 @@ def _load(path):
 
 def _print_report(report, fmt):
     if fmt == "json":
-        print(jsonio.dumps({"ok": report.ok,
-                            "failures": [[law, list(w)] for law, w in report.failures],
-                            "warnings": [[law, list(w)] for law, w in report.warnings]}))
+        jsonio.dump({"ok": report.ok,
+                     "failures": [[law, list(w)] for law, w in report.failures],
+                     "warnings": [[law, list(w)] for law, w in report.warnings]})
     else:
         if report.ok:
             print("ok")
@@ -104,7 +90,7 @@ def cmd_spectrum(cfg):
     space, points = skew_spectrum(A)
     out = jsonio.space_to_dict(space)
     out.update(jsonio.points_to_dict(points))
-    print(jsonio.dumps(out))
+    jsonio.dump(out)
     return 0
 
 
@@ -114,7 +100,7 @@ def cmd_dualize(cfg):
     out = jsonio.algebra_to_dict(algebra)
     if cfg.with_sections:
         out.update(jsonio.sections_to_dict(sections))
-    print(jsonio.dumps(out))
+    jsonio.dump(out)
     return 0
 
 
@@ -125,15 +111,15 @@ def cmd_roundtrip(cfg):
         A = _valid_algebra(cfg, obj)
         iso = algebra_roundtrip_iso(A)
         if cfg.fmt == "json":
-            print(jsonio.dumps({"isomorphic": True, "size": A.n, "map": list(iso.map)}))
+            jsonio.dump({"isomorphic": True, "size": A.n, "map": list(iso.map)})
         else:
             print(f"isomorphic, |A|={A.n}")
     elif kind == "space":
         sp = _valid_space(obj)
         iso = space_roundtrip_iso(sp)
         if cfg.fmt == "json":
-            print(jsonio.dumps({"isomorphic": True, "E": sp.size_e, "B": sp.size_b,
-                                "g": list(iso.g.values), "h": list(iso.h.values)}))
+            jsonio.dump({"isomorphic": True, "E": sp.size_e, "B": sp.size_b,
+                         "g": list(iso.g.values), "h": list(iso.h.values)})
         else:
             print(f"isomorphic, |E|={sp.size_e}, |B|={sp.size_b}")
     else:
@@ -145,7 +131,7 @@ def cmd_homs(cfg):
     A = _valid_algebra(cfg, _load(cfg.paths[0]))
     B = _valid_algebra(cfg, _load(cfg.paths[1]))
     rows = []
-    for f in enumerate_homs(A, B, max_candidates=max(10 ** 6, cfg.max_size)):
+    for f in enumerate_homs(A, B):
         flags = classify_hom(f)
         rows.append({"map": list(f.map),
                      "flags": {"leq_cofinal": flags.leq_cofinal,
@@ -155,7 +141,7 @@ def cmd_homs(cfg):
                                "image_ideal_preceq_closed": flags.image_ideal_preceq_closed},
                      "dual_agrees": check_variant_dualities(f)})
     if cfg.fmt == "json":
-        print(jsonio.dumps({"homs": rows}))
+        jsonio.dump({"homs": rows})
     else:
         print(f"{len(rows)} homomorphisms")
         for row in rows:
@@ -177,7 +163,7 @@ def cmd_decompose(cfg):
     for name, part in (("partial_identity", part_identity), ("pullback_part", pullback_part)):
         path = os.path.join(cfg.out, f"{name}.json")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(jsonio.dumps(jsonio.morphism_to_dict(part)) + "\n")
+            jsonio.dump(jsonio.morphism_to_dict(part), fh)
         print(path)
     return 0
 
@@ -191,14 +177,14 @@ def cmd_section(cfg):
         if section is None:
             print("none")
         else:
-            print(jsonio.dumps({"choice": list(section.choice)}))
+            jsonio.dump({"choice": list(section.choice)})
     elif kind == "space":
         sp = _valid_space(obj)
         section = find_global_section(sp)
         if section is None:
             print("none")
         else:
-            print(jsonio.dumps({"section": list(section.points)}))
+            jsonio.dump({"section": list(section.points)})
     else:
         raise StructuralError(f"no section search for objects of kind {kind}")
     return 0
@@ -215,7 +201,7 @@ def cmd_generate(cfg):
         sp = random_space(cfg.size_b, cfg.max_fiber, cfg.seed + i, band)
         path = os.path.join(cfg.out, f"space_{i:03d}.json")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(jsonio.dumps(jsonio.space_to_dict(sp)) + "\n")
+            jsonio.dump(jsonio.space_to_dict(sp), fh)
         print(path)
     return 0
 
@@ -280,9 +266,8 @@ def build_parser():
         description="Finite skew Boolean algebras with intersections and their dual spaces.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for anything random")
-    common.add_argument("--max-size", type=int, default=64,
-                        help="cap for exhaustive validators; also lifts the "
-                             "enumeration candidate cap when larger than 10^6")
+    common.add_argument("--max-size", type=int, default=EXHAUSTIVE_N,
+                        help="cap on n for the exhaustive law check of input algebras")
     common.add_argument("--format", dest="fmt", choices=("json", "dot", "text"),
                         default="text", help="output format where applicable")
     common.add_argument("--out", default=None, help="output directory for file-producing commands")
@@ -308,23 +293,17 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     func, arity = COMMANDS[args.command]
-    paths = tuple(getattr(args, f"path{i}" if arity > 1 else "path")
-                  for i in range(arity))
-    cfg = RunConfig(command=args.command, paths=paths, seed=args.seed,
-                    max_size=args.max_size, fmt=args.fmt, out=args.out,
-                    size_b=getattr(args, "size_b", 2),
-                    max_fiber=getattr(args, "max_fiber", 2),
-                    band=getattr(args, "band", "none"),
-                    k_left=getattr(args, "k_left", 2),
-                    k_right=getattr(args, "k_right", 1),
-                    count=getattr(args, "count", 1),
-                    with_sections=getattr(args, "with_sections", False))
+    args.paths = tuple(getattr(args, f"path{i}" if arity > 1 else "path")
+                       for i in range(arity))
     try:
-        return func(cfg)
+        return func(args)
     except (json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (StructuralError, SizeCapError, ValueError, RuntimeError) as exc:
+    except SizeCapError as exc:
+        print(f"error: limit: {exc}", file=sys.stderr)
+        return 3
+    except (StructuralError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

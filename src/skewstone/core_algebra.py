@@ -8,6 +8,7 @@ immutable values; results and reported witnesses are deterministic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import wraps
 
@@ -19,7 +20,15 @@ class StructuralError(ValueError):
 
 
 class SizeCapError(RuntimeError):
-    """An exhaustive check was asked to run above its configured size cap."""
+    """An exhaustive check or search was asked to go past its limit."""
+
+
+# The limit policy.  EXHAUSTIVE_N caps n for the cubic law check: it is the
+# default of validate_algebra, of the CLI's --max-size and the survey's cap.
+# MAX_CARRIER caps the carriers the builders enumerate (sections, partial
+# maps).  The hom search counts its own work (enumerate_homs).
+EXHAUSTIVE_N = 256
+MAX_CARRIER = 4096
 
 
 class CongruenceError(ValueError):
@@ -96,10 +105,11 @@ class SkewAlgebra:
 
 
 def make_algebra(n, zero, meet, join, diff, cap):
-    """Build a SkewAlgebra from list-of-list tables (freezes them to tuples)."""
-    as_tuple = lambda t: tuple(tuple(int(v) for v in row) for row in t)
-    return SkewAlgebra(int(n), int(zero), as_tuple(meet), as_tuple(join),
-                       as_tuple(diff), as_tuple(cap))
+    """Build a SkewAlgebra from list-of-list tables (freezes them to tuples).
+    Entries must be integers (TypeError otherwise, also for 1.9 or "0")."""
+    as_tuple = lambda t: tuple(tuple(operator.index(v) for v in row) for row in t)
+    return SkewAlgebra(operator.index(n), operator.index(zero), as_tuple(meet),
+                       as_tuple(join), as_tuple(diff), as_tuple(cap))
 
 
 @dataclass(frozen=True)
@@ -218,7 +228,7 @@ def _first_bad(mask):
     return tuple(int(v) for v in idx[0])
 
 
-def validate_algebra(A, max_n=64):
+def validate_algebra(A, max_n=EXHAUSTIVE_N):
     """Exhaustively check every axiom, returning all violated laws with witnesses.
 
     Axioms: idempotency and associativity of meet and join, the four
@@ -468,7 +478,7 @@ def second_decomposition_check(A):
         return False
     # Transported cap must be the pullback's genuine GLB, and the canonical
     # map must preserve the component-wise operations.
-    if not validate_algebra(pullback, max_n=max(64, k_n)).ok:
+    if not validate_algebra(pullback, max_n=k_n).ok:
         return False
     for x in A.elements:
         for y in A.elements:
@@ -580,6 +590,6 @@ def algebras_isomorphic(A, B):
         assignment[k] = None
         return False
 
-    if extend(0):
-        return tuple(assignment)
-    return None
+    found = extend(0)
+    del extend  # it refers to itself through its cell: break that cycle
+    return tuple(assignment) if found else None

@@ -9,12 +9,11 @@ generated by P, and carries a rectangular band.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from itertools import combinations
 
 from .core_algebra import (
     Partition,
-    SizeCapError,
     StructuralError,
     is_congruence,
     leq_matrix,
@@ -80,11 +79,14 @@ class RectSkewSpace:
 
 
 def make_space(size_e, size_b, p, band=None):
-    """Build a RectSkewSpace from plain lists (None entries allowed in band)."""
+    """Build a RectSkewSpace from plain lists (None entries allowed in band).
+    Entries must be integers (TypeError otherwise, also for 2.5 or "0")."""
     frozen_band = None
     if band is not None:
-        frozen_band = tuple(tuple(None if v is None else int(v) for v in row) for row in band)
-    return RectSkewSpace(int(size_e), int(size_b), tuple(int(v) for v in p), frozen_band)
+        frozen_band = tuple(tuple(None if v is None else operator.index(v) for v in row)
+                            for row in band)
+    return RectSkewSpace(operator.index(size_e), operator.index(size_b),
+                         tuple(operator.index(v) for v in p), frozen_band)
 
 
 @per_object
@@ -121,37 +123,6 @@ def is_ideal(A, members):
             if A.join(x, y) not in mem:
                 return False
     return True
-
-
-def enumerate_ideals(A, max_n=16):
-    """All ideals by brute force over subsets (exponential; capped)."""
-    if A.n > max_n:
-        raise SizeCapError(f"n={A.n} exceeds brute-force cap {max_n}")
-    rest = [x for x in A.elements if x != A.zero]
-    found = []
-    for k in range(len(rest) + 1):
-        for extra in combinations(rest, k):
-            cand = tuple(sorted((A.zero,) + extra))
-            if is_ideal(A, cand):
-                found.append(Ideal(cand))
-    return tuple(sorted(found, key=lambda i: i.members))
-
-
-def _is_prime_members(A, members):
-    mem = set(members)
-    if len(mem) == A.n:
-        return False
-    for a in A.elements:
-        for b in A.elements:
-            if A.meet(a, b) in mem and a not in mem and b not in mem:
-                return False
-    return True
-
-
-def enumerate_prime_ideals_bruteforce(A, max_n=16):
-    """Oracle path: filter the brute-force ideal enumeration for primality."""
-    return tuple(PrimeIdeal(i.members, k) for k, i in enumerate(
-        i for i in enumerate_ideals(A, max_n=max_n) if _is_prime_members(A, i.members)))
 
 
 def _reflection_atoms(Q):

@@ -10,7 +10,10 @@ as a file path.  Extra keys are tolerated so annotated outputs re-validate.
 from __future__ import annotations
 
 import json
+import operator
 import os
+import sys
+from itertools import islice
 
 from .core_algebra import StructuralError, make_algebra
 from .ideals_spectra import make_space
@@ -54,9 +57,9 @@ def partial_map_to_dict(pm):
 
 def partial_map_from_dict(obj):
     try:
-        return PartialMap(tuple(int(x) for x in obj["domain"]),
-                          tuple(int(v) for v in obj["values"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        return PartialMap(tuple(operator.index(x) for x in obj["domain"]),
+                          tuple(operator.index(v) for v in obj["values"]))
+    except (KeyError, TypeError) as exc:
         raise StructuralError(f"not a partial map object: {exc}") from exc
 
 
@@ -80,7 +83,7 @@ def hom_from_dict(obj, base_dir="."):
     try:
         source = _resolve(obj["source"], base_dir, algebra_from_dict)
         target = _resolve(obj["target"], base_dir, algebra_from_dict)
-        return Homomorphism(source, target, tuple(int(v) for v in obj["map"]))
+        return Homomorphism(source, target, tuple(operator.index(v) for v in obj["map"]))
     except (KeyError, TypeError) as exc:
         raise StructuralError(f"not a homomorphism object: {exc}") from exc
 
@@ -116,6 +119,20 @@ def sniff_kind(obj):
     raise StructuralError("object matches no known artifact shape")
 
 
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+
+
 def dumps(obj):
     """Canonical serialization used by every command (byte-stable)."""
-    return json.dumps(obj, indent=2, sort_keys=True)
+    return _ENCODER.encode(obj)
+
+
+def dump(obj, fh=None):
+    """Write dumps(obj) and a newline to fh (by default the sys.stdout of the
+    moment).  The encoder's chunks go out in batches, so a large document is
+    never held whole; one write per chunk would be several times slower."""
+    out = sys.stdout if fh is None else fh
+    chunks = _ENCODER.iterencode(obj)
+    while batch := list(islice(chunks, 65536)):
+        out.write("".join(batch))
+    out.write("\n")

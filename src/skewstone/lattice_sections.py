@@ -96,7 +96,9 @@ def find_lattice_section(A):
         choice[t] = None
         return False
 
-    if extend(0):
+    found = extend(0)
+    del extend  # it refers to itself through its cell: break that cycle
+    if found:
         section = LatticeSection(tuple(choice))
         if not is_lattice_section(A, section.choice):
             raise RuntimeError("search returned a non-section")

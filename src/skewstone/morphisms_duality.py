@@ -119,9 +119,9 @@ def enumerate_homs(A, B, max_candidates=10 ** 6):
     Elements are assigned in index order; each operation instance is checked
     as soon as its arguments and result are all assigned, which prunes most
     of the |B|^|A| raw candidates.  Output is in lexicographic map order.
+    Every value tried for an element is one candidate assignment; the search
+    raises SizeCapError once it has tried more than max_candidates.
     """
-    if B.n ** A.n > max_candidates:
-        raise SizeCapError(f"{B.n}^{A.n} candidate maps exceed {max_candidates}")
     ops = [(getattr(A, name), getattr(B, name)) for name in ("meet", "join", "diff", "cap")]
     # constraints[(k)] lists (op_idx, i, j) checkable once element k is assigned
     constraints = [[] for _ in range(A.n)]
@@ -131,19 +131,28 @@ def enumerate_homs(A, B, max_candidates=10 ** 6):
                 constraints[max(i, j, fa(i, j))].append((oi, i, j))
     image = [0] * A.n
     found = []
+    tried = 0
 
     def extend(k):
+        nonlocal tried
         if k == A.n:
             found.append(Homomorphism(A, B, tuple(image)))
             return
         options = (B.zero,) if k == A.zero else range(B.n)
         for v in options:
+            tried += 1
+            if tried > max_candidates:
+                raise SizeCapError(f"hom search tried more than {max_candidates} candidate "
+                                   f"assignments; it had reached element {k} of {A.n}")
             image[k] = v
             if all(image[ops[oi][0](i, j)] == ops[oi][1](image[i], image[j])
                    for oi, i, j in constraints[k]):
                 extend(k + 1)
 
-    extend(0)
+    try:
+        extend(0)
+    finally:
+        del extend  # it refers to itself through its cell: break that cycle
     return tuple(found)
 
 

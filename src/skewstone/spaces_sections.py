@@ -20,6 +20,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .core_algebra import (
+    MAX_CARRIER,
     SizeCapError,
     SkewAlgebra,
     ValidationReport,
@@ -174,16 +175,16 @@ def validate_space(sp):
     return ValidationReport(ok=not failures, failures=tuple(failures))
 
 
-def enumerate_sections(sp, max_sections=4096):
+def enumerate_sections(sp):
     """All sections as canonical sorted tuples, in lexicographic order.
 
-    There are prod_b (1 + |fiber(b)|) of them.
+    There are prod_b (1 + |fiber(b)|) of them, at most MAX_CARRIER.
     """
     count = 1
     for f in fibers(sp):
         count *= 1 + len(f)
-        if count > max_sections:
-            raise SizeCapError(f"more than {max_sections} sections")
+        if count > MAX_CARRIER:
+            raise SizeCapError(f"more than {MAX_CARRIER} sections")
     out = []
     for choice in product(*[(None,) + f for f in fibers(sp)]):
         out.append(tuple(sorted(e for e in choice if e is not None)))
@@ -296,10 +297,10 @@ def reflection_check(sp):
 # Partial-map algebras
 # ---------------------------------------------------------------------------
 
-def all_partial_maps(x_size, y_size, max_carrier=4096):
-    """Every partial map X -> Y, sorted by (domain, values)."""
-    if (y_size + 1) ** x_size > max_carrier:
-        raise SizeCapError(f"more than {max_carrier} partial maps")
+def all_partial_maps(x_size, y_size):
+    """Every partial map X -> Y, sorted by (domain, values); at most MAX_CARRIER."""
+    if (y_size + 1) ** x_size > MAX_CARRIER:
+        raise SizeCapError(f"more than {MAX_CARRIER} partial maps")
     maps = []
     for choice in product(*[(None,) + tuple(range(y_size)) for _ in range(x_size)]):
         dom = tuple(x for x, v in enumerate(choice) if v is not None)
@@ -314,11 +315,11 @@ def pointwise_family(band):
     return sand
 
 
-def validate_coherent_family(x_size, y_size, sand, max_carrier=4096):
+def validate_coherent_family(x_size, y_size, sand):
     """Exhaustively check that a family commutes with restrictions: for
     E <= D and f, g defined on D, (f sand g)|E = f|E sand g|E.  Returns a
     witness (D, E, f, g) or None."""
-    maps = all_partial_maps(x_size, y_size, max_carrier)
+    maps = all_partial_maps(x_size, y_size)
     by_domain = {}
     for f in maps:
         by_domain.setdefault(f.domain, []).append(f)
@@ -333,7 +334,7 @@ def validate_coherent_family(x_size, y_size, sand, max_carrier=4096):
     return None
 
 
-def partial_map_algebra(x_size, y_size, band, max_carrier=4096):
+def partial_map_algebra(x_size, y_size, band):
     """Skew algebra on all partial maps X -> Y, with the band applied
     pointwise on overlaps:
     f ^ g = f|c sand g|c on c = dom f & dom g,
@@ -349,20 +350,20 @@ def partial_map_algebra(x_size, y_size, band, max_carrier=4096):
         raise ValueError(f"not a rectangular band: {bad[0]} at {bad[1]}")
     if band.m != y_size:
         raise ValueError("band size does not match the value set")
-    maps = all_partial_maps(x_size, y_size, max_carrier)
+    maps = all_partial_maps(x_size, y_size)
     graphs = [zip(f.domain, f.values) for f in maps]
     return _product_algebra([band.table] * x_size, graphs), maps
 
 
-def partial_map_algebra_from_family(x_size, y_size, sand, max_carrier=4096):
+def partial_map_algebra_from_family(x_size, y_size, sand):
     """Same construction for an arbitrary user-supplied family; the coherence
     equation is validated first.  Coherence makes the family pointwise:
     f sand g applies at each x the table that the family gives on the
     singleton maps at x, which is read off here."""
-    witness = validate_coherent_family(x_size, y_size, sand, max_carrier)
+    witness = validate_coherent_family(x_size, y_size, sand)
     if witness is not None:
         raise ValueError(f"family is not coherent: witness {witness}")
-    maps = all_partial_maps(x_size, y_size, max_carrier)
+    maps = all_partial_maps(x_size, y_size)
     bands = []
     for x in range(x_size):
         table = [[sand(PartialMap((x,), (u,)), PartialMap((x,), (v,))) for v in range(y_size)]

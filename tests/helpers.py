@@ -1,9 +1,11 @@
 """Shared corpus builders and independent oracles for the test suite."""
 
-from itertools import product
+from itertools import combinations, product
 
 from skewstone import (
     Homomorphism,
+    Ideal,
+    PrimeIdeal,
     SizeCapError,
     dual_algebra,
     make_algebra,
@@ -12,6 +14,7 @@ from skewstone import (
     right_band,
     validate_hom,
 )
+from skewstone.ideals_spectra import is_ideal
 from skewstone.spaces_sections import all_partial_maps
 
 
@@ -159,3 +162,35 @@ def enumerate_homs_bruteforce(A, B, max_candidates=10 ** 4):
         if validate_hom(f).ok:
             out.append(f)
     return tuple(out)
+
+
+def enumerate_ideals(A, max_n=16):
+    """Oracle: all ideals by brute force over subsets (exponential; capped)."""
+    if A.n > max_n:
+        raise SizeCapError(f"n={A.n} exceeds brute-force cap {max_n}")
+    rest = [x for x in A.elements if x != A.zero]
+    found = []
+    for k in range(len(rest) + 1):
+        for extra in combinations(rest, k):
+            cand = tuple(sorted((A.zero,) + extra))
+            if is_ideal(A, cand):
+                found.append(Ideal(cand))
+    return tuple(sorted(found, key=lambda i: i.members))
+
+
+def _is_prime_members(A, members):
+    mem = set(members)
+    if len(mem) == A.n:
+        return False
+    for a in A.elements:
+        for b in A.elements:
+            if A.meet(a, b) in mem and a not in mem and b not in mem:
+                return False
+    return True
+
+
+def enumerate_prime_ideals_bruteforce(A, max_n=16):
+    """Oracle for enumerate_prime_ideals: filter the brute-force ideal
+    enumeration for primality."""
+    return tuple(PrimeIdeal(i.members, k) for k, i in enumerate(
+        i for i in enumerate_ideals(A, max_n=max_n) if _is_prime_members(A, i.members)))

@@ -1,4 +1,5 @@
 import importlib.util
+import io
 import json
 import pathlib
 import subprocess
@@ -62,6 +63,23 @@ class TestExitCodes:
         path = tmp_path / "shape.json"
         path.write_text(jsonio.dumps(obj))
         assert run(capsys, "validate", str(path))[0] == 1
+
+    def test_non_integer_entry_exits_one(self, capsys, tmp_path):
+        # 1.9 used to be truncated to 1, which left a valid table
+        algebra = jsonio.algebra_to_dict(right_three())
+        algebra["meet"][1][1] = 1.9
+        space = {"E": 2.5, "B": 1, "p": [0, 0]}
+        for name, obj in (("algebra", algebra), ("space", space)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(jsonio.dumps(obj))
+            assert run(capsys, "validate", str(path)) == (1, "")
+
+    def test_over_max_size_exits_three(self, capsys, three_file):
+        code = main(["validate", "--max-size", "2", three_file])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: limit: n=3 exceeds")
 
 
 class TestCommands:
@@ -194,17 +212,29 @@ class TestInterchangeFormats:
 
 
 class TestMaxSizeOverride:
-    def test_homs_cap_lifted_by_flag(self, capsys, tmp_path):
+    def test_homs_same_with_and_without_flag(self, capsys, tmp_path):
         from skewstone import dual_algebra, random_space
 
         A, _ = dual_algebra(random_space(2, 2, seed=9, band="right"))
         path = tmp_path / "nine.json"
         path.write_text(jsonio.dumps(jsonio.algebra_to_dict(A)))
-        assert run(capsys, "homs", str(path), str(path))[0] == 1
-        code, out = run(capsys, "homs", str(path), str(path),
-                        "--format", "json", "--max-size", str(9 ** 9))
+        code, out = run(capsys, "homs", str(path), str(path), "--format", "json")
         assert code == 0
         assert len(json.loads(out)["homs"]) == 25
+        assert run(capsys, "homs", str(path), str(path),
+                   "--format", "json", "--max-size", str(9 ** 9)) == (0, out)
+
+
+class TestJsonOutput:
+    def test_dump_writes_the_bytes_of_dumps(self, capsys):
+        # long enough to take more than one batch of encoder chunks
+        obj = {"b": list(range(50000)), "a": [{"y": None, "x": [1.5, "s"]}]}
+        expected = jsonio.dumps(obj) + "\n"
+        fh = io.StringIO()
+        jsonio.dump(obj, fh)
+        assert fh.getvalue() == expected
+        jsonio.dump(obj)
+        assert capsys.readouterr().out == expected
 
 
 def load_script(name):

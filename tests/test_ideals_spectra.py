@@ -2,12 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import corpus_params
+from helpers import corpus_params, enumerate_ideals, enumerate_prime_ideals_bruteforce
 from skewstone import (
     Ideal,
     basic_copen,
     dual_algebra,
-    enumerate_ideals,
     enumerate_prime_ideals,
     ideal_congruence,
     is_leq_cofinal,
@@ -21,7 +20,6 @@ from skewstone import (
 )
 from skewstone.core_algebra import leq_matrix, preceq_matrix
 from skewstone.ideals_spectra import (
-    enumerate_prime_ideals_bruteforce,
     is_ideal,
     saturate,
     spectrum_data,

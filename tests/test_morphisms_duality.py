@@ -378,15 +378,16 @@ class TestEnumerationOracle:
 
 
 class TestEnumerationCaps:
-    def test_candidate_cap_raises_and_can_be_lifted(self):
+    def test_candidate_budget_is_counted(self):
         from skewstone import SizeCapError, dual_algebra, random_space
 
         A, _ = dual_algebra(random_space(2, 2, seed=9, band="right"))
         assert A.n == 9
-        with pytest.raises(SizeCapError):
-            enumerate_homs(A, A)
-        homs = enumerate_homs(A, A, max_candidates=9 ** 9)
+        homs = enumerate_homs(A, A)
         assert len(homs) == 25
+        assert enumerate_homs(A, A, max_candidates=9 ** 9) == homs
+        with pytest.raises(SizeCapError, match="more than 10 candidate assignments"):
+            enumerate_homs(A, A, max_candidates=10)
 
 
 class TestBandedHomSetBijection:

@@ -37,7 +37,8 @@ from skewstone.catalog import boolean_algebra
 from skewstone.core_algebra import green_partitions, leq_matrix, mirror, preceq_matrix, reflection
 from skewstone.ideals_spectra import fibers, spectrum_data
 from skewstone.jsonio import dumps, space_to_dict
-from skewstone.morphisms_duality import Homomorphism
+from skewstone.lattice_sections import find_lattice_section
+from skewstone.morphisms_duality import Homomorphism, enumerate_homs
 from skewstone.spaces_sections import (
     PartialMap,
     Section,
@@ -211,6 +212,26 @@ class TestDerivedStructureLifetime:
         del A, sp
         gc.collect()
         assert [r() for r in refs] == [None, None]
+
+    @pytest.mark.parametrize("search", [
+        find_lattice_section,
+        lambda A: enumerate_homs(A, A),
+        lambda A: algebras_isomorphic(A, A),
+        lambda A: pytest.raises(SizeCapError, enumerate_homs, A, A, max_candidates=10),
+    ], ids=["lattice_section", "homs", "isomorphic", "homs_over_budget"])
+    def test_search_leaves_no_cycle(self, search):
+        # with the cyclic collector off, the algebra must die with its last
+        # reference, so the recursive search left no cycle holding it
+        A, _ = dual_algebra(random_space(2, 2, seed=3, band="right"))
+        gc.collect()
+        gc.disable()
+        try:
+            search(A)
+            ref = weakref.ref(A)
+            del A
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestPartialMapAlgebra:
