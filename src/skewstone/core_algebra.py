@@ -175,49 +175,24 @@ def natural_preceq_via_join(A, x, y):
     return A.join(A.join(y, x), y) == y
 
 
+def _as_rows(mask):
+    return tuple(map(tuple, mask.tolist()))
+
+
 @per_object
 def leq_matrix(A):
-    return tuple(tuple(natural_leq(A, x, y) for y in A.elements) for x in A.elements)
+    """leq[x][y] is natural_leq(A, x, y)."""
+    M = np.asarray(A.meet_table, dtype=np.int64)
+    rows = np.arange(A.n)[:, None]
+    return _as_rows((M == rows) & (M.T == rows))
 
 
 @per_object
 def preceq_matrix(A):
-    return tuple(tuple(natural_preceq(A, x, y) for y in A.elements) for x in A.elements)
-
-
-# ---------------------------------------------------------------------------
-# Law catalogue.  Each law has a pointwise predicate so that any witness a
-# validator reports can be re-checked independently of the vectorized path.
-# ---------------------------------------------------------------------------
-
-LAW_PREDICATES = {
-    "meet_idempotent": lambda A, w: A.meet(w[0], w[0]) == w[0],
-    "join_idempotent": lambda A, w: A.join(w[0], w[0]) == w[0],
-    "meet_associative": lambda A, w: A.meet(A.meet(w[0], w[1]), w[2]) == A.meet(w[0], A.meet(w[1], w[2])),
-    "join_associative": lambda A, w: A.join(A.join(w[0], w[1]), w[2]) == A.join(w[0], A.join(w[1], w[2])),
-    "absorb_meet_over_join_left": lambda A, w: A.meet(w[0], A.join(w[0], w[1])) == w[0],
-    "absorb_meet_over_join_right": lambda A, w: A.meet(A.join(w[1], w[0]), w[0]) == w[0],
-    "absorb_join_over_meet_left": lambda A, w: A.join(w[0], A.meet(w[0], w[1])) == w[0],
-    "absorb_join_over_meet_right": lambda A, w: A.join(A.meet(w[1], w[0]), w[0]) == w[0],
-    "meet_distributes_left": lambda A, w: A.meet(w[0], A.join(w[1], w[2])) == A.join(A.meet(w[0], w[1]), A.meet(w[0], w[2])),
-    "meet_distributes_right": lambda A, w: A.meet(A.join(w[1], w[2]), w[0]) == A.join(A.meet(w[1], w[0]), A.meet(w[2], w[0])),
-    "zero_neutral_join": lambda A, w: A.join(A.zero, w[0]) == w[0] and A.join(w[0], A.zero) == w[0],
-    "complement_meet_zero": lambda A, w: A.meet(A.diff(w[0], w[1]), A.meet(A.meet(w[0], w[1]), w[0])) == A.zero,
-    "complement_join_restore": lambda A, w: A.join(A.diff(w[0], w[1]), A.meet(A.meet(w[0], w[1]), w[0])) == w[0],
-    "cap_is_lower_bound": lambda A, w: natural_leq(A, A.cap(w[0], w[1]), w[0]) and natural_leq(A, A.cap(w[0], w[1]), w[1]),
-    "cap_is_greatest_lower_bound": lambda A, w: not (natural_leq(A, w[2], w[0]) and natural_leq(A, w[2], w[1])) or natural_leq(A, w[2], A.cap(w[0], w[1])),
-    "cap_commutative": lambda A, w: A.cap(w[0], w[1]) == A.cap(w[1], w[0]),
-    "cap_associative": lambda A, w: A.cap(A.cap(w[0], w[1]), w[2]) == A.cap(w[0], A.cap(w[1], w[2])),
-    "cap_idempotent": lambda A, w: A.cap(w[0], w[0]) == w[0],
-    # Derived laws, reported as warnings: they follow from the axioms.
-    "normal_band": lambda A, w: A.meet(A.meet(A.meet(w[0], w[1]), w[2]), w[3]) == A.meet(A.meet(A.meet(w[0], w[2]), w[1]), w[3]),
-    "regular_join_band": lambda A, w: A.join(A.join(A.join(A.join(w[0], w[1]), w[0]), w[2]), w[0]) == A.join(A.join(A.join(w[0], w[1]), w[2]), w[0]),
-}
-
-
-def law_holds_at(A, law, witness):
-    """Re-check a single law instance; used to confirm reported witnesses."""
-    return LAW_PREDICATES[law](A, tuple(witness))
+    """pre[x][y] is natural_preceq(A, x, y)."""
+    M = np.asarray(A.meet_table, dtype=np.int64)
+    rows = np.arange(A.n)[:, None]
+    return _as_rows(M[M, rows] == rows)
 
 
 def _first_bad(mask):
@@ -229,7 +204,7 @@ def _first_bad(mask):
 
 
 def validate_algebra(A, max_n=EXHAUSTIVE_N):
-    """Exhaustively check every axiom, returning all violated laws with witnesses.
+    """Check every axiom, returning all violated laws with witnesses.
 
     Axioms: idempotency and associativity of meet and join, the four
     absorption identities, both meet-distributivity identities, zero neutral
@@ -238,9 +213,131 @@ def validate_algebra(A, max_n=EXHAUSTIVE_N):
     commutative, associative, idempotent.  Normality of meet and regularity
     of join are implied by the axioms, so violations of those are reported
     as warnings (useful when hunting for which axiom a broken table loses).
+
+    A proof costing n^2 * |G| (``_unproved_step``) runs first.  If every
+    step passes, A is valid and the report is ok with no warnings.  If one
+    fails, the exhaustive check (``_exhaustive_report``) gives the report,
+    so failures, first witnesses (C order) and warnings are always the
+    exhaustive ones.  The steps, each sound given those before it:
+
+    1. The laws with n or n^2 instances, on the whole table: both
+       idempotents, the four absorptions, zero neutral, both complement
+       laws, cap lower bound, cap commutative, cap idempotent.  Absorption
+       with zero neutral gives 0 ^ y = y ^ 0 = 0, so 0 <= y for every y.
+    2. Generators.  G is 0 and the atoms (x != 0 with only 0 and x below
+       it); the left-bracketed join closure of G from 0 must be all of A,
+       so every element is (...((0 v g1) v g2) ...) v gk with gi in G.
+       Join-irreducibles would not do: on a 2 x 2 band a point section is
+       the join of two other point sections.
+    3. Join associativity by Light's test (Clifford and Preston, The
+       Algebraic Theory of Semigroups I, 1.2): (x v g) v y = x v (g v y)
+       for g in G.  The middles m with (x v m) v y = x v (m v y) for all
+       x, y are closed under join: (x v (m v m')) v y = ((x v m) v m') v y
+       = (x v m) v (m' v y) = x v (m v (m' v y)) = x v ((m v m') v y).
+       They include G, which generates A, so they are all of A.
+    4. Both meet distributivities for z in G.  Given 3, the z with
+       x ^ (y v z) = (x ^ y) v (x ^ z) for all x, y are closed under join:
+       x ^ (y v z v z') = (x ^ (y v z)) v (x ^ z')
+       = (x ^ y) v (x ^ z) v (x ^ z') = (x ^ y) v (x ^ (z v z')).
+       They include G, so they are all of A.  The right-hand law is the
+       mirror image of the same argument.
+    5. Meet associativity for z in G.  By 4, z -> (x ^ y) ^ z and
+       z -> x ^ (y ^ z) are join homomorphisms; they agree on G, which
+       generates A, so they agree everywhere.
+    6. The glb law on every triple, as bit sets: for each x, no z may lie
+       below x and y but not below x cap y (n^3 / 16 byte operations, as
+       the law is symmetric in x and y once cap is commutative).
+    7. Cap associativity needs no check.  By 1 and 5 the natural order is
+       a partial order, and by 1 and 6 x cap y is the greatest lower bound
+       of {x, y}, so both bracketings are the greatest lower bound of
+       {x, y, z}.
+    8. Warnings: normality of meet and regularity of join are theorems of
+       the axioms (Leech, "Skew Boolean algebras", Algebra Universalis 27,
+       1990), so a valid A has none.
     """
     if A.n > max_n:
         raise SizeCapError(f"n={A.n} exceeds the exhaustive-check cap {max_n}")
+    if _unproved_step(A) is None:
+        return ValidationReport(ok=True, failures=(), warnings=())
+    return _exhaustive_report(A)
+
+
+def _unproved_step(A):
+    """Run the proof in validate_algebra's docstring.  Return None if every
+    step passes (A is valid), else the name of the first step that failed:
+    a law of step 1, "generators", or the law steps 3 to 6 check."""
+    n = A.n
+    M = np.asarray(A.meet_table, dtype=np.int64)
+    J = np.asarray(A.join_table, dtype=np.int64)
+    D = np.asarray(A.diff_table, dtype=np.int64)
+    C = np.asarray(A.cap_table, dtype=np.int64)
+    idx = np.arange(n)
+    rows = idx[:, None]
+    leq = (M == rows) & (M.T == rows)
+
+    def table_laws():
+        yield "meet_idempotent", np.diagonal(M) != idx
+        yield "join_idempotent", np.diagonal(J) != idx
+        yield "absorb_meet_over_join_left", M[rows, J] != rows
+        yield "absorb_meet_over_join_right", M[J.T, rows] != rows
+        yield "absorb_join_over_meet_left", J[rows, M] != rows
+        yield "absorb_join_over_meet_right", J[M.T, rows] != rows
+        yield "zero_neutral_join", (J[A.zero] != idx) | (J[:, A.zero] != idx)
+        W = M[M, rows]
+        yield "complement_meet_zero", M[D, W] != A.zero
+        yield "complement_join_restore", J[D, W] != rows
+        yield "cap_is_lower_bound", ~(leq[C, rows] & leq[C, idx])
+        yield "cap_commutative", C != C.T
+        yield "cap_idempotent", np.diagonal(C) != idx
+
+    for name, bad in table_laws():
+        if bad.any():
+            return name
+
+    G = [A.zero] + np.flatnonzero(leq.sum(axis=0) == 2).tolist()
+    reached = np.zeros(n, dtype=bool)
+    reached[A.zero] = True
+    frontier = np.array([A.zero])
+    JG = J[:, G]
+    while frontier.size:
+        new = np.zeros(n, dtype=bool)
+        new[JG[frontier]] = True
+        new &= ~reached
+        reached |= new
+        frontier = np.flatnonzero(new)
+    if not reached.all():
+        return "generators"
+
+    # Each loop keeps its temporaries n x n: a |G| x n x n gather would not.
+    JT = np.ascontiguousarray(J.T)
+    for g in G:                                  # [x, y]: (x v g) v y, x v (g v y)
+        if not np.array_equal(np.take(J, J[:, g], axis=0), np.take(J, J[g], axis=1)):
+            return "join_associative"
+    for g in G:                                  # [x, y]: x ^ (y v g), (x ^ y) v (x ^ g)
+        if not np.array_equal(np.take(M, J[:, g], axis=1),
+                              np.take_along_axis(np.take(JT, M[:, g], axis=0), M, axis=1)):
+            return "meet_distributes_left"
+    for g in G:                                  # [y, x]: (y v g) ^ x, (y ^ x) v (g ^ x)
+        if not np.array_equal(np.take(M, J[:, g], axis=0),
+                              np.take_along_axis(np.take(J, M[g], axis=1), M, axis=0)):
+            return "meet_distributes_right"
+    for g in G:                                  # [x, y]: (x ^ y) ^ g, x ^ (y ^ g)
+        if not np.array_equal(np.take(M[:, g], M), np.take(M, M[:, g], axis=1)):
+            return "meet_associative"
+
+    # The glb law is symmetric in x and y (cap is commutative by step 1) and
+    # holds at x = y (cap idempotent), so the pairs y > x suffice.
+    below = np.packbits(leq.T, axis=1)           # below[x]: the z <= x, as bits
+    for x in range(n):
+        if ((below[x] & below[x + 1:]) & ~below[C[x, x + 1:]]).any():
+            return "cap_is_greatest_lower_bound"
+    return None
+
+
+def _exhaustive_report(A):
+    """Check every law on every instance, one n x n slice at a time; report
+    each violated law with its first witness in C order, and the derived
+    laws that fail as warnings."""
     n = A.n
     M = np.asarray(A.meet_table, dtype=np.int64)
     J = np.asarray(A.join_table, dtype=np.int64)
@@ -354,24 +451,15 @@ def green_partitions(A):
     Each partition is verified to be a congruence for meet, join and diff
     (intersections are not generally compatible, so they are left out).
     """
-    pre = preceq_matrix(A)
-    d_labels = []
-    reps = []
-    for x in A.elements:
-        for i, r in enumerate(reps):
-            if pre[x][r] and pre[r][x]:
-                d_labels.append(i)
-                break
-        else:
-            d_labels.append(len(reps))
-            reps.append(x)
-    d = partition_from_labels(d_labels)
-    l = partition_from_labels(
-        tuple(frozenset(y for y in A.elements
-                        if A.meet(x, y) == x and A.meet(y, x) == y) for x in A.elements))
-    r = partition_from_labels(
-        tuple(frozenset(y for y in A.elements
-                        if A.meet(x, y) == y and A.meet(y, x) == x) for x in A.elements))
+    M = np.asarray(A.meet_table, dtype=np.int64)
+    rows = np.arange(A.n)[:, None]
+    cols = rows.T
+    pre = M[M, rows] == rows
+    # Each element is labelled by the least member of its class.
+    least = lambda related: partition_from_labels(np.argmax(related, axis=1).tolist())
+    d = least(pre & pre.T)
+    l = least((M == rows) & (M.T == cols))
+    r = least((M == cols) & (M.T == rows))
     for name, part in (("D", d), ("L", l), ("R", r)):
         bad = is_congruence(A, part)
         if bad is not None:

@@ -18,6 +18,7 @@ from .core_algebra import (
     ValidationReport,
     green_partitions,
     leq_matrix,
+    per_object,
     preceq_matrix,
     subalgebra_on,
 )
@@ -503,11 +504,13 @@ def is_partial_identity_up_to_iso(m):
             and len(set(m.h.values)) == len(m.h.values) == m.target.size_b)
 
 
+@per_object
 def classify_hom(f):
     """Algebraic counterparts of the space-morphism classes."""
     B = f.target
     image = set(f.map)
-    leq_cofinal = len(leq_ideal_generated(B, image)) == B.n
+    ideal = set(leq_ideal_generated(B, image))
+    leq_cofinal = len(ideal) == B.n
     preceq_cofinal = len(preceq_ideal_generated(B, image).members) == B.n
     d = green_partitions(B)[0]
     image_classes = {d.labels[v] for v in image}
@@ -515,7 +518,6 @@ def classify_hom(f):
     leq = leq_matrix(B)
     down_closed = all(y in image for y in B.elements for v in image if leq[y][v])
     injective = len(image) == f.source.n
-    ideal = set(leq_ideal_generated(B, image))
     pre = preceq_matrix(B)
     ideal_pre_closed = all(y in ideal for x in ideal for y in B.elements if pre[y][x])
     return HomFlags(leq_cofinal=leq_cofinal,

@@ -10,6 +10,7 @@ from skewstone import (
     dual_algebra,
     make_algebra,
     make_space,
+    natural_leq,
     random_space,
     right_band,
     validate_hom,
@@ -194,3 +195,36 @@ def enumerate_prime_ideals_bruteforce(A, max_n=16):
     enumeration for primality."""
     return tuple(PrimeIdeal(i.members, k) for k, i in enumerate(
         i for i in enumerate_ideals(A, max_n=max_n) if _is_prime_members(A, i.members)))
+
+
+# Law catalogue.  Each law has a pointwise predicate so that any witness a
+# validator reports can be re-checked independently of the vectorized path.
+
+LAW_PREDICATES = {
+    "meet_idempotent": lambda A, w: A.meet(w[0], w[0]) == w[0],
+    "join_idempotent": lambda A, w: A.join(w[0], w[0]) == w[0],
+    "meet_associative": lambda A, w: A.meet(A.meet(w[0], w[1]), w[2]) == A.meet(w[0], A.meet(w[1], w[2])),
+    "join_associative": lambda A, w: A.join(A.join(w[0], w[1]), w[2]) == A.join(w[0], A.join(w[1], w[2])),
+    "absorb_meet_over_join_left": lambda A, w: A.meet(w[0], A.join(w[0], w[1])) == w[0],
+    "absorb_meet_over_join_right": lambda A, w: A.meet(A.join(w[1], w[0]), w[0]) == w[0],
+    "absorb_join_over_meet_left": lambda A, w: A.join(w[0], A.meet(w[0], w[1])) == w[0],
+    "absorb_join_over_meet_right": lambda A, w: A.join(A.meet(w[1], w[0]), w[0]) == w[0],
+    "meet_distributes_left": lambda A, w: A.meet(w[0], A.join(w[1], w[2])) == A.join(A.meet(w[0], w[1]), A.meet(w[0], w[2])),
+    "meet_distributes_right": lambda A, w: A.meet(A.join(w[1], w[2]), w[0]) == A.join(A.meet(w[1], w[0]), A.meet(w[2], w[0])),
+    "zero_neutral_join": lambda A, w: A.join(A.zero, w[0]) == w[0] and A.join(w[0], A.zero) == w[0],
+    "complement_meet_zero": lambda A, w: A.meet(A.diff(w[0], w[1]), A.meet(A.meet(w[0], w[1]), w[0])) == A.zero,
+    "complement_join_restore": lambda A, w: A.join(A.diff(w[0], w[1]), A.meet(A.meet(w[0], w[1]), w[0])) == w[0],
+    "cap_is_lower_bound": lambda A, w: natural_leq(A, A.cap(w[0], w[1]), w[0]) and natural_leq(A, A.cap(w[0], w[1]), w[1]),
+    "cap_is_greatest_lower_bound": lambda A, w: not (natural_leq(A, w[2], w[0]) and natural_leq(A, w[2], w[1])) or natural_leq(A, w[2], A.cap(w[0], w[1])),
+    "cap_commutative": lambda A, w: A.cap(w[0], w[1]) == A.cap(w[1], w[0]),
+    "cap_associative": lambda A, w: A.cap(A.cap(w[0], w[1]), w[2]) == A.cap(w[0], A.cap(w[1], w[2])),
+    "cap_idempotent": lambda A, w: A.cap(w[0], w[0]) == w[0],
+    # Derived laws, reported as warnings: they follow from the axioms.
+    "normal_band": lambda A, w: A.meet(A.meet(A.meet(w[0], w[1]), w[2]), w[3]) == A.meet(A.meet(A.meet(w[0], w[2]), w[1]), w[3]),
+    "regular_join_band": lambda A, w: A.join(A.join(A.join(A.join(w[0], w[1]), w[0]), w[2]), w[0]) == A.join(A.join(A.join(w[0], w[1]), w[2]), w[0]),
+}
+
+
+def law_holds_at(A, law, witness):
+    """Re-check a single law instance; used to confirm reported witnesses."""
+    return LAW_PREDICATES[law](A, tuple(witness))

@@ -11,6 +11,7 @@ import pytest
 from helpers import (
     all_surjection_spaces,
     corpus_params,
+    law_holds_at,
     partial_map_oracle_tables,
     seeded_rect_space,
 )
@@ -44,7 +45,6 @@ from skewstone import (
 )
 from skewstone.catalog import boolean_algebra, one_element, primitive_right, right_three, small_test_algebras
 from skewstone.cli import main as cli_main
-from skewstone.core_algebra import law_holds_at
 from skewstone.lattice_sections import find_lattice_section
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import corpus_params
+from helpers import corpus_params, law_holds_at
 from skewstone import (
     CongruenceError,
     StructuralError,
@@ -23,7 +23,6 @@ from skewstone import (
 from skewstone.catalog import boolean_algebra, fiber_product_over_reflection
 from skewstone.core_algebra import (
     identity_partition,
-    law_holds_at,
     leq_matrix,
     natural_leq_via_join,
     natural_preceq_via_join,

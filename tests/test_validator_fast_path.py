@@ -1,0 +1,128 @@
+"""validate_algebra proves validity with a fast path and falls back to the
+exhaustive check (core_algebra._exhaustive_report) on any failed step.  These
+tests hold the two paths to the same reports on inputs that break each step.
+"""
+
+import random
+
+import pytest
+
+from helpers import law_holds_at, space_from_fibers
+from skewstone import dual_algebra, make_algebra, random_space, validate_algebra
+from skewstone.core_algebra import _exhaustive_report, _unproved_step
+
+
+@pytest.fixture(scope="module")
+def section_algebras():
+    """Plain, right, left and grid-banded section algebras, n = 6 to 81."""
+    spaces = [space_from_fibers(f) for f in ((1, 1, 1), (2, 1), (2, 2), (3, 3), (2, 2, 2),
+                                             (2, 2, 2, 2))]
+    for seed in range(3):
+        for band in ("right", "left", ("product", 2, 2), ("product", 1, 2)):
+            spaces.append(random_space(2, 3, seed, band))
+    return [dual_algebra(sp)[0] for sp in spaces]
+
+
+def retabled(A, table, changes):
+    """A with entries (i, j, value) of one table replaced."""
+    tables = {name: [list(r) for r in getattr(A, name + "_table")]
+              for name in ("meet", "join", "diff", "cap")}
+    for i, j, value in changes:
+        tables[table][i][j] = value
+    return make_algebra(A.n, A.zero, tables["meet"], tables["join"],
+                        tables["diff"], tables["cap"])
+
+
+def with_diff_and_cap(meet, join):
+    """Complete meet and join tables (zero 0) with the least relative
+    complement and the greatest-lower-bound cap, where they exist."""
+    n = len(meet)
+    xyx = [[meet[meet[x][y]][x] for y in range(n)] for x in range(n)]
+    diff = [[next(d for d in range(n) if meet[d][xyx[x][y]] == 0 and join[d][xyx[x][y]] == x)
+             for y in range(n)] for x in range(n)]
+    leq = [[meet[x][y] == x and meet[y][x] == x for y in range(n)] for x in range(n)]
+    cap = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            lower = [z for z in range(n) if leq[z][x] and leq[z][y]]
+            cap[x][y] = next(z for z in lower if all(leq[w][z] for w in lower))
+    return make_algebra(n, 0, meet, join, diff, cap)
+
+
+def first_rejecting_step(B):
+    """Check B both ways; return the first fast step that rejects it."""
+    report = validate_algebra(B)
+    assert report == _exhaustive_report(B)
+    for law, witness in report.failures + report.warnings:
+        assert not law_holds_at(B, law, witness), (law, witness)
+    step = _unproved_step(B)
+    if step is None:
+        assert report.ok and report.warnings == ()
+    return step
+
+
+def test_one_entry_mutants(section_algebras):
+    rng = random.Random(20261018)
+    steps = []
+    for _ in range(400):
+        A = rng.choice(section_algebras)
+        table = rng.choice(("meet", "join", "diff", "cap"))
+        change = (rng.randrange(A.n), rng.randrange(A.n), rng.randrange(A.n))
+        steps.append(first_rejecting_step(retabled(A, table, [change])))
+    assert None in steps                     # the changes that keep the old entry
+    assert len(set(steps)) > 5
+
+
+def test_every_section_algebra_is_proved_fast(section_algebras, catalog):
+    for A in section_algebras + [A for _, A in catalog]:
+        assert _unproved_step(A) is None
+
+
+def test_proof_at_n_512():
+    A = dual_algebra(space_from_fibers((3, 3, 3, 3, 1)))[0]
+    assert A.n == 512
+    assert validate_algebra(A, max_n=512).ok
+
+
+# Meet and join tables that pass the laws of step 1 but are rejected later,
+# found by enumerating every algebra with n <= 6 that passes step 1 and has
+# an associative join.
+NOT_GENERATED = (
+    [[0, 0, 0, 0, 0], [0, 1, 2, 1, 0], [0, 2, 2, 2, 2], [0, 3, 0, 3, 4], [0, 4, 4, 4, 4]],
+    [[0, 1, 2, 3, 4], [1, 1, 1, 3, 3], [2, 1, 2, 3, 4], [3, 1, 1, 3, 3], [4, 1, 2, 3, 4]],
+)
+ONLY_LEFT_DISTRIBUTIVE = (
+    [[0, 0, 0, 0], [0, 1, 2, 1], [0, 2, 2, 2], [0, 3, 0, 3]],
+    [[0, 1, 2, 3], [1, 1, 1, 3], [2, 1, 2, 3], [3, 1, 1, 3]],
+)
+
+
+def test_each_step_is_first_to_reject_some_input(section_algebras):
+    """Steps 2, 3, 4 (both sides) and 6 each reject an input first.  Step 5
+    (meet associativity) is missing: that enumeration found no algebra that
+    passes steps 1 to 4 and fails it, and one-entry mutants of section
+    algebras stop at step 1 or 3."""
+    boolean8 = section_algebras[0]
+    leq = [[boolean8.meet(x, y) == x for y in range(8)] for x in range(8)]
+    # meet of two incomparable elements forgotten: still a lower bound
+    forgetful = [[boolean8.meet(x, y) if leq[x][y] or leq[y][x] else 0 for y in range(8)]
+                 for x in range(8)]
+    four_fibers = dual_algebra(space_from_fibers((2, 2)))[0]
+    inputs = {
+        "generators": with_diff_and_cap(*NOT_GENERATED),
+        "join_associative": retabled(four_fibers, "join", [(1, 5, 3)]),
+        "meet_distributes_left": with_diff_and_cap(forgetful, boolean8.join_table),
+        "meet_distributes_right": with_diff_and_cap(*ONLY_LEFT_DISTRIBUTIVE),
+    }
+    for step, B in inputs.items():
+        assert first_rejecting_step(B) == step
+
+    # cap of a pair lowered to 0 on both sides: a lower bound, not the greatest
+    rng = random.Random(7)
+    glb_steps = set()
+    for A in section_algebras:
+        pairs = [(x, y) for x in range(A.n) for y in range(x) if A.cap(x, y) != A.zero]
+        x, y = rng.choice(pairs)
+        B = retabled(A, "cap", [(x, y, A.zero), (y, x, A.zero)])
+        glb_steps.add(first_rejecting_step(B))
+    assert glb_steps == {"cap_is_greatest_lower_bound"}
