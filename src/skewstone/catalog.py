@@ -70,20 +70,3 @@ def fiber_product_over_reflection(A, B):
     diff = table(A.diff, B.diff)
     cap = glb_cap_table(n, meet, join)
     return make_algebra(n, index[(A.zero, B.zero)], meet, join, diff, cap), tuple(pairs)
-
-
-def small_test_algebras():
-    """Named corpus of algebras with at most five elements, covering the
-    commutative, right-handed, left-handed and two-sided cases."""
-    neither5, _ = fiber_product_over_reflection(right_three(), left_three())
-    return (
-        ("one", one_element()),
-        ("two", boolean_algebra(1)),
-        ("right3", right_three()),
-        ("left3", left_three()),
-        ("bool4", boolean_algebra(2)),
-        ("right4", primitive_right(3)),
-        ("left4", mirror(primitive_right(3))),
-        ("right5", primitive_right(4)),
-        ("neither5", neither5),
-    )

@@ -30,6 +30,7 @@ from .morphisms_duality import (
     decompose_morphism,
     enumerate_homs,
     space_roundtrip_iso,
+    validate_hom,
     validate_space_morphism,
 )
 from .spaces_sections import dual_algebra, random_space, validate_space
@@ -63,14 +64,18 @@ def cmd_validate(cfg):
         report = validate_space(jsonio.space_from_dict(obj))
     elif kind == "morphism":
         report = validate_space_morphism(jsonio.morphism_from_dict(obj, os.path.dirname(cfg.paths[0]) or "."))
+    elif kind == "hom":
+        f = jsonio.hom_from_dict(obj, os.path.dirname(cfg.paths[0]) or ".")
+        _valid_algebra(cfg, f.source)
+        _valid_algebra(cfg, f.target)
+        report = validate_hom(f)
     else:
         raise StructuralError(f"cannot validate objects of kind {kind}")
     _print_report(report, cfg.fmt)
     return 0 if report.ok else 1
 
 
-def _valid_algebra(cfg, obj):
-    A = jsonio.algebra_from_dict(obj)
+def _valid_algebra(cfg, A):
     report = validate_algebra(A, max_n=cfg.max_size)
     if not report.ok:
         raise ValueError(f"input algebra is invalid: {report.failures[0]}")
@@ -86,7 +91,7 @@ def _valid_space(obj):
 
 
 def cmd_spectrum(cfg):
-    A = _valid_algebra(cfg, _load(cfg.paths[0]))
+    A = _valid_algebra(cfg, jsonio.algebra_from_dict(_load(cfg.paths[0])))
     space, points = skew_spectrum(A)
     out = jsonio.space_to_dict(space)
     out.update(jsonio.points_to_dict(points))
@@ -108,7 +113,7 @@ def cmd_roundtrip(cfg):
     obj = _load(cfg.paths[0])
     kind = jsonio.sniff_kind(obj)
     if kind == "algebra":
-        A = _valid_algebra(cfg, obj)
+        A = _valid_algebra(cfg, jsonio.algebra_from_dict(obj))
         iso = algebra_roundtrip_iso(A)
         if cfg.fmt == "json":
             jsonio.dump({"isomorphic": True, "size": A.n, "map": list(iso.map)})
@@ -128,8 +133,8 @@ def cmd_roundtrip(cfg):
 
 
 def cmd_homs(cfg):
-    A = _valid_algebra(cfg, _load(cfg.paths[0]))
-    B = _valid_algebra(cfg, _load(cfg.paths[1]))
+    A = _valid_algebra(cfg, jsonio.algebra_from_dict(_load(cfg.paths[0])))
+    B = _valid_algebra(cfg, jsonio.algebra_from_dict(_load(cfg.paths[1])))
     rows = []
     for f in enumerate_homs(A, B):
         flags = classify_hom(f)
@@ -172,7 +177,7 @@ def cmd_section(cfg):
     obj = _load(cfg.paths[0])
     kind = jsonio.sniff_kind(obj)
     if kind == "algebra":
-        A = _valid_algebra(cfg, obj)
+        A = _valid_algebra(cfg, jsonio.algebra_from_dict(obj))
         section = find_lattice_section(A)
         if section is None:
             print("none")
@@ -222,7 +227,7 @@ def cmd_export_dot(cfg):
     kind = jsonio.sniff_kind(obj)
     lines = []
     if kind == "algebra":
-        A = _valid_algebra(cfg, obj)
+        A = _valid_algebra(cfg, jsonio.algebra_from_dict(obj))
         lines.append("digraph hasse {")
         lines.append("  rankdir=BT;")
         for x in A.elements:

@@ -26,7 +26,10 @@ class SizeCapError(RuntimeError):
 # The limit policy.  EXHAUSTIVE_N caps n for the cubic law check: it is the
 # default of validate_algebra, of the CLI's --max-size and the survey's cap.
 # MAX_CARRIER caps the carriers the builders enumerate (sections, partial
-# maps).  The hom search counts its own work (enumerate_homs).
+# maps).  Homomorphisms are read off the space morphisms between the spectra,
+# and that search counts its own work: enumerate_homs.max_candidates (10^6
+# by default, also the bound of enumerate_space_morphisms) counts every
+# partial base map and every combination of fiber maps it tries.
 EXHAUSTIVE_N = 256
 MAX_CARRIER = 4096
 
@@ -138,10 +141,6 @@ def partition_from_labels(raw_labels):
     return Partition(tuple(labels), tuple(tuple(b) for b in blocks))
 
 
-def identity_partition(n):
-    return partition_from_labels(range(n))
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of an exhaustive law check: witnesses for every violated law."""
@@ -160,19 +159,9 @@ def natural_leq(A, x, y):
     return A.meet(x, y) == x and A.meet(y, x) == x
 
 
-def natural_leq_via_join(A, x, y):
-    """Equivalent join formulation: x v y = y v x = y."""
-    return A.join(x, y) == y and A.join(y, x) == y
-
-
 def natural_preceq(A, x, y):
     """Natural preorder: x ^ y ^ x = x."""
     return A.meet(A.meet(x, y), x) == x
-
-
-def natural_preceq_via_join(A, x, y):
-    """Equivalent join formulation: y v x v y = y."""
-    return A.join(A.join(y, x), y) == y
 
 
 def _as_rows(mask):
@@ -580,7 +569,7 @@ def second_decomposition_check(A):
 
 
 # ---------------------------------------------------------------------------
-# Subalgebras, mirrors, isomorphism testing
+# Subalgebras and mirrors
 # ---------------------------------------------------------------------------
 
 def subalgebra_on(A, subset):
@@ -611,73 +600,3 @@ def mirror(A):
     t = lambda tab: tuple(tuple(tab[y][x] for y in A.elements) for x in A.elements)
     return SkewAlgebra(A.n, A.zero, t(A.meet_table), t(A.join_table),
                        A.diff_table, A.cap_table)
-
-
-def _iso_invariants(A):
-    leq = leq_matrix(A)
-    pre = preceq_matrix(A)
-    d, l, r = green_partitions(A)
-    out = []
-    for x in A.elements:
-        out.append((x == A.zero,
-                    sum(leq[y][x] for y in A.elements),
-                    sum(leq[x][y] for y in A.elements),
-                    sum(pre[y][x] for y in A.elements),
-                    sum(pre[x][y] for y in A.elements),
-                    len(d.blocks[d.labels[x]]),
-                    len(l.blocks[l.labels[x]]),
-                    len(r.blocks[r.labels[x]])))
-    return out
-
-
-def algebras_isomorphic(A, B):
-    """Find an isomorphism A -> B (zero to zero, all four operations), or None.
-
-    Canonical invariant vectors prune the backtracking search, so symmetric
-    instances do not blow up factorially.
-    """
-    if A.n != B.n:
-        return None
-    inv_a = _iso_invariants(A)
-    inv_b = _iso_invariants(B)
-    if sorted(inv_a) != sorted(inv_b):
-        return None
-    candidates = [[y for y in B.elements if inv_b[y] == inv_a[x]] for x in A.elements]
-    ops = [(getattr(A, op), getattr(B, op)) for op in ("meet", "join", "diff", "cap")]
-    assignment = [None] * A.n
-    used = [False] * B.n
-
-    def extend(k):
-        if k == A.n:
-            return True
-        for y in candidates[k]:
-            if used[y]:
-                continue
-            assignment[k] = y
-            ok = True
-            for fa, fb in ops:
-                for j in range(k + 1):
-                    img = assignment[j]
-                    for a, b, c, d_ in ((k, j, y, img), (j, k, img, y)):
-                        v = fa(a, b)
-                        if v <= k and assignment[v] != fb(c, d_):
-                            ok = False
-                            break
-                        if v > k and fb(c, d_) in assignment[:k + 1]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if ok:
-                used[y] = True
-                if extend(k + 1):
-                    return True
-                used[y] = False
-        assignment[k] = None
-        return False
-
-    found = extend(0)
-    del extend  # it refers to itself through its cell: break that cycle
-    return tuple(assignment) if found else None

@@ -98,12 +98,6 @@ def fibers(sp):
     return tuple(tuple(f) for f in out)
 
 
-def saturate(sp, points):
-    """Union of the fibers that meet the given set of E-points."""
-    hit = {sp.p[e] for e in points}
-    return tuple(e for e in range(sp.size_e) if sp.p[e] in hit)
-
-
 # ---------------------------------------------------------------------------
 # Ideals
 # ---------------------------------------------------------------------------
@@ -204,24 +198,6 @@ def ideal_congruence(A, ideal):
     if set(zero_class) != mem:
         raise ValueError("zero class of the ideal congruence differs from the ideal")
     return part
-
-
-def prime_reflection_bijection(A):
-    """Map each prime ideal of A to the prime of A/D given by blockwise image;
-    verified bijective.  Returns a tuple of indices into the primes of A/D."""
-    Q, to_d = reflection(A)
-    primes_a = enumerate_prime_ideals(A)
-    primes_q = enumerate_prime_ideals(Q)
-    index_q = {p.members: p.index for p in primes_q}
-    mapping = []
-    for p in primes_a:
-        image = tuple(sorted({to_d[x] for x in p.members}))
-        if image not in index_q:
-            raise RuntimeError(f"image {image} of prime {p.members} is not prime in A/D")
-        mapping.append(index_q[image])
-    if sorted(mapping) != list(range(len(primes_q))):
-        raise RuntimeError("prime reflection is not a bijection")
-    return tuple(mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +312,3 @@ def preceq_ideal_generated(A, subset):
     if not is_ideal(A, members):
         raise RuntimeError(f"generated set {members} is not an ideal")
     return Ideal(members)
-
-
-def is_leq_cofinal(A, subset):
-    return len(leq_ideal_generated(A, subset)) == A.n
-
-
-def is_preceq_cofinal(A, subset):
-    return len(preceq_ideal_generated(A, subset).members) == A.n

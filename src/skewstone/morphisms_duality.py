@@ -10,12 +10,15 @@ acts on sections by preimage under g.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
+
+import numpy as np
 
 from .core_algebra import (
     SizeCapError,
     StructuralError,
     ValidationReport,
+    _first_bad,
     green_partitions,
     leq_matrix,
     per_object,
@@ -35,6 +38,7 @@ from .spaces_sections import (
     dual_algebra,
     fiber_band_classes,
     partial_map,
+    spaces_isomorphic,
 )
 
 
@@ -83,17 +87,20 @@ class HomFlags:
 # ---------------------------------------------------------------------------
 
 def validate_hom(f):
-    """Exhaustive preservation check for zero, meet, join, diff and cap."""
+    """Exhaustive preservation check for zero, meet, join, diff and cap.
+    Each operation is one gather, m[T_A] against T_B[m x m]; the witness is
+    the first violated pair in C order."""
     A, B, m = f.source, f.target, f.map
     if len(m) != A.n or any(not (0 <= v < B.n) for v in m):
         raise StructuralError("homomorphism map is not a total map into the target")
     failures = []
     if m[A.zero] != B.zero:
         failures.append(("preserves_zero", (A.zero,)))
+    mm = np.asarray(m, dtype=np.intp)
     for name in ("meet", "join", "diff", "cap"):
-        fa, fb = getattr(A, name), getattr(B, name)
-        witness = next(((x, y) for x in A.elements for y in A.elements
-                        if m[fa(x, y)] != fb(m[x], m[y])), None)
+        ta = np.asarray(getattr(A, name + "_table"), dtype=np.intp)
+        tb = np.asarray(getattr(B, name + "_table"), dtype=np.intp)
+        witness = _first_bad(mm[ta] != tb[mm[:, None], mm[None, :]])
         if witness is not None:
             failures.append((f"preserves_{name}", witness))
     return ValidationReport(ok=not failures, failures=tuple(failures))
@@ -115,46 +122,52 @@ def compose_homs(outer, inner):
 
 
 def enumerate_homs(A, B, max_candidates=10 ** 6):
-    """All homomorphisms A -> B by backtracking.
+    """All homomorphisms A -> B, in lexicographic map order, read off the
+    duality: Hom(A, B) is in bijection with the space morphisms
+    Sk(B) -> Sk(A), and m gives iso_B^-1 . hom_of_space_morphism(m) . iso_A
+    with the round-trip isomorphisms iso_A and iso_B.
 
-    Elements are assigned in index order; each operation instance is checked
-    as soon as its arguments and result are all assigned, which prunes most
-    of the |B|^|A| raw candidates.  Output is in lexicographic map order.
-    Every value tried for an element is one candidate assignment; the search
-    raises SizeCapError once it has tried more than max_candidates.
+    A and B must be valid algebras (see validate_algebra); the spectra are
+    not a duality otherwise.  max_candidates bounds the space-morphism
+    search: every partial base map and every combination of fiber maps it
+    tries is one candidate, and it raises SizeCapError past the bound.
     """
-    ops = [(getattr(A, name), getattr(B, name)) for name in ("meet", "join", "diff", "cap")]
-    # constraints[(k)] lists (op_idx, i, j) checkable once element k is assigned
-    constraints = [[] for _ in range(A.n)]
-    for oi, (fa, _) in enumerate(ops):
-        for i in range(A.n):
-            for j in range(A.n):
-                constraints[max(i, j, fa(i, j))].append((oi, i, j))
-    image = [0] * A.n
-    found = []
-    tried = 0
+    morphisms = _space_morphisms(spectrum_data(B).space, spectrum_data(A).space,
+                                 max_candidates)
+    return tuple(sorted(_transport(A, B, morphisms), key=lambda f: f.map))
 
-    def extend(k):
-        nonlocal tried
-        if k == A.n:
-            found.append(Homomorphism(A, B, tuple(image)))
-            return
-        options = (B.zero,) if k == A.zero else range(B.n)
-        for v in options:
-            tried += 1
-            if tried > max_candidates:
-                raise SizeCapError(f"hom search tried more than {max_candidates} candidate "
-                                   f"assignments; it had reached element {k} of {A.n}")
-            image[k] = v
-            if all(image[ops[oi][0](i, j)] == ops[oi][1](image[i], image[j])
-                   for oi, i, j in constraints[k]):
-                extend(k + 1)
 
-    try:
-        extend(0)
-    finally:
-        del extend  # it refers to itself through its cell: break that cycle
-    return tuple(found)
+def algebras_isomorphic(A, B):
+    """The map of an isomorphism A -> B, or None, read off the spectra:
+    A and B are isomorphic exactly when Sk(A) and Sk(B) are, and a space
+    isomorphism Sk(B) -> Sk(A) transports to an isomorphism A -> B.
+
+    A and B must be valid algebras (see validate_algebra).
+    """
+    if A.n != B.n:
+        return None
+    sk_a, sk_b = spectrum_data(A).space, spectrum_data(B).space
+    found = spaces_isomorphic(sk_b, sk_a)
+    if found is None:
+        return None
+    g, h = found
+    m = SpaceMorphism(sk_b, sk_a, PartialMap(tuple(range(sk_b.size_e)), g),
+                      PartialMap(tuple(range(sk_b.size_b)), h))
+    return _transport(A, B, [m])[0].map
+
+
+def _transport(A, B, morphisms):
+    """The homomorphism A -> B dual to each space morphism Sk(B) -> Sk(A),
+    iso_B^-1 . hom_of_space_morphism(m) . iso_A."""
+    to_sections = algebra_roundtrip_iso(A).map
+    from_sections = [0] * B.n
+    for b, s in enumerate(algebra_roundtrip_iso(B).map):
+        from_sections[s] = b
+    homs = []
+    for m in morphisms:
+        image = hom_of_space_morphism(m).map
+        homs.append(Homomorphism(A, B, tuple(from_sections[image[s]] for s in to_sections)))
+    return homs
 
 
 # ---------------------------------------------------------------------------
@@ -212,25 +225,30 @@ def enumerate_space_morphisms(sp, tp):
     Base maps are enumerated first; over each base point in the domain the
     fiber map is an injection from a subset of the fiber onto the whole
     target fiber, so those are enumerated directly instead of filtering all
-    partial maps on E.
+    partial maps on E.  Raises SizeCapError past 10^6 candidates, counted as
+    in enumerate_homs.
     """
+    return _space_morphisms(sp, tp)
+
+
+def _space_morphisms(sp, tp, max_candidates=10 ** 6):
     src_fib, tgt_fib = fibers(sp), fibers(tp)
     out = []
+    tried = 0
     for h_choice in product(*[(None,) + tuple(range(tp.size_b)) for _ in range(sp.size_b)]):
         h = {x: v for x, v in enumerate(h_choice) if v is not None}
-        options = []
-        feasible = True
-        for x, hx in h.items():
-            tf = tgt_fib[hx]
-            fiber_maps = [dict(zip(chosen, tf))
-                          for chosen in permutations(src_fib[x], len(tf))]
-            if not fiber_maps:
-                feasible = False
-                break
-            options.append(fiber_maps)
-        if not feasible:
-            continue
-        for combo in product(*options):
+        options = [[dict(zip(chosen, tgt_fib[hx]))
+                    for chosen in permutations(src_fib[x], len(tgt_fib[hx]))]
+                   for x, hx in h.items()]
+        # the base map is one candidate, each combination of fiber maps one more
+        for combo in chain([None], product(*options)):
+            tried += 1
+            if tried > max_candidates:
+                raise SizeCapError(f"space morphism search tried more than {max_candidates} "
+                                   "candidate assignments (partial base maps and fiber-map "
+                                   "combinations)")
+            if combo is None:
+                continue
             g = {}
             for piece in combo:
                 g.update(piece)

@@ -5,12 +5,12 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+from helpers import small_test_algebras
 from skewstone.catalog import (
     boolean_algebra,
     left_three,
     one_element,
     right_three,
-    small_test_algebras,
 )
 
 

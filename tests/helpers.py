@@ -7,16 +7,48 @@ from skewstone import (
     Ideal,
     PrimeIdeal,
     SizeCapError,
+    ValidationReport,
     dual_algebra,
+    enumerate_prime_ideals,
+    green_partitions,
+    leq_ideal_generated,
     make_algebra,
     make_space,
+    mirror,
     natural_leq,
+    preceq_ideal_generated,
     random_space,
     right_band,
     validate_hom,
 )
+from skewstone.catalog import (
+    boolean_algebra,
+    fiber_product_over_reflection,
+    left_three,
+    one_element,
+    primitive_right,
+    right_three,
+)
+from skewstone.core_algebra import leq_matrix, partition_from_labels, preceq_matrix, reflection
 from skewstone.ideals_spectra import is_ideal
 from skewstone.spaces_sections import all_partial_maps
+
+
+def small_test_algebras():
+    """Named corpus of algebras with at most five elements, covering the
+    commutative, right-handed, left-handed and two-sided cases."""
+    neither5, _ = fiber_product_over_reflection(right_three(), left_three())
+    return (
+        ("one", one_element()),
+        ("two", boolean_algebra(1)),
+        ("right3", right_three()),
+        ("left3", left_three()),
+        ("bool4", boolean_algebra(2)),
+        ("right4", primitive_right(3)),
+        ("left4", mirror(primitive_right(3))),
+        ("right5", primitive_right(4)),
+        ("neither5", neither5),
+    )
 
 
 def partitions(n, max_part=None):
@@ -165,6 +197,135 @@ def enumerate_homs_bruteforce(A, B, max_candidates=10 ** 4):
     return tuple(out)
 
 
+def validate_hom_oracle(f):
+    """Oracle for validate_hom: the pairwise loop, first witness in C order."""
+    A, B, m = f.source, f.target, f.map
+    failures = []
+    if m[A.zero] != B.zero:
+        failures.append(("preserves_zero", (A.zero,)))
+    for name in ("meet", "join", "diff", "cap"):
+        fa, fb = getattr(A, name), getattr(B, name)
+        witness = next(((x, y) for x in A.elements for y in A.elements
+                        if m[fa(x, y)] != fb(m[x], m[y])), None)
+        if witness is not None:
+            failures.append((f"preserves_{name}", witness))
+    return ValidationReport(ok=not failures, failures=tuple(failures))
+
+
+def enumerate_homs_search(A, B, max_candidates=10 ** 6):
+    """Oracle for enumerate_homs: backtracking over the elements of A.
+
+    Elements are assigned in index order; each operation instance is checked
+    as soon as its arguments and result are all assigned, which prunes most
+    of the |B|^|A| raw candidates.  Output is in lexicographic map order.
+    Every value tried for an element is one candidate assignment; the search
+    raises SizeCapError once it has tried more than max_candidates.
+    """
+    ops = [(getattr(A, name), getattr(B, name)) for name in ("meet", "join", "diff", "cap")]
+    # constraints[(k)] lists (op_idx, i, j) checkable once element k is assigned
+    constraints = [[] for _ in range(A.n)]
+    for oi, (fa, _) in enumerate(ops):
+        for i in range(A.n):
+            for j in range(A.n):
+                constraints[max(i, j, fa(i, j))].append((oi, i, j))
+    image = [0] * A.n
+    found = []
+    tried = 0
+
+    def extend(k):
+        nonlocal tried
+        if k == A.n:
+            found.append(Homomorphism(A, B, tuple(image)))
+            return
+        options = (B.zero,) if k == A.zero else range(B.n)
+        for v in options:
+            tried += 1
+            if tried > max_candidates:
+                raise SizeCapError(f"hom search tried more than {max_candidates} candidate "
+                                   f"assignments; it had reached element {k} of {A.n}")
+            image[k] = v
+            if all(image[ops[oi][0](i, j)] == ops[oi][1](image[i], image[j])
+                   for oi, i, j in constraints[k]):
+                extend(k + 1)
+
+    try:
+        extend(0)
+    finally:
+        del extend  # it refers to itself through its cell: break that cycle
+    return tuple(found)
+
+
+def _iso_invariants(A):
+    leq = leq_matrix(A)
+    pre = preceq_matrix(A)
+    d, l, r = green_partitions(A)
+    out = []
+    for x in A.elements:
+        out.append((x == A.zero,
+                    sum(leq[y][x] for y in A.elements),
+                    sum(leq[x][y] for y in A.elements),
+                    sum(pre[y][x] for y in A.elements),
+                    sum(pre[x][y] for y in A.elements),
+                    len(d.blocks[d.labels[x]]),
+                    len(l.blocks[l.labels[x]]),
+                    len(r.blocks[r.labels[x]])))
+    return out
+
+
+def algebras_isomorphic_search(A, B):
+    """Oracle for algebras_isomorphic: find an isomorphism A -> B (zero to
+    zero, all four operations), or None.
+
+    Canonical invariant vectors prune the backtracking search, so symmetric
+    instances do not blow up factorially.
+    """
+    if A.n != B.n:
+        return None
+    inv_a = _iso_invariants(A)
+    inv_b = _iso_invariants(B)
+    if sorted(inv_a) != sorted(inv_b):
+        return None
+    candidates = [[y for y in B.elements if inv_b[y] == inv_a[x]] for x in A.elements]
+    ops = [(getattr(A, op), getattr(B, op)) for op in ("meet", "join", "diff", "cap")]
+    assignment = [None] * A.n
+    used = [False] * B.n
+
+    def extend(k):
+        if k == A.n:
+            return True
+        for y in candidates[k]:
+            if used[y]:
+                continue
+            assignment[k] = y
+            ok = True
+            for fa, fb in ops:
+                for j in range(k + 1):
+                    img = assignment[j]
+                    for a, b, c, d_ in ((k, j, y, img), (j, k, img, y)):
+                        v = fa(a, b)
+                        if v <= k and assignment[v] != fb(c, d_):
+                            ok = False
+                            break
+                        if v > k and fb(c, d_) in assignment[:k + 1]:
+                            ok = False
+                            break
+                    if not ok:
+                        break
+                if not ok:
+                    break
+            if ok:
+                used[y] = True
+                if extend(k + 1):
+                    return True
+                used[y] = False
+        assignment[k] = None
+        return False
+
+    found = extend(0)
+    del extend  # it refers to itself through its cell: break that cycle
+    return tuple(assignment) if found else None
+
+
 def enumerate_ideals(A, max_n=16):
     """Oracle: all ideals by brute force over subsets (exponential; capped)."""
     if A.n > max_n:
@@ -195,6 +356,56 @@ def enumerate_prime_ideals_bruteforce(A, max_n=16):
     enumeration for primality."""
     return tuple(PrimeIdeal(i.members, k) for k, i in enumerate(
         i for i in enumerate_ideals(A, max_n=max_n) if _is_prime_members(A, i.members)))
+
+
+# ---------------------------------------------------------------------------
+# Alternative characterizations, checked against the library's definitions
+# ---------------------------------------------------------------------------
+
+def identity_partition(n):
+    return partition_from_labels(range(n))
+
+
+def natural_leq_via_join(A, x, y):
+    """Equivalent join formulation: x v y = y v x = y."""
+    return A.join(x, y) == y and A.join(y, x) == y
+
+
+def natural_preceq_via_join(A, x, y):
+    """Equivalent join formulation: y v x v y = y."""
+    return A.join(A.join(y, x), y) == y
+
+
+def saturate(sp, points):
+    """Union of the fibers that meet the given set of E-points."""
+    hit = {sp.p[e] for e in points}
+    return tuple(e for e in range(sp.size_e) if sp.p[e] in hit)
+
+
+def is_leq_cofinal(A, subset):
+    return len(leq_ideal_generated(A, subset)) == A.n
+
+
+def is_preceq_cofinal(A, subset):
+    return len(preceq_ideal_generated(A, subset).members) == A.n
+
+
+def prime_reflection_bijection(A):
+    """Map each prime ideal of A to the prime of A/D given by blockwise image;
+    verified bijective.  Returns a tuple of indices into the primes of A/D."""
+    Q, to_d = reflection(A)
+    primes_a = enumerate_prime_ideals(A)
+    primes_q = enumerate_prime_ideals(Q)
+    index_q = {p.members: p.index for p in primes_q}
+    mapping = []
+    for p in primes_a:
+        image = tuple(sorted({to_d[x] for x in p.members}))
+        if image not in index_q:
+            raise RuntimeError(f"image {image} of prime {p.members} is not prime in A/D")
+        mapping.append(index_q[image])
+    if sorted(mapping) != list(range(len(primes_q))):
+        raise RuntimeError("prime reflection is not a bijection")
+    return tuple(mapping)
 
 
 # Law catalogue.  Each law has a pointwise predicate so that any witness a

@@ -14,6 +14,7 @@ from helpers import (
     law_holds_at,
     partial_map_oracle_tables,
     seeded_rect_space,
+    small_test_algebras,
 )
 from skewstone import (
     algebra_roundtrip_iso,
@@ -43,7 +44,7 @@ from skewstone import (
     validate_algebra,
     validate_space_morphism,
 )
-from skewstone.catalog import boolean_algebra, one_element, primitive_right, right_three, small_test_algebras
+from skewstone.catalog import boolean_algebra, one_element, primitive_right, right_three
 from skewstone.cli import main as cli_main
 from skewstone.lattice_sections import find_lattice_section
 

@@ -74,6 +74,19 @@ class TestExitCodes:
             path.write_text(jsonio.dumps(obj))
             assert run(capsys, "validate", str(path)) == (1, "")
 
+    def test_identity_hom_validates(self, capsys, three_file, tmp_path):
+        path = tmp_path / "id.json"
+        path.write_text(jsonio.dumps({"map": [0, 1, 2], "source": "three.json",
+                                      "target": jsonio.algebra_to_dict(right_three())}))
+        assert run(capsys, "validate", str(path)) == (0, "ok\n")
+
+    def test_broken_hom_exits_one_with_witness(self, capsys, three_file, tmp_path):
+        path = tmp_path / "collapse.json"
+        path.write_text(jsonio.dumps({"map": [0, 1, 1], "source": "three.json",
+                                      "target": "three.json"}))
+        assert run(capsys, "validate", str(path)) == (1, "FAIL preserves_cap witness=(1, 2)\n")
+        assert main(["validate", "--max-size", "2", str(path)]) == 3
+
     def test_over_max_size_exits_three(self, capsys, three_file):
         code = main(["validate", "--max-size", "2", three_file])
         captured = capsys.readouterr()

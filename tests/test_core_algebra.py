@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import corpus_params, law_holds_at
+from helpers import (
+    corpus_params,
+    identity_partition,
+    law_holds_at,
+    natural_leq_via_join,
+    natural_preceq_via_join,
+)
 from skewstone import (
     CongruenceError,
     StructuralError,
@@ -22,10 +28,7 @@ from skewstone import (
 )
 from skewstone.catalog import boolean_algebra, fiber_product_over_reflection
 from skewstone.core_algebra import (
-    identity_partition,
     leq_matrix,
-    natural_leq_via_join,
-    natural_preceq_via_join,
     partition_from_labels,
     preceq_matrix,
     reflection,

@@ -2,18 +2,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import corpus_params, enumerate_ideals, enumerate_prime_ideals_bruteforce
+from helpers import (
+    corpus_params,
+    enumerate_ideals,
+    enumerate_prime_ideals_bruteforce,
+    is_leq_cofinal,
+    is_preceq_cofinal,
+    prime_reflection_bijection,
+    saturate,
+)
 from skewstone import (
     Ideal,
     basic_copen,
     dual_algebra,
     enumerate_prime_ideals,
     ideal_congruence,
-    is_leq_cofinal,
-    is_preceq_cofinal,
     leq_ideal_generated,
     preceq_ideal_generated,
-    prime_reflection_bijection,
     random_space,
     skew_spectrum,
     validate_space,
@@ -21,7 +26,6 @@ from skewstone import (
 from skewstone.core_algebra import leq_matrix, preceq_matrix
 from skewstone.ideals_spectra import (
     is_ideal,
-    saturate,
     spectrum_data,
 )
 

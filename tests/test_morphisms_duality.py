@@ -1,10 +1,21 @@
 import itertools
+import random
 
 import pytest
 
-from helpers import all_surjection_spaces, enumerate_homs_bruteforce, seeded_rect_space
+from helpers import (
+    algebras_isomorphic_search,
+    all_surjection_spaces,
+    enumerate_homs_bruteforce,
+    enumerate_homs_search,
+    seeded_rect_space,
+    small_test_algebras,
+    space_from_fibers,
+    validate_hom_oracle,
+)
 from skewstone import (
     Homomorphism,
+    SizeCapError,
     algebra_roundtrip_iso,
     algebras_isomorphic,
     basic_copen,
@@ -14,6 +25,7 @@ from skewstone import (
     compose_homs,
     compose_space_morphisms,
     decompose_morphism,
+    dual_algebra,
     dual_of_hom,
     enumerate_homs,
     enumerate_space_morphisms,
@@ -23,6 +35,7 @@ from skewstone import (
     identity_hom,
     identity_space_morphism,
     make_space,
+    mirror,
     random_space,
     skew_spectrum,
     space_roundtrip_iso,
@@ -32,7 +45,7 @@ from skewstone import (
     validate_space_morphism,
     zero_hom,
 )
-from skewstone.catalog import boolean_algebra, small_test_algebras
+from skewstone.catalog import boolean_algebra
 from skewstone.morphisms_duality import is_partial_identity_up_to_iso
 
 
@@ -402,3 +415,83 @@ class TestBandedHomSetBijection:
                                                   skew_spectrum(A)[0])
             assert len(set(duals)) == len(homs)
             assert sorted(duals, key=repr) == sorted(morphisms, key=repr)
+
+
+def left_space(fiber_sizes):
+    sp = space_from_fibers(fiber_sizes)
+    band = [[x if sp.p[x] == sp.p[y] else None for y in range(sp.size_e)]
+            for x in range(sp.size_e)]
+    return make_space(sp.size_e, sp.size_b, sp.p, band)
+
+
+class TestDualRouteMatchesSearch:
+    """enumerate_homs and algebras_isomorphic go through the spectra; the
+    element-wise backtracking searches in helpers are their oracles."""
+
+    def test_homs_equal_search_on_catalog_pairs(self, catalog):
+        for (_, A), (_, B) in itertools.product(catalog, repeat=2):
+            assert enumerate_homs(A, B) == enumerate_homs_search(A, B)
+
+    @pytest.mark.parametrize("source, target", [
+        (space_from_fibers((2, 1, 1)), random_space(2, 1, seed=5, band=("product", 2, 2))),
+        (left_space((3, 3)), left_space((3, 3))),
+    ], ids=["plain12_grid25", "left16_left16"])
+    def test_homs_equal_search_beyond_bruteforce(self, source, target):
+        A, B = dual_algebra(source)[0], dual_algebra(target)[0]
+        homs = enumerate_homs(A, B)
+        assert homs == enumerate_homs_search(A, B)
+        assert len(homs) == len(enumerate_space_morphisms(skew_spectrum(B)[0],
+                                                          skew_spectrum(A)[0]))
+
+    def test_isomorphism_agrees_with_search_on_seeded_corpus(self):
+        spaces = [random_space(size_b, max_fiber, seed=300 + i, band=kind)
+                  for i, (size_b, max_fiber, kind) in enumerate(itertools.product(
+                      (1, 2, 3), (1, 2), ("none", "right", "left")))]
+        spaces += [random_space(size_b, 1, seed=400 + i, band=("product", k_left, k_right))
+                   for i, (size_b, k_left, k_right) in enumerate(
+                       ((1, 1, 2), (1, 2, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1), (2, 2, 2)))]
+        algebras = [dual_algebra(sp)[0] for sp in spaces]
+        algebras += [mirror(A) for A in algebras]
+        assert max(A.n for A in algebras) <= 27
+        found = missing = 0
+        for A, B in itertools.product(algebras, repeat=2):
+            if A.n != B.n:
+                continue
+            iso = algebras_isomorphic(A, B)
+            assert (iso is None) == (algebras_isomorphic_search(A, B) is None)
+            if iso is None:
+                missing += 1
+                continue
+            found += 1
+            assert sorted(iso) == list(range(B.n))
+            assert validate_hom(Homomorphism(A, B, iso)).ok
+        assert found > len(algebras) and missing > 20
+
+    def test_budget_counts_space_morphism_candidates(self, three):
+        # Sk(right3) has one base point with two points over it.  The empty
+        # base map and its one (empty) fiber-map combination, then the
+        # defined one and its two fiber bijections: five candidates in all
+        assert len(enumerate_homs(three, three, max_candidates=5)) == 3
+        with pytest.raises(SizeCapError, match="more than 4 candidate assignments"):
+            enumerate_homs(three, three, max_candidates=4)
+
+
+class TestValidateHomOracle:
+    def test_one_entry_mutants_report_as_the_loop(self, catalog):
+        rng = random.Random(11)
+        pairs = [(A, B) for (_, A), (_, B) in itertools.product(catalog, repeat=2)]
+        pairs.append((dual_algebra(space_from_fibers((2, 1, 1)))[0],
+                      dual_algebra(random_space(2, 1, seed=5, band=("product", 2, 2)))[0]))
+        checked = failing = 0
+        for A, B in pairs:
+            for f in enumerate_homs(A, B):
+                assert validate_hom(f) == validate_hom_oracle(f)
+                for _ in range(3):
+                    image = list(f.map)
+                    image[rng.randrange(A.n)] = rng.randrange(B.n)
+                    mutant = Homomorphism(A, B, tuple(image))
+                    report = validate_hom(mutant)
+                    assert report == validate_hom_oracle(mutant)
+                    checked += 1
+                    failing += not report.ok
+        assert failing > checked // 2
