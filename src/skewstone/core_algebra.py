@@ -11,6 +11,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import wraps
+from itertools import chain
 
 import numpy as np
 
@@ -32,6 +33,8 @@ class SizeCapError(RuntimeError):
 # partial base map and every combination of fiber maps it tries.
 EXHAUSTIVE_N = 256
 MAX_CARRIER = 4096
+
+_OPS = ("meet", "join", "diff", "cap")
 
 
 class CongruenceError(ValueError):
@@ -168,6 +171,24 @@ def _as_rows(mask):
     return tuple(map(tuple, mask.tolist()))
 
 
+def _arrays(A, names=_OPS):
+    """The named operation tables of A as int32 arrays, in the order given.
+    The kernels take these, so a caller converts each tuple table once.
+    They are made as they are consumed: a caller that goes through them in
+    turn holds one at a time, and tuple() keeps them all.  SkewAlgebra has
+    checked that each table is n x n, so np.fromiter can read it flat (a
+    fifth faster than np.asarray at n = 1024)."""
+    n = A.n
+    return (np.fromiter(chain.from_iterable(getattr(A, name + "_table")), np.int32,
+                        n * n).reshape(n, n) for name in names)
+
+
+def _preceq(M):
+    """[x, y]: x ^ y ^ x == x (the natural preorder) from a meet table array."""
+    rows = np.arange(len(M))[:, None]
+    return M[M, rows] == rows
+
+
 @per_object
 def leq_matrix(A):
     """leq[x][y] is natural_leq(A, x, y)."""
@@ -179,9 +200,7 @@ def leq_matrix(A):
 @per_object
 def preceq_matrix(A):
     """pre[x][y] is natural_preceq(A, x, y)."""
-    M = np.asarray(A.meet_table, dtype=np.int64)
-    rows = np.arange(A.n)[:, None]
-    return _as_rows(M[M, rows] == rows)
+    return _as_rows(_preceq(np.asarray(A.meet_table, dtype=np.int64)))
 
 
 def _first_bad(mask):
@@ -230,9 +249,12 @@ def validate_algebra(A, max_n=EXHAUSTIVE_N):
        = (x ^ y) v (x ^ z) v (x ^ z') = (x ^ y) v (x ^ (z v z')).
        They include G, so they are all of A.  The right-hand law is the
        mirror image of the same argument.
-    5. Meet associativity for z in G.  By 4, z -> (x ^ y) ^ z and
-       z -> x ^ (y ^ z) are join homomorphisms; they agree on G, which
-       generates A, so they agree everywhere.
+    5. Meet associativity on G^3.  By 4 both distributivities hold on all
+       of A, so (x ^ y) ^ z and x ^ (y ^ z) are join homomorphisms in each
+       of x, y and z separately, e.g. ((x v x') ^ y) ^ z
+       = ((x ^ y) v (x' ^ y)) ^ z = ((x ^ y) ^ z) v ((x' ^ y) ^ z).  G
+       generates A under join (2), so agreement on G^3 extends to every x
+       with y, z in G, then to every x, y with z in G, then everywhere.
     6. The glb law on every triple, as bit sets: for each x, no z may lie
        below x and y but not below x cap y (n^3 / 16 byte operations, as
        the law is symmetric in x and y once cap is commutative).
@@ -310,9 +332,10 @@ def _unproved_step(A):
         if not np.array_equal(np.take(M, J[:, g], axis=0),
                               np.take_along_axis(np.take(J, M[g], axis=1), M, axis=0)):
             return "meet_distributes_right"
-    for g in G:                                  # [x, y]: (x ^ y) ^ g, x ^ (y ^ g)
-        if not np.array_equal(np.take(M[:, g], M), np.take(M, M[:, g], axis=1)):
-            return "meet_associative"
+    g = np.array(G)
+    MG = M[np.ix_(g, g)]                         # [x, y, z]: (x ^ y) ^ z, x ^ (y ^ z)
+    if not np.array_equal(M[MG[:, :, None], g], M[g[:, None, None], MG[None]]):
+        return "meet_associative"
 
     # The glb law is symmetric in x and y (cap is commutative by step 1) and
     # holds at x = y (cap idempotent), so the pairs y > x suffice.
@@ -415,19 +438,32 @@ def is_congruence(A, part, op_names=("meet", "join", "diff")):
     The witness has the form (op_name, x, x_equiv, y): substituting x_equiv
     for x in one argument slot changes the block of the result.
     """
-    lab = np.asarray(part.labels, dtype=np.int64)
-    for name in op_names:
-        T = np.asarray(getattr(A, name + "_table"), dtype=np.int64)
-        LT = lab[T]
-        for block in part.blocks:
-            base = block[0]
-            for x in block[1:]:
-                bad = np.nonzero(LT[x] != LT[base])[0]
-                if len(bad):
-                    return (name, base, x, int(bad[0]))
-                bad = np.nonzero(LT[:, x] != LT[:, base])[0]
-                if len(bad):
-                    return (name, base, x, int(bad[0]))
+    return _is_congruence(zip(op_names, _arrays(A, op_names)), part)
+
+
+def _is_congruence(tables, part):
+    """is_congruence for the (name, table array) pairs in tables, checked
+    in the order given.  Every element is compared with its block's least
+    element in a whole row and a whole column of the table of result
+    labels; the witness is the first failing element in (block, element)
+    order, its row before its column, and y the first failing position."""
+    lab = np.asarray(part.labels, dtype=np.int32)
+    least = np.empty(len(lab), dtype=np.intp)
+    for block in part.blocks:
+        least[list(block)] = block[0]
+    order = [x for block in part.blocks for x in block[1:]]
+    if not order:
+        return None
+    for name, T in tables:
+        LT = lab[T]                                   # [x, y]: block of x . y
+        row = LT != np.take(LT, least, axis=0)        # [x, y]: x . y against least(x) . y
+        col = LT != np.take(LT, least, axis=1)        # [y, x]: y . x against y . least(x)
+        row_bad = row.any(axis=1)
+        bad = (row_bad | col.any(axis=0))[order]
+        if bad.any():
+            x = order[int(np.argmax(bad))]
+            y = int(np.argmax(row[x] if row_bad[x] else col[:, x]))
+            return (name, int(least[x]), x, y)
     return None
 
 
@@ -440,17 +476,19 @@ def green_partitions(A):
     Each partition is verified to be a congruence for meet, join and diff
     (intersections are not generally compatible, so they are left out).
     """
-    M = np.asarray(A.meet_table, dtype=np.int64)
+    names = ("meet", "join", "diff")
+    tables = dict(zip(names, _arrays(A, names)))
+    M = tables["meet"]
     rows = np.arange(A.n)[:, None]
     cols = rows.T
-    pre = M[M, rows] == rows
+    pre = _preceq(M)
     # Each element is labelled by the least member of its class.
     least = lambda related: partition_from_labels(np.argmax(related, axis=1).tolist())
     d = least(pre & pre.T)
     l = least((M == rows) & (M.T == cols))
     r = least((M == cols) & (M.T == rows))
     for name, part in (("D", d), ("L", l), ("R", r)):
-        bad = is_congruence(A, part)
+        bad = _is_congruence(tables.items(), part)
         if bad is not None:
             raise CongruenceError(f"green {name} / {bad[0]}", bad[1:])
     return d, l, r

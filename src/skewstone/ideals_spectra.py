@@ -12,10 +12,16 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core_algebra import (
     Partition,
     StructuralError,
-    is_congruence,
+    _OPS,
+    _arrays,
+    _first_bad,
+    _is_congruence,
+    _preceq,
     leq_matrix,
     partition_from_labels,
     per_object,
@@ -104,19 +110,28 @@ def fibers(sp):
 
 def is_ideal(A, members):
     """Preorder-downward closed, join closed, contains zero."""
-    mem = set(members)
-    if A.zero not in mem:
+    inP = _member_mask(A.n, members)
+    if inP is None:
         return False
-    pre = preceq_matrix(A)
-    for x in mem:
-        for y in A.elements:
-            if pre[y][x] and y not in mem:
-                return False
-    for x in mem:
-        for y in mem:
-            if A.join(x, y) not in mem:
-                return False
-    return True
+    M, J = _arrays(A, ("meet", "join"))
+    return _is_ideal(_preceq(M), J, A.zero, inP)
+
+
+def _member_mask(n, members):
+    """Boolean mask of a member set, or None if a member is not in 0..n-1."""
+    members = list(members)
+    if any(not 0 <= x < n for x in members):
+        return None
+    inP = np.zeros(n, dtype=bool)
+    inP[members] = True
+    return inP
+
+
+def _is_ideal(pre, J, zero, inP):
+    """is_ideal on arrays: pre is the natural preorder, inP the members."""
+    return (bool(inP[zero])
+            and not pre[np.ix_(~inP, inP)].any()
+            and bool(inP[J[np.ix_(inP, inP)]].all()))
 
 
 def _reflection_atoms(Q):
@@ -135,27 +150,32 @@ def enumerate_prime_ideals(A):
     map to the two-element lattice preserves 0, meet and join and is not
     constantly zero, which is exactly primality.
     """
+    M, J = _arrays(A, ("meet", "join"))
+    return _prime_ideals(A, M, J, _preceq(M))
+
+
+def _prime_ideals(A, M, J, pre):
+    """enumerate_prime_ideals on the meet and join arrays and the preorder.
+    The lattice-map test is two whole-table masks per candidate; its
+    witness is the first failing pair in C order."""
     Q, to_d = reflection(A)
-    leq_q = leq_matrix(Q)
-    found = []
-    for atom in _reflection_atoms(Q):
-        members = tuple(x for x in A.elements if not leq_q[atom][to_d[x]])
-        found.append(members)
-    found.sort()
+    # one membership mask per atom a of A/D: P_a, the x with not a <= to_d[x]
+    masks = ~np.asarray(leq_matrix(Q), dtype=bool)[np.ix_(_reflection_atoms(Q), to_d)]
+    found = sorted(((tuple(np.flatnonzero(inP).tolist()), inP) for inP in masks),
+                   key=lambda candidate: candidate[0])
     primes = []
-    for k, members in enumerate(found):
-        mem = set(members)
-        if not is_ideal(A, members):
+    for k, (members, inP) in enumerate(found):
+        if not _is_ideal(pre, J, A.zero, inP):
             raise RuntimeError(f"enumerated prime candidate {members} is not an ideal")
-        if not any(x not in mem for x in A.elements):
+        out = ~inP
+        if not out.any():
             raise RuntimeError(f"prime candidate {members} is trivial")
-        for x in A.elements:
-            for y in A.elements:
-                if ((A.meet(x, y) not in mem) != (x not in mem and y not in mem)) or \
-                   ((A.join(x, y) not in mem) != (x not in mem or y not in mem)):
-                    raise RuntimeError(
-                        f"prime candidate {members} fails the lattice-map "
-                        f"characterization at ({x}, {y})")
+        x_out, y_out = out[:, None], out[None, :]
+        bad = _first_bad((out[M] != (x_out & y_out)) | (out[J] != (x_out | y_out)))
+        if bad is not None:
+            raise RuntimeError(
+                f"prime candidate {members} fails the lattice-map "
+                f"characterization at ({bad[0]}, {bad[1]})")
         primes.append(PrimeIdeal(members, k))
     return tuple(primes)
 
@@ -168,34 +188,48 @@ def ideal_congruence(A, ideal):
     and to have the ideal itself as its zero class.
     """
     members = ideal.members if isinstance(ideal, (Ideal, PrimeIdeal)) else tuple(ideal)
-    if not is_ideal(A, members):
+    tables = dict(zip(_OPS, _arrays(A)))
+    return _ideal_congruence(A.zero, tables, _preceq(tables["meet"]), _relating(tables),
+                             members)
+
+
+def _relating(tables):
+    """[x, y]: (x \\ (x cap y)) v (y \\ (x cap y)).  It does not depend on
+    the ideal: x and y are related modulo P exactly when it lies in P."""
+    J, D, C = tables["join"], tables["diff"], tables["cap"]
+    rows = np.arange(len(C))[:, None]
+    return J[D[rows, C], D[rows.T, C]]
+
+
+def _ideal_congruence(zero, tables, pre, relating, members):
+    """ideal_congruence on arrays: tables maps the four operation names to
+    arrays, pre is the natural preorder and relating is _relating(tables).
+
+    The classes are the greedy ones, one row operation each: the least
+    element not yet in a class opens the next class and takes every such
+    element it is related to.  So every element lands in the class of the
+    first opener related to it, and the witnesses of the checks are the
+    first failing pair in C order."""
+    inP = _member_mask(len(relating), members)
+    if inP is None or not _is_ideal(pre, tables["join"], zero, inP):
         raise ValueError(f"{members} is not an ideal")
-    mem = set(members)
-
-    def related(x, y):
-        c = A.cap(x, y)
-        return A.join(A.diff(x, c), A.diff(y, c)) in mem
-
-    reps = []
-    labels = []
-    for x in A.elements:
-        for i, r in enumerate(reps):
-            if related(r, x):
-                labels.append(i)
-                break
-        else:
-            labels.append(len(reps))
-            reps.append(x)
-    part = partition_from_labels(labels)
-    for x in A.elements:
-        for y in A.elements:
-            if related(x, y) != (part.labels[x] == part.labels[y]):
-                raise ValueError(f"congruence formula is not transitive at ({x}, {y})")
-    bad = is_congruence(A, part, op_names=("meet", "join", "diff", "cap"))
+    related = inP[relating]
+    lab = np.full(len(inP), -1, dtype=np.int32)
+    label = 0
+    while (free := lab < 0).any():
+        opener = int(np.argmax(free))
+        take = related[opener] & free
+        take[opener] = True
+        lab[take] = label
+        label += 1
+    bad = _first_bad(related != (lab[:, None] == lab[None, :]))
+    if bad is not None:
+        raise ValueError(f"congruence formula is not transitive at ({bad[0]}, {bad[1]})")
+    part = partition_from_labels(lab.tolist())
+    bad = _is_congruence(tables.items(), part)
     if bad is not None:
         raise ValueError(f"ideal congruence failed compatibility: {bad}")
-    zero_class = part.blocks[part.labels[A.zero]]
-    if set(zero_class) != mem:
+    if not np.array_equal(lab == lab[zero], inP):
         raise ValueError("zero class of the ideal congruence differs from the ideal")
     return part
 
@@ -222,15 +256,21 @@ class SpectrumData:
 
 @per_object
 def spectrum_data(A):
-    primes = enumerate_prime_ideals(A)
-    thetas = tuple(ideal_congruence(A, p) for p in primes)
+    # A's tables are converted once here; the relation table is shared by
+    # the congruences of all primes
+    tables = dict(zip(_OPS, _arrays(A)))
+    pre = _preceq(tables["meet"])
+    primes = _prime_ideals(A, tables["meet"], tables["join"], pre)
+    relating = _relating(tables)
+    thetas = tuple(_ideal_congruence(A.zero, tables, pre, relating, p.members)
+                   for p in primes)
     points = []
     label_index = {}
     p_map = []
-    for pi, (prime, theta) in enumerate(zip(primes, thetas)):
-        mem = set(prime.members)
+    for pi, theta in enumerate(thetas):
+        zero_label = theta.labels[A.zero]           # the zero class is the prime
         for label, block in enumerate(theta.blocks):
-            if block[0] in mem:
+            if label == zero_label:
                 continue
             label_index[(pi, label)] = len(points)
             points.append(SpectrumPoint(prime=pi, rep=block[0]))
@@ -266,11 +306,25 @@ def basic_copen(A, a):
     """E-points of the basic section attached to an element: one point over
     every prime not containing it."""
     sd = spectrum_data(A)
-    out = []
-    for pi, prime in enumerate(sd.primes):
-        if a not in prime.members:
-            out.append(sd.point_of(pi, a))
-    return tuple(sorted(out))
+    # the zero class of each theta (its prime) is the one without a point;
+    # points are numbered prime by prime, so these come out sorted
+    keys = ((pi, theta.labels[a]) for pi, theta in enumerate(sd.thetas))
+    return tuple(sd.label_index[key] for key in keys if key in sd.label_index)
+
+
+def _basic_copens(A):
+    """basic_copen of every element, in one pass.  Per prime, the class
+    labels of theta index a table from class to point, -1 on the zero class
+    (the prime itself); points are numbered prime by prime, so each row
+    lists its points in increasing order."""
+    sd = spectrum_data(A)
+    columns = []
+    for pi, theta in enumerate(sd.thetas):
+        point = np.array([sd.label_index.get((pi, label), -1)
+                          for label in range(len(theta.blocks))], dtype=np.int32)
+        columns.append(point[np.asarray(theta.labels, dtype=np.int32)])
+    rows = np.stack(columns, axis=1).tolist() if columns else [[]] * A.n
+    return tuple(tuple(e for e in row if e >= 0) for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 from itertools import combinations, product
 
+import numpy as np
+
 from skewstone import (
+    CongruenceError,
     Homomorphism,
     Ideal,
     PrimeIdeal,
@@ -30,7 +33,7 @@ from skewstone.catalog import (
     right_three,
 )
 from skewstone.core_algebra import leq_matrix, partition_from_labels, preceq_matrix, reflection
-from skewstone.ideals_spectra import is_ideal
+from skewstone.ideals_spectra import _reflection_atoms, is_ideal, spectrum_data
 from skewstone.spaces_sections import all_partial_maps
 
 
@@ -356,6 +359,137 @@ def enumerate_prime_ideals_bruteforce(A, max_n=16):
     enumeration for primality."""
     return tuple(PrimeIdeal(i.members, k) for k, i in enumerate(
         i for i in enumerate_ideals(A, max_n=max_n) if _is_prime_members(A, i.members)))
+
+
+# ---------------------------------------------------------------------------
+# Loop oracles for the spectrum kernels: the pairwise loops that the
+# whole-table masks of ideals_spectra and core_algebra.is_congruence replaced.
+# ---------------------------------------------------------------------------
+
+def is_ideal_oracle(A, members):
+    """Oracle for is_ideal: preorder-downward closed, join closed, contains zero."""
+    mem = set(members)
+    if A.zero not in mem:
+        return False
+    pre = preceq_matrix(A)
+    for x in mem:
+        for y in A.elements:
+            if pre[y][x] and y not in mem:
+                return False
+    for x in mem:
+        for y in mem:
+            if A.join(x, y) not in mem:
+                return False
+    return True
+
+
+def enumerate_prime_ideals_oracle(A):
+    """Oracle for enumerate_prime_ideals: the candidates pulled back from the
+    atoms of A/D, checked pair by pair."""
+    Q, to_d = reflection(A)
+    leq_q = leq_matrix(Q)
+    found = []
+    for atom in _reflection_atoms(Q):
+        members = tuple(x for x in A.elements if not leq_q[atom][to_d[x]])
+        found.append(members)
+    found.sort()
+    primes = []
+    for k, members in enumerate(found):
+        mem = set(members)
+        if not is_ideal_oracle(A, members):
+            raise RuntimeError(f"enumerated prime candidate {members} is not an ideal")
+        if not any(x not in mem for x in A.elements):
+            raise RuntimeError(f"prime candidate {members} is trivial")
+        for x in A.elements:
+            for y in A.elements:
+                if ((A.meet(x, y) not in mem) != (x not in mem and y not in mem)) or \
+                   ((A.join(x, y) not in mem) != (x not in mem or y not in mem)):
+                    raise RuntimeError(
+                        f"prime candidate {members} fails the lattice-map "
+                        f"characterization at ({x}, {y})")
+        primes.append(PrimeIdeal(members, k))
+    return tuple(primes)
+
+
+def ideal_congruence_oracle(A, ideal):
+    """Oracle for ideal_congruence: greedy classes by the pairwise relation."""
+    members = ideal.members if isinstance(ideal, (Ideal, PrimeIdeal)) else tuple(ideal)
+    if not is_ideal_oracle(A, members):
+        raise ValueError(f"{members} is not an ideal")
+    mem = set(members)
+
+    def related(x, y):
+        c = A.cap(x, y)
+        return A.join(A.diff(x, c), A.diff(y, c)) in mem
+
+    reps = []
+    labels = []
+    for x in A.elements:
+        for i, r in enumerate(reps):
+            if related(r, x):
+                labels.append(i)
+                break
+        else:
+            labels.append(len(reps))
+            reps.append(x)
+    part = partition_from_labels(labels)
+    for x in A.elements:
+        for y in A.elements:
+            if related(x, y) != (part.labels[x] == part.labels[y]):
+                raise ValueError(f"congruence formula is not transitive at ({x}, {y})")
+    bad = is_congruence_oracle(A, part, op_names=("meet", "join", "diff", "cap"))
+    if bad is not None:
+        raise ValueError(f"ideal congruence failed compatibility: {bad}")
+    zero_class = part.blocks[part.labels[A.zero]]
+    if set(zero_class) != mem:
+        raise ValueError("zero class of the ideal congruence differs from the ideal")
+    return part
+
+
+def is_congruence_oracle(A, part, op_names=("meet", "join", "diff")):
+    """Oracle for is_congruence: one row and one column per block member."""
+    lab = np.asarray(part.labels, dtype=np.int64)
+    for name in op_names:
+        T = np.asarray(getattr(A, name + "_table"), dtype=np.int64)
+        LT = lab[T]
+        for block in part.blocks:
+            base = block[0]
+            for x in block[1:]:
+                bad = np.nonzero(LT[x] != LT[base])[0]
+                if len(bad):
+                    return (name, base, x, int(bad[0]))
+                bad = np.nonzero(LT[:, x] != LT[:, base])[0]
+                if len(bad):
+                    return (name, base, x, int(bad[0]))
+    return None
+
+
+def green_partitions_oracle(A):
+    """Oracle for green_partitions: each relation read pair by pair, each
+    element labelled by the least member of its class (0 if it has none),
+    then checked with is_congruence_oracle in the order D, L, R."""
+    def least(related):
+        return partition_from_labels([next((y for y in A.elements if related(x, y)), 0)
+                                      for x in A.elements])
+
+    def pre(x, y):
+        return A.meet(A.meet(x, y), x) == x
+
+    d = least(lambda x, y: pre(x, y) and pre(y, x))
+    l = least(lambda x, y: A.meet(x, y) == x and A.meet(y, x) == y)
+    r = least(lambda x, y: A.meet(x, y) == y and A.meet(y, x) == x)
+    for name, part in (("D", d), ("L", l), ("R", r)):
+        bad = is_congruence_oracle(A, part)
+        if bad is not None:
+            raise CongruenceError(f"green {name} / {bad[0]}", bad[1:])
+    return d, l, r
+
+
+def basic_copen_oracle(A, a):
+    """Oracle for basic_copen: scan every prime's members for a."""
+    sd = spectrum_data(A)
+    return tuple(sorted(sd.point_of(pi, a) for pi, prime in enumerate(sd.primes)
+                        if a not in prime.members))
 
 
 # ---------------------------------------------------------------------------
