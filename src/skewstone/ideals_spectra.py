@@ -305,25 +305,22 @@ def skew_spectrum(A):
 def basic_copen(A, a):
     """E-points of the basic section attached to an element: one point over
     every prime not containing it."""
-    sd = spectrum_data(A)
-    # the zero class of each theta (its prime) is the one without a point;
-    # points are numbered prime by prime, so these come out sorted
-    keys = ((pi, theta.labels[a]) for pi, theta in enumerate(sd.thetas))
-    return tuple(sd.label_index[key] for key in keys if key in sd.label_index)
+    return _basic_copens(A, (a,))[0]
 
 
-def _basic_copens(A):
-    """basic_copen of every element, in one pass.  Per prime, the class
-    labels of theta index a table from class to point, -1 on the zero class
-    (the prime itself); points are numbered prime by prime, so each row
-    lists its points in increasing order."""
+def _basic_copens(A, elements=None):
+    """basic_copen of each of the elements (default: all of A) in one pass.
+    Per prime, the class labels of theta index a table from class to point,
+    -1 on the zero class (the prime itself); points are numbered prime by
+    prime, so each row lists its points in increasing order."""
     sd = spectrum_data(A)
+    elements = A.elements if elements is None else elements
     columns = []
     for pi, theta in enumerate(sd.thetas):
         point = np.array([sd.label_index.get((pi, label), -1)
                           for label in range(len(theta.blocks))], dtype=np.int32)
-        columns.append(point[np.asarray(theta.labels, dtype=np.int32)])
-    rows = np.stack(columns, axis=1).tolist() if columns else [[]] * A.n
+        columns.append(point[[theta.labels[a] for a in elements]])
+    rows = np.stack(columns, axis=1).tolist() if columns else [[]] * len(elements)
     return tuple(tuple(e for e in row if e >= 0) for row in rows)
 
 

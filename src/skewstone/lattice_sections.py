@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core_algebra import green_partitions, handedness, reflection
-from .ideals_spectra import basic_copen, fibers, spectrum_data
+from .ideals_spectra import _basic_copens, fibers, spectrum_data
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def lattice_section_to_global(A, section):
         rep = d.blocks[i][0]
         base_of.append(frozenset(pi for pi, p in enumerate(sd.primes)
                                  if rep not in p.members))
-    copens = [frozenset(basic_copen(A, c)) for c in section.choice]
+    copens = [frozenset(c) for c in _basic_copens(A, section.choice)]
     for i in range(AD.n):
         for j in range(AD.n):
             # the local pieces agree on overlaps
@@ -145,7 +145,7 @@ def global_section_to_lattice(A, section):
     sd = spectrum_data(A)
     d = green_partitions(A)[0]
     AD, _ = reflection(A)
-    element_of = {basic_copen(A, a): a for a in A.elements}
+    element_of = {copen: a for a, copen in enumerate(_basic_copens(A))}
     pts = set(section.points)
     choice = []
     for i in range(AD.n):

@@ -37,6 +37,16 @@ from skewstone.ideals_spectra import _reflection_atoms, is_ideal, spectrum_data
 from skewstone.spaces_sections import all_partial_maps
 
 
+def retabled(A, table, changes):
+    """A with entries (i, j, value) of one table replaced."""
+    tables = {name: [list(r) for r in getattr(A, name + "_table")]
+              for name in ("meet", "join", "diff", "cap")}
+    for i, j, value in changes:
+        tables[table][i][j] = value
+    return make_algebra(A.n, A.zero, tables["meet"], tables["join"],
+                        tables["diff"], tables["cap"])
+
+
 def small_test_algebras():
     """Named corpus of algebras with at most five elements, covering the
     commutative, right-handed, left-handed and two-sided cases."""

@@ -16,6 +16,7 @@ from helpers import (
     ideal_congruence_oracle,
     is_congruence_oracle,
     is_ideal_oracle,
+    retabled,
     small_test_algebras,
 )
 from skewstone import (
@@ -25,7 +26,6 @@ from skewstone import (
     enumerate_prime_ideals,
     green_partitions,
     ideal_congruence,
-    make_algebra,
     random_space,
 )
 from skewstone.core_algebra import is_congruence, partition_from_labels
@@ -59,11 +59,9 @@ def mutants(A, count, seed):
     """A with one entry of one table changed, count times."""
     rng = random.Random(seed)
     for _ in range(count):
-        tables = {name: [list(row) for row in getattr(A, name + "_table")] for name in OPS}
-        row = tables[rng.choice(OPS)][rng.randrange(A.n)]
-        y = rng.randrange(A.n)
-        row[y] = (row[y] + rng.randrange(1, A.n)) % A.n
-        yield make_algebra(A.n, A.zero, *(tables[name] for name in OPS))
+        table, x, y = rng.choice(OPS), rng.randrange(A.n), rng.randrange(A.n)
+        value = (getattr(A, table + "_table")[x][y] + rng.randrange(1, A.n)) % A.n
+        yield retabled(A, table, [(x, y, value)])
 
 
 def test_prime_ideals_match_the_loop(algebras):

@@ -4,10 +4,11 @@ tests hold the two paths to the same reports on inputs that break each step.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
-from helpers import law_holds_at, space_from_fibers
+from helpers import law_holds_at, retabled, space_from_fibers
 from skewstone import dual_algebra, make_algebra, random_space, validate_algebra
 from skewstone.core_algebra import _exhaustive_report, _unproved_step
 
@@ -21,16 +22,6 @@ def section_algebras():
         for band in ("right", "left", ("product", 2, 2), ("product", 1, 2)):
             spaces.append(random_space(2, 3, seed, band))
     return [dual_algebra(sp)[0] for sp in spaces]
-
-
-def retabled(A, table, changes):
-    """A with entries (i, j, value) of one table replaced."""
-    tables = {name: [list(r) for r in getattr(A, name + "_table")]
-              for name in ("meet", "join", "diff", "cap")}
-    for i, j, value in changes:
-        tables[table][i][j] = value
-    return make_algebra(A.n, A.zero, tables["meet"], tables["join"],
-                        tables["diff"], tables["cap"])
 
 
 def with_diff_and_cap(meet, join):
@@ -82,6 +73,21 @@ def test_proof_at_n_512():
     A = dual_algebra(space_from_fibers((3, 3, 3, 3, 1)))[0]
     assert A.n == 512
     assert validate_algebra(A, max_n=512).ok
+
+
+def test_proof_with_every_element_a_generator_stays_small():
+    """One fiber of 255 points: G is all of A (n = 256), the worst case for
+    the steps that loop over G.  Each keeps its temporaries near n x n; a
+    |G| x |G| x |G| gather in step 5 alone would trace 272 MiB."""
+    A = dual_algebra(space_from_fibers((255,)))[0]
+    assert A.n == 256
+    tracemalloc.start()
+    try:
+        assert _unproved_step(A) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 # Meet and join tables that pass the laws of step 1 but are rejected later,
