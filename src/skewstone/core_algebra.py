@@ -1,8 +1,8 @@
 """Finite skew Boolean algebras with intersections, given by operation tables.
 
 Elements are dense indices 0..n-1.  The four binary operations (meet, join,
-relative complement, intersection) are stored as row-major n x n tables, so
-``meet_table[x][y]`` is x ^ y.  Everything here is a pure function of
+relative complement, intersection) are stored as n x n tables, so
+``meet_table[x, y]`` is x ^ y.  Everything here is a pure function of
 immutable values; results and reported witnesses are deterministic.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import wraps
-from itertools import chain
 
 import numpy as np
 
@@ -64,46 +63,78 @@ def per_object(fn):
 
 
 def _check_table(name, table, n):
-    if len(table) != n:
-        raise StructuralError(f"{name} table has {len(table)} rows, expected {n}")
-    for i, row in enumerate(table):
-        if len(row) != n:
-            raise StructuralError(f"{name} table row {i} has length {len(row)}")
-        for v in row:
-            if not (isinstance(v, int) and 0 <= v < n):
-                raise StructuralError(f"{name}[{i}] contains invalid entry {v!r}")
+    """table as a read-only, C-contiguous int32 n x n array.  Such an array
+    is kept as given and made read-only; anything else is copied into one.
+    A table that is not n x n integers in 0..n-1 raises StructuralError,
+    naming its first fault in row order."""
+    try:
+        T = np.asarray(table)
+    except ValueError:                           # ragged rows
+        T = None
+    if (T is None or T.shape != (n, n) or T.dtype.kind not in "biu"
+            or T.min() < 0 or T.max() >= n):
+        rows = table.tolist() if isinstance(table, np.ndarray) else table
+        if len(rows) != n:
+            raise StructuralError(f"{name} table has {len(rows)} rows, expected {n}")
+        for i, row in enumerate(rows):
+            if len(row) != n:
+                raise StructuralError(f"{name} table row {i} has length {len(row)}")
+            for v in row:
+                if not (isinstance(v, int) and 0 <= v < n):
+                    raise StructuralError(f"{name}[{i}] contains invalid entry {v!r}")
+        raise StructuralError(f"{name} table is not an integer table")
+    T = np.ascontiguousarray(T, dtype=np.int32)
+    T.setflags(write=False)
+    return T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SkewAlgebra:
-    """Carrier 0..n-1 with designated zero and the four operation tables."""
+    """Carrier 0..n-1 with designated zero and the four operation tables.
+
+    Each table is a read-only, C-contiguous int32 n x n array, made so on
+    construction.  Algebras compare by value: equal n, zero and tables make
+    equal algebras, with equal hashes."""
 
     n: int
     zero: int
-    meet_table: tuple[tuple[int, ...], ...]
-    join_table: tuple[tuple[int, ...], ...]
-    diff_table: tuple[tuple[int, ...], ...]
-    cap_table: tuple[tuple[int, ...], ...]
+    meet_table: np.ndarray
+    join_table: np.ndarray
+    diff_table: np.ndarray
+    cap_table: np.ndarray
 
     def __post_init__(self):
         if self.n < 1:
             raise StructuralError("carrier must be non-empty")
         if not (0 <= self.zero < self.n):
             raise StructuralError(f"zero index {self.zero} out of range")
-        for name in ("meet", "join", "diff", "cap"):
-            _check_table(name, getattr(self, name + "_table"), self.n)
+        for name in _OPS:
+            object.__setattr__(self, name + "_table",
+                               _check_table(name, getattr(self, name + "_table"), self.n))
+
+    def __eq__(self, other):
+        if not isinstance(other, SkewAlgebra):
+            return NotImplemented
+        return self is other or (
+            (self.n, self.zero) == (other.n, other.zero)
+            and all(np.array_equal(getattr(self, name + "_table"), getattr(other, name + "_table"))
+                    for name in _OPS))
+
+    def __hash__(self):
+        return hash((self.n, self.zero) + tuple(getattr(self, name + "_table").tobytes()
+                                                for name in _OPS))
 
     def meet(self, x, y):
-        return self.meet_table[x][y]
+        return self.meet_table.item(x, y)
 
     def join(self, x, y):
-        return self.join_table[x][y]
+        return self.join_table.item(x, y)
 
     def diff(self, x, y):
-        return self.diff_table[x][y]
+        return self.diff_table.item(x, y)
 
     def cap(self, x, y):
-        return self.cap_table[x][y]
+        return self.cap_table.item(x, y)
 
     @property
     def elements(self):
@@ -111,11 +142,11 @@ class SkewAlgebra:
 
 
 def make_algebra(n, zero, meet, join, diff, cap):
-    """Build a SkewAlgebra from list-of-list tables (freezes them to tuples).
-    Entries must be integers (TypeError otherwise, also for 1.9 or "0")."""
-    as_tuple = lambda t: tuple(tuple(operator.index(v) for v in row) for row in t)
-    return SkewAlgebra(operator.index(n), operator.index(zero), as_tuple(meet),
-                       as_tuple(join), as_tuple(diff), as_tuple(cap))
+    """Build a SkewAlgebra from list-of-list tables.  Entries must be
+    integers (TypeError otherwise, also for 1.9 or "0")."""
+    as_rows = lambda t: [[operator.index(v) for v in row] for row in t]
+    return SkewAlgebra(operator.index(n), operator.index(zero), as_rows(meet),
+                       as_rows(join), as_rows(diff), as_rows(cap))
 
 
 @dataclass(frozen=True)
@@ -171,28 +202,22 @@ def _as_rows(mask):
     return tuple(map(tuple, mask.tolist()))
 
 
-def _arrays(A, names=_OPS):
-    """The named operation tables of A as int32 arrays, in the order given.
-    The kernels take these, so a caller converts each tuple table once.
-    They are made as they are consumed: a caller that goes through them in
-    turn holds one at a time, and tuple() keeps them all.  SkewAlgebra has
-    checked that each table is n x n, so np.fromiter can read it flat (a
-    fifth faster than np.asarray at n = 1024)."""
-    n = A.n
-    return (np.fromiter(chain.from_iterable(getattr(A, name + "_table")), np.int32,
-                        n * n).reshape(n, n) for name in names)
-
-
-def _preceq(M):
-    """[x, y]: x ^ y ^ x == x (the natural preorder) from a meet table array."""
-    rows = np.arange(len(M))[:, None]
-    return M[M, rows] == rows
+@per_object
+def _preceq(A):
+    """[x, y]: x ^ y ^ x == x, the natural preorder, as a read-only boolean
+    array.  Green's relations, the prime ideals and their congruences all
+    read it."""
+    M = A.meet_table
+    rows = np.arange(A.n)[:, None]
+    pre = M[M, rows] == rows
+    pre.setflags(write=False)
+    return pre
 
 
 @per_object
 def leq_matrix(A):
     """leq[x][y] is natural_leq(A, x, y)."""
-    M = np.asarray(A.meet_table, dtype=np.int64)
+    M = A.meet_table
     rows = np.arange(A.n)[:, None]
     return _as_rows((M == rows) & (M.T == rows))
 
@@ -200,7 +225,7 @@ def leq_matrix(A):
 @per_object
 def preceq_matrix(A):
     """pre[x][y] is natural_preceq(A, x, y)."""
-    return _as_rows(_preceq(np.asarray(A.meet_table, dtype=np.int64)))
+    return _as_rows(_preceq(A))
 
 
 def _first_bad(mask):
@@ -278,10 +303,7 @@ def _unproved_step(A):
     step passes (A is valid), else the name of the first step that failed:
     a law of step 1, "generators", or the law steps 3 to 6 check."""
     n = A.n
-    M = np.asarray(A.meet_table, dtype=np.int64)
-    J = np.asarray(A.join_table, dtype=np.int64)
-    D = np.asarray(A.diff_table, dtype=np.int64)
-    C = np.asarray(A.cap_table, dtype=np.int64)
+    M, J, D, C = A.meet_table, A.join_table, A.diff_table, A.cap_table
     idx = np.arange(n)
     rows = idx[:, None]
     leq = (M == rows) & (M.T == rows)
@@ -352,10 +374,7 @@ def _exhaustive_report(A):
     each violated law with its first witness in C order, and the derived
     laws that fail as warnings."""
     n = A.n
-    M = np.asarray(A.meet_table, dtype=np.int64)
-    J = np.asarray(A.join_table, dtype=np.int64)
-    D = np.asarray(A.diff_table, dtype=np.int64)
-    C = np.asarray(A.cap_table, dtype=np.int64)
+    M, J, D, C = A.meet_table, A.join_table, A.diff_table, A.cap_table
     rows = np.arange(n)[:, None]
     cols = np.arange(n)[None, :]
     failures = []
@@ -437,17 +456,13 @@ def is_congruence(A, part, op_names=("meet", "join", "diff")):
     """Return None if part is a congruence for the named ops, else a witness.
 
     The witness has the form (op_name, x, x_equiv, y): substituting x_equiv
-    for x in one argument slot changes the block of the result.
+    for x in one argument slot changes the block of the result.  The ops
+    are checked in the order given.  Every element is compared with its
+    block's least element in a whole row and a whole column of the table of
+    result labels; the witness is the first failing element in (block,
+    element) order, its row before its column, and y the first failing
+    position.
     """
-    return _is_congruence(zip(op_names, _arrays(A, op_names)), part)
-
-
-def _is_congruence(tables, part):
-    """is_congruence for the (name, table array) pairs in tables, checked
-    in the order given.  Every element is compared with its block's least
-    element in a whole row and a whole column of the table of result
-    labels; the witness is the first failing element in (block, element)
-    order, its row before its column, and y the first failing position."""
     lab = np.asarray(part.labels, dtype=np.int32)
     least = np.empty(len(lab), dtype=np.intp)
     for block in part.blocks:
@@ -455,8 +470,8 @@ def _is_congruence(tables, part):
     order = [x for block in part.blocks for x in block[1:]]
     if not order:
         return None
-    for name, T in tables:
-        LT = lab[T]                                   # [x, y]: block of x . y
+    for name in op_names:
+        LT = lab[getattr(A, name + "_table")]        # [x, y]: block of x . y
         row = LT != np.take(LT, least, axis=0)        # [x, y]: x . y against least(x) . y
         col = LT != np.take(LT, least, axis=1)        # [y, x]: y . x against y . least(x)
         row_bad = row.any(axis=1)
@@ -477,19 +492,17 @@ def green_partitions(A):
     Each partition is verified to be a congruence for meet, join and diff
     (intersections are not generally compatible, so they are left out).
     """
-    names = ("meet", "join", "diff")
-    tables = dict(zip(names, _arrays(A, names)))
-    M = tables["meet"]
+    M = A.meet_table
     rows = np.arange(A.n)[:, None]
     cols = rows.T
-    pre = _preceq(M)
+    pre = _preceq(A)
     # Each element is labelled by the least member of its class.
     least = lambda related: partition_from_labels(np.argmax(related, axis=1).tolist())
     d = least(pre & pre.T)
     l = least((M == rows) & (M.T == cols))
     r = least((M == cols) & (M.T == rows))
     for name, part in (("D", d), ("L", l), ("R", r)):
-        bad = _is_congruence(tables.items(), part)
+        bad = is_congruence(A, part)
         if bad is not None:
             raise CongruenceError(f"green {name} / {bad[0]}", bad[1:])
     return d, l, r
@@ -528,29 +541,31 @@ def quotient_by(A, part):
     bad = is_congruence(A, part)
     if bad is not None:
         raise CongruenceError(bad[0], bad[1:])
+    return _quotient(A, part)
+
+
+def _quotient(A, part):
+    """quotient_by for a partition known to be a congruence for meet, join
+    and diff.  Each table is one gather of labels at the representatives."""
     reps = [block[0] for block in part.blocks]
-    k = len(reps)
-    lab = part.labels
-    meet = [[lab[A.meet(reps[i], reps[j])] for j in range(k)] for i in range(k)]
-    join = [[lab[A.join(reps[i], reps[j])] for j in range(k)] for i in range(k)]
-    diff = [[lab[A.diff(reps[i], reps[j])] for j in range(k)] for i in range(k)]
-    if is_congruence(A, part, op_names=("cap",)) is None:
-        cap = [[lab[A.cap(reps[i], reps[j])] for j in range(k)] for i in range(k)]
-    else:
-        cap = glb_cap_table(k, meet, join)
-    quotient = make_algebra(k, lab[A.zero], meet, join, diff, cap)
-    return quotient, tuple(lab)
+    lab = np.asarray(part.labels, dtype=np.int32)
+    meet, join, diff, cap = (lab[getattr(A, name + "_table")[np.ix_(reps, reps)]]
+                             for name in _OPS)
+    if is_congruence(A, part, op_names=("cap",)) is not None:
+        cap = glb_cap_table(len(part.blocks), meet.tolist(), join.tolist())
+    return SkewAlgebra(len(part.blocks), part.labels[A.zero], meet, join, diff, cap), part.labels
 
 
 @per_object
 def reflection(A):
-    """The commutative reflection A/D with its quotient map."""
-    return quotient_by(A, green_partitions(A)[0])
+    """The commutative reflection A/D with its quotient map.  D is a
+    congruence for meet, join and diff: green_partitions checks that."""
+    return _quotient(A, green_partitions(A)[0])
 
 
 def handedness(A):
     """One of 'commutative', 'right', 'left', 'neither' by exhaustive test."""
-    M = np.asarray(A.meet_table, dtype=np.int64)
+    M = A.meet_table
     rows = np.arange(A.n)[:, None]
     if np.array_equal(M, M.T):
         return "commutative"
@@ -566,45 +581,37 @@ def second_decomposition_check(A):
     """Check that A -> A/R x_{A/D} A/L (canonical map into the pullback of the
     Green quotients) is an isomorphism of skew algebras."""
     d, l, r = green_partitions(A)
-    AR, to_r = quotient_by(A, r)
-    AL, to_l = quotient_by(A, l)
+    AR, to_r = _quotient(A, r)
+    AL, to_l = _quotient(A, l)
     AD, to_d = reflection(A)
     # Induced maps to the reflection (R and L refine D).
     r_to_d = [to_d[block[0]] for block in r.blocks]
     l_to_d = [to_d[block[0]] for block in l.blocks]
     pairs = [(i, j) for i in range(AR.n) for j in range(AL.n) if r_to_d[i] == l_to_d[j]]
-    index = {p: k for k, p in enumerate(pairs)}
-    canon = [index.get((to_r[a], to_l[a])) for a in A.elements]
-    if None in canon or len(set(canon)) != len(pairs) or len(pairs) != A.n:
+    index = np.full((AR.n, AL.n), -1, dtype=np.int32)
+    for k, p in enumerate(pairs):
+        index[p] = k
+    canon = index[to_r, to_l]
+    if (canon < 0).any() or len(set(canon.tolist())) != len(pairs) or len(pairs) != A.n:
         return False
-    inverse = [0] * A.n
-    for a, k in enumerate(canon):
-        inverse[k] = a
-    k_n = len(pairs)
-    meet = [[index[(AR.meet(pairs[i][0], pairs[j][0]), AL.meet(pairs[i][1], pairs[j][1]))]
-             for j in range(k_n)] for i in range(k_n)]
-    join = [[index[(AR.join(pairs[i][0], pairs[j][0]), AL.join(pairs[i][1], pairs[j][1]))]
-             for j in range(k_n)] for i in range(k_n)]
-    diff = [[index[(AR.diff(pairs[i][0], pairs[j][0]), AL.diff(pairs[i][1], pairs[j][1]))]
-             for j in range(k_n)] for i in range(k_n)]
-    cap = [[canon[A.cap(inverse[i], inverse[j])] for j in range(k_n)] for i in range(k_n)]
+    inverse = np.argsort(canon)
+    on_r, on_l = np.array(pairs).T
+    meet, join, diff = (index[getattr(AR, name + "_table")[np.ix_(on_r, on_r)],
+                              getattr(AL, name + "_table")[np.ix_(on_l, on_l)]]
+                        for name in _OPS[:3])
+    cap = canon[A.cap_table[np.ix_(inverse, inverse)]]
     try:
-        pullback = make_algebra(k_n, canon[A.zero], meet, join, diff, cap)
+        pullback = SkewAlgebra(len(pairs), int(canon[A.zero]), meet, join, diff, cap)
     except StructuralError:
         return False
     # Transported cap must be the pullback's genuine GLB, and the canonical
     # map must preserve the component-wise operations.
-    if not validate_algebra(pullback, max_n=k_n).ok:
+    if not validate_algebra(pullback, max_n=pullback.n).ok:
         return False
-    for x in A.elements:
-        for y in A.elements:
-            if canon[A.meet(x, y)] != pullback.meet(canon[x], canon[y]):
-                return False
-            if canon[A.join(x, y)] != pullback.join(canon[x], canon[y]):
-                return False
-            if canon[A.diff(x, y)] != pullback.diff(canon[x], canon[y]):
-                return False
-    return True
+    both = np.ix_(canon, canon)
+    return all(np.array_equal(canon[getattr(A, name + "_table")],
+                              getattr(pullback, name + "_table")[both])
+               for name in _OPS[:3])
 
 
 # ---------------------------------------------------------------------------
@@ -620,22 +627,19 @@ def subalgebra_on(A, subset):
     members = tuple(sorted(set(subset)))
     if A.zero not in members:
         raise ValueError("subset does not contain zero")
-    pos = {a: i for i, a in enumerate(members)}
-    for op in ("meet", "join", "diff", "cap"):
-        f = getattr(A, op)
-        for x in members:
-            for y in members:
-                if f(x, y) not in pos:
-                    raise ValueError(f"subset not closed under {op} at ({x}, {y})")
-    table = lambda f: [[pos[f(x, y)] for y in members] for x in members]
-    sub = make_algebra(len(members), pos[A.zero], table(A.meet), table(A.join),
-                       table(A.diff), table(A.cap))
-    return sub, members
+    pos = np.full(A.n, -1, dtype=np.int32)
+    pos[list(members)] = np.arange(len(members))
+    both = np.ix_(members, members)
+    tables = [pos[getattr(A, name + "_table")[both]] for name in _OPS]
+    for name, T in zip(_OPS, tables):
+        bad = _first_bad(T < 0)
+        if bad is not None:
+            x, y = (members[i] for i in bad)
+            raise ValueError(f"subset not closed under {name} at ({x}, {y})")
+    return SkewAlgebra(len(members), int(pos[A.zero]), *tables), members
 
 
 def mirror(A):
     """Opposite algebra: meet and join arguments swapped.  The natural order
     is unchanged, so diff and cap carry over."""
-    t = lambda tab: tuple(tuple(tab[y][x] for y in A.elements) for x in A.elements)
-    return SkewAlgebra(A.n, A.zero, t(A.meet_table), t(A.join_table),
-                       A.diff_table, A.cap_table)
+    return SkewAlgebra(A.n, A.zero, A.meet_table.T, A.join_table.T, A.diff_table, A.cap_table)

@@ -18,10 +18,9 @@ from .core_algebra import (
     Partition,
     StructuralError,
     _OPS,
-    _arrays,
     _first_bad,
-    _is_congruence,
     _preceq,
+    is_congruence,
     leq_matrix,
     partition_from_labels,
     per_object,
@@ -113,8 +112,7 @@ def is_ideal(A, members):
     inP = _member_mask(A.n, members)
     if inP is None:
         return False
-    M, J = _arrays(A, ("meet", "join"))
-    return _is_ideal(_preceq(M), J, A.zero, inP)
+    return _is_ideal(_preceq(A), A.join_table, A.zero, inP)
 
 
 def _member_mask(n, members):
@@ -148,16 +146,12 @@ def enumerate_prime_ideals(A):
     Boolean algebra are indexed by atoms: P_a = {x : not a <= x}.  Each
     pulled-back candidate is then verified to be an ideal whose indicator
     map to the two-element lattice preserves 0, meet and join and is not
-    constantly zero, which is exactly primality.
+    constantly zero, which is exactly primality.  The lattice-map test is two
+    whole-table masks per candidate; its witness is the first failing pair
+    in C order.
     """
-    M, J = _arrays(A, ("meet", "join"))
-    return _prime_ideals(A, M, J, _preceq(M))
-
-
-def _prime_ideals(A, M, J, pre):
-    """enumerate_prime_ideals on the meet and join arrays and the preorder.
-    The lattice-map test is two whole-table masks per candidate; its
-    witness is the first failing pair in C order."""
+    M, J = A.meet_table, A.join_table
+    pre = _preceq(A)
     Q, to_d = reflection(A)
     # one membership mask per atom a of A/D: P_a, the x with not a <= to_d[x]
     masks = ~np.asarray(leq_matrix(Q), dtype=bool)[np.ix_(_reflection_atoms(Q), to_d)]
@@ -188,30 +182,28 @@ def ideal_congruence(A, ideal):
     and to have the ideal itself as its zero class.
     """
     members = ideal.members if isinstance(ideal, (Ideal, PrimeIdeal)) else tuple(ideal)
-    tables = dict(zip(_OPS, _arrays(A)))
-    return _ideal_congruence(A.zero, tables, _preceq(tables["meet"]), _relating(tables),
-                             members)
+    return _ideal_congruence(A, _relating(A), members)
 
 
-def _relating(tables):
+def _relating(A):
     """[x, y]: (x \\ (x cap y)) v (y \\ (x cap y)).  It does not depend on
     the ideal: x and y are related modulo P exactly when it lies in P."""
-    J, D, C = tables["join"], tables["diff"], tables["cap"]
-    rows = np.arange(len(C))[:, None]
+    J, D, C = A.join_table, A.diff_table, A.cap_table
+    rows = np.arange(A.n)[:, None]
     return J[D[rows, C], D[rows.T, C]]
 
 
-def _ideal_congruence(zero, tables, pre, relating, members):
-    """ideal_congruence on arrays: tables maps the four operation names to
-    arrays, pre is the natural preorder and relating is _relating(tables).
+def _ideal_congruence(A, relating, members):
+    """ideal_congruence with relating = _relating(A), which does not depend
+    on the ideal.
 
     The classes are the greedy ones, one row operation each: the least
     element not yet in a class opens the next class and takes every such
     element it is related to.  So every element lands in the class of the
     first opener related to it, and the witnesses of the checks are the
     first failing pair in C order."""
-    inP = _member_mask(len(relating), members)
-    if inP is None or not _is_ideal(pre, tables["join"], zero, inP):
+    inP = _member_mask(A.n, members)
+    if inP is None or not _is_ideal(_preceq(A), A.join_table, A.zero, inP):
         raise ValueError(f"{members} is not an ideal")
     related = inP[relating]
     lab = np.full(len(inP), -1, dtype=np.int32)
@@ -226,10 +218,10 @@ def _ideal_congruence(zero, tables, pre, relating, members):
     if bad is not None:
         raise ValueError(f"congruence formula is not transitive at ({bad[0]}, {bad[1]})")
     part = partition_from_labels(lab.tolist())
-    bad = _is_congruence(tables.items(), part)
+    bad = is_congruence(A, part, _OPS)
     if bad is not None:
         raise ValueError(f"ideal congruence failed compatibility: {bad}")
-    if not np.array_equal(lab == lab[zero], inP):
+    if not np.array_equal(lab == lab[A.zero], inP):
         raise ValueError("zero class of the ideal congruence differs from the ideal")
     return part
 
@@ -256,14 +248,10 @@ class SpectrumData:
 
 @per_object
 def spectrum_data(A):
-    # A's tables are converted once here; the relation table is shared by
-    # the congruences of all primes
-    tables = dict(zip(_OPS, _arrays(A)))
-    pre = _preceq(tables["meet"])
-    primes = _prime_ideals(A, tables["meet"], tables["join"], pre)
-    relating = _relating(tables)
-    thetas = tuple(_ideal_congruence(A.zero, tables, pre, relating, p.members)
-                   for p in primes)
+    primes = enumerate_prime_ideals(A)
+    # the relation table is shared by the congruences of all primes
+    relating = _relating(A)
+    thetas = tuple(_ideal_congruence(A, relating, p.members) for p in primes)
     points = []
     label_index = {}
     p_map = []
@@ -329,18 +317,14 @@ def _basic_copens(A, elements=None):
 # ---------------------------------------------------------------------------
 
 def _join_closure(A, seed):
-    closed = set(seed)
-    frontier = list(closed)
-    while frontier:
-        fresh = []
-        for x in tuple(closed):
-            for y in frontier:
-                for v in (A.join(x, y), A.join(y, x)):
-                    if v not in closed:
-                        closed.add(v)
-                        fresh.append(v)
-        frontier = fresh
-    return closed
+    """The least join-closed set containing seed, as a sorted tuple."""
+    closed = np.zeros(A.n, dtype=bool)
+    closed[list(seed)] = True
+    while True:
+        members = np.flatnonzero(closed)
+        closed[A.join_table[np.ix_(members, members)]] = True
+        if closed.sum() == len(members):
+            return tuple(members.tolist())
 
 
 def leq_ideal_generated(A, subset):
@@ -350,7 +334,7 @@ def leq_ideal_generated(A, subset):
     down = {A.zero}
     for s in set(subset):
         down.update(y for y in A.elements if leq[y][s])
-    return tuple(sorted(_join_closure(A, down)))
+    return _join_closure(A, down)
 
 
 def preceq_ideal_generated(A, subset):
@@ -359,7 +343,7 @@ def preceq_ideal_generated(A, subset):
     down = {A.zero}
     for s in set(subset):
         down.update(y for y in A.elements if pre[y][s])
-    members = tuple(sorted(_join_closure(A, down)))
+    members = _join_closure(A, down)
     if not is_ideal(A, members):
         raise RuntimeError(f"generated set {members} is not an ideal")
     return Ideal(members)

@@ -23,10 +23,10 @@ from .spaces_sections import PartialMap
 
 def algebra_to_dict(A):
     return {"n": A.n, "zero": A.zero,
-            "meet": [list(r) for r in A.meet_table],
-            "join": [list(r) for r in A.join_table],
-            "diff": [list(r) for r in A.diff_table],
-            "cap": [list(r) for r in A.cap_table]}
+            "meet": A.meet_table.tolist(),
+            "join": A.join_table.tolist(),
+            "diff": A.diff_table.tolist(),
+            "cap": A.cap_table.tolist()}
 
 
 def algebra_from_dict(obj):

@@ -19,7 +19,6 @@ from .core_algebra import (
     StructuralError,
     ValidationReport,
     _OPS,
-    _arrays,
     _first_bad,
     green_partitions,
     leq_matrix,
@@ -95,20 +94,13 @@ def validate_hom(f):
     A, B, m = f.source, f.target, f.map
     if len(m) != A.n or any(not (0 <= v < B.n) for v in m):
         raise StructuralError("homomorphism map is not a total map into the target")
-    return _hom_report(f, _arrays(A), _arrays(B))
-
-
-def _hom_report(f, tables_a, tables_b):
-    """validate_hom on the four operation tables of source and target as
-    arrays (meet, join, diff, cap, consumed one operation at a time), for callers
-    that check many maps between the same two algebras."""
-    A, B, m = f.source, f.target, f.map
     failures = []
     if m[A.zero] != B.zero:
         failures.append(("preserves_zero", (A.zero,)))
     mm = np.asarray(m, dtype=np.intp)
-    for name, ta, tb in zip(_OPS, tables_a, tables_b):
-        witness = _first_bad(mm[ta] != tb[mm[:, None], mm[None, :]])
+    for name in _OPS:
+        table = name + "_table"
+        witness = _first_bad(mm[getattr(A, table)] != getattr(B, table)[mm[:, None], mm[None, :]])
         if witness is not None:
             failures.append((f"preserves_{name}", witness))
     return ValidationReport(ok=not failures, failures=tuple(failures))
@@ -171,13 +163,9 @@ def _transport(A, B, morphisms):
     from_sections = [0] * B.n
     for b, s in enumerate(algebra_roundtrip_iso(B).map):
         from_sections[s] = b
-    # every m runs Sk(B) -> Sk(A): the tables of their section algebras
-    # convert once for all of them
-    tables_a, tables_b = (tuple(_arrays(dual_algebra(spectrum_data(X).space)[0]))
-                          for X in (A, B))
     homs = []
     for m in morphisms:
-        image = _hom_of_space_morphism(m, tables_a, tables_b).map
+        image = hom_of_space_morphism(m).map
         homs.append(Homomorphism(A, B, tuple(from_sections[image[s]] for s in to_sections)))
     return homs
 
@@ -320,13 +308,6 @@ def hom_of_space_morphism(m):
     """Dual homomorphism (sections of target) -> (sections of source) acting
     by preimage under g; checks base images behave as inverse images under h
     on the way."""
-    return _hom_of_space_morphism(m, _arrays(dual_algebra(m.target)[0]),
-                                  _arrays(dual_algebra(m.source)[0]))
-
-
-def _hom_of_space_morphism(m, tables_tgt, tables_src):
-    """hom_of_space_morphism with the tables of the two section algebras
-    (of m.target and m.source) as arrays."""
     A_src, src_sections = dual_algebra(m.source)
     A_tgt, tgt_sections = dual_algebra(m.target)
     src_index = {s: i for i, s in enumerate(src_sections)}
@@ -343,7 +324,7 @@ def _hom_of_space_morphism(m, tables_tgt, tables_src):
             raise RuntimeError("preimage does not respect base inverse images")
         image.append(src_index[pre])
     f = Homomorphism(A_tgt, A_src, tuple(image))
-    report = _hom_report(f, tables_tgt, tables_src)
+    report = validate_hom(f)
     if not report.ok:
         raise RuntimeError(f"dual homomorphism invalid: {report.failures}")
     return f

@@ -212,8 +212,8 @@ def _product_algebra(bands, choices):
     combines two as band(r, s), diff keeps s where r is absent, and cap
     keeps s where the two agree.  A table row is these digit tables read at
     the row's digits and summed as mixed-radix codes, then renumbered into
-    the caller's order; rows are made one at a time, so no n x n array
-    exists.
+    the caller's order.  Rows are made one at a time into the int32 table,
+    so no other n x n array exists.
     """
     n = len(choices)
     digits = np.zeros((n, len(bands)), dtype=np.int64)
@@ -231,24 +231,20 @@ def _product_algebra(bands, choices):
                     np.where(r == 0, s, 0),
                     np.where(s == r, s, 0)))
     radix = np.cumprod([1] + [1 + len(band) for band in bands])[:-1]
-    rank = np.empty(n, dtype=np.int64)
+    rank = np.empty(n, dtype=np.int32)
     rank[digits @ radix] = np.arange(n)
-    element = list(range(n))  # one int object per element, shared by every entry
     tables = []
     for k in range(4):
         # per coordinate, the code that each digit of a row gives each column
         parts = [(op[k] * weight)[:, col] for col, op, weight in zip(digits.T, ops, radix)]
-        # equal rows share one tuple: on a plain space, for one, a meet row
-        # depends only on the base image of its left operand
-        table, rows = [], {}
-        for row in digits:
+        table = np.empty((n, n), dtype=np.int32)
+        for x, row in enumerate(digits):
             code = np.zeros(n, dtype=np.int64)
             for part, d in zip(parts, row):
                 code += part[d]
-            values = tuple(map(element.__getitem__, rank[code].tolist()))
-            table.append(rows.setdefault(values, values))
-        tables.append(tuple(table))
-    return SkewAlgebra(n, element[rank[0]], *tables)
+            table[x] = rank[code]
+        tables.append(table)
+    return SkewAlgebra(n, int(rank[0]), *tables)
 
 
 @per_object

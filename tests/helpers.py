@@ -10,6 +10,7 @@ from skewstone import (
     Ideal,
     PrimeIdeal,
     SizeCapError,
+    StructuralError,
     ValidationReport,
     dual_algebra,
     enumerate_prime_ideals,
@@ -22,6 +23,7 @@ from skewstone import (
     preceq_ideal_generated,
     random_space,
     right_band,
+    validate_algebra,
     validate_hom,
 )
 from skewstone.catalog import (
@@ -32,14 +34,20 @@ from skewstone.catalog import (
     primitive_right,
     right_three,
 )
-from skewstone.core_algebra import leq_matrix, partition_from_labels, preceq_matrix, reflection
+from skewstone.core_algebra import (
+    glb_cap_table,
+    leq_matrix,
+    partition_from_labels,
+    preceq_matrix,
+    reflection,
+)
 from skewstone.ideals_spectra import _reflection_atoms, is_ideal, spectrum_data
 from skewstone.spaces_sections import all_partial_maps
 
 
 def retabled(A, table, changes):
     """A with entries (i, j, value) of one table replaced."""
-    tables = {name: [list(r) for r in getattr(A, name + "_table")]
+    tables = {name: getattr(A, name + "_table").tolist()
               for name in ("meet", "join", "diff", "cap")}
     for i, j, value in changes:
         tables[table][i][j] = value
@@ -505,6 +513,94 @@ def basic_copen_oracle(A, a):
 # ---------------------------------------------------------------------------
 # Alternative characterizations, checked against the library's definitions
 # ---------------------------------------------------------------------------
+
+def join_closure_oracle(A, seed):
+    """Oracle for ideals_spectra._join_closure: join every closed element
+    with every new one, both ways, until nothing new appears."""
+    closed = set(seed)
+    frontier = list(closed)
+    while frontier:
+        fresh = []
+        for x in tuple(closed):
+            for y in frontier:
+                for v in (A.join(x, y), A.join(y, x)):
+                    if v not in closed:
+                        closed.add(v)
+                        fresh.append(v)
+        frontier = fresh
+    return tuple(sorted(closed))
+
+
+def quotient_by_oracle(A, part):
+    """Oracle for quotient_by: the congruence check of is_congruence_oracle,
+    then each quotient table entry read pair by pair at the least block
+    representatives."""
+    bad = is_congruence_oracle(A, part)
+    if bad is not None:
+        raise CongruenceError(bad[0], bad[1:])
+    reps = [block[0] for block in part.blocks]
+    k = len(reps)
+    lab = part.labels
+    table = lambda f: [[lab[f(reps[i], reps[j])] for j in range(k)] for i in range(k)]
+    meet, join, diff = table(A.meet), table(A.join), table(A.diff)
+    if is_congruence_oracle(A, part, ("cap",)) is None:
+        cap = table(A.cap)
+    else:
+        cap = glb_cap_table(k, meet, join)
+    return make_algebra(k, lab[A.zero], meet, join, diff, cap), tuple(lab)
+
+
+def subalgebra_on_oracle(A, subset):
+    """Oracle for subalgebra_on: closure checked pair by pair, operation by
+    operation, then the tables reindexed entry by entry."""
+    members = tuple(sorted(set(subset)))
+    if A.zero not in members:
+        raise ValueError("subset does not contain zero")
+    pos = {a: i for i, a in enumerate(members)}
+    for op in ("meet", "join", "diff", "cap"):
+        f = getattr(A, op)
+        for x in members:
+            for y in members:
+                if f(x, y) not in pos:
+                    raise ValueError(f"subset not closed under {op} at ({x}, {y})")
+    table = lambda f: [[pos[f(x, y)] for y in members] for x in members]
+    sub = make_algebra(len(members), pos[A.zero], table(A.meet), table(A.join),
+                       table(A.diff), table(A.cap))
+    return sub, members
+
+
+def second_decomposition_check_oracle(A):
+    """Oracle for second_decomposition_check: the pullback of the Green
+    quotients (built by quotient_by_oracle) as pairs, its tables and the
+    canonical map's preservation checked pair by pair."""
+    d, l, r = green_partitions(A)
+    AR, to_r = quotient_by_oracle(A, r)
+    AL, to_l = quotient_by_oracle(A, l)
+    AD, to_d = quotient_by_oracle(A, d)
+    r_to_d = [to_d[block[0]] for block in r.blocks]
+    l_to_d = [to_d[block[0]] for block in l.blocks]
+    pairs = [(i, j) for i in range(AR.n) for j in range(AL.n) if r_to_d[i] == l_to_d[j]]
+    index = {p: k for k, p in enumerate(pairs)}
+    canon = [index.get((to_r[a], to_l[a])) for a in A.elements]
+    if None in canon or len(set(canon)) != len(pairs) or len(pairs) != A.n:
+        return False
+    inverse = [0] * A.n
+    for a, k in enumerate(canon):
+        inverse[k] = a
+    k_n = len(pairs)
+    table = lambda fr, fl: [[index[(fr(pairs[i][0], pairs[j][0]), fl(pairs[i][1], pairs[j][1]))]
+                             for j in range(k_n)] for i in range(k_n)]
+    cap = [[canon[A.cap(inverse[i], inverse[j])] for j in range(k_n)] for i in range(k_n)]
+    try:
+        pullback = make_algebra(k_n, canon[A.zero], table(AR.meet, AL.meet),
+                                table(AR.join, AL.join), table(AR.diff, AL.diff), cap)
+    except StructuralError:
+        return False
+    if not validate_algebra(pullback, max_n=k_n).ok:
+        return False
+    return all(canon[getattr(A, op)(x, y)] == getattr(pullback, op)(canon[x], canon[y])
+               for x in A.elements for y in A.elements for op in ("meet", "join", "diff"))
+
 
 def identity_partition(n):
     return partition_from_labels(range(n))

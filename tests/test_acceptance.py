@@ -6,6 +6,7 @@ check is exact; no tolerances are involved anywhere.
 
 import itertools
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -103,7 +104,7 @@ MUTATIONS = [
 def _mutated(base_name, table, i, j, value):
     base = {"three": right_three(), "bool4": boolean_algebra(2),
             "right4": primitive_right(3)}[base_name]
-    tables = {name: [list(r) for r in getattr(base, name + "_table")]
+    tables = {name: getattr(base, name + "_table").tolist()
               for name in ("meet", "join", "diff", "cap")}
     tables[table][i][j] = value
     return make_algebra(base.n, base.zero, tables["meet"], tables["join"],
@@ -224,8 +225,8 @@ def test_criterion_06_partial_map_construction():
                     problems.append(f"({x_size},{y_size},{band_name}) invalid")
             maps, tables = partial_map_oracle_tables(x_size, y_size)
             A, labels = partial_map_algebra(x_size, y_size, right_band(y_size))
-            if labels != maps or any(getattr(A, name + "_table") != tables[name]
-                                     for name in ("meet", "join", "diff", "cap")):
+            if labels != maps or not all(np.array_equal(getattr(A, name + "_table"), tables[name])
+                                         for name in ("meet", "join", "diff", "cap")):
                 problems.append(f"({x_size},{y_size}) differs from the oracle")
     report(6, "partial-map algebras validate and match the oracle",
            not problems, "; ".join(problems[:3]))

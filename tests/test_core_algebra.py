@@ -37,7 +37,7 @@ from skewstone.core_algebra import (
 
 
 def mutate(A, table_name, i, j, value):
-    tables = {name: [list(r) for r in getattr(A, name + "_table")]
+    tables = {name: getattr(A, name + "_table").tolist()
               for name in ("meet", "join", "diff", "cap")}
     tables[table_name][i][j] = value
     return make_algebra(A.n, A.zero, tables["meet"], tables["join"],

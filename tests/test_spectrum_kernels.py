@@ -1,9 +1,10 @@
-"""The whole-table kernels of the spectrum against the pairwise loops they
-replaced, kept as oracles in helpers: is_ideal, enumerate_prime_ideals,
-ideal_congruence, is_congruence, green_partitions and the basic sections
-give equal results, and raise the same exception types with the same
-messages, on valid algebras, on sets that are not ideals, on partitions
-that are not congruences and on one-entry mutants."""
+"""The whole-table kernels against the pairwise loops they replaced, kept
+as oracles in helpers: is_ideal, enumerate_prime_ideals, ideal_congruence,
+is_congruence, green_partitions, the basic sections, quotients,
+subalgebras, join closures and the pullback check give equal results, and
+raise the same exception types with the same messages, on valid algebras,
+on sets that are not ideals, on partitions that are not congruences and on
+one-entry mutants."""
 
 import random
 
@@ -16,8 +17,12 @@ from helpers import (
     ideal_congruence_oracle,
     is_congruence_oracle,
     is_ideal_oracle,
+    join_closure_oracle,
+    quotient_by_oracle,
     retabled,
+    second_decomposition_check_oracle,
     small_test_algebras,
+    subalgebra_on_oracle,
 )
 from skewstone import (
     CongruenceError,
@@ -26,10 +31,17 @@ from skewstone import (
     enumerate_prime_ideals,
     green_partitions,
     ideal_congruence,
+    quotient_by,
     random_space,
+    second_decomposition_check,
 )
-from skewstone.core_algebra import is_congruence, partition_from_labels
-from skewstone.ideals_spectra import _basic_copens, is_ideal
+from skewstone.core_algebra import (
+    is_congruence,
+    partition_from_labels,
+    reflection,
+    subalgebra_on,
+)
+from skewstone.ideals_spectra import _basic_copens, _join_closure, is_ideal
 
 OPS = ("meet", "join", "diff", "cap")
 
@@ -151,3 +163,54 @@ def test_basic_sections_match_the_scan(algebras):
         expected = tuple(basic_copen_oracle(A, a) for a in A.elements)
         assert _basic_copens(A) == expected
         assert tuple(basic_copen(A, a) for a in A.elements) == expected
+
+
+def test_quotients_match_the_loop(algebras):
+    rng = random.Random(11)
+    refused = 0
+    for A in algebras:
+        parts = list(green_partitions(A))
+        parts += [ideal_congruence(A, prime) for prime in enumerate_prime_ideals(A)]
+        for _ in range(10):
+            k = rng.randint(1, A.n)
+            parts.append(partition_from_labels([rng.randrange(k) for _ in A.elements]))
+        for part in parts:
+            got = outcome(quotient_by, A, part)
+            assert got == outcome(quotient_by_oracle, A, part)
+            refused += got[0] == "raised"
+        assert reflection(A) == quotient_by_oracle(A, green_partitions(A)[0])
+    assert refused > 0
+
+
+def test_subalgebras_match_the_loop(algebras):
+    rng = random.Random(13)
+    refused = 0
+    for A in algebras:
+        for _ in range(10):
+            subset = {A.zero} | set(rng.sample(range(A.n), rng.randint(0, A.n - 1)))
+            got = outcome(subalgebra_on, A, subset)
+            assert got == outcome(subalgebra_on_oracle, A, subset)
+            refused += got[0] == "raised"
+        assert subalgebra_on(A, A.elements) == subalgebra_on_oracle(A, A.elements)
+    assert refused > 0
+
+
+def test_join_closures_match_the_loop(algebras):
+    rng = random.Random(17)
+    for A in algebras:
+        for _ in range(10):
+            seed = rng.sample(range(A.n), rng.randint(0, min(3, A.n)))
+            assert _join_closure(A, seed) == join_closure_oracle(A, seed)
+
+
+def test_pullback_check_matches_the_loop(algebras):
+    for A in algebras:
+        assert second_decomposition_check(A) is second_decomposition_check_oracle(A) is True
+    outcomes = set()
+    for i, A in enumerate(a for a in algebras if 3 <= a.n <= 16):
+        for B in mutants(A, 20, seed=300 + i):
+            got = outcome(second_decomposition_check, B)
+            assert got == outcome(second_decomposition_check_oracle, B)
+            outcomes.add(got[:2])
+    # some mutants fail the check, some are refused before it
+    assert ("ok", False) in outcomes and ("raised", CongruenceError) in outcomes

@@ -1,0 +1,144 @@
+"""The table representation: every algebra holds its four operation tables
+as read-only, C-contiguous int32 n x n arrays, whatever built it; algebras
+compare and hash by value; malformed tables are refused with fixed
+messages; and no NumPy scalar reaches a value the CLI prints."""
+
+import json
+import random
+
+import numpy as np
+import pytest
+
+from helpers import retabled
+from skewstone import (
+    Homomorphism,
+    SkewAlgebra,
+    StructuralError,
+    algebra_roundtrip_iso,
+    dual_algebra,
+    enumerate_homs,
+    green_partitions,
+    ideal_congruence,
+    make_algebra,
+    mirror,
+    partial_map_algebra,
+    product_band,
+    quotient_by,
+    random_space,
+    skew_spectrum,
+    validate_algebra,
+    validate_hom,
+)
+from skewstone.catalog import boolean_algebra, right_three
+from skewstone.core_algebra import subalgebra_on
+from skewstone.jsonio import algebra_from_dict, algebra_to_dict, dumps
+
+OPS = ("meet", "join", "diff", "cap")
+
+
+ROUTES = ("make_algebra", "dual_algebra", "partial_map_algebra", "mirror", "quotient_by",
+          "subalgebra_on")
+
+
+@pytest.fixture(scope="module")
+def built():
+    """An algebra from every construction route, by route name."""
+    section, _ = dual_algebra(random_space(2, 3, seed=4, band=("product", 2, 2)))
+    return {
+        "make_algebra": make_algebra(3, 0, [[0, 0, 0], [0, 1, 2], [0, 1, 2]],
+                                     [[0, 1, 2], [1, 1, 1], [2, 2, 2]],
+                                     [[0, 0, 0], [1, 0, 0], [2, 0, 0]],
+                                     [[0, 0, 0], [0, 1, 0], [0, 0, 2]]),
+        "dual_algebra": section,
+        "partial_map_algebra": partial_map_algebra(2, 2, product_band(2, 1))[0],
+        "mirror": mirror(section),
+        "quotient_by": quotient_by(section, green_partitions(section)[0])[0],
+        "subalgebra_on": subalgebra_on(right_three(), (0, 1))[0],
+    }
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_every_route_gives_read_only_int32_tables(built, route):
+    algebra = built[route]
+    for op in OPS:
+        table = getattr(algebra, op + "_table")
+        assert isinstance(table, np.ndarray)
+        assert table.dtype == np.int32
+        assert table.shape == (algebra.n, algebra.n)
+        assert table.flags.c_contiguous
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_json_round_trip_is_equal_with_equal_hash(built, route):
+    algebra = built[route]
+    back = algebra_from_dict(json.loads(dumps(algebra_to_dict(algebra))))
+    assert back is not algebra
+    assert back == algebra
+    assert hash(back) == hash(algebra)
+
+
+def test_one_changed_entry_breaks_equality(built):
+    algebra = built["dual_algebra"]
+    changed = retabled(algebra, "cap", [(1, 2, (algebra.cap(1, 2) + 1) % algebra.n)])
+    assert changed != algebra
+    assert mirror(mirror(algebra)) == algebra
+
+
+@pytest.mark.parametrize("tables, message", [
+    (([[0]],), "meet table has 1 rows, expected 2"),
+    (([[0, 0], [0]],), "meet table row 1 has length 1"),
+    (([[0, 0], [0, 2]],), "meet[1] contains invalid entry 2"),
+    (([[0, 0], [-1, 1]],), "meet[1] contains invalid entry -1"),
+    (([[0, 0.5], [0, 1]],), "meet[0] contains invalid entry 0.5"),
+    (([[0, 0], [0, 1]], [[0, 1], ["1", 1]]), "join[1] contains invalid entry '1'"),
+    ((np.array([[0, 0], [0, 1]], dtype=object),), "meet table is not an integer table"),
+], ids=["row_count", "short_row", "out_of_range", "negative", "non_integer",
+        "string_in_later_table", "object_array"])
+def test_malformed_table_messages(tables, message):
+    good = [[0, 0], [0, 1]]
+    given = list(tables) + [good] * (4 - len(tables))
+    with pytest.raises(StructuralError) as err:
+        SkewAlgebra(2, 0, *given)
+    assert str(err.value) == message
+
+
+def plain_ints(value):
+    """True when every number in value, through nested tuples and lists, is
+    a Python int (NumPy 2 would print a NumPy scalar as np.int32(3))."""
+    if isinstance(value, (tuple, list)):
+        return all(plain_ints(v) for v in value)
+    return type(value) is int
+
+
+def test_no_numpy_scalar_reaches_printed_values(built):
+    section, _ = dual_algebra(random_space(2, 2, seed=1, band="none"))
+    three = right_three()
+    for A in built.values():
+        assert type(A.n) is int and type(A.zero) is int
+        for op in OPS:
+            assert all(type(getattr(A, op)(x, y)) is int for x in A.elements for y in A.elements)
+    rng = random.Random(5)
+    witnesses = []
+    for A in (three, section):
+        for _ in range(20):
+            op = rng.choice(OPS)
+            x, y = rng.randrange(A.n), rng.randrange(A.n)
+            report = validate_algebra(retabled(A, op, [(x, y, (getattr(A, op)(x, y) + 1) % A.n)]))
+            witnesses += [w for _, w in report.failures + report.warnings]
+    assert len(witnesses) > 20 and plain_ints(witnesses)
+    homs = enumerate_homs(boolean_algebra(1), three)
+    assert homs and all(plain_ints(f.map) for f in homs)
+    assert plain_ints(algebra_roundtrip_iso(section).map)
+    bad = validate_hom(Homomorphism(three, three, (0, 1, 1)))
+    assert bad.failures and plain_ints([w for _, w in bad.failures])
+    for part in green_partitions(section):
+        assert plain_ints(part.labels) and plain_ints(part.blocks)
+    space, points = skew_spectrum(section)
+    assert all(type(pt.prime) is int and type(pt.rep) is int for pt in points)
+    assert plain_ints(space.p)
+    assert plain_ints(ideal_congruence(section, (section.zero,)).labels)
+    assert plain_ints(quotient_by(section, green_partitions(section)[0])[1])
+    assert plain_ints(subalgebra_on(three, (0, 1))[1])
