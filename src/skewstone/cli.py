@@ -36,11 +36,6 @@ from .morphisms_duality import (
 from .spaces_sections import dual_algebra, random_space, validate_space
 
 
-def _load(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _print_report(report, fmt):
     if fmt == "json":
         jsonio.dump({"ok": report.ok,
@@ -56,7 +51,7 @@ def _print_report(report, fmt):
 
 
 def cmd_validate(cfg):
-    obj = _load(cfg.paths[0])
+    obj = jsonio.load(cfg.paths[0])
     kind = jsonio.sniff_kind(obj)
     if kind == "algebra":
         report = validate_algebra(jsonio.algebra_from_dict(obj), max_n=cfg.max_size)
@@ -91,7 +86,7 @@ def _valid_space(obj):
 
 
 def cmd_spectrum(cfg):
-    A = _valid_algebra(cfg, jsonio.algebra_from_dict(_load(cfg.paths[0])))
+    A = _valid_algebra(cfg, jsonio.algebra_from_dict(jsonio.load(cfg.paths[0])))
     space, points = skew_spectrum(A)
     out = jsonio.space_to_dict(space)
     out.update(jsonio.points_to_dict(points))
@@ -100,7 +95,7 @@ def cmd_spectrum(cfg):
 
 
 def cmd_dualize(cfg):
-    sp = _valid_space(_load(cfg.paths[0]))
+    sp = _valid_space(jsonio.load(cfg.paths[0]))
     algebra, sections = dual_algebra(sp)
     out = jsonio.algebra_to_dict(algebra)
     if cfg.with_sections:
@@ -110,7 +105,7 @@ def cmd_dualize(cfg):
 
 
 def cmd_roundtrip(cfg):
-    obj = _load(cfg.paths[0])
+    obj = jsonio.load(cfg.paths[0])
     kind = jsonio.sniff_kind(obj)
     if kind == "algebra":
         A = _valid_algebra(cfg, jsonio.algebra_from_dict(obj))
@@ -133,8 +128,8 @@ def cmd_roundtrip(cfg):
 
 
 def cmd_homs(cfg):
-    A = _valid_algebra(cfg, jsonio.algebra_from_dict(_load(cfg.paths[0])))
-    B = _valid_algebra(cfg, jsonio.algebra_from_dict(_load(cfg.paths[1])))
+    A = _valid_algebra(cfg, jsonio.algebra_from_dict(jsonio.load(cfg.paths[0])))
+    B = _valid_algebra(cfg, jsonio.algebra_from_dict(jsonio.load(cfg.paths[1])))
     rows = []
     for f in enumerate_homs(A, B):
         flags = classify_hom(f)
@@ -158,7 +153,7 @@ def cmd_homs(cfg):
 def cmd_decompose(cfg):
     if cfg.out is None:
         raise ValueError("decompose needs --out DIR for its two output files")
-    morphism = jsonio.morphism_from_dict(_load(cfg.paths[0]),
+    morphism = jsonio.morphism_from_dict(jsonio.load(cfg.paths[0]),
                                          os.path.dirname(cfg.paths[0]) or ".")
     report = validate_space_morphism(morphism)
     if not report.ok:
@@ -174,7 +169,7 @@ def cmd_decompose(cfg):
 
 
 def cmd_section(cfg):
-    obj = _load(cfg.paths[0])
+    obj = jsonio.load(cfg.paths[0])
     kind = jsonio.sniff_kind(obj)
     if kind == "algebra":
         A = _valid_algebra(cfg, jsonio.algebra_from_dict(obj))
@@ -223,7 +218,7 @@ def _hasse_edges(A):
 
 
 def cmd_export_dot(cfg):
-    obj = _load(cfg.paths[0])
+    obj = jsonio.load(cfg.paths[0])
     kind = jsonio.sniff_kind(obj)
     lines = []
     if kind == "algebra":
@@ -302,7 +297,7 @@ def main(argv=None):
                        for i in range(arity))
     try:
         return func(args)
-    except (json.JSONDecodeError, OSError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SizeCapError as exc:

@@ -9,13 +9,15 @@ as a file path.  Extra keys are tolerated so annotated outputs re-validate.
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import operator
 import os
 import sys
-from itertools import islice
+from json.encoder import encode_basestring_ascii
 
-from .core_algebra import StructuralError, make_algebra
+from .core_algebra import MAX_CARRIER, StructuralError, make_algebra
 from .ideals_spectra import make_space
 from .morphisms_duality import Homomorphism, SpaceMorphism
 from .spaces_sections import PartialMap
@@ -71,11 +73,21 @@ def sections_to_dict(sections):
     return {"sections": [list(s) for s in sections]}
 
 
+def load(path):
+    """Decode the JSON file at path.  A document nested too deep for the
+    decoder raises JSONDecodeError, like any other malformed one."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deep to decode", text, 0) from None
+
+
 def _resolve(obj, base_dir, reader):
     if isinstance(obj, str):
         path = obj if os.path.isabs(obj) else os.path.join(base_dir, obj)
-        with open(path, encoding="utf-8") as fh:
-            return reader(json.load(fh))
+        return reader(load(path))
     return reader(obj)
 
 
@@ -119,20 +131,89 @@ def sniff_kind(obj):
     raise StructuralError("object matches no known artifact shape")
 
 
-_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+def dump(obj, fh=None):
+    """Write obj to fh (by default the sys.stdout of the moment) as
+    json.dumps(obj, indent=2, sort_keys=True) followed by a newline.
+
+    Covers what the CLI writes: dicts with str keys, lists, tuples, str, int,
+    float, bool and None; anything else raises TypeError.  A list of plain
+    ints (a table row) is formatted in one join, and each row goes to fh as
+    soon as it is formatted, so a large document is never held whole.
+    """
+    write = (sys.stdout if fh is None else fh).write
+    _write(obj, write, "\n")
+    write("\n")
 
 
 def dumps(obj):
-    """Canonical serialization used by every command (byte-stable)."""
-    return _ENCODER.encode(obj)
+    """Canonical serialization used by every command (byte-stable): the
+    bytes dump writes, without the final newline."""
+    fh = io.StringIO()
+    dump(obj, fh)
+    return fh.getvalue()[:-1]
 
 
-def dump(obj, fh=None):
-    """Write dumps(obj) and a newline to fh (by default the sys.stdout of the
-    moment).  The encoder's chunks go out in batches, so a large document is
-    never held whole; one write per chunk would be several times slower."""
-    out = sys.stdout if fh is None else fh
-    chunks = _ENCODER.iterencode(obj)
-    while batch := list(islice(chunks, 65536)):
-        out.write("".join(batch))
-    out.write("\n")
+# the text of every entry of a table the library builds, made once
+_INT_TEXT = {i: str(i) for i in range(MAX_CARRIER)}
+
+
+def _write(obj, write, newline):
+    """Write obj at the nesting level whose line break and indent is
+    newline: its items go on lines starting newline + "  ", its closing
+    bracket on one starting newline."""
+    if isinstance(obj, str):
+        write(encode_basestring_ascii(obj))
+    elif obj is None:
+        write("null")
+    elif obj is True:
+        write("true")
+    elif obj is False:
+        write("false")
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    elif isinstance(obj, float):
+        write(_float_text(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, obj)) == {int}:
+            sep = "," + inner
+            try:
+                items = sep.join(map(_INT_TEXT.__getitem__, obj))
+            except KeyError:  # an entry outside range(MAX_CARRIER)
+                items = sep.join(map(int.__repr__, obj))
+            write("[" + inner + items + newline + "]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            write(sep)
+            _write(item, write, inner)
+            sep = "," + inner
+        write(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            write(sep + encode_basestring_ascii(key) + ": ")
+            _write(value, write, inner)
+            sep = "," + inner
+        write(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _float_text(x):
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)

@@ -319,7 +319,8 @@ def hom_of_space_morphism(m):
         if pre not in src_index:
             raise RuntimeError(f"preimage {pre} of a section is not a section")
         base_pre = sorted({m.source.p[y] for y in pre})
-        base_expect = sorted(x for x, hx in h.items() if hx in {m.target.p[e] for e in s})
+        base_s = {m.target.p[e] for e in s}
+        base_expect = sorted(x for x, hx in h.items() if hx in base_s)
         if base_pre != base_expect:
             raise RuntimeError("preimage does not respect base inverse images")
         image.append(src_index[pre])

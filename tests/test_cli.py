@@ -1,16 +1,24 @@
+import contextlib
 import importlib.util
 import io
 import json
+import math
 import pathlib
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewstone import jsonio, make_space
 from skewstone.morphisms_duality import dual_of_hom, identity_hom
 
 from skewstone.catalog import boolean_algebra, right_three
+from skewstone.spaces_sections import dual_algebra, random_space
 from skewstone.cli import main
 
 
@@ -86,6 +94,22 @@ class TestExitCodes:
                                       "target": "three.json"}))
         assert run(capsys, "validate", str(path)) == (1, "FAIL preserves_cap witness=(1, 2)\n")
         assert main(["validate", "--max-size", "2", str(path)]) == 3
+
+    def test_non_utf8_file_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"E": 1, "B": 1, "p": [0], "name": "caf\xe9"}')
+        code = main(["validate", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ")
+
+    def test_json_nested_too_deep_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000)
+        code = main(["validate", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: nested too deep")
 
     def test_over_max_size_exits_three(self, capsys, three_file):
         code = main(["validate", "--max-size", "2", three_file])
@@ -248,6 +272,124 @@ class TestJsonOutput:
         assert fh.getvalue() == expected
         jsonio.dump(obj)
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("obj", [
+        [-1, -4096, 0, 4095, 4096, 10 ** 6, 2 ** 64, -(2 ** 64) - 1],
+        [0, 7, 4095], [0, 4095, 4096], [3, 2, -1],
+        [1, True, 2, False],
+        [True, False],
+        [-0.0, math.nan, math.inf, -math.inf, 1.9, 1e300, 5e-324],
+        ["caf\u00e9", "\u65e5\u672c", "\x00\x1f\n\t\"\\", "\u2028", "\U0001f600", ""],
+        [], {}, [[]], [{}], {"a": [], "b": {}, "c": ()},
+        {"band": [[0, None], [None, 0]], "p": [0, 1]},
+        (1, 2, (3, (4,)), [5, [6]]),
+        {"z": 1, "a": {"c": [1, 2], "b": None}, "\u00e9": "x", "A": [1.5, "s"]},
+        "top", 5, None, 1.5, True,
+    ])
+    def test_writer_matches_the_stdlib_encoder(self, obj):
+        assert_writes_like_stdlib(obj)
+
+    @given(st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+                  st.lists(st.integers())),
+        lambda kids: st.one_of(st.lists(kids), st.lists(kids).map(tuple),
+                               st.dictionaries(st.text(), kids)),
+        max_leaves=40))
+    @settings(max_examples=100, deadline=None)
+    def test_writer_matches_the_stdlib_encoder_on_random_documents(self, obj):
+        assert_writes_like_stdlib(obj)
+
+    @pytest.mark.parametrize("obj", [np.int32(3), [1, np.int32(3)], {"a": [np.int64(0)]},
+                                     {1, 2}, [0, {1}]])
+    def test_writer_refuses_what_the_encoder_refuses(self, obj):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            jsonio.dumps(obj)
+        with pytest.raises(TypeError):
+            jsonio.dump(obj, io.StringIO())
+
+    def test_large_document_is_streamed(self):
+        # the n = 512 document of `dualize --sections` on fibers (3,3,3,3,1)
+        p = [b for b, k in enumerate((3, 3, 3, 3, 1)) for _ in range(k)]
+        algebra, sections = dual_algebra(make_space(len(p), 5, p))
+        doc = jsonio.algebra_to_dict(algebra)
+        doc.update(jsonio.sections_to_dict(sections))
+        sink = CountingSink()
+        tracemalloc.start()
+        try:
+            jsonio.dump(doc, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.chars == len(json.dumps(doc, indent=2, sort_keys=True)) + 1
+        assert peak < 4 * 2 ** 20
+
+
+class CountingSink:
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+def assert_writes_like_stdlib(obj):
+    expected = json.dumps(obj, indent=2, sort_keys=True)
+    assert jsonio.dumps(obj) == expected
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as fh:
+        jsonio.dump(obj, fh)
+        fh.seek(0)
+        assert fh.read() == expected + "\n"
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        jsonio.dump(obj)
+    assert out.getvalue() == expected + "\n"
+
+
+def assert_canonical(text):
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+class TestCanonicalOutput:
+    """Every JSON document the CLI writes is json.dumps(..., indent=2,
+    sort_keys=True) of itself, plus a newline."""
+
+    def test_stdout_documents(self, capsys, three_file, tmp_path):
+        space = tmp_path / "band.json"
+        space.write_text(jsonio.dumps(jsonio.space_to_dict(
+            random_space(2, 2, seed=3, band="right"))))
+        bad = jsonio.algebra_to_dict(right_three())
+        bad["meet"][1][2] = 1
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(jsonio.dumps(bad))
+        commands = [
+            ("dualize", "--sections", str(space)),
+            ("spectrum", three_file),
+            ("roundtrip", "--format", "json", three_file),
+            ("roundtrip", "--format", "json", str(space)),
+            ("homs", "--format", "json", three_file, three_file),
+            ("section", three_file),
+            ("section", str(space)),
+            ("validate", "--format", "json", three_file),
+            ("validate", "--format", "json", str(bad_path)),
+        ]
+        for argv in commands:
+            code, out = run(capsys, *argv)
+            assert code in (0, 1), argv
+            assert_canonical(out)
+
+    def test_written_files(self, capsys, tmp_path):
+        from skewstone import Homomorphism
+
+        assert run(capsys, "generate", "--band", "product", "--count", "2",
+                   "--out", str(tmp_path / "gen"))[0] == 0
+        m = dual_of_hom(Homomorphism(boolean_algebra(1), right_three(), (0, 1)))
+        path = tmp_path / "morphism.json"
+        path.write_text(jsonio.dumps(jsonio.morphism_to_dict(m)))
+        assert run(capsys, "decompose", str(path), "--out", str(tmp_path / "parts"))[0] == 0
+        written = sorted((tmp_path / "gen").iterdir()) + sorted((tmp_path / "parts").iterdir())
+        assert len(written) == 4
+        for file in written:
+            assert_canonical(file.read_text(encoding="utf-8"))
 
 
 def load_script(name):
