@@ -17,7 +17,7 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .core_algebra import MAX_CARRIER, StructuralError, make_algebra
+from .core_algebra import StructuralError, make_algebra
 from .ideals_spectra import make_space
 from .morphisms_duality import Homomorphism, SpaceMorphism
 from .spaces_sections import PartialMap
@@ -153,10 +153,6 @@ def dumps(obj):
     return fh.getvalue()[:-1]
 
 
-# the text of every entry of a table the library builds, made once
-_INT_TEXT = {i: str(i) for i in range(MAX_CARRIER)}
-
-
 def _write(obj, write, newline):
     """Write obj at the nesting level whose line break and indent is
     newline: its items go on lines starting newline + "  ", its closing
@@ -179,11 +175,7 @@ def _write(obj, write, newline):
             return
         inner = newline + "  "
         if set(map(type, obj)) == {int}:
-            sep = "," + inner
-            try:
-                items = sep.join(map(_INT_TEXT.__getitem__, obj))
-            except KeyError:  # an entry outside range(MAX_CARRIER)
-                items = sep.join(map(int.__repr__, obj))
+            items = ("," + inner).join(map(int.__repr__, obj))
             write("[" + inner + items + newline + "]")
             return
         sep = "[" + inner
@@ -199,8 +191,6 @@ def _write(obj, write, newline):
         inner = newline + "  "
         sep = "{" + inner
         for key, value in sorted(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
             write(sep + encode_basestring_ascii(key) + ": ")
             _write(value, write, inner)
             sep = "," + inner

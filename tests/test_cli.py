@@ -275,7 +275,7 @@ class TestJsonOutput:
 
     @pytest.mark.parametrize("obj", [
         [-1, -4096, 0, 4095, 4096, 10 ** 6, 2 ** 64, -(2 ** 64) - 1],
-        [0, 7, 4095], [0, 4095, 4096], [3, 2, -1],
+        [3, 2, -1],
         [1, True, 2, False],
         [True, False],
         [-0.0, math.nan, math.inf, -math.inf, 1.9, 1e300, 5e-324],
@@ -308,6 +308,12 @@ class TestJsonOutput:
             jsonio.dumps(obj)
         with pytest.raises(TypeError):
             jsonio.dump(obj, io.StringIO())
+
+    @pytest.mark.parametrize("obj", [{1: 2}, {"a": {None: 0}}, {"a": 0, "b": {2.5: 0}}])
+    def test_writer_refuses_keys_that_are_not_str(self, obj):
+        # narrower than the stdlib encoder, which prints such keys as text
+        with pytest.raises(TypeError):
+            jsonio.dumps(obj)
 
     def test_large_document_is_streamed(self):
         # the n = 512 document of `dualize --sections` on fibers (3,3,3,3,1)
