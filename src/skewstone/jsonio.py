@@ -175,7 +175,7 @@ def _write(obj, write, newline):
             return
         inner = newline + "  "
         if set(map(type, obj)) == {int}:
-            items = ("," + inner).join(map(int.__repr__, obj))
+            items = ("," + inner).join(map(repr, obj))
             write("[" + inner + items + newline + "]")
             return
         sep = "[" + inner
