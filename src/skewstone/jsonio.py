@@ -17,6 +17,8 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 from .core_algebra import StructuralError, make_algebra
 from .ideals_spectra import make_space
 from .morphisms_duality import Homomorphism, SpaceMorphism
@@ -24,11 +26,9 @@ from .spaces_sections import PartialMap
 
 
 def algebra_to_dict(A):
-    return {"n": A.n, "zero": A.zero,
-            "meet": A.meet_table.tolist(),
-            "join": A.join_table.tolist(),
-            "diff": A.diff_table.tolist(),
-            "cap": A.cap_table.tolist()}
+    """The algebra's own read-only int32 tables, which dump writes as rows."""
+    return {"n": A.n, "zero": A.zero, "meet": A.meet_table, "join": A.join_table,
+            "diff": A.diff_table, "cap": A.cap_table}
 
 
 def algebra_from_dict(obj):
@@ -136,9 +136,12 @@ def dump(obj, fh=None):
     json.dumps(obj, indent=2, sort_keys=True) followed by a newline.
 
     Covers what the CLI writes: dicts with str keys, lists, tuples, str, int,
-    float, bool and None; anything else raises TypeError.  A list of plain
-    ints (a table row) is formatted in one join, and each row goes to fh as
-    soon as it is formatted, so a large document is never held whole.
+    float, bool and None, and operation tables: non-empty 2-D int32 arrays
+    whose entries lie in 0..cols-1, written as the list of their rows.  Any
+    other value, any other ndarray included, raises TypeError.  A list of
+    plain ints is formatted in one join, a table row in one gather and one
+    join, and each row goes to fh as soon as it is formatted, so a large
+    document is never held whole.
     """
     write = (sys.stdout if fh is None else fh).write
     _write(obj, write, "\n")
@@ -195,8 +198,30 @@ def _write(obj, write, newline):
             _write(value, write, inner)
             sep = "," + inner
         write(newline + "}")
+    elif isinstance(obj, np.ndarray):
+        _write_table(obj, write, newline)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _write_table(table, write, newline):
+    """Write an operation table at the nesting level of newline.  Entry v
+    of a row is the text comma[v] (its line break, indent, digits and ","),
+    or close[v] for a row's last entry, so a row is one gather and one join."""
+    if not (table.ndim == 2 and table.dtype == np.int32 and table.size
+            and 0 <= table.min() and table.max() < table.shape[1]):
+        raise TypeError(f"ndarray of {table.dtype} and shape {table.shape} is not "
+                        "a table with entries in 0..cols-1")
+    inner = newline + "  "
+    cell = inner + "  "
+    texts = [cell + str(v) for v in range(table.shape[1])]
+    comma = np.array([text + "," for text in texts], dtype=object)
+    close = [text + inner + "]" for text in texts]
+    sep = "[" + inner + "["
+    for row in table:
+        write(sep + "".join(comma[row[:-1]].tolist()) + close[row[-1]])
+        sep = "," + inner + "["
+    write(newline + "]")
 
 
 def _float_text(x):

@@ -200,6 +200,9 @@ def _fiber_band(sp, fiber):
     return [[pos[sp.band[x][y]] for y in fiber] for x in fiber]
 
 
+ROW_BLOCK = 2 ** 16
+
+
 def _product_algebra(bands, choices):
     """Algebra of independent choices, one per coordinate: nothing, or a
     point of that coordinate's rectangular band.  bands[b] is the band of
@@ -212,8 +215,8 @@ def _product_algebra(bands, choices):
     combines two as band(r, s), diff keeps s where r is absent, and cap
     keeps s where the two agree.  A table row is these digit tables read at
     the row's digits and summed as mixed-radix codes, then renumbered into
-    the caller's order.  Rows are made one at a time into the int32 table,
-    so no other n x n array exists.
+    the caller's order.  Rows are made in blocks of at most ROW_BLOCK
+    entries into the int32 table, so no other n x n array exists.
     """
     n = len(choices)
     digits = np.zeros((n, len(bands)), dtype=np.int64)
@@ -233,16 +236,18 @@ def _product_algebra(bands, choices):
     radix = np.cumprod([1] + [1 + len(band) for band in bands])[:-1]
     rank = np.empty(n, dtype=np.int32)
     rank[digits @ radix] = np.arange(n)
+    rows = max(1, ROW_BLOCK // n)
     tables = []
     for k in range(4):
         # per coordinate, the code that each digit of a row gives each column
         parts = [(op[k] * weight)[:, col] for col, op, weight in zip(digits.T, ops, radix)]
         table = np.empty((n, n), dtype=np.int32)
-        for x, row in enumerate(digits):
-            code = np.zeros(n, dtype=np.int64)
-            for part, d in zip(parts, row):
+        for start in range(0, n, rows):
+            block = digits[start:start + rows]
+            code = np.zeros((len(block), n), dtype=np.int64)
+            for part, d in zip(parts, block.T):
                 code += part[d]
-            table[x] = rank[code]
+            table[start:start + rows] = rank[code]
         tables.append(table)
     return SkewAlgebra(n, int(rank[0]), *tables)
 

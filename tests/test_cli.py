@@ -50,6 +50,7 @@ class TestExitCodes:
 
     def test_mutated_algebra_exits_one_with_witness(self, capsys, tmp_path):
         obj = jsonio.algebra_to_dict(right_three())
+        obj["meet"] = obj["meet"].tolist()
         obj["meet"][1][2] = 1
         path = tmp_path / "bad.json"
         path.write_text(jsonio.dumps(obj))
@@ -67,7 +68,7 @@ class TestExitCodes:
 
     def test_wrong_table_shape_exits_one(self, capsys, tmp_path):
         obj = jsonio.algebra_to_dict(right_three())
-        obj["meet"] = obj["meet"][:2]
+        obj["meet"] = obj["meet"].tolist()[:2]
         path = tmp_path / "shape.json"
         path.write_text(jsonio.dumps(obj))
         assert run(capsys, "validate", str(path))[0] == 1
@@ -75,6 +76,7 @@ class TestExitCodes:
     def test_non_integer_entry_exits_one(self, capsys, tmp_path):
         # 1.9 used to be truncated to 1, which left a valid table
         algebra = jsonio.algebra_to_dict(right_three())
+        algebra["meet"] = algebra["meet"].tolist()
         algebra["meet"][1][1] = 1.9
         space = {"E": 2.5, "B": 1, "p": [0, 0]}
         for name, obj in (("algebra", algebra), ("space", space)):
@@ -262,6 +264,10 @@ class TestMaxSizeOverride:
                    "--format", "json", "--max-size", str(9 ** 9)) == (0, out)
 
 
+def table_of(rows):
+    return np.array([list(row) for row in rows], dtype=np.int32)
+
+
 class TestJsonOutput:
     def test_dump_writes_the_bytes_of_dumps(self, capsys):
         # long enough to take more than one batch of encoder chunks
@@ -315,12 +321,47 @@ class TestJsonOutput:
         with pytest.raises(TypeError):
             jsonio.dumps(obj)
 
+    @pytest.mark.parametrize("table", [
+        table_of([[0]]),
+        table_of([[6, 0, 3, 1, 6, 5, 2]]),
+        table_of([[0]] * 5),
+        table_of([range(10), range(9, -1, -1)]),
+        table_of([range(100), range(99, -1, -1)]),
+        table_of([range(1000), range(999, -1, -1)]),
+        table_of([range(4096), range(4095, -1, -1), [4095, 0] * 2048]),
+    ])
+    def test_writer_writes_tables_as_their_rows(self, table):
+        assert_writes_like_stdlib(table)
+        assert_writes_like_stdlib({"meet": table, "n": len(table)})
+        assert_writes_like_stdlib([table, [table, {"t": table}], 1])
+
+    @given(st.integers(1, 12).flatmap(
+        lambda n: st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                           min_size=n, max_size=n)).map(table_of))
+    @settings(max_examples=100, deadline=None)
+    def test_writer_writes_random_tables_as_their_rows(self, table):
+        assert_writes_like_stdlib({"t": table})
+
+    @pytest.mark.parametrize("array", [
+        np.zeros((2, 2)), np.zeros((2, 2), dtype=bool), np.zeros((2, 2), dtype=np.int64),
+        np.zeros(2, dtype=np.int32), np.zeros((2, 2, 2), dtype=np.int32),
+        np.zeros((2, 0), dtype=np.int32), table_of([[0, 2], [1, 0]]), table_of([[0, -1], [1, 0]]),
+    ])
+    def test_writer_refuses_arrays_that_are_not_tables(self, array):
+        for obj in (array, {"t": array}):
+            with pytest.raises(TypeError):
+                jsonio.dumps(obj)
+            with pytest.raises(TypeError):
+                jsonio.dump(obj, io.StringIO())
+
     def test_large_document_is_streamed(self):
         # the n = 512 document of `dualize --sections` on fibers (3,3,3,3,1)
         p = [b for b, k in enumerate((3, 3, 3, 3, 1)) for _ in range(k)]
         algebra, sections = dual_algebra(make_space(len(p), 5, p))
         doc = jsonio.algebra_to_dict(algebra)
         doc.update(jsonio.sections_to_dict(sections))
+        expected_chars = len(json.dumps(doc, indent=2, sort_keys=True,
+                                        default=np.ndarray.tolist)) + 1
         sink = CountingSink()
         tracemalloc.start()
         try:
@@ -328,7 +369,7 @@ class TestJsonOutput:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sink.chars == len(json.dumps(doc, indent=2, sort_keys=True)) + 1
+        assert sink.chars == expected_chars
         assert peak < 4 * 2 ** 20
 
 
@@ -340,7 +381,8 @@ class CountingSink:
 
 
 def assert_writes_like_stdlib(obj):
-    expected = json.dumps(obj, indent=2, sort_keys=True)
+    # a table is expected to read like the list of its rows
+    expected = json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist)
     assert jsonio.dumps(obj) == expected
     with tempfile.TemporaryFile("w+", encoding="utf-8") as fh:
         jsonio.dump(obj, fh)
@@ -364,6 +406,7 @@ class TestCanonicalOutput:
         space.write_text(jsonio.dumps(jsonio.space_to_dict(
             random_space(2, 2, seed=3, band="right"))))
         bad = jsonio.algebra_to_dict(right_three())
+        bad["meet"] = bad["meet"].tolist()
         bad["meet"][1][2] = 1
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(jsonio.dumps(bad))

@@ -41,6 +41,7 @@ from skewstone.jsonio import dumps, space_to_dict
 from skewstone.lattice_sections import find_lattice_section
 from skewstone.morphisms_duality import Homomorphism, enumerate_homs
 from skewstone.spaces_sections import (
+    ROW_BLOCK,
     PartialMap,
     Section,
     band_law_witness,
@@ -183,6 +184,16 @@ class TestSectionAlgebraOracle:
         grid = random_space(3, 1, seed=32, band=("product", 2, 2))
         assert [len(f) for f in fibers(grid)] == [4, 4, 4]
         self.assert_matches_oracle(grid)
+
+    def test_ragged_last_row_block(self):
+        # n = 3 * 4 * 5 * 5 = 300 is not a multiple of the rows in one block
+        plain = space_from_fibers((2, 3, 4, 4))
+        assert plain.size_e == 13 and 300 % (ROW_BLOCK // 300) != 0
+        left = make_space(plain.size_e, plain.size_b, plain.p,
+                          [[x if plain.p[x] == plain.p[y] else None for y in range(plain.size_e)]
+                           for x in range(plain.size_e)])
+        for sp in (plain, left):
+            self.assert_matches_oracle(sp)
 
     def test_partial_maps(self):
         cases = [(y_size, band) for y_size in (1, 2, 3)
