@@ -14,7 +14,6 @@ import time
 from math import prod
 
 from skewstone import (
-    EXHAUSTIVE_N,
     SizeCapError,
     algebra_roundtrip_iso,
     dual_algebra,
@@ -38,9 +37,6 @@ def survey(count, base_seed, size_b, max_fiber):
         t0 = time.perf_counter()
         n = prod(1 + len(f) for f in fibers(sp))
         try:
-            if n > EXHAUSTIVE_N:
-                # refused before the section algebra is built
-                raise SizeCapError(f"n={n} exceeds the exhaustive-check cap {EXHAUSTIVE_N}")
             A, _ = dual_algebra(sp)
             ok_valid = validate_algebra(A).ok
             algebra_roundtrip_iso(A)

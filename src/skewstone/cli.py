@@ -267,7 +267,8 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for anything random")
     common.add_argument("--max-size", type=int, default=EXHAUSTIVE_N,
-                        help="cap on n for the exhaustive law check of input algebras")
+                        help="cap on n for the exhaustive report on an input algebra "
+                             "that fails the law proof")
     common.add_argument("--format", dest="fmt", choices=("json", "dot", "text"),
                         default="text", help="output format where applicable")
     common.add_argument("--out", default=None, help="output directory for file-producing commands")

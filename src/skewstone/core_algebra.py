@@ -23,13 +23,15 @@ class SizeCapError(RuntimeError):
     """An exhaustive check or search was asked to go past its limit."""
 
 
-# The limit policy.  EXHAUSTIVE_N caps n for the cubic law check: it is the
-# default of validate_algebra, of the CLI's --max-size and the survey's cap.
-# MAX_CARRIER caps the carriers the builders enumerate (sections, partial
-# maps).  Homomorphisms are read off the space morphisms between the spectra,
-# and that search counts its own work: enumerate_homs.max_candidates (10^6
-# by default, also the bound of enumerate_space_morphisms) counts every
-# partial base map and every combination of fiber maps it tries.
+# The limit policy.  validate_algebra proves a valid algebra at any n; only
+# the cubic exhaustive report it falls back on, when a step of that proof
+# fails, is capped.  EXHAUSTIVE_N is that cap's default, in validate_algebra
+# and in the CLI's --max-size.  MAX_CARRIER caps the carriers the builders
+# enumerate (sections, partial maps).  Homomorphisms are read off the space
+# morphisms between the spectra, and that search counts its own work:
+# enumerate_homs.max_candidates (10^6 by default, also the bound of
+# enumerate_space_morphisms) counts every partial base map and every
+# combination of fiber maps it tries.
 EXHAUSTIVE_N = 256
 MAX_CARRIER = 4096
 
@@ -247,11 +249,13 @@ def validate_algebra(A, max_n=EXHAUSTIVE_N):
     of join are implied by the axioms, so violations of those are reported
     as warnings (useful when hunting for which axiom a broken table loses).
 
-    A proof costing n^2 * |G| (``_unproved_step``) runs first.  If every
-    step passes, A is valid and the report is ok with no warnings.  If one
-    fails, the exhaustive check (``_exhaustive_report``) gives the report,
-    so failures, first witnesses (C order) and warnings are always the
-    exhaustive ones.  The steps, each sound given those before it:
+    A proof costing n^2 * |G| (``_unproved_step``) runs first, at every n.
+    If every step passes, A is valid and the report is ok with no warnings.
+    If one fails, the exhaustive check (``_exhaustive_report``) gives the
+    report, so failures, first witnesses (C order) and warnings are always
+    the exhaustive ones.  That check is cubic, so past n = max_n it is not
+    run: SizeCapError is raised instead, naming the failed step.  The steps,
+    each sound given those before it:
 
     1. The laws with n or n^2 instances, on the whole table: both
        idempotents, the four absorptions, zero neutral, both complement
@@ -280,9 +284,17 @@ def validate_algebra(A, max_n=EXHAUSTIVE_N):
        = ((x ^ y) v (x' ^ y)) ^ z = ((x ^ y) ^ z) v ((x' ^ y) ^ z).  G
        generates A under join (2), so agreement on G^3 extends to every x
        with y, z in G, then to every x, y with z in G, then everywhere.
-    6. The glb law on every triple, as bit sets: for each x, no z may lie
-       below x and y but not below x cap y (n^3 / 16 byte operations, as
-       the law is symmetric in x and y once cap is commutative).
+    6. The glb law for atoms z: an atom below x and below y must lie below
+       x cap y (n^2 * |G| / 16 byte operations on the atoms below each
+       element as packed bits, as the law is symmetric in x and y once cap
+       is commutative).  That is enough.  By 1 to 5, A is a skew Boolean
+       algebra, so each down-set of c is a Boolean lattice under the
+       restricted operations, closed under join (Leech 1990, cited in 8).
+       Let z lie below x and y.  Each atom of the down-set of z is an atom
+       of A, so by this step it lies below x cap y, and z, the top of its
+       finite Boolean lattice, is the join of those atoms.  The down-set of
+       x cap y is closed under join, so z lies below x cap y.  (z = 0 lies
+       below everything by 1.)
     7. Cap associativity needs no check.  By 1 and 5 the natural order is
        a partial order, and by 1 and 6 x cap y is the greatest lower bound
        of {x, y}, so both bracketings are the greatest lower bound of
@@ -291,10 +303,12 @@ def validate_algebra(A, max_n=EXHAUSTIVE_N):
        the axioms (Leech, "Skew Boolean algebras", Algebra Universalis 27,
        1990), so a valid A has none.
     """
-    if A.n > max_n:
-        raise SizeCapError(f"n={A.n} exceeds the exhaustive-check cap {max_n}")
-    if _unproved_step(A) is None:
+    step = _unproved_step(A)
+    if step is None:
         return ValidationReport(ok=True, failures=(), warnings=())
+    if A.n > max_n:
+        raise SizeCapError(f"n={A.n} fails proof step {step}; the exhaustive report "
+                           f"is capped at n={max_n}")
     return _exhaustive_report(A)
 
 
@@ -341,32 +355,43 @@ def _unproved_step(A):
     if not reached.all():
         return "generators"
 
-    # Each loop keeps its temporaries n x n: a |G| x n x n gather would not.
-    JT = np.ascontiguousarray(J.T)
+    # Steps 3 and 4 loop over G and over blocks of rows, so that each int32
+    # temporary stays near n x n bytes: a |G| x n x n gather would not.
+    blocks = _row_blocks(n, 4 * n)
     for g in G:                                  # [x, y]: (x v g) v y, x v (g v y)
-        if not np.array_equal(np.take(J, J[:, g], axis=0), np.take(J, J[g], axis=1)):
-            return "join_associative"
+        for b in blocks:
+            if not np.array_equal(np.take(J, J[b, g], axis=0), np.take(J[b], J[g], axis=1)):
+                return "join_associative"
+    # J[i, j] is Jf[i * n + j]; Mn stays int32 wherever n * n fits in it.
+    Jf, Mn = J.ravel(), M * (n if n * n < 2**31 else np.int64(n))
     for g in G:                                  # [x, y]: x ^ (y v g), (x ^ y) v (x ^ g)
-        if not np.array_equal(np.take(M, J[:, g], axis=1),
-                              np.take_along_axis(np.take(JT, M[:, g], axis=0), M, axis=1)):
-            return "meet_distributes_left"
+        for b in blocks:
+            if not np.array_equal(np.take(M[b], J[:, g], axis=1), Jf[Mn[b] + M[b, g, None]]):
+                return "meet_distributes_left"
     for g in G:                                  # [y, x]: (y v g) ^ x, (y ^ x) v (g ^ x)
-        if not np.array_equal(np.take(M, J[:, g], axis=0),
-                              np.take_along_axis(np.take(J, M[g], axis=1), M, axis=0)):
-            return "meet_distributes_right"
+        for b in blocks:
+            if not np.array_equal(np.take(M, J[b, g], axis=0), Jf[Mn[b] + M[g]]):
+                return "meet_distributes_right"
     g = np.array(G)
     MG, Mg = M[np.ix_(g, g)], M[g]
     for z in G:                                  # [x, y] in G^2: (x ^ y) ^ z, x ^ (y ^ z)
         if not np.array_equal(np.take(M[:, z], MG), np.take(Mg, M[g, z], axis=1)):
             return "meet_associative"
 
-    # The glb law is symmetric in x and y (cap is commutative by step 1) and
-    # holds at x = y (cap idempotent), so the pairs y > x suffice.
-    below = np.packbits(leq.T, axis=1)           # below[x]: the z <= x, as bits
-    for x in range(n):
-        if ((below[x] & below[x + 1:]) & ~below[C[x, x + 1:]]).any():
+    # The glb law for atoms z.  It is symmetric in x and y (cap is
+    # commutative by step 1), so a block of rows from x0 checks the y >= x0.
+    bits = np.packbits(leq[G[1:]].T, axis=1)     # bits[x]: the atoms below x
+    for b in _row_blocks(n, n * bits.shape[1]):
+        if (bits[b, None] & bits[b.start:] & ~bits[C[b, b.start:]]).any():
             return "cap_is_greatest_lower_bound"
     return None
+
+
+def _row_blocks(n, row_bytes):
+    """Slices that cover rows 0..n-1, each of as many rows of row_bytes as
+    fit in n x n bytes, or in 256 KiB on small carriers (at least one)."""
+    size = max(1, max(n * n, 2**18) // max(1, row_bytes))
+    return [slice(lo, lo + size) for lo in range(0, n, size)]
 
 
 def _exhaustive_report(A):
@@ -510,21 +535,27 @@ def green_partitions(A):
 
 def glb_cap_table(n, meet, join):
     """Intersection table computed as greatest lower bounds of the order
-    induced by meet.  Lower bounds of a pair commute, so folding them with
-    join yields the candidate maximum, which is then verified."""
-    leq = [[meet[x][y] == x and meet[y][x] == x for y in range(n)] for x in range(n)]
-    cap = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            lower = [z for z in range(n) if leq[z][x] and leq[z][y]]
-            if not lower:
-                raise ValueError(f"no common lower bound for ({x}, {y})")
-            m = lower[0]
-            for u in lower[1:]:
-                m = join[m][u]
-            if not (leq[m][x] and leq[m][y] and all(leq[u][m] for u in lower)):
-                raise ValueError(f"no greatest lower bound for ({x}, {y})")
-            cap[x][y] = m
+    induced by meet, as an int32 array.  Lower bounds of a pair commute, so
+    folding them with join, in increasing order, yields the candidate
+    maximum, which is then verified.  Each z takes two passes over the
+    pairs above it: one folds z into their candidates, one checks that z
+    lies below them.  Raises ValueError at the first pair (C order) with no common lower
+    bound or no greatest one."""
+    M, J = np.asarray(meet), np.asarray(join)
+    rows = np.arange(n)[:, None]
+    leq = (M == rows) & (M.T == rows)
+    above = [np.ix_(up, up) for up in map(np.flatnonzero, leq)]
+    cap = np.full((n, n), -1, dtype=np.int32)    # -1: no lower bound yet
+    for z, pairs in enumerate(above):
+        m = cap[pairs]
+        cap[pairs] = np.where(m < 0, z, J[m, z])   # J[-1, z] is read and dropped
+    ok = (cap >= 0) & leq[cap, rows] & leq[cap, rows.T]
+    for z, pairs in enumerate(above):
+        ok[pairs] &= leq[z, cap[pairs]]
+    bad = _first_bad(~ok)
+    if bad is not None:
+        what = "common" if cap[bad] < 0 else "greatest"
+        raise ValueError(f"no {what} lower bound for {bad}")
     return cap
 
 
@@ -552,7 +583,7 @@ def _quotient(A, part):
     meet, join, diff, cap = (lab[getattr(A, name + "_table")[np.ix_(reps, reps)]]
                              for name in _OPS)
     if is_congruence(A, part, op_names=("cap",)) is not None:
-        cap = glb_cap_table(len(part.blocks), meet.tolist(), join.tolist())
+        cap = glb_cap_table(len(part.blocks), meet, join)
     return SkewAlgebra(len(part.blocks), part.labels[A.zero], meet, join, diff, cap), part.labels
 
 

@@ -35,7 +35,6 @@ from skewstone.catalog import (
     right_three,
 )
 from skewstone.core_algebra import (
-    glb_cap_table,
     leq_matrix,
     partition_from_labels,
     preceq_matrix,
@@ -546,8 +545,37 @@ def quotient_by_oracle(A, part):
     if is_congruence_oracle(A, part, ("cap",)) is None:
         cap = table(A.cap)
     else:
-        cap = glb_cap_table(k, meet, join)
+        cap = glb_cap_table_oracle(k, meet, join)
     return make_algebra(k, lab[A.zero], meet, join, diff, cap), tuple(lab)
+
+
+def glb_cap_table_oracle(n, meet, join):
+    """Oracle for glb_cap_table: for each pair, its lower bounds listed and
+    folded with join, then the fold checked against each of them."""
+    leq = [[meet[x][y] == x and meet[y][x] == x for y in range(n)] for x in range(n)]
+    cap = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            lower = [z for z in range(n) if leq[z][x] and leq[z][y]]
+            if not lower:
+                raise ValueError(f"no common lower bound for ({x}, {y})")
+            m = lower[0]
+            for u in lower[1:]:
+                m = join[m][u]
+            if not (leq[m][x] and leq[m][y] and all(leq[u][m] for u in lower)):
+                raise ValueError(f"no greatest lower bound for ({x}, {y})")
+            cap[x][y] = m
+    return cap
+
+
+def glb_law_holds_oracle(A):
+    """Oracle for the last step of the validator's proof: x cap y lies above
+    every z below both x and y, checked for every z (not only the atoms),
+    one row x at a time with the z below each element as packed bits."""
+    M, C = A.meet_table, A.cap_table
+    rows = np.arange(A.n)[:, None]
+    below = np.packbits(((M == rows) & (M.T == rows)).T, axis=1)
+    return not any(((below[x] & below) & ~below[C[x]]).any() for x in range(A.n))
 
 
 def subalgebra_on_oracle(A, subset):

@@ -95,7 +95,9 @@ class TestExitCodes:
         path.write_text(jsonio.dumps({"map": [0, 1, 1], "source": "three.json",
                                       "target": "three.json"}))
         assert run(capsys, "validate", str(path)) == (1, "FAIL preserves_cap witness=(1, 2)\n")
-        assert main(["validate", "--max-size", "2", str(path)]) == 3
+        # the two algebras are proved valid, so a cap below their n changes nothing
+        assert run(capsys, "validate", "--max-size", "2", str(path)) == (
+            1, "FAIL preserves_cap witness=(1, 2)\n")
 
     def test_non_utf8_file_exits_two(self, capsys, tmp_path):
         path = tmp_path / "latin1.json"
@@ -113,12 +115,36 @@ class TestExitCodes:
         assert (code, captured.out) == (2, "")
         assert captured.err.startswith("error: nested too deep")
 
-    def test_over_max_size_exits_three(self, capsys, three_file):
-        code = main(["validate", "--max-size", "2", three_file])
+    def test_over_max_size_exits_three(self, capsys, three_file, tmp_path):
+        # --max-size caps only the exhaustive report of an algebra that fails
+        # the proof: a valid algebra above it still validates
+        assert run(capsys, "validate", "--max-size", "2", three_file) == (0, "ok\n")
+        obj = jsonio.algebra_to_dict(right_three())
+        obj["meet"] = obj["meet"].tolist()
+        obj["meet"][1][2] = 1
+        path = tmp_path / "bad.json"
+        path.write_text(jsonio.dumps(obj))
+        code = main(["validate", "--max-size", "2", str(path)])
         captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
-        assert captured.err.startswith("error: limit: n=3 exceeds")
+        assert (code, captured.out) == (3, "")
+        assert captured.err == ("error: limit: n=3 fails proof step absorb_meet_over_join_right;"
+                                " the exhaustive report is capped at n=2\n")
+
+    def test_section_algebra_past_the_default_cap(self, capsys, tmp_path):
+        # fibers (2, 3, 4, 4): n = 300, above the default --max-size of 256
+        p = [b for b, size in enumerate((2, 3, 4, 4)) for _ in range(size)]
+        obj = jsonio.algebra_to_dict(dual_algebra(make_space(len(p), 4, p))[0])
+        path = tmp_path / "n300.json"
+        path.write_text(jsonio.dumps(obj))
+        assert run(capsys, "validate", str(path)) == (0, "ok\n")
+        obj["cap"] = obj["cap"].tolist()
+        obj["cap"][5][10] = 0                # one entry: cap is no longer commutative
+        path.write_text(jsonio.dumps(obj))
+        code = main(["validate", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == ("error: limit: n=300 fails proof step cap_commutative;"
+                                " the exhaustive report is capped at n=256\n")
 
 
 class TestCommands:
@@ -451,13 +477,25 @@ def load_script(name):
 
 class TestSurveyScript:
     def test_instance_over_the_size_cap_is_reported_not_raised(self, capsys):
-        # the last of these 20 instances is a 2x2 band over 4 points, n = 625,
-        # above the survey's validation cap of 256
+        # the second of these 3 instances, a right band over 139 points in
+        # 2 fibers, has 4880 sections, more than MAX_CARRIER = 4096
+        survey = load_script("duality_survey")
+        code = survey.main(["--count", "3", "--seed", "8", "--size-b", "2",
+                            "--max-fiber", "80"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.rstrip().endswith("3 instances, 0 failures, 1 over the size cap")
+        limit_rows = [line.split() for line in out.splitlines() if " limit " in line]
+        assert [row[0] for row in limit_rows] == ["9"]
+        assert "4880" in limit_rows[0]
+
+    def test_instance_above_the_validation_cap_is_checked(self, capsys):
+        # the last of these 20 instances is a 2x2 band over 4 points, n = 625:
+        # valid algebras are proved at any n, so it gets every verdict
         survey = load_script("duality_survey")
         code = survey.main(["--count", "20", "--size-b", "4", "--max-fiber", "2"])
         out = capsys.readouterr().out
         assert code == 0
-        assert out.rstrip().endswith("20 instances, 0 failures, 1 over the size cap")
-        limit_rows = [line.split() for line in out.splitlines() if " limit " in line]
-        assert [row[0] for row in limit_rows] == ["19"]
-        assert "625" in limit_rows[0]
+        assert out.rstrip().endswith("20 instances, 0 failures, 0 over the size cap")
+        last = out.splitlines()[-3].split()
+        assert last[0] == "19" and last[-6:-1] == ["625", "neither", "yes", "yes", "-"]

@@ -1,18 +1,21 @@
 """The whole-table kernels against the pairwise loops they replaced, kept
 as oracles in helpers: is_ideal, enumerate_prime_ideals, ideal_congruence,
 is_congruence, green_partitions, the basic sections, quotients,
-subalgebras, join closures and the pullback check give equal results, and
+subalgebras, join closures, the pullback check and glb_cap_table give
+equal results, and
 raise the same exception types with the same messages, on valid algebras,
 on sets that are not ideals, on partitions that are not congruences and on
 one-entry mutants."""
 
 import random
 
+import numpy as np
 import pytest
 
 from helpers import (
     basic_copen_oracle,
     enumerate_prime_ideals_oracle,
+    glb_cap_table_oracle,
     green_partitions_oracle,
     ideal_congruence_oracle,
     is_congruence_oracle,
@@ -36,6 +39,7 @@ from skewstone import (
     second_decomposition_check,
 )
 from skewstone.core_algebra import (
+    glb_cap_table,
     is_congruence,
     partition_from_labels,
     reflection,
@@ -214,3 +218,23 @@ def test_pullback_check_matches_the_loop(algebras):
             outcomes.add(got[:2])
     # some mutants fail the check, some are refused before it
     assert ("ok", False) in outcomes and ("raised", CongruenceError) in outcomes
+
+
+def glb_outcome(fn, B):
+    got = outcome(fn, B.n, B.meet_table.tolist(), B.join_table.tolist())
+    return ("ok", np.asarray(got[1]).tolist()) if got[0] == "ok" else got
+
+
+def test_glb_cap_tables_match_the_loop(algebras):
+    for A in algebras:
+        assert glb_outcome(glb_cap_table, A) == ("ok", A.cap_table.tolist())
+        assert glb_cap_table_oracle(A.n, A.meet_table.tolist(),
+                                    A.join_table.tolist()) == A.cap_table.tolist()
+    outcomes = set()
+    for i, A in enumerate(a for a in algebras if 3 <= a.n <= 16):
+        # the same mutants as the pullback check's, then some of their own
+        for B in list(mutants(A, 20, seed=300 + i)) + list(mutants(A, 20, seed=900 + i)):
+            got = glb_outcome(glb_cap_table, B)
+            assert got == glb_outcome(glb_cap_table_oracle, B)
+            outcomes.add(got[0] if got[0] == "ok" else got[2].split(" for ")[0])
+    assert outcomes == {"ok", "no common lower bound", "no greatest lower bound"}

@@ -6,10 +6,19 @@ tests hold the two paths to the same reports on inputs that break each step.
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from helpers import law_holds_at, retabled, space_from_fibers
-from skewstone import dual_algebra, make_algebra, random_space, validate_algebra
+from helpers import glb_law_holds_oracle, law_holds_at, retabled, space_from_fibers
+from skewstone import (
+    SizeCapError,
+    SkewAlgebra,
+    ValidationReport,
+    dual_algebra,
+    make_algebra,
+    random_space,
+    validate_algebra,
+)
 from skewstone.core_algebra import _exhaustive_report, _unproved_step
 
 
@@ -73,6 +82,13 @@ def test_proof_at_n_512():
     A = dual_algebra(space_from_fibers((3, 3, 3, 3, 1)))[0]
     assert A.n == 512
     assert validate_algebra(A, max_n=512).ok
+    # step 6 runs over two blocks of 256 rows here; a fault in the last
+    # pair x > y with a nonzero cap lies in the second
+    x, y = np.argwhere(np.tril(A.cap_table != A.zero, -1))[-1]
+    cap = A.cap_table.copy()
+    cap[x, y] = cap[y, x] = A.zero
+    B = SkewAlgebra(A.n, A.zero, A.meet_table, A.join_table, A.diff_table, cap)
+    assert x >= 256 and _unproved_step(B) == "cap_is_greatest_lower_bound"
 
 
 def test_proof_with_every_element_a_generator_stays_small():
@@ -132,3 +148,52 @@ def test_each_step_is_first_to_reject_some_input(section_algebras):
         B = retabled(A, "cap", [(x, y, A.zero), (y, x, A.zero)])
         glb_steps.add(first_rejecting_step(B))
     assert glb_steps == {"cap_is_greatest_lower_bound"}
+
+
+def test_atoms_step_agrees_with_the_all_z_oracle(section_algebras):
+    """The cap of one to three pairs, both ways round, moved to another
+    common lower bound.  Such a table passes steps 1 to 5, so the proof
+    fails at step 6 exactly where the glb law fails for some z.  Fibers
+    (3, 3, 3) give nine atoms, more than one byte of bits."""
+    rng = random.Random(20261019)
+    verdicts = set()
+    for A in section_algebras + [dual_algebra(space_from_fibers((3, 3, 3)))[0]]:
+        leq = [[A.meet(x, y) == x == A.meet(y, x) for y in range(A.n)] for x in range(A.n)]
+        for _ in range(40):
+            changes = []
+            for _ in range(rng.randint(1, 3)):
+                x, y = rng.sample(range(A.n), 2)
+                z = rng.choice([z for z in range(A.n) if leq[z][x] and leq[z][y]])
+                changes += [(x, y, z), (y, x, z)]
+            B = retabled(A, "cap", changes)
+            step = _unproved_step(B)
+            assert step in (None, "cap_is_greatest_lower_bound")
+            assert (step is None) is glb_law_holds_oracle(B) is _exhaustive_report(B).ok
+            verdicts.add(step)
+    assert verdicts == {None, "cap_is_greatest_lower_bound"}
+
+
+def test_table_only_step_6_rejects():
+    """The four-element Boolean algebra (0, a = 1, b = 2 and top = 3 as bit
+    sets) with a cap top lowered to 0: a lower bound of a and top, not the
+    greatest.  Its exhaustive report stays what it was."""
+    ops = (lambda x, y: x & y, lambda x, y: x | y, lambda x, y: x & ~y, lambda x, y: x & y)
+    meet, join, diff, cap = ([[op(x, y) for y in range(4)] for x in range(4)] for op in ops)
+    cap[1][3] = cap[3][1] = 0
+    B = make_algebra(4, 0, meet, join, diff, cap)
+    assert first_rejecting_step(B) == "cap_is_greatest_lower_bound"
+    assert not glb_law_holds_oracle(B)
+    assert _exhaustive_report(B) == ValidationReport(
+        ok=False, failures=(("cap_is_greatest_lower_bound", (1, 3, 1)),), warnings=())
+
+
+def test_cap_bounds_only_the_exhaustive_report():
+    """Past max_n a valid algebra is still proved; an invalid one raises
+    SizeCapError naming the step that failed."""
+    A = dual_algebra(space_from_fibers((2, 2)))[0]
+    assert validate_algebra(A, max_n=2).ok
+    x, y = next((x, y) for x in range(A.n) for y in range(x) if A.cap(x, y) != A.zero)
+    B = retabled(A, "cap", [(x, y, A.zero), (y, x, A.zero)])
+    with pytest.raises(SizeCapError, match="n=9 fails proof step cap_is_greatest_lower_bound"):
+        validate_algebra(B, max_n=8)
+    assert validate_algebra(B, max_n=9) == _exhaustive_report(B)
