@@ -204,6 +204,36 @@ def _as_rows(mask):
     return tuple(map(tuple, mask.tolist()))
 
 
+def _take(table, index):
+    """np.take(table, index) for an n x n index.  take gathers faster than
+    fancy indexing, but through an intp copy of its index, so it runs one
+    block of rows at a time (_by_row_blocks)."""
+    return _by_row_blocks(len(index), table.dtype, lambda b: np.take(table, index[b]))
+
+
+def _gather(T, i, j):
+    """T[i, j] for index arrays i and j that broadcast to n x n, as flat
+    gathers: T[i, j] is T.ravel()[i * n + j], made and gathered one block
+    of rows at a time (_by_row_blocks)."""
+    n = T.shape[1]
+    w = n if n * n < 2**31 else np.int64(n)
+    part = lambda a, b: a[b] if a.ndim == 2 else a      # a row vector serves every row
+    return _by_row_blocks(n, T.dtype, lambda b: np.take(T.ravel(), part(i, b) * w + part(j, b)))
+
+
+def _by_row_blocks(n, dtype, make_rows):
+    """The n x n array whose rows b are make_rows(b), made one block of rows
+    at a time, so that a block's intp index stays near n x n bytes.  A
+    single block is returned as made."""
+    blocks = _row_blocks(n, 8 * n)
+    if len(blocks) == 1:
+        return make_rows(blocks[0])
+    out = np.empty((n, n), dtype=dtype)
+    for b in blocks:
+        out[b] = make_rows(b)
+    return out
+
+
 @per_object
 def _preceq(A):
     """[x, y]: x ^ y ^ x == x, the natural preorder, as a read-only boolean
@@ -211,17 +241,26 @@ def _preceq(A):
     read it."""
     M = A.meet_table
     rows = np.arange(A.n)[:, None]
-    pre = M[M, rows] == rows
+    pre = _gather(M, M, rows) == rows
     pre.setflags(write=False)
     return pre
 
 
 @per_object
-def leq_matrix(A):
-    """leq[x][y] is natural_leq(A, x, y)."""
+def _leq(A):
+    """[x, y]: x <= y, the natural partial order, as a read-only boolean
+    array."""
     M = A.meet_table
     rows = np.arange(A.n)[:, None]
-    return _as_rows((M == rows) & (M.T == rows))
+    leq = (M == rows) & (M.T == rows)
+    leq.setflags(write=False)
+    return leq
+
+
+@per_object
+def leq_matrix(A):
+    """leq[x][y] is natural_leq(A, x, y)."""
+    return _as_rows(_leq(A))
 
 
 @per_object
@@ -231,11 +270,18 @@ def preceq_matrix(A):
 
 
 def _first_bad(mask):
-    """First index tuple (C order) where a boolean violation mask is True."""
-    idx = np.argwhere(mask)
-    if len(idx) == 0:
+    """First index tuple (C order) where a boolean violation mask is True,
+    or None.  A mask with no True entry costs one any()."""
+    if not mask.any():
         return None
-    return tuple(int(v) for v in idx[0])
+    return tuple(int(v) for v in np.unravel_index(np.argmax(mask), mask.shape))
+
+
+def _atoms(leq, zero):
+    """The atoms of a natural order leq, as a list: each a != zero with no
+    b other than zero and a below it."""
+    others = leq.sum(axis=0) - leq[zero] - np.diagonal(leq)   # [a]: b < a, b != zero
+    return [a for a in np.flatnonzero(others == 0).tolist() if a != zero]
 
 
 def validate_algebra(A, max_n=EXHAUSTIVE_N):
@@ -284,6 +330,11 @@ def validate_algebra(A, max_n=EXHAUSTIVE_N):
        = ((x ^ y) v (x' ^ y)) ^ z = ((x ^ y) ^ z) v ((x' ^ y) ^ z).  G
        generates A under join (2), so agreement on G^3 extends to every x
        with y, z in G, then to every x, y with z in G, then everywhere.
+    Steps 3 to 5 are run on the atoms alone: for the zero they follow from
+    1, which gives x v 0 = 0 v x = x and x ^ 0 = 0 ^ x = 0.  So
+    (x v 0) v y = x v y = x v (0 v y); x ^ (y v 0) = x ^ y = (x ^ y) v 0
+    = (x ^ y) v (x ^ 0), and the mirror law alike; and both bracketings
+    of a triple with a 0 in it are 0.
     6. The glb law for atoms z: an atom below x and below y must lie below
        x cap y (n^2 * |G| / 16 byte operations on the atoms below each
        element as packed bits, as the law is symmetric in x and y once cap
@@ -323,17 +374,18 @@ def _unproved_step(A):
     leq = (M == rows) & (M.T == rows)
 
     def table_laws():
+        # Only any() is read, so a mask may be its law's transpose [y, x].
         yield "meet_idempotent", np.diagonal(M) != idx
         yield "join_idempotent", np.diagonal(J) != idx
-        yield "absorb_meet_over_join_left", M[rows, J] != rows
-        yield "absorb_meet_over_join_right", M[J.T, rows] != rows
-        yield "absorb_join_over_meet_left", J[rows, M] != rows
-        yield "absorb_join_over_meet_right", J[M.T, rows] != rows
+        yield "absorb_meet_over_join_left", _gather(M, rows, J) != rows
+        yield "absorb_meet_over_join_right", _gather(M, J, idx) != idx
+        yield "absorb_join_over_meet_left", _gather(J, rows, M) != rows
+        yield "absorb_join_over_meet_right", _gather(J, M, idx) != idx
         yield "zero_neutral_join", (J[A.zero] != idx) | (J[:, A.zero] != idx)
-        W = M[M, rows]
-        yield "complement_meet_zero", M[D, W] != A.zero
-        yield "complement_join_restore", J[D, W] != rows
-        yield "cap_is_lower_bound", ~(leq[C, rows] & leq[C, idx])
+        W = _gather(M, M, rows)                  # [x, y]: x ^ y ^ x
+        yield "complement_meet_zero", _gather(M, D, W) != A.zero
+        yield "complement_join_restore", _gather(J, D, W) != rows
+        yield "cap_is_lower_bound", ~(_gather(leq, C, rows) & _gather(leq, C, idx))
         yield "cap_commutative", C != C.T
         yield "cap_idempotent", np.diagonal(C) != idx
 
@@ -341,11 +393,11 @@ def _unproved_step(A):
         if bad.any():
             return name
 
-    G = [A.zero] + np.flatnonzero(leq.sum(axis=0) == 2).tolist()
+    atoms = _atoms(leq, A.zero)
     reached = np.zeros(n, dtype=bool)
     reached[A.zero] = True
     frontier = np.array([A.zero])
-    JG = J[:, G]
+    JG = J[:, atoms]                             # x v 0 = x adds nothing
     while frontier.size:
         new = np.zeros(n, dtype=bool)
         new[JG[frontier]] = True
@@ -355,32 +407,33 @@ def _unproved_step(A):
     if not reached.all():
         return "generators"
 
-    # Steps 3 and 4 loop over G and over blocks of rows, so that each int32
-    # temporary stays near n x n bytes: a |G| x n x n gather would not.
+    # Steps 3 to 5 loop over the atoms (the zero is covered by step 1) and
+    # over blocks of rows, so that each int32 temporary stays near n x n
+    # bytes: a |G| x n x n gather would not.
     blocks = _row_blocks(n, 4 * n)
-    for g in G:                                  # [x, y]: (x v g) v y, x v (g v y)
+    for g in atoms:                              # [x, y]: (x v g) v y, x v (g v y)
         for b in blocks:
             if not np.array_equal(np.take(J, J[b, g], axis=0), np.take(J[b], J[g], axis=1)):
                 return "join_associative"
     # J[i, j] is Jf[i * n + j]; Mn stays int32 wherever n * n fits in it.
     Jf, Mn = J.ravel(), M * (n if n * n < 2**31 else np.int64(n))
-    for g in G:                                  # [x, y]: x ^ (y v g), (x ^ y) v (x ^ g)
+    for g in atoms:                              # [x, y]: x ^ (y v g), (x ^ y) v (x ^ g)
         for b in blocks:
             if not np.array_equal(np.take(M[b], J[:, g], axis=1), Jf[Mn[b] + M[b, g, None]]):
                 return "meet_distributes_left"
-    for g in G:                                  # [y, x]: (y v g) ^ x, (y ^ x) v (g ^ x)
+    for g in atoms:                              # [y, x]: (y v g) ^ x, (y ^ x) v (g ^ x)
         for b in blocks:
             if not np.array_equal(np.take(M, J[b, g], axis=0), Jf[Mn[b] + M[g]]):
                 return "meet_distributes_right"
-    g = np.array(G)
+    g = np.array(atoms, dtype=np.intp)
     MG, Mg = M[np.ix_(g, g)], M[g]
-    for z in G:                                  # [x, y] in G^2: (x ^ y) ^ z, x ^ (y ^ z)
+    for z in atoms:                              # [x, y] in atoms^2: (x ^ y) ^ z, x ^ (y ^ z)
         if not np.array_equal(np.take(M[:, z], MG), np.take(Mg, M[g, z], axis=1)):
             return "meet_associative"
 
     # The glb law for atoms z.  It is symmetric in x and y (cap is
     # commutative by step 1), so a block of rows from x0 checks the y >= x0.
-    bits = np.packbits(leq[G[1:]].T, axis=1)     # bits[x]: the atoms below x
+    bits = np.packbits(leq[atoms].T, axis=1)     # bits[x]: the atoms below x
     for b in _row_blocks(n, n * bits.shape[1]):
         if (bits[b, None] & bits[b.start:] & ~bits[C[b, b.start:]]).any():
             return "cap_is_greatest_lower_bound"
@@ -486,25 +539,29 @@ def is_congruence(A, part, op_names=("meet", "join", "diff")):
     block's least element in a whole row and a whole column of the table of
     result labels; the witness is the first failing element in (block,
     element) order, its row before its column, and y the first failing
-    position.
+    position.  A congruence costs two comparisons per op: every row with
+    its least element's row, then, in the rows of least elements, every
+    column with its least element's column.  Only a failing op pays for
+    the search of the witness.
     """
     lab = np.asarray(part.labels, dtype=np.int32)
-    least = np.empty(len(lab), dtype=np.intp)
-    for block in part.blocks:
-        least[list(block)] = block[0]
-    order = [x for block in part.blocks for x in block[1:]]
-    if not order:
+    reps = np.array([block[0] for block in part.blocks])
+    if len(reps) == len(lab):
         return None
+    least = np.take(reps, lab)
     for name in op_names:
-        LT = lab[getattr(A, name + "_table")]        # [x, y]: block of x . y
-        row = LT != np.take(LT, least, axis=0)        # [x, y]: x . y against least(x) . y
+        LT = _take(lab, getattr(A, name + "_table"))     # [x, y]: block of x . y
+        LR = np.take(LT, reps, axis=0)                   # [b, y]: least of block b . y
+        row = LT != np.take(LR, lab, axis=0)          # [x, y]: x . y against least(x) . y
+        if not row.any() and np.array_equal(LR, np.take(LR, least, axis=1)):
+            continue
         col = LT != np.take(LT, least, axis=1)        # [y, x]: y . x against y . least(x)
         row_bad = row.any(axis=1)
+        order = [x for block in part.blocks for x in block[1:]]
         bad = (row_bad | col.any(axis=0))[order]
-        if bad.any():
-            x = order[int(np.argmax(bad))]
-            y = int(np.argmax(row[x] if row_bad[x] else col[:, x]))
-            return (name, int(least[x]), x, y)
+        x = order[int(np.argmax(bad))]
+        y = int(np.argmax(row[x] if row_bad[x] else col[:, x]))
+        return (name, int(least[x]), x, y)
     return None
 
 
@@ -597,10 +654,9 @@ def reflection(A):
 def handedness(A):
     """One of 'commutative', 'right', 'left', 'neither' by exhaustive test."""
     M = A.meet_table
-    rows = np.arange(A.n)[:, None]
     if np.array_equal(M, M.T):
         return "commutative"
-    xyx = M[M, rows]
+    xyx = _gather(M, M, np.arange(A.n)[:, None])
     if np.array_equal(xyx, M.T):
         return "right"
     if np.array_equal(xyx, M):

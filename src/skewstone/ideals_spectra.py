@@ -18,8 +18,12 @@ from .core_algebra import (
     Partition,
     StructuralError,
     _OPS,
+    _atoms,
     _first_bad,
+    _gather,
+    _leq,
     _preceq,
+    _take,
     is_congruence,
     leq_matrix,
     partition_from_labels,
@@ -132,13 +136,6 @@ def _is_ideal(pre, J, zero, inP):
             and bool(inP[J[np.ix_(inP, inP)]].all()))
 
 
-def _reflection_atoms(Q):
-    leq = leq_matrix(Q)
-    nonzero = [x for x in Q.elements if x != Q.zero]
-    return [a for a in nonzero
-            if not any(leq[b][a] and b != a for b in nonzero)]
-
-
 def enumerate_prime_ideals(A):
     """All prime ideals, via the commutative reflection.
 
@@ -150,28 +147,34 @@ def enumerate_prime_ideals(A):
     whole-table masks per candidate; its witness is the first failing pair
     in C order.
     """
+    return _prime_ideals(A)[0]
+
+
+def _prime_ideals(A):
+    """enumerate_prime_ideals, and the membership mask of each prime."""
     M, J = A.meet_table, A.join_table
     pre = _preceq(A)
     Q, to_d = reflection(A)
     # one membership mask per atom a of A/D: P_a, the x with not a <= to_d[x]
-    masks = ~np.asarray(leq_matrix(Q), dtype=bool)[np.ix_(_reflection_atoms(Q), to_d)]
+    leq = _leq(Q)
+    masks = ~np.take(leq[_atoms(leq, Q.zero)], to_d, axis=1)
     found = sorted(((tuple(np.flatnonzero(inP).tolist()), inP) for inP in masks),
                    key=lambda candidate: candidate[0])
-    primes = []
-    for k, (members, inP) in enumerate(found):
+    for members, inP in found:
         if not _is_ideal(pre, J, A.zero, inP):
             raise RuntimeError(f"enumerated prime candidate {members} is not an ideal")
         out = ~inP
         if not out.any():
             raise RuntimeError(f"prime candidate {members} is trivial")
         x_out, y_out = out[:, None], out[None, :]
-        bad = _first_bad((out[M] != (x_out & y_out)) | (out[J] != (x_out | y_out)))
+        bad = _first_bad((_take(out, M) != (x_out & y_out))
+                         | (_take(out, J) != (x_out | y_out)))
         if bad is not None:
             raise RuntimeError(
                 f"prime candidate {members} fails the lattice-map "
                 f"characterization at ({bad[0]}, {bad[1]})")
-        primes.append(PrimeIdeal(members, k))
-    return tuple(primes)
+    primes = tuple(PrimeIdeal(members, k) for k, (members, _) in enumerate(found))
+    return primes, [inP for _, inP in found]
 
 
 def ideal_congruence(A, ideal):
@@ -182,30 +185,30 @@ def ideal_congruence(A, ideal):
     and to have the ideal itself as its zero class.
     """
     members = ideal.members if isinstance(ideal, (Ideal, PrimeIdeal)) else tuple(ideal)
-    return _ideal_congruence(A, _relating(A), members)
+    inP = _member_mask(A.n, members)
+    if inP is None or not _is_ideal(_preceq(A), A.join_table, A.zero, inP):
+        raise ValueError(f"{members} is not an ideal")
+    return _ideal_congruence(A, _relating(A), inP)
 
 
 def _relating(A):
     """[x, y]: (x \\ (x cap y)) v (y \\ (x cap y)).  It does not depend on
     the ideal: x and y are related modulo P exactly when it lies in P."""
     J, D, C = A.join_table, A.diff_table, A.cap_table
-    rows = np.arange(A.n)[:, None]
-    return J[D[rows, C], D[rows.T, C]]
+    idx = np.arange(A.n)
+    return _gather(J, _gather(D, idx[:, None], C), _gather(D, idx, C))
 
 
-def _ideal_congruence(A, relating, members):
-    """ideal_congruence with relating = _relating(A), which does not depend
-    on the ideal.
+def _ideal_congruence(A, relating, inP):
+    """ideal_congruence for the ideal with membership mask inP, with
+    relating = _relating(A), which does not depend on the ideal.
 
     The classes are the greedy ones, one row operation each: the least
     element not yet in a class opens the next class and takes every such
     element it is related to.  So every element lands in the class of the
     first opener related to it, and the witnesses of the checks are the
     first failing pair in C order."""
-    inP = _member_mask(A.n, members)
-    if inP is None or not _is_ideal(_preceq(A), A.join_table, A.zero, inP):
-        raise ValueError(f"{members} is not an ideal")
-    related = inP[relating]
+    related = _take(inP, relating)
     lab = np.full(len(inP), -1, dtype=np.int32)
     label = 0
     while (free := lab < 0).any():
@@ -248,10 +251,11 @@ class SpectrumData:
 
 @per_object
 def spectrum_data(A):
-    primes = enumerate_prime_ideals(A)
-    # the relation table is shared by the congruences of all primes
+    # the primes are ideals, as _prime_ideals has checked; the relation
+    # table is shared by the congruences of all of them
+    primes, masks = _prime_ideals(A)
     relating = _relating(A)
-    thetas = tuple(_ideal_congruence(A, relating, p.members) for p in primes)
+    thetas = tuple(_ideal_congruence(A, relating, inP) for inP in masks)
     points = []
     label_index = {}
     p_map = []

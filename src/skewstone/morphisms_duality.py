@@ -9,6 +9,7 @@ acts on sections by preimage under g.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain, combinations, permutations, product
 
@@ -20,6 +21,7 @@ from .core_algebra import (
     ValidationReport,
     _OPS,
     _first_bad,
+    _take,
     green_partitions,
     leq_matrix,
     per_object,
@@ -90,17 +92,22 @@ class HomFlags:
 def validate_hom(f):
     """Exhaustive preservation check for zero, meet, join, diff and cap.
     Each operation is one gather, m[T_A] against T_B[m x m]; the witness is
-    the first violated pair in C order."""
-    A, B, m = f.source, f.target, f.map
-    if len(m) != A.n or any(not (0 <= v < B.n) for v in m):
+    the first violated pair in C order.  The map must be n_A integers in
+    0..n_B-1 (StructuralError otherwise, also for 1.5 or "1")."""
+    A, B = f.source, f.target
+    try:
+        m = np.array([operator.index(v) for v in f.map], dtype=np.intp)
+    except (TypeError, OverflowError):
+        m = None
+    if m is None or m.shape != (A.n,) or m.min() < 0 or m.max() >= B.n:
         raise StructuralError("homomorphism map is not a total map into the target")
     failures = []
     if m[A.zero] != B.zero:
         failures.append(("preserves_zero", (A.zero,)))
-    mm = np.asarray(m, dtype=np.intp)
     for name in _OPS:
         table = name + "_table"
-        witness = _first_bad(mm[getattr(A, table)] != getattr(B, table)[mm[:, None], mm[None, :]])
+        image = np.take(np.take(getattr(B, table), m, axis=0), m, axis=1)
+        witness = _first_bad(_take(m, getattr(A, table)) != image)
         if witness is not None:
             failures.append((f"preserves_{name}", witness))
     return ValidationReport(ok=not failures, failures=tuple(failures))

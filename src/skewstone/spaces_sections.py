@@ -215,8 +215,9 @@ def _product_algebra(bands, choices):
     combines two as band(r, s), diff keeps s where r is absent, and cap
     keeps s where the two agree.  A table row is these digit tables read at
     the row's digits and summed as mixed-radix codes, then renumbered into
-    the caller's order.  Rows are made in blocks of at most ROW_BLOCK
-    entries into the int32 table, so no other n x n array exists.
+    the caller's order.  The codes lie below n, so they are int32 like the
+    tables.  Rows are made in blocks of at most ROW_BLOCK entries into the
+    int32 table, so no other n x n array exists.
     """
     n = len(choices)
     digits = np.zeros((n, len(bands)), dtype=np.int64)
@@ -240,14 +241,15 @@ def _product_algebra(bands, choices):
     tables = []
     for k in range(4):
         # per coordinate, the code that each digit of a row gives each column
-        parts = [(op[k] * weight)[:, col] for col, op, weight in zip(digits.T, ops, radix)]
+        parts = [np.take(op[k] * weight, col, axis=1).astype(np.int32)
+                 for col, op, weight in zip(digits.T, ops, radix)]
         table = np.empty((n, n), dtype=np.int32)
         for start in range(0, n, rows):
             block = digits[start:start + rows]
-            code = np.zeros((len(block), n), dtype=np.int64)
+            code = np.zeros((len(block), n), dtype=np.int32)
             for part, d in zip(parts, block.T):
-                code += part[d]
-            table[start:start + rows] = rank[code]
+                code += np.take(part, d, axis=0)
+            np.take(rank, code, out=table[start:start + rows])
         tables.append(table)
     return SkewAlgebra(n, int(rank[0]), *tables)
 

@@ -40,7 +40,7 @@ from skewstone.core_algebra import (
     preceq_matrix,
     reflection,
 )
-from skewstone.ideals_spectra import _reflection_atoms, is_ideal, spectrum_data
+from skewstone.ideals_spectra import is_ideal, spectrum_data
 from skewstone.spaces_sections import all_partial_maps
 
 
@@ -405,8 +405,10 @@ def enumerate_prime_ideals_oracle(A):
     atoms of A/D, checked pair by pair."""
     Q, to_d = reflection(A)
     leq_q = leq_matrix(Q)
+    nonzero = [x for x in Q.elements if x != Q.zero]
+    atoms = [a for a in nonzero if not any(leq_q[b][a] and b != a for b in nonzero)]
     found = []
-    for atom in _reflection_atoms(Q):
+    for atom in atoms:
         members = tuple(x for x in A.elements if not leq_q[atom][to_d[x]])
         found.append(members)
     found.sort()

@@ -1,7 +1,9 @@
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helpers import (
     corpus_params,
@@ -28,6 +30,7 @@ from skewstone import (
 )
 from skewstone.catalog import boolean_algebra, fiber_product_over_reflection
 from skewstone.core_algebra import (
+    _first_bad,
     leq_matrix,
     partition_from_labels,
     preceq_matrix,
@@ -311,3 +314,30 @@ class TestNonCanonicalZeroIndex:
         assert sorted(algebra_roundtrip_iso(moved).map) == [0, 1, 2]
         assert second_decomposition_check(moved)
         assert find_lattice_section(moved) is not None
+
+
+class TestFirstBad:
+    """_first_bad is np.argwhere's first row, read with any() and argmax."""
+
+    @staticmethod
+    def expected(mask):
+        found = np.argwhere(mask)
+        return tuple(int(v) for v in found[0]) if len(found) else None
+
+    @given(hnp.arrays(bool, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6)))
+    @settings(max_examples=300, deadline=None)
+    def test_random_masks(self, mask):
+        assert _first_bad(mask) == self.expected(mask)
+
+    @given(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=6))
+    @settings(max_examples=60, deadline=None)
+    def test_all_false_and_a_single_last_true(self, shape):
+        mask = np.zeros(shape, dtype=bool)
+        assert _first_bad(mask) is None
+        mask[(-1,) * len(shape)] = True
+        assert _first_bad(mask) == tuple(s - 1 for s in shape) == self.expected(mask)
+
+    def test_transposed_view(self):
+        mask = np.zeros((3, 4), dtype=bool)
+        mask[2, 1] = mask[1, 3] = True
+        assert _first_bad(mask.T) == (1, 2) == self.expected(mask.T)

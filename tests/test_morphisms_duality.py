@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -16,6 +17,7 @@ from helpers import (
 from skewstone import (
     Homomorphism,
     SizeCapError,
+    StructuralError,
     algebra_roundtrip_iso,
     algebras_isomorphic,
     basic_copen,
@@ -63,6 +65,19 @@ class TestHomomorphisms:
         report = validate_hom(f)
         assert not report.ok
         assert ("preserves_cap", (1, 2)) in report.failures
+
+    def test_map_entries_must_be_integers(self, bool4):
+        """A float is refused, not truncated: (0, 1.5, 2, 3) once passed as
+        the identity.  NumPy integers are integers."""
+        for bad in ((0, 1.5, 2, 3), (0, 1, 2, 3.9), (0, 1.0, 2, 3), (0, "1", 2, 3),
+                    (0, None, 2, 3), (0, 1, 2), (0, 1, 2, 4), (0, -1, 2, 3)):
+            with pytest.raises(StructuralError, match="not a total map into the target"):
+                validate_hom(Homomorphism(bool4, bool4, bad))
+        for good in ((np.int64(0), np.int32(1), np.uint8(2), 3), np.arange(4)):
+            assert validate_hom(Homomorphism(bool4, bool4, good)).ok
+        report = validate_hom(Homomorphism(bool4, bool4, (0, np.int64(2), 1, 1)))
+        assert report == validate_hom_oracle(Homomorphism(bool4, bool4, (0, 2, 1, 1)))
+        assert not report.ok
 
     def test_zero_map_always_valid(self, catalog):
         for _, A in catalog:

@@ -8,6 +8,7 @@ on sets that are not ideals, on partitions that are not congruences and on
 one-entry mutants."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from skewstone import (
     random_space,
     second_decomposition_check,
 )
+from skewstone.catalog import boolean_algebra
 from skewstone.core_algebra import (
     glb_cap_table,
     is_congruence,
@@ -117,6 +119,17 @@ def test_sets_that_are_not_ideals(algebras):
             assert got == outcome(ideal_congruence_oracle, A, members)
             refused += got[0] == "raised"
     assert refused > 0
+
+
+def test_ideal_congruence_refuses_what_is_not_an_ideal():
+    """The spectrum hands its primes, proved to be ideals, straight to the
+    congruence; the public ideal_congruence still checks its argument."""
+    A = boolean_algebra(2)                   # 0, a = 1, b = 2, top = 3
+    for members in ((1,), (0, 3), (0, 1, 2), (0, 4), ()):
+        assert not is_ideal(A, members)
+        with pytest.raises(ValueError, match=re.escape(f"{members} is not an ideal")):
+            ideal_congruence(A, members)
+    assert ideal_congruence(A, (0, 1)).labels == (0, 0, 1, 1)
 
 
 def test_ideal_congruences_on_mutants_fail_as_the_loop(algebras):

@@ -3,6 +3,7 @@ exhaustive check (core_algebra._exhaustive_report) on any failed step.  These
 tests hold the two paths to the same reports on inputs that break each step.
 """
 
+import itertools
 import random
 import tracemalloc
 
@@ -19,6 +20,7 @@ from skewstone import (
     random_space,
     validate_algebra,
 )
+from skewstone.catalog import boolean_algebra, one_element
 from skewstone.core_algebra import _exhaustive_report, _unproved_step
 
 
@@ -197,3 +199,33 @@ def test_cap_bounds_only_the_exhaustive_report():
     with pytest.raises(SizeCapError, match="n=9 fails proof step cap_is_greatest_lower_bound"):
         validate_algebra(B, max_n=8)
     assert validate_algebra(B, max_n=9) == _exhaustive_report(B)
+
+
+def every_one_entry_mutant(A):
+    """A with one entry of one table moved to each other value."""
+    for table in ("meet", "join", "diff", "cap"):
+        T = getattr(A, table + "_table")
+        for x, y, value in itertools.product(range(A.n), range(A.n), range(A.n)):
+            if T[x, y] != value:
+                yield retabled(A, table, [(x, y, value)])
+
+
+def test_carriers_without_atoms_or_with_one():
+    """n = 1 (the proof's G is the zero alone) and n = 2 (one atom), with
+    the zero at either index: the proof and the exhaustive report agree on
+    the algebra, on every one-entry mutant, and on seeded tables (none of
+    those is valid: a valid algebra on two elements is the Boolean one)."""
+    one, two = one_element(), boolean_algebra(1)
+    swapped = make_algebra(2, 1, [[0, 1], [1, 1]], [[0, 0], [0, 1]],
+                           [[1, 0], [1, 1]], [[0, 1], [1, 1]])
+    rng = random.Random(20261020)
+    seeded = [make_algebra(2, rng.randrange(2),
+                           *([[rng.randrange(2) for _ in range(2)] for _ in range(2)]
+                             for _ in range(4)))
+              for _ in range(200)]
+    steps = []
+    for A in (one, two, swapped):
+        assert first_rejecting_step(A) is None
+        steps += [first_rejecting_step(B) for B in every_one_entry_mutant(A)]
+    steps += [first_rejecting_step(B) for B in seeded]
+    assert None not in steps and len(set(steps)) > 5
