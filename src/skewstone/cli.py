@@ -13,6 +13,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import jsonio
 from .core_algebra import (
     EXHAUSTIVE_N,
@@ -58,7 +60,7 @@ def cmd_validate(cfg):
     elif kind == "space":
         report = validate_space(jsonio.space_from_dict(obj))
     elif kind == "morphism":
-        report = validate_space_morphism(jsonio.morphism_from_dict(obj, os.path.dirname(cfg.paths[0]) or "."))
+        report = validate_space_morphism(_morphism_of_valid_spaces(cfg, obj))
     elif kind == "hom":
         f = jsonio.hom_from_dict(obj, os.path.dirname(cfg.paths[0]) or ".")
         _valid_algebra(cfg, f.source)
@@ -77,12 +79,18 @@ def _valid_algebra(cfg, A):
     return A
 
 
-def _valid_space(obj):
-    sp = jsonio.space_from_dict(obj)
+def _valid_space(sp):
     report = validate_space(sp)
     if not report.ok:
         raise ValueError(f"input space is invalid: {report.failures[0]}")
     return sp
+
+
+def _morphism_of_valid_spaces(cfg, obj):
+    m = jsonio.morphism_from_dict(obj, os.path.dirname(cfg.paths[0]) or ".")
+    _valid_space(m.source)
+    _valid_space(m.target)
+    return m
 
 
 def cmd_spectrum(cfg):
@@ -95,7 +103,7 @@ def cmd_spectrum(cfg):
 
 
 def cmd_dualize(cfg):
-    sp = _valid_space(jsonio.load(cfg.paths[0]))
+    sp = _valid_space(jsonio.space_from_dict(jsonio.load(cfg.paths[0])))
     algebra, sections = dual_algebra(sp)
     out = jsonio.algebra_to_dict(algebra)
     if cfg.with_sections:
@@ -115,7 +123,7 @@ def cmd_roundtrip(cfg):
         else:
             print(f"isomorphic, |A|={A.n}")
     elif kind == "space":
-        sp = _valid_space(obj)
+        sp = _valid_space(jsonio.space_from_dict(obj))
         iso = space_roundtrip_iso(sp)
         if cfg.fmt == "json":
             jsonio.dump({"isomorphic": True, "E": sp.size_e, "B": sp.size_b,
@@ -153,8 +161,7 @@ def cmd_homs(cfg):
 def cmd_decompose(cfg):
     if cfg.out is None:
         raise ValueError("decompose needs --out DIR for its two output files")
-    morphism = jsonio.morphism_from_dict(jsonio.load(cfg.paths[0]),
-                                         os.path.dirname(cfg.paths[0]) or ".")
+    morphism = _morphism_of_valid_spaces(cfg, jsonio.load(cfg.paths[0]))
     report = validate_space_morphism(morphism)
     if not report.ok:
         raise ValueError(f"input morphism is invalid: {report.failures[0]}")
@@ -179,7 +186,7 @@ def cmd_section(cfg):
         else:
             jsonio.dump({"choice": list(section.choice)})
     elif kind == "space":
-        sp = _valid_space(obj)
+        sp = _valid_space(jsonio.space_from_dict(obj))
         section = find_global_section(sp)
         if section is None:
             print("none")
@@ -207,14 +214,10 @@ def cmd_generate(cfg):
 
 
 def _hasse_edges(A):
-    leq = leq_matrix(A)
-    strict = lambda x, y: x != y and leq[x][y]
-    edges = []
-    for x in A.elements:
-        for y in A.elements:
-            if strict(x, y) and not any(strict(x, w) and strict(w, y) for w in A.elements):
-                edges.append((x, y))
-    return edges
+    """The covering pairs x < y of the natural order, in C order."""
+    strict = leq_matrix(A) & ~np.eye(A.n, dtype=bool)
+    return [(x, y) for x, y in np.argwhere(strict).tolist()
+            if not (strict[x] & strict[:, y]).any()]
 
 
 def cmd_export_dot(cfg):
@@ -232,7 +235,7 @@ def cmd_export_dot(cfg):
             lines.append(f"  n{x} -> n{y};")
         lines.append("}")
     elif kind == "space":
-        sp = _valid_space(obj)
+        sp = _valid_space(jsonio.space_from_dict(obj))
         lines.append("graph fibration {")
         for b in range(sp.size_b):
             lines.append(f'  b{b} [label="b{b}" shape=box];')

@@ -29,11 +29,12 @@ class SizeCapError(RuntimeError):
 # and in the CLI's --max-size.  MAX_CARRIER caps the carriers the builders
 # enumerate (sections, partial maps).  Homomorphisms are read off the space
 # morphisms between the spectra, and that search counts its own work:
-# enumerate_homs.max_candidates (10^6 by default, also the bound of
-# enumerate_space_morphisms) counts every partial base map and every
+# MAX_CANDIDATES, the default max_candidates of enumerate_homs and
+# enumerate_space_morphisms, counts every partial base map and every
 # combination of fiber maps it tries.
 EXHAUSTIVE_N = 256
 MAX_CARRIER = 4096
+MAX_CANDIDATES = 10 ** 6
 
 _OPS = ("meet", "join", "diff", "cap")
 
@@ -200,10 +201,6 @@ def natural_preceq(A, x, y):
     return A.meet(A.meet(x, y), x) == x
 
 
-def _as_rows(mask):
-    return tuple(map(tuple, mask.tolist()))
-
-
 def _take(table, index):
     """np.take(table, index) for an n x n index.  take gathers faster than
     fancy indexing, but through an intp copy of its index, so it runs one
@@ -235,21 +232,9 @@ def _by_row_blocks(n, dtype, make_rows):
 
 
 @per_object
-def _preceq(A):
-    """[x, y]: x ^ y ^ x == x, the natural preorder, as a read-only boolean
-    array.  Green's relations, the prime ideals and their congruences all
-    read it."""
-    M = A.meet_table
-    rows = np.arange(A.n)[:, None]
-    pre = _gather(M, M, rows) == rows
-    pre.setflags(write=False)
-    return pre
-
-
-@per_object
-def _leq(A):
-    """[x, y]: x <= y, the natural partial order, as a read-only boolean
-    array."""
+def leq_matrix(A):
+    """leq[x, y] is natural_leq(A, x, y): the natural partial order as a
+    read-only boolean array, the one every module reads."""
     M = A.meet_table
     rows = np.arange(A.n)[:, None]
     leq = (M == rows) & (M.T == rows)
@@ -258,15 +243,15 @@ def _leq(A):
 
 
 @per_object
-def leq_matrix(A):
-    """leq[x][y] is natural_leq(A, x, y)."""
-    return _as_rows(_leq(A))
-
-
-@per_object
 def preceq_matrix(A):
-    """pre[x][y] is natural_preceq(A, x, y)."""
-    return _as_rows(_preceq(A))
+    """pre[x, y] is natural_preceq(A, x, y): the natural preorder as a
+    read-only boolean array.  Green's relations, the prime ideals and their
+    congruences all read it."""
+    M = A.meet_table
+    rows = np.arange(A.n)[:, None]
+    pre = _gather(M, M, rows) == rows
+    pre.setflags(write=False)
+    return pre
 
 
 def _first_bad(mask):
@@ -371,7 +356,7 @@ def _unproved_step(A):
     M, J, D, C = A.meet_table, A.join_table, A.diff_table, A.cap_table
     idx = np.arange(n)
     rows = idx[:, None]
-    leq = (M == rows) & (M.T == rows)
+    leq = leq_matrix(A)
 
     def table_laws():
         # Only any() is read, so a mask may be its law's transpose [y, x].
@@ -488,8 +473,7 @@ def _exhaustive_report(A):
     law("complement_meet_zero", M[D, W] != A.zero)
     law("complement_join_restore", J[D, W] != rows)
 
-    # leq[x, y] is x <= y in the natural partial order
-    leq = (M == rows) & (M.T == rows)
+    leq = leq_matrix(A)
     law("cap_is_lower_bound", ~(leq[C, rows] & leq[C, cols]))
     leq_t = leq.T
     # premise: z <= x and z <= y; conclusion: z <= x cap y
@@ -577,7 +561,7 @@ def green_partitions(A):
     M = A.meet_table
     rows = np.arange(A.n)[:, None]
     cols = rows.T
-    pre = _preceq(A)
+    pre = preceq_matrix(A)
     # Each element is labelled by the least member of its class.
     least = lambda related: partition_from_labels(np.argmax(related, axis=1).tolist())
     d = least(pre & pre.T)

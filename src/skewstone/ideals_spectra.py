@@ -21,8 +21,6 @@ from .core_algebra import (
     _atoms,
     _first_bad,
     _gather,
-    _leq,
-    _preceq,
     _take,
     is_congruence,
     leq_matrix,
@@ -116,7 +114,7 @@ def is_ideal(A, members):
     inP = _member_mask(A.n, members)
     if inP is None:
         return False
-    return _is_ideal(_preceq(A), A.join_table, A.zero, inP)
+    return _is_ideal(preceq_matrix(A), A.join_table, A.zero, inP)
 
 
 def _member_mask(n, members):
@@ -153,10 +151,10 @@ def enumerate_prime_ideals(A):
 def _prime_ideals(A):
     """enumerate_prime_ideals, and the membership mask of each prime."""
     M, J = A.meet_table, A.join_table
-    pre = _preceq(A)
+    pre = preceq_matrix(A)
     Q, to_d = reflection(A)
     # one membership mask per atom a of A/D: P_a, the x with not a <= to_d[x]
-    leq = _leq(Q)
+    leq = leq_matrix(Q)
     masks = ~np.take(leq[_atoms(leq, Q.zero)], to_d, axis=1)
     found = sorted(((tuple(np.flatnonzero(inP).tolist()), inP) for inP in masks),
                    key=lambda candidate: candidate[0])
@@ -186,7 +184,7 @@ def ideal_congruence(A, ideal):
     """
     members = ideal.members if isinstance(ideal, (Ideal, PrimeIdeal)) else tuple(ideal)
     inP = _member_mask(A.n, members)
-    if inP is None or not _is_ideal(_preceq(A), A.join_table, A.zero, inP):
+    if inP is None or not _is_ideal(preceq_matrix(A), A.join_table, A.zero, inP):
         raise ValueError(f"{members} is not an ideal")
     return _ideal_congruence(A, _relating(A), inP)
 
@@ -331,23 +329,22 @@ def _join_closure(A, seed):
             return tuple(members.tolist())
 
 
+def _down_closure(A, order, subset):
+    """The zero and every y with order[y, s] for some s in the subset."""
+    down = order[:, sorted(set(subset))].any(axis=1)
+    down[A.zero] = True
+    return np.flatnonzero(down).tolist()
+
+
 def leq_ideal_generated(A, subset):
     """Least set containing the subset that is downward closed for the
     natural partial order and closed under joins (downclose, then join)."""
-    leq = leq_matrix(A)
-    down = {A.zero}
-    for s in set(subset):
-        down.update(y for y in A.elements if leq[y][s])
-    return _join_closure(A, down)
+    return _join_closure(A, _down_closure(A, leq_matrix(A), subset))
 
 
 def preceq_ideal_generated(A, subset):
     """Least ideal containing the subset: preorder downclose, then join-close."""
-    pre = preceq_matrix(A)
-    down = {A.zero}
-    for s in set(subset):
-        down.update(y for y in A.elements if pre[y][s])
-    members = _join_closure(A, down)
+    members = _join_closure(A, _down_closure(A, preceq_matrix(A), subset))
     if not is_ideal(A, members):
         raise RuntimeError(f"generated set {members} is not an ideal")
     return Ideal(members)

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core_algebra import green_partitions, handedness, reflection
 from .ideals_spectra import _basic_copens, fibers, spectrum_data
 
@@ -51,13 +53,9 @@ def is_lattice_section(A, choice):
     AD, to_d = reflection(A)
     if choice[to_d[A.zero]] != A.zero:
         return False
-    for i in range(AD.n):
-        for j in range(AD.n):
-            if A.meet(choice[i], choice[j]) != choice[AD.meet(i, j)]:
-                return False
-            if A.join(choice[i], choice[j]) != choice[AD.join(i, j)]:
-                return False
-    return True
+    c = np.asarray(choice)
+    return all(np.array_equal(getattr(A, op)[np.ix_(c, c)], np.take(c, getattr(AD, op)))
+               for op in ("meet_table", "join_table"))
 
 
 def find_lattice_section(A):
@@ -68,21 +66,19 @@ def find_lattice_section(A):
     d = green_partitions(A)[0]
     AD, to_d = reflection(A)
     k = AD.n
-    # class pairs whose meet or join lands in class t, checked when t is filled
+    # (table of A, i, j, class of i . j) for the class pairs whose meet or
+    # join lands in class t, checked when t is filled
     triggers = [[] for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            for op, qop in (("meet", AD.meet), ("join", AD.join)):
-                triggers[max(i, j, qop(i, j))].append((op, i, j))
+    i, j = np.indices((k, k))
+    for op in ("meet_table", "join_table"):
+        Q = getattr(AD, op)
+        last = np.maximum(np.maximum(i, j), Q)
+        for t, x, y, q in zip(*(a.ravel().tolist() for a in (last, i, j, Q))):
+            triggers[t].append((getattr(A, op), x, y, q))
     choice = [None] * k
 
     def consistent(t):
-        for op, i, j in triggers[t]:
-            got = getattr(A, op)(choice[i], choice[j])
-            want_class = AD.meet(i, j) if op == "meet" else AD.join(i, j)
-            if got != choice[want_class]:
-                return False
-        return True
+        return all(T.item(choice[x], choice[y]) == choice[q] for T, x, y, q in triggers[t])
 
     def extend(t):
         if t == k:
@@ -126,12 +122,13 @@ def lattice_section_to_global(A, section):
         base_of.append(frozenset(pi for pi, p in enumerate(sd.primes)
                                  if rep not in p.members))
     copens = [frozenset(c) for c in _basic_copens(A, section.choice)]
+    meet = AD.meet_table.tolist()
     for i in range(AD.n):
         for j in range(AD.n):
             # the local pieces agree on overlaps
             overlap = base_of[i] & base_of[j]
             glued = frozenset(e for e in copens[j] if sd.space.p[e] in overlap)
-            if copens[AD.meet(i, j)] != glued:
+            if copens[meet[i][j]] != glued:
                 raise ValueError(f"local sections disagree above classes ({i}, {j})")
     points = sorted(frozenset().union(*copens)) if copens else []
     if sorted(sd.space.p[e] for e in points) != list(range(sd.space.size_b)):

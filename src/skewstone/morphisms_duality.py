@@ -16,6 +16,7 @@ from itertools import chain, combinations, permutations, product
 import numpy as np
 
 from .core_algebra import (
+    MAX_CANDIDATES,
     SizeCapError,
     StructuralError,
     ValidationReport,
@@ -128,7 +129,7 @@ def compose_homs(outer, inner):
                         tuple(outer.map[v] for v in inner.map))
 
 
-def enumerate_homs(A, B, max_candidates=10 ** 6):
+def enumerate_homs(A, B, max_candidates=MAX_CANDIDATES):
     """All homomorphisms A -> B, in lexicographic map order, read off the
     duality: Hom(A, B) is in bijection with the space morphisms
     Sk(B) -> Sk(A), and m gives iso_B^-1 . hom_of_space_morphism(m) . iso_A
@@ -139,8 +140,8 @@ def enumerate_homs(A, B, max_candidates=10 ** 6):
     search: every partial base map and every combination of fiber maps it
     tries is one candidate, and it raises SizeCapError past the bound.
     """
-    morphisms = _space_morphisms(spectrum_data(B).space, spectrum_data(A).space,
-                                 max_candidates)
+    morphisms = enumerate_space_morphisms(spectrum_data(B).space, spectrum_data(A).space,
+                                          max_candidates)
     return tuple(sorted(_transport(A, B, morphisms), key=lambda f: f.map))
 
 
@@ -226,19 +227,16 @@ def compose_space_morphisms(outer, inner):
     return SpaceMorphism(inner.source, outer.target, partial_map(g), partial_map(h))
 
 
-def enumerate_space_morphisms(sp, tp):
+def enumerate_space_morphisms(sp, tp, max_candidates=MAX_CANDIDATES):
     """All valid space morphisms sp -> tp.
 
     Base maps are enumerated first; over each base point in the domain the
     fiber map is an injection from a subset of the fiber onto the whole
     target fiber, so those are enumerated directly instead of filtering all
-    partial maps on E.  Raises SizeCapError past 10^6 candidates, counted as
-    in enumerate_homs.
+    partial maps on E.  Every partial base map and every combination of
+    fiber maps tried is one candidate; past max_candidates of them it
+    raises SizeCapError.
     """
-    return _space_morphisms(sp, tp)
-
-
-def _space_morphisms(sp, tp, max_candidates=10 ** 6):
     src_fib, tgt_fib = fibers(sp), fibers(tp)
     out = []
     tried = 0
@@ -531,25 +529,25 @@ def is_partial_identity_up_to_iso(m):
 
 @per_object
 def classify_hom(f):
-    """Algebraic counterparts of the space-morphism classes."""
+    """Algebraic counterparts of the space-morphism classes, as masks over
+    the image of f and the order ideal it generates."""
     B = f.target
-    image = set(f.map)
-    ideal = set(leq_ideal_generated(B, image))
-    leq_cofinal = len(ideal) == B.n
-    preceq_cofinal = len(preceq_ideal_generated(B, image).members) == B.n
-    d = green_partitions(B)[0]
-    image_classes = {d.labels[v] for v in image}
-    d_saturated = all(b in image for b in B.elements if d.labels[b] in image_classes)
-    leq = leq_matrix(B)
-    down_closed = all(y in image for y in B.elements for v in image if leq[y][v])
-    injective = len(image) == f.source.n
-    pre = preceq_matrix(B)
-    ideal_pre_closed = all(y in ideal for x in ideal for y in B.elements if pre[y][x])
-    return HomFlags(leq_cofinal=leq_cofinal,
+    image = np.zeros(B.n, dtype=bool)
+    image[list(f.map)] = True
+    ideal = np.zeros(B.n, dtype=bool)
+    ideal[list(leq_ideal_generated(B, f.map))] = True
+    preceq_cofinal = len(preceq_ideal_generated(B, f.map).members) == B.n
+    d = np.asarray(green_partitions(B)[0].labels)
+    image_classes = np.zeros(B.n, dtype=bool)
+    image_classes[d[image]] = True
+    # a set S is down-closed for an order when nothing outside S lies below a member
+    down_closed = lambda order, S: not (order[:, S].any(axis=1) & ~S).any()
+    return HomFlags(leq_cofinal=bool(ideal.all()),
                     preceq_cofinal=preceq_cofinal,
-                    D_saturated=d_saturated,
-                    leq_ideal_inclusion=injective and down_closed,
-                    image_ideal_preceq_closed=ideal_pre_closed)
+                    D_saturated=not (image_classes[d] & ~image).any(),
+                    leq_ideal_inclusion=(len(set(f.map)) == f.source.n
+                                         and down_closed(leq_matrix(B), image)),
+                    image_ideal_preceq_closed=down_closed(preceq_matrix(B), ideal))
 
 
 def check_variant_dualities(f):

@@ -271,29 +271,23 @@ def reflection_check(sp):
     """Verify that taking base images is the lattice reflection of the section
     algebra: a surjective {0, meet, join}-map onto the subsets of B whose
     kernel is the Green D relation, with the preorder matching image
-    inclusion."""
+    inclusion.  Base images are bit sets, bit b for base point b, and each
+    condition is one whole-table comparison.  The images can cover the
+    subsets of B only when 2^|B| <= n <= MAX_CARRIER, so then every bit set
+    fits in an int64."""
     A, sections = dual_algebra(sp)
-    img = [frozenset(sp.p[e] for e in s) for s in sections]
-    if {frozenset(u) for u in img} != {frozenset(c) for k in range(sp.size_b + 1)
-                                       for c in combinations(range(sp.size_b), k)}:
+    if A.n < 1 << sp.size_b:
         return False
-    if img[A.zero] != frozenset():
+    img = np.array([sum(1 << sp.p[e] for e in s) for s in sections], dtype=np.int64)
+    if not np.array_equal(np.unique(img), np.arange(1 << sp.size_b)) or img[A.zero] != 0:
         return False
-    for i in range(A.n):
-        for j in range(A.n):
-            if img[A.meet(i, j)] != img[i] & img[j]:
-                return False
-            if img[A.join(i, j)] != img[i] | img[j]:
-                return False
-    d = green_partitions(A)[0]
-    pre = preceq_matrix(A)
-    for i in range(A.n):
-        for j in range(A.n):
-            if (d.labels[i] == d.labels[j]) != (img[i] == img[j]):
-                return False
-            if pre[i][j] != (img[i] <= img[j]):
-                return False
-    return True
+    i, j = img[:, None], img[None, :]
+    if not (np.array_equal(np.take(img, A.meet_table), i & j)
+            and np.array_equal(np.take(img, A.join_table), i | j)):
+        return False
+    d = np.asarray(green_partitions(A)[0].labels)
+    return (np.array_equal(d[:, None] == d[None, :], i == j)
+            and np.array_equal(preceq_matrix(A), (i & ~j) == 0))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 
 from skewstone import (
     CongruenceError,
+    HomFlags,
     Homomorphism,
     Ideal,
     PrimeIdeal,
@@ -20,6 +21,7 @@ from skewstone import (
     make_space,
     mirror,
     natural_leq,
+    natural_preceq,
     preceq_ideal_generated,
     random_space,
     right_band,
@@ -509,6 +511,89 @@ def basic_copen_oracle(A, a):
     sd = spectrum_data(A)
     return tuple(sorted(sd.point_of(pi, a) for pi, prime in enumerate(sd.primes)
                         if a not in prime.members))
+
+
+# ---------------------------------------------------------------------------
+# Loop oracles for the readers of the natural order: the pairwise loops that
+# the masks over leq_matrix / preceq_matrix replaced, with each order read
+# through natural_leq / natural_preceq.
+# ---------------------------------------------------------------------------
+
+def _down_closure_oracle(A, related, subset):
+    down = {A.zero}
+    for s in set(subset):
+        down.update(y for y in A.elements if related(A, y, s))
+    return down
+
+
+def leq_ideal_generated_oracle(A, subset):
+    """Oracle for leq_ideal_generated: downclose element by element, then
+    join-close."""
+    return join_closure_oracle(A, _down_closure_oracle(A, natural_leq, subset))
+
+
+def preceq_ideal_generated_oracle(A, subset):
+    """Oracle for preceq_ideal_generated: preorder downclose element by
+    element, join-close, then check the result is an ideal."""
+    members = join_closure_oracle(A, _down_closure_oracle(A, natural_preceq, subset))
+    if not is_ideal_oracle(A, members):
+        raise RuntimeError(f"generated set {members} is not an ideal")
+    return Ideal(members)
+
+
+def classify_hom_oracle(f):
+    """Oracle for classify_hom: each flag as a set comprehension over pairs."""
+    B = f.target
+    image = set(f.map)
+    ideal = set(leq_ideal_generated_oracle(B, image))
+    leq_cofinal = len(ideal) == B.n
+    preceq_cofinal = len(preceq_ideal_generated_oracle(B, image).members) == B.n
+    d = green_partitions_oracle(B)[0]
+    image_classes = {d.labels[v] for v in image}
+    d_saturated = all(b in image for b in B.elements if d.labels[b] in image_classes)
+    down_closed = all(y in image for y in B.elements for v in image if natural_leq(B, y, v))
+    injective = len(image) == f.source.n
+    ideal_pre_closed = all(y in ideal for x in ideal for y in B.elements
+                           if natural_preceq(B, y, x))
+    return HomFlags(leq_cofinal=leq_cofinal,
+                    preceq_cofinal=preceq_cofinal,
+                    D_saturated=d_saturated,
+                    leq_ideal_inclusion=injective and down_closed,
+                    image_ideal_preceq_closed=ideal_pre_closed)
+
+
+def reflection_check_oracle(sp):
+    """Oracle for reflection_check: base images as frozensets, every
+    condition checked pair by pair."""
+    A, sections = dual_algebra(sp)
+    img = [frozenset(sp.p[e] for e in s) for s in sections]
+    if set(img) != {frozenset(c) for k in range(sp.size_b + 1)
+                    for c in combinations(range(sp.size_b), k)}:
+        return False
+    if img[A.zero] != frozenset():
+        return False
+    for i in A.elements:
+        for j in A.elements:
+            if img[A.meet(i, j)] != img[i] & img[j]:
+                return False
+            if img[A.join(i, j)] != img[i] | img[j]:
+                return False
+    d = green_partitions_oracle(A)[0]
+    for i in A.elements:
+        for j in A.elements:
+            if (d.labels[i] == d.labels[j]) != (img[i] == img[j]):
+                return False
+            if natural_preceq(A, i, j) != (img[i] <= img[j]):
+                return False
+    return True
+
+
+def hasse_edges_oracle(A):
+    """Oracle for cli._hasse_edges: x < y with no w strictly between them,
+    in C order."""
+    strict = lambda x, y: x != y and natural_leq(A, x, y)
+    return [(x, y) for x in A.elements for y in A.elements
+            if strict(x, y) and not any(strict(x, w) and strict(w, y) for w in A.elements)]
 
 
 # ---------------------------------------------------------------------------

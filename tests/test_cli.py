@@ -146,6 +146,31 @@ class TestExitCodes:
         assert captured.err == ("error: limit: n=300 fails proof step cap_commutative;"
                                 " the exhaustive report is capped at n=256\n")
 
+    @pytest.mark.parametrize("command", ["validate", "decompose"])
+    @pytest.mark.parametrize("source, target, g, failure", [
+        # source, then target, not surjective: base point 1 has no fiber
+        ({"E": 1, "B": 2, "p": [0]}, {"E": 1, "B": 1, "p": [0]}, [0],
+         "('p_surjective', (1,))"),
+        ({"E": 1, "B": 1, "p": [0]}, {"E": 1, "B": 2, "p": [0]}, [0],
+         "('p_surjective', (1,))"),
+        # a two-point semilattice band on both sides, which is not rectangular
+        ({"E": 2, "B": 1, "p": [0, 0], "band": [[0, 0], [0, 1]]},
+         {"E": 2, "B": 1, "p": [0, 0], "band": [[0, 0], [0, 1]]}, [0, 1],
+         "('band_rectangular', (1, 0, 1))"),
+    ], ids=["source_not_surjective", "target_not_surjective", "band_not_rectangular"])
+    def test_morphism_between_invalid_spaces_exits_one(self, capsys, tmp_path, command,
+                                                       source, target, g, failure):
+        path = tmp_path / "morphism.json"
+        path.write_text(json.dumps({"g": {"domain": g, "values": g},
+                                    "h": {"domain": [0], "values": [0]},
+                                    "source": source, "target": target}))
+        out_dir = tmp_path / "parts"
+        code = main([command, str(path), "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"error: input space is invalid: {failure}\n"
+        assert not out_dir.exists()
+
 
 class TestCommands:
     def test_spectrum_values(self, capsys, three_file):
