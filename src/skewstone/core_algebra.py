@@ -8,6 +8,7 @@ immutable values; results and reported witnesses are deterministic.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import wraps
@@ -269,6 +270,157 @@ def _atoms(leq, zero):
     return [a for a in np.flatnonzero(others == 0).tolist() if a != zero]
 
 
+# ---------------------------------------------------------------------------
+# Products of rectangular bands with a zero adjoined
+# ---------------------------------------------------------------------------
+
+def _is_rectangular_band(T):
+    """True if T, an m x m table on 0..m-1, is a rectangular band, decided
+    by decoding it.  In a rectangular band R x C, x y = (row(x), col(y)):
+    rows are equal exactly when their first entries are, and columns when
+    their first entries are.  So x is placed at (T[x, 0], T[0, x]), and T
+    is a rectangular band exactly when these places are a bijection onto
+    R x C (R the values of column 0, C those of row 0) and T[x, y] is the
+    element placed at (T[x, 0], T[0, y]).  Anything that is not an integer
+    table on 0..m-1 gives False."""
+    m = len(T)
+    if m == 0 or T.shape != (m, m) or T.dtype.kind not in "iu" or T.min() < 0 or T.max() >= m:
+        return False
+    row, col = T[:, 0], T[0]
+    at = np.full((m, m), -1)
+    at[row, col] = np.arange(m)
+    placed = at >= 0
+    return (np.count_nonzero(placed) == m
+            and np.count_nonzero(placed.any(axis=1)) * np.count_nonzero(placed.any(axis=0)) == m
+            and np.array_equal(T, at[row[:, None], col]))
+
+
+def band_law_witness(table):
+    """First violated rectangular-band law, or None: idempotency,
+    associativity, and the rectangle identity x ^ y ^ z = x ^ z.  A table
+    that decodes as a rectangle (_is_rectangular_band) has none; only one
+    that does not pays for the search of the first witness over m^3 triples."""
+    try:
+        T = np.asarray(table)
+    except ValueError:                           # ragged rows
+        T = np.empty(0)
+    if _is_rectangular_band(T):
+        return None
+    m = len(table)
+    for x in range(m):
+        if table[x][x] != x:
+            return ("band_idempotent", (x,))
+    for x in range(m):
+        for y in range(m):
+            for z in range(m):
+                if table[table[x][y]][z] != table[x][table[y][z]]:
+                    return ("band_associative", (x, y, z))
+                if table[table[x][y]][z] != table[x][z]:
+                    return ("band_rectangular", (x, y, z))
+    return None
+
+
+ROW_BLOCK = 2 ** 16
+
+
+def _product_algebra(bands, digits):
+    """Algebra of independent choices, one per coordinate: nothing, or a
+    point of that coordinate's rectangular band.  bands[b] is the band of
+    coordinate b as a table on 0..m-1.  digits is an (n, k) integer array:
+    digits[x, b] is 0 if element x has no point at coordinate b and 1 + i
+    if it has point i.  The caller's element x stays element x, so the rows
+    of digits, read as mixed-radix codes, must number the product's
+    prod(1 + m) elements once each; ValueError otherwise."""
+    zero, tables = _product_tables(bands, digits)
+    return SkewAlgebra(len(digits), zero, *tables)
+
+
+def _product_tables(bands, digits):
+    """The zero of _product_algebra(bands, digits), and an iterator that
+    makes its four tables one at a time, in _OPS order.
+
+    Every operation acts digitwise; with s the left operand and r the right:
+    meet is band(s, r) where both are present, join keeps a lone point and
+    combines two as band(r, s), diff keeps s where r is absent, and cap
+    keeps s where the two agree.  A table row is these digit tables read at
+    the row's digits and summed as mixed-radix codes, then renumbered into
+    the caller's order.  The codes lie below n, so they are int32 like the
+    tables.  Rows are made in blocks of at most ROW_BLOCK entries into the
+    int32 table, so no other n x n array exists.
+    """
+    digits = np.asarray(digits, dtype=np.int64)
+    n = len(digits)
+    sizes = [1 + len(band) for band in bands]
+    if math.prod(sizes) != n:
+        raise ValueError(f"{n} digit rows for a product of {math.prod(sizes)} elements")
+    radix = np.cumprod([1] + sizes)[:-1]
+    rank = np.full(n, -1, dtype=np.int32)
+    rank[digits @ radix] = np.arange(n)
+    if (rank < 0).any():
+        raise ValueError("two digit rows give the same element")
+    ops = []
+    for band in bands:
+        m = len(band)
+        s, r = np.ogrid[:m + 1, :m + 1]
+        both = np.zeros((m + 1, m + 1), dtype=np.int64)
+        both[1:, 1:] = np.reshape(band, (m, m)) + 1
+        ops.append((np.where((s > 0) & (r > 0), both, 0),
+                    np.where(r == 0, s, np.where(s == 0, r, both.T)),
+                    np.where(r == 0, s, 0),
+                    np.where(s == r, s, 0)))
+    rows = max(1, ROW_BLOCK // n)
+
+    def table(k):
+        # per coordinate, the code that each digit of a row gives each column
+        parts = [np.take(op[k] * weight, col, axis=1).astype(np.int32)
+                 for col, op, weight in zip(digits.T, ops, radix)]
+        out = np.empty((n, n), dtype=np.int32)
+        for start in range(0, n, rows):
+            block = digits[start:start + rows]
+            code = np.zeros((len(block), n), dtype=np.int32)
+            for part, d in zip(parts, block.T):
+                code += np.take(part, d, axis=0)
+            np.take(rank, code, out=out[start:start + rows])
+        return out
+
+    return int(rank[0]), map(table, range(4))
+
+
+def _certificate(A):
+    """True if A is, table for table, the product of rectangular bands with
+    a zero adjoined that its atoms describe (validate_algebra's docstring
+    has the argument); False if A does not decode as one or differs."""
+    n, M, zero = A.n, A.meet_table, A.zero
+    leq = leq_matrix(A)
+    atoms = np.array(_atoms(leq, zero), dtype=np.intp)
+    fibers = []
+    if len(atoms):
+        meets = M[np.ix_(atoms, atoms)] != zero      # [a, b]: a ^ b is not zero
+        first = np.argmax(meets, axis=1)             # the first atom each atom meets
+        if not np.array_equal(meets, first[:, None] == first[None, :]):
+            return False                             # not an equivalence
+        fibers = [atoms[first == i] for i in np.flatnonzero(first == np.arange(len(atoms)))]
+    bands, digits = [], np.zeros((n, len(fibers)), dtype=np.int64)
+    for b, f in enumerate(fibers):
+        where = np.full(n, -1, dtype=np.intp)
+        where[f] = np.arange(len(f))
+        band = where[M[np.ix_(f, f)]]
+        if not _is_rectangular_band(band):
+            return False
+        bands.append(band)
+        below = leq[f]                               # [i, x]: point i of fiber b is below x
+        count = below.sum(axis=0)
+        if count.max() > 1:
+            return False
+        digits[:, b] = np.where(count > 0, np.argmax(below, axis=0) + 1, 0)
+    try:
+        product_zero, tables = _product_tables(bands, digits)
+    except ValueError:                               # the digits do not number the product
+        return False
+    return product_zero == zero and all(
+        np.array_equal(T, getattr(A, name + "_table")) for name, T in zip(_OPS, tables))
+
+
 def validate_algebra(A, max_n=EXHAUSTIVE_N):
     """Check every axiom, returning all violated laws with witnesses.
 
@@ -280,13 +432,40 @@ def validate_algebra(A, max_n=EXHAUSTIVE_N):
     of join are implied by the axioms, so violations of those are reported
     as warnings (useful when hunting for which axiom a broken table loses).
 
-    A proof costing n^2 * |G| (``_unproved_step``) runs first, at every n.
-    If every step passes, A is valid and the report is ok with no warnings.
-    If one fails, the exhaustive check (``_exhaustive_report``) gives the
-    report, so failures, first witnesses (C order) and warnings are always
-    the exhaustive ones.  That check is cubic, so past n = max_n it is not
-    run: SizeCapError is raised instead, naming the failed step.  The steps,
-    each sound given those before it:
+    A certificate (``_certificate``) runs first, at every n, at the cost of
+    building four tables and comparing them.  On a finite discrete base the
+    section algebra of a rectangular space is the product over the base
+    points of the fiber bands, each with a zero adjoined.  The certificate
+    reads such a product off A's atoms: two atoms lie in one fiber when
+    their meet is not the zero, which must be an equivalence; a fiber's
+    band is the meet table on its atoms; an element's digits are the atoms
+    below it, at most one per fiber.  It builds that product in A's element
+    order and compares the zero and the four tables with A's.  If all five
+    agree, A is valid, and the report is ok with no warnings:
+
+    - Every band is checked to be rectangular, so each factor, a
+      rectangular band with a zero adjoined, is a skew Boolean algebra with
+      intersections (Leech 1990, cited in 8), and so is the product.  Every
+      law but the glb law is an identity, so it holds coordinatewise.  The
+      natural order of a product is coordinatewise, and cap, coordinatewise
+      the greatest lower bound, is the greatest lower bound.
+    - n = prod(1 + |fiber|) and the elements' digits, read as mixed-radix
+      codes, are distinct (the builder refuses them otherwise), so they
+      number the product's elements once each.  With the five
+      comparisons, A is isomorphic to the product.
+
+    Soundness rests on these checks alone; how the fibers and digits were
+    read needs no proof.  Every valid A passes: it is the section algebra
+    of its spectrum, whose atoms are the one-point sections, and that is
+    the product read off.
+
+    If the certificate refuses A, the fallback runs: a proof costing
+    n^2 * |G| (``_unproved_step``), at every n, and, if a step of it fails,
+    the exhaustive check (``_exhaustive_report``), which gives the report.
+    So failures, first witnesses (C order) and warnings are always the
+    exhaustive ones.  That check is cubic, so past n = max_n it is not run:
+    SizeCapError is raised instead, naming the failed step.  The proof's
+    steps, each sound given those before it:
 
     1. The laws with n or n^2 instances, on the whole table: both
        idempotents, the four absorptions, zero neutral, both complement
@@ -339,6 +518,8 @@ def validate_algebra(A, max_n=EXHAUSTIVE_N):
        the axioms (Leech, "Skew Boolean algebras", Algebra Universalis 27,
        1990), so a valid A has none.
     """
+    if _certificate(A):
+        return ValidationReport(ok=True, failures=(), warnings=())
     step = _unproved_step(A)
     if step is None:
         return ValidationReport(ok=True, failures=(), warnings=())

@@ -2,7 +2,8 @@
 
 A space morphism (g, h) : p -> p' is a commuting square of partial maps in
 which g restricts to a bijection from each fiber piece onto the fiber over
-the image base point, and preserves the band when both spaces carry one.
+the image base point, and preserves the band, a plain space's band being
+the right band x y = y.
 The dual of a homomorphism acts by preimages; the dual of a space morphism
 acts on sections by preimage under g.
 """
@@ -183,8 +184,10 @@ def _transport(A, B, morphisms):
 # ---------------------------------------------------------------------------
 
 def validate_space_morphism(m):
-    """Check the commuting square, fiber bijectivity, and band preservation
-    (the latter only when both spaces carry bands)."""
+    """Check the commuting square, fiber bijectivity, and band preservation.
+    A plain space's band is read as the right band x y = y, the one its
+    section algebra uses, so a morphism between two plain spaces always
+    preserves it."""
     sp, tp = m.source, m.target
     if any(not 0 <= y < sp.size_e for y in m.g.domain) or \
        any(not 0 <= v < tp.size_e for v in m.g.values) or \
@@ -201,13 +204,14 @@ def validate_space_morphism(m):
         piece = sorted(g[y] for y in fibers(sp)[x] if y in g)
         if piece != sorted(set(piece)) or piece != list(tgt_fibers[hx]):
             failures.append(("fiber_bijection", (x,)))
-    if sp.band is not None and tp.band is not None:
+    if sp.band is not None or tp.band is not None:
+        band = lambda space, x, y: y if space.band is None else space.band[x][y]
         for y1 in g:
             for y2 in g:
                 if sp.p[y1] != sp.p[y2]:
                     continue
-                v = sp.band[y1][y2]
-                if v not in g or g[v] != tp.band[g[y1]][g[y2]]:
+                v = band(sp, y1, y2)
+                if v not in g or g[v] != band(tp, g[y1], g[y2]):
                     failures.append(("band_preserved", (y1, y2)))
     return ValidationReport(ok=not failures, failures=tuple(failures))
 

@@ -24,6 +24,8 @@ from .core_algebra import (
     SizeCapError,
     SkewAlgebra,
     ValidationReport,
+    _product_algebra,
+    band_law_witness,
     green_partitions,
     per_object,
     preceq_matrix,
@@ -106,23 +108,6 @@ class BandOnY:
         return self.table[x][y]
 
 
-def band_law_witness(table):
-    """First violated rectangular-band law, or None: idempotency,
-    associativity, and the rectangle identity x ^ y ^ z = x ^ z."""
-    m = len(table)
-    for x in range(m):
-        if table[x][x] != x:
-            return ("band_idempotent", (x,))
-    for x in range(m):
-        for y in range(m):
-            for z in range(m):
-                if table[table[x][y]][z] != table[x][table[y][z]]:
-                    return ("band_associative", (x, y, z))
-                if table[table[x][y]][z] != table[x][z]:
-                    return ("band_rectangular", (x, y, z))
-    return None
-
-
 def right_band(m):
     return BandOnY(tuple(tuple(y for y in range(m)) for _ in range(m)))
 
@@ -200,60 +185,6 @@ def _fiber_band(sp, fiber):
     return [[pos[sp.band[x][y]] for y in fiber] for x in fiber]
 
 
-ROW_BLOCK = 2 ** 16
-
-
-def _product_algebra(bands, choices):
-    """Algebra of independent choices, one per coordinate: nothing, or a
-    point of that coordinate's rectangular band.  bands[b] is the band of
-    coordinate b as a table on 0..m-1; choices[k] lists the (coordinate,
-    point) pairs of the caller's element k, which stays element k.
-
-    Coordinate b is read as a digit, 0 for absent and 1 + i for point i, and
-    every operation acts digitwise; with s the left operand and r the right:
-    meet is band(s, r) where both are present, join keeps a lone point and
-    combines two as band(r, s), diff keeps s where r is absent, and cap
-    keeps s where the two agree.  A table row is these digit tables read at
-    the row's digits and summed as mixed-radix codes, then renumbered into
-    the caller's order.  The codes lie below n, so they are int32 like the
-    tables.  Rows are made in blocks of at most ROW_BLOCK entries into the
-    int32 table, so no other n x n array exists.
-    """
-    n = len(choices)
-    digits = np.zeros((n, len(bands)), dtype=np.int64)
-    for k, pairs in enumerate(choices):
-        for b, i in pairs:
-            digits[k, b] = 1 + i
-    ops = []
-    for band in bands:
-        m = len(band)
-        s, r = np.ogrid[:m + 1, :m + 1]
-        both = np.zeros((m + 1, m + 1), dtype=np.int64)
-        both[1:, 1:] = np.reshape(band, (m, m)) + 1
-        ops.append((np.where((s > 0) & (r > 0), both, 0),
-                    np.where(r == 0, s, np.where(s == 0, r, both.T)),
-                    np.where(r == 0, s, 0),
-                    np.where(s == r, s, 0)))
-    radix = np.cumprod([1] + [1 + len(band) for band in bands])[:-1]
-    rank = np.empty(n, dtype=np.int32)
-    rank[digits @ radix] = np.arange(n)
-    rows = max(1, ROW_BLOCK // n)
-    tables = []
-    for k in range(4):
-        # per coordinate, the code that each digit of a row gives each column
-        parts = [np.take(op[k] * weight, col, axis=1).astype(np.int32)
-                 for col, op, weight in zip(digits.T, ops, radix)]
-        table = np.empty((n, n), dtype=np.int32)
-        for start in range(0, n, rows):
-            block = digits[start:start + rows]
-            code = np.zeros((len(block), n), dtype=np.int32)
-            for part, d in zip(parts, block.T):
-                code += np.take(part, d, axis=0)
-            np.take(rank, code, out=table[start:start + rows])
-        tables.append(table)
-    return SkewAlgebra(n, int(rank[0]), *tables)
-
-
 @per_object
 def dual_algebra(sp):
     """Section algebra of a space, through its fiber bands (the right band on
@@ -262,9 +193,17 @@ def dual_algebra(sp):
     """
     sections = enumerate_sections(sp)
     fib = fibers(sp)
-    pos = {e: i for f in fib for i, e in enumerate(f)}
-    choices = [[(sp.p[e], pos[e]) for e in s] for s in sections]
-    return _product_algebra([_fiber_band(sp, f) for f in fib], choices), sections
+    digit = [0] * sp.size_e                      # 1 + the position of e in its fiber
+    for f in fib:
+        for i, e in enumerate(f):
+            digit[e] = 1 + i
+    digits = []
+    for s in sections:
+        row = [0] * len(fib)
+        for e in s:
+            row[sp.p[e]] = digit[e]
+        digits.append(row)
+    return _product_algebra([_fiber_band(sp, f) for f in fib], digits), sections
 
 
 def reflection_check(sp):
@@ -348,8 +287,16 @@ def partial_map_algebra(x_size, y_size, band):
     if band.m != y_size:
         raise ValueError("band size does not match the value set")
     maps = all_partial_maps(x_size, y_size)
-    graphs = [zip(f.domain, f.values) for f in maps]
-    return _product_algebra([band.table] * x_size, graphs), maps
+    return _product_algebra([band.table] * x_size, _map_digits(maps, x_size)), maps
+
+
+def _map_digits(maps, x_size):
+    """The digits of partial maps as sections of X x Y -> X: 1 + f(x) where
+    f is defined at x, else 0."""
+    digits = np.zeros((len(maps), x_size), dtype=np.int64)
+    for k, f in enumerate(maps):
+        digits[k, list(f.domain)] = np.add(f.values, 1)
+    return digits
 
 
 def partial_map_algebra_from_family(x_size, y_size, sand):
@@ -370,8 +317,7 @@ def partial_map_algebra_from_family(x_size, y_size, sand):
                 raise ValueError(f"family gives no value table at {x}: "
                                  f"two maps defined at {x} alone give {h}")
         bands.append([[h.values[0] for h in row] for row in table])
-    graphs = [zip(f.domain, f.values) for f in maps]
-    return _product_algebra(bands, graphs), maps
+    return _product_algebra(bands, _map_digits(maps, x_size)), maps
 
 
 # ---------------------------------------------------------------------------

@@ -655,6 +655,22 @@ def glb_cap_table_oracle(n, meet, join):
     return cap
 
 
+def band_law_witness_oracle(table):
+    """Oracle for band_law_witness: the first violated law among
+    idempotency, associativity and the rectangle identity x y z = x z,
+    searched over every element and every triple."""
+    m = len(table)
+    for x in range(m):
+        if table[x][x] != x:
+            return ("band_idempotent", (x,))
+    for x, y, z in product(range(m), repeat=3):
+        if table[table[x][y]][z] != table[x][table[y][z]]:
+            return ("band_associative", (x, y, z))
+        if table[table[x][y]][z] != table[x][z]:
+            return ("band_rectangular", (x, y, z))
+    return None
+
+
 def glb_law_holds_oracle(A):
     """Oracle for the last step of the validator's proof: x cap y lies above
     every z below both x and y, checked for every z (not only the atoms),

@@ -172,6 +172,38 @@ class TestExitCodes:
         assert not out_dir.exists()
 
 
+    @pytest.mark.parametrize("band, witnesses", [
+        ([[0, 1], [0, 1]], []),
+        ([[0, 0], [1, 1]], [(0, 1), (1, 0)]),
+        # the grid moves the row with the left operand: the pairs from two rows fail
+        ([[0, 1, 0, 1], [0, 1, 0, 1], [2, 3, 2, 3], [2, 3, 2, 3]],
+         [(0, 2), (0, 3), (1, 2), (1, 3), (2, 0), (2, 1), (3, 0), (3, 1)]),
+    ], ids=["right", "left", "grid"])
+    @pytest.mark.parametrize("plain_is_source", [True, False], ids=["from_plain", "to_plain"])
+    def test_plain_space_is_read_as_the_right_band(self, capsys, tmp_path, band, witnesses,
+                                                   plain_is_source):
+        # one fiber, g the identity on it: it preserves the band only when
+        # the band is the right band x y = y, the one the plain space carries
+        e = len(band)
+        plain = {"E": e, "B": 1, "p": [0] * e}
+        banded = dict(plain, band=band)
+        path = tmp_path / "morphism.json"
+        path.write_text(json.dumps({
+            "g": {"domain": list(range(e)), "values": list(range(e))},
+            "h": {"domain": [0], "values": [0]},
+            "source": plain if plain_is_source else banded,
+            "target": banded if plain_is_source else plain}))
+        out = "".join(f"FAIL band_preserved witness={w}\n" for w in witnesses) or "ok\n"
+        assert run(capsys, "validate", str(path)) == (1 if witnesses else 0, out)
+        code = main(["decompose", str(path), "--out", str(tmp_path / "parts")])
+        captured = capsys.readouterr()
+        assert code == (1 if witnesses else 0)
+        if witnesses:
+            assert captured.err == ("error: input morphism is invalid: "
+                                    f"('band_preserved', {witnesses[0]})\n")
+            assert not (tmp_path / "parts").exists()
+
+
 class TestCommands:
     def test_spectrum_values(self, capsys, three_file):
         code, out = run(capsys, "spectrum", three_file)

@@ -439,6 +439,55 @@ def left_space(fiber_sizes):
     return make_space(sp.size_e, sp.size_b, sp.p, band)
 
 
+def banded_space(fiber_sizes, kind):
+    """space_from_fibers with a band on every fiber: "right" (x y = y),
+    "left" (x y = x) or "grid" (the 2 x 2 rectangle, on fibers of four)."""
+    sp = space_from_fibers(fiber_sizes)
+    fiber = [[e for e in range(sp.size_e) if sp.p[e] == sp.p[x]] for x in range(sp.size_e)]
+
+    def point(x, y):
+        if kind == "grid":
+            return fiber[x][(fiber[x].index(x) // 2) * 2 + fiber[x].index(y) % 2]
+        return y if kind == "right" else x
+
+    band = [[point(x, y) if sp.p[x] == sp.p[y] else None for y in range(sp.size_e)]
+            for x in range(sp.size_e)]
+    return make_space(sp.size_e, sp.size_b, sp.p, band)
+
+
+class TestPlainSpaceIsTheRightBand:
+    """A plain space's section algebra uses the right band x y = y, so a
+    morphism between a plain and a banded space must preserve that band."""
+
+    @pytest.mark.parametrize("kind, fiber_sizes, count", [
+        ("right", (2,), 3), ("left", (2,), 1), ("grid", (4,), 1),
+        ("right", (2, 1), 10), ("left", (2, 1), 6), ("grid", (4, 4), 1),
+    ])
+    def test_morphisms_against_a_banded_space(self, kind, fiber_sizes, count):
+        plain, banded = space_from_fibers(fiber_sizes), banded_space(fiber_sizes, kind)
+        for sp, tp in ((plain, banded), (banded, plain)):
+            morphisms = enumerate_space_morphisms(sp, tp)
+            assert len(morphisms) == count
+            # each is dual to a homomorphism, and the hom set, read through
+            # the spectra (which always carry a band), has as many
+            for m in morphisms:
+                assert validate_hom(hom_of_space_morphism(m)).ok
+            assert len(enumerate_homs(dual_algebra(tp)[0], dual_algebra(sp)[0])) == count
+
+    def test_fiber_bijection_that_breaks_the_right_band(self):
+        plain, left = space_from_fibers((2,)), banded_space((2,), "left")
+        ident = identity_space_morphism(plain)
+        for sp, tp in ((plain, left), (left, plain)):
+            m = type(ident)(sp, tp, ident.g, ident.h)
+            assert validate_space_morphism(m).failures == (("band_preserved", (0, 1)),
+                                                           ("band_preserved", (1, 0)))
+
+    def test_plain_spaces_keep_every_fiber_map(self):
+        # per source fiber: nothing, or an injection from a target fiber into it
+        plain = space_from_fibers((3, 2))
+        assert len(enumerate_space_morphisms(plain, plain)) == (1 + 6 + 6) * (1 + 0 + 2)
+
+
 class TestDualRouteMatchesSearch:
     """enumerate_homs and algebras_isomorphic go through the spectra; the
     element-wise backtracking searches in helpers are their oracles."""

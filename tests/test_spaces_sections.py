@@ -35,13 +35,19 @@ from skewstone import (
     validate_space,
 )
 from skewstone.catalog import boolean_algebra
-from skewstone.core_algebra import green_partitions, leq_matrix, mirror, preceq_matrix, reflection
+from skewstone.core_algebra import (
+    ROW_BLOCK,
+    green_partitions,
+    leq_matrix,
+    mirror,
+    preceq_matrix,
+    reflection,
+)
 from skewstone.ideals_spectra import fibers, spectrum_data
 from skewstone.jsonio import dumps, space_to_dict
 from skewstone.lattice_sections import find_lattice_section
 from skewstone.morphisms_duality import Homomorphism, enumerate_homs
 from skewstone.spaces_sections import (
-    ROW_BLOCK,
     PartialMap,
     Section,
     band_law_witness,

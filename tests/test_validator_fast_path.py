@@ -1,6 +1,8 @@
-"""validate_algebra proves validity with a fast path and falls back to the
-exhaustive check (core_algebra._exhaustive_report) on any failed step.  These
-tests hold the two paths to the same reports on inputs that break each step.
+"""validate_algebra accepts an algebra that its product certificate
+(core_algebra._certificate) rebuilds table for table; otherwise a proof runs,
+and the exhaustive check (core_algebra._exhaustive_report) gives the report
+on any failed step.  These tests hold the three to the same verdicts and the
+two reporting paths to the same reports on inputs that break each step.
 """
 
 import itertools
@@ -10,18 +12,38 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import glb_law_holds_oracle, law_holds_at, retabled, space_from_fibers
+from helpers import (
+    band_law_witness_oracle,
+    corpus_dual_algebras,
+    glb_law_holds_oracle,
+    law_holds_at,
+    retabled,
+    seeded_rect_space,
+    space_from_fibers,
+)
 from skewstone import (
     SizeCapError,
     SkewAlgebra,
     ValidationReport,
     dual_algebra,
+    left_band,
     make_algebra,
+    mirror,
+    partial_map_algebra,
+    product_band,
     random_space,
     validate_algebra,
 )
 from skewstone.catalog import boolean_algebra, one_element
-from skewstone.core_algebra import _exhaustive_report, _unproved_step
+from skewstone.core_algebra import (
+    _certificate,
+    _exhaustive_report,
+    _product_algebra,
+    _unproved_step,
+    band_law_witness,
+)
+
+OPS = ("meet", "join", "diff", "cap")
 
 
 @pytest.fixture(scope="module")
@@ -52,9 +74,10 @@ def with_diff_and_cap(meet, join):
 
 
 def first_rejecting_step(B):
-    """Check B both ways; return the first fast step that rejects it."""
+    """Check B all three ways; return the first fast step that rejects it."""
     report = validate_algebra(B)
     assert report == _exhaustive_report(B)
+    assert _certificate(B) is report.ok
     for law, witness in report.failures + report.warnings:
         assert not law_holds_at(B, law, witness), (law, witness)
     step = _unproved_step(B)
@@ -171,6 +194,7 @@ def test_atoms_step_agrees_with_the_all_z_oracle(section_algebras):
             step = _unproved_step(B)
             assert step in (None, "cap_is_greatest_lower_bound")
             assert (step is None) is glb_law_holds_oracle(B) is _exhaustive_report(B).ok
+            assert _certificate(B) is (step is None)
             verdicts.add(step)
     assert verdicts == {None, "cap_is_greatest_lower_bound"}
 
@@ -229,3 +253,147 @@ def test_carriers_without_atoms_or_with_one():
         steps += [first_rejecting_step(B) for B in every_one_entry_mutant(A)]
     steps += [first_rejecting_step(B) for B in seeded]
     assert None not in steps and len(set(steps)) > 5
+
+
+# ---------------------------------------------------------------------------
+# The product certificate
+# ---------------------------------------------------------------------------
+
+def verdicts(B):
+    """Whether the certificate, the proof and the exhaustive report accept B."""
+    return _certificate(B), _unproved_step(B) is None, _exhaustive_report(B).ok
+
+
+def relabelled(A, rng):
+    """A with its elements renumbered by a random permutation."""
+    perm = np.array(rng.sample(range(A.n), A.n))         # element x becomes perm[x]
+    old = np.argsort(perm)
+    tables = [perm[getattr(A, name + "_table")[np.ix_(old, old)]] for name in OPS]
+    return SkewAlgebra(A.n, int(perm[A.zero]), *tables)
+
+
+def test_certificate_accepts_every_valid_algebra(section_algebras, catalog):
+    """So the proof is never what says ok: the catalog, the seeded corpora,
+    plain, left and 2 x 2 bands, partial maps, mirrors, the one fiber of 255
+    points, n = 1 and n = 2, each also with its elements renumbered."""
+    rng = random.Random(20261021)
+    valid = (section_algebras + [A for _, A in catalog] + corpus_dual_algebras()
+             + [dual_algebra(seeded_rect_space(i))[0] for i in range(9)]
+             + [partial_map_algebra(2, 2, left_band(2))[0],
+                partial_map_algebra(1, 4, product_band(2, 2))[0],
+                dual_algebra(space_from_fibers((255,)))[0],
+                make_algebra(2, 1, [[0, 1], [1, 1]], [[0, 0], [0, 1]],
+                             [[1, 0], [1, 1]], [[0, 1], [1, 1]])])
+    valid += [mirror(A) for A in section_algebras]
+    valid += [relabelled(A, rng) for A in valid]
+    for A in valid:
+        assert verdicts(A) == (True, True, True)
+        assert validate_algebra(A, max_n=0) == ValidationReport(ok=True, failures=(), warnings=())
+
+
+def test_certificate_agrees_on_two_entry_zero_and_cap_mutants(section_algebras):
+    """Two entries changed in one or two tables, the zero moved to another
+    element, and the cap of a pair changed on both sides: the three verdicts
+    agree, and validate_algebra gives the exhaustive report."""
+    rng = random.Random(20261022)
+    seen = set()
+    for _ in range(300):
+        A = rng.choice(section_algebras)
+        B = A
+        for _ in range(2):
+            B = retabled(B, rng.choice(OPS), [(rng.randrange(A.n), rng.randrange(A.n),
+                                               rng.randrange(A.n))])
+        seen.add(verdicts(B))
+        assert validate_algebra(B) == _exhaustive_report(B)
+    for A in section_algebras:
+        for zero in rng.sample([x for x in range(A.n) if x != A.zero], 3):
+            B = SkewAlgebra(A.n, zero, A.meet_table, A.join_table, A.diff_table, A.cap_table)
+            assert verdicts(B) == (False, False, False)
+        x, y = rng.sample(range(A.n), 2)
+        value = rng.choice([v for v in range(A.n) if v != A.cap(x, y)])
+        B = retabled(A, "cap", [(x, y, value), (y, x, value)])
+        assert verdicts(B) == (False, False, False)
+        assert validate_algebra(B) == _exhaustive_report(B)
+    assert seen == {(True, True, True), (False, False, False)}
+
+
+def test_certificate_compares_every_table():
+    """For each table, a mutant that differs from a valid algebra only
+    there: the certificate refuses each, so it reads all four tables."""
+    A = dual_algebra(random_space(2, 2, 3, ("product", 2, 2)))[0]
+    for name in OPS:
+        T = getattr(A, name + "_table")
+        B = next(B for x, y, v in itertools.product(range(A.n), repeat=3) if T[x, y] != v
+                 for B in [retabled(A, name, [(x, y, v)])] if not _exhaustive_report(B).ok)
+        assert not _certificate(B), name
+        assert validate_algebra(B) == _exhaustive_report(B)
+
+
+def test_product_builder_refuses_digits_that_do_not_number_it():
+    """Two one-point coordinates give a product of four elements: the
+    builder refuses three or five digit rows, and two equal ones."""
+    bands = [[[0]], [[0]]]
+    assert _product_algebra(bands, [[0, 0], [1, 0], [0, 1], [1, 1]]).n == 4
+    for digits in ([[0, 0], [1, 0], [0, 1]], [[0, 0], [1, 0], [0, 1], [1, 1], [1, 1]]):
+        with pytest.raises(ValueError, match="digit rows for a product of 4 elements"):
+            _product_algebra(bands, digits)
+    with pytest.raises(ValueError, match="two digit rows give the same element"):
+        _product_algebra(bands, [[0, 0], [1, 0], [0, 1], [0, 1]])
+
+
+def test_certificate_refuses_elements_with_the_same_atoms():
+    """The four-element Boolean algebra with a ^ top moved to 0: a is no
+    longer below top, so top has the same atoms below it as b, though there
+    are (1 + 1) * (1 + 1) elements."""
+    B = retabled(boolean_algebra(2), "meet", [(3, 1, 0)])
+    assert verdicts(B) == (False, False, False)
+    assert validate_algebra(B) == _exhaustive_report(B)
+
+
+def test_certificate_refuses_fewer_elements_than_the_product():
+    """0 and two atoms a = 1 and b = 2 in fibers of their own, with no
+    a v b: three elements where the product of the two fibers has four."""
+    meet = [[0, 0, 0], [0, 1, 0], [0, 0, 2]]
+    join = [[0, 1, 2], [1, 1, 1], [2, 2, 2]]
+    diff = [[0, 0, 0], [1, 0, 1], [2, 2, 0]]
+    B = make_algebra(3, 0, meet, join, diff, meet)
+    assert verdicts(B) == (False, False, False)
+    assert validate_algebra(B) == _exhaustive_report(B)
+
+
+def test_certificate_checks_that_each_band_is_rectangular():
+    """One fiber of three points whose meet is the third point: idempotent,
+    commutative, no point below another, but not associative.  The product
+    built from that table decodes and compares equal to itself; only the
+    band check refuses it."""
+    steiner = [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
+    assert band_law_witness(steiner) == ("band_associative", (0, 0, 1))
+    B = _product_algebra([steiner], [[0], [1], [2], [3]])
+    assert verdicts(B) == (False, False, False)
+    assert validate_algebra(B) == _exhaustive_report(B)
+
+
+def test_band_check_agrees_with_the_triple_loop():
+    """Every table on two and three points, and rectangular bands a x b
+    renumbered, with one-entry mutants: band_law_witness decodes the
+    rectangle and gives the loop's first witness when it fails."""
+    tables = [[list(v[i:i + m]) for i in range(0, m * m, m)]
+              for m in (1, 2, 3) for v in itertools.product(range(m), repeat=m * m)]
+    rng = random.Random(20261023)
+    for a, b in itertools.product(range(1, 5), repeat=2):
+        perm = rng.sample(range(a * b), a * b)
+        old = np.argsort(perm)
+        band = np.reshape(product_band(a, b).table, (a * b, a * b))
+        T = np.take(perm, band[np.ix_(old, old)])
+        tables.append(T.tolist())
+        for _ in range(10):
+            x, y, v = (rng.randrange(a * b) for _ in range(3))
+            mutant = T.copy()
+            mutant[x, y] = v
+            tables.append(mutant.tolist())
+    outcomes = {band_law_witness(T) is None for T in tables}
+    for T in tables:
+        assert band_law_witness(T) == band_law_witness_oracle(T)
+        assert band_law_witness(tuple(map(tuple, T))) == band_law_witness_oracle(T)
+        assert band_law_witness(np.array(T)) == band_law_witness_oracle(T)
+    assert outcomes == {True, False}
