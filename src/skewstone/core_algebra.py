@@ -66,6 +66,25 @@ def per_object(fn):
     return memoized
 
 
+def as_ints(values):
+    """values as a list of ints through operator.index, refusing bools too
+    (JSON's true and false are not integers here): TypeError for 1.9, "0"
+    or True.  A list of plain ints costs one pass at C speed."""
+    values = list(values)
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        return values
+    out = list(map(operator.index, values))
+    if bool in kinds:
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return out
+
+
+def as_int(v):
+    """as_ints for a single value."""
+    return as_ints((v,))[0]
+
+
 def _check_table(name, table, n):
     """table as a read-only, C-contiguous int32 n x n array.  Such an array
     is kept as given and made read-only; anything else is copied into one.
@@ -75,7 +94,7 @@ def _check_table(name, table, n):
         T = np.asarray(table)
     except ValueError:                           # ragged rows
         T = None
-    if (T is None or T.shape != (n, n) or T.dtype.kind not in "biu"
+    if (T is None or T.shape != (n, n) or T.dtype.kind not in "iu"
             or T.min() < 0 or T.max() >= n):
         rows = table.tolist() if isinstance(table, np.ndarray) else table
         if len(rows) != n:
@@ -147,9 +166,9 @@ class SkewAlgebra:
 
 def make_algebra(n, zero, meet, join, diff, cap):
     """Build a SkewAlgebra from list-of-list tables.  Entries must be
-    integers (TypeError otherwise, also for 1.9 or "0")."""
-    as_rows = lambda t: [[operator.index(v) for v in row] for row in t]
-    return SkewAlgebra(operator.index(n), operator.index(zero), as_rows(meet),
+    integers (TypeError otherwise, also for 1.9, "0" or True)."""
+    as_rows = lambda t: [as_ints(row) for row in t]
+    return SkewAlgebra(as_int(n), as_int(zero), as_rows(meet),
                        as_rows(join), as_rows(diff), as_rows(cap))
 
 

@@ -9,7 +9,6 @@ generated by P, and carries a rectangular band.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,8 @@ from .core_algebra import (
     _first_bad,
     _gather,
     _take,
+    as_int,
+    as_ints,
     is_congruence,
     leq_matrix,
     partition_from_labels,
@@ -69,6 +70,8 @@ class RectSkewSpace:
     band: tuple[tuple[int | None, ...], ...] | None = None
 
     def __post_init__(self):
+        if self.size_b < 0:
+            raise StructuralError(f"B = {self.size_b} is negative")
         if len(self.p) != self.size_e:
             raise StructuralError(f"p has length {len(self.p)}, expected {self.size_e}")
         for e, b in enumerate(self.p):
@@ -87,13 +90,12 @@ class RectSkewSpace:
 
 def make_space(size_e, size_b, p, band=None):
     """Build a RectSkewSpace from plain lists (None entries allowed in band).
-    Entries must be integers (TypeError otherwise, also for 2.5 or "0")."""
+    Entries must be integers (TypeError otherwise, also for 2.5, "0" or True)."""
     frozen_band = None
     if band is not None:
-        frozen_band = tuple(tuple(None if v is None else operator.index(v) for v in row)
+        frozen_band = tuple(tuple(None if v is None else as_int(v) for v in row)
                             for row in band)
-    return RectSkewSpace(operator.index(size_e), operator.index(size_b),
-                         tuple(operator.index(v) for v in p), frozen_band)
+    return RectSkewSpace(as_int(size_e), as_int(size_b), tuple(as_ints(p)), frozen_band)
 
 
 @per_object

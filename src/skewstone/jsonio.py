@@ -12,14 +12,13 @@ from __future__ import annotations
 import io
 import json
 import math
-import operator
 import os
 import sys
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .core_algebra import StructuralError, make_algebra
+from .core_algebra import StructuralError, as_ints, make_algebra
 from .ideals_spectra import make_space
 from .morphisms_duality import Homomorphism, SpaceMorphism
 from .spaces_sections import PartialMap
@@ -59,8 +58,7 @@ def partial_map_to_dict(pm):
 
 def partial_map_from_dict(obj):
     try:
-        return PartialMap(tuple(operator.index(x) for x in obj["domain"]),
-                          tuple(operator.index(v) for v in obj["values"]))
+        return PartialMap(tuple(as_ints(obj["domain"])), tuple(as_ints(obj["values"])))
     except (KeyError, TypeError) as exc:
         raise StructuralError(f"not a partial map object: {exc}") from exc
 
@@ -95,7 +93,7 @@ def hom_from_dict(obj, base_dir="."):
     try:
         source = _resolve(obj["source"], base_dir, algebra_from_dict)
         target = _resolve(obj["target"], base_dir, algebra_from_dict)
-        return Homomorphism(source, target, tuple(operator.index(v) for v in obj["map"]))
+        return Homomorphism(source, target, tuple(as_ints(obj["map"])))
     except (KeyError, TypeError) as exc:
         raise StructuralError(f"not a homomorphism object: {exc}") from exc
 

@@ -10,7 +10,6 @@ acts on sections by preimage under g.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import chain, combinations, permutations, product
 
@@ -24,6 +23,7 @@ from .core_algebra import (
     _OPS,
     _first_bad,
     _take,
+    as_ints,
     green_partitions,
     leq_matrix,
     per_object,
@@ -95,10 +95,10 @@ def validate_hom(f):
     """Exhaustive preservation check for zero, meet, join, diff and cap.
     Each operation is one gather, m[T_A] against T_B[m x m]; the witness is
     the first violated pair in C order.  The map must be n_A integers in
-    0..n_B-1 (StructuralError otherwise, also for 1.5 or "1")."""
+    0..n_B-1 (StructuralError otherwise, also for 1.5, "1" or True)."""
     A, B = f.source, f.target
     try:
-        m = np.array([operator.index(v) for v in f.map], dtype=np.intp)
+        m = np.array(as_ints(f.map), dtype=np.intp)
     except (TypeError, OverflowError):
         m = None
     if m is None or m.shape != (A.n,) or m.min() < 0 or m.max() >= B.n:

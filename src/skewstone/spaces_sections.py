@@ -7,15 +7,15 @@ band (a plain space carries the right band, and its sections form a
 right-handed algebra; other bands give two-sided ones).  So the section
 algebra is the product of tiny per-fiber algebras, and one builder makes it.
 Partial maps X -> Y are the sections of X x Y -> X, so the partial-map
-algebra of a coherent family of rectangular bands, the ambient algebra of
-both constructions, comes out of the same builder.
+algebra with a rectangular band at each point, the ambient algebra of both
+constructions, comes out of the same builder.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -42,19 +42,9 @@ class Section:
     @classmethod
     def of(cls, sp, points):
         pts = tuple(sorted(set(points)))
-        if not is_section(sp, pts):
+        if len({sp.p[e] for e in pts}) != len(pts):
             raise ValueError(f"{pts} is not a section: projection repeats a base point")
         return cls(pts)
-
-
-def is_section(sp, points):
-    seen = set()
-    for e in points:
-        b = sp.p[e]
-        if b in seen:
-            return False
-        seen.add(b)
-    return True
 
 
 @dataclass(frozen=True)
@@ -69,9 +59,6 @@ class PartialMap:
             raise ValueError("domain and values must align")
         if any(a >= b for a, b in zip(self.domain, self.domain[1:])):
             raise ValueError("domain must be strictly increasing")
-
-    def defined_at(self, x):
-        return x in self.domain
 
     def __call__(self, x):
         return self.values[self.domain.index(x)]
@@ -244,50 +231,33 @@ def all_partial_maps(x_size, y_size):
     return tuple(sorted(maps, key=lambda f: (f.domain, f.values)))
 
 
-def pointwise_family(band):
-    """Coherent family induced by applying one band to values pointwise."""
-    def sand(f, g):
-        return PartialMap(f.domain, tuple(band(u, v) for u, v in zip(f.values, g.values)))
-    return sand
-
-
-def validate_coherent_family(x_size, y_size, sand):
-    """Exhaustively check that a family commutes with restrictions: for
-    E <= D and f, g defined on D, (f sand g)|E = f|E sand g|E.  Returns a
-    witness (D, E, f, g) or None."""
-    maps = all_partial_maps(x_size, y_size)
-    by_domain = {}
-    for f in maps:
-        by_domain.setdefault(f.domain, []).append(f)
-    for dom, fs in by_domain.items():
-        subs = [tuple(c) for k in range(len(dom) + 1) for c in combinations(dom, k)]
-        for f in fs:
-            for g in fs:
-                whole = sand(f, g)
-                for sub in subs:
-                    if whole.restrict(sub) != sand(f.restrict(sub), g.restrict(sub)):
-                        return (dom, sub, f, g)
-    return None
-
-
 def partial_map_algebra(x_size, y_size, band):
-    """Skew algebra on all partial maps X -> Y, with the band applied
-    pointwise on overlaps:
+    """Skew algebra on all partial maps X -> Y, with a band on the values
+    applied pointwise on overlaps: band is one BandOnY for every point, or a
+    sequence of x_size of them, bands[x] at the point x.
     f ^ g = f|c sand g|c on c = dom f & dom g,
     f v g = f|(F-G) | g|(G-F) | (g ^ f),
     f \\ g = f|(F-G), and cap is graph intersection.
-    These are the sections of X x Y -> X with the band on every fiber, so
-    the algebra is built as one; the labels are in all_partial_maps order.
+    These are the sections of X x Y -> X with bands[x] on the fiber over x,
+    so the algebra is built as one; the labels are in all_partial_maps order.
     A pointwise lift commutes with restrictions by construction, so the
-    family is coherent; the band laws themselves are checked here.
+    family is coherent, and a coherent family is pointwise: at each x it
+    applies the table it gives on the maps defined at x alone.  The band
+    laws themselves are checked here.
     """
-    bad = band_law_witness(band.table)
-    if bad is not None:
-        raise ValueError(f"not a rectangular band: {bad[0]} at {bad[1]}")
-    if band.m != y_size:
-        raise ValueError("band size does not match the value set")
+    single = isinstance(band, BandOnY)
+    bands = [band] if single else list(band)
+    if not single and len(bands) != x_size:
+        raise ValueError(f"{len(bands)} bands for {x_size} points")
+    for b in bands:
+        bad = band_law_witness(b.table)
+        if bad is not None:
+            raise ValueError(f"not a rectangular band: {bad[0]} at {bad[1]}")
+        if b.m != y_size:
+            raise ValueError("band size does not match the value set")
     maps = all_partial_maps(x_size, y_size)
-    return _product_algebra([band.table] * x_size, _map_digits(maps, x_size)), maps
+    tables = [band.table] * x_size if single else [b.table for b in bands]
+    return _product_algebra(tables, _map_digits(maps, x_size)), maps
 
 
 def _map_digits(maps, x_size):
@@ -299,27 +269,6 @@ def _map_digits(maps, x_size):
     return digits
 
 
-def partial_map_algebra_from_family(x_size, y_size, sand):
-    """Same construction for an arbitrary user-supplied family; the coherence
-    equation is validated first.  Coherence makes the family pointwise:
-    f sand g applies at each x the table that the family gives on the
-    singleton maps at x, which is read off here."""
-    witness = validate_coherent_family(x_size, y_size, sand)
-    if witness is not None:
-        raise ValueError(f"family is not coherent: witness {witness}")
-    maps = all_partial_maps(x_size, y_size)
-    bands = []
-    for x in range(x_size):
-        table = [[sand(PartialMap((x,), (u,)), PartialMap((x,), (v,))) for v in range(y_size)]
-                 for u in range(y_size)]
-        for h in (h for row in table for h in row):
-            if h.domain != (x,) or not 0 <= h.values[0] < y_size:
-                raise ValueError(f"family gives no value table at {x}: "
-                                 f"two maps defined at {x} alone give {h}")
-        bands.append([[h.values[0] for h in row] for row in table])
-    return _product_algebra(bands, _map_digits(maps, x_size)), maps
-
-
 # ---------------------------------------------------------------------------
 # Instance generator
 # ---------------------------------------------------------------------------
@@ -329,17 +278,24 @@ def random_space(size_b, max_fiber, seed, band="none"):
 
     band is one of "none", "right", "left", or ("product", k_left, k_right);
     product bands fix every fiber to the k_left * k_right grid (max_fiber is
-    ignored in that case).  Identical arguments give identical spaces.
+    ignored in that case).  A max_fiber, k_left or k_right below 1 raises
+    ValueError.  Identical arguments give identical spaces.
     """
     rng = random.Random(seed)
     if isinstance(band, tuple):
         kind, k_left, k_right = band
         if kind != "product":
             raise ValueError(f"unknown band kind {band!r}")
-        sizes = [k_left * k_right] * size_b
+        for name, k in (("k_left", k_left), ("k_right", k_right)):
+            if k < 1:
+                raise ValueError(f"{name} must be at least 1, got {k}")
+        grid = product_band(k_left, k_right)
+        sizes = [grid.m] * size_b
     else:
         if band not in ("none", "right", "left"):
             raise ValueError(f"unknown band kind {band!r}")
+        if max_fiber < 1:
+            raise ValueError(f"max_fiber must be at least 1, got {max_fiber}")
         sizes = [rng.randint(1, max_fiber) for _ in range(size_b)]
     p = [b for b, s in enumerate(sizes) for _ in range(s)]
     rng.shuffle(p)
@@ -351,18 +307,11 @@ def random_space(size_b, max_fiber, seed, band="none"):
         fib[b].append(e)
     table = [[None] * size_e for _ in range(size_e)]
     for f in fib:
-        pos = {e: i for i, e in enumerate(f)}
-        for x in f:
-            for y in f:
-                if band == "right":
-                    table[x][y] = y
-                elif band == "left":
-                    table[x][y] = x
-                else:
-                    _, k_left, _ = band
-                    r = pos[x] // k_left
-                    l = pos[y] % k_left
-                    table[x][y] = f[r * k_left + l]
+        local = (grid if isinstance(band, tuple)
+                 else (right_band if band == "right" else left_band)(len(f)))
+        for i, x in enumerate(f):
+            for j, y in enumerate(f):
+                table[x][y] = f[local(i, j)]
     return make_space(size_e, size_b, p, table)
 
 

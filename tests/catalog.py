@@ -1,10 +1,10 @@
-"""Named small instances used across tests, scripts and the CLI docs."""
+"""Named small instances used across the tests."""
 
 from __future__ import annotations
 
-from .core_algebra import glb_cap_table, make_algebra, mirror, reflection
-from .ideals_spectra import make_space
-from .spaces_sections import dual_algebra
+from skewstone.core_algebra import glb_cap_table, make_algebra, mirror, reflection
+from skewstone.ideals_spectra import make_space
+from skewstone.spaces_sections import dual_algebra
 
 
 def one_element():

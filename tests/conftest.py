@@ -5,13 +5,13 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from helpers import small_test_algebras
-from skewstone.catalog import (
+from catalog import (
     boolean_algebra,
     left_three,
     one_element,
     right_three,
 )
+from helpers import small_test_algebras
 
 
 @pytest.fixture

@@ -4,6 +4,14 @@ from itertools import combinations, product
 
 import numpy as np
 
+from catalog import (
+    boolean_algebra,
+    fiber_product_over_reflection,
+    left_three,
+    one_element,
+    primitive_right,
+    right_three,
+)
 from skewstone import (
     CongruenceError,
     HomFlags,
@@ -28,14 +36,6 @@ from skewstone import (
     validate_algebra,
     validate_hom,
 )
-from skewstone.catalog import (
-    boolean_algebra,
-    fiber_product_over_reflection,
-    left_three,
-    one_element,
-    primitive_right,
-    right_three,
-)
 from skewstone.core_algebra import (
     leq_matrix,
     partition_from_labels,
@@ -43,7 +43,7 @@ from skewstone.core_algebra import (
     reflection,
 )
 from skewstone.ideals_spectra import is_ideal, spectrum_data
-from skewstone.spaces_sections import all_partial_maps
+from skewstone.spaces_sections import PartialMap, all_partial_maps
 
 
 def retabled(A, table, changes):
@@ -205,6 +205,33 @@ def partial_map_oracle_tables(x_size, y_size, bands=None):
         tables[name] = tuple(tuple(look(op(dicts[i], dicts[j], bands)) for j in range(n))
                              for i in range(n))
     return maps, tables
+
+
+def pointwise_family(bands):
+    """The family on partial maps X -> Y that applies bands[x] to the
+    values at each point x of the common domain."""
+    def sand(f, g):
+        return PartialMap(f.domain, tuple(bands[x](u, v)
+                                          for x, u, v in zip(f.domain, f.values, g.values)))
+    return sand
+
+
+def validate_coherent_family(x_size, y_size, sand):
+    """Oracle for the coherence of a family: exhaustively check that it
+    commutes with restrictions, for E <= D and f, g defined on D,
+    (f sand g)|E = f|E sand g|E.  Returns a witness (D, E, f, g) or None."""
+    by_domain = {}
+    for f in all_partial_maps(x_size, y_size):
+        by_domain.setdefault(f.domain, []).append(f)
+    for dom, fs in by_domain.items():
+        subs = [tuple(c) for k in range(len(dom) + 1) for c in combinations(dom, k)]
+        for f in fs:
+            for g in fs:
+                whole = sand(f, g)
+                for sub in subs:
+                    if whole.restrict(sub) != sand(f.restrict(sub), g.restrict(sub)):
+                        return (dom, sub, f, g)
+    return None
 
 
 def enumerate_homs_bruteforce(A, B, max_candidates=10 ** 4):

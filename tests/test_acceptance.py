@@ -9,6 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
+from catalog import boolean_algebra, one_element, primitive_right, right_three
 from helpers import (
     all_surjection_spaces,
     corpus_params,
@@ -45,7 +46,6 @@ from skewstone import (
     validate_algebra,
     validate_space_morphism,
 )
-from skewstone.catalog import boolean_algebra, one_element, primitive_right, right_three
 from skewstone.cli import main as cli_main
 from skewstone.lattice_sections import find_lattice_section
 

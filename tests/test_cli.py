@@ -14,10 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catalog import boolean_algebra, right_three
 from skewstone import jsonio, make_space
 from skewstone.morphisms_duality import dual_of_hom, identity_hom
-
-from skewstone.catalog import boolean_algebra, right_three
 from skewstone.spaces_sections import dual_algebra, random_space
 from skewstone.cli import main
 
@@ -83,6 +82,38 @@ class TestExitCodes:
             path = tmp_path / f"{name}.json"
             path.write_text(jsonio.dumps(obj))
             assert run(capsys, "validate", str(path)) == (1, "")
+
+    @pytest.mark.parametrize("obj, command", [
+        ({"n": 1, "zero": False, "meet": [[False]], "join": [[0]], "diff": [[0]], "cap": [[0]]},
+         "validate"),
+        ({"n": True, "zero": 0, "meet": [[0]], "join": [[0]], "diff": [[0]], "cap": [[0]]},
+         "validate"),
+        ({"E": 1, "B": True, "p": [0]}, "dualize"),
+        ({"E": 2, "B": 1, "p": [0, False]}, "validate"),
+        ({"E": 2, "B": 1, "p": [0, 0], "band": [[0, True], [0, 1]]}, "validate"),
+        ({"g": {"domain": [0], "values": [False]}, "h": {"domain": [0], "values": [0]},
+          "source": {"E": 1, "B": 1, "p": [0]}, "target": {"E": 1, "B": 1, "p": [0]}},
+         "validate"),
+        ({"map": [0, True, 2], "source": "three.json", "target": "three.json"}, "validate"),
+    ], ids=["algebra_zero_and_table", "algebra_n", "space_B", "space_p", "space_band",
+            "partial_map", "hom_map"])
+    def test_bools_are_not_integers(self, capsys, three_file, tmp_path, obj, command):
+        # true and false once read as 1 and 0: each of these used to pass
+        path = tmp_path / "bools.json"
+        path.write_text(json.dumps(obj))
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.endswith("'bool' object cannot be interpreted as an integer\n")
+
+    def test_negative_base_size_exits_one(self, capsys, tmp_path):
+        # it used to validate ok, and roundtrip printed "B": -1
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps({"E": 0, "B": -1, "p": []}))
+        for argv in (["validate"], ["roundtrip", "--format", "json"]):
+            code = main(argv + [str(path)])
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (1, "", "error: B = -1 is negative\n")
 
     def test_identity_hom_validates(self, capsys, three_file, tmp_path):
         path = tmp_path / "id.json"
@@ -281,6 +312,20 @@ class TestDeterminism:
             bytes_a = (dir_a / name).read_bytes()
             assert bytes_a == (dir_b / name).read_bytes()
             assert run(capsys, "validate", str(dir_a / name))[0] == 0
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-fiber", "0"], "max_fiber must be at least 1, got 0"),
+        (["--band", "product", "--k-left", "0"], "k_left must be at least 1, got 0"),
+        (["--band", "product", "--k-right", "-2"], "k_right must be at least 1, got -2"),
+    ], ids=["max_fiber", "k_left", "k_right"])
+    def test_generate_refuses_sizes_below_one(self, capsys, tmp_path, flags, message):
+        # --max-fiber 0 used to end in randrange's error, --k-left 0 to write
+        # a space that validate refuses
+        out = tmp_path / "gen"
+        code = main(["generate", "--out", str(out)] + flags)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
+        assert not list(out.glob("*.json"))
 
     def test_command_output_stable(self, capsys, three_file):
         first = run(capsys, "spectrum", three_file)[1]

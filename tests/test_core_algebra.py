@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from catalog import boolean_algebra, fiber_product_over_reflection
 from helpers import (
     corpus_params,
     identity_partition,
@@ -28,7 +29,6 @@ from skewstone import (
     second_decomposition_check,
     validate_algebra,
 )
-from skewstone.catalog import boolean_algebra, fiber_product_over_reflection
 from skewstone.core_algebra import (
     _first_bad,
     leq_matrix,

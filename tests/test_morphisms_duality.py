@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from catalog import boolean_algebra
 from helpers import (
     algebras_isomorphic_search,
     all_surjection_spaces,
@@ -47,7 +48,6 @@ from skewstone import (
     validate_space_morphism,
     zero_hom,
 )
-from skewstone.catalog import boolean_algebra
 from skewstone.morphisms_duality import is_partial_identity_up_to_iso
 
 
@@ -68,9 +68,9 @@ class TestHomomorphisms:
 
     def test_map_entries_must_be_integers(self, bool4):
         """A float is refused, not truncated: (0, 1.5, 2, 3) once passed as
-        the identity.  NumPy integers are integers."""
+        the identity, and so did (0, True, 2, 3).  NumPy integers are integers."""
         for bad in ((0, 1.5, 2, 3), (0, 1, 2, 3.9), (0, 1.0, 2, 3), (0, "1", 2, 3),
-                    (0, None, 2, 3), (0, 1, 2), (0, 1, 2, 4), (0, -1, 2, 3)):
+                    (0, None, 2, 3), (0, 1, 2), (0, 1, 2, 4), (0, -1, 2, 3), (0, True, 2, 3)):
             with pytest.raises(StructuralError, match="not a total map into the target"):
                 validate_hom(Homomorphism(bool4, bool4, bad))
         for good in ((np.int64(0), np.int32(1), np.uint8(2), 3), np.arange(4)):
@@ -420,7 +420,7 @@ class TestEnumerationCaps:
 
 class TestBandedHomSetBijection:
     def test_two_sided_duals_biject_with_band_preserving_morphisms(self, three, mirror_three):
-        from skewstone.catalog import fiber_product_over_reflection
+        from catalog import fiber_product_over_reflection
 
         neither5, _ = fiber_product_over_reflection(three, mirror_three)
         for A, B in ((neither5, neither5), (neither5, three), (three, neither5)):

@@ -8,16 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catalog import boolean_algebra
 from helpers import (
     all_surjection_spaces,
     corpus_params,
     corpus_spaces,
     partial_map_oracle_tables,
+    pointwise_family,
     section_algebra_oracle,
     space_from_fibers,
+    validate_coherent_family,
 )
 from skewstone import (
     SizeCapError,
+    StructuralError,
     algebras_isomorphic,
     dual_algebra,
     enumerate_sections,
@@ -34,7 +38,6 @@ from skewstone import (
     validate_hom,
     validate_space,
 )
-from skewstone.catalog import boolean_algebra
 from skewstone.core_algebra import (
     ROW_BLOCK,
     green_partitions,
@@ -48,12 +51,10 @@ from skewstone.jsonio import dumps, space_to_dict
 from skewstone.lattice_sections import find_lattice_section
 from skewstone.morphisms_duality import Homomorphism, enumerate_homs
 from skewstone.spaces_sections import (
+    BandOnY,
     PartialMap,
     Section,
     band_law_witness,
-    partial_map_algebra_from_family,
-    pointwise_family,
-    validate_coherent_family,
 )
 
 
@@ -87,6 +88,20 @@ class TestValidateSpace:
         sp = make_space(2, 1, [0, 0], [[1, 1], [0, 0]])
         report = validate_space(sp)
         assert any(law == "band_idempotent" for law, _ in report.failures)
+
+    def test_negative_base_size_is_refused(self):
+        # it used to validate ok with no points and no base
+        with pytest.raises(StructuralError, match="B = -1 is negative"):
+            make_space(0, -1, [])
+
+    @pytest.mark.parametrize("args", [
+        (True, 1, [0]), (1, True, [0]), (2, 1, [0, False]),
+        (2, 1, [0, 0], [[0, True], [0, 1]]),
+    ], ids=["E", "B", "p", "band"])
+    def test_bools_are_not_integers(self, args):
+        # JSON's true and false once read as 1 and 0
+        with pytest.raises(TypeError, match="'bool' object cannot be interpreted"):
+            make_space(*args)
 
 
 class TestSections:
@@ -205,10 +220,12 @@ class TestSectionAlgebraOracle:
         cases = [(y_size, band) for y_size in (1, 2, 3)
                  for band in (right_band(y_size), left_band(y_size))]
         cases.append((4, product_band(2, 2)))
+        mixed = [left_band(2), right_band(2), product_band(2, 1)]
         for x_size in (1, 2, 3):
-            for y_size, band in cases:
+            for y_size, band in cases + [(2, mixed[:x_size])]:
+                bands = band if isinstance(band, list) else [band] * x_size
                 algebra, labels = partial_map_algebra(x_size, y_size, band)
-                maps, tables = partial_map_oracle_tables(x_size, y_size, [band] * x_size)
+                maps, tables = partial_map_oracle_tables(x_size, y_size, bands)
                 assert labels == maps
                 assert algebra.zero == labels.index(PartialMap((), ())) == 0
                 for name in ("meet", "join", "diff", "cap"):
@@ -298,12 +315,16 @@ class TestPartialMapAlgebra:
                         assert whole.restrict(sub) == restricted, (name, f, g, sub)
 
     def test_pointwise_families_are_coherent(self):
-        for band in (right_band(2), left_band(3), product_band(2, 2)):
-            assert validate_coherent_family(2, band.m, pointwise_family(band)) is None
+        bands = [right_band(m) for m in (1, 2, 3)] + [left_band(m) for m in (1, 2, 3)]
+        bands += [product_band(2, 1), product_band(2, 2)]
+        for band in bands:
+            assert validate_coherent_family(2, band.m, pointwise_family([band] * 2)) is None
+        assert validate_coherent_family(
+            2, 2, pointwise_family([left_band(2), right_band(2)])) is None
 
     def test_incoherent_family_detected(self):
         # swaps the operands only on singleton domains
-        base = pointwise_family(left_band(2))
+        base = pointwise_family([left_band(2)] * 2)
 
         def warped(f, g):
             if len(f.domain) == 1:
@@ -311,23 +332,18 @@ class TestPartialMapAlgebra:
             return base(f, g)
 
         assert validate_coherent_family(2, 2, warped) is not None
-        with pytest.raises(ValueError):
-            partial_map_algebra_from_family(2, 2, warped)
 
     def test_family_builder_agrees_with_pointwise(self):
-        band = left_band(2)
-        direct, _ = partial_map_algebra(2, 2, band)
-        general, _ = partial_map_algebra_from_family(2, 2, pointwise_family(band))
-        assert direct == general
+        # one band per point, all equal, is the one-band algebra
+        for band in (left_band(2), product_band(2, 1)):
+            direct, maps = partial_map_algebra(2, 2, band)
+            general, labels = partial_map_algebra(2, 2, [band, band])
+            assert direct == general
+            assert labels == maps
 
     def test_family_whose_band_varies_by_point(self):
         bands = [left_band(2), right_band(2)]
-
-        def sand(f, g):
-            return PartialMap(f.domain, tuple(bands[x](u, v)
-                                              for x, u, v in zip(f.domain, f.values, g.values)))
-
-        algebra, labels = partial_map_algebra_from_family(2, 2, sand)
+        algebra, labels = partial_map_algebra(2, 2, bands)
         maps, tables = partial_map_oracle_tables(2, 2, bands)
         assert labels == maps
         assert algebra.zero == 0
@@ -338,13 +354,24 @@ class TestPartialMapAlgebra:
 
     def test_coherent_family_that_drops_points_is_refused(self):
         # restricting the empty map gives the empty map, so this is coherent,
-        # yet it is no band on the values at any point
+        # yet it is no band on the values at any point; partial_map_algebra
+        # takes bands, so such a family has no way in
         def forget(f, g):
             return PartialMap((), ())
 
         assert validate_coherent_family(2, 2, forget) is None
-        with pytest.raises(ValueError, match="at 0 alone"):
-            partial_map_algebra_from_family(2, 2, forget)
+
+    def test_per_point_bands_are_checked_one_by_one(self):
+        with pytest.raises(ValueError, match="1 bands for 2 points"):
+            partial_map_algebra(2, 2, [left_band(2)])
+        with pytest.raises(ValueError, match="3 bands for 2 points"):
+            partial_map_algebra(2, 2, [left_band(2)] * 3)
+        with pytest.raises(ValueError, match="band size"):
+            partial_map_algebra(2, 2, [left_band(2), right_band(3)])
+        for bands in ([BandOnY(((1, 1), (0, 0))), left_band(2)],
+                      [left_band(2), BandOnY(((1, 1), (0, 0)))]):
+            with pytest.raises(ValueError, match="not a rectangular band: band_idempotent"):
+                partial_map_algebra(2, 2, bands)
 
     def test_band_table_validator(self):
         assert band_law_witness(right_band(3).table) is None
@@ -354,9 +381,6 @@ class TestPartialMapAlgebra:
         # sections, viewed as partial maps base -> total space, form a
         # subalgebra of the ambient partial-map algebra; the ambient band
         # must restrict to the fiber bands
-        from skewstone.ideals_spectra import fibers
-        from skewstone.spaces_sections import BandOnY
-
         def grid_global_band(sp, k_left):
             fib = fibers(sp)
             pos = {e: i for f in fib for i, e in enumerate(f)}
@@ -405,6 +429,16 @@ class TestRandomSpace:
             for y in range(sp.size_e):
                 if sp.p[x] == sp.p[y]:
                     assert sp.band[x][y] == y
+
+    @pytest.mark.parametrize("max_fiber, band, name", [
+        (0, "none", "max_fiber"), (-1, "left", "max_fiber"),
+        (2, ("product", 0, 1), "k_left"), (2, ("product", 2, 0), "k_right"),
+    ], ids=["max_fiber_none", "max_fiber_left", "k_left", "k_right"])
+    def test_sizes_below_one_are_refused(self, max_fiber, band, name):
+        # max_fiber 0 used to fail inside randrange, k_left 0 to give a
+        # space with an empty base point
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+            random_space(2, max_fiber, 0, band)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10 ** 6))

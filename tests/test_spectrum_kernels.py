@@ -13,6 +13,7 @@ import re
 import numpy as np
 import pytest
 
+from catalog import boolean_algebra
 from helpers import (
     basic_copen_oracle,
     enumerate_prime_ideals_oracle,
@@ -39,7 +40,6 @@ from skewstone import (
     random_space,
     second_decomposition_check,
 )
-from skewstone.catalog import boolean_algebra
 from skewstone.core_algebra import (
     glb_cap_table,
     is_congruence,

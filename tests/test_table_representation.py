@@ -9,6 +9,7 @@ import random
 import numpy as np
 import pytest
 
+from catalog import boolean_algebra, right_three
 from helpers import retabled
 from skewstone import (
     Homomorphism,
@@ -29,7 +30,6 @@ from skewstone import (
     validate_algebra,
     validate_hom,
 )
-from skewstone.catalog import boolean_algebra, right_three
 from skewstone.core_algebra import subalgebra_on
 from skewstone.jsonio import algebra_from_dict, algebra_to_dict, dumps
 
@@ -95,14 +95,29 @@ def test_one_changed_entry_breaks_equality(built):
     (([[0, 0.5], [0, 1]],), "meet[0] contains invalid entry 0.5"),
     (([[0, 0], [0, 1]], [[0, 1], ["1", 1]]), "join[1] contains invalid entry '1'"),
     ((np.array([[0, 0], [0, 1]], dtype=object),), "meet table is not an integer table"),
+    ((np.array([[0, 0], [0, 1]], dtype=bool),), "meet table is not an integer table"),
 ], ids=["row_count", "short_row", "out_of_range", "negative", "non_integer",
-        "string_in_later_table", "object_array"])
+        "string_in_later_table", "object_array", "bool_array"])
 def test_malformed_table_messages(tables, message):
     good = [[0, 0], [0, 1]]
     given = list(tables) + [good] * (4 - len(tables))
     with pytest.raises(StructuralError) as err:
         SkewAlgebra(2, 0, *given)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("n, zero, meet", [
+    (True, 0, [[0]]), (1, False, [[0]]), (1, 0, [[False]]), (2, 0, [[0, 0], [0, True]]),
+], ids=["n", "zero", "table", "entry_among_ints"])
+def test_make_algebra_refuses_bools(n, zero, meet):
+    # JSON's true and false once passed as 1 and 0
+    good = [[0]] if len(meet) == 1 else [[0, 0], [0, 1]]
+    with pytest.raises(TypeError, match="'bool' object cannot be interpreted"):
+        make_algebra(n, zero, meet, good, good, good)
+    # NumPy integers are integers
+    good = [[0, 0], [0, 1]]
+    assert (make_algebra(np.int64(2), np.int32(0), np.array(good), good, good, good)
+            == make_algebra(2, 0, good, good, good, good))
 
 
 def plain_ints(value):

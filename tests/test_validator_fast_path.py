@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from catalog import boolean_algebra, one_element
 from helpers import (
     band_law_witness_oracle,
     corpus_dual_algebras,
@@ -34,7 +35,6 @@ from skewstone import (
     random_space,
     validate_algebra,
 )
-from skewstone.catalog import boolean_algebra, one_element
 from skewstone.core_algebra import (
     _certificate,
     _exhaustive_report,
