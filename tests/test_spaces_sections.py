@@ -436,7 +436,7 @@ class TestRandomSpace:
     ], ids=["max_fiber_none", "max_fiber_left", "k_left", "k_right"])
     def test_sizes_below_one_are_refused(self, max_fiber, band, name):
         # max_fiber 0 used to fail inside randrange, k_left 0 to give a
-        # space with an empty base point
+        # space whose fibers are all empty
         with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
             random_space(2, max_fiber, 0, band)
 
