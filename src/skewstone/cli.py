@@ -271,7 +271,7 @@ def build_parser():
     common.add_argument("--seed", type=int, default=0, help="seed for anything random")
     common.add_argument("--max-size", type=int, default=EXHAUSTIVE_N,
                         help="cap on n for the exhaustive report on an input algebra "
-                             "that fails the law proof")
+                             "that the certificate refuses")
     common.add_argument("--format", dest="fmt", choices=("json", "dot", "text"),
                         default="text", help="output format where applicable")
     common.add_argument("--out", default=None, help="output directory for file-producing commands")

@@ -24,9 +24,9 @@ class SizeCapError(RuntimeError):
     """An exhaustive check or search was asked to go past its limit."""
 
 
-# The limit policy.  validate_algebra proves a valid algebra at any n; only
-# the cubic exhaustive report it falls back on, when a step of that proof
-# fails, is capped.  EXHAUSTIVE_N is that cap's default, in validate_algebra
+# The limit policy.  validate_algebra certifies a valid algebra at any n;
+# only the cubic exhaustive report it gives on an algebra the certificate
+# refuses is capped.  EXHAUSTIVE_N is that cap's default, in validate_algebra
 # and in the CLI's --max-size.  MAX_CARRIER caps the carriers the builders
 # enumerate (sections, partial maps).  Homomorphisms are read off the space
 # morphisms between the spectra, and that search counts its own work:
@@ -85,25 +85,32 @@ def as_int(v):
     return as_ints((v,))[0]
 
 
+_BOOLS = frozenset((bool, np.bool_))
+
+
 def _check_table(name, table, n):
     """table as a read-only, C-contiguous int32 n x n array.  Such an array
     is kept as given and made read-only; anything else is copied into one.
     A table that is not n x n integers in 0..n-1 raises StructuralError,
-    naming its first fault in row order."""
+    naming its first fault in row order.  Bools are not integers here: an
+    array of them is not an integer table, and rows given as lists are
+    looked through for them, as an array made of ints and bools is one."""
+    listed = not isinstance(table, np.ndarray)
     try:
         T = np.asarray(table)
     except ValueError:                           # ragged rows
         T = None
     if (T is None or T.shape != (n, n) or T.dtype.kind not in "iu"
-            or T.min() < 0 or T.max() >= n):
-        rows = table.tolist() if isinstance(table, np.ndarray) else table
+            or T.min() < 0 or T.max() >= n
+            or (listed and any(not _BOOLS.isdisjoint(map(type, row)) for row in table))):
+        rows = table if listed else table.tolist()
         if len(rows) != n:
             raise StructuralError(f"{name} table has {len(rows)} rows, expected {n}")
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise StructuralError(f"{name} table row {i} has length {len(row)}")
             for v in row:
-                if not (isinstance(v, int) and 0 <= v < n):
+                if not (isinstance(v, int) and 0 <= v < n) or (listed and isinstance(v, bool)):
                     raise StructuralError(f"{name}[{i}] contains invalid entry {v!r}")
         raise StructuralError(f"{name} table is not an integer table")
     T = np.ascontiguousarray(T, dtype=np.int32)
@@ -127,9 +134,11 @@ class SkewAlgebra:
     cap_table: np.ndarray
 
     def __post_init__(self):
+        if isinstance(self.n, bool):
+            raise StructuralError(f"n = {self.n} is not an integer")
         if self.n < 1:
             raise StructuralError("carrier must be non-empty")
-        if not (0 <= self.zero < self.n):
+        if isinstance(self.zero, bool) or not (0 <= self.zero < self.n):
             raise StructuralError(f"zero index {self.zero} out of range")
         for name in _OPS:
             object.__setattr__(self, name + "_table",
@@ -166,10 +175,17 @@ class SkewAlgebra:
 
 def make_algebra(n, zero, meet, join, diff, cap):
     """Build a SkewAlgebra from list-of-list tables.  Entries must be
-    integers (TypeError otherwise, also for 1.9, "0" or True)."""
-    as_rows = lambda t: [as_ints(row) for row in t]
-    return SkewAlgebra(as_int(n), as_int(zero), as_rows(meet),
-                       as_rows(join), as_rows(diff), as_rows(cap))
+    integers (TypeError otherwise, also for 1.9, "0" or True).  The rows,
+    checked here, reach SkewAlgebra as one array per table, so it does not
+    look through them for bools again."""
+    def as_table(t):
+        rows = [as_ints(row) for row in t]
+        try:
+            return np.array(rows)
+        except ValueError:                       # ragged rows: SkewAlgebra names them
+            return rows
+    return SkewAlgebra(as_int(n), as_int(zero), as_table(meet),
+                       as_table(join), as_table(diff), as_table(cap))
 
 
 @dataclass(frozen=True)
@@ -240,14 +256,14 @@ def _gather(T, i, j):
 
 def _by_row_blocks(n, dtype, make_rows):
     """The n x n array whose rows b are make_rows(b), made one block of rows
-    at a time, so that a block's intp index stays near n x n bytes.  A
-    single block is returned as made."""
-    blocks = _row_blocks(n, 8 * n)
-    if len(blocks) == 1:
-        return make_rows(blocks[0])
+    at a time, so that a block's intp index stays near n x n bytes, or near
+    256 KiB on small carriers.  A single block is returned as made."""
+    size = max(1, max(n * n, 2**18) // (8 * n))
+    if size >= n:
+        return make_rows(slice(0, n))
     out = np.empty((n, n), dtype=dtype)
-    for b in blocks:
-        out[b] = make_rows(b)
+    for lo in range(0, n, size):
+        out[lo:lo + size] = make_rows(slice(lo, lo + size))
     return out
 
 
@@ -406,9 +422,13 @@ def _product_tables(bands, digits):
 
 
 def _certificate(A):
-    """True if A is, table for table, the product of rectangular bands with
-    a zero adjoined that its atoms describe (validate_algebra's docstring
-    has the argument); False if A does not decode as one or differs."""
+    """None if A is, table for table, the product of rectangular bands with a
+    zero adjoined that its atoms describe (validate_algebra's docstring has
+    the argument).  Otherwise the name of the check that refused A: "fibers"
+    (meeting is not an equivalence on the atoms), "band" (a fiber's meet
+    table is not a rectangular band), "digits" (the atoms below the elements
+    do not number the product), or the first of "zero", "meet", "join",
+    "diff" and "cap" that differs from the rebuilt product."""
     n, M, zero = A.n, A.meet_table, A.zero
     leq = leq_matrix(A)
     atoms = np.array(_atoms(leq, zero), dtype=np.intp)
@@ -417,7 +437,7 @@ def _certificate(A):
         meets = M[np.ix_(atoms, atoms)] != zero      # [a, b]: a ^ b is not zero
         first = np.argmax(meets, axis=1)             # the first atom each atom meets
         if not np.array_equal(meets, first[:, None] == first[None, :]):
-            return False                             # not an equivalence
+            return "fibers"
         fibers = [atoms[first == i] for i in np.flatnonzero(first == np.arange(len(atoms)))]
     bands, digits = [], np.zeros((n, len(fibers)), dtype=np.int64)
     for b, f in enumerate(fibers):
@@ -425,19 +445,23 @@ def _certificate(A):
         where[f] = np.arange(len(f))
         band = where[M[np.ix_(f, f)]]
         if not _is_rectangular_band(band):
-            return False
+            return "band"
         bands.append(band)
         below = leq[f]                               # [i, x]: point i of fiber b is below x
         count = below.sum(axis=0)
         if count.max() > 1:
-            return False
+            return "digits"
         digits[:, b] = np.where(count > 0, np.argmax(below, axis=0) + 1, 0)
     try:
         product_zero, tables = _product_tables(bands, digits)
     except ValueError:                               # the digits do not number the product
-        return False
-    return product_zero == zero and all(
-        np.array_equal(T, getattr(A, name + "_table")) for name, T in zip(_OPS, tables))
+        return "digits"
+    if product_zero != zero:
+        return "zero"
+    for name, T in zip(_OPS, tables):
+        if not np.array_equal(T, getattr(A, name + "_table")):
+            return name
+    return None
 
 
 def validate_algebra(A, max_n=EXHAUSTIVE_N):
@@ -451,7 +475,7 @@ def validate_algebra(A, max_n=EXHAUSTIVE_N):
     of join are implied by the axioms, so violations of those are reported
     as warnings (useful when hunting for which axiom a broken table loses).
 
-    A certificate (``_certificate``) runs first, at every n, at the cost of
+    A certificate (``_certificate``) decides, at every n, at the cost of
     building four tables and comparing them.  On a finite discrete base the
     section algebra of a rectangular space is the product over the base
     points of the fiber bands, each with a zero adjoined.  The certificate
@@ -464,172 +488,36 @@ def validate_algebra(A, max_n=EXHAUSTIVE_N):
 
     - Every band is checked to be rectangular, so each factor, a
       rectangular band with a zero adjoined, is a skew Boolean algebra with
-      intersections (Leech 1990, cited in 8), and so is the product.  Every
-      law but the glb law is an identity, so it holds coordinatewise.  The
-      natural order of a product is coordinatewise, and cap, coordinatewise
-      the greatest lower bound, is the greatest lower bound.
+      intersections (Leech, "Skew Boolean algebras", Algebra Universalis
+      27, 1990), and so is the product.  Every law but the glb law is an
+      identity, so it holds coordinatewise.  The natural order of a product
+      is coordinatewise, and cap, coordinatewise the greatest lower bound,
+      is the greatest lower bound.  Normality and regularity are theorems
+      of the axioms (Leech 1990), so there are no warnings.
     - n = prod(1 + |fiber|) and the elements' digits, read as mixed-radix
       codes, are distinct (the builder refuses them otherwise), so they
       number the product's elements once each.  With the five
       comparisons, A is isomorphic to the product.
 
     Soundness rests on these checks alone; how the fibers and digits were
-    read needs no proof.  Every valid A passes: it is the section algebra
-    of its spectrum, whose atoms are the one-point sections, and that is
-    the product read off.
+    read needs no proof.  Completeness: every valid A passes.  It is the
+    section algebra of its spectrum, whose atoms are the one-point
+    sections, and that is the product read off.
 
-    If the certificate refuses A, the fallback runs: a proof costing
-    n^2 * |G| (``_unproved_step``), at every n, and, if a step of it fails,
-    the exhaustive check (``_exhaustive_report``), which gives the report.
-    So failures, first witnesses (C order) and warnings are always the
-    exhaustive ones.  That check is cubic, so past n = max_n it is not run:
-    SizeCapError is raised instead, naming the failed step.  The proof's
-    steps, each sound given those before it:
-
-    1. The laws with n or n^2 instances, on the whole table: both
-       idempotents, the four absorptions, zero neutral, both complement
-       laws, cap lower bound, cap commutative, cap idempotent.  Absorption
-       with zero neutral gives 0 ^ y = y ^ 0 = 0, so 0 <= y for every y.
-    2. Generators.  G is 0 and the atoms (x != 0 with only 0 and x below
-       it); the left-bracketed join closure of G from 0 must be all of A,
-       so every element is (...((0 v g1) v g2) ...) v gk with gi in G.
-       Join-irreducibles would not do: on a 2 x 2 band a point section is
-       the join of two other point sections.
-    3. Join associativity by Light's test (Clifford and Preston, The
-       Algebraic Theory of Semigroups I, 1.2): (x v g) v y = x v (g v y)
-       for g in G.  The middles m with (x v m) v y = x v (m v y) for all
-       x, y are closed under join: (x v (m v m')) v y = ((x v m) v m') v y
-       = (x v m) v (m' v y) = x v (m v (m' v y)) = x v ((m v m') v y).
-       They include G, which generates A, so they are all of A.
-    4. Both meet distributivities for z in G.  Given 3, the z with
-       x ^ (y v z) = (x ^ y) v (x ^ z) for all x, y are closed under join:
-       x ^ (y v z v z') = (x ^ (y v z)) v (x ^ z')
-       = (x ^ y) v (x ^ z) v (x ^ z') = (x ^ y) v (x ^ (z v z')).
-       They include G, so they are all of A.  The right-hand law is the
-       mirror image of the same argument.
-    5. Meet associativity on G^3.  By 4 both distributivities hold on all
-       of A, so (x ^ y) ^ z and x ^ (y ^ z) are join homomorphisms in each
-       of x, y and z separately, e.g. ((x v x') ^ y) ^ z
-       = ((x ^ y) v (x' ^ y)) ^ z = ((x ^ y) ^ z) v ((x' ^ y) ^ z).  G
-       generates A under join (2), so agreement on G^3 extends to every x
-       with y, z in G, then to every x, y with z in G, then everywhere.
-    Steps 3 to 5 are run on the atoms alone: for the zero they follow from
-    1, which gives x v 0 = 0 v x = x and x ^ 0 = 0 ^ x = 0.  So
-    (x v 0) v y = x v y = x v (0 v y); x ^ (y v 0) = x ^ y = (x ^ y) v 0
-    = (x ^ y) v (x ^ 0), and the mirror law alike; and both bracketings
-    of a triple with a 0 in it are 0.
-    6. The glb law for atoms z: an atom below x and below y must lie below
-       x cap y (n^2 * |G| / 16 byte operations on the atoms below each
-       element as packed bits, as the law is symmetric in x and y once cap
-       is commutative).  That is enough.  By 1 to 5, A is a skew Boolean
-       algebra, so each down-set of c is a Boolean lattice under the
-       restricted operations, closed under join (Leech 1990, cited in 8).
-       Let z lie below x and y.  Each atom of the down-set of z is an atom
-       of A, so by this step it lies below x cap y, and z, the top of its
-       finite Boolean lattice, is the join of those atoms.  The down-set of
-       x cap y is closed under join, so z lies below x cap y.  (z = 0 lies
-       below everything by 1.)
-    7. Cap associativity needs no check.  By 1 and 5 the natural order is
-       a partial order, and by 1 and 6 x cap y is the greatest lower bound
-       of {x, y}, so both bracketings are the greatest lower bound of
-       {x, y, z}.
-    8. Warnings: normality of meet and regularity of join are theorems of
-       the axioms (Leech, "Skew Boolean algebras", Algebra Universalis 27,
-       1990), so a valid A has none.
+    An algebra the certificate refuses is therefore invalid, and the
+    exhaustive check (``_exhaustive_report``) gives its report: failures,
+    first witnesses (C order) and warnings.  That check is cubic, so past
+    n = max_n it is not run: SizeCapError is raised instead, naming the
+    certificate's check that refused A.  Completeness is what makes that
+    cap safe: a valid algebra never reaches it, at any n.
     """
-    if _certificate(A):
-        return ValidationReport(ok=True, failures=(), warnings=())
-    step = _unproved_step(A)
-    if step is None:
+    refused = _certificate(A)
+    if refused is None:
         return ValidationReport(ok=True, failures=(), warnings=())
     if A.n > max_n:
-        raise SizeCapError(f"n={A.n} fails proof step {step}; the exhaustive report "
-                           f"is capped at n={max_n}")
+        raise SizeCapError(f"n={A.n} fails certificate check {refused}; the exhaustive "
+                           f"report is capped at n={max_n}")
     return _exhaustive_report(A)
-
-
-def _unproved_step(A):
-    """Run the proof in validate_algebra's docstring.  Return None if every
-    step passes (A is valid), else the name of the first step that failed:
-    a law of step 1, "generators", or the law steps 3 to 6 check."""
-    n = A.n
-    M, J, D, C = A.meet_table, A.join_table, A.diff_table, A.cap_table
-    idx = np.arange(n)
-    rows = idx[:, None]
-    leq = leq_matrix(A)
-
-    def table_laws():
-        # Only any() is read, so a mask may be its law's transpose [y, x].
-        yield "meet_idempotent", np.diagonal(M) != idx
-        yield "join_idempotent", np.diagonal(J) != idx
-        yield "absorb_meet_over_join_left", _gather(M, rows, J) != rows
-        yield "absorb_meet_over_join_right", _gather(M, J, idx) != idx
-        yield "absorb_join_over_meet_left", _gather(J, rows, M) != rows
-        yield "absorb_join_over_meet_right", _gather(J, M, idx) != idx
-        yield "zero_neutral_join", (J[A.zero] != idx) | (J[:, A.zero] != idx)
-        W = _gather(M, M, rows)                  # [x, y]: x ^ y ^ x
-        yield "complement_meet_zero", _gather(M, D, W) != A.zero
-        yield "complement_join_restore", _gather(J, D, W) != rows
-        yield "cap_is_lower_bound", ~(_gather(leq, C, rows) & _gather(leq, C, idx))
-        yield "cap_commutative", C != C.T
-        yield "cap_idempotent", np.diagonal(C) != idx
-
-    for name, bad in table_laws():
-        if bad.any():
-            return name
-
-    atoms = _atoms(leq, A.zero)
-    reached = np.zeros(n, dtype=bool)
-    reached[A.zero] = True
-    frontier = np.array([A.zero])
-    JG = J[:, atoms]                             # x v 0 = x adds nothing
-    while frontier.size:
-        new = np.zeros(n, dtype=bool)
-        new[JG[frontier]] = True
-        new &= ~reached
-        reached |= new
-        frontier = np.flatnonzero(new)
-    if not reached.all():
-        return "generators"
-
-    # Steps 3 to 5 loop over the atoms (the zero is covered by step 1) and
-    # over blocks of rows, so that each int32 temporary stays near n x n
-    # bytes: a |G| x n x n gather would not.
-    blocks = _row_blocks(n, 4 * n)
-    for g in atoms:                              # [x, y]: (x v g) v y, x v (g v y)
-        for b in blocks:
-            if not np.array_equal(np.take(J, J[b, g], axis=0), np.take(J[b], J[g], axis=1)):
-                return "join_associative"
-    # J[i, j] is Jf[i * n + j]; Mn stays int32 wherever n * n fits in it.
-    Jf, Mn = J.ravel(), M * (n if n * n < 2**31 else np.int64(n))
-    for g in atoms:                              # [x, y]: x ^ (y v g), (x ^ y) v (x ^ g)
-        for b in blocks:
-            if not np.array_equal(np.take(M[b], J[:, g], axis=1), Jf[Mn[b] + M[b, g, None]]):
-                return "meet_distributes_left"
-    for g in atoms:                              # [y, x]: (y v g) ^ x, (y ^ x) v (g ^ x)
-        for b in blocks:
-            if not np.array_equal(np.take(M, J[b, g], axis=0), Jf[Mn[b] + M[g]]):
-                return "meet_distributes_right"
-    g = np.array(atoms, dtype=np.intp)
-    MG, Mg = M[np.ix_(g, g)], M[g]
-    for z in atoms:                              # [x, y] in atoms^2: (x ^ y) ^ z, x ^ (y ^ z)
-        if not np.array_equal(np.take(M[:, z], MG), np.take(Mg, M[g, z], axis=1)):
-            return "meet_associative"
-
-    # The glb law for atoms z.  It is symmetric in x and y (cap is
-    # commutative by step 1), so a block of rows from x0 checks the y >= x0.
-    bits = np.packbits(leq[atoms].T, axis=1)     # bits[x]: the atoms below x
-    for b in _row_blocks(n, n * bits.shape[1]):
-        if (bits[b, None] & bits[b.start:] & ~bits[C[b, b.start:]]).any():
-            return "cap_is_greatest_lower_bound"
-    return None
-
-
-def _row_blocks(n, row_bytes):
-    """Slices that cover rows 0..n-1, each of as many rows of row_bytes as
-    fit in n x n bytes, or in 256 KiB on small carriers (at least one)."""
-    size = max(1, max(n * n, 2**18) // max(1, row_bytes))
-    return [slice(lo, lo + size) for lo in range(0, n, size)]
 
 
 def _exhaustive_report(A):

@@ -70,12 +70,15 @@ class RectSkewSpace:
     band: tuple[tuple[int | None, ...], ...] | None = None
 
     def __post_init__(self):
+        for name, size in (("E", self.size_e), ("B", self.size_b)):
+            if isinstance(size, bool):
+                raise StructuralError(f"{name} = {size} is not an integer")
         if self.size_b < 0:
             raise StructuralError(f"B = {self.size_b} is negative")
         if len(self.p) != self.size_e:
             raise StructuralError(f"p has length {len(self.p)}, expected {self.size_e}")
         for e, b in enumerate(self.p):
-            if not (isinstance(b, int) and 0 <= b < self.size_b):
+            if not (isinstance(b, int) and not isinstance(b, bool) and 0 <= b < self.size_b):
                 raise StructuralError(f"p[{e}] = {b!r} out of range")
         if self.band is not None:
             if len(self.band) != self.size_e:
@@ -84,7 +87,8 @@ class RectSkewSpace:
                 if len(row) != self.size_e:
                     raise StructuralError(f"band row {x} has wrong length")
                 for v in row:
-                    if v is not None and not (isinstance(v, int) and 0 <= v < self.size_e):
+                    if v is not None and not (isinstance(v, int) and not isinstance(v, bool)
+                                              and 0 <= v < self.size_e):
                         raise StructuralError(f"band[{x}] contains invalid entry {v!r}")
 
 

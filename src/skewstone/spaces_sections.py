@@ -34,20 +34,6 @@ from .ideals_spectra import fibers, make_space
 
 
 @dataclass(frozen=True)
-class Section:
-    """Subset of E on which the projection is injective."""
-
-    points: tuple[int, ...]
-
-    @classmethod
-    def of(cls, sp, points):
-        pts = tuple(sorted(set(points)))
-        if len({sp.p[e] for e in pts}) != len(pts):
-            raise ValueError(f"{pts} is not a section: projection repeats a base point")
-        return cls(pts)
-
-
-@dataclass(frozen=True)
 class PartialMap:
     """Partial map stored as a sorted domain with aligned values."""
 

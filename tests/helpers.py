@@ -699,9 +699,9 @@ def band_law_witness_oracle(table):
 
 
 def glb_law_holds_oracle(A):
-    """Oracle for the last step of the validator's proof: x cap y lies above
-    every z below both x and y, checked for every z (not only the atoms),
-    one row x at a time with the z below each element as packed bits."""
+    """Oracle for the glb law: x cap y lies above every z below both x and
+    y, checked for every z, one row x at a time with the z below each
+    element as packed bits."""
     M, C = A.meet_table, A.cap_table
     rows = np.arange(A.n)[:, None]
     below = np.packbits(((M == rows) & (M.T == rows)).T, axis=1)

@@ -126,7 +126,7 @@ class TestExitCodes:
         path.write_text(jsonio.dumps({"map": [0, 1, 1], "source": "three.json",
                                       "target": "three.json"}))
         assert run(capsys, "validate", str(path)) == (1, "FAIL preserves_cap witness=(1, 2)\n")
-        # the two algebras are proved valid, so a cap below their n changes nothing
+        # the two algebras are certified valid, so a cap below their n changes nothing
         assert run(capsys, "validate", "--max-size", "2", str(path)) == (
             1, "FAIL preserves_cap witness=(1, 2)\n")
 
@@ -147,8 +147,8 @@ class TestExitCodes:
         assert captured.err.startswith("error: nested too deep")
 
     def test_over_max_size_exits_three(self, capsys, three_file, tmp_path):
-        # --max-size caps only the exhaustive report of an algebra that fails
-        # the proof: a valid algebra above it still validates
+        # --max-size caps only the exhaustive report of an algebra that the
+        # certificate refuses: a valid algebra above it still validates
         assert run(capsys, "validate", "--max-size", "2", three_file) == (0, "ok\n")
         obj = jsonio.algebra_to_dict(right_three())
         obj["meet"] = obj["meet"].tolist()
@@ -158,7 +158,7 @@ class TestExitCodes:
         code = main(["validate", "--max-size", "2", str(path)])
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")
-        assert captured.err == ("error: limit: n=3 fails proof step absorb_meet_over_join_right;"
+        assert captured.err == ("error: limit: n=3 fails certificate check digits;"
                                 " the exhaustive report is capped at n=2\n")
 
     def test_section_algebra_past_the_default_cap(self, capsys, tmp_path):
@@ -174,7 +174,7 @@ class TestExitCodes:
         code = main(["validate", str(path)])
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")
-        assert captured.err == ("error: limit: n=300 fails proof step cap_commutative;"
+        assert captured.err == ("error: limit: n=300 fails certificate check cap;"
                                 " the exhaustive report is capped at n=256\n")
 
     @pytest.mark.parametrize("command", ["validate", "decompose"])
@@ -593,7 +593,7 @@ class TestSurveyScript:
 
     def test_instance_above_the_validation_cap_is_checked(self, capsys):
         # the last of these 20 instances is a 2x2 band over 4 points, n = 625:
-        # valid algebras are proved at any n, so it gets every verdict
+        # valid algebras are certified at any n, so it gets every verdict
         survey = load_script("duality_survey")
         code = survey.main(["--count", "20", "--size-b", "4", "--max-fiber", "2"])
         out = capsys.readouterr().out

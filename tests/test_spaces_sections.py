@@ -20,6 +20,7 @@ from helpers import (
     validate_coherent_family,
 )
 from skewstone import (
+    RectSkewSpace,
     SizeCapError,
     StructuralError,
     algebras_isomorphic,
@@ -53,7 +54,6 @@ from skewstone.morphisms_duality import Homomorphism, enumerate_homs
 from skewstone.spaces_sections import (
     BandOnY,
     PartialMap,
-    Section,
     band_law_witness,
 )
 
@@ -103,6 +103,18 @@ class TestValidateSpace:
         with pytest.raises(TypeError, match="'bool' object cannot be interpreted"):
             make_space(*args)
 
+    @pytest.mark.parametrize("args, message", [
+        ((True, 1, (0,)), "E = True is not an integer"),
+        ((1, True, (0,)), "B = True is not an integer"),
+        ((2, 1, (0, False)), "p[1] = False out of range"),
+        ((2, 1, (0, 0), ((0, True), (0, 1))), "band[0] contains invalid entry True"),
+    ], ids=["E", "B", "p", "band"])
+    def test_direct_constructor_refuses_bools(self, args, message):
+        # RectSkewSpace(2, 1, (0, False)) once kept False in p
+        with pytest.raises(StructuralError) as err:
+            RectSkewSpace(*args)
+        assert str(err.value) == message
+
 
 class TestSections:
     def test_counts(self):
@@ -119,12 +131,6 @@ class TestSections:
             for s in sizes.values():
                 expected *= 1 + s
             assert len(enumerate_sections(sp)) == expected
-
-    def test_section_constructor_rejects_non_sections(self):
-        sp = make_space(2, 1, [0, 0])
-        assert Section.of(sp, (1,)).points == (1,)
-        with pytest.raises(ValueError):
-            Section.of(sp, (0, 1))
 
 
 class TestDualAlgebras:

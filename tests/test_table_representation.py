@@ -96,13 +96,26 @@ def test_one_changed_entry_breaks_equality(built):
     (([[0, 0], [0, 1]], [[0, 1], ["1", 1]]), "join[1] contains invalid entry '1'"),
     ((np.array([[0, 0], [0, 1]], dtype=object),), "meet table is not an integer table"),
     ((np.array([[0, 0], [0, 1]], dtype=bool),), "meet table is not an integer table"),
+    (([[0, 0], [0, True]],), "meet[1] contains invalid entry True"),
+    (([[0, 0], [0, np.True_]],), "meet[1] contains invalid entry np.True_"),
 ], ids=["row_count", "short_row", "out_of_range", "negative", "non_integer",
-        "string_in_later_table", "object_array", "bool_array"])
+        "string_in_later_table", "object_array", "bool_array", "bool_among_ints",
+        "numpy_bool_among_ints"])
 def test_malformed_table_messages(tables, message):
     good = [[0, 0], [0, 1]]
     given = list(tables) + [good] * (4 - len(tables))
     with pytest.raises(StructuralError) as err:
         SkewAlgebra(2, 0, *given)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("n, zero, message", [
+    (True, 0, "n = True is not an integer"), (1, False, "zero index False out of range"),
+], ids=["n", "zero"])
+def test_direct_constructor_refuses_bools(n, zero, message):
+    # a bool n or zero once passed as 1 or 0
+    with pytest.raises(StructuralError) as err:
+        SkewAlgebra(n, zero, [[0]], [[0]], [[0]], [[0]])
     assert str(err.value) == message
 
 
