@@ -111,6 +111,14 @@ def test_one_entry_mutants(section_algebras):
     assert len({r.failures[0][0] for r in reports if not r.ok}) > 5
 
 
+def test_every_section_algebra_is_proved_fast(section_algebras, catalog):
+    """The certificate alone accepts each section algebra and each catalog
+    algebra, so validate_algebra needs no exhaustive pass, even at max_n=0."""
+    for A in section_algebras + [A for _, A in catalog]:
+        assert _certificate(A) is None
+        assert validate_algebra(A, max_n=0).ok
+
+
 def test_proof_at_n_512():
     """The certificate proves a valid algebra of 512 elements, and refuses
     a fault in the last pair x > y with a nonzero cap: rows x >= 256, in a
@@ -222,6 +230,22 @@ def test_each_step_is_first_to_reject_some_input(section_algebras):
         B = retabled(A, "cap", [(x, y, A.zero), (y, x, A.zero)])
         assert refusal_of(B) == "cap"
         assert checked_report(B).failures[0][0] == "cap_is_greatest_lower_bound"
+
+
+def test_table_only_step_6_rejects():
+    """The four-element Boolean algebra (0, a = 1, b = 2 and top = 3 as bit
+    sets) with a cap top lowered to 0: a lower bound of a and top, not the
+    greatest.  Only the rebuilt cap table tells it apart; the certificate
+    refuses it by that table, and its exhaustive report stays what it was."""
+    ops = (lambda x, y: x & y, lambda x, y: x | y, lambda x, y: x & ~y, lambda x, y: x & y)
+    meet, join, diff, cap = ([[op(x, y) for y in range(4)] for x in range(4)] for op in ops)
+    cap[1][3] = cap[3][1] = 0
+    B = make_algebra(4, 0, meet, join, diff, cap)
+    assert refusal_of(B) == "cap"
+    assert checked_report(B).failures[0][0] == "cap_is_greatest_lower_bound"
+    assert not glb_law_holds_oracle(B)
+    assert _exhaustive_report(B) == ValidationReport(
+        ok=False, failures=(("cap_is_greatest_lower_bound", (1, 3, 1)),), warnings=())
 
 
 def test_certificate_agrees_with_the_all_z_oracle(section_algebras):
