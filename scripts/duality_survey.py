@@ -60,6 +60,9 @@ def main(argv=None):
     parser.add_argument("--size-b", type=int, default=3)
     parser.add_argument("--max-fiber", type=int, default=3)
     args = parser.parse_args(argv)
+    for flag, value in (("--size-b", args.size_b), ("--max-fiber", args.max_fiber)):
+        if value < 1:
+            parser.error(f"argument {flag}: must be at least 1, got {value}")
     rows = survey(args.count, args.seed, args.size_b, args.max_fiber)
     header = f"{'seed':>6} {'band':<18} {'|E|':>4} {'|A|':>4} {'hand':<12} valid decomp section    t"
     print(header)

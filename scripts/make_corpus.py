@@ -23,6 +23,9 @@ def main(argv=None):
     parser.add_argument("--size-b", type=int, default=2)
     parser.add_argument("--max-fiber", type=int, default=3)
     args = parser.parse_args(argv)
+    for flag, value in (("--size-b", args.size_b), ("--max-fiber", args.max_fiber)):
+        if value < 1:
+            parser.error(f"argument {flag}: must be at least 1, got {value}")
     os.makedirs(args.out, exist_ok=True)
     for i in range(args.count):
         sp = random_space(args.size_b, args.max_fiber, seed=args.seed + i,

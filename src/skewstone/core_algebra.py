@@ -32,7 +32,7 @@ class SizeCapError(RuntimeError):
 # morphisms between the spectra, and that search counts its own work:
 # MAX_CANDIDATES, the default max_candidates of enumerate_homs and
 # enumerate_space_morphisms, counts every partial base map and every
-# combination of fiber maps it tries.
+# combination of band-preserving fiber maps over it.
 EXHAUSTIVE_N = 256
 MAX_CARRIER = 4096
 MAX_CANDIDATES = 10 ** 6
@@ -309,37 +309,40 @@ def _atoms(leq, zero):
 # Products of rectangular bands with a zero adjoined
 # ---------------------------------------------------------------------------
 
-def _is_rectangular_band(T):
-    """True if T, an m x m table on 0..m-1, is a rectangular band, decided
-    by decoding it.  In a rectangular band R x C, x y = (row(x), col(y)):
+def _rectangle(T):
+    """Decode T, an m x m table on 0..m-1, as a rectangular band: the row
+    and the column of each element, as two int arrays, or None if T is not a
+    rectangular band.  In a rectangular band R x C, x y = (row(x), col(y)):
     rows are equal exactly when their first entries are, and columns when
-    their first entries are.  So x is placed at (T[x, 0], T[0, x]), and T
-    is a rectangular band exactly when these places are a bijection onto
-    R x C (R the values of column 0, C those of row 0) and T[x, y] is the
-    element placed at (T[x, 0], T[0, y]).  Anything that is not an integer
-    table on 0..m-1 gives False."""
+    their first entries are.  So x is placed at (T[x, 0], T[0, x]), and T is
+    a rectangular band exactly when these places are a bijection onto R x C
+    (R the values of column 0, C those of row 0) and T[x, y] is the element
+    placed at (T[x, 0], T[0, y]).  Anything that is not an integer table on
+    0..m-1 gives None."""
     m = len(T)
     if m == 0 or T.shape != (m, m) or T.dtype.kind not in "iu" or T.min() < 0 or T.max() >= m:
-        return False
+        return None
     row, col = T[:, 0], T[0]
     at = np.full((m, m), -1)
     at[row, col] = np.arange(m)
     placed = at >= 0
-    return (np.count_nonzero(placed) == m
+    if (np.count_nonzero(placed) == m
             and np.count_nonzero(placed.any(axis=1)) * np.count_nonzero(placed.any(axis=0)) == m
-            and np.array_equal(T, at[row[:, None], col]))
+            and np.array_equal(T, at[row[:, None], col])):
+        return row, col
+    return None
 
 
 def band_law_witness(table):
     """First violated rectangular-band law, or None: idempotency,
     associativity, and the rectangle identity x ^ y ^ z = x ^ z.  A table
-    that decodes as a rectangle (_is_rectangular_band) has none; only one
-    that does not pays for the search of the first witness over m^3 triples."""
+    that decodes as a rectangle (_rectangle) has none; only one that does
+    not pays for the search of the first witness over m^3 triples."""
     try:
         T = np.asarray(table)
     except ValueError:                           # ragged rows
         T = np.empty(0)
-    if _is_rectangular_band(T):
+    if _rectangle(T) is not None:
         return None
     m = len(table)
     for x in range(m):
@@ -444,7 +447,7 @@ def _certificate(A):
         where = np.full(n, -1, dtype=np.intp)
         where[f] = np.arange(len(f))
         band = where[M[np.ix_(f, f)]]
-        if not _is_rectangular_band(band):
+        if _rectangle(band) is None:
             return "band"
         bands.append(band)
         below = leq[f]                               # [i, x]: point i of fiber b is below x

@@ -102,6 +102,22 @@ def make_space(size_e, size_b, p, band=None):
     return RectSkewSpace(as_int(size_e), as_int(size_b), tuple(as_ints(p)), frozen_band)
 
 
+def _banded_space(size_b, p, bands):
+    """The space p : E -> B whose fiber over b carries bands[b], a table of
+    ints on the positions 0..m-1 of that fiber's points in index order.
+    This is the one builder that fills a band table cell by cell."""
+    size_e = len(p)
+    fib = [[] for _ in range(size_b)]
+    for e, b in enumerate(p):
+        fib[b].append(e)
+    band = [[None] * size_e for _ in range(size_e)]
+    for f, table in zip(fib, bands):
+        for x, row in zip(f, table):
+            for y, v in zip(f, row):
+                band[x][y] = f[v]
+    return make_space(size_e, size_b, p, band)
+
+
 @per_object
 def fibers(sp):
     """E-points of each fiber, in index order, indexed by base point."""
@@ -109,6 +125,23 @@ def fibers(sp):
     for e, b in enumerate(sp.p):
         out[b].append(e)
     return tuple(tuple(f) for f in out)
+
+
+@per_object
+def fiber_bands(sp):
+    """Each fiber's band as a table on the positions 0..m-1 of its points; a
+    plain fiber carries the right band x y = y.  The band must stay inside
+    fibers (validate_space checks that before it asks)."""
+    out = []
+    for f in fibers(sp):
+        if sp.band is None:
+            table = np.tile(np.arange(len(f)), (len(f), 1))
+        else:
+            pos = {e: i for i, e in enumerate(f)}
+            table = np.array([[pos[sp.band[x][y]] for y in f] for x in f], dtype=np.intp)
+        table.setflags(write=False)
+        out.append(table)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -263,25 +296,20 @@ def spectrum_data(A):
     points = []
     label_index = {}
     p_map = []
+    bands = []
     for pi, theta in enumerate(thetas):
         zero_label = theta.labels[A.zero]           # the zero class is the prime
+        start = len(points)                         # the fiber's first point
         for label, block in enumerate(theta.blocks):
             if label == zero_label:
                 continue
             label_index[(pi, label)] = len(points)
             points.append(SpectrumPoint(prime=pi, rep=block[0]))
             p_map.append(pi)
-    size_e = len(points)
-    band = [[None] * size_e for _ in range(size_e)]
-    for x in range(size_e):
-        for y in range(size_e):
-            if p_map[x] != p_map[y]:
-                continue
-            pi = p_map[x]
-            theta = thetas[pi]
-            m = A.meet(points[x].rep, points[y].rep)
-            band[x][y] = label_index[(pi, theta.labels[m])]
-    space = make_space(size_e, len(primes), p_map, band)
+        reps = [pt.rep for pt in points[start:]]
+        bands.append([[label_index[pi, theta.labels[v]] - start for v in row]
+                      for row in A.meet_table[np.ix_(reps, reps)].tolist()])
+    space = _banded_space(len(primes), p_map, bands)
     return SpectrumData(primes=primes, thetas=thetas, space=space,
                         points=tuple(points), label_index=label_index)
 

@@ -147,8 +147,9 @@ def dump(obj, fh=None):
 
 
 def dumps(obj):
-    """Canonical serialization used by every command (byte-stable): the
-    bytes dump writes, without the final newline."""
+    """The canonical bytes dump writes, without the final newline, as a
+    string.  No command calls it; it serves callers that want a document as
+    text (writing fixtures, comparing output)."""
     fh = io.StringIO()
     dump(obj, fh)
     return fh.getvalue()[:-1]

@@ -61,45 +61,53 @@ def is_lattice_section(A, choice):
 def find_lattice_section(A):
     """Depth-first search over per-class choices, least candidates first,
     pruning as soon as a meet or join of chosen elements leaves the partial
-    choice.  Returns the first section found, or None."""
+    choice.  Returns the first section found, or None.  The search keeps its
+    own stack, one candidate index per class, so its depth is not bounded by
+    Python's recursion limit."""
     _require_right_handed(A)
     d = green_partitions(A)[0]
     AD, to_d = reflection(A)
     k = AD.n
-    # (table of A, i, j, class of i . j) for the class pairs whose meet or
-    # join lands in class t, checked when t is filled
-    triggers = [[] for _ in range(k)]
-    i, j = np.indices((k, k))
+    # per table of A: the class pairs (i, j) with the class q of i . j, as
+    # the columns of one (3, k * k) array sorted by the last of i, j and q
+    # to be filled, and where the run of each class t starts; a run is
+    # checked when its class is filled
+    r = np.arange(k, dtype=np.int32)
+    checks = []
     for op in ("meet_table", "join_table"):
-        Q = getattr(AD, op)
-        last = np.maximum(np.maximum(i, j), Q)
-        for t, x, y, q in zip(*(a.ravel().tolist() for a in (last, i, j, Q))):
-            triggers[t].append((getattr(A, op), x, y, q))
-    choice = [None] * k
+        Q = getattr(AD, op).ravel()
+        last = np.maximum(np.maximum.outer(r, r).ravel(), Q)
+        order = np.argsort(last, kind="stable").astype(np.int32)
+        triples = np.stack((order // k, order % k, Q[order]))
+        starts = np.searchsorted(last[order], np.arange(k + 1)).tolist()
+        checks.append((getattr(A, op), triples, starts))
+    choice = np.zeros(k, dtype=np.intp)
 
     def consistent(t):
-        return all(T.item(choice[x], choice[y]) == choice[q] for T, x, y, q in triggers[t])
+        for T, triples, starts in checks:
+            x, y, q = choice[triples[:, starts[t]:starts[t + 1]]]
+            if not (T[x, y] == q).all():
+                return False
+        return True
 
-    def extend(t):
-        if t == k:
-            return True
-        block = d.blocks[t]
-        candidates = (A.zero,) if t == to_d[A.zero] else block
-        for c in candidates:
-            choice[t] = c
-            if consistent(t) and extend(t + 1):
-                return True
-        choice[t] = None
-        return False
-
-    found = extend(0)
-    del extend  # it refers to itself through its cell: break that cycle
-    if found:
-        section = LatticeSection(tuple(choice))
-        if not is_lattice_section(A, section.choice):
-            raise RuntimeError("search returned a non-section")
-        return section
-    return None
+    candidates = [(A.zero,) if t == to_d[A.zero] else d.blocks[t] for t in range(k)]
+    tried = [0] * k                  # next candidate to try at each class
+    t = 0
+    while 0 <= t < k:
+        if tried[t] == len(candidates[t]):
+            tried[t] = 0
+            t -= 1
+            continue
+        choice[t] = candidates[t][tried[t]]
+        tried[t] += 1
+        if consistent(t):
+            t += 1
+    if t < 0:
+        return None
+    section = LatticeSection(tuple(choice.tolist()))
+    if not is_lattice_section(A, section.choice):
+        raise RuntimeError("search returned a non-section")
+    return section
 
 
 def find_global_section(sp):

@@ -10,8 +10,9 @@ acts on sections by preimage under g.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import chain, combinations, permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .core_algebra import (
     ValidationReport,
     _OPS,
     _first_bad,
+    _rectangle,
     _take,
     as_ints,
     green_partitions,
@@ -31,7 +33,9 @@ from .core_algebra import (
     subalgebra_on,
 )
 from .ideals_spectra import (
+    _banded_space,
     _basic_copens,
+    fiber_bands,
     fibers,
     leq_ideal_generated,
     make_space,
@@ -41,9 +45,8 @@ from .ideals_spectra import (
 from .spaces_sections import (
     PartialMap,
     dual_algebra,
-    fiber_band_classes,
     partial_map,
-    spaces_isomorphic,
+    product_band,
 )
 
 
@@ -138,8 +141,9 @@ def enumerate_homs(A, B, max_candidates=MAX_CANDIDATES):
 
     A and B must be valid algebras (see validate_algebra); the spectra are
     not a duality otherwise.  max_candidates bounds the space-morphism
-    search: every partial base map and every combination of fiber maps it
-    tries is one candidate, and it raises SizeCapError past the bound.
+    search: every partial base map and every combination of band-preserving
+    fiber maps over it is one candidate, and past the bound it raises
+    SizeCapError.
     """
     morphisms = enumerate_space_morphisms(spectrum_data(B).space, spectrum_data(A).space,
                                           max_candidates)
@@ -206,10 +210,11 @@ def validate_space_morphism(m):
             failures.append(("fiber_bijection", (x,)))
     if sp.band is not None or tp.band is not None:
         band = lambda space, x, y: y if space.band is None else space.band[x][y]
+        piece_of = {}                                # the domain of g in each fiber
+        for y in g:
+            piece_of.setdefault(sp.p[y], []).append(y)
         for y1 in g:
-            for y2 in g:
-                if sp.p[y1] != sp.p[y2]:
-                    continue
+            for y2 in piece_of[sp.p[y1]]:
                 v = band(sp, y1, y2)
                 if v not in g or g[v] != band(tp, g[y1], g[y2]):
                     failures.append(("band_preserved", (y1, y2)))
@@ -231,40 +236,97 @@ def compose_space_morphisms(outer, inner):
     return SpaceMorphism(inner.source, outer.target, partial_map(g), partial_map(h))
 
 
-def enumerate_space_morphisms(sp, tp, max_candidates=MAX_CANDIDATES):
-    """All valid space morphisms sp -> tp.
+@per_object
+def _rectangles(sp):
+    """The (row, column) of each point of every fiber band, rows and columns
+    numbered in the order of their first point, and each band's (rows,
+    columns); ValueError if a band is not rectangular."""
+    rects, shapes = [], []
+    for table in fiber_bands(sp):
+        rect = _rectangle(table)
+        if rect is None:
+            raise ValueError("a fiber band is not a rectangular band")
+        row, col = map(_first_seen, rect)
+        rects.append((row, col))
+        shapes.append((1 + max(row), 1 + max(col)))
+    return rects, shapes
 
-    Base maps are enumerated first; over each base point in the domain the
-    fiber map is an injection from a subset of the fiber onto the whole
-    target fiber, so those are enumerated directly instead of filtering all
-    partial maps on E.  Every partial base map and every combination of
-    fiber maps tried is one candidate; past max_candidates of them it
-    raises SizeCapError.
+
+def _first_seen(keys):
+    """keys renumbered 0, 1, ... in the order they first occur."""
+    seen = {}
+    return [seen.setdefault(k, len(seen)) for k in keys.tolist()]
+
+
+def enumerate_space_morphisms(sp, tp, max_candidates=MAX_CANDIDATES):
+    """All valid space morphisms sp -> tp, in (h, g) order.
+
+    Over x sent to y, g inverts an injective band map from the fiber over y
+    into the one over x: between rectangles, an injective row map with an
+    injective column map (a plain fiber is one row).  So each x is left out
+    or picks a y and one of its P(a_x, a_y) * P(b_x, b_y) pieces.  Each
+    partial base map is one candidate and each combination of pieces over
+    it one more; past max_candidates SizeCapError is raised before any is
+    built.  A band that is not rectangular raises ValueError.
     """
-    src_fib, tgt_fib = fibers(sp), fibers(tp)
+    (src_rect, src_shape), (tgt_rect, tgt_shape) = _rectangles(sp), _rectangles(tp)
+    counts = [1 + sum(math.perm(a, c) * math.perm(b, d) for c, d in tgt_shape)
+              for a, b in src_shape]
+    if (1 + tp.size_b) ** sp.size_b + math.prod(counts) > max_candidates:
+        raise SizeCapError(f"space morphism search tried more than {max_candidates} "
+                           "candidate assignments (partial base maps and fiber-map "
+                           "combinations)")
+    tgt_points = [list(zip(zip(r, c), t)) for t, (r, c) in zip(fibers(tp), tgt_rect)]
+    choices = []
+    for f, (rows, cols), (a, b) in zip(fibers(sp), src_rect, src_shape):
+        at = dict(zip(zip(rows, cols), f))
+        pieces = [None]
+        for y, (points, (c, d)) in enumerate(zip(tgt_points, tgt_shape)):
+            for row_map in permutations(range(a), c):
+                for col_map in permutations(range(b), d):
+                    pieces.append((y, [(at[row_map[i], col_map[j]], e)
+                                       for (i, j), e in points]))
+        choices.append(pieces)
     out = []
-    tried = 0
-    for h_choice in product(*[(None,) + tuple(range(tp.size_b)) for _ in range(sp.size_b)]):
-        h = {x: v for x, v in enumerate(h_choice) if v is not None}
-        options = [[dict(zip(chosen, tgt_fib[hx]))
-                    for chosen in permutations(src_fib[x], len(tgt_fib[hx]))]
-                   for x, hx in h.items()]
-        # the base map is one candidate, each combination of fiber maps one more
-        for combo in chain([None], product(*options)):
-            tried += 1
-            if tried > max_candidates:
-                raise SizeCapError(f"space morphism search tried more than {max_candidates} "
-                                   "candidate assignments (partial base maps and fiber-map "
-                                   "combinations)")
-            if combo is None:
-                continue
-            g = {}
-            for piece in combo:
-                g.update(piece)
-            cand = SpaceMorphism(sp, tp, partial_map(g), partial_map(h))
-            if validate_space_morphism(cand).ok:
-                out.append(cand)
+    for combo in product(*choices):
+        h, g = {}, {}
+        for x, piece in enumerate(combo):
+            if piece is not None:
+                h[x] = piece[0]
+                g.update(piece[1])
+        out.append(SpaceMorphism(sp, tp, partial_map(g), partial_map(h)))
     return tuple(sorted(out, key=lambda m: (m.h.domain, m.h.values, m.g.domain, m.g.values)))
+
+
+def spaces_isomorphic(sp1, sp2):
+    """Isomorphism (total E-bijection over a base bijection, preserving bands
+    when present) between two spaces, as (g, h), or None.
+
+    Fibers are matched by the (rows, columns) of their rectangles, in base
+    order within a shape, and points by their (row, column); the result is
+    checked with validate_space_morphism.  A band that is not rectangular
+    raises ValueError.
+    """
+    if (sp1.size_e, sp1.size_b) != (sp2.size_e, sp2.size_b):
+        return None
+    if (sp1.band is None) != (sp2.band is None):
+        return None
+    (rects1, shape1), (rects2, shape2) = _rectangles(sp1), _rectangles(sp2)
+    order = lambda shape: sorted(range(len(shape)), key=lambda b: (shape[b], b))
+    fib1, fib2 = fibers(sp1), fibers(sp2)
+    g_base = [0] * sp1.size_b
+    g_total = [0] * sp1.size_e
+    for b1, b2 in zip(order(shape1), order(shape2)):
+        if shape1[b1] != shape2[b2]:
+            return None
+        g_base[b1] = b2
+        (r1, c1), (r2, c2) = rects1[b1], rects2[b2]
+        at = dict(zip(zip(r2, c2), fib2[b2]))
+        for e, r, c in zip(fib1[b1], r1, c1):
+            g_total[e] = at[r, c]
+    m = SpaceMorphism(sp1, sp2, PartialMap(tuple(range(sp1.size_e)), tuple(g_total)),
+                      PartialMap(tuple(range(sp1.size_b)), tuple(g_base)))
+    return (m.g.values, m.h.values) if validate_space_morphism(m).ok else None
 
 
 # ---------------------------------------------------------------------------
@@ -405,39 +467,26 @@ def to_space_pair(sp):
     component collapses onto the base and the second keeps the total space."""
     if sp.band is None:
         raise ValueError("pair decomposition needs a band")
+    shapes = _rectangles(sp)[1]
 
-    def quotient(selector):
-        p_q = []
-        for b, f in enumerate(fibers(sp)):
-            for _ in selector(sp, f):
-                p_q.append(b)
+    def quotient(side):
+        p_q = [b for b, shape in enumerate(shapes) for _ in range(shape[side])]
         return make_space(len(p_q), sp.size_b, p_q)
 
-    left = quotient(lambda s, f: fiber_band_classes(s, f)[0])
-    right = quotient(lambda s, f: fiber_band_classes(s, f)[1])
-    return left, right
+    return quotient(0), quotient(1)
 
 
 def from_space_pair(left, right):
     """Fiber product of two plain spaces over their common base, with the
-    grid band (u1, v1) ^ (u2, v2) = (u1, v2)."""
+    grid band (u1, v1) ^ (u2, v2) = (u1, v2): the point (u, v) of a fiber
+    sits at u * |V| + v, and that is product_band(|V|, |U|)."""
     if left.size_b != right.size_b:
         raise ValueError("pair components have different bases")
     if left.band is not None or right.band is not None:
         raise ValueError("pair components must be plain spaces")
-    points = []
-    for b in range(left.size_b):
-        for u in fibers(left)[b]:
-            for v in fibers(right)[b]:
-                points.append((b, u, v))
-    index = {pt: i for i, pt in enumerate(points)}
-    n = len(points)
-    band = [[None] * n for _ in range(n)]
-    for i, (b1, u1, _) in enumerate(points):
-        for j, (b2, _, v2) in enumerate(points):
-            if b1 == b2:
-                band[i][j] = index[(b1, u1, v2)]
-    return make_space(n, left.size_b, [pt[0] for pt in points], band)
+    shapes = [(len(u), len(v)) for u, v in zip(fibers(left), fibers(right))]
+    p = [b for b, (u, v) in enumerate(shapes) for _ in range(u * v)]
+    return _banded_space(left.size_b, p, [product_band(v, u).table for u, v in shapes])
 
 
 # ---------------------------------------------------------------------------
@@ -445,18 +494,26 @@ def from_space_pair(left, right):
 # ---------------------------------------------------------------------------
 
 def restrict_space(sp, e_subset, b_subset):
-    """Subspace on the given points with reindexed projection and band."""
+    """Subspace on the given points with reindexed projection and band;
+    ValueError if the points kept in a fiber are not closed under its band."""
     e_list = tuple(sorted(e_subset))
     b_list = tuple(sorted(b_subset))
     b_pos = {b: i for i, b in enumerate(b_list)}
     p = [b_pos[sp.p[e]] for e in e_list]
-    band = None
-    if sp.band is not None:
-        e_pos = {e: i for i, e in enumerate(e_list)}
-        band = [[None if sp.band[x][y] is None or sp.band[x][y] not in e_pos
-                 else e_pos[sp.band[x][y]]
-                 for y in e_list] for x in e_list]
-    return make_space(len(e_list), len(b_list), p, band), e_list, b_list
+    if sp.band is None:
+        return make_space(len(e_list), len(b_list), p), e_list, b_list
+    kept = set(e_list)
+    tables = []
+    for b in b_list:
+        table = fiber_bands(sp)[b]
+        keep = [i for i, e in enumerate(fibers(sp)[b]) if e in kept]
+        renumber = np.full(len(table), -1)
+        renumber[keep] = np.arange(len(keep))
+        sub = renumber[table[np.ix_(keep, keep)]]
+        if (sub < 0).any():
+            raise ValueError(f"the points kept over {b} are not closed under the band")
+        tables.append(sub.tolist())
+    return _banded_space(len(b_list), p, tables), e_list, b_list
 
 
 def decompose_morphism(m):

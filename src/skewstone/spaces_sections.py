@@ -22,7 +22,6 @@ import numpy as np
 from .core_algebra import (
     MAX_CARRIER,
     SizeCapError,
-    SkewAlgebra,
     ValidationReport,
     _product_algebra,
     band_law_witness,
@@ -30,7 +29,7 @@ from .core_algebra import (
     per_object,
     preceq_matrix,
 )
-from .ideals_spectra import fibers, make_space
+from .ideals_spectra import _banded_space, fiber_bands, fibers, make_space
 
 
 @dataclass(frozen=True)
@@ -125,8 +124,8 @@ def validate_space(sp):
                 elif v is not None and sp.p[v] != sp.p[x]:
                     failures.append(("band_in_fiber", (x, y)))
         if not failures:
-            for f in fib:
-                bad = band_law_witness(_fiber_band(sp, f))
+            for f, table in zip(fib, fiber_bands(sp)):
+                bad = band_law_witness(table)
                 if bad is not None:
                     law, w = bad
                     failures.append((law, tuple(f[i] for i in w)))
@@ -149,15 +148,6 @@ def enumerate_sections(sp):
     return tuple(sorted(out))
 
 
-def _fiber_band(sp, fiber):
-    """Band of one fiber as a table on the positions 0..|fiber|-1 of its
-    points; a plain space carries the right band x y = y."""
-    if sp.band is None:
-        return [list(range(len(fiber)))] * len(fiber)
-    pos = {e: i for i, e in enumerate(fiber)}
-    return [[pos[sp.band[x][y]] for y in fiber] for x in fiber]
-
-
 @per_object
 def dual_algebra(sp):
     """Section algebra of a space, through its fiber bands (the right band on
@@ -176,7 +166,7 @@ def dual_algebra(sp):
         for e in s:
             row[sp.p[e]] = digit[e]
         digits.append(row)
-    return _product_algebra([_fiber_band(sp, f) for f in fib], digits), sections
+    return _product_algebra(fiber_bands(sp), digits), sections
 
 
 def reflection_check(sp):
@@ -285,103 +275,10 @@ def random_space(size_b, max_fiber, seed, band="none"):
         sizes = [rng.randint(1, max_fiber) for _ in range(size_b)]
     p = [b for b, s in enumerate(sizes) for _ in range(s)]
     rng.shuffle(p)
-    size_e = len(p)
     if band == "none":
-        return make_space(size_e, size_b, p)
-    fib = [[] for _ in range(size_b)]
-    for e, b in enumerate(p):
-        fib[b].append(e)
-    table = [[None] * size_e for _ in range(size_e)]
-    for f in fib:
-        local = (grid if isinstance(band, tuple)
-                 else (right_band if band == "right" else left_band)(len(f)))
-        for i, x in enumerate(f):
-            for j, y in enumerate(f):
-                table[x][y] = f[local(i, j)]
-    return make_space(size_e, size_b, p, table)
-
-
-# ---------------------------------------------------------------------------
-# Isomorphism of spaces
-# ---------------------------------------------------------------------------
-
-def fiber_band_classes(sp, fiber):
-    """R-classes and L-classes of one fiber band, ordered by least element."""
-    def classes(rel):
-        out = []
-        for e in fiber:
-            for c in out:
-                if rel(c[0], e):
-                    c.append(e)
-                    break
-            else:
-                out.append([e])
-        return out
-
-    band = sp.band
-    r_cls = classes(lambda x, y: band[x][y] == y and band[y][x] == x)
-    l_cls = classes(lambda x, y: band[x][y] == x and band[y][x] == y)
-    return r_cls, l_cls
-
-
-def spaces_isomorphic(sp1, sp2):
-    """Isomorphism (total E-bijection over a base bijection, preserving bands
-    when present) between two spaces, or None.
-
-    Rectangular fibers are matched through their R x L coordinates; the
-    constructed candidate is verified in full before being returned.
-    """
-    if sp1.size_e != sp2.size_e or sp1.size_b != sp2.size_b:
-        return None
-    if (sp1.band is None) != (sp2.band is None):
-        return None
-    fib1, fib2 = fibers(sp1), fibers(sp2)
-
-    def invariant(sp, f):
-        if sp.band is None:
-            return (len(f),)
-        r_cls, l_cls = fiber_band_classes(sp, f)
-        return (len(f), len(r_cls), len(l_cls))
-
-    inv1 = sorted(range(sp1.size_b), key=lambda b: (invariant(sp1, fib1[b]), b))
-    inv2 = sorted(range(sp2.size_b), key=lambda b: (invariant(sp2, fib2[b]), b))
-    g_base = [0] * sp1.size_b
-    g_total = [0] * sp1.size_e
-    for b1, b2 in zip(inv1, inv2):
-        f1, f2 = fib1[b1], fib2[b2]
-        if invariant(sp1, f1) != invariant(sp2, f2):
-            return None
-        g_base[b1] = b2
-        if sp1.band is None:
-            for e1, e2 in zip(f1, f2):
-                g_total[e1] = e2
-        else:
-            r1, l1 = fiber_band_classes(sp1, f1)
-            r2, l2 = fiber_band_classes(sp2, f2)
-            coord2 = {}
-            for ri, rc in enumerate(r2):
-                for e in rc:
-                    coord2.setdefault(e, [None, None])[0] = ri
-            for li, lc in enumerate(l2):
-                for e in lc:
-                    coord2.setdefault(e, [None, None])[1] = li
-            target = {tuple(v): e for e, v in coord2.items()}
-            for ri, rc in enumerate(r1):
-                for e in rc:
-                    li = next(i for i, lc in enumerate(l1) if e in lc)
-                    g_total[e] = target[(ri, li)]
-    if sorted(g_total) != list(range(sp1.size_e)):
-        return None
-    for e in range(sp1.size_e):
-        if sp2.p[g_total[e]] != g_base[sp1.p[e]]:
-            return None
-    if sp1.band is not None:
-        for x in range(sp1.size_e):
-            for y in range(sp1.size_e):
-                v = sp1.band[x][y]
-                w = sp2.band[g_total[x]][g_total[y]]
-                if (v is None) != (w is None):
-                    return None
-                if v is not None and g_total[v] != w:
-                    return None
-    return tuple(g_total), tuple(g_base)
+        return make_space(len(p), size_b, p)
+    if isinstance(band, tuple):
+        tables = [grid.table] * size_b
+    else:
+        tables = [(right_band if band == "right" else left_band)(s).table for s in sizes]
+    return _banded_space(size_b, p, tables)

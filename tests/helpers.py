@@ -1,6 +1,8 @@
 """Shared corpus builders and independent oracles for the test suite."""
 
-from itertools import combinations, product
+import math
+import random
+from itertools import chain, combinations, permutations, product
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from skewstone import (
     Ideal,
     PrimeIdeal,
     SizeCapError,
+    SpaceMorphism,
     StructuralError,
     ValidationReport,
     dual_algebra,
@@ -31,19 +34,22 @@ from skewstone import (
     natural_leq,
     natural_preceq,
     preceq_ideal_generated,
+    product_band,
     random_space,
     right_band,
     validate_algebra,
     validate_hom,
+    validate_space_morphism,
 )
 from skewstone.core_algebra import (
+    MAX_CANDIDATES,
     leq_matrix,
     partition_from_labels,
     preceq_matrix,
     reflection,
 )
-from skewstone.ideals_spectra import is_ideal, spectrum_data
-from skewstone.spaces_sections import PartialMap, all_partial_maps
+from skewstone.ideals_spectra import fibers, is_ideal, spectrum_data
+from skewstone.spaces_sections import PartialMap, all_partial_maps, partial_map
 
 
 def retabled(A, table, changes):
@@ -127,6 +133,21 @@ def seeded_rect_space(i, base_seed=7000, max_grid=3, max_b=2):
     k_right = 1 + (i // max_grid) % max_grid
     size_b = 1 + i % max_b
     return random_space(size_b, 1, seed=base_seed + i, band=("product", k_left, k_right))
+
+
+def mixed_space(grids, seed):
+    """A space whose fiber over b carries product_band(*grids[b]), so the
+    fibers may carry different bands; the points are shuffled by the seed."""
+    p = [b for b, (k_left, k_right) in enumerate(grids) for _ in range(k_left * k_right)]
+    random.Random(seed).shuffle(p)
+    band = [[None] * len(p) for _ in p]
+    for b, grid in enumerate(grids):
+        f = [e for e, pe in enumerate(p) if pe == b]
+        local = product_band(*grid)
+        for i, x in enumerate(f):
+            for j, y in enumerate(f):
+                band[x][y] = f[local(i, j)]
+    return make_space(len(p), len(grids), p, band)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +265,55 @@ def enumerate_homs_bruteforce(A, B, max_candidates=10 ** 4):
         if validate_hom(f).ok:
             out.append(f)
     return tuple(out)
+
+
+def enumerate_space_morphisms_search(sp, tp, max_candidates=MAX_CANDIDATES):
+    """Oracle for enumerate_space_morphisms: every partial base map, and
+    over it every combination of injections of a piece of each source fiber
+    onto its target fiber, kept when validate_space_morphism accepts it.
+    The base map is one candidate, each combination one more; SizeCapError
+    past max_candidates of them."""
+    src_fib, tgt_fib = fibers(sp), fibers(tp)
+    out = []
+    tried = 0
+    for h_choice in product(*[(None,) + tuple(range(tp.size_b)) for _ in range(sp.size_b)]):
+        h = {x: v for x, v in enumerate(h_choice) if v is not None}
+        options = [[dict(zip(chosen, tgt_fib[hx]))
+                    for chosen in permutations(src_fib[x], len(tgt_fib[hx]))]
+                   for x, hx in h.items()]
+        for combo in chain([None], product(*options)):
+            tried += 1
+            if tried > max_candidates:
+                raise SizeCapError(f"space morphism search tried more than {max_candidates} "
+                                   "candidate assignments (partial base maps and fiber-map "
+                                   "combinations)")
+            if combo is None:
+                continue
+            g = {}
+            for piece in combo:
+                g.update(piece)
+            cand = SpaceMorphism(sp, tp, partial_map(g), partial_map(h))
+            if validate_space_morphism(cand).ok:
+                out.append(cand)
+    return tuple(sorted(out, key=lambda m: (m.h.domain, m.h.values, m.g.domain, m.g.values)))
+
+
+def band_shape_oracle(sp, fiber):
+    """(rows, columns) of a fiber band: its Green R- and L-classes, found by
+    comparing points pairwise.  A plain fiber carries the right band."""
+    band = (lambda x, y: y) if sp.band is None else (lambda x, y: sp.band[x][y])
+    rows = {frozenset(y for y in fiber if band(x, y) == y and band(y, x) == x) for x in fiber}
+    cols = {frozenset(y for y in fiber if band(x, y) == x and band(y, x) == y) for x in fiber}
+    return len(rows), len(cols)
+
+
+def space_morphism_count(sp, tp):
+    """|Mor(sp, tp)| in closed form: every source base point x is left out
+    or sent to some y with one of P(a_x, a_y) * P(b_x, b_y) fiber maps,
+    a x b the rows and columns of its fiber band (P(k, j) = k!/(k-j)!)."""
+    tgt = [band_shape_oracle(tp, f) for f in fibers(tp)]
+    return math.prod(1 + sum(math.perm(a, c) * math.perm(b, d) for c, d in tgt)
+                     for a, b in (band_shape_oracle(sp, f) for f in fibers(sp)))
 
 
 def validate_hom_oracle(f):

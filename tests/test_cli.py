@@ -19,6 +19,7 @@ from skewstone import jsonio, make_space
 from skewstone.morphisms_duality import dual_of_hom, identity_hom
 from skewstone.spaces_sections import dual_algebra, random_space
 from skewstone.cli import main
+from skewstone.lattice_sections import is_lattice_section
 
 
 @pytest.fixture
@@ -270,6 +271,18 @@ class TestCommands:
     def test_section_lattice_and_global(self, capsys, three_file, space_file):
         assert json.loads(run(capsys, "section", three_file)[1]) == {"choice": [0, 1]}
         assert json.loads(run(capsys, "section", space_file)[1]) == {"section": [0]}
+
+    def test_section_of_the_boolean_algebra_on_1024_elements(self, capsys, tmp_path):
+        # one D-class per element: the search fills 1024 classes in a row,
+        # which used to exceed Python's recursion limit and exit 1
+        A, _ = dual_algebra(make_space(10, 10, list(range(10))))
+        path = tmp_path / "bool1024.json"
+        path.write_text(jsonio.dumps(jsonio.algebra_to_dict(A)))
+        code = main(["section", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        choice = json.loads(captured.out)["choice"]
+        assert choice == list(range(1024)) and is_lattice_section(A, choice)
 
     def test_export_dot_hasse(self, capsys, three_file):
         code, out = run(capsys, "export-dot", three_file)
@@ -601,3 +614,24 @@ class TestSurveyScript:
         assert out.rstrip().endswith("20 instances, 0 failures, 0 over the size cap")
         last = out.splitlines()[-3].split()
         assert last[0] == "19" and last[-6:-1] == ["625", "neither", "yes", "yes", "-"]
+
+    @pytest.mark.parametrize("script, flags", [
+        ("duality_survey", ["--size-b", "0"]),
+        ("duality_survey", ["--size-b", "-1"]),
+        ("duality_survey", ["--max-fiber", "0"]),
+        ("make_corpus", ["--max-fiber", "0"]),
+        ("make_corpus", ["--size-b", "-1"]),
+    ], ids=["survey_size_b_0", "survey_size_b_negative", "survey_max_fiber_0",
+            "corpus_max_fiber_0", "corpus_size_b_negative"])
+    def test_sizes_below_one_are_usage_errors(self, capsys, tmp_path, script, flags):
+        # these ended in a traceback, except --size-b -1 in the survey, which
+        # ran over one base point
+        argv = flags + (["--out", str(tmp_path / "c")] if script == "make_corpus" else [])
+        with pytest.raises(SystemExit) as exc:
+            load_script(script).main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.startswith("usage: ")
+        assert captured.err.endswith(f": error: argument {flags[0]}: "
+                                     f"must be at least 1, got {flags[1]}\n")
+        assert not (tmp_path / "c").exists()

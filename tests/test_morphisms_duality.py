@@ -10,9 +10,12 @@ from helpers import (
     all_surjection_spaces,
     enumerate_homs_bruteforce,
     enumerate_homs_search,
+    enumerate_space_morphisms_search,
+    mixed_space,
     seeded_rect_space,
     small_test_algebras,
     space_from_fibers,
+    space_morphism_count,
     validate_hom_oracle,
 )
 from skewstone import (
@@ -403,6 +406,53 @@ class TestEnumerationOracle:
         for sp in spaces:
             for tp in spaces:
                 assert list(enumerate_space_morphisms(sp, tp)) == raw(sp, tp)
+
+
+class TestRowColumnSearch:
+    """enumerate_space_morphisms builds each fiber map as a row map times a
+    column map; the search over every injection, filtered by
+    validate_space_morphism, is its oracle, and the closed-form count
+    prod_x (1 + sum_y P(a_x, a_y) P(b_x, b_y)) gives the size."""
+
+    @staticmethod
+    def spaces():
+        # the seeds give plain, right and left fibers of 3, and of 2 and 3
+        seeded = [random_space(size_b, max_fiber, seed, kind)
+                  for size_b, max_fiber, seed, kind in [
+                      (2, 3, 611, "none"), (1, 3, 606, "none"),
+                      (2, 3, 617, "right"), (1, 3, 607, "right"),
+                      (2, 3, 618, "left"), (1, 3, 609, "left"),
+                      (1, 1, 0, ("product", 2, 2)), (2, 1, 0, ("product", 2, 1)),
+                      (1, 1, 0, ("product", 1, 3)), (1, 1, 0, ("product", 3, 1)),
+                      (2, 1, 0, ("product", 1, 2))]]
+        seeded.append(space_from_fibers((3, 1)))
+        seeded += [mixed_space(grids, seed=650 + i) for i, grids in enumerate([
+            ((2, 1), (1, 2)), ((1, 1), (2, 2)), ((3, 1), (1, 3)), ((2, 1), (1, 1), (1, 2))])]
+        return seeded + [skew_spectrum(dual_algebra(sp)[0])[0] for sp in seeded]
+
+    def test_equals_the_filtered_search_on_every_pair(self):
+        spaces = self.spaces()
+        assert len(spaces) >= 32
+        nonempty = 0
+        for sp, tp in itertools.product(spaces, repeat=2):
+            found = enumerate_space_morphisms(sp, tp)
+            assert found == enumerate_space_morphisms_search(sp, tp)
+            assert len(found) == space_morphism_count(sp, tp)
+            nonempty += len(found) > 1
+        assert nonempty > len(spaces) ** 2 // 2
+
+    def test_two_sided_fibers_count_only_valid_pieces(self):
+        # one 2 x 2 fiber: 24 bijections onto it, 2! * 2! of them preserve
+        # the band; the empty and the defined base map, then 1 + 4 pieces
+        grid = random_space(1, 1, seed=0, band=("product", 2, 2))
+        assert len(enumerate_space_morphisms(grid, grid, max_candidates=7)) == 5
+        with pytest.raises(SizeCapError, match="more than 6 candidate assignments"):
+            enumerate_space_morphisms(grid, grid, max_candidates=6)
+
+    def test_band_that_is_not_rectangular_is_refused(self):
+        semilattice = make_space(2, 1, [0, 0], [[0, 0], [0, 1]])
+        with pytest.raises(ValueError, match="not a rectangular band"):
+            enumerate_space_morphisms(semilattice, semilattice)
 
 
 class TestEnumerationCaps:
