@@ -31,8 +31,8 @@ class SizeCapError(RuntimeError):
 # enumerate (sections, partial maps).  Homomorphisms are read off the space
 # morphisms between the spectra, and that search counts its own work:
 # MAX_CANDIDATES, the default max_candidates of enumerate_homs and
-# enumerate_space_morphisms, counts every partial base map and every
-# combination of band-preserving fiber maps over it.
+# enumerate_space_morphisms, counts every combination of band-preserving
+# fiber maps, over every partial base map.
 EXHAUSTIVE_N = 256
 MAX_CARRIER = 4096
 MAX_CANDIDATES = 10 ** 6
@@ -424,14 +424,30 @@ def _product_tables(bands, digits):
     return int(rank[0]), map(table, range(4))
 
 
-def _certificate(A):
-    """None if A is, table for table, the product of rectangular bands with a
-    zero adjoined that its atoms describe (validate_algebra's docstring has
-    the argument).  Otherwise the name of the check that refused A: "fibers"
-    (meeting is not an equivalence on the atoms), "band" (a fiber's meet
-    table is not a rectangular band), "digits" (the atoms below the elements
-    do not number the product), or the first of "zero", "meet", "join",
-    "diff" and "cap" that differs from the rebuilt product."""
+@dataclass(frozen=True, eq=False)
+class _ProductForm:
+    """A read as a product of rectangular bands with a zero adjoined, one
+    factor per fiber of atoms.  bands[b] is the meet table on the atoms of
+    fiber b, on their positions 0..m-1 in increasing order.  digits is the
+    (n, len(bands)) array of each element's digits: 0 where no atom of the
+    fiber lies below it, 1 + i where atom i does.  refused is None when the
+    product rebuilt from this form equals A table for table, and otherwise
+    the name of the check that refused A (_certificate); a refused form
+    holds nothing else."""
+
+    bands: tuple = ()
+    digits: np.ndarray | None = None
+    refused: str | None = None
+
+
+@per_object
+def _product_form(A):
+    """A's product form, decoded from A's own tables and checked against
+    them (validate_algebra's docstring has the argument).  It is memoized
+    on A and never handed in by a builder: _product_tables both builds the
+    section and partial-map algebras and rebuilds the product compared here,
+    so a form the builder supplied would let a fault of the builder certify
+    itself."""
     n, M, zero = A.n, A.meet_table, A.zero
     leq = leq_matrix(A)
     atoms = np.array(_atoms(leq, zero), dtype=np.intp)
@@ -440,7 +456,7 @@ def _certificate(A):
         meets = M[np.ix_(atoms, atoms)] != zero      # [a, b]: a ^ b is not zero
         first = np.argmax(meets, axis=1)             # the first atom each atom meets
         if not np.array_equal(meets, first[:, None] == first[None, :]):
-            return "fibers"
+            return _ProductForm(refused="fibers")
         fibers = [atoms[first == i] for i in np.flatnonzero(first == np.arange(len(atoms)))]
     bands, digits = [], np.zeros((n, len(fibers)), dtype=np.int64)
     for b, f in enumerate(fibers):
@@ -448,23 +464,45 @@ def _certificate(A):
         where[f] = np.arange(len(f))
         band = where[M[np.ix_(f, f)]]
         if _rectangle(band) is None:
-            return "band"
+            return _ProductForm(refused="band")
         bands.append(band)
         below = leq[f]                               # [i, x]: point i of fiber b is below x
         count = below.sum(axis=0)
         if count.max() > 1:
-            return "digits"
+            return _ProductForm(refused="digits")
         digits[:, b] = np.where(count > 0, np.argmax(below, axis=0) + 1, 0)
     try:
         product_zero, tables = _product_tables(bands, digits)
     except ValueError:                               # the digits do not number the product
-        return "digits"
+        return _ProductForm(refused="digits")
     if product_zero != zero:
-        return "zero"
+        return _ProductForm(refused="zero")
     for name, T in zip(_OPS, tables):
         if not np.array_equal(T, getattr(A, name + "_table")):
-            return name
-    return None
+            return _ProductForm(refused=name)
+    for array in [digits] + bands:
+        array.setflags(write=False)
+    return _ProductForm(tuple(bands), digits)
+
+
+def _certified_form(A):
+    """A's product form if the certificate accepts A, else None.  Whatever
+    is read off the form of a certified A holds of A itself: the certificate
+    has compared every entry of A's four tables with the product built from
+    this same form, so A is that product, in A's own element order."""
+    form = _product_form(A)
+    return form if form.refused is None else None
+
+
+def _certificate(A):
+    """None if A is, table for table, the product of rectangular bands with a
+    zero adjoined that its atoms describe (validate_algebra's docstring has
+    the argument).  Otherwise the name of the check that refused A: "fibers"
+    (meeting is not an equivalence on the atoms), "band" (a fiber's meet
+    table is not a rectangular band), "digits" (the atoms below the elements
+    do not number the product), or the first of "zero", "meet", "join",
+    "diff" and "cap" that differs from the rebuilt product."""
+    return _product_form(A).refused
 
 
 def validate_algebra(A, max_n=EXHAUSTIVE_N):
@@ -646,9 +684,30 @@ def green_partitions(A):
 
     x R y iff x^y = y and y^x = x;  x L y iff x^y = x and y^x = y;
     D is the kernel of the poset reflection of the natural preorder.
-    Each partition is verified to be a congruence for meet, join and diff
-    (intersections are not generally compatible, so they are left out).
+
+    A certified A (_certified_form) is a product of rectangular bands with
+    a zero adjoined, and the relations are read off its digits: x is below
+    y in the preorder exactly when y has a digit wherever x has one, so D
+    is "same support"; on a common support x^y = y exactly when x and y lie
+    in the same row of every band, so R is "same support and the same row
+    at every digit", and L the same with columns.  Meet, join and diff give
+    each digit's presence from the operands' supports, its row from their
+    rows and its column from their columns, so these are congruences for
+    all three.  Any other A takes whole tables, and each partition is
+    verified to be a congruence for meet, join and diff (intersections are
+    not generally compatible, so they are left out).
     """
+    form = _certified_form(A)
+    if form is not None:
+        # per fiber, a key of each digit for D (present), L (its column) and
+        # R (its row); an element's keys make one mixed-radix code per
+        # relation, equal exactly on a class
+        codes = np.zeros((3, A.n), dtype=np.int64)
+        for digit, band in zip(form.digits.T, form.bands):
+            keys = np.stack((np.arange(1 + len(band)) > 0,
+                             np.r_[0, band[0] + 1], np.r_[0, band[:, 0] + 1]))
+            codes = codes * (1 + len(band)) + keys[:, digit]
+        return tuple(map(partition_from_labels, codes.tolist()))
     M = A.meet_table
     rows = np.arange(A.n)[:, None]
     cols = rows.T
@@ -722,12 +781,41 @@ def _quotient(A, part):
 @per_object
 def reflection(A):
     """The commutative reflection A/D with its quotient map.  D is a
-    congruence for meet, join and diff: green_partitions checks that."""
-    return _quotient(A, green_partitions(A)[0])
+    congruence for meet, join and diff: green_partitions checks that, or
+    reads it off the product form of a certified A.  There A/D is the
+    Boolean algebra of the supports (the sets of fibers an element has a
+    digit in), each class labelled as in D: meet and cap are intersection,
+    join is union and diff is set difference, looked up on bit masks."""
+    d = green_partitions(A)[0]
+    form = _certified_form(A)
+    if form is None:
+        return _quotient(A, d)
+    reps = [block[0] for block in d.blocks]
+    support = (form.digits[reps] > 0) @ (1 << np.arange(len(form.bands), dtype=np.int64))
+    label = np.empty(len(reps), dtype=np.int32)      # there is one class per support
+    label[support] = np.arange(len(reps))
+    s, t = support[:, None], support[None, :]
+    meet = np.take(label, s & t)
+    tables = (meet, np.take(label, s | t), np.take(label, s & ~t), meet)
+    return SkewAlgebra(len(reps), d.labels[A.zero], *tables), d.labels
 
 
+@per_object
 def handedness(A):
-    """One of 'commutative', 'right', 'left', 'neither' by exhaustive test."""
+    """One of 'commutative', 'right', 'left', 'neither'.  A certified A
+    (_certified_form) is a product of rectangular bands with a zero
+    adjoined, and the answer is read off the band shapes: all 1 x 1 (or no
+    fiber) is commutative, all with one row right (x ^ y ^ x = y ^ x), all
+    with one column left (x ^ y ^ x = x ^ y), anything else neither.  Any
+    other A is tested on its whole meet table."""
+    form = _certified_form(A)
+    if form is not None:
+        # a band has one row when its row keys T[:, 0] are all equal
+        one_row = all((band[:, 0] == band[0, 0]).all() for band in form.bands)
+        one_col = all((band[0] == band[0, 0]).all() for band in form.bands)
+        if one_row and one_col:
+            return "commutative"
+        return "right" if one_row else "left" if one_col else "neither"
     M = A.meet_table
     if np.array_equal(M, M.T):
         return "commutative"

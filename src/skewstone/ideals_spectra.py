@@ -18,6 +18,7 @@ from .core_algebra import (
     StructuralError,
     _OPS,
     _atoms,
+    _certified_form,
     _first_bad,
     _gather,
     _take,
@@ -288,11 +289,29 @@ class SpectrumData:
 
 @per_object
 def spectrum_data(A):
-    # the primes are ideals, as _prime_ideals has checked; the relation
-    # table is shared by the congruences of all of them
-    primes, masks = _prime_ideals(A)
-    relating = _relating(A)
-    thetas = tuple(_ideal_congruence(A, relating, inP) for inP in masks)
+    """The primes, their congruences, the points and the space of the
+    spectrum (skew_spectrum).  A certified A (_certified_form) is a product
+    of rectangular bands with a zero adjoined, and its primes and their
+    congruences are read off its digits: fiber b gives the prime P_b of the
+    elements without a digit there, and P_b generates the congruence "same
+    digit at b", as (x \\ (x cap y)) v (y \\ (x cap y)) has a digit at b
+    exactly where x and y differ there.  Any other A takes whole tables."""
+    form = _certified_form(A)
+    if form is None:
+        # the primes are ideals, as _prime_ideals has checked; the relation
+        # table is shared by the congruences of all of them
+        primes, masks = _prime_ideals(A)
+        relating = _relating(A)
+        thetas = tuple(_ideal_congruence(A, relating, inP) for inP in masks)
+    else:
+        # the primes sorted by their members: P_b comes before P_c when the
+        # first element in only one of them is in P_b, so the masks of the
+        # elements outside them compare as bytes in that order
+        order = sorted(range(len(form.bands)), key=lambda b: (form.digits[:, b] > 0).tobytes())
+        digits = [form.digits[:, b] for b in order]
+        primes = tuple(PrimeIdeal(tuple(np.flatnonzero(d == 0).tolist()), k)
+                       for k, d in enumerate(digits))
+        thetas = tuple(partition_from_labels(d.tolist()) for d in digits)
     points = []
     label_index = {}
     p_map = []
@@ -335,16 +354,18 @@ def basic_copen(A, a):
 def _basic_copens(A, elements=None):
     """basic_copen of each of the elements (default: all of A) in one pass.
     Per prime, the class labels of theta index a table from class to point,
-    -1 on the zero class (the prime itself); points are numbered prime by
-    prime, so each row lists its points in increasing order."""
+    -1 on the zero class (the prime itself), in one gather; points are
+    numbered prime by prime, so each row lists its points in increasing
+    order."""
     sd = spectrum_data(A)
-    elements = A.elements if elements is None else elements
+    at = np.arange(A.n) if elements is None else np.asarray(elements, dtype=np.intp)
     columns = []
-    for pi, theta in enumerate(sd.thetas):
-        point = np.array([sd.label_index.get((pi, label), -1)
-                          for label in range(len(theta.blocks))], dtype=np.int32)
-        columns.append(point[[theta.labels[a] for a in elements]])
-    rows = np.stack(columns, axis=1).tolist() if columns else [[]] * len(elements)
+    for theta, points in zip(sd.thetas, fibers(sd.space)):
+        labels = np.asarray(theta.labels)
+        point = np.full(len(theta.blocks), -1)
+        point[np.take(labels, [sd.points[e].rep for e in points])] = points
+        columns.append(np.take(point, np.take(labels, at)))
+    rows = np.stack(columns, axis=1).tolist() if columns else [[]] * len(at)
     return tuple(tuple(e for e in row if e >= 0) for row in rows)
 
 

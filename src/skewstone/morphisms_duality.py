@@ -141,8 +141,8 @@ def enumerate_homs(A, B, max_candidates=MAX_CANDIDATES):
 
     A and B must be valid algebras (see validate_algebra); the spectra are
     not a duality otherwise.  max_candidates bounds the space-morphism
-    search: every partial base map and every combination of band-preserving
-    fiber maps over it is one candidate, and past the bound it raises
+    search: every combination of band-preserving fiber maps, over every
+    partial base map, is one candidate, and past the bound it raises
     SizeCapError.
     """
     morphisms = enumerate_space_morphisms(spectrum_data(B).space, spectrum_data(A).space,
@@ -265,17 +265,16 @@ def enumerate_space_morphisms(sp, tp, max_candidates=MAX_CANDIDATES):
     into the one over x: between rectangles, an injective row map with an
     injective column map (a plain fiber is one row).  So each x is left out
     or picks a y and one of its P(a_x, a_y) * P(b_x, b_y) pieces.  Each
-    partial base map is one candidate and each combination of pieces over
-    it one more; past max_candidates SizeCapError is raised before any is
-    built.  A band that is not rectangular raises ValueError.
+    combination of these choices is one candidate, and each is built and
+    valid; past max_candidates SizeCapError is raised before any is built.
+    A band that is not rectangular raises ValueError.
     """
     (src_rect, src_shape), (tgt_rect, tgt_shape) = _rectangles(sp), _rectangles(tp)
     counts = [1 + sum(math.perm(a, c) * math.perm(b, d) for c, d in tgt_shape)
               for a, b in src_shape]
-    if (1 + tp.size_b) ** sp.size_b + math.prod(counts) > max_candidates:
+    if math.prod(counts) > max_candidates:
         raise SizeCapError(f"space morphism search tried more than {max_candidates} "
-                           "candidate assignments (partial base maps and fiber-map "
-                           "combinations)")
+                           "candidate assignments (fiber-map combinations)")
     tgt_points = [list(zip(zip(r, c), t)) for t, (r, c) in zip(fibers(tp), tgt_rect)]
     choices = []
     for f, (rows, cols), (a, b) in zip(fibers(sp), src_rect, src_shape):

@@ -21,6 +21,7 @@ from skewstone import (
     Ideal,
     PrimeIdeal,
     SizeCapError,
+    SkewAlgebra,
     SpaceMorphism,
     StructuralError,
     ValidationReport,
@@ -48,7 +49,13 @@ from skewstone.core_algebra import (
     preceq_matrix,
     reflection,
 )
-from skewstone.ideals_spectra import fibers, is_ideal, spectrum_data
+from skewstone.ideals_spectra import (
+    SpectrumData,
+    SpectrumPoint,
+    fibers,
+    is_ideal,
+    spectrum_data,
+)
 from skewstone.spaces_sections import PartialMap, all_partial_maps, partial_map
 
 
@@ -601,6 +608,59 @@ def green_partitions_oracle(A):
         if bad is not None:
             raise CongruenceError(f"green {name} / {bad[0]}", bad[1:])
     return d, l, r
+
+
+def handedness_oracle(A):
+    """Oracle for handedness: the identities x ^ y = y ^ x, then
+    x ^ y ^ x = y ^ x and x ^ y ^ x = x ^ y, tested pair by pair."""
+    pairs = list(product(A.elements, repeat=2))
+    if all(A.meet(x, y) == A.meet(y, x) for x, y in pairs):
+        return "commutative"
+    xyx = [A.meet(A.meet(x, y), x) for x, y in pairs]
+    if all(v == A.meet(y, x) for v, (x, y) in zip(xyx, pairs)):
+        return "right"
+    if all(v == A.meet(x, y) for v, (x, y) in zip(xyx, pairs)):
+        return "left"
+    return "neither"
+
+
+def spectrum_data_oracle(A):
+    """Oracle for spectrum_data: the primes and their congruences by the
+    pairwise oracles, a point for each class outside its prime, at its least
+    element, and the band filled pair by pair with the meet of those."""
+    primes = enumerate_prime_ideals_oracle(A)
+    thetas = tuple(ideal_congruence_oracle(A, prime) for prime in primes)
+    points, label_index = [], {}
+    for pi, theta in enumerate(thetas):
+        for label, block in enumerate(theta.blocks):
+            if A.zero not in block:
+                label_index[pi, label] = len(points)
+                points.append(SpectrumPoint(prime=pi, rep=block[0]))
+    band = [[label_index[s.prime, thetas[s.prime].labels[A.meet(s.rep, t.rep)]]
+             if s.prime == t.prime else None for t in points] for s in points]
+    space = make_space(len(points), len(primes), [pt.prime for pt in points], band)
+    return SpectrumData(primes=primes, thetas=thetas, space=space,
+                        points=tuple(points), label_index=label_index)
+
+
+def basic_copens_oracle(A, sd):
+    """Oracle for _basic_copens, given the spectrum data sd of A: for each
+    element, the point of its class over every prime it is not in."""
+    return tuple(tuple(sorted(sd.label_index[pi, theta.labels[a]]
+                              for pi, (prime, theta) in enumerate(zip(sd.primes, sd.thetas))
+                              if a not in prime.members))
+                 for a in A.elements)
+
+
+def renumbered(A, seed):
+    """A isomorphic copy of A, its elements renumbered by a seeded
+    permutation: element x of A is element perm[x] of the copy."""
+    perm = np.random.default_rng(seed).permutation(A.n)
+    inverse = np.argsort(perm)
+    both = np.ix_(inverse, inverse)
+    return SkewAlgebra(A.n, int(perm[A.zero]),
+                       *(perm[getattr(A, name + "_table")[both]]
+                         for name in ("meet", "join", "diff", "cap")))
 
 
 def basic_copen_oracle(A, a):

@@ -443,11 +443,11 @@ class TestRowColumnSearch:
 
     def test_two_sided_fibers_count_only_valid_pieces(self):
         # one 2 x 2 fiber: 24 bijections onto it, 2! * 2! of them preserve
-        # the band; the empty and the defined base map, then 1 + 4 pieces
+        # the band; the base point is left out or takes one of 4 pieces
         grid = random_space(1, 1, seed=0, band=("product", 2, 2))
-        assert len(enumerate_space_morphisms(grid, grid, max_candidates=7)) == 5
-        with pytest.raises(SizeCapError, match="more than 6 candidate assignments"):
-            enumerate_space_morphisms(grid, grid, max_candidates=6)
+        assert len(enumerate_space_morphisms(grid, grid, max_candidates=5)) == 5
+        with pytest.raises(SizeCapError, match="more than 4 candidate assignments"):
+            enumerate_space_morphisms(grid, grid, max_candidates=4)
 
     def test_band_that_is_not_rectangular_is_refused(self):
         semilattice = make_space(2, 1, [0, 0], [[0, 0], [0, 1]])
@@ -582,12 +582,22 @@ class TestDualRouteMatchesSearch:
         assert found > len(algebras) and missing > 20
 
     def test_budget_counts_space_morphism_candidates(self, three):
-        # Sk(right3) has one base point with two points over it.  The empty
-        # base map and its one (empty) fiber-map combination, then the
-        # defined one and its two fiber bijections: five candidates in all
-        assert len(enumerate_homs(three, three, max_candidates=5)) == 3
-        with pytest.raises(SizeCapError, match="more than 4 candidate assignments"):
-            enumerate_homs(three, three, max_candidates=4)
+        # Sk(right3) has one base point with two points over it.  It is left
+        # out, or sent to itself with one of its two fiber bijections: three
+        # candidates in all, each a morphism
+        assert len(enumerate_homs(three, three, max_candidates=3)) == 3
+        with pytest.raises(SizeCapError, match="more than 2 candidate assignments"):
+            enumerate_homs(three, three, max_candidates=2)
+
+    def test_budget_does_not_count_unvisited_base_maps(self):
+        # seven plain fibers of 2 (n = 3^7) into seven of 1 (n = 2^7): the
+        # 8^7 partial base maps of Sk(B) -> Sk(A) exceed the default budget,
+        # but no fiber of one point maps onto a fiber of two, so the search
+        # has one candidate, the empty morphism, dual to the zero hom
+        A, _ = dual_algebra(space_from_fibers((2,) * 7))
+        B, _ = dual_algebra(space_from_fibers((1,) * 7))
+        assert (A.n, B.n) == (2187, 128)
+        assert enumerate_homs(A, B) == (zero_hom(A, B),)
 
 
 class TestValidateHomOracle:

@@ -1,0 +1,114 @@
+"""The product form of a certified algebra against the pairwise oracles:
+Green's relations, handedness, the commutative reflection, the spectrum
+and the basic sections read off the digits equal the oracles' on the
+catalog, the seeded corpus, spaces of every band kind up to n = 256, the
+edge cases, and renumbered copies, whose element order is not the
+builder's.  An algebra the certificate refuses has no form and takes the
+whole-table route."""
+
+import pytest
+
+from catalog import boolean_algebra, one_element
+from helpers import (
+    basic_copens_oracle,
+    corpus_dual_algebras,
+    green_partitions_oracle,
+    handedness_oracle,
+    mixed_space,
+    quotient_by_oracle,
+    renumbered,
+    retabled,
+    small_test_algebras,
+    space_from_fibers,
+    spectrum_data_oracle,
+)
+from skewstone import (
+    CongruenceError,
+    dual_algebra,
+    green_partitions,
+    handedness,
+    random_space,
+    validate_algebra,
+)
+from skewstone.core_algebra import _certified_form, reflection
+from skewstone.ideals_spectra import _basic_copens, spectrum_data
+
+FIELDS = ("primes", "thetas", "points", "label_index", "space")
+
+
+def check_against_oracles(A):
+    assert _certified_form(A) is not None
+    green = green_partitions_oracle(A)
+    assert green_partitions(A) == green
+    assert handedness(A) == handedness_oracle(A)
+    assert reflection(A) == quotient_by_oracle(A, green[0])
+    sd, expected = spectrum_data(A), spectrum_data_oracle(A)
+    for name in FIELDS:
+        assert getattr(sd, name) == getattr(expected, name), name
+    assert _basic_copens(A) == basic_copens_oracle(A, expected)
+
+
+def seeded_spaces():
+    """Plain, right, left, 2 x 2 and mixed per-fiber bands, n = 27 to 256."""
+    # fibers of 3, 3, 3, 3 (n = 256) and 3, 3, 3, 2 (n = 192)
+    spaces = [random_space(4, 3, seed, kind)
+              for seed, kind in ((95, "none"), (44, "right"), (116, "left"))]
+    spaces += [random_space(3, 3, 20 + seed, kind)
+               for seed, kind in enumerate(("none", "right", "left"))]
+    spaces.append(random_space(3, 1, 4, ("product", 2, 2)))
+    spaces.append(random_space(2, 1, 6, ("product", 3, 1)))
+    spaces += [mixed_space(grids, seed=700 + i) for i, grids in enumerate((
+        ((2, 1), (1, 2), (2, 2)), ((1, 3), (3, 1), (2, 2)), ((2, 2), (1, 1), (1, 4))))]
+    return spaces
+
+
+def test_catalog_and_corpus():
+    algebras = [A for _, A in small_test_algebras()] + corpus_dual_algebras(200)
+    for A in algebras:
+        check_against_oracles(A)
+
+
+def test_seeded_spaces_up_to_256():
+    algebras = [dual_algebra(sp)[0] for sp in seeded_spaces()]
+    assert max(A.n for A in algebras) == 256
+    assert {handedness(A) for A in algebras} >= {"right", "left", "neither"}
+    for A in algebras:
+        check_against_oracles(A)
+
+
+@pytest.mark.parametrize("build", [
+    one_element,
+    lambda: dual_algebra(space_from_fibers(()))[0],
+    lambda: dual_algebra(space_from_fibers((255,)))[0],
+    lambda: dual_algebra(space_from_fibers((1,) * 7))[0],
+    lambda: boolean_algebra(3),
+], ids=["one_element", "empty_space", "one_fiber_of_255", "boolean_128", "boolean_8"])
+def test_edge_cases(build):
+    check_against_oracles(build())
+
+
+def test_renumbered_algebras():
+    algebras = [dual_algebra(sp)[0] for sp in seeded_spaces()]
+    algebras += [A for _, A in small_test_algebras()]
+    algebras += corpus_dual_algebras(20, base_seed=4000)
+    for i, A in enumerate(algebras):
+        B = renumbered(A, seed=i)
+        assert validate_algebra(B).ok
+        check_against_oracles(B)
+
+
+def test_one_entry_mutant_takes_the_table_route():
+    A, _ = dual_algebra(random_space(2, 2, 5, "left"))
+    B = retabled(A, "meet", [(3, 4, (A.meet(3, 4) + 1) % A.n)])
+    assert _certified_form(A) is not None and _certified_form(B) is None
+    with pytest.raises(CongruenceError) as raised:
+        green_partitions(B)
+    with pytest.raises(CongruenceError) as expected:
+        green_partitions_oracle(B)
+    assert str(raised.value) == str(expected.value)
+    # the table route's own pass over the preorder ran on B, and on the
+    # certified A no consumer made one
+    assert "_memo_preceq_matrix" in B.__dict__
+    for consume in (green_partitions, handedness, reflection, spectrum_data, _basic_copens):
+        consume(A)
+    assert "_memo_preceq_matrix" not in A.__dict__

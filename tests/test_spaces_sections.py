@@ -39,6 +39,7 @@ from skewstone import (
     validate_hom,
     validate_space,
 )
+from skewstone import core_algebra
 from skewstone.core_algebra import (
     ROW_BLOCK,
     green_partitions,
@@ -47,7 +48,7 @@ from skewstone.core_algebra import (
     preceq_matrix,
     reflection,
 )
-from skewstone.ideals_spectra import fibers, spectrum_data
+from skewstone.ideals_spectra import _basic_copens, fibers, spectrum_data
 from skewstone.jsonio import dumps, space_to_dict
 from skewstone.lattice_sections import find_lattice_section
 from skewstone.morphisms_duality import Homomorphism, enumerate_homs
@@ -254,11 +255,51 @@ class TestDerivedStructureLifetime:
         gc.collect()
         assert [r() for r in refs] == [None, None]
 
+    def test_section_algebra_dies_after_every_consumer(self):
+        # with the cyclic collector off: the product form and what is read
+        # off it hold no reference back to the algebra
+        A, _ = dual_algebra(random_space(3, 2, seed=4, band=("product", 2, 1)))
+        gc.collect()
+        gc.disable()
+        try:
+            assert validate_algebra(A).ok
+            for consume in (green_partitions, handedness, reflection, spectrum_data,
+                            _basic_copens):
+                consume(A)
+            assert "_memo__product_form" in A.__dict__
+            ref = weakref.ref(A)
+            del A
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_product_form_is_decoded_from_the_tables(self, monkeypatch):
+        # dual_algebra builds A with _product_tables and hands it no form:
+        # the first consumer decodes A and rebuilds the product to compare,
+        # and later readers of the form, the validator too, share that one
+        A, _ = dual_algebra(random_space(2, 3, seed=6, band="left"))
+        assert "_memo__product_form" not in A.__dict__
+        calls = []
+        build = core_algebra._product_tables
+
+        def counted(bands, digits):
+            calls.append(len(digits))
+            return build(bands, digits)
+
+        monkeypatch.setattr(core_algebra, "_product_tables", counted)
+        green_partitions(A)
+        assert calls == [A.n]
+        assert validate_algebra(A).ok
+        for consume in (handedness, reflection, spectrum_data, _basic_copens):
+            consume(A)
+        assert calls == [A.n]
+
     @pytest.mark.parametrize("search", [
         find_lattice_section,
         lambda A: enumerate_homs(A, A),
         lambda A: algebras_isomorphic(A, A),
-        lambda A: pytest.raises(SizeCapError, enumerate_homs, A, A, max_candidates=10),
+        # 9 candidates: each of two one-point fibers left out or sent to one of two
+        lambda A: pytest.raises(SizeCapError, enumerate_homs, A, A, max_candidates=8),
     ], ids=["lattice_section", "homs", "isomorphic", "homs_over_budget"])
     def test_search_leaves_no_cycle(self, search):
         # with the cyclic collector off, the algebra must die with its last
