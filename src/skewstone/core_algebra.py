@@ -203,15 +203,11 @@ class Partition:
 def partition_from_labels(raw_labels):
     """Canonicalize arbitrary hashable labels into a Partition."""
     seen = {}
-    labels = []
-    for lab in raw_labels:
-        if lab not in seen:
-            seen[lab] = len(seen)
-        labels.append(seen[lab])
-    blocks = [[] for _ in range(len(seen))]
+    labels = tuple(seen.setdefault(lab, len(seen)) for lab in raw_labels)
+    blocks = [[] for _ in seen]
     for x, lab in enumerate(labels):
         blocks[lab].append(x)
-    return Partition(tuple(labels), tuple(tuple(b) for b in blocks))
+    return Partition(labels, tuple(map(tuple, blocks)))
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,24 @@ def fiber_bands(sp):
     return tuple(out)
 
 
+def _row_points(sp, rows):
+    """The points of each digit row of sp (0 for no point, 1 + i for the i-th
+    point of that fiber), in increasing order and padded at the end with -1."""
+    fib = fibers(sp)
+    absent = sp.size_e                           # sorts after every point
+    lookup = np.array([e for f in fib for e in (absent, *f)], dtype=np.int64)
+    starts = np.cumsum([0] + [1 + len(f) for f in fib[:-1]])
+    points = np.sort(np.take(lookup, rows + starts), axis=1)
+    points[points == absent] = -1
+    return points
+
+
+def _row_tuples(sp, rows):
+    """Digit rows in their public form, each as the sorted tuple of its points."""
+    counts = np.count_nonzero(rows, axis=1).tolist()
+    return tuple(tuple(row[:k]) for row, k in zip(_row_points(sp, rows).tolist(), counts))
+
+
 # ---------------------------------------------------------------------------
 # Ideals
 # ---------------------------------------------------------------------------
@@ -314,7 +332,6 @@ def spectrum_data(A):
         thetas = tuple(partition_from_labels(d.tolist()) for d in digits)
     points = []
     label_index = {}
-    p_map = []
     bands = []
     for pi, theta in enumerate(thetas):
         zero_label = theta.labels[A.zero]           # the zero class is the prime
@@ -324,11 +341,10 @@ def spectrum_data(A):
                 continue
             label_index[(pi, label)] = len(points)
             points.append(SpectrumPoint(prime=pi, rep=block[0]))
-            p_map.append(pi)
         reps = [pt.rep for pt in points[start:]]
         bands.append([[label_index[pi, theta.labels[v]] - start for v in row]
                       for row in A.meet_table[np.ix_(reps, reps)].tolist()])
-    space = _banded_space(len(primes), p_map, bands)
+    space = _banded_space(len(primes), [pt.prime for pt in points], bands)
     return SpectrumData(primes=primes, thetas=thetas, space=space,
                         points=tuple(points), label_index=label_index)
 
@@ -352,21 +368,21 @@ def basic_copen(A, a):
 
 
 def _basic_copens(A, elements=None):
-    """basic_copen of each of the elements (default: all of A) in one pass.
-    Per prime, the class labels of theta index a table from class to point,
-    -1 on the zero class (the prime itself), in one gather; points are
-    numbered prime by prime, so each row lists its points in increasing
-    order."""
-    sd = spectrum_data(A)
-    at = np.arange(A.n) if elements is None else np.asarray(elements, dtype=np.intp)
-    columns = []
-    for theta, points in zip(sd.thetas, fibers(sd.space)):
-        labels = np.asarray(theta.labels)
-        point = np.full(len(theta.blocks), -1)
-        point[np.take(labels, [sd.points[e].rep for e in points])] = points
-        columns.append(np.take(point, np.take(labels, at)))
-    rows = np.stack(columns, axis=1).tolist() if columns else [[]] * len(at)
-    return tuple(tuple(e for e in row if e >= 0) for row in rows)
+    """basic_copen of each of the elements (default: all of A) in one pass."""
+    rows = _basic_rows(A)
+    return _row_tuples(spectrum_data(A).space, rows if elements is None else rows[list(elements)])
+
+
+def _basic_rows(A):
+    """The basic section of each element as a digit row of the spectrum, from
+    theta's labels: the fiber over a prime lists the classes in label order
+    less the zero class, which gives digit 0."""
+    thetas = spectrum_data(A).thetas
+    rows = np.zeros((A.n, len(thetas)), dtype=np.int64)
+    for b, theta in enumerate(thetas):
+        label, zero = np.asarray(theta.labels), theta.labels[A.zero]
+        rows[:, b] = np.where(label == zero, 0, label + (label < zero))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -23,18 +23,20 @@ from .core_algebra import (
     ValidationReport,
     _OPS,
     _first_bad,
+    _product_algebra,
     _rectangle,
     _take,
     as_ints,
     green_partitions,
     leq_matrix,
+    partition_from_labels,
     per_object,
     preceq_matrix,
     subalgebra_on,
 )
 from .ideals_spectra import (
     _banded_space,
-    _basic_copens,
+    _basic_rows,
     fiber_bands,
     fibers,
     leq_ideal_generated,
@@ -44,6 +46,7 @@ from .ideals_spectra import (
 )
 from .spaces_sections import (
     PartialMap,
+    _section_rows,
     dual_algebra,
     partial_map,
     product_band,
@@ -173,13 +176,11 @@ def _transport(A, B, morphisms):
     """The homomorphism A -> B dual to each space morphism Sk(B) -> Sk(A),
     iso_B^-1 . hom_of_space_morphism(m) . iso_A."""
     to_sections = algebra_roundtrip_iso(A).map
-    from_sections = [0] * B.n
-    for b, s in enumerate(algebra_roundtrip_iso(B).map):
-        from_sections[s] = b
+    from_sections = np.argsort(algebra_roundtrip_iso(B).map)
     homs = []
     for m in morphisms:
-        image = hom_of_space_morphism(m).map
-        homs.append(Homomorphism(A, B, tuple(from_sections[image[s]] for s in to_sections)))
+        image = np.take(hom_of_space_morphism(m).map, to_sections)
+        homs.append(Homomorphism(A, B, tuple(from_sections[image].tolist())))
     return homs
 
 
@@ -193,32 +194,31 @@ def validate_space_morphism(m):
     section algebra uses, so a morphism between two plain spaces always
     preserves it."""
     sp, tp = m.source, m.target
-    if any(not 0 <= y < sp.size_e for y in m.g.domain) or \
-       any(not 0 <= v < tp.size_e for v in m.g.values) or \
-       any(not 0 <= x < sp.size_b for x in m.h.domain) or \
-       any(not 0 <= v < tp.size_b for v in m.h.values):
-        raise StructuralError("morphism maps reference out-of-range points")
+    _check_in_range(m)
     failures = []
     g, h = m.g.as_dict(), m.h.as_dict()
     for y, gy in g.items():
         if sp.p[y] not in h or tp.p[gy] != h[sp.p[y]]:
             failures.append(("square_commutes", (y,)))
-    tgt_fibers = fibers(tp)
     for x, hx in h.items():
-        piece = sorted(g[y] for y in fibers(sp)[x] if y in g)
-        if piece != sorted(set(piece)) or piece != list(tgt_fibers[hx]):
+        # the sorted image of the piece over x, repeats kept, is the fiber over hx
+        if sorted(g[y] for y in fibers(sp)[x] if y in g) != list(fibers(tp)[hx]):
             failures.append(("fiber_bijection", (x,)))
     if sp.band is not None or tp.band is not None:
         band = lambda space, x, y: y if space.band is None else space.band[x][y]
-        piece_of = {}                                # the domain of g in each fiber
-        for y in g:
-            piece_of.setdefault(sp.p[y], []).append(y)
         for y1 in g:
-            for y2 in piece_of[sp.p[y1]]:
+            for y2 in (y for y in fibers(sp)[sp.p[y1]] if y in g):
                 v = band(sp, y1, y2)
                 if v not in g or g[v] != band(tp, g[y1], g[y2]):
                     failures.append(("band_preserved", (y1, y2)))
     return ValidationReport(ok=not failures, failures=tuple(failures))
+
+
+def _check_in_range(m):
+    sizes = ((m.g.domain, m.source.size_e), (m.g.values, m.target.size_e),
+             (m.h.domain, m.source.size_b), (m.h.values, m.target.size_b))
+    if any(not 0 <= v < size for values, size in sizes for v in values):
+        raise StructuralError("morphism maps reference out-of-range points")
 
 
 def identity_space_morphism(sp):
@@ -246,16 +246,10 @@ def _rectangles(sp):
         rect = _rectangle(table)
         if rect is None:
             raise ValueError("a fiber band is not a rectangular band")
-        row, col = map(_first_seen, rect)
+        row, col = (partition_from_labels(keys.tolist()).labels for keys in rect)
         rects.append((row, col))
         shapes.append((1 + max(row), 1 + max(col)))
     return rects, shapes
-
-
-def _first_seen(keys):
-    """keys renumbered 0, 1, ... in the order they first occur."""
-    seen = {}
-    return [seen.setdefault(k, len(seen)) for k in keys.tolist()]
 
 
 def enumerate_space_morphisms(sp, tp, max_candidates=MAX_CANDIDATES):
@@ -298,8 +292,8 @@ def enumerate_space_morphisms(sp, tp, max_candidates=MAX_CANDIDATES):
 
 
 def spaces_isomorphic(sp1, sp2):
-    """Isomorphism (total E-bijection over a base bijection, preserving bands
-    when present) between two spaces, as (g, h), or None.
+    """Isomorphism (total E-bijection over a base bijection, preserving bands,
+    a plain space's read as the right band) between two spaces, as (g, h), or None.
 
     Fibers are matched by the (rows, columns) of their rectangles, in base
     order within a shape, and points by their (row, column); the result is
@@ -307,8 +301,6 @@ def spaces_isomorphic(sp1, sp2):
     raises ValueError.
     """
     if (sp1.size_e, sp1.size_b) != (sp2.size_e, sp2.size_b):
-        return None
-    if (sp1.band is None) != (sp2.band is None):
         return None
     (rects1, shape1), (rects2, shape2) = _rectangles(sp1), _rectangles(sp2)
     order = lambda shape: sorted(range(len(shape)), key=lambda b: (shape[b], b))
@@ -376,29 +368,37 @@ def dual_of_hom(f):
 
 def hom_of_space_morphism(m):
     """Dual homomorphism (sections of target) -> (sections of source) acting
-    by preimage under g; checks base images behave as inverse images under h
-    on the way."""
-    A_src, src_sections = dual_algebra(m.source)
-    A_tgt, tgt_sections = dual_algebra(m.target)
-    src_index = {s: i for i, s in enumerate(src_sections)}
-    g, h = m.g.as_dict(), m.h.as_dict()
-    image = []
-    for s in tgt_sections:
-        sset = set(s)
-        pre = tuple(sorted(y for y, gy in g.items() if gy in sset))
-        if pre not in src_index:
-            raise RuntimeError(f"preimage {pre} of a section is not a section")
-        base_pre = sorted({m.source.p[y] for y in pre})
-        base_s = {m.target.p[e] for e in s}
-        base_expect = sorted(x for x, hx in h.items() if hx in base_s)
-        if base_pre != base_expect:
-            raise RuntimeError("preimage does not respect base inverse images")
-        image.append(src_index[pre])
-    f = Homomorphism(A_tgt, A_src, tuple(image))
+    by preimage under g (_preimages), checked with validate_hom."""
+    f = Homomorphism(dual_algebra(m.target)[0], dual_algebra(m.source)[0],
+                     tuple(_preimages(m).tolist()))
     report = validate_hom(f)
     if not report.ok:
         raise RuntimeError(f"dual homomorphism invalid: {report.failures}")
     return f
+
+
+def _preimages(m):
+    """The label of the g-preimage of each target section, one gather of the
+    section rows: over x in dom h the source digit is the g-preimage of the
+    target's digit at h(x), elsewhere 0.  RuntimeError unless g lies over h
+    and is a bijection from its piece over each x in dom h onto the fiber
+    over h(x); StructuralError if a map leaves its space."""
+    sp, tp = m.source, m.target
+    _check_in_range(m)
+    (_, radix, rank, src_digit), (tgt_rows, _, _, tgt_digit) = map(_section_rows, (sp, tp))
+    h = m.h.as_dict()
+    inverse = {x: [0] * (1 + len(fibers(tp)[hx])) for x, hx in h.items()}
+    for y, gy in zip(m.g.domain, m.g.values):
+        x = sp.p[y]
+        if x not in h or tp.p[gy] != h[x] or inverse[x][tgt_digit[gy]]:
+            raise RuntimeError(f"g at {y} does not go one to one into the fiber over h({x})")
+        inverse[x][tgt_digit[gy]] = int(src_digit[y])
+    code = np.zeros(len(tgt_rows), dtype=np.int64)
+    for x, inv in inverse.items():
+        if not all(inv[1:]):
+            raise RuntimeError(f"g does not reach every point over {h[x]} from {x}")
+        code += np.take(inv, tgt_rows[:, h[x]]) * radix[x]
+    return rank[code]
 
 
 # ---------------------------------------------------------------------------
@@ -410,18 +410,14 @@ def algebra_roundtrip_iso(A):
     (a is sent to its basic section).  Any failed check here means a bug, so
     failures raise with a witness."""
     sd = spectrum_data(A)
-    # not memoized on the spectrum, which lives as long as A does: its
-    # section algebra is as large as A and is wanted only here
-    dual, labels = dual_algebra.__wrapped__(sd.space)
-    index = {s: i for i, s in enumerate(labels)}
-    image = []
-    for a, section in enumerate(_basic_copens(A)):
-        if section not in index:
-            raise RuntimeError(f"basic section of {a} is not a section of the spectrum")
-        image.append(index[section])
-    f = Homomorphism(A, dual, tuple(image))
-    if len(set(image)) != A.n or dual.n != A.n:
+    rows, radix, rank, _ = _section_rows(sd.space)
+    # not dual_algebra, memoized on the spectrum, which lives as long as A
+    # does: its section algebra is as large as A and is wanted only here
+    dual = _product_algebra(fiber_bands(sd.space), rows)
+    image = rank[_basic_rows(A) @ radix]
+    if dual.n != A.n or len(set(image.tolist())) != A.n:
         raise RuntimeError("basic sections do not biject with spectrum sections")
+    f = Homomorphism(A, dual, tuple(image.tolist()))
     report = validate_hom(f)
     if not report.ok:
         raise RuntimeError(f"round-trip map is not a homomorphism: {report.failures}")
@@ -431,19 +427,15 @@ def algebra_roundtrip_iso(A):
 def space_roundtrip_iso(sp):
     """Canonical isomorphism from a space onto the spectrum of its section
     algebra: a base point goes to the prime of sections missing it, a total
-    point to the class of any section through it."""
-    A, labels = dual_algebra(sp)
-    sd = spectrum_data(A)
-    base_image = [frozenset(sp.p[e] for e in s) for s in labels]
+    point to the class of its singleton section."""
+    sd = spectrum_data(dual_algebra(sp)[0])
+    rows, radix, rank, digit = _section_rows(sp)
     prime_index = {p.members: p.index for p in sd.primes}
-    h = []
-    for x in range(sp.size_b):
-        members = tuple(i for i in range(A.n) if x not in base_image[i])
-        if members not in prime_index:
-            raise RuntimeError(f"point {x} does not induce a prime of the section algebra")
-        h.append(prime_index[members])
-    singleton = {s[0]: i for i, s in enumerate(labels) if len(s) == 1}
-    g = [sd.point_of(h[sp.p[y]], singleton[y]) for y in range(sp.size_e)]
+    h = [prime_index.get(tuple(np.flatnonzero(column == 0).tolist())) for column in rows.T]
+    if None in h:
+        raise RuntimeError(f"point {h.index(None)} does not induce a prime of the section algebra")
+    singleton = rank[digit * np.take(radix, sp.p)]
+    g = [sd.point_of(h[sp.p[y]], s) for y, s in enumerate(singleton.tolist())]
     if sorted(g) != list(range(sd.space.size_e)) or sorted(h) != list(range(sd.space.size_b)):
         raise RuntimeError("round-trip maps are not bijections")
     total_e = PartialMap(tuple(range(sp.size_e)), tuple(g))
@@ -541,43 +533,24 @@ def decompose_morphism(m):
     return part_identity, pullback_part
 
 
-def _sections_above(sp, base_points):
-    """All sections whose base image is exactly the given set."""
-    fib = fibers(sp)
-    pools = [fib[x] for x in base_points]
-    if any(not pool for pool in pools):
-        return []
-    return [tuple(sorted(choice)) for choice in product(*pools)]
-
-
 def classify_space_morphism(m):
     """Totality, semitotality, saturation of the domain, and the section
-    lifting property, each by exhaustive test."""
+    lifting property: for every U in the target base, the g-preimages of
+    the sections over exactly U cover the sections over exactly h^-1(U).
+    m must be valid (RuntimeError otherwise, see _preimages)."""
     sp, tp = m.source, m.target
     total = len(m.g.domain) == sp.size_e and len(m.h.domain) == sp.size_b
     semitotal = len(m.h.domain) == sp.size_b
     h = m.h.as_dict()
     saturated = set(m.g.domain) == {y for y in range(sp.size_e) if sp.p[y] in h}
-    g = m.g.as_dict()
-    lifting = True
-    base_subsets = [frozenset(c) for k in range(tp.size_b + 1)
-                    for c in combinations(range(tp.size_b), k)]
-    for U in base_subsets:
-        pre_base = tuple(sorted(x for x, hx in h.items() if hx in U))
-        for s in _sections_above(sp, pre_base):
-            found = False
-            for r in _sections_above(tp, tuple(sorted(U))):
-                rset = set(r)
-                if tuple(sorted(y for y, gy in g.items() if gy in rset)) == s:
-                    found = True
-                    break
-            if not found:
-                lifting = False
-                break
-        if not lifting:
-            break
-    return SpaceMorphismFlags(total=total, semitotal=semitotal,
-                              saturated=saturated, section_lifting=lifting)
+    # U is the code of its 0/1 digit row; a valid m sends a section over U to
+    # one over h^-1(U), and those pairs number prod_t (1 + prod_{h(x)=t} |fiber(x)|)
+    rows, radix, _, _ = _section_rows(tp)
+    pairs = set(zip(((rows > 0) @ radix).tolist(), _preimages(m).tolist()))
+    needed = math.prod(1 + math.prod(len(fibers(sp)[x]) for x, hx in h.items() if hx == t)
+                       for t in range(tp.size_b))
+    return SpaceMorphismFlags(total=total, semitotal=semitotal, saturated=saturated,
+                              section_lifting=len(pairs) == needed)
 
 
 def is_partial_identity_up_to_iso(m):

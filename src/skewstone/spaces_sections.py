@@ -29,7 +29,14 @@ from .core_algebra import (
     per_object,
     preceq_matrix,
 )
-from .ideals_spectra import _banded_space, fiber_bands, fibers, make_space
+from .ideals_spectra import (
+    _banded_space,
+    _row_points,
+    _row_tuples,
+    fiber_bands,
+    fibers,
+    make_space,
+)
 
 
 @dataclass(frozen=True)
@@ -132,20 +139,38 @@ def validate_space(sp):
     return ValidationReport(ok=not failures, failures=tuple(failures))
 
 
-def enumerate_sections(sp):
-    """All sections as canonical sorted tuples, in lexicographic order.
-
-    There are prod_b (1 + |fiber(b)|) of them, at most MAX_CARRIER.
-    """
-    count = 1
-    for f in fibers(sp):
-        count *= 1 + len(f)
-        if count > MAX_CARRIER:
+@per_object
+def _section_rows(sp):
+    """The sections of sp as (rows, radix, rank, digit): rows[k, b] is 0 if
+    section k has no point over b, 1 + i if it has the i-th point of that
+    fiber, and digit[e] is that 1 + i for the point e.  rank[rows[k] @ radix]
+    is k.  Labels follow the lexicographic order of the sorted point tuples,
+    one lexsort of the rows' points padded with -1 (a tuple comes before the
+    longer ones it begins).  SizeCapError past MAX_CARRIER sections."""
+    sizes = [1 + len(f) for f in fibers(sp)]
+    n = 1
+    for size in sizes:
+        n *= size
+        if n > MAX_CARRIER:
             raise SizeCapError(f"more than {MAX_CARRIER} sections")
-    out = []
-    for choice in product(*[(None,) + f for f in fibers(sp)]):
-        out.append(tuple(sorted(e for e in choice if e is not None)))
-    return tuple(sorted(out))
+    radix = np.cumprod([1] + sizes, dtype=np.int64)[:-1]
+    mixed = np.arange(n)[:, None] // radix % np.array(sizes, dtype=np.int64)
+    order = np.lexsort(_row_points(sp, mixed).T[::-1]) if sizes else np.arange(n)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    digit = np.zeros(sp.size_e, dtype=np.int64)
+    for f in fibers(sp):
+        digit[list(f)] = np.arange(1, 1 + len(f))
+    out = mixed[order], radix, rank, digit
+    for array in out:
+        array.setflags(write=False)
+    return out
+
+
+def enumerate_sections(sp):
+    """All sections as canonical sorted tuples, in lexicographic order: there
+    are prod_b (1 + |fiber(b)|) of them, at most MAX_CARRIER."""
+    return _row_tuples(sp, _section_rows(sp)[0])
 
 
 @per_object
@@ -154,19 +179,8 @@ def dual_algebra(sp):
     a plain space).  Returns the algebra and the section labels: element i
     is labels[i], in lexicographic order, so element 0 is the empty section.
     """
-    sections = enumerate_sections(sp)
-    fib = fibers(sp)
-    digit = [0] * sp.size_e                      # 1 + the position of e in its fiber
-    for f in fib:
-        for i, e in enumerate(f):
-            digit[e] = 1 + i
-    digits = []
-    for s in sections:
-        row = [0] * len(fib)
-        for e in s:
-            row[sp.p[e]] = digit[e]
-        digits.append(row)
-    return _product_algebra(fiber_bands(sp), digits), sections
+    rows = _section_rows(sp)[0]
+    return _product_algebra(fiber_bands(sp), rows), _row_tuples(sp, rows)
 
 
 def reflection_check(sp):
@@ -177,10 +191,10 @@ def reflection_check(sp):
     condition is one whole-table comparison.  The images can cover the
     subsets of B only when 2^|B| <= n <= MAX_CARRIER, so then every bit set
     fits in an int64."""
-    A, sections = dual_algebra(sp)
+    A, _ = dual_algebra(sp)
     if A.n < 1 << sp.size_b:
         return False
-    img = np.array([sum(1 << sp.p[e] for e in s) for s in sections], dtype=np.int64)
+    img = (_section_rows(sp)[0] > 0) @ (1 << np.arange(sp.size_b, dtype=np.int64))
     if not np.array_equal(np.unique(img), np.arange(1 << sp.size_b)) or img[A.zero] != 0:
         return False
     i, j = img[:, None], img[None, :]

@@ -23,6 +23,7 @@ from skewstone import (
     SizeCapError,
     SkewAlgebra,
     SpaceMorphism,
+    SpaceMorphismFlags,
     StructuralError,
     ValidationReport,
     dual_algebra,
@@ -336,6 +337,63 @@ def validate_hom_oracle(f):
         if witness is not None:
             failures.append((f"preserves_{name}", witness))
     return ValidationReport(ok=not failures, failures=tuple(failures))
+
+
+def hom_of_space_morphism_oracle(m):
+    """Oracle for hom_of_space_morphism: each target section's preimage under
+    g as a sorted tuple, looked up among the source's sections, with its base
+    image checked against the h-preimage of the section's base image.
+    RuntimeError where either check fails or the map is not a homomorphism."""
+    A_src, src_sections = dual_algebra(m.source)
+    A_tgt, tgt_sections = dual_algebra(m.target)
+    src_index = {s: i for i, s in enumerate(src_sections)}
+    g, h = m.g.as_dict(), m.h.as_dict()
+    image = []
+    for s in tgt_sections:
+        sset = set(s)
+        pre = tuple(sorted(y for y, gy in g.items() if gy in sset))
+        if pre not in src_index:
+            raise RuntimeError(f"preimage {pre} of a section is not a section")
+        base_pre = sorted({m.source.p[y] for y in pre})
+        base_s = {m.target.p[e] for e in s}
+        if base_pre != sorted(x for x, hx in h.items() if hx in base_s):
+            raise RuntimeError("preimage does not respect base inverse images")
+        image.append(src_index[pre])
+    f = Homomorphism(A_tgt, A_src, tuple(image))
+    if not validate_hom(f).ok:
+        raise RuntimeError("dual homomorphism invalid")
+    return f
+
+
+def _sections_above(sp, base_points):
+    """All sections whose base image is exactly the given set."""
+    pools = [fibers(sp)[x] for x in base_points]
+    if any(not pool for pool in pools):
+        return []
+    return [tuple(sorted(choice)) for choice in product(*pools)]
+
+
+def classify_space_morphism_oracle(m):
+    """Oracle for classify_space_morphism: totality, semitotality and
+    saturation from the domains, and section lifting by a walk over every
+    subset U of the target base, which every source section over h^-1(U)
+    must be the g-preimage of a target section over U."""
+    sp, tp = m.source, m.target
+    g, h = m.g.as_dict(), m.h.as_dict()
+    lifting = True
+    for U in chain.from_iterable(combinations(range(tp.size_b), k)
+                                 for k in range(tp.size_b + 1)):
+        pre_base = tuple(sorted(x for x, hx in h.items() if hx in U))
+        lifts = {tuple(sorted(y for y, gy in g.items() if gy in r))
+                 for r in _sections_above(tp, U)}
+        if any(s not in lifts for s in _sections_above(sp, pre_base)):
+            lifting = False
+            break
+    return SpaceMorphismFlags(
+        total=len(m.g.domain) == sp.size_e and len(m.h.domain) == sp.size_b,
+        semitotal=len(m.h.domain) == sp.size_b,
+        saturated=set(m.g.domain) == {y for y in range(sp.size_e) if sp.p[y] in h},
+        section_lifting=lifting)
 
 
 def enumerate_homs_search(A, B, max_candidates=10 ** 6):

@@ -1,0 +1,196 @@
+"""Sections as digit rows: the label order and the section algebra made from
+the rows, and the preimage gathers of hom_of_space_morphism and
+classify_space_morphism, each against an independent oracle."""
+
+import itertools
+import random
+from itertools import product
+
+import numpy as np
+import pytest
+
+import test_morphisms_duality
+from helpers import (
+    classify_space_morphism_oracle,
+    hom_of_space_morphism_oracle,
+    mixed_space,
+    section_algebra_oracle,
+    small_test_algebras,
+    space_from_fibers,
+)
+from skewstone import (
+    SizeCapError,
+    SpaceMorphism,
+    classify_space_morphism,
+    dual_algebra,
+    enumerate_sections,
+    enumerate_space_morphisms,
+    hom_of_space_morphism,
+    make_space,
+    random_space,
+    skew_spectrum,
+)
+from skewstone.ideals_spectra import fibers
+from skewstone.spaces_sections import _section_rows, partial_map
+
+
+def seeded_spaces():
+    """Plain, right, left, 2 x 2 and mixed spaces with shuffled p, the empty
+    base and one-point fibers."""
+    out = [make_space(0, 0, []), space_from_fibers((1,)), space_from_fibers((1, 3))]
+    # fibers of 4, 4 and 4 (seed 406), of 4, 4 and 2 (seed 409)
+    out += [random_space(3, 4, seed=seed, band=kind)
+            for seed in (406, 409) for kind in ("none", "right", "left")]
+    for seed in range(12):
+        size_b = 1 + seed % 3
+        for kind in ("none", "right", "left"):
+            out.append(random_space(size_b, 4, seed=100 + seed, band=kind))
+        out.append(random_space(1 + seed % 2, 1, seed=200 + seed, band=("product", 2, 2)))
+        grids = [((1 + (seed + b) % 2), 1 + (seed // 2 + b) % 2) for b in range(1 + seed % 3)]
+        out.append(mixed_space(grids, seed=300 + seed))
+    return out
+
+
+def sorted_tuple_sections(sp):
+    """Every section as a sorted tuple, in sorted order, by product and sorted."""
+    choices = product(*[(None,) + f for f in fibers(sp)])
+    return tuple(sorted(tuple(sorted(e for e in c if e is not None)) for c in choices))
+
+
+class TestSectionRows:
+    def test_spaces_have_shuffled_projections(self):
+        spaces = seeded_spaces()
+        assert any(list(sp.p) != sorted(sp.p) for sp in spaces if sp.band is None)
+        assert any(list(sp.p) != sorted(sp.p) for sp in spaces if sp.band is not None)
+        assert any(dual_algebra(sp)[0].n > 100 for sp in spaces)
+
+    def test_labels_and_tables_equal_the_oracle(self):
+        for sp in seeded_spaces():
+            oracle, labels = section_algebra_oracle(sp)
+            assert enumerate_sections(sp) == labels
+            assert dual_algebra(sp) == (oracle, labels)
+
+    def test_rows_are_the_labels_digits(self):
+        for sp in seeded_spaces():
+            rows, radix, rank, digit = _section_rows(sp)
+            labels = enumerate_sections(sp)
+            fib = fibers(sp)
+            for e in range(sp.size_e):
+                assert fib[sp.p[e]][digit[e] - 1] == e
+            assert rows.shape == (len(labels), sp.size_b)
+            for row, label in zip(rows.tolist(), labels):
+                assert tuple(sorted(fib[b][d - 1] for b, d in enumerate(row) if d)) == label
+            assert np.array_equal(rank[rows @ radix], np.arange(len(labels)))
+
+    def test_labels_at_the_carrier_cap(self):
+        # six fibers of three points, p shuffled: 4^6 = 4096 sections
+        sp = random_space(6, 1, seed=11, band=("product", 1, 3))
+        assert list(sp.p) != sorted(sp.p)
+        labels = enumerate_sections(sp)
+        assert len(labels) == 4096
+        assert labels == sorted_tuple_sections(sp)
+
+    def test_one_section_past_the_cap(self):
+        # fibers of 16 and 240 points: 17 * 241 = 4097 sections
+        sp = space_from_fibers((16, 240))
+        for build in (enumerate_sections, dual_algebra):
+            with pytest.raises(SizeCapError) as caught:
+                build(sp)
+            assert str(caught.value) == "more than 4096 sections"
+
+
+def row_column_spaces():
+    """The spaces whose morphisms TestRowColumnSearch checks: plain, right,
+    left, 2 x 2 and mixed fibers, and their spectra."""
+    return test_morphisms_duality.TestRowColumnSearch.spaces()
+
+
+def catalog_spectra():
+    return [skew_spectrum(A)[0] for _, A in small_test_algebras()]
+
+
+class TestMorphismGathers:
+    """hom_of_space_morphism and classify_space_morphism read preimages off
+    the section rows; the tuple loops they replaced are their oracles."""
+
+    @pytest.mark.parametrize("spaces", [catalog_spectra, row_column_spaces],
+                             ids=["catalog_spectra", "row_column_pairs"])
+    def test_every_morphism_matches_the_oracles(self, spaces):
+        spaces = spaces()
+        count = lifting = 0
+        for sp, tp in itertools.product(spaces, repeat=2):
+            for m in enumerate_space_morphisms(sp, tp):
+                assert hom_of_space_morphism(m).map == hom_of_space_morphism_oracle(m).map
+                flags = classify_space_morphism(m)
+                assert flags == classify_space_morphism_oracle(m)
+                count += 1
+                lifting += flags.section_lifting
+        assert 0 < lifting < count
+
+    @staticmethod
+    def broken(kind, m, rng):
+        """m with one of the three conditions broken, or None if it cannot be:
+        g defined over a base point outside dom h, a square that does not
+        commute, or g not a bijection from a piece onto its target fiber."""
+        sp, tp = m.source, m.target
+        g, h = m.g.as_dict(), m.h.as_dict()
+        if kind == "outside_dom_h":
+            over = sorted({sp.p[y] for y in g})
+            if not over:
+                return None
+            del h[rng.choice(over)]
+        elif kind == "square":
+            y = rng.choice(sorted(g)) if g else None
+            other = [e for e in range(tp.size_e) if y is not None and tp.p[e] != tp.p[g[y]]]
+            if not other:
+                return None
+            g[y] = rng.choice(other)
+        else:
+            if not g:
+                return None
+            y = rng.choice(sorted(g))
+            same = [z for z in g if z != y and sp.p[z] == sp.p[y]]
+            if same and rng.random() < 0.5:
+                g[y] = g[rng.choice(same)]               # not injective
+            else:
+                del g[y]                                 # misses a point
+        return SpaceMorphism(sp, tp, partial_map(g), partial_map(h))
+
+    @pytest.mark.parametrize("kind", ["outside_dom_h", "square", "bijection"])
+    def test_broken_morphisms_raise_as_the_oracle(self, kind):
+        rng = random.Random(kind)
+        spaces = row_column_spaces()
+        tried = 0
+        for sp, tp in itertools.product(spaces, repeat=2):
+            morphisms = enumerate_space_morphisms(sp, tp)
+            for m in rng.sample(morphisms, min(3, len(morphisms))):
+                bad = self.broken(kind, m, rng)
+                if bad is None:
+                    continue
+                with pytest.raises(RuntimeError):
+                    hom_of_space_morphism_oracle(bad)
+                with pytest.raises(RuntimeError):
+                    hom_of_space_morphism(bad)
+                tried += 1
+        assert tried > 100
+
+    def test_seeded_partial_maps_raise_where_the_oracle_does(self):
+        rng = random.Random(5)
+        spaces = row_column_spaces()
+        raised = kept = 0
+        for sp, tp in itertools.product(spaces[:16], repeat=2):
+            for _ in range(3):
+                h = {x: rng.randrange(tp.size_b) for x in range(sp.size_b) if rng.random() < 0.8}
+                g = {y: rng.choice(fibers(tp)[h[sp.p[y]]]) for y in range(sp.size_e)
+                     if sp.p[y] in h and rng.random() < 0.9}
+                m = SpaceMorphism(sp, tp, partial_map(g), partial_map(h))
+                try:
+                    expected = hom_of_space_morphism_oracle(m).map
+                except RuntimeError:
+                    with pytest.raises(RuntimeError):
+                        hom_of_space_morphism(m)
+                    raised += 1
+                else:
+                    assert hom_of_space_morphism(m).map == expected
+                    kept += 1
+        assert raised > 0 and kept > 0

@@ -34,6 +34,7 @@ from skewstone import (
     random_space,
     reflection_check,
     right_band,
+    skew_spectrum,
     spaces_isomorphic,
     validate_algebra,
     validate_hom,
@@ -514,6 +515,23 @@ class TestSpaceIsomorphism:
         assert spaces_isomorphic(r, r) is not None
         assert spaces_isomorphic(r, l) is None
 
+    def test_plain_space_matches_its_spectrum_and_right_twin(self):
+        # a plain space's band is read as the right band x y = y, so it is
+        # isomorphic to the same space with the right band, and to the
+        # (banded) spectrum of its section algebra
+        for seed in range(30):
+            size_b = 1 + seed % 3
+            sp = random_space(size_b, 3, seed=seed, band="none")
+            twin = random_space(size_b, 3, seed=seed, band="right")
+            assert twin.p == sp.p and twin.band is not None
+            spectrum = skew_spectrum(dual_algebra(sp)[0])[0]
+            for other in (twin, spectrum):
+                assert spaces_isomorphic(sp, other) is not None
+                assert spaces_isomorphic(other, sp) is not None
+        # one fiber of three points: the left band is not the right one
+        left = random_space(1, 3, seed=5, band="left")
+        assert spaces_isomorphic(random_space(1, 3, seed=5, band="none"), left) is None
+
     def test_verified_maps_returned(self):
         sp = random_space(2, 1, seed=6, band=("product", 2, 2))
         g_total, g_base = spaces_isomorphic(sp, sp)
@@ -527,23 +545,26 @@ class TestSpaceIsomorphismOracle:
 
         from skewstone.ideals_spectra import fibers
 
+        def band(sp, x, y):
+            # a plain space's band is the right band x y = y on each fiber
+            if sp.band is not None:
+                return sp.band[x][y]
+            return y if sp.p[x] == sp.p[y] else None
+
         def raw_iso_exists(sp1, sp2):
             if (sp1.size_e, sp1.size_b) != (sp2.size_e, sp2.size_b):
-                return False
-            if (sp1.band is None) != (sp2.band is None):
                 return False
             fib1, fib2 = fibers(sp1), fibers(sp2)
 
             def try_fibers(gb, b, ge):
                 if b == sp1.size_b:
-                    if sp1.band is not None:
-                        for x in range(sp1.size_e):
-                            for y in range(sp1.size_e):
-                                v, w = sp1.band[x][y], sp2.band[ge[x]][ge[y]]
-                                if (v is None) != (w is None):
-                                    return False
-                                if v is not None and ge[v] != w:
-                                    return False
+                    for x in range(sp1.size_e):
+                        for y in range(sp1.size_e):
+                            v, w = band(sp1, x, y), band(sp2, ge[x], ge[y])
+                            if (v is None) != (w is None):
+                                return False
+                            if v is not None and ge[v] != w:
+                                return False
                     return True
                 for perm in permutations(fib2[gb[b]]):
                     ge2 = dict(ge)
