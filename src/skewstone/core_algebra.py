@@ -482,12 +482,18 @@ def _product_form(A):
 
 
 def _certified_form(A):
-    """A's product form if the certificate accepts A, else None.  Whatever
-    is read off the form of a certified A holds of A itself: the certificate
-    has compared every entry of A's four tables with the product built from
-    this same form, so A is that product, in A's own element order."""
+    """A's product form, the one source of A's derived structure.  Whatever
+    is read off it holds of A itself: the certificate has compared every
+    entry of A's four tables with the product built from this same form, so
+    A is that product, in A's own element order.  The certificate is
+    complete, so an A it refuses is no skew Boolean algebra with
+    intersections, and has no derived structure: ValueError, naming the
+    check that refused it (_certificate)."""
     form = _product_form(A)
-    return form if form.refused is None else None
+    if form.refused is not None:
+        raise ValueError("not a skew Boolean algebra with intersections "
+                         f"(certificate check {form.refused})")
+    return form
 
 
 def _certificate(A):
@@ -681,43 +687,26 @@ def green_partitions(A):
     x R y iff x^y = y and y^x = x;  x L y iff x^y = x and y^x = y;
     D is the kernel of the poset reflection of the natural preorder.
 
-    A certified A (_certified_form) is a product of rectangular bands with
-    a zero adjoined, and the relations are read off its digits: x is below
+    A is a product of rectangular bands with a zero adjoined
+    (_certified_form), and the relations are read off its digits: x is below
     y in the preorder exactly when y has a digit wherever x has one, so D
     is "same support"; on a common support x^y = y exactly when x and y lie
     in the same row of every band, so R is "same support and the same row
     at every digit", and L the same with columns.  Meet, join and diff give
     each digit's presence from the operands' supports, its row from their
     rows and its column from their columns, so these are congruences for
-    all three.  Any other A takes whole tables, and each partition is
-    verified to be a congruence for meet, join and diff (intersections are
-    not generally compatible, so they are left out).
+    all three (intersections are not generally compatible).
     """
     form = _certified_form(A)
-    if form is not None:
-        # per fiber, a key of each digit for D (present), L (its column) and
-        # R (its row); an element's keys make one mixed-radix code per
-        # relation, equal exactly on a class
-        codes = np.zeros((3, A.n), dtype=np.int64)
-        for digit, band in zip(form.digits.T, form.bands):
-            keys = np.stack((np.arange(1 + len(band)) > 0,
-                             np.r_[0, band[0] + 1], np.r_[0, band[:, 0] + 1]))
-            codes = codes * (1 + len(band)) + keys[:, digit]
-        return tuple(map(partition_from_labels, codes.tolist()))
-    M = A.meet_table
-    rows = np.arange(A.n)[:, None]
-    cols = rows.T
-    pre = preceq_matrix(A)
-    # Each element is labelled by the least member of its class.
-    least = lambda related: partition_from_labels(np.argmax(related, axis=1).tolist())
-    d = least(pre & pre.T)
-    l = least((M == rows) & (M.T == cols))
-    r = least((M == cols) & (M.T == rows))
-    for name, part in (("D", d), ("L", l), ("R", r)):
-        bad = is_congruence(A, part)
-        if bad is not None:
-            raise CongruenceError(f"green {name} / {bad[0]}", bad[1:])
-    return d, l, r
+    # per fiber, a key of each digit for D (present), L (its column) and R
+    # (its row); an element's keys make one mixed-radix code per relation,
+    # equal exactly on a class
+    codes = np.zeros((3, A.n), dtype=np.int64)
+    for digit, band in zip(form.digits.T, form.bands):
+        keys = np.stack((np.arange(1 + len(band)) > 0,
+                         np.r_[0, band[0] + 1], np.r_[0, band[:, 0] + 1]))
+        codes = codes * (1 + len(band)) + keys[:, digit]
+    return tuple(map(partition_from_labels, codes.tolist()))
 
 
 def glb_cap_table(n, meet, join):
@@ -776,16 +765,13 @@ def _quotient(A, part):
 
 @per_object
 def reflection(A):
-    """The commutative reflection A/D with its quotient map.  D is a
-    congruence for meet, join and diff: green_partitions checks that, or
-    reads it off the product form of a certified A.  There A/D is the
-    Boolean algebra of the supports (the sets of fibers an element has a
-    digit in), each class labelled as in D: meet and cap are intersection,
-    join is union and diff is set difference, looked up on bit masks."""
-    d = green_partitions(A)[0]
+    """The commutative reflection A/D with its quotient map, read off A's
+    product form (_certified_form): A/D is the Boolean algebra of the
+    supports (the sets of fibers an element has a digit in), each class
+    labelled as in D: meet and cap are intersection, join is union and diff
+    is set difference, looked up on bit masks."""
     form = _certified_form(A)
-    if form is None:
-        return _quotient(A, d)
+    d = green_partitions(A)[0]
     reps = [block[0] for block in d.blocks]
     support = (form.digits[reps] > 0) @ (1 << np.arange(len(form.bands), dtype=np.int64))
     label = np.empty(len(reps), dtype=np.int32)      # there is one class per support
@@ -798,29 +784,18 @@ def reflection(A):
 
 @per_object
 def handedness(A):
-    """One of 'commutative', 'right', 'left', 'neither'.  A certified A
-    (_certified_form) is a product of rectangular bands with a zero
-    adjoined, and the answer is read off the band shapes: all 1 x 1 (or no
-    fiber) is commutative, all with one row right (x ^ y ^ x = y ^ x), all
-    with one column left (x ^ y ^ x = x ^ y), anything else neither.  Any
-    other A is tested on its whole meet table."""
+    """One of 'commutative', 'right', 'left', 'neither'.  A is a product of
+    rectangular bands with a zero adjoined (_certified_form), and the answer
+    is read off the band shapes: all 1 x 1 (or no fiber) is commutative,
+    all with one row right (x ^ y ^ x = y ^ x), all with one column left
+    (x ^ y ^ x = x ^ y), anything else neither."""
     form = _certified_form(A)
-    if form is not None:
-        # a band has one row when its row keys T[:, 0] are all equal
-        one_row = all((band[:, 0] == band[0, 0]).all() for band in form.bands)
-        one_col = all((band[0] == band[0, 0]).all() for band in form.bands)
-        if one_row and one_col:
-            return "commutative"
-        return "right" if one_row else "left" if one_col else "neither"
-    M = A.meet_table
-    if np.array_equal(M, M.T):
+    # a band has one row when its row keys T[:, 0] are all equal
+    one_row = all((band[:, 0] == band[0, 0]).all() for band in form.bands)
+    one_col = all((band[0] == band[0, 0]).all() for band in form.bands)
+    if one_row and one_col:
         return "commutative"
-    xyx = _gather(M, M, np.arange(A.n)[:, None])
-    if np.array_equal(xyx, M.T):
-        return "right"
-    if np.array_equal(xyx, M):
-        return "left"
-    return "neither"
+    return "right" if one_row else "left" if one_col else "neither"
 
 
 def second_decomposition_check(A):

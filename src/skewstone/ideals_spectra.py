@@ -17,7 +17,6 @@ from .core_algebra import (
     Partition,
     StructuralError,
     _OPS,
-    _atoms,
     _certified_form,
     _first_bad,
     _gather,
@@ -29,7 +28,6 @@ from .core_algebra import (
     partition_from_labels,
     per_object,
     preceq_matrix,
-    reflection,
 )
 
 
@@ -193,44 +191,11 @@ def _is_ideal(pre, J, zero, inP):
 
 
 def enumerate_prime_ideals(A):
-    """All prime ideals, via the commutative reflection.
-
-    Primes correspond to primes of A/D, which in a finite generalized
-    Boolean algebra are indexed by atoms: P_a = {x : not a <= x}.  Each
-    pulled-back candidate is then verified to be an ideal whose indicator
-    map to the two-element lattice preserves 0, meet and join and is not
-    constantly zero, which is exactly primality.  The lattice-map test is two
-    whole-table masks per candidate; its witness is the first failing pair
-    in C order.
-    """
-    return _prime_ideals(A)[0]
-
-
-def _prime_ideals(A):
-    """enumerate_prime_ideals, and the membership mask of each prime."""
-    M, J = A.meet_table, A.join_table
-    pre = preceq_matrix(A)
-    Q, to_d = reflection(A)
-    # one membership mask per atom a of A/D: P_a, the x with not a <= to_d[x]
-    leq = leq_matrix(Q)
-    masks = ~np.take(leq[_atoms(leq, Q.zero)], to_d, axis=1)
-    found = sorted(((tuple(np.flatnonzero(inP).tolist()), inP) for inP in masks),
-                   key=lambda candidate: candidate[0])
-    for members, inP in found:
-        if not _is_ideal(pre, J, A.zero, inP):
-            raise RuntimeError(f"enumerated prime candidate {members} is not an ideal")
-        out = ~inP
-        if not out.any():
-            raise RuntimeError(f"prime candidate {members} is trivial")
-        x_out, y_out = out[:, None], out[None, :]
-        bad = _first_bad((_take(out, M) != (x_out & y_out))
-                         | (_take(out, J) != (x_out | y_out)))
-        if bad is not None:
-            raise RuntimeError(
-                f"prime candidate {members} fails the lattice-map "
-                f"characterization at ({bad[0]}, {bad[1]})")
-    primes = tuple(PrimeIdeal(members, k) for k, (members, _) in enumerate(found))
-    return primes, [inP for _, inP in found]
+    """All prime ideals, sorted by their members, read off A's product form
+    (spectrum_data): one per fiber, the elements without a digit there.
+    These are the primes pulled back from A/D, P_a = {x : not a <= x} for
+    an atom a of A/D, the support of one fiber."""
+    return spectrum_data(A).primes
 
 
 def ideal_congruence(A, ideal):
@@ -308,28 +273,21 @@ class SpectrumData:
 @per_object
 def spectrum_data(A):
     """The primes, their congruences, the points and the space of the
-    spectrum (skew_spectrum).  A certified A (_certified_form) is a product
-    of rectangular bands with a zero adjoined, and its primes and their
-    congruences are read off its digits: fiber b gives the prime P_b of the
-    elements without a digit there, and P_b generates the congruence "same
-    digit at b", as (x \\ (x cap y)) v (y \\ (x cap y)) has a digit at b
-    exactly where x and y differ there.  Any other A takes whole tables."""
+    spectrum (skew_spectrum).  A is a product of rectangular bands with a
+    zero adjoined (_certified_form), and its primes and their congruences
+    are read off its digits: fiber b gives the prime P_b of the elements
+    without a digit there, and P_b generates the congruence "same digit at
+    b", as (x \\ (x cap y)) v (y \\ (x cap y)) has a digit at b exactly
+    where x and y differ there."""
     form = _certified_form(A)
-    if form is None:
-        # the primes are ideals, as _prime_ideals has checked; the relation
-        # table is shared by the congruences of all of them
-        primes, masks = _prime_ideals(A)
-        relating = _relating(A)
-        thetas = tuple(_ideal_congruence(A, relating, inP) for inP in masks)
-    else:
-        # the primes sorted by their members: P_b comes before P_c when the
-        # first element in only one of them is in P_b, so the masks of the
-        # elements outside them compare as bytes in that order
-        order = sorted(range(len(form.bands)), key=lambda b: (form.digits[:, b] > 0).tobytes())
-        digits = [form.digits[:, b] for b in order]
-        primes = tuple(PrimeIdeal(tuple(np.flatnonzero(d == 0).tolist()), k)
-                       for k, d in enumerate(digits))
-        thetas = tuple(partition_from_labels(d.tolist()) for d in digits)
+    # the primes sorted by their members: P_b comes before P_c when the first
+    # element in only one of them is in P_b, so the masks of the elements
+    # outside them compare as bytes in that order
+    order = sorted(range(len(form.bands)), key=lambda b: (form.digits[:, b] > 0).tobytes())
+    digits = [form.digits[:, b] for b in order]
+    primes = tuple(PrimeIdeal(tuple(np.flatnonzero(d == 0).tolist()), k)
+                   for k, d in enumerate(digits))
+    thetas = tuple(partition_from_labels(d.tolist()) for d in digits)
     points = []
     label_index = {}
     bands = []

@@ -142,11 +142,11 @@ def enumerate_homs(A, B, max_candidates=MAX_CANDIDATES):
     Sk(B) -> Sk(A), and m gives iso_B^-1 . hom_of_space_morphism(m) . iso_A
     with the round-trip isomorphisms iso_A and iso_B.
 
-    A and B must be valid algebras (see validate_algebra); the spectra are
-    not a duality otherwise.  max_candidates bounds the space-morphism
-    search: every combination of band-preserving fiber maps, over every
-    partial base map, is one candidate, and past the bound it raises
-    SizeCapError.
+    A and B must be valid algebras; one that the certificate refuses
+    raises ValueError, naming the refusing check (see validate_algebra).
+    max_candidates bounds the space-morphism search: every combination of
+    band-preserving fiber maps, over every partial base map, is one
+    candidate, and past the bound it raises SizeCapError.
     """
     morphisms = enumerate_space_morphisms(spectrum_data(B).space, spectrum_data(A).space,
                                           max_candidates)
@@ -158,7 +158,8 @@ def algebras_isomorphic(A, B):
     A and B are isomorphic exactly when Sk(A) and Sk(B) are, and a space
     isomorphism Sk(B) -> Sk(A) transports to an isomorphism A -> B.
 
-    A and B must be valid algebras (see validate_algebra).
+    A and B of one size must be valid algebras; one that the certificate
+    refuses raises ValueError, naming the refusing check.
     """
     if A.n != B.n:
         return None
@@ -174,13 +175,18 @@ def algebras_isomorphic(A, B):
 
 def _transport(A, B, morphisms):
     """The homomorphism A -> B dual to each space morphism Sk(B) -> Sk(A),
-    iso_B^-1 . hom_of_space_morphism(m) . iso_A."""
-    to_sections = algebra_roundtrip_iso(A).map
-    from_sections = np.argsort(algebra_roundtrip_iso(B).map)
+    iso_B^-1 . hom_of_space_morphism(m) . iso_A, read on section labels
+    (_basic_labels, _preimages) without building either section algebra,
+    and checked with validate_hom on A and B."""
+    to_sections = _basic_labels(A)
+    from_sections = np.argsort(_basic_labels(B))
     homs = []
     for m in morphisms:
-        image = np.take(hom_of_space_morphism(m).map, to_sections)
-        homs.append(Homomorphism(A, B, tuple(from_sections[image].tolist())))
+        f = Homomorphism(A, B, tuple(from_sections[_preimages(m)[to_sections]].tolist()))
+        report = validate_hom(f)
+        if not report.ok:
+            raise RuntimeError(f"dual homomorphism invalid: {report.failures}")
+        homs.append(f)
     return homs
 
 
@@ -405,18 +411,25 @@ def _preimages(m):
 # Round-trip isomorphisms
 # ---------------------------------------------------------------------------
 
+def _basic_labels(A):
+    """The section label (_section_rows) of each element's basic section in
+    the spectrum of A; RuntimeError unless they biject with the sections."""
+    rows, radix, rank, _ = _section_rows(spectrum_data(A).space)
+    image = rank[_basic_rows(A) @ radix]
+    if len(rows) != A.n or len(set(image.tolist())) != A.n:
+        raise RuntimeError("basic sections do not biject with spectrum sections")
+    return image
+
+
 def algebra_roundtrip_iso(A):
     """Canonical isomorphism from A onto the section algebra of its spectrum
     (a is sent to its basic section).  Any failed check here means a bug, so
     failures raise with a witness."""
     sd = spectrum_data(A)
-    rows, radix, rank, _ = _section_rows(sd.space)
+    image = _basic_labels(A)
     # not dual_algebra, memoized on the spectrum, which lives as long as A
     # does: its section algebra is as large as A and is wanted only here
-    dual = _product_algebra(fiber_bands(sd.space), rows)
-    image = rank[_basic_rows(A) @ radix]
-    if dual.n != A.n or len(set(image.tolist())) != A.n:
-        raise RuntimeError("basic sections do not biject with spectrum sections")
+    dual = _product_algebra(fiber_bands(sd.space), _section_rows(sd.space)[0])
     f = Homomorphism(A, dual, tuple(image.tolist()))
     report = validate_hom(f)
     if not report.ok:

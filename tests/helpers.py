@@ -45,6 +45,7 @@ from skewstone import (
 )
 from skewstone.core_algebra import (
     MAX_CANDIDATES,
+    _certificate,
     leq_matrix,
     partition_from_labels,
     preceq_matrix,
@@ -68,6 +69,58 @@ def retabled(A, table, changes):
         tables[table][i][j] = value
     return make_algebra(A.n, A.zero, tables["meet"], tables["join"],
                         tables["diff"], tables["cap"])
+
+
+def zero_not_least():
+    """Eight elements whose meet table makes three atoms 1, 2, 3 lie below
+    the zero 0 but not below 4, whose only lower neighbour is 5, so that
+    (non-transitive order) 4 has no atom below it.  Every element gets
+    distinct digits, and the product's zero is 4, not 0.  The other tables
+    are all 0."""
+    below = {(1, 0), (2, 0), (3, 0), (1, 5), (2, 5), (5, 4), (1, 6), (3, 6), (2, 7), (3, 7)}
+    meet = [[x if x == y or (x, y) in below else y if (y, x) in below else 0
+             for y in range(8)] for x in range(8)]
+    zeros = [[0] * 8 for _ in range(8)]
+    return make_algebra(8, 0, meet, zeros, zeros, zeros)
+
+
+def pinned_refusals():
+    """One input per check of the certificate, keyed by the check that is
+    first to refuse it.  The four-element Boolean algebra has 0, a = 1,
+    b = 2 and top = 3 as bit sets; its one-entry mutants break the fibers
+    (a ^ a = 0), a band (a ^ a = b), the digits (a ^ top = 0, so top has
+    the atoms of b) and the meet, join and diff tables at (0, 0).  The cap
+    mutant lowers cap of a and top to 0: a lower bound, not the greatest.
+    zero_not_least breaks the zero."""
+    B4 = boolean_algebra(2)
+    return {
+        "fibers": retabled(B4, "meet", [(1, 1, 0)]),
+        "band": retabled(B4, "meet", [(1, 1, 2)]),
+        "digits": retabled(B4, "meet", [(1, 3, 0)]),
+        "zero": zero_not_least(),
+        "meet": retabled(B4, "meet", [(0, 0, 1)]),
+        "join": retabled(B4, "join", [(0, 0, 1)]),
+        "diff": retabled(B4, "diff", [(0, 0, 1)]),
+        "cap": retabled(B4, "cap", [(1, 3, 0), (3, 1, 0)]),
+    }
+
+
+def outcome(fn, *args):
+    """("ok", what a call returns), or ("raised", the type and message of
+    what it raises), to compare with an oracle's or with refusal()."""
+    try:
+        return "ok", fn(*args)
+    except Exception as err:   # compared by the caller, never dropped
+        return "raised", type(err), str(err)
+
+
+def refusal(A):
+    """What every derived call on an algebra the certificate refuses
+    raises, as outcome() reports it: ValueError naming the refusing check."""
+    check = _certificate(A)
+    assert check is not None
+    return ("raised", ValueError,
+            f"not a skew Boolean algebra with intersections (certificate check {check})")
 
 
 def small_test_algebras():

@@ -178,6 +178,34 @@ class TestExitCodes:
         assert captured.err == ("error: limit: n=300 fails certificate check cap;"
                                 " the exhaustive report is capped at n=256\n")
 
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "bad"), ("section", "bad"), ("roundtrip", "bad"), ("export-dot", "bad"),
+        ("homs", "bad", "good"), ("homs", "good", "bad"),
+        ("validate", "bad_to_good"), ("validate", "good_to_bad"),
+    ], ids=["spectrum", "section", "roundtrip", "export_dot", "homs_from_bad", "homs_to_bad",
+            "hom_from_bad", "hom_to_bad"])
+    def test_invalid_algebra_is_refused_before_anything_is_derived(self, capsys, tmp_path,
+                                                                   argv):
+        # a left-banded algebra on 9 elements with one meet entry moved: every
+        # command names the exhaustive report's first failure, and prints nothing
+        good = dual_algebra(random_space(2, 2, 5, "left"))[0]
+        assert good.n == 9
+        bad = jsonio.algebra_to_dict(good)
+        bad["meet"] = bad["meet"].tolist()
+        bad["meet"][1][2] = (bad["meet"][1][2] + 1) % 9
+        files = {"good": jsonio.algebra_to_dict(good), "bad": bad,
+                 "bad_to_good": {"map": list(range(9)), "source": "bad.json",
+                                 "target": "good.json"},
+                 "good_to_bad": {"map": list(range(9)), "source": "good.json",
+                                 "target": "bad.json"}}
+        for name, obj in files.items():
+            (tmp_path / f"{name}.json").write_text(jsonio.dumps(obj))
+        code = main([argv[0]] + [str(tmp_path / f"{name}.json") for name in argv[1:]])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == ("error: input algebra is invalid: "
+                                "('meet_associative', (1, 2, 7))\n")
+
     @pytest.mark.parametrize("command", ["validate", "decompose"])
     @pytest.mark.parametrize("source, target, g, failure", [
         # source, then target, not surjective: base point 1 has no fiber

@@ -12,6 +12,7 @@ from helpers import (
     enumerate_homs_search,
     enumerate_space_morphisms_search,
     mixed_space,
+    renumbered,
     seeded_rect_space,
     small_test_algebras,
     space_from_fibers,
@@ -580,6 +581,26 @@ class TestDualRouteMatchesSearch:
             assert sorted(iso) == list(range(B.n))
             assert validate_hom(Homomorphism(A, B, iso)).ok
         assert found > len(algebras) and missing > 20
+
+    def test_transport_builds_no_section_algebra_of_a_spectrum(self):
+        """Homs are read on section labels: after enumerate_homs and after
+        algebras_isomorphic neither spectrum space holds its section
+        algebra, and each hom is still iso_B^-1 . hom_of_space_morphism(m)
+        . iso_A for its space morphism m."""
+        A = dual_algebra(space_from_fibers((2, 1)))[0]
+        B = dual_algebra(random_space(2, 1, seed=5, band=("product", 2, 2)))[0]
+        C = renumbered(B, seed=3)
+        homs = enumerate_homs(A, B)
+        iso = algebras_isomorphic(B, C)
+        assert iso is not None and validate_hom(Homomorphism(B, C, iso)).ok
+        spaces = [skew_spectrum(X)[0] for X in (A, B, C)]
+        assert not any("_memo_dual_algebra" in sp.__dict__ for sp in spaces)
+        to_sections = list(algebra_roundtrip_iso(A).map)
+        from_sections = np.argsort(algebra_roundtrip_iso(B).map)
+        expected = sorted(tuple(from_sections[list(hom_of_space_morphism(m).map)]
+                                [to_sections].tolist())
+                          for m in enumerate_space_morphisms(spaces[1], spaces[0]))
+        assert [f.map for f in homs] == expected and len(homs) > 10
 
     def test_budget_counts_space_morphism_candidates(self, three):
         # Sk(right3) has one base point with two points over it.  It is left

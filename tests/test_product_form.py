@@ -3,8 +3,9 @@ Green's relations, handedness, the commutative reflection, the spectrum
 and the basic sections read off the digits equal the oracles' on the
 catalog, the seeded corpus, spaces of every band kind up to n = 256, the
 edge cases, and renumbered copies, whose element order is not the
-builder's.  An algebra the certificate refuses has no form and takes the
-whole-table route."""
+builder's.  An algebra the certificate refuses has no derived structure:
+every consumer raises the one gate's ValueError, which names the
+certificate's check that refused it."""
 
 import pytest
 
@@ -15,7 +16,10 @@ from helpers import (
     green_partitions_oracle,
     handedness_oracle,
     mixed_space,
+    outcome,
+    pinned_refusals,
     quotient_by_oracle,
+    refusal,
     renumbered,
     retabled,
     small_test_algebras,
@@ -23,21 +27,27 @@ from helpers import (
     spectrum_data_oracle,
 )
 from skewstone import (
-    CongruenceError,
+    algebra_roundtrip_iso,
+    basic_copen,
     dual_algebra,
+    enumerate_homs,
+    enumerate_prime_ideals,
+    find_lattice_section,
     green_partitions,
     handedness,
     random_space,
+    second_decomposition_check,
+    skew_spectrum,
     validate_algebra,
 )
-from skewstone.core_algebra import _certified_form, reflection
+from skewstone.core_algebra import _certificate, reflection
 from skewstone.ideals_spectra import _basic_copens, spectrum_data
 
 FIELDS = ("primes", "thetas", "points", "label_index", "space")
 
 
 def check_against_oracles(A):
-    assert _certified_form(A) is not None
+    assert _certificate(A) is None
     green = green_partitions_oracle(A)
     assert green_partitions(A) == green
     assert handedness(A) == handedness_oracle(A)
@@ -97,18 +107,40 @@ def test_renumbered_algebras():
         check_against_oracles(B)
 
 
-def test_one_entry_mutant_takes_the_table_route():
+def test_one_entry_mutant_is_refused_by_name():
     A, _ = dual_algebra(random_space(2, 2, 5, "left"))
     B = retabled(A, "meet", [(3, 4, (A.meet(3, 4) + 1) % A.n)])
-    assert _certified_form(A) is not None and _certified_form(B) is None
-    with pytest.raises(CongruenceError) as raised:
-        green_partitions(B)
-    with pytest.raises(CongruenceError) as expected:
-        green_partitions_oracle(B)
-    assert str(raised.value) == str(expected.value)
-    # the table route's own pass over the preorder ran on B, and on the
-    # certified A no consumer made one
-    assert "_memo_preceq_matrix" in B.__dict__
-    for consume in (green_partitions, handedness, reflection, spectrum_data, _basic_copens):
+    assert _certificate(A) is None and _certificate(B) == "meet"
+    assert not validate_algebra(B).ok
+    consumers = (green_partitions, handedness, reflection, spectrum_data, _basic_copens)
+    for consume in consumers:
+        assert outcome(consume, B) == refusal(B), consume.__name__
+    # on the certified A no consumer made a pass over the preorder
+    for consume in consumers:
         consume(A)
     assert "_memo_preceq_matrix" not in A.__dict__
+
+
+def test_pinned_refusals_are_refused_by_name_everywhere():
+    """Each pinned refusal (helpers.pinned_refusals) raises the gate's
+    ValueError, naming the check that refused it, through every consumer of
+    derived structure, and as either argument of a hom search."""
+    valid = boolean_algebra(1)
+    consumers = {
+        "green_partitions": green_partitions,
+        "handedness": handedness,
+        "reflection": reflection,
+        "skew_spectrum": skew_spectrum,
+        "enumerate_prime_ideals": enumerate_prime_ideals,
+        "basic_copen": lambda B: basic_copen(B, B.zero),
+        "second_decomposition_check": second_decomposition_check,
+        "find_lattice_section": find_lattice_section,
+        "algebra_roundtrip_iso": algebra_roundtrip_iso,
+        "enumerate_homs(B, valid)": lambda B: enumerate_homs(B, valid),
+        "enumerate_homs(valid, B)": lambda B: enumerate_homs(valid, B),
+    }
+    for check, B in pinned_refusals().items():
+        expected = refusal(B)
+        assert expected[2].endswith(f"(certificate check {check})")
+        for name, consume in consumers.items():
+            assert outcome(consume, B) == expected, (check, name)

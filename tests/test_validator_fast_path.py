@@ -20,6 +20,7 @@ from helpers import (
     corpus_dual_algebras,
     glb_law_holds_oracle,
     law_holds_at,
+    pinned_refusals,
     retabled,
     seeded_rect_space,
     space_from_fibers,
@@ -168,37 +169,12 @@ ONLY_LEFT_DISTRIBUTIVE = (
 )
 
 
-def zero_not_least():
-    """Eight elements whose meet table makes three atoms 1, 2, 3 lie below
-    the zero 0 but not below 4, whose only lower neighbour is 5, so that
-    (non-transitive order) 4 has no atom below it.  Every element gets
-    distinct digits, and the product's zero is 4, not 0.  The other tables
-    are all 0."""
-    below = {(1, 0), (2, 0), (3, 0), (1, 5), (2, 5), (5, 4), (1, 6), (3, 6), (2, 7), (3, 7)}
-    meet = [[x if x == y or (x, y) in below else y if (y, x) in below else 0
-             for y in range(8)] for x in range(8)]
-    zeros = [[0] * 8 for _ in range(8)]
-    return make_algebra(8, 0, meet, zeros, zeros, zeros)
-
-
 def test_each_step_is_first_to_reject_some_input(section_algebras):
     """Each check of the certificate is the first to refuse some input, and
-    names it past the cap.  The four-element Boolean algebra has 0, a = 1,
-    b = 2 and top = 3 as bit sets; its one-entry mutants break the fibers
-    (a ^ a = 0), a band (a ^ a = b), the digits (a ^ top = 0, so top has
-    the atoms of b) and the meet, join and diff tables at (0, 0).  The cap
-    mutant lowers cap of a and top to 0: a lower bound, not the greatest."""
-    B4 = boolean_algebra(2)
-    pinned = {
-        "fibers": retabled(B4, "meet", [(1, 1, 0)]),
-        "band": retabled(B4, "meet", [(1, 1, 2)]),
-        "digits": retabled(B4, "meet", [(1, 3, 0)]),
-        "zero": zero_not_least(),
-        "meet": retabled(B4, "meet", [(0, 0, 1)]),
-        "join": retabled(B4, "join", [(0, 0, 1)]),
-        "diff": retabled(B4, "diff", [(0, 0, 1)]),
-        "cap": retabled(B4, "cap", [(1, 3, 0), (3, 1, 0)]),
-    }
+    names it past the cap: the pinned refusals (helpers.pinned_refusals)
+    and four more.  The cap mutant's exhaustive report has the glb law's
+    witness."""
+    pinned = pinned_refusals()
     for name, B in pinned.items():
         assert refusal_of(B) == name
         assert not checked_report(B).ok
