@@ -322,24 +322,20 @@ def skew_spectrum(A):
 def basic_copen(A, a):
     """E-points of the basic section attached to an element: one point over
     every prime not containing it."""
-    return _basic_copens(A, (a,))[0]
+    return _row_tuples(spectrum_data(A).space, _basic_rows(A)[[a]])[0]
 
 
-def _basic_copens(A, elements=None):
-    """basic_copen of each of the elements (default: all of A) in one pass."""
-    rows = _basic_rows(A)
-    return _row_tuples(spectrum_data(A).space, rows if elements is None else rows[list(elements)])
-
-
+@per_object
 def _basic_rows(A):
     """The basic section of each element as a digit row of the spectrum, from
     theta's labels: the fiber over a prime lists the classes in label order
-    less the zero class, which gives digit 0."""
+    less the zero class, which gives digit 0.  Read-only."""
     thetas = spectrum_data(A).thetas
     rows = np.zeros((A.n, len(thetas)), dtype=np.int64)
     for b, theta in enumerate(thetas):
         label, zero = np.asarray(theta.labels), theta.labels[A.zero]
         rows[:, b] = np.where(label == zero, 0, label + (label < zero))
+    rows.setflags(write=False)
     return rows
 
 

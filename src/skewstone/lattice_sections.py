@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_algebra import green_partitions, handedness, reflection
-from .ideals_spectra import _basic_copens, fibers, spectrum_data
+from .ideals_spectra import _basic_rows, _row_tuples, fibers, spectrum_data
+from .morphisms_duality import _basic_labels
+from .spaces_sections import _section_rows
 
 
 @dataclass(frozen=True)
@@ -120,50 +122,45 @@ def find_global_section(sp):
 
 def lattice_section_to_global(A, section):
     """Glue the basic sections of the chosen elements into a global section
-    of the spectrum, verifying the gluing compatibilities on the way."""
+    of the spectrum, verifying the gluing compatibilities on the way.  The
+    pieces are digit rows; class i's support is its representative's row."""
     sd = spectrum_data(A)
-    d = green_partitions(A)[0]
     AD, _ = reflection(A)
-    base_of = []
+    rows = _basic_rows(A)[list(section.choice)]
+    supp = _class_supports(A)
     for i in range(AD.n):
-        rep = d.blocks[i][0]
-        base_of.append(frozenset(pi for pi, p in enumerate(sd.primes)
-                                 if rep not in p.members))
-    copens = [frozenset(c) for c in _basic_copens(A, section.choice)]
-    meet = AD.meet_table.tolist()
-    for i in range(AD.n):
-        for j in range(AD.n):
-            # the local pieces agree on overlaps
-            overlap = base_of[i] & base_of[j]
-            glued = frozenset(e for e in copens[j] if sd.space.p[e] in overlap)
-            if copens[meet[i][j]] != glued:
-                raise ValueError(f"local sections disagree above classes ({i}, {j})")
-    points = sorted(frozenset().union(*copens)) if copens else []
-    if sorted(sd.space.p[e] for e in points) != list(range(sd.space.size_b)):
+        # the local pieces agree on overlaps
+        bad = (rows[AD.meet_table[i]] != np.where(supp[i] & supp, rows, 0)).any(axis=1)
+        if bad.any():
+            raise ValueError(f"local sections disagree above classes ({i}, {int(np.argmax(bad))})")
+    glued = rows.max(axis=0)
+    if not (glued > 0).all() or (np.where(rows > 0, rows, glued) != glued).any():
         raise ValueError("glued section does not hit every fiber exactly once")
-    return GlobalSection(tuple(points))
+    return GlobalSection(_row_tuples(sd.space, glued[None])[0])
 
 
 def global_section_to_lattice(A, section):
     """Carve the global section of the spectrum into basic pieces, one per
-    D-class, and read the chosen elements back through the section bijection."""
-    sd = spectrum_data(A)
-    d = green_partitions(A)[0]
-    AD, _ = reflection(A)
-    element_of = {copen: a for a, copen in enumerate(_basic_copens(A))}
-    pts = set(section.points)
-    choice = []
-    for i in range(AD.n):
-        rep = d.blocks[i][0]
-        above = frozenset(pi for pi, p in enumerate(sd.primes) if rep not in p.members)
-        piece = tuple(sorted(e for e in pts if sd.space.p[e] in above))
-        if piece not in element_of:
-            raise ValueError(f"restriction of the section above class {i} is not basic")
-        choice.append(element_of[piece])
-    result = LatticeSection(tuple(choice))
+    D-class (its row masked by the class's support), and read the chosen
+    elements back through the section bijection."""
+    sp = spectrum_data(A).space
+    _, radix, rank, digit = _section_rows(sp)
+    row = np.zeros(sp.size_b, dtype=np.int64)
+    for e in sorted(set(section.points)):
+        if row[sp.p[e]]:
+            raise ValueError(f"section has two points over base point {sp.p[e]}")
+        row[sp.p[e]] = digit[e]
+    pieces = np.where(_class_supports(A), row, 0)
+    choice = np.argsort(_basic_labels(A))[rank[pieces @ radix]]
+    result = LatticeSection(tuple(choice.tolist()))
     if not is_lattice_section(A, result.choice):
         raise ValueError("converted choice is not a lattice section")
     return result
+
+
+def _class_supports(A):
+    """[i, b]: D-class i lies outside the prime over b."""
+    return _basic_rows(A)[[block[0] for block in green_partitions(A)[0].blocks]] > 0
 
 
 def section_equivalence_check(A):

@@ -335,36 +335,28 @@ def dual_of_hom(f):
 
     The base map sends a prime to its preimage when that is proper; the
     total-space map sends (P, t) to (preimage P, a) whenever t is congruent
-    mod P to some value f(a) outside P.  The result is validated in full.
+    mod P to some value f(a) outside P.  Both read the basic rows: column j
+    of the target's rows at f(a) is 0 on the preimage of prime j, and pairs
+    its digits with the source's at h(j).  The result is validated in full.
     """
-    sd_a = spectrum_data(f.source)
-    sd_b = spectrum_data(f.target)
-    prime_index_a = {p.members: p.index for p in sd_a.primes}
-    carrier = set(f.source.elements)
+    sd_a, sd_b = spectrum_data(f.source), spectrum_data(f.target)
+    rows_a, rows_b = _basic_rows(f.source), _basic_rows(f.target)[list(f.map)]
+    prime_of = {column.tobytes(): i for i, column in enumerate((rows_a == 0).T)}
+    inside = (rows_b == 0).T
     h = {}
-    for pj, prime in enumerate(sd_b.primes):
-        mem = set(prime.members)
-        pre = tuple(sorted(x for x in carrier if f.map[x] in mem))
-        if len(pre) < f.source.n:
-            if pre not in prime_index_a:
-                raise RuntimeError(f"preimage {pre} of a prime is not prime")
-            h[pj] = prime_index_a[pre]
+    for j in np.flatnonzero(~inside.all(axis=1)).tolist():
+        h[j] = prime_of.get(inside[j].tobytes())
+        if h[j] is None:
+            raise RuntimeError(f"preimage {tuple(np.flatnonzero(inside[j]).tolist())} "
+                               "of a prime is not prime")
+    fib_a, fib_b = fibers(sd_a.space), fibers(sd_b.space)
     g = {}
-    for e, pt in enumerate(sd_b.points):
-        pj = pt.prime
-        if pj not in h:
-            continue
-        theta_b = sd_b.thetas[pj]
-        mem = set(sd_b.primes[pj].members)
-        cands = [a for a in f.source.elements
-                 if f.map[a] not in mem and theta_b.labels[f.map[a]] == theta_b.labels[pt.rep]]
-        if not cands:
-            continue
-        pi = h[pj]
-        theta_a = sd_a.thetas[pi]
-        if len({theta_a.labels[a] for a in cands}) != 1:
+    for j, i in h.items():
+        pair = np.zeros(1 + len(fib_b[j]), dtype=np.int64)
+        pair[rows_b[:, j]] = rows_a[:, i]
+        if (pair[rows_b[:, j]] != rows_a[:, i]).any():
             raise RuntimeError("dual point is not well defined")
-        g[e] = sd_a.point_of(pi, cands[0])
+        g.update((fib_b[j][d], fib_a[i][c - 1]) for d, c in enumerate(pair[1:].tolist()) if c)
     morphism = SpaceMorphism(sd_b.space, sd_a.space, partial_map(g), partial_map(h))
     report = validate_space_morphism(morphism)
     if not report.ok:

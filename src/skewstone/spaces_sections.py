@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -139,6 +138,19 @@ def validate_space(sp):
     return ValidationReport(ok=not failures, failures=tuple(failures))
 
 
+def _mixed_rows(sizes, what):
+    """Every digit row with digit b in 0..sizes[b]-1, in mixed-radix order
+    (the first digit turns fastest), and the radix: rows @ radix is each
+    row's index.  SizeCapError past MAX_CARRIER rows."""
+    n = 1
+    for size in sizes:
+        n *= size
+        if n > MAX_CARRIER:
+            raise SizeCapError(f"more than {MAX_CARRIER} {what}")
+    radix = np.cumprod([1] + sizes, dtype=np.int64)[:-1]
+    return np.arange(n)[:, None] // radix % np.array(sizes, dtype=np.int64), radix
+
+
 @per_object
 def _section_rows(sp):
     """The sections of sp as (rows, radix, rank, digit): rows[k, b] is 0 if
@@ -147,17 +159,10 @@ def _section_rows(sp):
     is k.  Labels follow the lexicographic order of the sorted point tuples,
     one lexsort of the rows' points padded with -1 (a tuple comes before the
     longer ones it begins).  SizeCapError past MAX_CARRIER sections."""
-    sizes = [1 + len(f) for f in fibers(sp)]
-    n = 1
-    for size in sizes:
-        n *= size
-        if n > MAX_CARRIER:
-            raise SizeCapError(f"more than {MAX_CARRIER} sections")
-    radix = np.cumprod([1] + sizes, dtype=np.int64)[:-1]
-    mixed = np.arange(n)[:, None] // radix % np.array(sizes, dtype=np.int64)
-    order = np.lexsort(_row_points(sp, mixed).T[::-1]) if sizes else np.arange(n)
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
+    mixed, radix = _mixed_rows([1 + len(f) for f in fibers(sp)], "sections")
+    order = np.lexsort(_row_points(sp, mixed).T[::-1]) if sp.size_b else np.arange(1)
+    rank = np.empty(len(mixed), dtype=np.intp)
+    rank[order] = np.arange(len(mixed))
     digit = np.zeros(sp.size_e, dtype=np.int64)
     for f in fibers(sp):
         digit[list(f)] = np.arange(1, 1 + len(f))
@@ -190,8 +195,10 @@ def reflection_check(sp):
     inclusion.  Base images are bit sets, bit b for base point b, and each
     condition is one whole-table comparison.  The images can cover the
     subsets of B only when 2^|B| <= n <= MAX_CARRIER, so then every bit set
-    fits in an int64."""
+    fits in an int64.  A section algebra the certificate refuses (a band
+    that is not rectangular) raises its ValueError before any check."""
     A, _ = dual_algebra(sp)
+    d = np.asarray(green_partitions(A)[0].labels)
     if A.n < 1 << sp.size_b:
         return False
     img = (_section_rows(sp)[0] > 0) @ (1 << np.arange(sp.size_b, dtype=np.int64))
@@ -201,7 +208,6 @@ def reflection_check(sp):
     if not (np.array_equal(np.take(img, A.meet_table), i & j)
             and np.array_equal(np.take(img, A.join_table), i | j)):
         return False
-    d = np.asarray(green_partitions(A)[0].labels)
     return (np.array_equal(d[:, None] == d[None, :], i == j)
             and np.array_equal(preceq_matrix(A), (i & ~j) == 0))
 
@@ -209,17 +215,6 @@ def reflection_check(sp):
 # ---------------------------------------------------------------------------
 # Partial-map algebras
 # ---------------------------------------------------------------------------
-
-def all_partial_maps(x_size, y_size):
-    """Every partial map X -> Y, sorted by (domain, values); at most MAX_CARRIER."""
-    if (y_size + 1) ** x_size > MAX_CARRIER:
-        raise SizeCapError(f"more than {MAX_CARRIER} partial maps")
-    maps = []
-    for choice in product(*[(None,) + tuple(range(y_size)) for _ in range(x_size)]):
-        dom = tuple(x for x, v in enumerate(choice) if v is not None)
-        maps.append(PartialMap(dom, tuple(choice[x] for x in dom)))
-    return tuple(sorted(maps, key=lambda f: (f.domain, f.values)))
-
 
 def partial_map_algebra(x_size, y_size, band):
     """Skew algebra on all partial maps X -> Y, with a band on the values
@@ -229,7 +224,10 @@ def partial_map_algebra(x_size, y_size, band):
     f v g = f|(F-G) | g|(G-F) | (g ^ f),
     f \\ g = f|(F-G), and cap is graph intersection.
     These are the sections of X x Y -> X with bands[x] on the fiber over x,
-    so the algebra is built as one; the labels are in all_partial_maps order.
+    so the algebra is built as one, on the mixed-radix digit rows (0 where
+    a map is undefined, 1 + f(x) where it is defined), and the labels are
+    sorted by (domain, values): one lexsort of the rows' domains and values,
+    each padded with -1 (a tuple comes before the longer ones it begins).
     A pointwise lift commutes with restrictions by construction, so the
     family is coherent, and a coherent family is pointwise: at each x it
     applies the table it gives on the maps defined at x alone.  The band
@@ -245,18 +243,16 @@ def partial_map_algebra(x_size, y_size, band):
             raise ValueError(f"not a rectangular band: {bad[0]} at {bad[1]}")
         if b.m != y_size:
             raise ValueError("band size does not match the value set")
-    maps = all_partial_maps(x_size, y_size)
+    rows, _ = _mixed_rows([1 + y_size] * x_size, "partial maps")
+    defined = np.argsort(rows == 0, axis=1, kind="stable")   # the domain first
+    values = np.take_along_axis(rows, defined, axis=1) - 1
+    present = values >= 0
+    domains = np.where(present, defined, -1)
+    order = np.lexsort(np.concatenate((domains, values), axis=1).T[::-1]) if x_size else [0]
+    labels = tuple(PartialMap(tuple(d[:k]), tuple(v[:k])) for d, v, k in zip(
+        domains[order].tolist(), values[order].tolist(), present[order].sum(axis=1).tolist()))
     tables = [band.table] * x_size if single else [b.table for b in bands]
-    return _product_algebra(tables, _map_digits(maps, x_size)), maps
-
-
-def _map_digits(maps, x_size):
-    """The digits of partial maps as sections of X x Y -> X: 1 + f(x) where
-    f is defined at x, else 0."""
-    digits = np.zeros((len(maps), x_size), dtype=np.int64)
-    for k, f in enumerate(maps):
-        digits[k, list(f.domain)] = np.add(f.values, 1)
-    return digits
+    return _product_algebra(tables, rows[order]), labels
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,8 @@ from skewstone.ideals_spectra import (
     is_ideal,
     spectrum_data,
 )
-from skewstone.spaces_sections import PartialMap, all_partial_maps, partial_map
+from skewstone.lattice_sections import GlobalSection, LatticeSection, is_lattice_section
+from skewstone.spaces_sections import PartialMap, partial_map
 
 
 def retabled(A, table, changes):
@@ -270,6 +271,16 @@ def _o_cap(f, g, bands):
     return {x: f[x] for x in f if x in g and g[x] == f[x]}
 
 
+def all_partial_maps(x_size, y_size):
+    """Every partial map X -> Y, one choice of None or a value per point,
+    sorted by (domain, values)."""
+    maps = []
+    for choice in product(*[(None,) + tuple(range(y_size)) for _ in range(x_size)]):
+        dom = tuple(x for x, v in enumerate(choice) if v is not None)
+        maps.append(PartialMap(dom, tuple(choice[x] for x in dom)))
+    return tuple(sorted(maps, key=lambda f: (f.domain, f.values)))
+
+
 def partial_map_oracle_tables(x_size, y_size, bands=None):
     """Operation tables of the partial-map algebra with band bands[x] at
     point x (by default the right band everywhere) computed by a
@@ -416,6 +427,87 @@ def hom_of_space_morphism_oracle(m):
     if not validate_hom(f).ok:
         raise RuntimeError("dual homomorphism invalid")
     return f
+
+
+def dual_of_hom_oracle(f):
+    """Oracle for dual_of_hom: each prime's preimage as a sorted member
+    tuple, looked up among the source's primes, and each point's candidates
+    in the source found by a scan of its elements."""
+    sd_a = spectrum_data(f.source)
+    sd_b = spectrum_data(f.target)
+    prime_index_a = {p.members: p.index for p in sd_a.primes}
+    carrier = set(f.source.elements)
+    h = {}
+    for pj, prime in enumerate(sd_b.primes):
+        mem = set(prime.members)
+        pre = tuple(sorted(x for x in carrier if f.map[x] in mem))
+        if len(pre) < f.source.n:
+            if pre not in prime_index_a:
+                raise RuntimeError(f"preimage {pre} of a prime is not prime")
+            h[pj] = prime_index_a[pre]
+    g = {}
+    for e, pt in enumerate(sd_b.points):
+        pj = pt.prime
+        if pj not in h:
+            continue
+        theta_b = sd_b.thetas[pj]
+        mem = set(sd_b.primes[pj].members)
+        cands = [a for a in f.source.elements
+                 if f.map[a] not in mem and theta_b.labels[f.map[a]] == theta_b.labels[pt.rep]]
+        if not cands:
+            continue
+        pi = h[pj]
+        theta_a = sd_a.thetas[pi]
+        if len({theta_a.labels[a] for a in cands}) != 1:
+            raise RuntimeError("dual point is not well defined")
+        g[e] = sd_a.point_of(pi, cands[0])
+    morphism = SpaceMorphism(sd_b.space, sd_a.space, partial_map(g), partial_map(h))
+    report = validate_space_morphism(morphism)
+    if not report.ok:
+        raise RuntimeError(f"dual morphism invalid: {report.failures}")
+    return morphism
+
+
+def lattice_section_to_global_oracle(A, section):
+    """Oracle for lattice_section_to_global: the basic sections as point
+    sets (basic_copens_oracle), each class's base as a set of primes, and
+    the gluing checked class pair by class pair."""
+    sd = spectrum_data(A)
+    d = green_partitions(A)[0]
+    AD, _ = reflection(A)
+    base_of = [frozenset(pi for pi, p in enumerate(sd.primes) if d.blocks[i][0] not in p.members)
+               for i in range(AD.n)]
+    basic = basic_copens_oracle(A, sd)
+    copens = [frozenset(basic[c]) for c in section.choice]
+    for i in range(AD.n):
+        for j in range(AD.n):
+            overlap = base_of[i] & base_of[j]
+            glued = frozenset(e for e in copens[j] if sd.space.p[e] in overlap)
+            if copens[AD.meet(i, j)] != glued:
+                raise ValueError(f"local sections disagree above classes ({i}, {j})")
+    points = sorted(frozenset().union(*copens)) if copens else []
+    if sorted(sd.space.p[e] for e in points) != list(range(sd.space.size_b)):
+        raise ValueError("glued section does not hit every fiber exactly once")
+    return GlobalSection(tuple(points))
+
+
+def global_section_to_lattice_oracle(A, section):
+    """Oracle for global_section_to_lattice: each class's piece of the
+    section as a sorted point tuple, looked up among the basic sections."""
+    sd = spectrum_data(A)
+    d = green_partitions(A)[0]
+    element_of = {copen: a for a, copen in enumerate(basic_copens_oracle(A, sd))}
+    pts = set(section.points)
+    choice = []
+    for i, block in enumerate(d.blocks):
+        above = frozenset(pi for pi, p in enumerate(sd.primes) if block[0] not in p.members)
+        piece = tuple(sorted(e for e in pts if sd.space.p[e] in above))
+        if piece not in element_of:
+            raise ValueError(f"restriction of the section above class {i} is not basic")
+        choice.append(element_of[piece])
+    if not is_lattice_section(A, choice):
+        raise ValueError("converted choice is not a lattice section")
+    return LatticeSection(tuple(choice))
 
 
 def _sections_above(sp, base_points):
@@ -619,14 +711,16 @@ def is_ideal_oracle(A, members):
 
 def enumerate_prime_ideals_oracle(A):
     """Oracle for enumerate_prime_ideals: the candidates pulled back from the
-    atoms of A/D, checked pair by pair."""
-    Q, to_d = reflection(A)
-    leq_q = leq_matrix(Q)
+    atoms of A/D, checked pair by pair.  A/D is built from the pairwise Green
+    D and its order read through joins, so nothing here reads the product
+    form."""
+    Q, to_d = quotient_by_oracle(A, green_partitions_oracle(A)[0])
+    leq_q = lambda x, y: natural_leq_via_join(Q, x, y)
     nonzero = [x for x in Q.elements if x != Q.zero]
-    atoms = [a for a in nonzero if not any(leq_q[b][a] and b != a for b in nonzero)]
+    atoms = [a for a in nonzero if not any(leq_q(b, a) and b != a for b in nonzero)]
     found = []
     for atom in atoms:
-        members = tuple(x for x in A.elements if not leq_q[atom][to_d[x]])
+        members = tuple(x for x in A.elements if not leq_q(atom, to_d[x]))
         found.append(members)
     found.sort()
     primes = []
@@ -755,8 +849,9 @@ def spectrum_data_oracle(A):
 
 
 def basic_copens_oracle(A, sd):
-    """Oracle for _basic_copens, given the spectrum data sd of A: for each
-    element, the point of its class over every prime it is not in."""
+    """Oracle for basic_copen on every element, given the spectrum data sd
+    of A: for each element, the point of its class over every prime it is
+    not in."""
     return tuple(tuple(sorted(sd.label_index[pi, theta.labels[a]]
                               for pi, (prime, theta) in enumerate(zip(sd.primes, sd.thetas))
                               if a not in prime.members))
@@ -972,7 +1067,7 @@ def second_decomposition_check_oracle(A):
     """Oracle for second_decomposition_check: the pullback of the Green
     quotients (built by quotient_by_oracle) as pairs, its tables and the
     canonical map's preservation checked pair by pair."""
-    d, l, r = green_partitions(A)
+    d, l, r = green_partitions_oracle(A)
     AR, to_r = quotient_by_oracle(A, r)
     AL, to_l = quotient_by_oracle(A, l)
     AD, to_d = quotient_by_oracle(A, d)

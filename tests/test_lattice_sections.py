@@ -1,8 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import corpus_params
+from catalog import boolean_algebra
+from helpers import (
+    corpus_dual_algebras,
+    corpus_params,
+    global_section_to_lattice_oracle,
+    lattice_section_to_global_oracle,
+    outcome,
+    small_test_algebras,
+)
 from skewstone import (
     basic_copen,
     dual_algebra,
@@ -14,7 +24,10 @@ from skewstone import (
     random_space,
     section_equivalence_check,
 )
+from skewstone.ideals_spectra import fibers, spectrum_data
 from skewstone.lattice_sections import (
+    GlobalSection,
+    LatticeSection,
     global_section_to_lattice,
     is_lattice_section,
     lattice_section_to_global,
@@ -84,6 +97,37 @@ class TestConversions:
             glued = lattice_section_to_global(A, section)
             back = global_section_to_lattice(A, glued)
             assert back == section, name
+
+    def test_conversions_match_the_oracles(self):
+        """On every right-handed catalog and corpus algebra and the Boolean
+        algebras of 1 to 8 atoms: the found sections and three seeded
+        one-per-class choices, and three seeded global sections, convert
+        with the outcome and message of the point-set loops."""
+        algebras = ([A for _, A in small_test_algebras()] + corpus_dual_algebras()
+                    + [boolean_algebra(k) for k in range(1, 9)])
+        rng = random.Random(25)
+        counts = {"ok": 0, "raised": 0}
+        for A in algebras:
+            if handedness(A) not in ("right", "commutative"):
+                continue
+            blocks = green_partitions(A)[0].blocks
+            fib = fibers(spectrum_data(A).space)
+            choices = [find_lattice_section(A)] + [
+                LatticeSection(tuple(rng.choice(block) for block in blocks)) for _ in range(3)]
+            sections = [find_global_section(spectrum_data(A).space)] + [
+                GlobalSection(tuple(sorted(rng.choice(f) for f in fib))) for _ in range(3)]
+            for convert, oracle, inputs in (
+                    (lattice_section_to_global, lattice_section_to_global_oracle, choices),
+                    (global_section_to_lattice, global_section_to_lattice_oracle, sections)):
+                for section in inputs:
+                    got = outcome(convert, A, section)
+                    assert got == outcome(oracle, A, section)
+                    counts[got[0]] += 1
+        assert counts == {"ok": 1012, "raised": 100}   # 139 algebras, 8 inputs each
+
+    def test_two_points_over_one_base_point_are_named(self, three):
+        with pytest.raises(ValueError, match="section has two points over base point 0"):
+            global_section_to_lattice(three, GlobalSection((0, 1)))
 
     def test_global_section_acts_as_lattice_section_on_duals(self):
         # picking the global section under each base subset preserves meets

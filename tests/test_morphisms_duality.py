@@ -8,10 +8,13 @@ from catalog import boolean_algebra
 from helpers import (
     algebras_isomorphic_search,
     all_surjection_spaces,
+    corpus_dual_algebras,
+    dual_of_hom_oracle,
     enumerate_homs_bruteforce,
     enumerate_homs_search,
     enumerate_space_morphisms_search,
     mixed_space,
+    outcome,
     renumbered,
     seeded_rect_space,
     small_test_algebras,
@@ -118,6 +121,33 @@ class TestDualOfHom:
                 skew_spectrum(B)[0], skew_spectrum(A)[0])
             assert len(set(duals)) == len(homs)
             assert sorted(duals, key=repr) == sorted(space_morphisms, key=repr)
+
+    def test_every_corpus_hom_matches_the_oracle(self):
+        # the 400 ordered pairs of the first 20 corpus algebras
+        algebras = corpus_dual_algebras(20)
+        count = 0
+        for A, B in itertools.product(algebras, repeat=2):
+            for f in enumerate_homs(A, B):
+                assert dual_of_hom(f) == dual_of_hom_oracle(f)
+                count += 1
+        assert count == 14609
+
+    def test_maps_that_are_not_homs_raise_as_the_oracle(self):
+        # seeded zero-preserving maps: a preimage that is not prime, a
+        # point with two images, or a square that fails validation
+        rng = random.Random(3)
+        algebras = corpus_dual_algebras(20)
+        kinds = ("is not prime", "not well defined", "dual morphism invalid")
+        outcomes = set()
+        for _ in range(300):
+            A, B = rng.choice(algebras), rng.choice(algebras)
+            image = [rng.randrange(B.n) for _ in range(A.n)]
+            image[A.zero] = B.zero
+            f = Homomorphism(A, B, tuple(image))
+            got = outcome(dual_of_hom, f)
+            assert got == outcome(dual_of_hom_oracle, f)
+            outcomes.add(got[0] if got[0] == "ok" else next(k for k in kinds if k in got[2]))
+        assert outcomes == {"ok", *kinds}
 
     def test_functoriality_on_identities(self, catalog):
         for _, A in catalog:

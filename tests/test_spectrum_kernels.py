@@ -51,7 +51,7 @@ from skewstone.core_algebra import (
     reflection,
     subalgebra_on,
 )
-from skewstone.ideals_spectra import _basic_copens, _join_closure, is_ideal
+from skewstone.ideals_spectra import _join_closure, is_ideal
 
 OPS = ("meet", "join", "diff", "cap")
 
@@ -83,13 +83,13 @@ def test_prime_ideals_match_the_loop(algebras):
 
 
 def test_prime_ideals_on_mutants_fail_as_the_loop(algebras):
-    """No mutant is certified, and each is refused by name; the pairwise
-    oracle, which reads the commutative reflection, is refused with it."""
+    """No mutant is certified, and each is refused by name.  The pairwise
+    oracle reads only the tables, so on a mutant it may answer; it is
+    compared on the valid algebras only (test_prime_ideals_match_the_loop)."""
     refused = set()
     for i, A in enumerate(a for a in algebras if 3 <= a.n <= 16):
         for B in mutants(A, 30, seed=i):
-            got = outcome(enumerate_prime_ideals, B)
-            assert got == refusal(B) == outcome(enumerate_prime_ideals_oracle, B)
+            assert outcome(enumerate_prime_ideals, B) == refusal(B)
             refused.add(_certificate(B))
     assert {"fibers", "band", "digits", "meet", "join", "diff", "cap"} <= refused
 
@@ -170,7 +170,6 @@ def test_green_partitions_on_mutants_fail_as_the_loop(algebras):
 def test_basic_sections_match_the_scan(algebras):
     for A in algebras:
         expected = tuple(basic_copen_oracle(A, a) for a in A.elements)
-        assert _basic_copens(A) == expected
         assert tuple(basic_copen(A, a) for a in A.elements) == expected
 
 
