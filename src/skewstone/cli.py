@@ -180,18 +180,10 @@ def cmd_section(cfg):
     kind = jsonio.sniff_kind(obj)
     if kind == "algebra":
         A = _valid_algebra(cfg, jsonio.algebra_from_dict(obj))
-        section = find_lattice_section(A)
-        if section is None:
-            print("none")
-        else:
-            jsonio.dump({"choice": list(section.choice)})
+        jsonio.dump({"choice": list(find_lattice_section(A).choice)})
     elif kind == "space":
         sp = _valid_space(jsonio.space_from_dict(obj))
-        section = find_global_section(sp)
-        if section is None:
-            print("none")
-        else:
-            jsonio.dump({"section": list(section.points)})
+        jsonio.dump({"section": list(find_global_section(sp).points)})
     else:
         raise StructuralError(f"no section search for objects of kind {kind}")
     return 0

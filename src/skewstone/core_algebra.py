@@ -85,6 +85,15 @@ def as_int(v):
     return as_ints((v,))[0]
 
 
+def _indices(values, n):
+    """values as an intp array if they are integers in 0..n-1 (as_ints), else None."""
+    try:
+        m = np.array(as_ints(values), dtype=np.intp)
+    except (TypeError, OverflowError):
+        return None
+    return m if ((m >= 0) & (m < n)).all() else None
+
+
 _BOOLS = frozenset((bool, np.bool_))
 
 
@@ -403,18 +412,22 @@ def _product_tables(bands, digits):
                     np.where(r == 0, s, 0),
                     np.where(s == r, s, 0)))
     rows = max(1, ROW_BLOCK // n)
+    # two block buffers, made once: malloc maps a fresh 256 KiB block anew
+    code_buffer, term_buffer = (np.empty((min(rows, n), n), dtype=np.int32) for _ in range(2))
 
     def table(k):
-        # per coordinate, the code that each digit of a row gives each column
+        # per coordinate, the code each digit of a row gives each column; this
+        # take refuses a digit past its band, so the clip takes stay in range
         parts = [np.take(op[k] * weight, col, axis=1).astype(np.int32)
                  for col, op, weight in zip(digits.T, ops, radix)]
         out = np.empty((n, n), dtype=np.int32)
         for start in range(0, n, rows):
             block = digits[start:start + rows]
-            code = np.zeros((len(block), n), dtype=np.int32)
+            code, term = code_buffer[:len(block)], term_buffer[:len(block)]
+            code.fill(0)
             for part, d in zip(parts, block.T):
-                code += np.take(part, d, axis=0)
-            np.take(rank, code, out=out[start:start + rows])
+                code += np.take(part, d, axis=0, out=term, mode="clip")
+            np.take(rank, code, out=out[start:start + rows], mode="clip")
         return out
 
     return int(rank[0]), map(table, range(4))
@@ -494,6 +507,28 @@ def _certified_form(A):
         raise ValueError("not a skew Boolean algebra with intersections "
                          f"(certificate check {form.refused})")
     return form
+
+
+@per_object
+def _order_keys(A):
+    """The natural order read off A's product form (_certified_form): x <= y
+    exactly when x is y restricted to supp(x), and x is below y in the
+    preorder exactly when supp(x) lies in supp(y).  Read-only (supports,
+    keys): supports[x] is supp(x) as a bit mask, bit b for fiber b, and
+    keys[:, x, b] number the row and the column of x's point at b (the
+    band's column 0 and row 0, _rectangle), or its absence, apart from
+    those of other fibers, all below n."""
+    form = _certified_form(A)
+    keys = np.empty((2,) + form.digits.shape, dtype=np.intp)
+    start = 0
+    for b, band in enumerate(form.bands):
+        first = np.stack((np.r_[0, band[:, 0] + 1], np.r_[0, band[0] + 1]))
+        keys[:, :, b] = start + first[:, form.digits[:, b]]
+        start += 1 + len(band)
+    supports = (form.digits > 0) @ (1 << np.arange(len(form.bands), dtype=np.int64))
+    for array in (supports, keys):
+        array.setflags(write=False)
+    return supports, keys
 
 
 def _certificate(A):
@@ -688,25 +723,19 @@ def green_partitions(A):
     D is the kernel of the poset reflection of the natural preorder.
 
     A is a product of rectangular bands with a zero adjoined
-    (_certified_form), and the relations are read off its digits: x is below
-    y in the preorder exactly when y has a digit wherever x has one, so D
-    is "same support"; on a common support x^y = y exactly when x and y lie
-    in the same row of every band, so R is "same support and the same row
-    at every digit", and L the same with columns.  Meet, join and diff give
-    each digit's presence from the operands' supports, its row from their
-    rows and its column from their columns, so these are congruences for
-    all three (intersections are not generally compatible).
+    (_certified_form), and the relations are read off its digits
+    (_order_keys): x is below y in the preorder exactly when y has a digit
+    wherever x has one, so D is "same support"; on a common support x^y = y
+    exactly when x and y lie in the same row of every band, so R is "same
+    support and the same row at every digit", and L the same with columns.
+    Meet, join and diff give each digit's presence from the operands'
+    supports, its row from their rows and its column from their columns, so
+    these are congruences for all three (intersections are not generally
+    compatible).
     """
-    form = _certified_form(A)
-    # per fiber, a key of each digit for D (present), L (its column) and R
-    # (its row); an element's keys make one mixed-radix code per relation,
-    # equal exactly on a class
-    codes = np.zeros((3, A.n), dtype=np.int64)
-    for digit, band in zip(form.digits.T, form.bands):
-        keys = np.stack((np.arange(1 + len(band)) > 0,
-                         np.r_[0, band[0] + 1], np.r_[0, band[:, 0] + 1]))
-        codes = codes * (1 + len(band)) + keys[:, digit]
-    return tuple(map(partition_from_labels, codes.tolist()))
+    supports, (rows, cols) = _order_keys(A)
+    return tuple(map(partition_from_labels, (supports.tolist(), map(tuple, cols.tolist()),
+                                             map(tuple, rows.tolist()))))
 
 
 def glb_cap_table(n, meet, join):
@@ -770,10 +799,9 @@ def reflection(A):
     supports (the sets of fibers an element has a digit in), each class
     labelled as in D: meet and cap are intersection, join is union and diff
     is set difference, looked up on bit masks."""
-    form = _certified_form(A)
     d = green_partitions(A)[0]
     reps = [block[0] for block in d.blocks]
-    support = (form.digits[reps] > 0) @ (1 << np.arange(len(form.bands), dtype=np.int64))
+    support = _order_keys(A)[0][reps]
     label = np.empty(len(reps), dtype=np.int32)      # there is one class per support
     label[support] = np.arange(len(reps))
     s, t = support[:, None], support[None, :]

@@ -20,11 +20,12 @@ from .core_algebra import (
     _certified_form,
     _first_bad,
     _gather,
+    _indices,
+    _order_keys,
     _take,
     as_int,
     as_ints,
     is_congruence,
-    leq_matrix,
     partition_from_labels,
     per_object,
     preceq_matrix,
@@ -167,27 +168,21 @@ def _row_tuples(sp, rows):
 
 def is_ideal(A, members):
     """Preorder-downward closed, join closed, contains zero."""
-    inP = _member_mask(A.n, members)
-    if inP is None:
-        return False
-    return _is_ideal(preceq_matrix(A), A.join_table, A.zero, inP)
+    return _ideal_mask(A, members) is not None
 
 
-def _member_mask(n, members):
-    """Boolean mask of a member set, or None if a member is not in 0..n-1."""
+def _ideal_mask(A, members):
+    """The members as a boolean mask if they are elements 0..n-1 that form
+    an ideal (is_ideal), else None."""
     members = list(members)
-    if any(not 0 <= x < n for x in members):
+    if any(not 0 <= x < A.n for x in members):
         return None
-    inP = np.zeros(n, dtype=bool)
+    inP = np.zeros(A.n, dtype=bool)
     inP[members] = True
-    return inP
-
-
-def _is_ideal(pre, J, zero, inP):
-    """is_ideal on arrays: pre is the natural preorder, inP the members."""
-    return (bool(inP[zero])
-            and not pre[np.ix_(~inP, inP)].any()
-            and bool(inP[J[np.ix_(inP, inP)]].all()))
+    if (inP[A.zero] and not preceq_matrix(A)[np.ix_(~inP, inP)].any()
+            and inP[A.join_table[np.ix_(inP, inP)]].all()):
+        return inP
+    return None
 
 
 def enumerate_prime_ideals(A):
@@ -206,8 +201,8 @@ def ideal_congruence(A, ideal):
     and to have the ideal itself as its zero class.
     """
     members = ideal.members if isinstance(ideal, (Ideal, PrimeIdeal)) else tuple(ideal)
-    inP = _member_mask(A.n, members)
-    if inP is None or not _is_ideal(preceq_matrix(A), A.join_table, A.zero, inP):
+    inP = _ideal_mask(A, members)
+    if inP is None:
         raise ValueError(f"{members} is not an ideal")
     return _ideal_congruence(A, _relating(A), inP)
 
@@ -340,36 +335,40 @@ def _basic_rows(A):
 
 
 # ---------------------------------------------------------------------------
-# Generated ideals and cofinality
+# Generated ideals, read off the product form
 # ---------------------------------------------------------------------------
 
-def _join_closure(A, seed):
-    """The least join-closed set containing seed, as a sorted tuple."""
-    closed = np.zeros(A.n, dtype=bool)
-    closed[list(seed)] = True
-    while True:
-        members = np.flatnonzero(closed)
-        closed[A.join_table[np.ix_(members, members)]] = True
-        if closed.sum() == len(members):
-            return tuple(members.tolist())
-
-
-def _down_closure(A, order, subset):
-    """The zero and every y with order[y, s] for some s in the subset."""
-    down = order[:, sorted(set(subset))].any(axis=1)
-    down[A.zero] = True
-    return np.flatnonzero(down).tolist()
+def _generated(A, subset):
+    """The <=-ideal and the ideal that the subset generates, as masks: the x
+    whose points each have the row of a point of the subset there and the
+    column of one, and the x whose support lies in the union of the subset's
+    supports (_order_keys).  StructuralError for a non-element."""
+    S = _indices(subset, A.n)
+    if S is None:
+        raise StructuralError(f"generators are not all elements 0..{A.n - 1}")
+    supports, keys = _order_keys(A)
+    has = np.zeros((2, A.n), dtype=bool)
+    for side, key in zip(has, keys):
+        side[key[np.r_[S, A.zero]]] = True
+    return ((has[0][keys[0]] & has[1][keys[1]]).all(axis=1),
+            (supports & ~np.bitwise_or.reduce(supports[S])) == 0)
 
 
 def leq_ideal_generated(A, subset):
     """Least set containing the subset that is downward closed for the
-    natural partial order and closed under joins (downclose, then join)."""
-    return _join_closure(A, _down_closure(A, leq_matrix(A), subset))
+    natural partial order and closed under joins, as a sorted tuple: the x
+    whose points lie in the rectangles the subset's points span (_generated).
+    That set holds the zero and the subset and is closed both ways, as
+    x v y takes its row from y and its column from x; and each member is
+    the join of its one-digit restrictions, each t v s for restrictions of
+    generators s and t."""
+    return tuple(np.flatnonzero(_generated(A, subset)[0]).tolist())
 
 
 def preceq_ideal_generated(A, subset):
-    """Least ideal containing the subset: preorder downclose, then join-close."""
-    members = _join_closure(A, _down_closure(A, preceq_matrix(A), subset))
-    if not is_ideal(A, members):
-        raise RuntimeError(f"generated set {members} is not an ideal")
-    return Ideal(members)
+    """Least ideal containing the subset: the x whose support lies in the
+    union of the subset's supports (_generated).  That set holds the zero
+    and the subset and is closed both ways, as supp(x v y) is the union of
+    the supports; and each member is the join of its one-digit restrictions,
+    each below a generator.  A must be certified (_certified_form)."""
+    return Ideal(tuple(np.flatnonzero(_generated(A, subset)[1]).tolist()))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_algebra import green_partitions, handedness, reflection
+from .core_algebra import _certified_form, green_partitions, handedness, reflection
 from .ideals_spectra import _basic_rows, _row_tuples, fibers, spectrum_data
 from .morphisms_duality import _basic_labels
 from .spaces_sections import _section_rows
@@ -61,54 +61,25 @@ def is_lattice_section(A, choice):
 
 
 def find_lattice_section(A):
-    """Depth-first search over per-class choices, least candidates first,
-    pruning as soon as a meet or join of chosen elements leaves the partial
-    choice.  Returns the first section found, or None.  The search keeps its
-    own stack, one candidate index per class, so its depth is not bounded by
-    Python's recursion limit."""
+    """Read off A's product form (_certified_form), with no search: in each
+    D-class in turn, the first element that agrees with the digits fixed so
+    far (a class holds every digit row on its support), whose digits are
+    then fixed.  A meet takes its right operand's points and a join its
+    left's, so a choice is a lattice section exactly when it agrees on
+    overlaps: this is the first one a depth-first search over the classes
+    finds.  Checked with is_lattice_section; never None."""
     _require_right_handed(A)
-    d = green_partitions(A)[0]
-    AD, to_d = reflection(A)
-    k = AD.n
-    # per table of A: the class pairs (i, j) with the class q of i . j, as
-    # the columns of one (3, k * k) array sorted by the last of i, j and q
-    # to be filled, and where the run of each class t starts; a run is
-    # checked when its class is filled
-    r = np.arange(k, dtype=np.int32)
-    checks = []
-    for op in ("meet_table", "join_table"):
-        Q = getattr(AD, op).ravel()
-        last = np.maximum(np.maximum.outer(r, r).ravel(), Q)
-        order = np.argsort(last, kind="stable").astype(np.int32)
-        triples = np.stack((order // k, order % k, Q[order]))
-        starts = np.searchsorted(last[order], np.arange(k + 1)).tolist()
-        checks.append((getattr(A, op), triples, starts))
-    choice = np.zeros(k, dtype=np.intp)
-
-    def consistent(t):
-        for T, triples, starts in checks:
-            x, y, q = choice[triples[:, starts[t]:starts[t + 1]]]
-            if not (T[x, y] == q).all():
-                return False
-        return True
-
-    candidates = [(A.zero,) if t == to_d[A.zero] else d.blocks[t] for t in range(k)]
-    tried = [0] * k                  # next candidate to try at each class
-    t = 0
-    while 0 <= t < k:
-        if tried[t] == len(candidates[t]):
-            tried[t] = 0
-            t -= 1
-            continue
-        choice[t] = candidates[t][tried[t]]
-        tried[t] += 1
-        if consistent(t):
-            t += 1
-    if t < 0:
-        return None
-    section = LatticeSection(tuple(choice.tolist()))
+    digits = _certified_form(A).digits
+    fixed = np.zeros(digits.shape[1], dtype=digits.dtype)      # 0: not fixed yet
+    choice = []
+    for block in green_partitions(A)[0].blocks:
+        rows = digits[list(block)]
+        x = int(np.argmax(((rows == fixed) | (rows == 0) | (fixed == 0)).all(axis=1)))
+        fixed = np.where(fixed > 0, fixed, rows[x])
+        choice.append(block[x])
+    section = LatticeSection(tuple(choice))
     if not is_lattice_section(A, section.choice):
-        raise RuntimeError("search returned a non-section")
+        raise RuntimeError("the read-off choice is not a lattice section")
     return section
 
 
@@ -169,12 +140,7 @@ def section_equivalence_check(A):
     other, with every conversion validated."""
     _require_right_handed(A)
     lattice = find_lattice_section(A)
-    sd = spectrum_data(A)
-    global_ = find_global_section(sd.space)
-    if (lattice is None) != (global_ is None):
-        return False
-    if lattice is None:
-        return True
+    global_ = find_global_section(spectrum_data(A).space)      # the spectrum has no empty fiber
     try:
         lattice_section_to_global(A, lattice)
         global_section_to_lattice(A, global_)

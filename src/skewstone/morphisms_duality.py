@@ -23,25 +23,23 @@ from .core_algebra import (
     ValidationReport,
     _OPS,
     _first_bad,
+    _indices,
+    _order_keys,
     _product_algebra,
     _rectangle,
     _take,
-    as_ints,
-    green_partitions,
-    leq_matrix,
     partition_from_labels,
     per_object,
-    preceq_matrix,
     subalgebra_on,
 )
 from .ideals_spectra import (
     _banded_space,
     _basic_rows,
+    _generated,
     fiber_bands,
     fibers,
     leq_ideal_generated,
     make_space,
-    preceq_ideal_generated,
     spectrum_data,
 )
 from .spaces_sections import (
@@ -103,11 +101,8 @@ def validate_hom(f):
     the first violated pair in C order.  The map must be n_A integers in
     0..n_B-1 (StructuralError otherwise, also for 1.5, "1" or True)."""
     A, B = f.source, f.target
-    try:
-        m = np.array(as_ints(f.map), dtype=np.intp)
-    except (TypeError, OverflowError):
-        m = None
-    if m is None or m.shape != (A.n,) or m.min() < 0 or m.max() >= B.n:
+    m = _indices(f.map, B.n)
+    if m is None or m.shape != (A.n,):
         raise StructuralError("homomorphism map is not a total map into the target")
     failures = []
     if m[A.zero] != B.zero:
@@ -567,25 +562,27 @@ def is_partial_identity_up_to_iso(m):
 
 @per_object
 def classify_hom(f):
-    """Algebraic counterparts of the space-morphism classes, as masks over
-    the image of f and the order ideal it generates."""
+    """Algebraic counterparts of the space-morphism classes, as masks read
+    off the target's product form (_order_keys), with I the image of f and
+    J and K the <=-ideal and the ideal it generates.  leq_cofinal and
+    preceq_cofinal: J, resp. K, is everything.  D_saturated: I holds each
+    element with the support of a member (D is "same support").
+    leq_ideal_inclusion: f is injective and I is <=-downward closed, that
+    is, I == J, as I holds the zero and is closed under joins.
+    image_ideal_preceq_closed: J is downward closed for the preorder; as K
+    holds J, and such a J is an ideal holding I, that is J == K."""
     B = f.target
-    image = np.zeros(B.n, dtype=bool)
+    J, K = _generated(B, f.map)
+    supports = _order_keys(B)[0]
+    image, image_supports = np.zeros((2, B.n), dtype=bool)
     image[list(f.map)] = True
-    ideal = np.zeros(B.n, dtype=bool)
-    ideal[list(leq_ideal_generated(B, f.map))] = True
-    preceq_cofinal = len(preceq_ideal_generated(B, f.map).members) == B.n
-    d = np.asarray(green_partitions(B)[0].labels)
-    image_classes = np.zeros(B.n, dtype=bool)
-    image_classes[d[image]] = True
-    # a set S is down-closed for an order when nothing outside S lies below a member
-    down_closed = lambda order, S: not (order[:, S].any(axis=1) & ~S).any()
-    return HomFlags(leq_cofinal=bool(ideal.all()),
-                    preceq_cofinal=preceq_cofinal,
-                    D_saturated=not (image_classes[d] & ~image).any(),
+    image_supports[supports[image]] = True      # supports are bit masks below 2^|fibers| <= n
+    return HomFlags(leq_cofinal=bool(J.all()),
+                    preceq_cofinal=bool(K.all()),
+                    D_saturated=not (image_supports[supports] & ~image).any(),
                     leq_ideal_inclusion=(len(set(f.map)) == f.source.n
-                                         and down_closed(leq_matrix(B), image)),
-                    image_ideal_preceq_closed=down_closed(preceq_matrix(B), ideal))
+                                         and bool(np.array_equal(image, J))),
+                    image_ideal_preceq_closed=bool(np.array_equal(J, K)))
 
 
 def check_variant_dualities(f):

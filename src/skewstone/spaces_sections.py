@@ -22,11 +22,10 @@ from .core_algebra import (
     MAX_CARRIER,
     SizeCapError,
     ValidationReport,
+    _certified_form,
     _product_algebra,
     band_law_witness,
-    green_partitions,
     per_object,
-    preceq_matrix,
 )
 from .ideals_spectra import (
     _banded_space,
@@ -192,13 +191,16 @@ def reflection_check(sp):
     """Verify that taking base images is the lattice reflection of the section
     algebra: a surjective {0, meet, join}-map onto the subsets of B whose
     kernel is the Green D relation, with the preorder matching image
-    inclusion.  Base images are bit sets, bit b for base point b, and each
-    condition is one whole-table comparison.  The images can cover the
-    subsets of B only when 2^|B| <= n <= MAX_CARRIER, so then every bit set
-    fits in an int64.  A section algebra the certificate refuses (a band
-    that is not rectangular) raises its ValueError before any check."""
+    inclusion.  Base images are bit sets, bit b for base point b; they cover
+    the subsets of B only when 2^|B| <= n <= MAX_CARRIER, so they fit in an
+    int64.  D is "same support" and the preorder is support inclusion
+    (_certified_form), so the last two conditions make support to image an
+    order isomorphism of subset lattices: image = sigma(support), sigma a
+    bijection of fibers onto base points read off the atoms.  Supports come
+    from the algebra's tables, images from the space.  A section algebra the
+    certificate refuses raises its ValueError first."""
     A, _ = dual_algebra(sp)
-    d = np.asarray(green_partitions(A)[0].labels)
+    supp = _certified_form(A).digits > 0
     if A.n < 1 << sp.size_b:
         return False
     img = (_section_rows(sp)[0] > 0) @ (1 << np.arange(sp.size_b, dtype=np.int64))
@@ -208,8 +210,11 @@ def reflection_check(sp):
     if not (np.array_equal(np.take(img, A.meet_table), i & j)
             and np.array_equal(np.take(img, A.join_table), i | j)):
         return False
-    return (np.array_equal(d[:, None] == d[None, :], i == j)
-            and np.array_equal(preceq_matrix(A), (i & ~j) == 0))
+    atoms = supp.sum(axis=1) == 1
+    sigma = np.zeros(supp.shape[1], dtype=np.int64)
+    sigma[np.nonzero(supp[atoms])[1]] = img[atoms]
+    return (sorted(sigma.tolist()) == [1 << b for b in range(sp.size_b)]
+            and np.array_equal(supp @ sigma, img))
 
 
 # ---------------------------------------------------------------------------

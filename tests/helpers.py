@@ -29,6 +29,7 @@ from skewstone import (
     dual_algebra,
     enumerate_prime_ideals,
     green_partitions,
+    handedness,
     leq_ideal_generated,
     make_algebra,
     make_space,
@@ -489,6 +490,60 @@ def lattice_section_to_global_oracle(A, section):
     if sorted(sd.space.p[e] for e in points) != list(range(sd.space.size_b)):
         raise ValueError("glued section does not hit every fiber exactly once")
     return GlobalSection(tuple(points))
+
+
+def find_lattice_section_oracle(A):
+    """Oracle for find_lattice_section: depth-first search over per-class
+    choices, least candidates first, pruning as soon as a meet or join of
+    chosen elements leaves the partial choice.  Returns the first section
+    found, or None.  The search keeps its own stack, one candidate index per
+    class, so its depth is not bounded by Python's recursion limit."""
+    kind = handedness(A)
+    if kind not in ("right", "commutative"):
+        raise ValueError(f"lattice-section search needs a right-handed algebra, got {kind}")
+    d = green_partitions(A)[0]
+    AD, to_d = reflection(A)
+    k = AD.n
+    # per table of A: the class pairs (i, j) with the class q of i . j, as
+    # the columns of one (3, k * k) array sorted by the last of i, j and q
+    # to be filled, and where the run of each class t starts; a run is
+    # checked when its class is filled
+    r = np.arange(k, dtype=np.int32)
+    checks = []
+    for op in ("meet_table", "join_table"):
+        Q = getattr(AD, op).ravel()
+        last = np.maximum(np.maximum.outer(r, r).ravel(), Q)
+        order = np.argsort(last, kind="stable").astype(np.int32)
+        triples = np.stack((order // k, order % k, Q[order]))
+        starts = np.searchsorted(last[order], np.arange(k + 1)).tolist()
+        checks.append((getattr(A, op), triples, starts))
+    choice = np.zeros(k, dtype=np.intp)
+
+    def consistent(t):
+        for T, triples, starts in checks:
+            x, y, q = choice[triples[:, starts[t]:starts[t + 1]]]
+            if not (T[x, y] == q).all():
+                return False
+        return True
+
+    candidates = [(A.zero,) if t == to_d[A.zero] else d.blocks[t] for t in range(k)]
+    tried = [0] * k                  # next candidate to try at each class
+    t = 0
+    while 0 <= t < k:
+        if tried[t] == len(candidates[t]):
+            tried[t] = 0
+            t -= 1
+            continue
+        choice[t] = candidates[t][tried[t]]
+        tried[t] += 1
+        if consistent(t):
+            t += 1
+    if t < 0:
+        return None
+    section = LatticeSection(tuple(choice.tolist()))
+    if not is_lattice_section(A, section.choice):
+        raise RuntimeError("search returned a non-section")
+    return section
 
 
 def global_section_to_lattice_oracle(A, section):

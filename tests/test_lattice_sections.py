@@ -8,9 +8,11 @@ from catalog import boolean_algebra
 from helpers import (
     corpus_dual_algebras,
     corpus_params,
+    find_lattice_section_oracle,
     global_section_to_lattice_oracle,
     lattice_section_to_global_oracle,
     outcome,
+    renumbered,
     small_test_algebras,
 )
 from skewstone import (
@@ -57,6 +59,18 @@ class TestLatticeSectionSearch:
             d = green_partitions(A)[0]
             for i, c in enumerate(section.choice):
                 assert d.labels[c] == i
+
+    def test_read_off_matches_the_search(self):
+        """On every right-handed or commutative catalog and corpus algebra,
+        the Boolean algebras of 0 to 10 atoms and a renumbered copy of each,
+        the read-off section is the one the depth-first search finds."""
+        algebras = [A for _, A in small_test_algebras()] + corpus_dual_algebras()
+        algebras = [A for A in algebras if handedness(A) in ("right", "commutative")]
+        algebras += [boolean_algebra(k) for k in range(11)]
+        algebras += [renumbered(A, seed) for seed, A in enumerate(algebras)]
+        for A in algebras:
+            assert find_lattice_section(A) == find_lattice_section_oracle(A)
+        assert len(algebras) == 2 * (131 + 11)      # 131 catalog and corpus algebras
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10 ** 6))

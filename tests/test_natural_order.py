@@ -1,12 +1,15 @@
 """The natural order and preorder are held once per algebra, as the arrays
-leq_matrix / preceq_matrix, and every reader of them works on masks.  Each
-reader is checked against the pairwise loop it replaced, kept as an oracle
-in helpers: the generated ideals, classify_hom, reflection_check and the
+leq_matrix / preceq_matrix, which the certificate, ideals and export-dot
+read; on a certified algebra the generated ideals, classify_hom and
+reflection_check read the order off the product form instead.  Each reader
+is checked against the pairwise loop it replaced, kept as an oracle in
+helpers: the generated ideals, classify_hom, reflection_check and the
 Hasse edges of export-dot give equal results, and raise the same exception
-types with the same messages, on the catalog, seeded section algebras,
-one-entry mutants and spaces whose bands are not rectangular; on every
-space whose section algebra the certificate refuses, reflection_check
-raises the certificate's refusal instead."""
+types with the same messages, on the catalog, seeded section algebras of
+every band kind and spaces whose bands are not rectangular; on an algebra
+the certificate refuses (one-entry mutants, section algebras of those
+spaces), the generated ideals and reflection_check raise the certificate's
+refusal instead."""
 
 import random
 
@@ -28,17 +31,27 @@ from helpers import (
 )
 from skewstone import (
     HomFlags,
+    StructuralError,
     dual_algebra,
     enumerate_homs,
+    handedness,
     leq_ideal_generated,
     make_space,
     natural_leq,
     natural_preceq,
     preceq_ideal_generated,
+    random_space,
     reflection_check,
 )
 from skewstone.cli import _hasse_edges
-from skewstone.core_algebra import _certificate, leq_matrix, preceq_matrix, reflection
+from skewstone.core_algebra import (
+    _certificate,
+    _certified_form,
+    leq_matrix,
+    preceq_matrix,
+    reflection,
+)
+from skewstone.ideals_spectra import is_ideal
 from skewstone.morphisms_duality import classify_hom
 
 OPS = ("meet", "join", "diff", "cap")
@@ -76,12 +89,29 @@ def test_each_order_is_one_read_only_boolean_array(algebras, order, related):
 
 def test_generated_ideals_match_the_loop(algebras):
     rng = random.Random(29)
+    refused = 0
     for A in algebras + list(mutants(algebras, 40, 5)):
         for _ in range(6):
             subset = rng.sample(range(A.n), rng.randint(0, min(4, A.n)))
-            assert leq_ideal_generated(A, subset) == leq_ideal_generated_oracle(A, subset)
-            assert (outcome(preceq_ideal_generated, A, subset)
-                    == outcome(preceq_ideal_generated_oracle, A, subset))
+            if _certificate(A) is not None:
+                assert outcome(leq_ideal_generated, A, subset) == refusal(A)
+                assert outcome(preceq_ideal_generated, A, subset) == refusal(A)
+                refused += 1
+                continue
+            members = leq_ideal_generated(A, subset)
+            assert members == leq_ideal_generated_oracle(A, subset)
+            ideal = preceq_ideal_generated(A, subset)
+            assert ideal == preceq_ideal_generated_oracle(A, subset)
+            assert is_ideal(A, ideal.members)
+    assert refused > 0
+
+
+def test_generators_must_be_elements(algebras):
+    for A in algebras[:9]:
+        for bad in (-1, A.n, 1.5, True):
+            for generate in (leq_ideal_generated, preceq_ideal_generated):
+                with pytest.raises(StructuralError, match="are not all elements"):
+                    generate(A, [A.zero, bad])
 
 
 def test_hasse_edges_match_the_loop(algebras):
@@ -92,11 +122,18 @@ def test_hasse_edges_match_the_loop(algebras):
 
 
 def test_classify_hom_matches_the_loop():
+    """Pairs of the first corpus algebra of each size up to 12, and pairs of
+    left-banded, 2 x 2-banded and right-handed corpus algebras up to
+    n = 27: left ones of 3, 6, 8, 12 and 18 elements, two of 25 with two
+    2 x 2 fibers, and one of 27 with three plain fibers of two."""
+    corpus = corpus_dual_algebras(40)
     by_size = {}
-    for A in corpus_dual_algebras(24):
+    for A in corpus[:24]:
         by_size.setdefault(A.n, A)
     small = [A for n, A in sorted(by_size.items()) if n <= 12]
-    pairs = [(A, B) for A in small for B in small if A is not B]
+    banded = [corpus[i] for i in (6, 22, 34, 14, 26, 3, 7, 5)]
+    assert [handedness(A) for A in banded] == ["left"] * 5 + ["neither"] * 2 + ["right"]
+    pairs = [(A, B) for group in (small, banded) for A in group for B in group if A is not B]
     flags = set()
     for A, B in pairs:
         homs = enumerate_homs(A, B)
@@ -142,3 +179,21 @@ def test_reflection_check_matches_the_loop():
     # 70 base points, one fiber: too few sections to cover the subsets of B
     # (and more than an int64 bit set could hold)
     assert reflection_check(make_space(1, 70, [0])) is False
+
+
+def test_reflection_check_names_the_fibers_by_their_atoms():
+    """The section algebra's fibers come in the order of their first atom,
+    the base points in index order, so with p shuffled the bijection sigma
+    between them that reflection_check reads off the atoms is not the
+    identity, and the images still match sigma of the supports."""
+    spaces = [make_space(len(p), 1 + max(p), p) for p in ([1, 0], [2, 0, 1, 1], [1, 2, 0, 2, 0])]
+    spaces += [random_space(3, 2, seed, "left") for seed in range(3)]
+    for sp in spaces:
+        A, labels = dual_algebra(sp)
+        digits = _certified_form(A).digits
+        sigma = {int(np.flatnonzero(digits[labels.index((e,))])[0]): sp.p[e]
+                 for e in range(sp.size_e)}
+        assert sorted(sigma) == list(range(sp.size_b))
+        assert any(fiber != base for fiber, base in sigma.items())
+        assert reflection_check(sp) is True
+        assert reflection_check_oracle(sp) is True

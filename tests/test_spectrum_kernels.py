@@ -1,7 +1,7 @@
 """The whole-table kernels against the pairwise loops they replaced, kept
 as oracles in helpers: is_ideal, enumerate_prime_ideals, ideal_congruence,
 is_congruence, green_partitions, the basic sections, quotients,
-subalgebras, join closures, the pullback check and glb_cap_table give
+subalgebras, the pullback check and glb_cap_table give
 equal results, and raise the same exception types with the same messages,
 on valid algebras, on sets that are not ideals and on partitions that are
 not congruences.  The general kernels of an arbitrary ideal, partition or
@@ -24,7 +24,6 @@ from helpers import (
     ideal_congruence_oracle,
     is_congruence_oracle,
     is_ideal_oracle,
-    join_closure_oracle,
     outcome,
     quotient_by_oracle,
     refusal,
@@ -51,7 +50,7 @@ from skewstone.core_algebra import (
     reflection,
     subalgebra_on,
 )
-from skewstone.ideals_spectra import _join_closure, is_ideal
+from skewstone.ideals_spectra import is_ideal
 
 OPS = ("meet", "join", "diff", "cap")
 
@@ -201,14 +200,6 @@ def test_subalgebras_match_the_loop(algebras):
             refused += got[0] == "raised"
         assert subalgebra_on(A, A.elements) == subalgebra_on_oracle(A, A.elements)
     assert refused > 0
-
-
-def test_join_closures_match_the_loop(algebras):
-    rng = random.Random(17)
-    for A in algebras:
-        for _ in range(10):
-            seed = rng.sample(range(A.n), rng.randint(0, min(3, A.n)))
-            assert _join_closure(A, seed) == join_closure_oracle(A, seed)
 
 
 def test_pullback_check_matches_the_loop(algebras):
