@@ -19,13 +19,15 @@ import numpy as np
 from .core_algebra import (
     MAX_CANDIDATES,
     SizeCapError,
+    SkewAlgebra,
     StructuralError,
     ValidationReport,
     _OPS,
+    _by_row_blocks,
+    _certified_form,
     _first_bad,
     _indices,
     _order_keys,
-    _product_algebra,
     _rectangle,
     _take,
     partition_from_labels,
@@ -408,20 +410,76 @@ def _basic_labels(A):
     return image
 
 
+def _basic_rows_witness(A):
+    """None if the basic rows are A's digits carried fiber by fiber through
+    band isomorphisms, else what fails.  Fiber pi of the spectrum is matched
+    with the fiber b of A's product form (_certified_form) that has the same
+    support, the elements outside the prime; the match must be a bijection
+    of fibers.  The pairs (A's digit at b, the basic row's digit at pi) must
+    form a bijection sigma of 0..m, which fixes 0 as the supports are the
+    same, and sigma less one must carry A's band of b onto the spectrum's
+    band of pi.  O(n k + sum m^2)."""
+    form = _certified_form(A)
+    rows = _basic_rows(A)
+    fiber_of = {(d > 0).tobytes(): b for b, d in enumerate(form.digits.T)}
+    matched = []
+    for pi, band in enumerate(fiber_bands(spectrum_data(A).space)):
+        b = fiber_of.get((rows[:, pi] > 0).tobytes())
+        if b is None or len(form.bands[b]) != len(band):
+            return f"spectrum fiber {pi} has no fiber of A with its support and size"
+        digits, sigma = form.digits[:, b], np.zeros(1 + len(band), dtype=np.intp)
+        sigma[digits] = rows[:, pi]
+        s = sigma[1:] - 1
+        if ((sigma[digits] != rows[:, pi]).any()
+                or not np.array_equal(np.sort(s), np.arange(len(band)))
+                or not np.array_equal(band[np.ix_(s, s)], s[form.bands[b]])):
+            return f"spectrum fiber {pi} is no band isomorphism of A's fiber {b}"
+        matched.append(b)
+    if sorted(matched) != list(range(len(form.bands))):
+        return f"spectrum fibers {matched} do not match A's {len(form.bands)} fibers one to one"
+    return None
+
+
 def algebra_roundtrip_iso(A):
     """Canonical isomorphism from A onto the section algebra of its spectrum
-    (a is sent to its basic section).  Any failed check here means a bug, so
-    failures raise with a witness."""
-    sd = spectrum_data(A)
+    (a is sent to its basic section), checked and built on product forms,
+    with no second product built and no n x n check of the map.
+
+    _basic_labels checks that the map is a bijection onto the sections, and
+    _basic_rows_witness that the basic rows are A's digits carried through
+    band isomorphisms, one per fiber, onto the spectrum's fibers.  That
+    makes the map an isomorphism, and the section algebra is A's tables
+    relabelled through it: T'[image[x], image[y]] = image[T[x, y]].
+
+    - The certificate has compared A's tables with the product built from
+      A's form, so A computes every operation digitwise on its digits.
+    - The section algebra of the spectrum is the product of its fiber
+      bands with a zero adjoined, on the sections' digit rows: an
+      operation on two sections is the section whose digit row is the
+      digitwise operation on theirs (_product_tables).
+    - Each digit operation is read off the band, presence (digit 0) and
+      equality of digits.  A bijection of digits that fixes 0 and is a
+      band isomorphism keeps all three, so it carries each of the four
+      digit operations of A's fiber b to those of the spectrum's fiber pi.
+    - So the basic row of x * y is the digitwise x * y on the basic rows of
+      x and y, for each operation *, and image[x * y] is the section
+      image[x] * image[y].  With the bijection, every pair of sections is
+      such an image[x], image[y] once, which gives the whole table.
+
+    Any failed check here means a bug, so failures raise with a witness."""
     image = _basic_labels(A)
-    # not dual_algebra, memoized on the spectrum, which lives as long as A
-    # does: its section algebra is as large as A and is wanted only here
-    dual = _product_algebra(fiber_bands(sd.space), _section_rows(sd.space)[0])
-    f = Homomorphism(A, dual, tuple(image.tolist()))
-    report = validate_hom(f)
-    if not report.ok:
-        raise RuntimeError(f"round-trip map is not a homomorphism: {report.failures}")
-    return f
+    witness = _basic_rows_witness(A)
+    if witness is not None:
+        raise RuntimeError(f"round-trip map is not a homomorphism: {witness}")
+    inverse = np.argsort(image)                      # the element sent to each section
+    relabel = image.astype(np.int32)
+
+    def relabelled(T):
+        return _by_row_blocks(A.n, np.int32, lambda b: np.take(
+            relabel, np.take(np.take(T, inverse[b], axis=0), inverse, axis=1)))
+
+    tables = (relabelled(getattr(A, name + "_table")) for name in _OPS)
+    return Homomorphism(A, SkewAlgebra(A.n, int(image[A.zero]), *tables), tuple(image.tolist()))
 
 
 def space_roundtrip_iso(sp):

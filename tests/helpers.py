@@ -41,7 +41,6 @@ from skewstone import (
     random_space,
     right_band,
     validate_algebra,
-    validate_hom,
     validate_space_morphism,
 )
 from skewstone.core_algebra import (
@@ -335,7 +334,7 @@ def enumerate_homs_bruteforce(A, B, max_candidates=10 ** 4):
     out = []
     for image in product(range(B.n), repeat=A.n):
         f = Homomorphism(A, B, image)
-        if validate_hom(f).ok:
+        if validate_hom_oracle(f).ok:
             out.append(f)
     return tuple(out)
 
@@ -425,7 +424,7 @@ def hom_of_space_morphism_oracle(m):
             raise RuntimeError("preimage does not respect base inverse images")
         image.append(src_index[pre])
     f = Homomorphism(A_tgt, A_src, tuple(image))
-    if not validate_hom(f).ok:
+    if not validate_hom_oracle(f).ok:
         raise RuntimeError("dual homomorphism invalid")
     return f
 
