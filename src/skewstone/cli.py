@@ -26,7 +26,7 @@ from .core_algebra import (
 from .ideals_spectra import skew_spectrum
 from .lattice_sections import find_global_section, find_lattice_section
 from .morphisms_duality import (
-    algebra_roundtrip_iso,
+    _roundtrip_map,
     check_variant_dualities,
     classify_hom,
     decompose_morphism,
@@ -117,9 +117,9 @@ def cmd_roundtrip(cfg):
     kind = jsonio.sniff_kind(obj)
     if kind == "algebra":
         A = _valid_algebra(cfg, jsonio.algebra_from_dict(obj))
-        iso = algebra_roundtrip_iso(A)
+        image = _roundtrip_map(A)         # the checked map; the target is not printed
         if cfg.fmt == "json":
-            jsonio.dump({"isomorphic": True, "size": A.n, "map": list(iso.map)})
+            jsonio.dump({"isomorphic": True, "size": A.n, "map": image.tolist()})
         else:
             print(f"isomorphic, |A|={A.n}")
     elif kind == "space":

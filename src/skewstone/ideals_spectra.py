@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_algebra import (
-    Partition,
     StructuralError,
     _OPS,
     _certified_form,
@@ -251,55 +250,53 @@ def _ideal_congruence(A, relating, inP):
 
 @dataclass(frozen=True, eq=False)
 class SpectrumData:
-    """Spectrum of an algebra with the lookup structure the duality needs."""
+    """Spectrum of an algebra with the lookup structure the duality needs.
+    rows[x, pi] is x's basic section as a digit row: 0 when x is in prime
+    pi, 1 + i when it holds the i-th point of the fiber over pi.  Read-only."""
 
     primes: tuple[PrimeIdeal, ...]
-    thetas: tuple[Partition, ...]
     space: RectSkewSpace
     points: tuple[SpectrumPoint, ...]
-    label_index: dict[tuple[int, int], int]
-
-    def point_of(self, prime_index, element):
-        """E-index of the point (prime, class of element); element not in P."""
-        label = self.thetas[prime_index].labels[element]
-        return self.label_index[(prime_index, label)]
+    rows: np.ndarray
 
 
 @per_object
 def spectrum_data(A):
-    """The primes, their congruences, the points and the space of the
-    spectrum (skew_spectrum).  A is a product of rectangular bands with a
-    zero adjoined (_certified_form), and its primes and their congruences
-    are read off its digits: fiber b gives the prime P_b of the elements
-    without a digit there, and P_b generates the congruence "same digit at
-    b", as (x \\ (x cap y)) v (y \\ (x cap y)) has a digit at b exactly
-    where x and y differ there."""
+    """The primes, the points, the space and the basic rows of the spectrum
+    (skew_spectrum), read off A's digits.  A is a product of rectangular
+    bands with a zero adjoined (_certified_form): fiber b gives the prime
+    P_b of the elements without a digit there, and P_b generates the
+    congruence "same digit at b", as (x \\ (x cap y)) v (y \\ (x cap y)) has
+    a digit at b exactly where x and y differ there.  So the points over
+    P_b are the nonzero digits at b, ordered by their least element, the
+    point's rep, and the band is A's meet on the reps, read back through
+    the rows; it does not come from the form's band, so _basic_rows_witness
+    compares two routes."""
     form = _certified_form(A)
     # the primes sorted by their members: P_b comes before P_c when the first
     # element in only one of them is in P_b, so the masks of the elements
     # outside them compare as bytes in that order
     order = sorted(range(len(form.bands)), key=lambda b: (form.digits[:, b] > 0).tobytes())
-    digits = [form.digits[:, b] for b in order]
-    primes = tuple(PrimeIdeal(tuple(np.flatnonzero(d == 0).tolist()), k)
-                   for k, d in enumerate(digits))
-    thetas = tuple(partition_from_labels(d.tolist()) for d in digits)
-    points = []
-    label_index = {}
-    bands = []
-    for pi, theta in enumerate(thetas):
-        zero_label = theta.labels[A.zero]           # the zero class is the prime
-        start = len(points)                         # the fiber's first point
-        for label, block in enumerate(theta.blocks):
-            if label == zero_label:
-                continue
-            label_index[(pi, label)] = len(points)
-            points.append(SpectrumPoint(prime=pi, rep=block[0]))
-        reps = [pt.rep for pt in points[start:]]
-        bands.append([[label_index[pi, theta.labels[v]] - start for v in row]
-                      for row in A.meet_table[np.ix_(reps, reps)].tolist()])
+    rows = np.zeros((A.n, len(order)), dtype=np.int64)
+    primes, points, bands = [], [], []
+    for pi, b in enumerate(order):
+        digits, m = form.digits[:, b], len(form.bands[b])
+        first = np.argmax(digits[:, None] == np.arange(1, 1 + m), axis=0)   # least x per digit
+        reps = np.sort(first)
+        rows[:, pi] = np.concatenate(([0], 1 + np.searchsorted(reps, first)))[digits]
+        primes.append(PrimeIdeal(tuple(np.flatnonzero(digits == 0).tolist()), pi))
+        points += (SpectrumPoint(prime=pi, rep=int(r)) for r in reps)
+        bands.append((rows[A.meet_table[reps[:, None], reps], pi] - 1).tolist())
+    rows.setflags(write=False)
     space = _banded_space(len(primes), [pt.prime for pt in points], bands)
-    return SpectrumData(primes=primes, thetas=thetas, space=space,
-                        points=tuple(points), label_index=label_index)
+    return SpectrumData(primes=tuple(primes), space=space, points=tuple(points), rows=rows)
+
+
+@per_object
+def _prime_index(sd):
+    """The index of each prime of the spectrum data sd, keyed by the bytes
+    of its membership mask, (sd.rows[:, pi] == 0).tobytes()."""
+    return {column.tobytes(): pi for pi, column in enumerate((sd.rows == 0).T)}
 
 
 def skew_spectrum(A):
@@ -316,22 +313,12 @@ def skew_spectrum(A):
 
 def basic_copen(A, a):
     """E-points of the basic section attached to an element: one point over
-    every prime not containing it."""
-    return _row_tuples(spectrum_data(A).space, _basic_rows(A)[[a]])[0]
-
-
-@per_object
-def _basic_rows(A):
-    """The basic section of each element as a digit row of the spectrum, from
-    theta's labels: the fiber over a prime lists the classes in label order
-    less the zero class, which gives digit 0.  Read-only."""
-    thetas = spectrum_data(A).thetas
-    rows = np.zeros((A.n, len(thetas)), dtype=np.int64)
-    for b, theta in enumerate(thetas):
-        label, zero = np.asarray(theta.labels), theta.labels[A.zero]
-        rows[:, b] = np.where(label == zero, 0, label + (label < zero))
-    rows.setflags(write=False)
-    return rows
+    every prime not containing it.  StructuralError for a non-element."""
+    index = _indices([a], A.n)
+    if index is None:
+        raise StructuralError(f"{a!r} is not an element 0..{A.n - 1}")
+    sd = spectrum_data(A)
+    return _row_tuples(sd.space, sd.rows[index])[0]
 
 
 # ---------------------------------------------------------------------------

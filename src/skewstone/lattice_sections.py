@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_algebra import _certified_form, green_partitions, handedness, reflection
-from .ideals_spectra import _basic_rows, _row_tuples, fibers, spectrum_data
+from .ideals_spectra import _row_tuples, fibers, spectrum_data
 from .morphisms_duality import _basic_labels
 from .spaces_sections import _section_rows
 
@@ -97,7 +97,7 @@ def lattice_section_to_global(A, section):
     pieces are digit rows; class i's support is its representative's row."""
     sd = spectrum_data(A)
     AD, _ = reflection(A)
-    rows = _basic_rows(A)[list(section.choice)]
+    rows = sd.rows[list(section.choice)]
     supp = _class_supports(A)
     for i in range(AD.n):
         # the local pieces agree on overlaps
@@ -131,7 +131,7 @@ def global_section_to_lattice(A, section):
 
 def _class_supports(A):
     """[i, b]: D-class i lies outside the prime over b."""
-    return _basic_rows(A)[[block[0] for block in green_partitions(A)[0].blocks]] > 0
+    return spectrum_data(A).rows[[block[0] for block in green_partitions(A)[0].blocks]] > 0
 
 
 def section_equivalence_check(A):

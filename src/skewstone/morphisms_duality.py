@@ -36,8 +36,8 @@ from .core_algebra import (
 )
 from .ideals_spectra import (
     _banded_space,
-    _basic_rows,
     _generated,
+    _prime_index,
     fiber_bands,
     fibers,
     leq_ideal_generated,
@@ -337,8 +337,8 @@ def dual_of_hom(f):
     its digits with the source's at h(j).  The result is validated in full.
     """
     sd_a, sd_b = spectrum_data(f.source), spectrum_data(f.target)
-    rows_a, rows_b = _basic_rows(f.source), _basic_rows(f.target)[list(f.map)]
-    prime_of = {column.tobytes(): i for i, column in enumerate((rows_a == 0).T)}
+    rows_a, rows_b = sd_a.rows, sd_b.rows[list(f.map)]
+    prime_of = _prime_index(sd_a)
     inside = (rows_b == 0).T
     h = {}
     for j in np.flatnonzero(~inside.all(axis=1)).tolist():
@@ -403,8 +403,9 @@ def _preimages(m):
 def _basic_labels(A):
     """The section label (_section_rows) of each element's basic section in
     the spectrum of A; RuntimeError unless they biject with the sections."""
-    rows, radix, rank, _ = _section_rows(spectrum_data(A).space)
-    image = rank[_basic_rows(A) @ radix]
+    sd = spectrum_data(A)
+    rows, radix, rank, _ = _section_rows(sd.space)
+    image = rank[sd.rows @ radix]
     if len(rows) != A.n or len(set(image.tolist())) != A.n:
         raise RuntimeError("basic sections do not biject with spectrum sections")
     return image
@@ -419,8 +420,7 @@ def _basic_rows_witness(A):
     form a bijection sigma of 0..m, which fixes 0 as the supports are the
     same, and sigma less one must carry A's band of b onto the spectrum's
     band of pi.  O(n k + sum m^2)."""
-    form = _certified_form(A)
-    rows = _basic_rows(A)
+    form, rows = _certified_form(A), spectrum_data(A).rows
     fiber_of = {(d > 0).tobytes(): b for b, d in enumerate(form.digits.T)}
     matched = []
     for pi, band in enumerate(fiber_bands(spectrum_data(A).space)):
@@ -440,14 +440,26 @@ def _basic_rows_witness(A):
     return None
 
 
+def _roundtrip_map(A):
+    """The map of algebra_roundtrip_iso, a to its basic section's label,
+    checked to be an isomorphism onto the section algebra of the spectrum
+    (_basic_labels, _basic_rows_witness; the proof is in algebra_roundtrip_iso)."""
+    image = _basic_labels(A)
+    witness = _basic_rows_witness(A)
+    if witness is not None:
+        raise RuntimeError(f"round-trip map is not a homomorphism: {witness}")
+    return image
+
+
 def algebra_roundtrip_iso(A):
     """Canonical isomorphism from A onto the section algebra of its spectrum
     (a is sent to its basic section), checked and built on product forms,
     with no second product built and no n x n check of the map.
 
-    _basic_labels checks that the map is a bijection onto the sections, and
-    _basic_rows_witness that the basic rows are A's digits carried through
-    band isomorphisms, one per fiber, onto the spectrum's fibers.  That
+    _roundtrip_map checks, with _basic_labels, that the map is a bijection
+    onto the sections, and with _basic_rows_witness that the basic rows are
+    A's digits carried through band isomorphisms, one per fiber, onto the
+    spectrum's fibers.  That
     makes the map an isomorphism, and the section algebra is A's tables
     relabelled through it: T'[image[x], image[y]] = image[T[x, y]].
 
@@ -467,10 +479,7 @@ def algebra_roundtrip_iso(A):
       such an image[x], image[y] once, which gives the whole table.
 
     Any failed check here means a bug, so failures raise with a witness."""
-    image = _basic_labels(A)
-    witness = _basic_rows_witness(A)
-    if witness is not None:
-        raise RuntimeError(f"round-trip map is not a homomorphism: {witness}")
+    image = _roundtrip_map(A)
     inverse = np.argsort(image)                      # the element sent to each section
     relabel = image.astype(np.int32)
 
@@ -485,15 +494,17 @@ def algebra_roundtrip_iso(A):
 def space_roundtrip_iso(sp):
     """Canonical isomorphism from a space onto the spectrum of its section
     algebra: a base point goes to the prime of sections missing it, a total
-    point to the class of its singleton section."""
+    point to the class of its singleton section, the point its basic row
+    names over that prime."""
     sd = spectrum_data(dual_algebra(sp)[0])
     rows, radix, rank, digit = _section_rows(sp)
-    prime_index = {p.members: p.index for p in sd.primes}
-    h = [prime_index.get(tuple(np.flatnonzero(column == 0).tolist())) for column in rows.T]
+    h = [_prime_index(sd).get((column == 0).tobytes()) for column in rows.T]
     if None in h:
         raise RuntimeError(f"point {h.index(None)} does not induce a prime of the section algebra")
+    start = np.searchsorted(sd.space.p, np.arange(sd.space.size_b))   # each fiber's first point
+    over = np.take(np.array(h, dtype=np.intp), sp.p)
     singleton = rank[digit * np.take(radix, sp.p)]
-    g = [sd.point_of(h[sp.p[y]], s) for y, s in enumerate(singleton.tolist())]
+    g = (start[over] + sd.rows[singleton, over] - 1).tolist()
     if sorted(g) != list(range(sd.space.size_e)) or sorted(h) != list(range(sd.space.size_b)):
         raise RuntimeError("round-trip maps are not bijections")
     total_e = PartialMap(tuple(range(sp.size_e)), tuple(g))

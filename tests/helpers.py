@@ -2,6 +2,8 @@
 
 import math
 import random
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations, permutations, product
 
 import numpy as np
@@ -52,11 +54,9 @@ from skewstone.core_algebra import (
     reflection,
 )
 from skewstone.ideals_spectra import (
-    SpectrumData,
     SpectrumPoint,
     fibers,
     is_ideal,
-    spectrum_data,
 )
 from skewstone.lattice_sections import GlobalSection, LatticeSection, is_lattice_section
 from skewstone.spaces_sections import PartialMap, partial_map
@@ -188,6 +188,19 @@ def corpus_spaces(count=200, base_seed=1000):
 
 def corpus_dual_algebras(count=200, base_seed=1000):
     return [dual_algebra(sp)[0] for sp in corpus_spaces(count, base_seed)]
+
+
+def round_trip_algebras(corpus_count):
+    """The catalog, corpus_count corpus algebras, the Boolean algebras of 0
+    to 10 atoms (n = 1024 at the last), the benchmark ladder's shapes (plain
+    fibers of three, left bands and 2 x 2 bands, n = 25 to 256) and a
+    left-banded algebra of five fibers of three (n = 1024)."""
+    ladder = [space_from_fibers(f) for f in ((3, 3, 3), (3, 3, 3, 3), (3, 3, 3, 1))]
+    ladder += [mixed_space(grids, seed=i) for i, grids in enumerate((
+        [(1, 3)] * 3, [(1, 4)] * 3, [(2, 2)] * 2, [(2, 2)] * 3, [(1, 3)] * 5))]
+    return ([A for _, A in small_test_algebras()] + corpus_dual_algebras(corpus_count)
+            + [boolean_algebra(k) for k in range(11)]
+            + [dual_algebra(sp)[0] for sp in ladder])
 
 
 def seeded_rect_space(i, base_seed=7000, max_grid=3, max_b=2):
@@ -433,8 +446,8 @@ def dual_of_hom_oracle(f):
     """Oracle for dual_of_hom: each prime's preimage as a sorted member
     tuple, looked up among the source's primes, and each point's candidates
     in the source found by a scan of its elements."""
-    sd_a = spectrum_data(f.source)
-    sd_b = spectrum_data(f.target)
+    sd_a = spectrum_data_oracle(f.source)
+    sd_b = spectrum_data_oracle(f.target)
     prime_index_a = {p.members: p.index for p in sd_a.primes}
     carrier = set(f.source.elements)
     h = {}
@@ -472,7 +485,7 @@ def lattice_section_to_global_oracle(A, section):
     """Oracle for lattice_section_to_global: the basic sections as point
     sets (basic_copens_oracle), each class's base as a set of primes, and
     the gluing checked class pair by class pair."""
-    sd = spectrum_data(A)
+    sd = spectrum_data_oracle(A)
     d = green_partitions(A)[0]
     AD, _ = reflection(A)
     base_of = [frozenset(pi for pi, p in enumerate(sd.primes) if d.blocks[i][0] not in p.members)
@@ -548,7 +561,7 @@ def find_lattice_section_oracle(A):
 def global_section_to_lattice_oracle(A, section):
     """Oracle for global_section_to_lattice: each class's piece of the
     section as a sorted point tuple, looked up among the basic sections."""
-    sd = spectrum_data(A)
+    sd = spectrum_data_oracle(A)
     d = green_partitions(A)[0]
     element_of = {copen: a for a, copen in enumerate(basic_copens_oracle(A, sd))}
     pts = set(section.points)
@@ -883,10 +896,30 @@ def handedness_oracle(A):
     return "neither"
 
 
+@dataclass(frozen=True)
+class OracleSpectrum:
+    """spectrum_data_oracle's record: the primes, their congruences (thetas),
+    the space, the points, and label_index[prime, label], the point of the
+    class with that label."""
+
+    primes: tuple
+    thetas: tuple
+    space: object
+    points: tuple
+    label_index: dict
+
+    def point_of(self, prime_index, element):
+        """E-index of the point (prime, class of element); element not in P."""
+        return self.label_index[prime_index, self.thetas[prime_index].labels[element]]
+
+
+@lru_cache(maxsize=512)
 def spectrum_data_oracle(A):
     """Oracle for spectrum_data: the primes and their congruences by the
     pairwise oracles, a point for each class outside its prime, at its least
-    element, and the band filled pair by pair with the meet of those."""
+    element, and the band filled pair by pair with the meet of those.  It
+    reads nothing of spectrum_data, and returns its own record type,
+    memoized per algebra value (SkewAlgebra hashes its tables)."""
     primes = enumerate_prime_ideals_oracle(A)
     thetas = tuple(ideal_congruence_oracle(A, prime) for prime in primes)
     points, label_index = [], {}
@@ -898,13 +931,13 @@ def spectrum_data_oracle(A):
     band = [[label_index[s.prime, thetas[s.prime].labels[A.meet(s.rep, t.rep)]]
              if s.prime == t.prime else None for t in points] for s in points]
     space = make_space(len(points), len(primes), [pt.prime for pt in points], band)
-    return SpectrumData(primes=primes, thetas=thetas, space=space,
-                        points=tuple(points), label_index=label_index)
+    return OracleSpectrum(primes=primes, thetas=thetas, space=space,
+                          points=tuple(points), label_index=label_index)
 
 
 def basic_copens_oracle(A, sd):
-    """Oracle for basic_copen on every element, given the spectrum data sd
-    of A: for each element, the point of its class over every prime it is
+    """Oracle for basic_copen on every element, given the oracle's spectrum
+    sd of A (spectrum_data_oracle): for each element, the point of its class over every prime it is
     not in."""
     return tuple(tuple(sorted(sd.label_index[pi, theta.labels[a]]
                               for pi, (prime, theta) in enumerate(zip(sd.primes, sd.thetas))
@@ -925,7 +958,7 @@ def renumbered(A, seed):
 
 def basic_copen_oracle(A, a):
     """Oracle for basic_copen: scan every prime's members for a."""
-    sd = spectrum_data(A)
+    sd = spectrum_data_oracle(A)
     return tuple(sorted(sd.point_of(pi, a) for pi, prime in enumerate(sd.primes)
                         if a not in prime.members))
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +10,13 @@ from helpers import (
     is_leq_cofinal,
     is_preceq_cofinal,
     prime_reflection_bijection,
+    renumbered,
+    round_trip_algebras,
     saturate,
 )
 from skewstone import (
     Ideal,
+    StructuralError,
     basic_copen,
     dual_algebra,
     enumerate_prime_ideals,
@@ -23,8 +27,9 @@ from skewstone import (
     skew_spectrum,
     validate_space,
 )
-from skewstone.core_algebra import leq_matrix, preceq_matrix
+from skewstone.core_algebra import leq_matrix, partition_from_labels, preceq_matrix
 from skewstone.ideals_spectra import (
+    fibers,
     is_ideal,
     spectrum_data,
 )
@@ -104,6 +109,13 @@ class TestSpectrum:
         for _, A in catalog:
             assert basic_copen(A, A.zero) == ()
 
+    @pytest.mark.parametrize("a", [-1, 3, True, False, 2.0, 1.5, "1", None])
+    def test_basic_copen_refuses_non_elements(self, three, a):
+        # a row gather would wrap -1 round to element 2, and bools and
+        # floats are no elements
+        with pytest.raises(StructuralError, match="is not an element 0..2"):
+            basic_copen(three, a)
+
     def test_saturate(self, three):
         sp, _ = skew_spectrum(three)
         assert saturate(sp, ()) == ()
@@ -166,7 +178,28 @@ class TestBasicSectionIdentities:
                         continue
                     pi = sp.p[x]
                     m = A.meet(sd.points[x].rep, sd.points[y].rep)
-                    assert sp.band[x][y] == sd.point_of(pi, m)
+                    assert sp.band[x][y] == fibers(sp)[pi][sd.rows[m, pi] - 1]
+
+
+class TestRowsAgainstTableRoute:
+    def test_row_classes_are_the_ideal_congruences(self):
+        # the basic rows are read off the product form; ideal_congruence
+        # reaches each prime's congruence through the tables (_relating).
+        # On round_trip_algebras with 200 corpus algebras (up to n = 1024),
+        # each also renumbered
+        algebras = round_trip_algebras(200)
+        assert max(A.n for A in algebras) >= 1024
+        for i, A in enumerate(algebras):
+            for B in (A, renumbered(A, i)):
+                sd = spectrum_data(B)
+                assert sd.rows.shape == (B.n, len(sd.primes)), i
+                for pi, prime in enumerate(sd.primes):
+                    digit = sd.rows[:, pi]
+                    assert partition_from_labels(digit.tolist()) == ideal_congruence(B, prime), i
+                    assert prime.members == tuple(np.flatnonzero(digit == 0).tolist()), i
+                    reps = [sd.points[e].rep for e in fibers(sd.space)[pi]]
+                    assert reps == sorted(reps), i          # points by least element
+                    assert reps == [np.argmax(digit == 1 + j) for j in range(len(reps))], i
 
 
 class TestPrimeLemmas:
@@ -183,12 +216,12 @@ class TestPrimeLemmas:
             sd = spectrum_data(A)
             leq = leq_matrix(A)
             for pi, p in enumerate(sd.primes):
-                theta = sd.thetas[pi]
+                digit = sd.rows[:, pi]
                 mem = set(p.members)
                 for x in A.elements:
                     for y in A.elements:
                         if leq[x][y] and x not in mem:
-                            assert theta.labels[x] == theta.labels[y]
+                            assert digit[x] == digit[y]
 
     def test_cut_across_witness(self, catalog):
         # c = (a^b^a) v b v (a^b^a) lies outside P, is congruent to a, and is
@@ -199,7 +232,7 @@ class TestPrimeLemmas:
             sd = spectrum_data(A)
             d = green_partitions(A)[0]
             for pi, p in enumerate(sd.primes):
-                theta = sd.thetas[pi]
+                digit = sd.rows[:, pi]
                 mem = set(p.members)
                 for a in A.elements:
                     for b in A.elements:
@@ -208,7 +241,7 @@ class TestPrimeLemmas:
                         aba = A.meet(A.meet(a, b), a)
                         c = A.join(A.join(aba, b), aba)
                         assert c not in mem
-                        assert theta.labels[c] == theta.labels[a]
+                        assert digit[c] == digit[a]
                         assert d.labels[c] == d.labels[b]
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from helpers import (
     mixed_space,
     outcome,
     renumbered,
+    round_trip_algebras,
     seeded_rect_space,
     small_test_algebras,
     space_from_fibers,
@@ -55,7 +57,7 @@ from skewstone import (
     validate_space_morphism,
     zero_hom,
 )
-from skewstone.ideals_spectra import _basic_rows, fiber_bands, spectrum_data
+from skewstone.ideals_spectra import fiber_bands, spectrum_data
 from skewstone.morphisms_duality import is_partial_identity_up_to_iso
 
 
@@ -267,17 +269,10 @@ class TestRoundTripIsos:
 
     def test_target_is_the_section_algebra_of_the_spectrum(self):
         # the target is A's tables relabelled; dual_algebra builds the same
-        # algebra from the spectrum's bands with _product_tables.  On the
-        # catalog, 20 corpus algebras, the Boolean algebras of 0 to 10 atoms,
-        # the benchmark ladder's shapes (plain fibers of three, left bands
-        # and 2 x 2 bands, n = 25 to 256) and a left-banded algebra of five
-        # fibers of three (n = 1024, eight row blocks of the target)
-        ladder = [space_from_fibers(f) for f in ((3, 3, 3), (3, 3, 3, 3), (3, 3, 3, 1))]
-        ladder += [mixed_space(grids, seed=i) for i, grids in enumerate((
-            [(1, 3)] * 3, [(1, 4)] * 3, [(2, 2)] * 2, [(2, 2)] * 3, [(1, 3)] * 5))]
-        algebras = ([A for _, A in small_test_algebras()] + corpus_dual_algebras(20)
-                    + [boolean_algebra(k) for k in range(11)]
-                    + [dual_algebra(sp)[0] for sp in ladder])
+        # algebra from the spectrum's bands with _product_tables.  On
+        # round_trip_algebras with 20 corpus algebras (up to n = 1024, eight
+        # row blocks of the target), each also renumbered
+        algebras = round_trip_algebras(20)
         assert max(A.n for A in algebras) >= 1024
         for i, A in enumerate(algebras):
             for B in (A, renumbered(A, i)):
@@ -291,12 +286,13 @@ class TestRoundTripIsos:
         # fiber's band made the left band: the basic sections still biject
         # with the sections, but the fiber is no longer A's fiber relabelled
         A = dual_algebra(mixed_space([(1, 3), (2, 2)], seed=3))[0]
-        space = spectrum_data(A).space
+        sd = spectrum_data(A)
+        space = sd.space
         pi = next(pi for pi, band in enumerate(fiber_bands(space)) if len(band) == 4)
         if patch == "basic_rows":
-            rows = _basic_rows(A).copy()
+            rows = sd.rows.copy()
             rows[:, pi] = np.array([0, 2, 1, 3, 4])[rows[:, pi]]
-            monkeypatch.setitem(A.__dict__, "_memo__basic_rows", rows)
+            monkeypatch.setitem(A.__dict__, "_memo_spectrum_data", replace(sd, rows=rows))
         else:
             bands = list(fiber_bands(space))
             bands[pi] = np.tile(np.arange(4)[:, None], (1, 4))
