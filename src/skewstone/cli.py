@@ -264,7 +264,7 @@ def build_parser():
     common.add_argument("--max-size", type=int, default=EXHAUSTIVE_N,
                         help="cap on n for the exhaustive report on an input algebra "
                              "that the certificate refuses")
-    common.add_argument("--format", dest="fmt", choices=("json", "dot", "text"),
+    common.add_argument("--format", dest="fmt", choices=("json", "text"),
                         default="text", help="output format where applicable")
     common.add_argument("--out", default=None, help="output directory for file-producing commands")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -249,16 +249,6 @@ def _take(table, index):
     return _by_row_blocks(len(index), table.dtype, lambda b: np.take(table, index[b]))
 
 
-def _gather(T, i, j):
-    """T[i, j] for index arrays i and j that broadcast to n x n, as flat
-    gathers: T[i, j] is T.ravel()[i * n + j], made and gathered one block
-    of rows at a time (_by_row_blocks)."""
-    n = T.shape[1]
-    w = n if n * n < 2**31 else np.int64(n)
-    part = lambda a, b: a[b] if a.ndim == 2 else a      # a row vector serves every row
-    return _by_row_blocks(n, T.dtype, lambda b: np.take(T.ravel(), part(i, b) * w + part(j, b)))
-
-
 def _by_row_blocks(n, dtype, make_rows):
     """The n x n array whose rows b are make_rows(b), made one block of rows
     at a time, so that a block's intp index stays near n x n bytes, or near
@@ -281,18 +271,6 @@ def leq_matrix(A):
     leq = (M == rows) & (M.T == rows)
     leq.setflags(write=False)
     return leq
-
-
-@per_object
-def preceq_matrix(A):
-    """pre[x, y] is natural_preceq(A, x, y): the natural preorder as a
-    read-only boolean array.  Green's relations, the prime ideals and their
-    congruences all read it."""
-    M = A.meet_table
-    rows = np.arange(A.n)[:, None]
-    pre = _gather(M, M, rows) == rows
-    pre.setflags(write=False)
-    return pre
 
 
 def _first_bad(mask):
@@ -768,21 +746,16 @@ def quotient_by(A, part):
     """Quotient algebra by a congruence, with the induced quotient map.
 
     The partition must be a congruence for meet, join and diff (witness
-    raised otherwise).  Block representatives are least indices.  When the
-    partition is also compatible with intersections the quotient cap is
-    induced directly; otherwise (the Green quotients) the quotient is a skew
-    Boolean algebra in its own right and its cap is recomputed as the
-    greatest-lower-bound table.
+    raised otherwise).  Block representatives are least indices, and each
+    table is one gather of labels at them.  When the partition is also
+    compatible with intersections the quotient cap is induced directly;
+    otherwise (the Green quotients) the quotient is a skew Boolean algebra
+    in its own right and its cap is recomputed as the greatest-lower-bound
+    table.
     """
     bad = is_congruence(A, part)
     if bad is not None:
         raise CongruenceError(bad[0], bad[1:])
-    return _quotient(A, part)
-
-
-def _quotient(A, part):
-    """quotient_by for a partition known to be a congruence for meet, join
-    and diff.  Each table is one gather of labels at the representatives."""
     reps = [block[0] for block in part.blocks]
     lab = np.asarray(part.labels, dtype=np.int32)
     meet, join, diff, cap = (lab[getattr(A, name + "_table")[np.ix_(reps, reps)]]
@@ -828,39 +801,37 @@ def handedness(A):
 
 def second_decomposition_check(A):
     """Check that A -> A/R x_{A/D} A/L (canonical map into the pullback of the
-    Green quotients) is an isomorphism of skew algebras."""
+    Green quotients) is an isomorphism of skew algebras (Leech 1990).
+
+    Three checks suffice, on Green's relations and A's own tables, with no
+    quotient algebra, glb table or pullback built:
+    - R and L are congruences for meet, join and diff (is_congruence), so
+      A/R and A/L carry those operations and x -> ([x]_R, [x]_L) is a
+      homomorphism for them into A/R x A/L;
+    - every x lands in the pullback (its R-class and its L-class lie in one
+      D-class), and no two elements share an image;
+    - the pullback has n pairs: the sum over the D-classes of the number of
+      R-classes in it times the number of L-classes in it.
+    Then the map is a bijective {meet, join, diff}-homomorphism onto the
+    pullback, so an isomorphism for those operations: its inverse preserves
+    them too.  The natural order is read off meet, so the map preserves it
+    both ways, and carries A's cap, the greatest lower bound, to the
+    greatest lower bound of the pullback.  Conversely, if the map is such an
+    isomorphism, the three checks hold.
+    """
     d, l, r = green_partitions(A)
-    AR, to_r = _quotient(A, r)
-    AL, to_l = _quotient(A, l)
-    AD, to_d = reflection(A)
-    # Induced maps to the reflection (R and L refine D).
-    r_to_d = [to_d[block[0]] for block in r.blocks]
-    l_to_d = [to_d[block[0]] for block in l.blocks]
-    pairs = [(i, j) for i in range(AR.n) for j in range(AL.n) if r_to_d[i] == l_to_d[j]]
-    index = np.full((AR.n, AL.n), -1, dtype=np.int32)
-    for k, p in enumerate(pairs):
-        index[p] = k
-    canon = index[to_r, to_l]
-    if (canon < 0).any() or len(set(canon.tolist())) != len(pairs) or len(pairs) != A.n:
+    if is_congruence(A, r) is not None or is_congruence(A, l) is not None:
         return False
-    inverse = np.argsort(canon)
-    on_r, on_l = np.array(pairs).T
-    meet, join, diff = (index[getattr(AR, name + "_table")[np.ix_(on_r, on_r)],
-                              getattr(AL, name + "_table")[np.ix_(on_l, on_l)]]
-                        for name in _OPS[:3])
-    cap = canon[A.cap_table[np.ix_(inverse, inverse)]]
-    try:
-        pullback = SkewAlgebra(len(pairs), int(canon[A.zero]), meet, join, diff, cap)
-    except StructuralError:
+    d_label = np.asarray(d.labels)
+    r_label, l_label = np.asarray(r.labels), np.asarray(l.labels)
+    r_to_d = d_label[[block[0] for block in r.blocks]]     # the D-class of each R-class
+    l_to_d = d_label[[block[0] for block in l.blocks]]
+    if not np.array_equal(r_to_d[r_label], l_to_d[l_label]):
         return False
-    # Transported cap must be the pullback's genuine GLB, and the canonical
-    # map must preserve the component-wise operations.
-    if not validate_algebra(pullback, max_n=pullback.n).ok:
+    if len(np.unique(r_label * len(l.blocks) + l_label)) != A.n:
         return False
-    both = np.ix_(canon, canon)
-    return all(np.array_equal(canon[getattr(A, name + "_table")],
-                              getattr(pullback, name + "_table")[both])
-               for name in _OPS[:3])
+    r_count, l_count = (np.bincount(to_d, minlength=len(d.blocks)) for to_d in (r_to_d, l_to_d))
+    return int(r_count @ l_count) == A.n
 
 
 # ---------------------------------------------------------------------------

@@ -15,19 +15,13 @@ import numpy as np
 
 from .core_algebra import (
     StructuralError,
-    _OPS,
     _certified_form,
-    _first_bad,
-    _gather,
     _indices,
     _order_keys,
-    _take,
     as_int,
     as_ints,
-    is_congruence,
     partition_from_labels,
     per_object,
-    preceq_matrix,
 )
 
 
@@ -166,22 +160,16 @@ def _row_tuples(sp, rows):
 # ---------------------------------------------------------------------------
 
 def is_ideal(A, members):
-    """Preorder-downward closed, join closed, contains zero."""
-    return _ideal_mask(A, members) is not None
-
-
-def _ideal_mask(A, members):
-    """The members as a boolean mask if they are elements 0..n-1 that form
-    an ideal (is_ideal), else None."""
-    members = list(members)
-    if any(not 0 <= x < A.n for x in members):
-        return None
-    inP = np.zeros(A.n, dtype=bool)
-    inP[members] = True
-    if (inP[A.zero] and not preceq_matrix(A)[np.ix_(~inP, inP)].any()
-            and inP[A.join_table[np.ix_(inP, inP)]].all()):
-        return inP
-    return None
+    """Preorder-downward closed, join closed, contains zero: the members are
+    elements 0..n-1 (as_ints; False otherwise) and equal the ideal they
+    generate, the least ideal holding them (_generated).  A must be
+    certified (_certified_form)."""
+    S = _indices(members, A.n)
+    if S is None:
+        return False
+    inS = np.zeros(A.n, dtype=bool)
+    inS[S] = True
+    return bool(np.array_equal(inS, _generated(A, S)[1]))
 
 
 def enumerate_prime_ideals(A):
@@ -193,55 +181,25 @@ def enumerate_prime_ideals(A):
 
 
 def ideal_congruence(A, ideal):
-    """Least congruence whose zero class contains the ideal.
+    """Least congruence whose zero class contains the ideal: x and y are
+    related when (x \\ (x cap y)) v (y \\ (x cap y)) lies in the ideal.
 
-    Membership is decided by (x \\ (x cap y)) v (y \\ (x cap y)) lying in the
-    ideal.  The result is verified to be a congruence for all four operations
-    and to have the ideal itself as its zero class.
+    Read off A's product form (_certified_form): x cap y keeps the digits
+    where x and y agree, so x \\ (x cap y) keeps x's digits where the two
+    differ, and the join has a digit at fiber b exactly where x and y
+    differ there.  The ideal is the set of elements whose support lies in
+    the union U of its members' supports (is_ideal), so x and y are related
+    exactly when they have the same digits at every fiber outside U.  Each
+    operation acts digitwise, so that is a congruence for all four, and its
+    zero class is the ideal.  ValueError if the members are not elements
+    forming an ideal.
     """
     members = ideal.members if isinstance(ideal, (Ideal, PrimeIdeal)) else tuple(ideal)
-    inP = _ideal_mask(A, members)
-    if inP is None:
+    if not is_ideal(A, members):
         raise ValueError(f"{members} is not an ideal")
-    return _ideal_congruence(A, _relating(A), inP)
-
-
-def _relating(A):
-    """[x, y]: (x \\ (x cap y)) v (y \\ (x cap y)).  It does not depend on
-    the ideal: x and y are related modulo P exactly when it lies in P."""
-    J, D, C = A.join_table, A.diff_table, A.cap_table
-    idx = np.arange(A.n)
-    return _gather(J, _gather(D, idx[:, None], C), _gather(D, idx, C))
-
-
-def _ideal_congruence(A, relating, inP):
-    """ideal_congruence for the ideal with membership mask inP, with
-    relating = _relating(A), which does not depend on the ideal.
-
-    The classes are the greedy ones, one row operation each: the least
-    element not yet in a class opens the next class and takes every such
-    element it is related to.  So every element lands in the class of the
-    first opener related to it, and the witnesses of the checks are the
-    first failing pair in C order."""
-    related = _take(inP, relating)
-    lab = np.full(len(inP), -1, dtype=np.int32)
-    label = 0
-    while (free := lab < 0).any():
-        opener = int(np.argmax(free))
-        take = related[opener] & free
-        take[opener] = True
-        lab[take] = label
-        label += 1
-    bad = _first_bad(related != (lab[:, None] == lab[None, :]))
-    if bad is not None:
-        raise ValueError(f"congruence formula is not transitive at ({bad[0]}, {bad[1]})")
-    part = partition_from_labels(lab.tolist())
-    bad = is_congruence(A, part, _OPS)
-    if bad is not None:
-        raise ValueError(f"ideal congruence failed compatibility: {bad}")
-    if not np.array_equal(lab == lab[A.zero], inP):
-        raise ValueError("zero class of the ideal congruence differs from the ideal")
-    return part
+    digits = _certified_form(A).digits
+    outside = ~digits[list(members)].any(axis=0)
+    return partition_from_labels(map(tuple, digits[:, outside].tolist()))
 
 
 # ---------------------------------------------------------------------------

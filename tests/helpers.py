@@ -50,14 +50,9 @@ from skewstone.core_algebra import (
     _certificate,
     leq_matrix,
     partition_from_labels,
-    preceq_matrix,
     reflection,
 )
-from skewstone.ideals_spectra import (
-    SpectrumPoint,
-    fibers,
-    is_ideal,
-)
+from skewstone.ideals_spectra import SpectrumPoint, fibers
 from skewstone.lattice_sections import GlobalSection, LatticeSection, is_lattice_section
 from skewstone.spaces_sections import PartialMap, partial_map
 
@@ -653,7 +648,7 @@ def enumerate_homs_search(A, B, max_candidates=10 ** 6):
 
 def _iso_invariants(A):
     leq = leq_matrix(A)
-    pre = preceq_matrix(A)
+    pre = [[natural_preceq(A, x, y) for y in A.elements] for x in A.elements]
     d, l, r = green_partitions(A)
     out = []
     for x in A.elements:
@@ -731,7 +726,7 @@ def enumerate_ideals(A, max_n=16):
     for k in range(len(rest) + 1):
         for extra in combinations(rest, k):
             cand = tuple(sorted((A.zero,) + extra))
-            if is_ideal(A, cand):
+            if is_ideal_oracle(A, cand):
                 found.append(Ideal(cand))
     return tuple(sorted(found, key=lambda i: i.members))
 
@@ -760,14 +755,14 @@ def enumerate_prime_ideals_bruteforce(A, max_n=16):
 # ---------------------------------------------------------------------------
 
 def is_ideal_oracle(A, members):
-    """Oracle for is_ideal: preorder-downward closed, join closed, contains zero."""
+    """Oracle for is_ideal: preorder-downward closed (natural_preceq, pair by
+    pair), join closed, contains zero."""
     mem = set(members)
     if A.zero not in mem:
         return False
-    pre = preceq_matrix(A)
     for x in mem:
         for y in A.elements:
-            if pre[y][x] and y not in mem:
+            if y not in mem and natural_preceq(A, y, x):
                 return False
     for x in mem:
         for y in mem:
@@ -965,7 +960,7 @@ def basic_copen_oracle(A, a):
 
 # ---------------------------------------------------------------------------
 # Loop oracles for the readers of the natural order: the pairwise loops that
-# the masks over leq_matrix / preceq_matrix replaced, with each order read
+# the masks over the order and the preorder replaced, with each order read
 # through natural_leq / natural_preceq.
 # ---------------------------------------------------------------------------
 

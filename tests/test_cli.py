@@ -66,6 +66,15 @@ class TestExitCodes:
     def test_missing_file_exits_two(self, capsys):
         assert run(capsys, "validate", "/nonexistent/nowhere.json")[0] == 2
 
+    @pytest.mark.parametrize("command", ["validate", "roundtrip", "export-dot"])
+    def test_dot_format_is_a_usage_error(self, capsys, three_file, command):
+        # --format dot printed the text bytes; export-dot writes DOT anyway
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--format", "dot", three_file])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "argument --format: invalid choice: 'dot'" in captured.err
+
     def test_wrong_table_shape_exits_one(self, capsys, tmp_path):
         obj = jsonio.algebra_to_dict(right_three())
         obj["meet"] = obj["meet"].tolist()[:2]

@@ -22,17 +22,20 @@ from skewstone import (
     enumerate_prime_ideals,
     ideal_congruence,
     leq_ideal_generated,
+    natural_preceq,
     preceq_ideal_generated,
     random_space,
     skew_spectrum,
     validate_space,
 )
-from skewstone.core_algebra import leq_matrix, partition_from_labels, preceq_matrix
+from skewstone.core_algebra import is_congruence, leq_matrix, partition_from_labels
 from skewstone.ideals_spectra import (
     fibers,
     is_ideal,
     spectrum_data,
 )
+
+OPS = ("meet", "join", "diff", "cap")
 
 
 class TestIdeals:
@@ -142,7 +145,6 @@ class TestBasicSectionIdentities:
         # sections of the elements below a in the preorder
         for _, A in catalog:
             sd = spectrum_data(A)
-            pre = preceq_matrix(A)
             for a in A.elements:
                 primes_with_a = {pi for pi, p in enumerate(sd.primes)
                                  if a not in p.members}
@@ -150,7 +152,7 @@ class TestBasicSectionIdentities:
                        if sd.space.p[e] in primes_with_a}
                 rhs = set()
                 for b in A.elements:
-                    if pre[b][a]:
+                    if natural_preceq(A, b, a):
                         rhs |= set(basic_copen(A, b))
                 assert lhs == rhs
 
@@ -183,8 +185,11 @@ class TestBasicSectionIdentities:
 
 class TestRowsAgainstTableRoute:
     def test_row_classes_are_the_ideal_congruences(self):
-        # the basic rows are read off the product form; ideal_congruence
-        # reaches each prime's congruence through the tables (_relating).
+        # the basic rows are read off the product form.  Each prime's digit
+        # column is checked on B's own tables: it is a congruence for all
+        # four operations whose zero class is the prime, and a four-operation
+        # congruence is fixed by its zero class (TestIdealCongruenceBijection),
+        # so it is the prime's congruence; ideal_congruence gives it too.
         # On round_trip_algebras with 200 corpus algebras (up to n = 1024),
         # each also renumbered
         algebras = round_trip_algebras(200)
@@ -195,8 +200,10 @@ class TestRowsAgainstTableRoute:
                 assert sd.rows.shape == (B.n, len(sd.primes)), i
                 for pi, prime in enumerate(sd.primes):
                     digit = sd.rows[:, pi]
-                    assert partition_from_labels(digit.tolist()) == ideal_congruence(B, prime), i
-                    assert prime.members == tuple(np.flatnonzero(digit == 0).tolist()), i
+                    part = partition_from_labels(digit.tolist())
+                    assert is_congruence(B, part, OPS) is None, i
+                    assert part.blocks[part.labels[B.zero]] == prime.members, i
+                    assert ideal_congruence(B, prime) == part, i
                     reps = [sd.points[e].rep for e in fibers(sd.space)[pi]]
                     assert reps == sorted(reps), i          # points by least element
                     assert reps == [np.argmax(digit == 1 + j) for j in range(len(reps))], i
@@ -277,8 +284,6 @@ class TestIdealCongruenceBijection:
     def test_every_full_congruence_comes_from_its_zero_class(self, catalog):
         # congruences for all four operations biject with ideals, and the
         # membership formula recovers each one from its zero class
-        from skewstone.core_algebra import is_congruence, partition_from_labels
-
         def all_partitions(n):
             def rec(prefix, kmax):
                 if len(prefix) == n:
@@ -292,7 +297,7 @@ class TestIdealCongruenceBijection:
             if A.n > 5:
                 continue
             congruences = [p for p in all_partitions(A.n)
-                           if is_congruence(A, p, ("meet", "join", "diff", "cap")) is None]
+                           if is_congruence(A, p, OPS) is None]
             ideals = enumerate_ideals(A)
             assert len(congruences) == len(ideals), name
             for c in congruences:

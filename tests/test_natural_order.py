@@ -1,15 +1,16 @@
-"""The natural order and preorder are held once per algebra, as the arrays
-leq_matrix / preceq_matrix, which the certificate, ideals and export-dot
-read; on a certified algebra the generated ideals, classify_hom and
-reflection_check read the order off the product form instead.  Each reader
-is checked against the pairwise loop it replaced, kept as an oracle in
-helpers: the generated ideals, classify_hom, reflection_check and the
-Hasse edges of export-dot give equal results, and raise the same exception
-types with the same messages, on the catalog, seeded section algebras of
-every band kind and spaces whose bands are not rectangular; on an algebra
-the certificate refuses (one-entry mutants, section algebras of those
-spaces), the generated ideals and reflection_check raise the certificate's
-refusal instead."""
+"""The natural order is held once per algebra, as the array leq_matrix,
+which the certificate, the exhaustive report and export-dot read; on a
+certified algebra the generated ideals, is_ideal, classify_hom and
+reflection_check read the order and the preorder off the product form
+instead, and no preorder array is held.  Each reader is checked against
+the pairwise loop it replaced, kept as an oracle in helpers: the generated
+ideals, classify_hom, reflection_check and the Hasse edges of export-dot
+give equal results, and raise the same exception types with the same
+messages, on the catalog, seeded section algebras of every band kind and
+spaces whose bands are not rectangular; on an algebra the certificate
+refuses (one-entry mutants, section algebras of those spaces), the
+generated ideals and reflection_check raise the certificate's refusal
+instead."""
 
 import random
 
@@ -38,7 +39,6 @@ from skewstone import (
     leq_ideal_generated,
     make_space,
     natural_leq,
-    natural_preceq,
     preceq_ideal_generated,
     random_space,
     reflection_check,
@@ -48,7 +48,6 @@ from skewstone.core_algebra import (
     _certificate,
     _certified_form,
     leq_matrix,
-    preceq_matrix,
     reflection,
 )
 from skewstone.ideals_spectra import is_ideal
@@ -75,8 +74,7 @@ def mutants(algebras, count, seed):
         yield retabled(A, table, [(x, y, value)])
 
 
-@pytest.mark.parametrize("order, related", [(leq_matrix, natural_leq),
-                                            (preceq_matrix, natural_preceq)])
+@pytest.mark.parametrize("order, related", [(leq_matrix, natural_leq)])
 def test_each_order_is_one_read_only_boolean_array(algebras, order, related):
     for A in algebras + list(mutants(algebras, 20, 3)):
         held = order(A)

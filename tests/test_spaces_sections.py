@@ -46,7 +46,6 @@ from skewstone.core_algebra import (
     green_partitions,
     leq_matrix,
     mirror,
-    preceq_matrix,
     reflection,
 )
 from skewstone.ideals_spectra import basic_copen, fibers, spectrum_data
@@ -248,7 +247,7 @@ class TestDerivedStructureLifetime:
     def test_derived_structure_is_freed_with_its_objects(self):
         sp = random_space(2, 2, seed=3, band="right")
         A, _ = dual_algebra(sp)
-        for derive in (leq_matrix, preceq_matrix, green_partitions, reflection, spectrum_data):
+        for derive in (leq_matrix, green_partitions, reflection, spectrum_data):
             derive(A)
         fibers(sp)
         refs = (weakref.ref(A), weakref.ref(sp))

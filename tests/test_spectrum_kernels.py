@@ -1,13 +1,15 @@
-"""The whole-table kernels against the pairwise loops they replaced, kept
-as oracles in helpers: is_ideal, enumerate_prime_ideals, ideal_congruence,
-is_congruence, green_partitions, the basic sections, quotients,
-subalgebras, the pullback check and glb_cap_table give
-equal results, and raise the same exception types with the same messages,
-on valid algebras, on sets that are not ideals and on partitions that are
-not congruences.  The general kernels of an arbitrary ideal, partition or
-table (ideal_congruence, is_congruence, glb_cap_table) are compared on
-one-entry mutants too; derived structure of a mutant (its primes, Green's
-relations, the pullback check) is refused by the certificate, by name."""
+"""The whole-table kernels and the readings of the product form against
+the pairwise loops they replaced, kept as oracles in helpers: is_ideal,
+enumerate_prime_ideals, ideal_congruence, is_congruence, green_partitions,
+the basic sections, quotients, subalgebras, the pullback check and
+glb_cap_table give equal results, and raise the same exception types with
+the same messages, on valid algebras, on sets that are not ideals and on
+partitions that are not congruences.  The kernels of an arbitrary
+partition or table (is_congruence, glb_cap_table) are compared on
+one-entry mutants too; derived structure of a mutant (its primes, its
+ideals and their congruences, Green's relations, the pullback check) is
+refused by the certificate, by name.  Each of the pullback check's three
+checks is seen to refuse on Green's relations seeded into the memo."""
 
 import random
 import re
@@ -24,6 +26,7 @@ from helpers import (
     ideal_congruence_oracle,
     is_congruence_oracle,
     is_ideal_oracle,
+    mixed_space,
     outcome,
     quotient_by_oracle,
     refusal,
@@ -116,28 +119,29 @@ def test_sets_that_are_not_ideals(algebras):
 
 def test_ideal_congruence_refuses_what_is_not_an_ideal():
     """The spectrum hands its primes, proved to be ideals, straight to the
-    congruence; the public ideal_congruence still checks its argument."""
+    congruence; the public ideal_congruence still checks its argument.
+    Members are read as integers (as_ints), so a bool, a float, a string or
+    None is no element, as an int out of range is not, and makes no ideal."""
     A = boolean_algebra(2)                   # 0, a = 1, b = 2, top = 3
-    for members in ((1,), (0, 3), (0, 1, 2), (0, 4), ()):
-        assert not is_ideal(A, members)
+    for members in ((1,), (0, 3), (0, 1, 2), (0, 4), (), (0, -1), (0, True), (False, 1),
+                    (0, 1.0), (0, 1.5), (0, "1"), (0, None)):
+        assert is_ideal(A, members) is False
         with pytest.raises(ValueError, match=re.escape(f"{members} is not an ideal")):
             ideal_congruence(A, members)
     assert ideal_congruence(A, (0, 1)).labels == (0, 0, 1, 1)
 
 
 def test_ideal_congruences_on_mutants_fail_as_the_loop(algebras):
-    messages = []
+    """The ideals of a mutant and their congruences are refused by name, as
+    all its derived structure is; the pairwise oracle, which reads only
+    the tables, is compared on the valid algebras
+    (test_ideal_congruences_match_the_loop)."""
     for i, A in enumerate(a for a in algebras if 3 <= a.n <= 16):
         primes = enumerate_prime_ideals(A)
         for B in mutants(A, 20, seed=100 + i):
             for prime in primes:
-                got = outcome(ideal_congruence, B, prime.members)
-                assert got == outcome(ideal_congruence_oracle, B, prime.members)
-                if got[0] == "raised":
-                    messages.append(got[2])
-    # the ideal check, transitivity and compatibility each refuse some mutant
-    for check in ("is not an ideal", "is not transitive", "failed compatibility"):
-        assert any(check in m for m in messages), check
+                assert outcome(is_ideal, B, prime.members) == refusal(B)
+                assert outcome(ideal_congruence, B, prime.members) == refusal(B)
 
 
 def test_random_partitions_match_the_loop(algebras):
@@ -208,6 +212,38 @@ def test_pullback_check_matches_the_loop(algebras):
     for i, A in enumerate(a for a in algebras if 3 <= a.n <= 16):
         for B in mutants(A, 20, seed=300 + i):
             assert outcome(second_decomposition_check, B) == refusal(B)
+
+
+def test_pullback_check_refuses_seeded_relations():
+    """Green's relations seeded into the memo of a copy.  Every case but
+    R = L = D breaks one condition of the check and keeps the others, so no
+    condition can be dropped.  A 2 x 2 grid fiber (n = 5) with R replaced
+    by the diagonal pairing of its D-class, which is not a congruence; then
+    R = L = D on it.  On the four-element Boolean algebra (0, a = 1, b = 2,
+    top = 3), with partitions that are congruences: one D-class with
+    discrete R and L, a pullback of 16 pairs; one D-class with
+    R = L = "same b", a map that is not one-to-one; D = "same a",
+    L = "same b" and discrete R, an element whose R-class and L-class lie in
+    different D-classes."""
+    grid = dual_algebra(mixed_space([(2, 2)], seed=0))[0]
+    d, l, r = green_partitions(grid)
+    first = [d.blocks[label][0] for label in d.labels]
+    diagonal = partition_from_labels(
+        [(d.labels[x], (r.labels[x] == r.labels[f]) == (l.labels[x] == l.labels[f]))
+         for x, f in zip(grid.elements, first)])
+    assert grid.n == 5 and is_congruence(grid, diagonal) is not None
+    B4 = boolean_algebra(2)
+    one, discrete = partition_from_labels([0] * 4), partition_from_labels(range(4))
+    same_a, same_b = partition_from_labels([0, 1, 0, 1]), partition_from_labels([0, 0, 1, 1])
+    assert is_congruence(B4, same_a) is is_congruence(B4, same_b) is None
+    cases = [(grid, (d, l, diagonal)), (grid, (d, d, d)),
+             (B4, (one, discrete, discrete)), (B4, (one, same_b, same_b)),
+             (B4, (same_a, same_b, discrete))]
+    for A, green in cases:
+        assert second_decomposition_check(A) is True
+        copy = retabled(A, "meet", [])               # with its own memos
+        copy.__dict__["_memo_green_partitions"] = green
+        assert second_decomposition_check(copy) is False, green
 
 
 def glb_outcome(fn, B):
