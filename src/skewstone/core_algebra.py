@@ -94,6 +94,15 @@ def _indices(values, n):
     return m if ((m >= 0) & (m < n)).all() else None
 
 
+def _elements(values, n, what="an element"):
+    """_indices, or StructuralError naming the first value not in 0..n-1."""
+    index = _indices(values, n)
+    if index is None:
+        bad = next(v for v in values if _indices([v], n) is None)
+        raise StructuralError(f"{bad!r} is not {what} 0..{n - 1}")
+    return index
+
+
 _BOOLS = frozenset((bool, np.bool_))
 
 
@@ -751,7 +760,7 @@ def quotient_by(A, part):
     compatible with intersections the quotient cap is induced directly;
     otherwise (the Green quotients) the quotient is a skew Boolean algebra
     in its own right and its cap is recomputed as the greatest-lower-bound
-    table.
+    table.  The quotient by Green's D is the commutative reflection A/D.
     """
     bad = is_congruence(A, part)
     if bad is not None:
@@ -763,24 +772,6 @@ def quotient_by(A, part):
     if is_congruence(A, part, op_names=("cap",)) is not None:
         cap = glb_cap_table(len(part.blocks), meet, join)
     return SkewAlgebra(len(part.blocks), part.labels[A.zero], meet, join, diff, cap), part.labels
-
-
-@per_object
-def reflection(A):
-    """The commutative reflection A/D with its quotient map, read off A's
-    product form (_certified_form): A/D is the Boolean algebra of the
-    supports (the sets of fibers an element has a digit in), each class
-    labelled as in D: meet and cap are intersection, join is union and diff
-    is set difference, looked up on bit masks."""
-    d = green_partitions(A)[0]
-    reps = [block[0] for block in d.blocks]
-    support = _order_keys(A)[0][reps]
-    label = np.empty(len(reps), dtype=np.int32)      # there is one class per support
-    label[support] = np.arange(len(reps))
-    s, t = support[:, None], support[None, :]
-    meet = np.take(label, s & t)
-    tables = (meet, np.take(label, s | t), np.take(label, s & ~t), meet)
-    return SkewAlgebra(len(reps), d.labels[A.zero], *tables), d.labels
 
 
 @per_object

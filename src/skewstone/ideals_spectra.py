@@ -16,6 +16,7 @@ import numpy as np
 from .core_algebra import (
     StructuralError,
     _certified_form,
+    _elements,
     _indices,
     _order_keys,
     as_int,
@@ -272,11 +273,8 @@ def skew_spectrum(A):
 def basic_copen(A, a):
     """E-points of the basic section attached to an element: one point over
     every prime not containing it.  StructuralError for a non-element."""
-    index = _indices([a], A.n)
-    if index is None:
-        raise StructuralError(f"{a!r} is not an element 0..{A.n - 1}")
     sd = spectrum_data(A)
-    return _row_tuples(sd.space, sd.rows[index])[0]
+    return _row_tuples(sd.space, sd.rows[_elements([a], A.n)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 A lattice section picks one element per D-class so that zero, meet and join
 are preserved; a global section of a space picks one point per fiber.  On a
 finite instance each exists exactly when the other does, and either witness
-converts into the other.
+converts into the other.  Both are one digit row: a lattice section is the
+top class's choice restricted to each class (is_lattice_section), and the
+glued global section is that row.
 
 Every finite base is trivially a finite union of copen sets, so here a
 section always exists; right-handed algebras without lattice sections only
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_algebra import _certified_form, green_partitions, handedness, reflection
+from .core_algebra import _certified_form, _elements, _indices, green_partitions, handedness
 from .ideals_spectra import _row_tuples, fibers, spectrum_data
 from .morphisms_duality import _basic_labels
 from .spaces_sections import _section_rows
@@ -45,29 +47,33 @@ def _require_right_handed(A):
 
 
 def is_lattice_section(A, choice):
-    """Check one element per D-class, zero preserved, meet and join preserved."""
+    """One element of A per D-class, in class order (False for a non-element),
+    whose digit rows in A's product form (_certified_form) agree wherever two
+    have a digit: for any handedness, exactly when zero, meet and join are
+    preserved.  A computes digitwise; a meet or join has a digit where both
+    or either operand has one, there a product of their points in that
+    fiber's rectangular band.  If the rows agree, each such product is
+    v v = v, so c_i ^ c_j and c_i v c_j are g = max of the rows restricted to
+    the supports' intersection and union: c_(i ^ j), c_(i v j).  0's class is {0}.
+    Conversely, let g be the choice in the top class (full support): for
+    each class i, c_i ^ g = c_i = g ^ c_i, so at each digit s of c_i and r
+    of g, s r = s = r s and r = r s r = s (a rectangular band has x y x = x;
+    Leech, Algebra Universalis 27, 1990): every c_i is g on its support."""
     d = green_partitions(A)[0]
-    if len(choice) != len(d.blocks):
+    c = _indices(choice, A.n)
+    if c is None or len(c) != len(d.blocks) or (np.take(d.labels, c) != np.arange(len(c))).any():
         return False
-    for i, c in enumerate(choice):
-        if d.labels[c] != i:
-            return False
-    AD, to_d = reflection(A)
-    if choice[to_d[A.zero]] != A.zero:
-        return False
-    c = np.asarray(choice)
-    return all(np.array_equal(getattr(A, op)[np.ix_(c, c)], np.take(c, getattr(AD, op)))
-               for op in ("meet_table", "join_table"))
+    rows = _certified_form(A).digits[c]
+    return bool((rows == np.where(rows > 0, rows.max(axis=0), 0)).all())
 
 
 def find_lattice_section(A):
     """Read off A's product form (_certified_form), with no search: in each
     D-class in turn, the first element that agrees with the digits fixed so
     far (a class holds every digit row on its support), whose digits are
-    then fixed.  A meet takes its right operand's points and a join its
-    left's, so a choice is a lattice section exactly when it agrees on
-    overlaps: this is the first one a depth-first search over the classes
-    finds.  Checked with is_lattice_section; never None."""
+    then fixed.  A choice is a lattice section exactly when its rows agree
+    on overlaps (is_lattice_section), so this is the first one a depth-first
+    search over the classes finds.  Checked with is_lattice_section; never None."""
     _require_right_handed(A)
     digits = _certified_form(A).digits
     fixed = np.zeros(digits.shape[1], dtype=digits.dtype)      # 0: not fixed yet
@@ -92,18 +98,17 @@ def find_global_section(sp):
 
 
 def lattice_section_to_global(A, section):
-    """Glue the basic sections of the chosen elements into a global section
-    of the spectrum, verifying the gluing compatibilities on the way.  The
-    pieces are digit rows; class i's support is its representative's row."""
+    """Glue the basic sections (digit rows) of the chosen elements into a
+    global section of the spectrum.  They agree on overlaps exactly when each
+    is the top class's restricted to its class's support (is_lattice_section):
+    ValueError naming the first class i that is not as (i, top)."""
     sd = spectrum_data(A)
-    AD, _ = reflection(A)
-    rows = sd.rows[list(section.choice)]
+    rows = sd.rows[_elements(section.choice, A.n)]
     supp = _class_supports(A)
-    for i in range(AD.n):
-        # the local pieces agree on overlaps
-        bad = (rows[AD.meet_table[i]] != np.where(supp[i] & supp, rows, 0)).any(axis=1)
-        if bad.any():
-            raise ValueError(f"local sections disagree above classes ({i}, {int(np.argmax(bad))})")
+    top = int(np.argmax(supp.all(axis=1)))
+    bad = (rows != np.where(supp, rows[top], 0)).any(axis=1)
+    if bad.any():
+        raise ValueError(f"local sections disagree above classes ({int(np.argmax(bad))}, {top})")
     glued = rows.max(axis=0)
     if not (glued > 0).all() or (np.where(rows > 0, rows, glued) != glued).any():
         raise ValueError("glued section does not hit every fiber exactly once")
@@ -115,9 +120,10 @@ def global_section_to_lattice(A, section):
     D-class (its row masked by the class's support), and read the chosen
     elements back through the section bijection."""
     sp = spectrum_data(A).space
+    points = _elements(section.points, sp.size_e, "a point")
     _, radix, rank, digit = _section_rows(sp)
     row = np.zeros(sp.size_b, dtype=np.int64)
-    for e in sorted(set(section.points)):
+    for e in sorted(set(points.tolist())):
         if row[sp.p[e]]:
             raise ValueError(f"section has two points over base point {sp.p[e]}")
         row[sp.p[e]] = digit[e]

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
-from skewstone.core_algebra import glb_cap_table, make_algebra, mirror, reflection
+from skewstone.core_algebra import (
+    glb_cap_table,
+    green_partitions,
+    make_algebra,
+    mirror,
+    quotient_by,
+)
 from skewstone.ideals_spectra import make_space
 from skewstone.spaces_sections import dual_algebra
 
@@ -53,8 +59,8 @@ def fiber_product_over_reflection(A, B):
     greatest lower bound inside the product carrier.
     Returns (algebra, pair labels).
     """
-    QA, to_a = reflection(A)
-    QB, to_b = reflection(B)
+    QA, to_a = quotient_by(A, green_partitions(A)[0])
+    QB, to_b = quotient_by(B, green_partitions(B)[0])
     if QA != QB:
         raise ValueError("the two reflections differ; relabel the inputs first")
     pairs = [(a, b) for a in A.elements for b in B.elements if to_a[a] == to_b[b]]

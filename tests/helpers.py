@@ -50,10 +50,9 @@ from skewstone.core_algebra import (
     _certificate,
     leq_matrix,
     partition_from_labels,
-    reflection,
 )
 from skewstone.ideals_spectra import SpectrumPoint, fibers
-from skewstone.lattice_sections import GlobalSection, LatticeSection, is_lattice_section
+from skewstone.lattice_sections import GlobalSection, LatticeSection
 from skewstone.spaces_sections import PartialMap, partial_map
 
 
@@ -476,23 +475,48 @@ def dual_of_hom_oracle(f):
     return morphism
 
 
+def _class_tables(A):
+    """Green's D of A and the meet and join tables of A/D, gathered from A's
+    own tables at the least class members (int32, k x k)."""
+    d = green_partitions(A)[0]
+    reps = [block[0] for block in d.blocks]
+    labels = np.asarray(d.labels, dtype=np.int32)
+    return d, [labels[getattr(A, op)[np.ix_(reps, reps)]] for op in ("meet_table", "join_table")]
+
+
+def is_lattice_section_oracle(A, choice):
+    """Oracle for is_lattice_section, class pair by class pair: one element
+    of A per D-class, in class order, the zero's class choosing the zero,
+    and c_i ^ c_j = c_(i ^ j) and c_i v c_j = c_(i v j) for every pair of
+    classes i, j, read in A/D's tables (_class_tables)."""
+    d, tables = _class_tables(A)
+    if len(choice) != len(d.blocks):
+        return False
+    for i, c in enumerate(choice):
+        if (not isinstance(c, (int, np.integer)) or isinstance(c, bool)
+                or not 0 <= c < A.n or d.labels[c] != i):
+            return False
+    if choice[d.labels[A.zero]] != A.zero:
+        return False
+    c = np.asarray(choice, dtype=np.intp)
+    return all(np.array_equal(getattr(A, op)[np.ix_(c, c)], c[Q])
+               for op, Q in zip(("meet_table", "join_table"), tables))
+
+
 def lattice_section_to_global_oracle(A, section):
     """Oracle for lattice_section_to_global: the basic sections as point
     sets (basic_copens_oracle), each class's base as a set of primes, and
-    the gluing checked class pair by class pair."""
+    each chosen piece checked against the top class's piece restricted to
+    that base."""
     sd = spectrum_data_oracle(A)
-    d = green_partitions(A)[0]
-    AD, _ = reflection(A)
-    base_of = [frozenset(pi for pi, p in enumerate(sd.primes) if d.blocks[i][0] not in p.members)
-               for i in range(AD.n)]
+    base_of = [frozenset(pi for pi, p in enumerate(sd.primes) if block[0] not in p.members)
+               for block in green_partitions(A)[0].blocks]
+    top = base_of.index(frozenset(range(len(sd.primes))))
     basic = basic_copens_oracle(A, sd)
     copens = [frozenset(basic[c]) for c in section.choice]
-    for i in range(AD.n):
-        for j in range(AD.n):
-            overlap = base_of[i] & base_of[j]
-            glued = frozenset(e for e in copens[j] if sd.space.p[e] in overlap)
-            if copens[AD.meet(i, j)] != glued:
-                raise ValueError(f"local sections disagree above classes ({i}, {j})")
+    for i, base in enumerate(base_of):
+        if copens[i] != frozenset(e for e in copens[top] if sd.space.p[e] in base):
+            raise ValueError(f"local sections disagree above classes ({i}, {top})")
     points = sorted(frozenset().union(*copens)) if copens else []
     if sorted(sd.space.p[e] for e in points) != list(range(sd.space.size_b)):
         raise ValueError("glued section does not hit every fiber exactly once")
@@ -508,17 +532,16 @@ def find_lattice_section_oracle(A):
     kind = handedness(A)
     if kind not in ("right", "commutative"):
         raise ValueError(f"lattice-section search needs a right-handed algebra, got {kind}")
-    d = green_partitions(A)[0]
-    AD, to_d = reflection(A)
-    k = AD.n
+    d, tables = _class_tables(A)
+    k = len(d.blocks)
     # per table of A: the class pairs (i, j) with the class q of i . j, as
     # the columns of one (3, k * k) array sorted by the last of i, j and q
     # to be filled, and where the run of each class t starts; a run is
     # checked when its class is filled
     r = np.arange(k, dtype=np.int32)
     checks = []
-    for op in ("meet_table", "join_table"):
-        Q = getattr(AD, op).ravel()
+    for op, Q in zip(("meet_table", "join_table"), tables):
+        Q = Q.ravel()
         last = np.maximum(np.maximum.outer(r, r).ravel(), Q)
         order = np.argsort(last, kind="stable").astype(np.int32)
         triples = np.stack((order // k, order % k, Q[order]))
@@ -533,7 +556,7 @@ def find_lattice_section_oracle(A):
                 return False
         return True
 
-    candidates = [(A.zero,) if t == to_d[A.zero] else d.blocks[t] for t in range(k)]
+    candidates = [(A.zero,) if t == d.labels[A.zero] else d.blocks[t] for t in range(k)]
     tried = [0] * k                  # next candidate to try at each class
     t = 0
     while 0 <= t < k:
@@ -548,7 +571,7 @@ def find_lattice_section_oracle(A):
     if t < 0:
         return None
     section = LatticeSection(tuple(choice.tolist()))
-    if not is_lattice_section(A, section.choice):
+    if not is_lattice_section_oracle(A, section.choice):
         raise RuntimeError("search returned a non-section")
     return section
 
@@ -567,7 +590,7 @@ def global_section_to_lattice_oracle(A, section):
         if piece not in element_of:
             raise ValueError(f"restriction of the section above class {i} is not basic")
         choice.append(element_of[piece])
-    if not is_lattice_section(A, choice):
+    if not is_lattice_section_oracle(A, choice):
         raise ValueError("converted choice is not a lattice section")
     return LatticeSection(tuple(choice))
 
@@ -1209,7 +1232,7 @@ def is_preceq_cofinal(A, subset):
 def prime_reflection_bijection(A):
     """Map each prime ideal of A to the prime of A/D given by blockwise image;
     verified bijective.  Returns a tuple of indices into the primes of A/D."""
-    Q, to_d = reflection(A)
+    Q, to_d = quotient_by_oracle(A, green_partitions_oracle(A)[0])
     primes_a = enumerate_prime_ideals(A)
     primes_q = enumerate_prime_ideals(Q)
     index_q = {p.members: p.index for p in primes_q}

@@ -1,4 +1,8 @@
+import math
 import random
+import tracemalloc
+from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +14,15 @@ from helpers import (
     corpus_params,
     find_lattice_section_oracle,
     global_section_to_lattice_oracle,
+    is_lattice_section_oracle,
     lattice_section_to_global_oracle,
+    mixed_space,
     outcome,
     renumbered,
     small_test_algebras,
 )
 from skewstone import (
+    StructuralError,
     basic_copen,
     dual_algebra,
     find_global_section,
@@ -78,6 +85,78 @@ class TestLatticeSectionSearch:
         size_b, max_fiber, _ = corpus_params(seed % 79)
         A, _ = dual_algebra(random_space(size_b, max_fiber, seed, "right"))
         assert find_lattice_section(A) is not None
+
+
+class TestIsLatticeSection:
+    # per-fiber grids (rows, columns) of mixed-band spaces: every handedness
+    GRIDS = (((1, 2), (2, 1)), ((2, 2), (1, 1)), ((1, 3), (1, 2)), ((2, 1), (3, 1)),
+             ((1, 1), (1, 1), (1, 2)), ((2, 1), (2, 1), (1, 1)), ((2, 2),),
+             ((1, 2), (1, 2), (2, 1)), ((2, 2), (1, 2)), ((1, 3), (1, 3)), ((2, 2), (2, 2)),
+             ((1, 2), (2, 1), (1, 1)), ((3, 1), (1, 2)), ((1, 2), (1, 2), (1, 1)),
+             ((2, 1), (1, 1), (2, 1)))
+
+    def test_matches_the_pairwise_oracle(self):
+        """The digit-row check answers as the class-pair check on the
+        catalog, the corpus and mixed-band algebras (n = 5 to 27) with a
+        renumbered copy of each: every per-class choice where there are at
+        most 2000, else 20 seeded ones, and the found section of each
+        right-handed or commutative algebra.  The lemma holds for any
+        handedness, so all four are checked, with both answers."""
+        mixed = [dual_algebra(mixed_space(g, seed=i))[0] for i, g in enumerate(self.GRIDS)]
+        algebras = ([A for _, A in small_test_algebras()] + corpus_dual_algebras()
+                    + mixed + [renumbered(A, i) for i, A in enumerate(mixed)])
+        rng = random.Random(30)
+        counts = Counter()
+        for A in algebras:
+            blocks = green_partitions(A)[0].blocks
+            if math.prod(map(len, blocks)) <= 2000:
+                choices = list(product(*blocks))
+            else:
+                choices = [tuple(rng.choice(block) for block in blocks) for _ in range(20)]
+            if handedness(A) in ("right", "commutative"):
+                choices.append(find_lattice_section(A).choice)
+            for choice in choices:
+                got = is_lattice_section(A, choice)
+                assert got == is_lattice_section_oracle(A, choice), choice
+                counts[handedness(A), got] += 1
+        assert counts == {("commutative", True): 148, ("right", True): 256,
+                          ("right", False): 4700, ("left", True): 115, ("left", False): 1710,
+                          ("neither", True): 896, ("neither", False): 13244}
+
+    def test_non_elements_are_refused_by_name(self):
+        # classes {0} and {1, 2}; the spectrum has the points 0 and 1 over
+        # one prime.  A negative index does not wrap, and a bool is no integer
+        A = dual_algebra(make_space(2, 1, [0, 0]))[0]
+        assert green_partitions(A)[0].blocks == ((0,), (1, 2))
+        assert is_lattice_section(A, (0, 1)) and is_lattice_section(A, [0, 2])
+        for choice in ((0, True), (0, 1.0), (0, -1), (0, 3), (0, "1")):
+            assert is_lattice_section(A, choice) is False, choice
+        # and one element of each class, in class order
+        for choice in ((), (0,), (0, 1, 2), (0, 0), (1, 2), (2, 0)):
+            assert is_lattice_section(A, choice) is False, choice
+        for bad, text in ((-1, "-1"), (True, "True"), (3, "3"), (1.0, "1.0")):
+            with pytest.raises(StructuralError, match=f"^{text} is not an element 0..2$"):
+                lattice_section_to_global(A, LatticeSection((0, bad)))
+        for bad, text in ((-1, "-1"), (True, "True"), (2, "2"), (1.0, "1.0")):
+            with pytest.raises(StructuralError, match=f"^{text} is not a point 0..1$"):
+                global_section_to_lattice(A, GlobalSection((bad,)))
+        assert lattice_section_to_global(A, LatticeSection((0, 2))) == GlobalSection((1,))
+        assert global_section_to_lattice(A, GlobalSection((1,))) == LatticeSection((0, 2))
+
+    def test_the_section_check_builds_no_class_table(self):
+        # on the 1024-element Boolean algebra (1024 D-classes), with the form,
+        # Green's relations and the spectrum built, the check holds rows of
+        # ten digits: no 1024 x 1024 array (a 4 MiB int32 table) is made
+        A = dual_algebra(make_space(10, 10, range(10)))[0]
+        green_partitions(A)
+        spectrum_data(A)
+        tracemalloc.start()
+        try:
+            assert section_equivalence_check(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 class TestGlobalSectionSearch:

@@ -35,11 +35,13 @@ from skewstone import (
     StructuralError,
     dual_algebra,
     enumerate_homs,
+    green_partitions,
     handedness,
     leq_ideal_generated,
     make_space,
     natural_leq,
     preceq_ideal_generated,
+    quotient_by,
     random_space,
     reflection_check,
 )
@@ -48,7 +50,6 @@ from skewstone.core_algebra import (
     _certificate,
     _certified_form,
     leq_matrix,
-    reflection,
 )
 from skewstone.ideals_spectra import is_ideal
 from skewstone.morphisms_duality import classify_hom
@@ -61,7 +62,7 @@ def algebras():
     """The catalog, seeded section algebras of every band kind (n = 1 to
     25) and the commutative reflection of each."""
     out = [A for _, A in small_test_algebras()] + corpus_dual_algebras(24)
-    return out + [reflection(A)[0] for A in out]
+    return out + [quotient_by(A, green_partitions(A)[0])[0] for A in out]
 
 
 def mutants(algebras, count, seed):

@@ -1,11 +1,11 @@
 """The product form of a certified algebra against the pairwise oracles:
-Green's relations, handedness, the commutative reflection, the spectrum
-and the basic sections read off the digits equal the oracles' on the
-catalog, the seeded corpus, spaces of every band kind up to n = 256, the
-edge cases, and renumbered copies, whose element order is not the
-builder's.  An algebra the certificate refuses has no derived structure:
-every consumer raises the one gate's ValueError, which names the
-certificate's check that refused it."""
+Green's relations, handedness, the spectrum and the basic sections read
+off the digits, and the commutative reflection (the quotient by D), equal
+the oracles' on the catalog, the seeded corpus, spaces of every band kind
+up to n = 256, the edge cases, and renumbered copies, whose element order
+is not the builder's.  An algebra the certificate refuses has no derived
+structure: every consumer raises the one gate's ValueError, which names
+the certificate's check that refused it."""
 
 import pytest
 
@@ -35,12 +35,14 @@ from skewstone import (
     find_lattice_section,
     green_partitions,
     handedness,
+    quotient_by,
     random_space,
     second_decomposition_check,
     skew_spectrum,
     validate_algebra,
 )
-from skewstone.core_algebra import _certificate, reflection
+from skewstone.core_algebra import _certificate
+from skewstone.lattice_sections import is_lattice_section
 from skewstone.ideals_spectra import spectrum_data
 
 FIELDS = ("primes", "points", "space")
@@ -61,7 +63,7 @@ def check_against_oracles(A):
     green = green_partitions_oracle(A)
     assert green_partitions(A) == green
     assert handedness(A) == handedness_oracle(A)
-    assert reflection(A) == quotient_by_oracle(A, green[0])
+    assert quotient_by(A, green[0]) == quotient_by_oracle(A, green[0])
     sd, expected = spectrum_data(A), spectrum_data_oracle(A)
     for name in FIELDS:
         assert getattr(sd, name) == getattr(expected, name), name
@@ -123,7 +125,8 @@ def test_one_entry_mutant_is_refused_by_name():
     B = retabled(A, "meet", [(3, 4, (A.meet(3, 4) + 1) % A.n)])
     assert _certificate(A) is None and _certificate(B) == "meet"
     assert not validate_algebra(B).ok
-    consumers = (green_partitions, handedness, reflection, spectrum_data,
+    consumers = (green_partitions, handedness, spectrum_data,
+                 lambda B: quotient_by(B, green_partitions(B)[0]),
                  lambda B: basic_copen(B, B.zero))
     for consume in consumers:
         assert outcome(consume, B) == refusal(B), consume.__name__
@@ -140,7 +143,8 @@ def test_pinned_refusals_are_refused_by_name_everywhere():
     consumers = {
         "green_partitions": green_partitions,
         "handedness": handedness,
-        "reflection": reflection,
+        "quotient by D": lambda B: quotient_by(B, green_partitions(B)[0]),
+        "is_lattice_section": lambda B: is_lattice_section(B, (B.zero,)),
         "skew_spectrum": skew_spectrum,
         "enumerate_prime_ideals": enumerate_prime_ideals,
         "basic_copen": lambda B: basic_copen(B, B.zero),

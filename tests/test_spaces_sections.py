@@ -46,7 +46,7 @@ from skewstone.core_algebra import (
     green_partitions,
     leq_matrix,
     mirror,
-    reflection,
+    quotient_by,
 )
 from skewstone.ideals_spectra import basic_copen, fibers, spectrum_data
 from skewstone.jsonio import dumps, space_to_dict
@@ -247,7 +247,7 @@ class TestDerivedStructureLifetime:
     def test_derived_structure_is_freed_with_its_objects(self):
         sp = random_space(2, 2, seed=3, band="right")
         A, _ = dual_algebra(sp)
-        for derive in (leq_matrix, green_partitions, reflection, spectrum_data):
+        for derive in (leq_matrix, green_partitions, spectrum_data):
             derive(A)
         fibers(sp)
         refs = (weakref.ref(A), weakref.ref(sp))
@@ -263,7 +263,8 @@ class TestDerivedStructureLifetime:
         gc.disable()
         try:
             assert validate_algebra(A).ok
-            for consume in (green_partitions, handedness, reflection, spectrum_data,
+            for consume in (green_partitions, handedness, spectrum_data,
+                            lambda A: quotient_by(A, green_partitions(A)[0]),
                             lambda A: basic_copen(A, A.zero)):
                 consume(A)
             assert "_memo__product_form" in A.__dict__
@@ -290,7 +291,8 @@ class TestDerivedStructureLifetime:
         green_partitions(A)
         assert calls == [A.n]
         assert validate_algebra(A).ok
-        for consume in (handedness, reflection, spectrum_data,
+        for consume in (handedness, spectrum_data,
+                        lambda A: quotient_by(A, green_partitions(A)[0]),
                         lambda A: basic_copen(A, A.zero)):
             consume(A)
         assert calls == [A.n]
