@@ -9,9 +9,14 @@ status is 1 only when some law or check fails.
 """
 
 import argparse
+import os
 import sys
 import time
 from math import prod
+
+# the checkout's sources come first, so the script runs without an install
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+sys.path.insert(0, SRC)
 
 from skewstone import (
     SizeCapError,

@@ -10,6 +10,10 @@ import argparse
 import os
 import sys
 
+# the checkout's sources come first, so the script runs without an install
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+sys.path.insert(0, SRC)
+
 from skewstone import dual_algebra, jsonio, random_space
 
 KINDS = ("none", "right", "left", ("product", 2, 2))

@@ -28,11 +28,10 @@ class SizeCapError(RuntimeError):
 # only the cubic exhaustive report it gives on an algebra the certificate
 # refuses is capped.  EXHAUSTIVE_N is that cap's default, in validate_algebra
 # and in the CLI's --max-size.  MAX_CARRIER caps the carriers the builders
-# enumerate (sections, partial maps).  Homomorphisms are read off the space
-# morphisms between the spectra, and that search counts its own work:
-# MAX_CANDIDATES, the default max_candidates of enumerate_homs and
-# enumerate_space_morphisms, counts every combination of band-preserving
-# fiber maps, over every partial base map.
+# enumerate (sections, partial maps).  Homomorphisms and space morphisms are
+# combinations of per-fiber choices, and MAX_CANDIDATES, the default
+# max_candidates of enumerate_homs and enumerate_space_morphisms, bounds how
+# many combinations are built.
 EXHAUSTIVE_N = 256
 MAX_CARRIER = 4096
 MAX_CANDIDATES = 10 ** 6

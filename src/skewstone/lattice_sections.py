@@ -101,10 +101,14 @@ def lattice_section_to_global(A, section):
     """Glue the basic sections (digit rows) of the chosen elements into a
     global section of the spectrum.  They agree on overlaps exactly when each
     is the top class's restricted to its class's support (is_lattice_section):
-    ValueError naming the first class i that is not as (i, top)."""
+    ValueError naming the first class i that is not as (i, top), or naming
+    both lengths if the choice is not one element per D-class."""
     sd = spectrum_data(A)
-    rows = sd.rows[_elements(section.choice, A.n)]
-    supp = _class_supports(A)
+    choice, supp = _elements(section.choice, A.n), _class_supports(A)
+    if len(choice) != len(supp):
+        raise ValueError(f"choice has length {len(choice)}, expected {len(supp)}, "
+                         "one element per D-class")
+    rows = sd.rows[choice]
     top = int(np.argmax(supp.all(axis=1)))
     bad = (rows != np.where(supp, rows[top], 0)).any(axis=1)
     if bad.any():

@@ -135,56 +135,72 @@ def compose_homs(outer, inner):
 
 def enumerate_homs(A, B, max_candidates=MAX_CANDIDATES):
     """All homomorphisms A -> B, in lexicographic map order, read off the
-    duality: Hom(A, B) is in bijection with the space morphisms
-    Sk(B) -> Sk(A), and m gives iso_B^-1 . hom_of_space_morphism(m) . iso_A
-    with the round-trip isomorphisms iso_A and iso_B.
+    product forms (_certified_form) of A and B.  By the duality they are the
+    space morphisms Sk(B) -> Sk(A), and those are independent choices, one
+    per fiber x of B (_choices): x is left out, or takes A's fiber y through
+    an injective band map phi of y's band into x's.  A combination of
+    choices sends a to the element of B whose digit at x is phi(a's digit
+    at y), or 0 where x is left out (_maps), and that map is a
+    homomorphism:
+
+    - The certificate has compared B's tables with the product built from
+      B's form, so B computes every operation digitwise on its digits, as
+      A does on its own.
+    - Each digit operation is read off the band, presence (digit 0) and
+      equality of digits (_product_tables).  An injective band map that
+      fixes 0 keeps all three, so digit x of f(a * b) is digit x of
+      f(a) * f(b); the constant 0 of a left-out fiber keeps them too, as
+      each operation sends two absent digits to 0.  The zero, with no
+      digit, goes to B's zero.
 
     A and B must be valid algebras; one that the certificate refuses
     raises ValueError, naming the refusing check (see validate_algebra).
-    max_candidates bounds the space-morphism search: every combination of
-    band-preserving fiber maps, over every partial base map, is one
-    candidate, and past the bound it raises SizeCapError.
+    max_candidates bounds the number of choice combinations, and past it
+    SizeCapError is raised before any map is built.
     """
-    morphisms = enumerate_space_morphisms(spectrum_data(B).space, spectrum_data(A).space,
-                                          max_candidates)
-    return tuple(sorted(_transport(A, B, morphisms), key=lambda f: f.map))
+    choices = _choices(_certified_form(B).bands, _certified_form(A).bands, max_candidates)
+    return tuple(Homomorphism(A, B, tuple(row.tolist())) for row in _maps(A, B, choices))
 
 
 def algebras_isomorphic(A, B):
-    """The map of an isomorphism A -> B, or None, read off the spectra:
-    A and B are isomorphic exactly when Sk(A) and Sk(B) are, and a space
-    isomorphism Sk(B) -> Sk(A) transports to an isomorphism A -> B.
+    """The map of an isomorphism A -> B, or None.  A and B are isomorphic
+    exactly when their product forms have the same band shapes: the map is
+    the one choice per fiber of _band_isomorphism, read as in enumerate_homs.
 
     A and B of one size must be valid algebras; one that the certificate
     refuses raises ValueError, naming the refusing check.
     """
     if A.n != B.n:
         return None
-    sk_a, sk_b = spectrum_data(A).space, spectrum_data(B).space
-    found = spaces_isomorphic(sk_b, sk_a)
-    if found is None:
+    matched = _band_isomorphism(*(_rectangles(_certified_form(X).bands) for X in (A, B)))
+    if matched is None:
         return None
-    g, h = found
-    m = SpaceMorphism(sk_b, sk_a, PartialMap(tuple(range(sk_b.size_e)), g),
-                      PartialMap(tuple(range(sk_b.size_b)), h))
-    return _transport(A, B, [m])[0].map
+    choices = [None] * len(matched)
+    for y, x, at in matched:
+        choices[x] = [(y, at)]
+    return tuple(_maps(A, B, choices)[0].tolist())
 
 
-def _transport(A, B, morphisms):
-    """The homomorphism A -> B dual to each space morphism Sk(B) -> Sk(A),
-    iso_B^-1 . hom_of_space_morphism(m) . iso_A, read on section labels
-    (_basic_labels, _preimages) without building either section algebra,
-    and checked with validate_hom on A and B."""
-    to_sections = _basic_labels(A)
-    from_sections = np.argsort(_basic_labels(B))
-    homs = []
-    for m in morphisms:
-        f = Homomorphism(A, B, tuple(from_sections[_preimages(m)[to_sections]].tolist()))
-        report = validate_hom(f)
-        if not report.ok:
-            raise RuntimeError(f"dual homomorphism invalid: {report.failures}")
-        homs.append(f)
-    return homs
+def _maps(A, B, choices):
+    """The maps A -> B of every combination of choices, one list of None or
+    (y, at) per fiber x of B, as the sorted rows of an int32 array.  At x
+    an element's digit is 0 for None, and for (y, at) 0 where its digit at
+    A's fiber y is 0 and 1 + at[i] where that digit is 1 + i.  Each choice
+    is one column of mixed-radix codes of B's digits, and the codes of a
+    combination are the sum of its columns, renumbered into B's order."""
+    digits, form = _certified_form(A).digits, _certified_form(B)
+    radix = np.cumprod([1] + [1 + len(band) for band in form.bands])[:-1]
+    rank = np.empty(B.n, dtype=np.int32)
+    rank[form.digits @ radix] = np.arange(B.n)
+    codes = np.zeros((1, A.n), dtype=np.int32)
+    for x, pieces in enumerate(choices):
+        column = np.zeros((len(pieces), A.n), dtype=np.int32)
+        for i, piece in enumerate(pieces):
+            if piece is not None:
+                column[i] = np.r_[0, 1 + piece[1]][digits[:, piece[0]]] * radix[x]
+        codes = (codes[:, None] + column).reshape(-1, A.n)
+    np.take(rank, codes, out=codes)
+    return codes[np.lexsort(codes.T[::-1])]
 
 
 # ---------------------------------------------------------------------------
@@ -239,52 +255,59 @@ def compose_space_morphisms(outer, inner):
     return SpaceMorphism(inner.source, outer.target, partial_map(g), partial_map(h))
 
 
-@per_object
-def _rectangles(sp):
-    """The (row, column) of each point of every fiber band, rows and columns
-    numbered in the order of their first point, and each band's (rows,
-    columns); ValueError if a band is not rectangular."""
-    rects, shapes = [], []
-    for table in fiber_bands(sp):
+def _rectangles(bands):
+    """For each band, the (row, column) of each of its points, as two int
+    arrays with rows and columns numbered in the order of their first point,
+    and its grid: grid[row, column] is the point there, and grid.shape is
+    the band's (rows, columns).  ValueError if a band is not rectangular."""
+    out = []
+    for table in bands:
         rect = _rectangle(table)
         if rect is None:
             raise ValueError("a fiber band is not a rectangular band")
-        row, col = (partition_from_labels(keys.tolist()).labels for keys in rect)
-        rects.append((row, col))
-        shapes.append((1 + max(row), 1 + max(col)))
-    return rects, shapes
+        row, col = (np.array(partition_from_labels(keys.tolist()).labels) for keys in rect)
+        grid = np.empty((1 + row.max(), 1 + col.max()), dtype=np.intp)
+        grid[row, col] = np.arange(len(row))
+        out.append((row, col, grid))
+    return out
+
+
+def _choices(x_bands, y_bands, max_candidates):
+    """For each x band, [None] + [(y, at)]: each y band with each injective
+    band map of it into the x band, at[i] the point that y's point i goes
+    to.  Between rectangles such a map is an injective row map times an
+    injective column map (a plain band is one row), so x has
+    1 + sum_y P(a_x, a_y) * P(b_x, b_y) choices, a x b the band's shape.
+    Past max_candidates combinations SizeCapError is raised before any
+    choice is built."""
+    x_rects, y_rects = _rectangles(x_bands), _rectangles(y_bands)
+    y_shapes = [grid.shape for _, _, grid in y_rects]
+    if math.prod(1 + sum(math.perm(a, c) * math.perm(b, d) for c, d in y_shapes)
+                 for a, b in (grid.shape for _, _, grid in x_rects)) > max_candidates:
+        raise SizeCapError(f"space morphism search tried more than {max_candidates} "
+                           "candidate assignments (fiber-map combinations)")
+    return [[None] + [(y, grid[np.take(row_map, row), np.take(col_map, col)])
+                      for y, ((row, col, _), (c, d)) in enumerate(zip(y_rects, y_shapes))
+                      for row_map in permutations(range(len(grid)), c)
+                      for col_map in permutations(range(grid.shape[1]), d)]
+            for _, _, grid in x_rects]
 
 
 def enumerate_space_morphisms(sp, tp, max_candidates=MAX_CANDIDATES):
     """All valid space morphisms sp -> tp, in (h, g) order.
 
     Over x sent to y, g inverts an injective band map from the fiber over y
-    into the one over x: between rectangles, an injective row map with an
-    injective column map (a plain fiber is one row).  So each x is left out
-    or picks a y and one of its P(a_x, a_y) * P(b_x, b_y) pieces.  Each
-    combination of these choices is one candidate, and each is built and
-    valid; past max_candidates SizeCapError is raised before any is built.
-    A band that is not rectangular raises ValueError.
+    into the one over x, one of the choices of _choices.  Each combination
+    of these choices is one candidate, and each is built and valid; past
+    max_candidates SizeCapError is raised before any is built.  A band
+    that is not rectangular raises ValueError.
     """
-    (src_rect, src_shape), (tgt_rect, tgt_shape) = _rectangles(sp), _rectangles(tp)
-    counts = [1 + sum(math.perm(a, c) * math.perm(b, d) for c, d in tgt_shape)
-              for a, b in src_shape]
-    if math.prod(counts) > max_candidates:
-        raise SizeCapError(f"space morphism search tried more than {max_candidates} "
-                           "candidate assignments (fiber-map combinations)")
-    tgt_points = [list(zip(zip(r, c), t)) for t, (r, c) in zip(fibers(tp), tgt_rect)]
-    choices = []
-    for f, (rows, cols), (a, b) in zip(fibers(sp), src_rect, src_shape):
-        at = dict(zip(zip(rows, cols), f))
-        pieces = [None]
-        for y, (points, (c, d)) in enumerate(zip(tgt_points, tgt_shape)):
-            for row_map in permutations(range(a), c):
-                for col_map in permutations(range(b), d):
-                    pieces.append((y, [(at[row_map[i], col_map[j]], e)
-                                       for (i, j), e in points]))
-        choices.append(pieces)
+    src, tgt = fibers(sp), fibers(tp)
+    pieces = [[None] + [(y, list(zip(np.take(f, at).tolist(), tgt[y]))) for y, at in choices[1:]]
+              for f, choices in zip(src, _choices(fiber_bands(sp), fiber_bands(tp),
+                                                  max_candidates))]
     out = []
-    for combo in product(*choices):
+    for combo in product(*pieces):
         h, g = {}, {}
         for x, piece in enumerate(combo):
             if piece is not None:
@@ -294,30 +317,39 @@ def enumerate_space_morphisms(sp, tp, max_candidates=MAX_CANDIDATES):
     return tuple(sorted(out, key=lambda m: (m.h.domain, m.h.values, m.g.domain, m.g.values)))
 
 
+def _band_isomorphism(rects1, rects2):
+    """A bijection of bands given by _rectangles, as (b1, b2, at) with at[i]
+    the point of band b2 that band b1's point i goes to, or None.  Bands
+    are matched by shape, in order within a shape, and points by their
+    (row, column); None if the shapes differ."""
+    shapes1, shapes2 = ([grid.shape for _, _, grid in rects] for rects in (rects1, rects2))
+    if sorted(shapes1) != sorted(shapes2):
+        return None
+    order = lambda shapes: sorted(range(len(shapes)), key=lambda b: (shapes[b], b))
+    return [(b1, b2, rects2[b2][2][rects1[b1][0], rects1[b1][1]])
+            for b1, b2 in zip(order(shapes1), order(shapes2))]
+
+
 def spaces_isomorphic(sp1, sp2):
     """Isomorphism (total E-bijection over a base bijection, preserving bands,
     a plain space's read as the right band) between two spaces, as (g, h), or None.
 
-    Fibers are matched by the (rows, columns) of their rectangles, in base
-    order within a shape, and points by their (row, column); the result is
+    Fibers and their points are matched by _band_isomorphism; the result is
     checked with validate_space_morphism.  A band that is not rectangular
     raises ValueError.
     """
     if (sp1.size_e, sp1.size_b) != (sp2.size_e, sp2.size_b):
         return None
-    (rects1, shape1), (rects2, shape2) = _rectangles(sp1), _rectangles(sp2)
-    order = lambda shape: sorted(range(len(shape)), key=lambda b: (shape[b], b))
+    matched = _band_isomorphism(*(_rectangles(fiber_bands(sp)) for sp in (sp1, sp2)))
+    if matched is None:
+        return None
     fib1, fib2 = fibers(sp1), fibers(sp2)
     g_base = [0] * sp1.size_b
     g_total = [0] * sp1.size_e
-    for b1, b2 in zip(order(shape1), order(shape2)):
-        if shape1[b1] != shape2[b2]:
-            return None
+    for b1, b2, at in matched:
         g_base[b1] = b2
-        (r1, c1), (r2, c2) = rects1[b1], rects2[b2]
-        at = dict(zip(zip(r2, c2), fib2[b2]))
-        for e, r, c in zip(fib1[b1], r1, c1):
-            g_total[e] = at[r, c]
+        for e, i in zip(fib1[b1], at.tolist()):
+            g_total[e] = fib2[b2][i]
     m = SpaceMorphism(sp1, sp2, PartialMap(tuple(range(sp1.size_e)), tuple(g_total)),
                       PartialMap(tuple(range(sp1.size_b)), tuple(g_base)))
     return (m.g.values, m.h.values) if validate_space_morphism(m).ok else None
@@ -527,7 +559,7 @@ def to_space_pair(sp):
     component collapses onto the base and the second keeps the total space."""
     if sp.band is None:
         raise ValueError("pair decomposition needs a band")
-    shapes = _rectangles(sp)[1]
+    shapes = [grid.shape for _, _, grid in _rectangles(fiber_bands(sp))]
 
     def quotient(side):
         p_q = [b for b, shape in enumerate(shapes) for _ in range(shape[side])]

@@ -28,10 +28,13 @@ from skewstone import (
     SpaceMorphismFlags,
     StructuralError,
     ValidationReport,
+    algebra_roundtrip_iso,
     dual_algebra,
     enumerate_prime_ideals,
+    enumerate_space_morphisms,
     green_partitions,
     handedness,
+    hom_of_space_morphism,
     leq_ideal_generated,
     make_algebra,
     make_space,
@@ -42,6 +45,7 @@ from skewstone import (
     product_band,
     random_space,
     right_band,
+    skew_spectrum,
     validate_algebra,
     validate_space_morphism,
 )
@@ -344,6 +348,21 @@ def enumerate_homs_bruteforce(A, B, max_candidates=10 ** 4):
         if validate_hom_oracle(f).ok:
             out.append(f)
     return tuple(out)
+
+
+def enumerate_homs_transport_oracle(A, B, max_candidates=MAX_CANDIDATES):
+    """Oracle for enumerate_homs, the route through the spectra: each space
+    morphism m : Sk(B) -> Sk(A) gives iso_B^-1 . hom_of_space_morphism(m)
+    . iso_A, with iso_A and iso_B the algebra round-trip isomorphisms and
+    hom_of_space_morphism checking its map with validate_hom; the result is
+    in lexicographic map order."""
+    to_sections = list(algebra_roundtrip_iso(A).map)
+    from_sections = np.argsort(algebra_roundtrip_iso(B).map)
+    morphisms = enumerate_space_morphisms(skew_spectrum(B)[0], skew_spectrum(A)[0],
+                                          max_candidates)
+    return tuple(sorted((Homomorphism(A, B, tuple(
+        from_sections[list(hom_of_space_morphism(m).map)][to_sections].tolist()))
+        for m in morphisms), key=lambda f: f.map))
 
 
 def enumerate_space_morphisms_search(sp, tp, max_candidates=MAX_CANDIDATES):

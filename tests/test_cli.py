@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -651,6 +652,18 @@ class TestSurveyScript:
         assert out.rstrip().endswith("20 instances, 0 failures, 0 over the size cap")
         last = out.splitlines()[-3].split()
         assert last[0] == "19" and last[-6:-1] == ["625", "neither", "yes", "yes", "-"]
+
+    @pytest.mark.parametrize("script, argv", [
+        ("duality_survey", ["--count", "2"]),
+        ("make_corpus", ["--count", "2", "--out", "c"]),
+    ], ids=["survey", "corpus"])
+    def test_scripts_run_without_an_import_path(self, tmp_path, script, argv):
+        # each script puts the checkout's src first on sys.path itself
+        path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{script}.py"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run([sys.executable, str(path)] + argv, cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("script, flags", [
         ("duality_survey", ["--size-b", "0"]),

@@ -143,6 +143,15 @@ class TestIsLatticeSection:
         assert lattice_section_to_global(A, LatticeSection((0, 2))) == GlobalSection((1,))
         assert global_section_to_lattice(A, GlobalSection((1,))) == LatticeSection((0, 2))
 
+    def test_wrong_length_choices_name_both_lengths(self):
+        # classes {0} and {1, 2}: a choice of one or of three elements
+        # raised a bare IndexError or a NumPy broadcast error
+        A = dual_algebra(make_space(2, 1, [0, 0]))[0]
+        for choice in ((0,), (0, 1, 2)):
+            with pytest.raises(ValueError, match=f"^choice has length {len(choice)}, "
+                                                 "expected 2, one element per D-class$"):
+                lattice_section_to_global(A, LatticeSection(choice))
+
     def test_the_section_check_builds_no_class_table(self):
         # on the 1024-element Boolean algebra (1024 D-classes), with the form,
         # Green's relations and the spectrum built, the check holds rows of

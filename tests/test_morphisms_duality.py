@@ -13,6 +13,7 @@ from helpers import (
     dual_of_hom_oracle,
     enumerate_homs_bruteforce,
     enumerate_homs_search,
+    enumerate_homs_transport_oracle,
     enumerate_space_morphisms_search,
     mixed_space,
     outcome,
@@ -606,8 +607,10 @@ class TestPlainSpaceIsTheRightBand:
 
 
 class TestDualRouteMatchesSearch:
-    """enumerate_homs and algebras_isomorphic go through the spectra; the
-    element-wise backtracking searches in helpers are their oracles."""
+    """enumerate_homs and algebras_isomorphic read per-fiber choices off the
+    two product forms; the element-wise backtracking searches in helpers
+    and the route through the spectra (enumerate_homs_transport_oracle) are
+    their oracles."""
 
     def test_homs_equal_search_on_catalog_pairs(self, catalog):
         for (_, A), (_, B) in itertools.product(catalog, repeat=2):
@@ -648,25 +651,57 @@ class TestDualRouteMatchesSearch:
             assert validate_hom(Homomorphism(A, B, iso)).ok
         assert found > len(algebras) and missing > 20
 
-    def test_transport_builds_no_section_algebra_of_a_spectrum(self):
-        """Homs are read on section labels: after enumerate_homs and after
-        algebras_isomorphic neither spectrum space holds its section
-        algebra, and each hom is still iso_B^-1 . hom_of_space_morphism(m)
-        . iso_A for its space morphism m."""
+    def test_homs_and_isomorphisms_need_no_spectrum(self):
+        """Homs and isomorphisms are read off the two product forms: after
+        enumerate_homs and algebras_isomorphic no algebra holds its
+        spectrum."""
         A = dual_algebra(space_from_fibers((2, 1)))[0]
         B = dual_algebra(random_space(2, 1, seed=5, band=("product", 2, 2)))[0]
         C = renumbered(B, seed=3)
         homs = enumerate_homs(A, B)
         iso = algebras_isomorphic(B, C)
         assert iso is not None and validate_hom(Homomorphism(B, C, iso)).ok
-        spaces = [skew_spectrum(X)[0] for X in (A, B, C)]
-        assert not any("_memo_dual_algebra" in sp.__dict__ for sp in spaces)
-        to_sections = list(algebra_roundtrip_iso(A).map)
-        from_sections = np.argsort(algebra_roundtrip_iso(B).map)
-        expected = sorted(tuple(from_sections[list(hom_of_space_morphism(m).map)]
-                                [to_sections].tolist())
-                          for m in enumerate_space_morphisms(spaces[1], spaces[0]))
-        assert [f.map for f in homs] == expected and len(homs) > 10
+        assert not any("_memo_spectrum_data" in X.__dict__ for X in (A, B, C))
+        assert homs == enumerate_homs_transport_oracle(A, B) and len(homs) > 10
+
+    def test_homs_equal_the_transport_oracle_on_corpus_pairs(self):
+        algebras = corpus_dual_algebras(20)
+        for A, B in itertools.product(algebras, repeat=2):
+            assert enumerate_homs(A, B) == enumerate_homs_transport_oracle(A, B)
+
+    def test_homs_equal_the_transport_oracle_on_mirrored_and_renumbered_copies(self):
+        algebras = corpus_dual_algebras(20)[::4]
+        algebras += [mirror(A) for A in algebras] + [renumbered(A, seed=i)
+                                                     for i, A in enumerate(algebras)]
+        found = 0
+        for A, B in itertools.product(algebras, repeat=2):
+            homs = enumerate_homs(A, B)
+            assert homs == enumerate_homs_transport_oracle(A, B)
+            found += len(homs)
+        assert found > len(algebras) ** 2
+
+    def test_budget_edge_on_four_plain_fibers_of_two(self):
+        # each of the four fibers of B is left out or takes one of A's four
+        # fibers with one of its two bijections: 9^4 choice combinations
+        A = dual_algebra(space_from_fibers((2,) * 4))[0]
+        B = renumbered(A, seed=4)
+        assert (A.n, B.n) == (81, 81)
+        assert len(enumerate_homs(A, B, max_candidates=6561)) == 6561
+        with pytest.raises(SizeCapError, match="more than 6560 candidate assignments"):
+            enumerate_homs(A, B, max_candidates=6560)
+
+    @pytest.mark.parametrize("source, target, count", [
+        ((3, 3, 3), (4, 4), 5329),
+        ((2,) * 4, (2,) * 4, 6561),
+    ], ids=["plain64_plain25", "plain81_plain81"])
+    def test_hom_counts_are_the_closed_form(self, source, target, count):
+        A = dual_algebra(space_from_fibers(source))[0]
+        B = renumbered(dual_algebra(space_from_fibers(target))[0], seed=6)
+        homs = enumerate_homs(A, B)
+        assert len(homs) == count == space_morphism_count(skew_spectrum(B)[0],
+                                                          skew_spectrum(A)[0])
+        assert all(f.map < g.map for f, g in zip(homs, homs[1:]))
+        assert all(validate_hom(f).ok for f in homs[::97])
 
     def test_budget_counts_space_morphism_candidates(self, three):
         # Sk(right3) has one base point with two points over it.  It is left
