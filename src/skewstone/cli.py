@@ -9,6 +9,7 @@ randomness flows from --seed; identical invocations print identical bytes.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -20,6 +21,7 @@ from .core_algebra import (
     EXHAUSTIVE_N,
     SizeCapError,
     StructuralError,
+    _certified_form,
     leq_matrix,
     validate_algebra,
 )
@@ -206,10 +208,14 @@ def cmd_generate(cfg):
 
 
 def _hasse_edges(A):
-    """The covering pairs x < y of the natural order, in C order."""
-    strict = leq_matrix(A) & ~np.eye(A.n, dtype=bool)
-    return [(x, y) for x, y in np.argwhere(strict).tolist()
-            if not (strict[x] & strict[:, y]).any()]
+    """The covering pairs x < y of the natural order of a valid A, in C
+    order, read off the support sizes of A's product form.  x < y forces
+    supp x to be a proper subset of supp y, and y covers x exactly when supp
+    y has one fiber more: with two or more, y restricted to supp x and one
+    of them lies strictly between x and y."""
+    size = (_certified_form(A).digits > 0).sum(axis=1)
+    covers = leq_matrix(A) & (size[None, :] == size[:, None] + 1)
+    return [(x, y) for x, y in np.argwhere(covers).tolist()]
 
 
 def cmd_export_dot(cfg):
@@ -304,5 +310,17 @@ def main(argv=None):
         return 1
 
 
-if __name__ == "__main__":
+def run():
+    """The process entry point of `skewstone`, `python -m skewstone` and
+    `python -m skewstone.cli`.  Everything made at import (numpy's objects
+    and this package's) moves to the collector's permanent generation before
+    the command runs, so neither the command's own collections nor the last
+    one at exit walk it; the command's own objects are collected as before.
+    main(argv) does not freeze: called in process, it would keep whatever
+    cyclic garbage the caller holds."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -556,15 +556,22 @@ def find_lattice_section_oracle(A):
     # per table of A: the class pairs (i, j) with the class q of i . j, as
     # the columns of one (3, k * k) array sorted by the last of i, j and q
     # to be filled, and where the run of each class t starts; a run is
-    # checked when its class is filled
-    r = np.arange(k, dtype=np.int32)
+    # checked when its class is filled.  The triples are int16 while every
+    # class fits, and each table's are built in place, its sort keys freed
+    # before the next table's
+    dtype = np.int16 if k <= np.iinfo(np.int16).max else np.int32
+    r = np.arange(k, dtype=dtype)
     checks = []
-    for op, Q in zip(("meet_table", "join_table"), tables):
-        Q = Q.ravel()
-        last = np.maximum(np.maximum.outer(r, r).ravel(), Q)
-        order = np.argsort(last, kind="stable").astype(np.int32)
-        triples = np.stack((order // k, order % k, Q[order]))
-        starts = np.searchsorted(last[order], np.arange(k + 1)).tolist()
+    for op in ("meet_table", "join_table"):
+        Q = tables.pop(0).ravel()
+        last = np.maximum.outer(r, r).ravel()
+        np.maximum(last, Q, out=last, casting="unsafe")
+        order = np.argsort(last, kind="stable")
+        starts = np.searchsorted(last, np.arange(k + 1), sorter=order).tolist()
+        triples = np.empty((3, k * k), dtype=dtype)
+        np.divmod(order, k, out=(triples[0], triples[1]), casting="unsafe")
+        np.take(Q, order, out=triples[2], mode="clip")   # in range: clip writes unbuffered
+        del Q, last, order
         checks.append((getattr(A, op), triples, starts))
     choice = np.zeros(k, dtype=np.intp)
 
@@ -1076,11 +1083,12 @@ def reflection_check_oracle(sp):
 
 
 def hasse_edges_oracle(A):
-    """Oracle for cli._hasse_edges: x < y with no w strictly between them,
-    in C order."""
-    strict = lambda x, y: x != y and natural_leq(A, x, y)
-    return [(x, y) for x in A.elements for y in A.elements
-            if strict(x, y) and not any(strict(x, w) and strict(w, y) for w in A.elements)]
+    """Oracle for cli._hasse_edges, which reads the covers off the support
+    sizes: the strict pairs x < y of leq_matrix with no w strictly between
+    them, each pair tested against a column, in C order."""
+    strict = leq_matrix(A) & ~np.eye(A.n, dtype=bool)
+    return [(x, y) for x, y in np.argwhere(strict).tolist()
+            if not (strict[x] & strict[:, y]).any()]
 
 
 # ---------------------------------------------------------------------------

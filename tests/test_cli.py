@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import importlib.util
 import io
 import json
@@ -43,6 +44,26 @@ def run(capsys, *argv):
     return code, captured.out
 
 
+def bad_three():
+    """right_three with meet(1, 2) moved to 1: the certificate refuses it
+    at its digits, and the exhaustive report names a failed law."""
+    obj = jsonio.algebra_to_dict(right_three())
+    obj["meet"] = obj["meet"].tolist()
+    obj["meet"][1][2] = 1
+    return obj
+
+
+def bad_left_nine():
+    """A left-banded section algebra on 9 elements with one meet entry
+    moved, and the algebra it was moved from."""
+    good = dual_algebra(random_space(2, 2, 5, "left"))[0]
+    assert good.n == 9
+    bad = jsonio.algebra_to_dict(good)
+    bad["meet"] = bad["meet"].tolist()
+    bad["meet"][1][2] = (bad["meet"][1][2] + 1) % 9
+    return bad, good
+
+
 class TestExitCodes:
     def test_valid_algebra_exits_zero(self, capsys, three_file):
         code, out = run(capsys, "validate", three_file)
@@ -50,11 +71,8 @@ class TestExitCodes:
         assert out.strip() == "ok"
 
     def test_mutated_algebra_exits_one_with_witness(self, capsys, tmp_path):
-        obj = jsonio.algebra_to_dict(right_three())
-        obj["meet"] = obj["meet"].tolist()
-        obj["meet"][1][2] = 1
         path = tmp_path / "bad.json"
-        path.write_text(jsonio.dumps(obj))
+        path.write_text(jsonio.dumps(bad_three()))
         code, out = run(capsys, "validate", str(path))
         assert code == 1
         assert "FAIL" in out and "witness" in out
@@ -161,11 +179,8 @@ class TestExitCodes:
         # --max-size caps only the exhaustive report of an algebra that the
         # certificate refuses: a valid algebra above it still validates
         assert run(capsys, "validate", "--max-size", "2", three_file) == (0, "ok\n")
-        obj = jsonio.algebra_to_dict(right_three())
-        obj["meet"] = obj["meet"].tolist()
-        obj["meet"][1][2] = 1
         path = tmp_path / "bad.json"
-        path.write_text(jsonio.dumps(obj))
+        path.write_text(jsonio.dumps(bad_three()))
         code = main(["validate", "--max-size", "2", str(path)])
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")
@@ -198,11 +213,7 @@ class TestExitCodes:
                                                                    argv):
         # a left-banded algebra on 9 elements with one meet entry moved: every
         # command names the exhaustive report's first failure, and prints nothing
-        good = dual_algebra(random_space(2, 2, 5, "left"))[0]
-        assert good.n == 9
-        bad = jsonio.algebra_to_dict(good)
-        bad["meet"] = bad["meet"].tolist()
-        bad["meet"][1][2] = (bad["meet"][1][2] + 1) % 9
+        bad, good = bad_left_nine()
         files = {"good": jsonio.algebra_to_dict(good), "bad": bad,
                  "bad_to_good": {"map": list(range(9)), "source": "bad.json",
                                  "target": "good.json"},
@@ -388,6 +399,50 @@ class TestDeterminism:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "isomorphic, |A|=3"
+
+
+class TestEntryPoints:
+    """Every process starts in cli.run, which freezes the import-time heap
+    and exits with main's code; main(argv) in process freezes nothing."""
+
+    @pytest.fixture
+    def cases(self, tmp_path, three_file):
+        files = {"bad9.json": bad_left_nine()[0], "bad3.json": bad_three()}
+        for name, obj in files.items():
+            (tmp_path / name).write_text(jsonio.dumps(obj))
+        (tmp_path / "broken.json").write_text("{not json")
+        return {0: ["spectrum", three_file],
+                1: ["spectrum", str(tmp_path / "bad9.json")],
+                2: ["validate", str(tmp_path / "broken.json")],
+                3: ["validate", "--max-size", "2", str(tmp_path / "bad3.json")]}
+
+    @pytest.mark.parametrize("module", ["skewstone", "skewstone.cli"])
+    def test_process_prints_what_main_prints(self, capsys, cases, module):
+        for code, argv in cases.items():
+            assert main(argv) == code
+            captured = capsys.readouterr()
+            proc = subprocess.run([sys.executable, "-m", module, *argv],
+                                  capture_output=True, text=True, timeout=60)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                code, captured.out, captured.err)
+
+    def test_run_freezes_the_import_time_heap(self, three_file):
+        script = ("import gc, sys\n"
+                  "from skewstone.cli import run\n"
+                  "before = gc.get_freeze_count()\n"
+                  "sys.argv[1:] = ['validate', sys.argv[1]]\n"
+                  "try:\n"
+                  "    run()\n"
+                  "except SystemExit as exc:\n"
+                  "    print(exc.code, before, gc.get_freeze_count() > 0)\n")
+        proc = subprocess.run([sys.executable, "-c", script, three_file],
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.stdout, proc.stderr) == ("ok\n0 0 True\n", "")
+
+    def test_main_freezes_nothing(self, capsys, three_file):
+        before = gc.get_freeze_count()
+        assert run(capsys, "validate", three_file) == (0, "ok\n")
+        assert gc.get_freeze_count() == before
 
 
 class TestInterchangeFormats:

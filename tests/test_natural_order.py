@@ -2,15 +2,16 @@
 which the certificate, the exhaustive report and export-dot read; on a
 certified algebra the generated ideals, is_ideal, classify_hom and
 reflection_check read the order and the preorder off the product form
-instead, and no preorder array is held.  Each reader is checked against
+instead, and no preorder array is held; export-dot reads the covers of
+the order off the form's support sizes.  Each reader is checked against
 the pairwise loop it replaced, kept as an oracle in helpers: the generated
 ideals, classify_hom, reflection_check and the Hasse edges of export-dot
 give equal results, and raise the same exception types with the same
 messages, on the catalog, seeded section algebras of every band kind and
 spaces whose bands are not rectangular; on an algebra the certificate
 refuses (one-entry mutants, section algebras of those spaces), the
-generated ideals and reflection_check raise the certificate's refusal
-instead."""
+generated ideals, reflection_check and the Hasse edges raise the
+certificate's refusal instead."""
 
 import random
 
@@ -23,12 +24,15 @@ from helpers import (
     corpus_spaces,
     hasse_edges_oracle,
     leq_ideal_generated_oracle,
+    mixed_space,
     outcome,
     preceq_ideal_generated_oracle,
     reflection_check_oracle,
     refusal,
     retabled,
+    round_trip_algebras,
     small_test_algebras,
+    space_from_fibers,
 )
 from skewstone import (
     HomFlags,
@@ -114,10 +118,28 @@ def test_generators_must_be_elements(algebras):
 
 
 def test_hasse_edges_match_the_loop(algebras):
+    refused = 0
     for A in algebras + list(mutants(algebras, 40, 7)):
+        if _certificate(A) is not None:
+            assert outcome(_hasse_edges, A) == refusal(A)
+            refused += 1
+            continue
         edges = _hasse_edges(A)
         assert edges == hasse_edges_oracle(A)
-        assert all(type(v) is int for edge in edges for v in edge)
+        assert all(type(edge) is tuple and type(v) is int for edge in edges for v in edge)
+    assert refused > 0
+
+
+def test_hasse_edges_are_read_off_the_support_sizes():
+    """Every catalog and corpus algebra (all four band kinds), the Boolean
+    algebras of 0 to 10 atoms, the benchmark ladder's shapes, two spaces of
+    mixed bands (n = 40 and 45) and plain fibers (3, 3, 3, 3, 3), n = 1024."""
+    mixed = [mixed_space(grids, seed=i) for i, grids in enumerate((
+        [(1, 3), (2, 2), (1, 1)], [(2, 1), (1, 2), (2, 2)]))]
+    extra = [dual_algebra(sp)[0] for sp in mixed + [space_from_fibers((3,) * 5)]]
+    assert [A.n for A in extra] == [40, 45, 1024]
+    for A in round_trip_algebras(200) + extra:
+        assert _hasse_edges(A) == hasse_edges_oracle(A)
 
 
 def test_classify_hom_matches_the_loop():
