@@ -132,7 +132,8 @@ def fiber_bands(sp):
             table = np.tile(np.arange(len(f)), (len(f), 1))
         else:
             pos = {e: i for i, e in enumerate(f)}
-            table = np.array([[pos[sp.band[x][y]] for y in f] for x in f], dtype=np.intp)
+            table = np.array([[pos[sp.band[x][y]] for y in f] for x in f],
+                             dtype=np.intp).reshape(len(f), len(f))
         table.setflags(write=False)
         out.append(table)
     return tuple(out)

@@ -298,22 +298,12 @@ def enumerate_space_morphisms(sp, tp, max_candidates=MAX_CANDIDATES):
 
     Over x sent to y, g inverts an injective band map from the fiber over y
     into the one over x, one of the choices of _choices.  Each combination
-    of these choices is one candidate, and each is built and valid; past
-    max_candidates SizeCapError is raised before any is built.  A band
-    that is not rectangular raises ValueError.
+    of these choices is one candidate, and each is built (_space_morphism)
+    and valid; past max_candidates SizeCapError is raised before any is
+    built.  A band that is not rectangular raises ValueError.
     """
-    src, tgt = fibers(sp), fibers(tp)
-    pieces = [[None] + [(y, list(zip(np.take(f, at).tolist(), tgt[y]))) for y, at in choices[1:]]
-              for f, choices in zip(src, _choices(fiber_bands(sp), fiber_bands(tp),
-                                                  max_candidates))]
-    out = []
-    for combo in product(*pieces):
-        h, g = {}, {}
-        for x, piece in enumerate(combo):
-            if piece is not None:
-                h[x] = piece[0]
-                g.update(piece[1])
-        out.append(SpaceMorphism(sp, tp, partial_map(g), partial_map(h)))
+    out = [_space_morphism(sp, tp, pieces) for pieces in product(
+        *_choices(fiber_bands(sp), fiber_bands(tp), max_candidates))]
     return tuple(sorted(out, key=lambda m: (m.h.domain, m.h.values, m.g.domain, m.g.values)))
 
 
@@ -334,25 +324,63 @@ def spaces_isomorphic(sp1, sp2):
     """Isomorphism (total E-bijection over a base bijection, preserving bands,
     a plain space's read as the right band) between two spaces, as (g, h), or None.
 
-    Fibers and their points are matched by _band_isomorphism; the result is
-    checked with validate_space_morphism.  A band that is not rectangular
-    raises ValueError.
+    Fibers and their points are matched by _band_isomorphism, which keeps
+    each point's (row, column), so every fiber goes onto its match through
+    a band isomorphism and the morphism built from the matches
+    (_space_morphism) is valid.  A band that is not rectangular raises
+    ValueError.
     """
     if (sp1.size_e, sp1.size_b) != (sp2.size_e, sp2.size_b):
         return None
     matched = _band_isomorphism(*(_rectangles(fiber_bands(sp)) for sp in (sp1, sp2)))
     if matched is None:
         return None
-    fib1, fib2 = fibers(sp1), fibers(sp2)
-    g_base = [0] * sp1.size_b
-    g_total = [0] * sp1.size_e
+    pieces = [None] * sp1.size_b
     for b1, b2, at in matched:
-        g_base[b1] = b2
-        for e, i in zip(fib1[b1], at.tolist()):
-            g_total[e] = fib2[b2][i]
-    m = SpaceMorphism(sp1, sp2, PartialMap(tuple(range(sp1.size_e)), tuple(g_total)),
-                      PartialMap(tuple(range(sp1.size_b)), tuple(g_base)))
-    return (m.g.values, m.h.values) if validate_space_morphism(m).ok else None
+        pieces[b1] = (b2, np.argsort(at))
+    m = _space_morphism(sp1, sp2, pieces)
+    return m.g.values, m.h.values
+
+
+def _space_morphism(sp, tp, pieces):
+    """The space morphism sp -> tp of one choice per base point x of sp, in
+    the form _fiber_maps reads: None leaves x out of h, and (t, at) sends x
+    to t and the point at at[i] of x's fiber to point i of t's fiber."""
+    src, tgt = fibers(sp), fibers(tp)
+    g, h = {}, {}
+    for x, piece in enumerate(pieces):
+        if piece is not None:
+            t, at = piece
+            h[x] = t
+            g.update((src[x][i], e) for i, e in zip(at.tolist(), tgt[t]))
+    return SpaceMorphism(sp, tp, partial_map(g), partial_map(h))
+
+
+def _fiber_maps(m):
+    """m : sp -> tp read in _choices form, as one entry per base point x of
+    sp: None outside dom h, else (h(x), at) with at[i] the position in x's
+    fiber of the point that g sends to point i of h(x)'s fiber.
+    RuntimeError unless g is a bijection from its piece over each x in
+    dom h onto the fiber over h(x), keeps the band there
+    (band_x[at, at] == at[band_t], a plain fiber's band being the right
+    band), and is defined over no other point: the three conditions of
+    validate_space_morphism.  StructuralError if a map leaves its space."""
+    sp, tp = m.source, m.target
+    _check_in_range(m)
+    g = m.g.as_dict()
+    pieces = [None] * sp.size_b
+    for x, t in zip(m.h.domain, m.h.values):
+        kept = [i for i, y in enumerate(fibers(sp)[x]) if y in g]
+        image = [g[fibers(sp)[x][i]] for i in kept]
+        if sorted(image) != list(fibers(tp)[t]):
+            raise RuntimeError(f"g is not one to one from the piece over {x} onto the fiber over {t}")
+        at = np.array(kept, dtype=np.intp)[np.argsort(image)]
+        if not np.array_equal(fiber_bands(sp)[x][np.ix_(at, at)], at[fiber_bands(tp)[t]]):
+            raise RuntimeError(f"g does not keep the band over {x}")
+        pieces[x] = (t, at)
+    if len(g) != sum(len(fibers(tp)[t]) for t in m.h.values):
+        raise RuntimeError("g is defined over a base point outside the domain of h")
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -395,37 +423,31 @@ def dual_of_hom(f):
 
 def hom_of_space_morphism(m):
     """Dual homomorphism (sections of target) -> (sections of source) acting
-    by preimage under g (_preimages), checked with validate_hom."""
-    f = Homomorphism(dual_algebra(m.target)[0], dual_algebra(m.source)[0],
-                     tuple(_preimages(m).tolist()))
-    report = validate_hom(f)
-    if not report.ok:
-        raise RuntimeError(f"dual homomorphism invalid: {report.failures}")
-    return f
+    by preimage under g, one gather of the target's section rows
+    (_section_rows).  m is read by _fiber_maps, which raises RuntimeError
+    unless it is a valid space morphism.  Over x in dom h the preimage's
+    digit is 1 + at[i] where the section's digit at h(x) is 1 + i, and 0
+    where that digit is 0; outside dom h it is 0.  That map is a
+    homomorphism, by the digitwise argument of enumerate_homs:
 
+    - dual_algebra builds both section algebras as products on the digit
+      rows, so each computes every operation digitwise.
+    - Each at is an injective band map (_fiber_maps), and with 0 fixed it
+      keeps the band, presence (digit 0) and equality of digits, so the
+      digit at x of the preimage of s * r is that of the preimage of s
+      times that of the preimage of r.  A digit outside dom h is the
+      constant 0, which each operation keeps.  The empty section, the
+      zero, goes to the empty section.
 
-def _preimages(m):
-    """The label of the g-preimage of each target section, one gather of the
-    section rows: over x in dom h the source digit is the g-preimage of the
-    target's digit at h(x), elsewhere 0.  RuntimeError unless g lies over h
-    and is a bijection from its piece over each x in dom h onto the fiber
-    over h(x); StructuralError if a map leaves its space."""
-    sp, tp = m.source, m.target
-    _check_in_range(m)
-    (_, radix, rank, src_digit), (tgt_rows, _, _, tgt_digit) = map(_section_rows, (sp, tp))
-    h = m.h.as_dict()
-    inverse = {x: [0] * (1 + len(fibers(tp)[hx])) for x, hx in h.items()}
-    for y, gy in zip(m.g.domain, m.g.values):
-        x = sp.p[y]
-        if x not in h or tp.p[gy] != h[x] or inverse[x][tgt_digit[gy]]:
-            raise RuntimeError(f"g at {y} does not go one to one into the fiber over h({x})")
-        inverse[x][tgt_digit[gy]] = int(src_digit[y])
+    So the map is checked on no table of either algebra."""
+    pieces = _fiber_maps(m)
+    (_, radix, rank, _), (tgt_rows, _, _, _) = _section_rows(m.source), _section_rows(m.target)
     code = np.zeros(len(tgt_rows), dtype=np.int64)
-    for x, inv in inverse.items():
-        if not all(inv[1:]):
-            raise RuntimeError(f"g does not reach every point over {h[x]} from {x}")
-        code += np.take(inv, tgt_rows[:, h[x]]) * radix[x]
-    return rank[code]
+    for x, piece in enumerate(pieces):
+        if piece is not None:
+            code += np.r_[0, 1 + piece[1]][tgt_rows[:, piece[0]]] * radix[x]
+    return Homomorphism(dual_algebra(m.target)[0], dual_algebra(m.source)[0],
+                        tuple(rank[code].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -638,20 +660,31 @@ def classify_space_morphism(m):
     """Totality, semitotality, saturation of the domain, and the section
     lifting property: for every U in the target base, the g-preimages of
     the sections over exactly U cover the sections over exactly h^-1(U).
-    m must be valid (RuntimeError otherwise, see _preimages)."""
+    m must be valid (RuntimeError otherwise, see _fiber_maps).
+
+    Section lifting is a count.  A section over exactly U picks a point
+    over each t in U, independently, and its preimage picks, over each x
+    with h(x) = t, the point at[i] for the point i it picks over t.  So
+    lifting at U is the product over t in U of one map per t, from the
+    fiber over t into the product of the fibers over h^-1(t), and holds at
+    every U exactly when each of these maps is onto (taking U = {t}; a
+    product of onto maps is onto).  Over t in the image of h the map is
+    one to one, as each at is, so it is onto exactly when |fiber(t)| is
+    the product of |fiber(x)| over h(x) = t.  Over any other t it goes
+    onto the one empty choice exactly when the fiber over t has a point."""
     sp, tp = m.source, m.target
+    _fiber_maps(m)
     total = len(m.g.domain) == sp.size_e and len(m.h.domain) == sp.size_b
     semitotal = len(m.h.domain) == sp.size_b
-    h = m.h.as_dict()
-    saturated = set(m.g.domain) == {y for y in range(sp.size_e) if sp.p[y] in h}
-    # U is the code of its 0/1 digit row; a valid m sends a section over U to
-    # one over h^-1(U), and those pairs number prod_t (1 + prod_{h(x)=t} |fiber(x)|)
-    rows, radix, _, _ = _section_rows(tp)
-    pairs = set(zip(((rows > 0) @ radix).tolist(), _preimages(m).tolist()))
-    needed = math.prod(1 + math.prod(len(fibers(sp)[x]) for x, hx in h.items() if hx == t)
-                       for t in range(tp.size_b))
+    # g lies over h, so it is defined at every point over dom h when it has as many
+    saturated = len(m.g.domain) == sum(len(fibers(sp)[x]) for x in m.h.domain)
+    over = {}                                   # t in the image: prod |fiber(x)|, h(x) = t
+    for x, t in zip(m.h.domain, m.h.values):
+        over[t] = over.get(t, 1) * len(fibers(sp)[x])
+    lifting = all(len(f) == over[t] if t in over else len(f) > 0
+                  for t, f in enumerate(fibers(tp)))
     return SpaceMorphismFlags(total=total, semitotal=semitotal, saturated=saturated,
-                              section_lifting=len(pairs) == needed)
+                              section_lifting=lifting)
 
 
 def is_partial_identity_up_to_iso(m):

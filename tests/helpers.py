@@ -354,8 +354,9 @@ def enumerate_homs_transport_oracle(A, B, max_candidates=MAX_CANDIDATES):
     """Oracle for enumerate_homs, the route through the spectra: each space
     morphism m : Sk(B) -> Sk(A) gives iso_B^-1 . hom_of_space_morphism(m)
     . iso_A, with iso_A and iso_B the algebra round-trip isomorphisms and
-    hom_of_space_morphism checking its map with validate_hom; the result is
-    in lexicographic map order."""
+    hom_of_space_morphism a gather of the section rows through m's fiber
+    maps, a homomorphism by the digitwise argument in its docstring (no
+    table is checked); the result is in lexicographic map order."""
     to_sections = list(algebra_roundtrip_iso(A).map)
     from_sections = np.argsort(algebra_roundtrip_iso(B).map)
     morphisms = enumerate_space_morphisms(skew_spectrum(B)[0], skew_spectrum(A)[0],

@@ -1,9 +1,11 @@
 """Sections as digit rows: the label order and the section algebra made from
-the rows, and the preimage gathers of hom_of_space_morphism and
+the rows, and the space morphisms read as per-fiber band maps: the preimage
+gather of hom_of_space_morphism and the section-lifting count of
 classify_space_morphism, each against an independent oracle."""
 
 import itertools
 import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 import test_morphisms_duality
 from helpers import (
+    band_shape_oracle,
     classify_space_morphism_oracle,
     hom_of_space_morphism_oracle,
     mixed_space,
@@ -21,14 +24,17 @@ from helpers import (
 from skewstone import (
     SizeCapError,
     SpaceMorphism,
+    SpaceMorphismFlags,
     classify_space_morphism,
     dual_algebra,
     enumerate_sections,
     enumerate_space_morphisms,
     hom_of_space_morphism,
+    identity_space_morphism,
     make_space,
     random_space,
     skew_spectrum,
+    validate_space_morphism,
 )
 from skewstone.ideals_spectra import fibers
 from skewstone.spaces_sections import _section_rows, partial_map
@@ -110,8 +116,10 @@ def catalog_spectra():
 
 
 class TestMorphismGathers:
-    """hom_of_space_morphism and classify_space_morphism read preimages off
-    the section rows; the tuple loops they replaced are their oracles."""
+    """hom_of_space_morphism and classify_space_morphism read a morphism as
+    one band map per fiber (_fiber_maps): the first gathers preimages off
+    the section rows, the second counts fiber sizes for section lifting.
+    The tuple loops they replaced are their oracles."""
 
     @pytest.mark.parametrize("spaces", [catalog_spectra, row_column_spaces],
                              ids=["catalog_spectra", "row_column_pairs"])
@@ -129,9 +137,12 @@ class TestMorphismGathers:
 
     @staticmethod
     def broken(kind, m, rng):
-        """m with one of the three conditions broken, or None if it cannot be:
+        """m with one of the four conditions broken, or None if it cannot be:
         g defined over a base point outside dom h, a square that does not
-        commute, or g not a bijection from a piece onto its target fiber."""
+        commute, g not a bijection from a piece onto its target fiber, or
+        a band that g does not keep: two g-values swapped in a piece over a
+        fiber of two rows and two columns or more, kept only when
+        validate_space_morphism refuses the swap."""
         sp, tp = m.source, m.target
         g, h = m.g.as_dict(), m.h.as_dict()
         if kind == "outside_dom_h":
@@ -145,7 +156,7 @@ class TestMorphismGathers:
             if not other:
                 return None
             g[y] = rng.choice(other)
-        else:
+        elif kind == "bijection":
             if not g:
                 return None
             y = rng.choice(sorted(g))
@@ -154,16 +165,32 @@ class TestMorphismGathers:
                 g[y] = g[rng.choice(same)]               # not injective
             else:
                 del g[y]                                 # misses a point
+        else:
+            two_sided = [x for x, t in sorted(h.items())
+                         if min(band_shape_oracle(tp, fibers(tp)[t])) > 1]
+            if not two_sided:
+                return None
+            x = rng.choice(two_sided)
+            y1, y2 = rng.sample([y for y in sorted(g) if sp.p[y] == x], 2)
+            g[y1], g[y2] = g[y2], g[y1]
+            swapped = SpaceMorphism(sp, tp, partial_map(g), partial_map(h))
+            return None if validate_space_morphism(swapped).ok else swapped
         return SpaceMorphism(sp, tp, partial_map(g), partial_map(h))
 
-    @pytest.mark.parametrize("kind", ["outside_dom_h", "square", "bijection"])
+    @pytest.mark.parametrize("kind", ["outside_dom_h", "square", "bijection", "band"])
     def test_broken_morphisms_raise_as_the_oracle(self, kind):
         rng = random.Random(kind)
         spaces = row_column_spaces()
         tried = 0
         for sp, tp in itertools.product(spaces, repeat=2):
             morphisms = enumerate_space_morphisms(sp, tp)
-            for m in rng.sample(morphisms, min(3, len(morphisms))):
+            if kind == "band":
+                # few morphisms reach a two-sided fiber, and each of those
+                # has six swaps or more: try three on every morphism
+                morphisms = morphisms * 3
+            else:
+                morphisms = rng.sample(morphisms, min(3, len(morphisms)))
+            for m in morphisms:
                 bad = self.broken(kind, m, rng)
                 if bad is None:
                     continue
@@ -194,3 +221,51 @@ class TestMorphismGathers:
                     assert hom_of_space_morphism(m).map == expected
                     kept += 1
         assert raised > 0 and kept > 0
+
+    def test_empty_fibers_match_the_oracles(self):
+        # every partial map between spaces with empty fibers, which
+        # validate_space refuses (p is not onto) but the morphism functions
+        # take: a target base point outside the image of h lifts only if
+        # its fiber has a point
+        spaces = [make_space(2, 3, [0, 2]), make_space(3, 3, [0, 0, 2]), make_space(1, 2, [1]),
+                  make_space(0, 1, []), make_space(2, 2, [0, 1]),
+                  make_space(2, 2, [0, 0], band=[[0, 1], [0, 1]])]
+        valid = lifting = 0
+        for sp, tp in itertools.product(spaces, repeat=2):
+            for h_choice in product([None, *range(tp.size_b)], repeat=sp.size_b):
+                h = {x: t for x, t in enumerate(h_choice) if t is not None}
+                for g_choice in product(*[(None, *fibers(tp)[h[x]]) if x in h else (None,)
+                                          for x in sp.p]):
+                    g = {y: e for y, e in enumerate(g_choice) if e is not None}
+                    m = SpaceMorphism(sp, tp, partial_map(g), partial_map(h))
+                    if not validate_space_morphism(m).ok:
+                        with pytest.raises(RuntimeError):
+                            classify_space_morphism(m)
+                        continue
+                    flags = classify_space_morphism(m)
+                    assert flags == classify_space_morphism_oracle(m)
+                    assert hom_of_space_morphism(m).map == hom_of_space_morphism_oracle(m).map
+                    valid += 1
+                    lifting += flags.section_lifting
+        assert 0 < lifting < valid
+
+    def test_dual_of_the_identity_makes_no_square_array(self):
+        # five plain fibers of three (n = 1024), the algebra built first: the
+        # identity's dual is one gather of the rows, with no 1024 x 1024
+        # array (4 MiB as int32) and no check of the tables
+        sp = make_space(15, 5, [b for b in range(5) for _ in range(3)])
+        A = dual_algebra(sp)[0]
+        tracemalloc.start()
+        try:
+            f = hom_of_space_morphism(identity_space_morphism(sp))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.map == tuple(range(A.n)) == tuple(range(1024))
+        assert peak < 2 ** 20
+
+    def test_lifting_past_the_section_cap(self):
+        # fibers of 16 and 240 points: the identity has 17 * 241 = 4097
+        # target sections, and its flags need none of them
+        m = identity_space_morphism(space_from_fibers((16, 240)))
+        assert classify_space_morphism(m) == SpaceMorphismFlags(True, True, True, True)
