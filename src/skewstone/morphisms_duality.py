@@ -3,7 +3,9 @@
 A space morphism (g, h) : p -> p' is a commuting square of partial maps in
 which g restricts to a bijection from each fiber piece onto the fiber over
 the image base point, and preserves the band, a plain space's band being
-the right band x y = y.
+the right band x y = y.  One pass (_decoded) decides and reports all three
+conditions, reading a morphism as one band map per fiber; every check of
+a space morphism, validate_space_morphism among them, is that pass.
 The dual of a homomorphism acts by preimages; the dual of a space morphism
 acts on sections by preimage under g.
 """
@@ -208,36 +210,79 @@ def _maps(A, B, choices):
 # ---------------------------------------------------------------------------
 
 def validate_space_morphism(m):
-    """Check the commuting square, fiber bijectivity, and band preservation.
-    A plain space's band is read as the right band x y = y, the one its
-    section algebra uses, so a morphism between two plain spaces always
-    preserves it."""
+    """Check the commuting square, fiber bijectivity, and band preservation,
+    in that order (_decoded).  A plain space's band is read as the right
+    band x y = y, the one its section algebra uses, so a morphism between
+    two plain spaces always preserves it."""
+    failures = _decoded(m)[1]
+    return ValidationReport(ok=not failures, failures=failures)
+
+
+def _decoded(m):
+    """m : sp -> tp read in _choices form, with every failure of the three
+    conditions, as (pieces, failures).  pieces has one entry per base point
+    x of sp: (h(x), at) where x passes, at[i] the position in x's fiber of
+    the point that g sends to point i of h(x)'s fiber, and None elsewhere.
+    failures names square_commutes for each y in dom g that g does not
+    send into the fiber over h(p(y)), by y; fiber_bijection for each x in
+    dom h whose piece g does not map one to one onto the fiber over h(x),
+    by x; and band_preserved for each pair (y1, y2) in dom g over one base
+    point whose product g leaves undefined or does not send to g(y1) g(y2),
+    in C order.
+
+    A piece that g maps one to one onto its fiber keeps the band exactly
+    when band_x[at, at] == at[band_t], one comparison per fiber, and then
+    no pair in it fails.  Pairs are listed (_band_failures) only over a
+    base point that fails that test or that g reaches outside dom h.
+    StructuralError if a map leaves its space."""
     sp, tp = m.source, m.target
-    _check_in_range(m)
-    failures = []
-    g, h = m.g.as_dict(), m.h.as_dict()
-    for y, gy in g.items():
-        if sp.p[y] not in h or tp.p[gy] != h[sp.p[y]]:
-            failures.append(("square_commutes", (y,)))
-    for x, hx in h.items():
-        # the sorted image of the piece over x, repeats kept, is the fiber over hx
-        if sorted(g[y] for y in fibers(sp)[x] if y in g) != list(fibers(tp)[hx]):
-            failures.append(("fiber_bijection", (x,)))
-    if sp.band is not None or tp.band is not None:
-        band = lambda space, x, y: y if space.band is None else space.band[x][y]
-        for y1 in g:
-            for y2 in (y for y in fibers(sp)[sp.p[y1]] if y in g):
-                v = band(sp, y1, y2)
-                if v not in g or g[v] != band(tp, g[y1], g[y2]):
-                    failures.append(("band_preserved", (y1, y2)))
-    return ValidationReport(ok=not failures, failures=tuple(failures))
-
-
-def _check_in_range(m):
-    sizes = ((m.g.domain, m.source.size_e), (m.g.values, m.target.size_e),
-             (m.h.domain, m.source.size_b), (m.h.values, m.target.size_b))
+    sizes = ((m.g.domain, sp.size_e), (m.g.values, tp.size_e),
+             (m.h.domain, sp.size_b), (m.h.values, tp.size_b))
     if any(not 0 <= v < size for values, size in sizes for v in values):
         raise StructuralError("morphism maps reference out-of-range points")
+    g, h = m.g.as_dict(), m.h.as_dict()
+    square = [y for y, e in g.items() if tp.p[e] != h.get(sp.p[y])]
+    failures, pairs = [("square_commutes", (y,)) for y in square], []
+    pieces = [None] * sp.size_b
+    for x in sorted(h.keys() | {sp.p[y] for y in square}):
+        if x in h:
+            image = sorted((g[y], i) for i, y in enumerate(fibers(sp)[x]) if y in g)
+            at = np.array([i for _, i in image], dtype=np.intp)
+            if [e for e, _ in image] != list(fibers(tp)[h[x]]):
+                failures.append(("fiber_bijection", (x,)))
+            elif (fiber_bands(sp)[x][at[:, None], at] == at[fiber_bands(tp)[h[x]]]).all():
+                pieces[x] = (h[x], at)
+                continue
+        pairs += _band_failures(sp, tp, g, x)
+    return pieces, tuple(failures + [("band_preserved", pair) for pair in sorted(pairs)])
+
+
+def _band_failures(sp, tp, g, x):
+    """The pairs (y1, y2) of points over x in dom g such that g is not
+    defined at y1 y2 or does not send it to g(y1) g(y2).  In a banded
+    target two points of different fibers have no product; in a plain one
+    their product is the right band's, g(y2)."""
+    fiber = np.array(fibers(sp)[x], dtype=np.intp)
+    gx = np.array([g.get(y, -1) for y in fiber.tolist()], dtype=np.intp)
+    kept = np.flatnonzero(gx >= 0)
+    image, got = gx[kept], gx[fiber_bands(sp)[x][np.ix_(kept, kept)]]
+    want = np.tile(image, (len(image), 1)) if tp.band is None else np.full_like(got, -1)
+    over = np.take(tp.p, image)
+    for t in set(over.tolist()):
+        i = np.flatnonzero(over == t)
+        at = np.searchsorted(fibers(tp)[t], image[i])
+        want[np.ix_(i, i)] = np.take(fibers(tp)[t], fiber_bands(tp)[t][np.ix_(at, at)])
+    r, c = np.nonzero((got < 0) | (got != want))
+    return list(zip(fiber[kept[r]].tolist(), fiber[kept[c]].tolist()))
+
+
+def _pieces(m):
+    """The pieces of _decoded; RuntimeError naming the first failure unless
+    m is a valid space morphism."""
+    pieces, failures = _decoded(m)
+    if failures:
+        raise RuntimeError(f"invalid space morphism: {failures[0]}")
+    return pieces
 
 
 def identity_space_morphism(sp):
@@ -302,8 +347,9 @@ def enumerate_space_morphisms(sp, tp, max_candidates=MAX_CANDIDATES):
     and valid; past max_candidates SizeCapError is raised before any is
     built.  A band that is not rectangular raises ValueError.
     """
-    out = [_space_morphism(sp, tp, pieces) for pieces in product(
-        *_choices(fiber_bands(sp), fiber_bands(tp), max_candidates))]
+    choices = [[c if c is None else (c[0], c[1].tolist()) for c in options]
+               for options in _choices(fiber_bands(sp), fiber_bands(tp), max_candidates)]
+    out = [_space_morphism(sp, tp, pieces) for pieces in product(*choices)]
     return tuple(sorted(out, key=lambda m: (m.h.domain, m.h.values, m.g.domain, m.g.values)))
 
 
@@ -337,50 +383,24 @@ def spaces_isomorphic(sp1, sp2):
         return None
     pieces = [None] * sp1.size_b
     for b1, b2, at in matched:
-        pieces[b1] = (b2, np.argsort(at))
+        pieces[b1] = (b2, np.argsort(at).tolist())
     m = _space_morphism(sp1, sp2, pieces)
     return m.g.values, m.h.values
 
 
 def _space_morphism(sp, tp, pieces):
     """The space morphism sp -> tp of one choice per base point x of sp, in
-    the form _fiber_maps reads: None leaves x out of h, and (t, at) sends x
-    to t and the point at at[i] of x's fiber to point i of t's fiber."""
+    the form _decoded reads, with at a list of ints: None leaves x out of
+    h, and (t, at) sends x to t and the point at at[i] of x's fiber to
+    point i of t's fiber."""
     src, tgt = fibers(sp), fibers(tp)
     g, h = {}, {}
     for x, piece in enumerate(pieces):
         if piece is not None:
             t, at = piece
             h[x] = t
-            g.update((src[x][i], e) for i, e in zip(at.tolist(), tgt[t]))
+            g.update((src[x][i], e) for i, e in zip(at, tgt[t]))
     return SpaceMorphism(sp, tp, partial_map(g), partial_map(h))
-
-
-def _fiber_maps(m):
-    """m : sp -> tp read in _choices form, as one entry per base point x of
-    sp: None outside dom h, else (h(x), at) with at[i] the position in x's
-    fiber of the point that g sends to point i of h(x)'s fiber.
-    RuntimeError unless g is a bijection from its piece over each x in
-    dom h onto the fiber over h(x), keeps the band there
-    (band_x[at, at] == at[band_t], a plain fiber's band being the right
-    band), and is defined over no other point: the three conditions of
-    validate_space_morphism.  StructuralError if a map leaves its space."""
-    sp, tp = m.source, m.target
-    _check_in_range(m)
-    g = m.g.as_dict()
-    pieces = [None] * sp.size_b
-    for x, t in zip(m.h.domain, m.h.values):
-        kept = [i for i, y in enumerate(fibers(sp)[x]) if y in g]
-        image = [g[fibers(sp)[x][i]] for i in kept]
-        if sorted(image) != list(fibers(tp)[t]):
-            raise RuntimeError(f"g is not one to one from the piece over {x} onto the fiber over {t}")
-        at = np.array(kept, dtype=np.intp)[np.argsort(image)]
-        if not np.array_equal(fiber_bands(sp)[x][np.ix_(at, at)], at[fiber_bands(tp)[t]]):
-            raise RuntimeError(f"g does not keep the band over {x}")
-        pieces[x] = (t, at)
-    if len(g) != sum(len(fibers(tp)[t]) for t in m.h.values):
-        raise RuntimeError("g is defined over a base point outside the domain of h")
-    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -424,15 +444,15 @@ def dual_of_hom(f):
 def hom_of_space_morphism(m):
     """Dual homomorphism (sections of target) -> (sections of source) acting
     by preimage under g, one gather of the target's section rows
-    (_section_rows).  m is read by _fiber_maps, which raises RuntimeError
-    unless it is a valid space morphism.  Over x in dom h the preimage's
-    digit is 1 + at[i] where the section's digit at h(x) is 1 + i, and 0
-    where that digit is 0; outside dom h it is 0.  That map is a
+    (_section_rows).  m is read by _decoded, and RuntimeError names its
+    first failure unless it is a valid space morphism.  Over x in dom h
+    the preimage's digit is 1 + at[i] where the section's digit at h(x) is
+    1 + i, and 0 where that digit is 0; outside dom h it is 0.  That map is a
     homomorphism, by the digitwise argument of enumerate_homs:
 
     - dual_algebra builds both section algebras as products on the digit
       rows, so each computes every operation digitwise.
-    - Each at is an injective band map (_fiber_maps), and with 0 fixed it
+    - Each at is an injective band map (_decoded), and with 0 fixed it
       keeps the band, presence (digit 0) and equality of digits, so the
       digit at x of the preimage of s * r is that of the preimage of s
       times that of the preimage of r.  A digit outside dom h is the
@@ -440,7 +460,7 @@ def hom_of_space_morphism(m):
       zero, goes to the empty section.
 
     So the map is checked on no table of either algebra."""
-    pieces = _fiber_maps(m)
+    pieces = _pieces(m)
     (_, radix, rank, _), (tgt_rows, _, _, _) = _section_rows(m.source), _section_rows(m.target)
     code = np.zeros(len(tgt_rows), dtype=np.int64)
     for x, piece in enumerate(pieces):
@@ -633,7 +653,12 @@ def restrict_space(sp, e_subset, b_subset):
 def decompose_morphism(m):
     """Split a morphism into a partial identity onto the restriction to its
     domains, followed by a total morphism out of it (total and bijective on
-    fibers, hence a pullback square).  Their composite is the original."""
+    fibers, hence a pullback square).  Their composite is the original.
+    ValueError naming the first failure unless m is a valid space morphism;
+    then both parts are valid, and the second total, by construction."""
+    failures = validate_space_morphism(m).failures
+    if failures:
+        raise ValueError(f"input morphism is invalid: {failures[0]}")
     sub, e_list, b_list = restrict_space(m.source, m.g.domain, m.h.domain)
     e_pos = {e: i for i, e in enumerate(e_list)}
     b_pos = {b: i for i, b in enumerate(b_list)}
@@ -645,12 +670,6 @@ def decompose_morphism(m):
         sub, m.target,
         PartialMap(tuple(range(len(e_list))), m.g.values),
         PartialMap(tuple(range(len(b_list))), m.h.values))
-    for part in (part_identity, pullback_part):
-        report = validate_space_morphism(part)
-        if not report.ok:
-            raise RuntimeError(f"decomposition component invalid: {report.failures}")
-    if len(pullback_part.g.domain) != sub.size_e or len(pullback_part.h.domain) != sub.size_b:
-        raise RuntimeError("second component of the decomposition is not total")
     if compose_space_morphisms(pullback_part, part_identity) != m:
         raise RuntimeError("decomposition does not compose back to the morphism")
     return part_identity, pullback_part
@@ -660,7 +679,7 @@ def classify_space_morphism(m):
     """Totality, semitotality, saturation of the domain, and the section
     lifting property: for every U in the target base, the g-preimages of
     the sections over exactly U cover the sections over exactly h^-1(U).
-    m must be valid (RuntimeError otherwise, see _fiber_maps).
+    m must be valid (RuntimeError otherwise, naming _decoded's first failure).
 
     Section lifting is a count.  A section over exactly U picks a point
     over each t in U, independently, and its preimage picks, over each x
@@ -673,7 +692,7 @@ def classify_space_morphism(m):
     the product of |fiber(x)| over h(x) = t.  Over any other t it goes
     onto the one empty choice exactly when the fiber over t has a point."""
     sp, tp = m.source, m.target
-    _fiber_maps(m)
+    _pieces(m)
     total = len(m.g.domain) == sp.size_e and len(m.h.domain) == sp.size_b
     semitotal = len(m.h.domain) == sp.size_b
     # g lies over h, so it is defined at every point over dom h when it has as many

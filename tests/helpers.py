@@ -47,7 +47,6 @@ from skewstone import (
     right_band,
     skew_spectrum,
     validate_algebra,
-    validate_space_morphism,
 )
 from skewstone.core_algebra import (
     MAX_CANDIDATES,
@@ -366,10 +365,38 @@ def enumerate_homs_transport_oracle(A, B, max_candidates=MAX_CANDIDATES):
         for m in morphisms), key=lambda f: f.map))
 
 
+def validate_space_morphism_oracle(m):
+    """Oracle for validate_space_morphism: the walk over every point of g,
+    every base point of h and every pair of points of g in one fiber, with
+    a plain space's band read as the right band x y = y."""
+    sp, tp = m.source, m.target
+    sizes = ((m.g.domain, sp.size_e), (m.g.values, tp.size_e),
+             (m.h.domain, sp.size_b), (m.h.values, tp.size_b))
+    if any(not 0 <= v < size for values, size in sizes for v in values):
+        raise StructuralError("morphism maps reference out-of-range points")
+    failures = []
+    g, h = m.g.as_dict(), m.h.as_dict()
+    for y, gy in g.items():
+        if sp.p[y] not in h or tp.p[gy] != h[sp.p[y]]:
+            failures.append(("square_commutes", (y,)))
+    for x, hx in h.items():
+        # the sorted image of the piece over x, repeats kept, is the fiber over hx
+        if sorted(g[y] for y in fibers(sp)[x] if y in g) != list(fibers(tp)[hx]):
+            failures.append(("fiber_bijection", (x,)))
+    if sp.band is not None or tp.band is not None:
+        band = lambda space, x, y: y if space.band is None else space.band[x][y]
+        for y1 in g:
+            for y2 in (y for y in fibers(sp)[sp.p[y1]] if y in g):
+                v = band(sp, y1, y2)
+                if v not in g or g[v] != band(tp, g[y1], g[y2]):
+                    failures.append(("band_preserved", (y1, y2)))
+    return ValidationReport(ok=not failures, failures=tuple(failures))
+
+
 def enumerate_space_morphisms_search(sp, tp, max_candidates=MAX_CANDIDATES):
     """Oracle for enumerate_space_morphisms: every partial base map, and
     over it every combination of injections of a piece of each source fiber
-    onto its target fiber, kept when validate_space_morphism accepts it.
+    onto its target fiber, kept when validate_space_morphism_oracle accepts it.
     The base map is one candidate, each combination one more; SizeCapError
     past max_candidates of them."""
     src_fib, tgt_fib = fibers(sp), fibers(tp)
@@ -392,7 +419,7 @@ def enumerate_space_morphisms_search(sp, tp, max_candidates=MAX_CANDIDATES):
             for piece in combo:
                 g.update(piece)
             cand = SpaceMorphism(sp, tp, partial_map(g), partial_map(h))
-            if validate_space_morphism(cand).ok:
+            if validate_space_morphism_oracle(cand).ok:
                 out.append(cand)
     return tuple(sorted(out, key=lambda m: (m.h.domain, m.h.values, m.g.domain, m.g.values)))
 
@@ -489,7 +516,7 @@ def dual_of_hom_oracle(f):
             raise RuntimeError("dual point is not well defined")
         g[e] = sd_a.point_of(pi, cands[0])
     morphism = SpaceMorphism(sd_b.space, sd_a.space, partial_map(g), partial_map(h))
-    report = validate_space_morphism(morphism)
+    report = validate_space_morphism_oracle(morphism)
     if not report.ok:
         raise RuntimeError(f"dual morphism invalid: {report.failures}")
     return morphism

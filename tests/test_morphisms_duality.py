@@ -24,10 +24,12 @@ from helpers import (
     space_from_fibers,
     space_morphism_count,
     validate_hom_oracle,
+    validate_space_morphism_oracle,
 )
 from skewstone import (
     Homomorphism,
     SizeCapError,
+    SpaceMorphism,
     StructuralError,
     algebra_roundtrip_iso,
     algebras_isomorphic,
@@ -60,6 +62,7 @@ from skewstone import (
 )
 from skewstone.ideals_spectra import fiber_bands, spectrum_data
 from skewstone.morphisms_duality import is_partial_identity_up_to_iso
+from skewstone.spaces_sections import partial_map
 
 
 def two():
@@ -360,6 +363,25 @@ class TestDecomposition:
         assert part_identity.target.size_e == 1
         assert classify_space_morphism(pullback_part).total
 
+    def test_invalid_input_is_refused_by_its_first_failure(self):
+        two_points, one_point = make_space(2, 1, [0, 0]), make_space(1, 1, [0])
+        cases = [
+            # g defined over a base point outside dom h
+            (two_points, one_point, {0: 0}, {}, ("square_commutes", (0,))),
+            # g not one to one from the piece over 0 onto the fiber over 0
+            (two_points, two_points, {0: 0, 1: 0}, {0: 0}, ("fiber_bijection", (0,))),
+            (two_points, one_point, {}, {0: 0}, ("fiber_bijection", (0,))),
+            # the identity onto the left band, which the plain space's right band is not
+            (two_points, make_space(2, 1, [0, 0], band=[[0, 0], [1, 1]]), {0: 0, 1: 1}, {0: 0},
+             ("band_preserved", (0, 1))),
+        ]
+        for sp, tp, g, h, first in cases:
+            m = SpaceMorphism(sp, tp, partial_map(g), partial_map(h))
+            assert validate_space_morphism_oracle(m).failures[0] == first
+            with pytest.raises(ValueError) as caught:
+                decompose_morphism(m)
+            assert str(caught.value) == f"input morphism is invalid: {first}"
+
     def test_every_enumerated_morphism_decomposes(self):
         spaces = [make_space(2, 1, [0, 0]), make_space(3, 2, [0, 0, 1])]
         for sp1, sp2 in itertools.product(spaces, repeat=2):
@@ -462,7 +484,7 @@ class TestEnumerationOracle:
                         sp, tp,
                         PartialMap(tuple(sorted(g)), tuple(g[k] for k in sorted(g))),
                         PartialMap(tuple(sorted(h)), tuple(h[k] for k in sorted(h))))
-                    if validate_space_morphism(m).ok:
+                    if validate_space_morphism_oracle(m).ok:
                         out.append(m)
             return sorted(out, key=lambda m: (m.h.domain, m.h.values,
                                               m.g.domain, m.g.values))
@@ -479,7 +501,7 @@ class TestEnumerationOracle:
 class TestRowColumnSearch:
     """enumerate_space_morphisms builds each fiber map as a row map times a
     column map; the search over every injection, filtered by
-    validate_space_morphism, is its oracle, and the closed-form count
+    validate_space_morphism_oracle, is its oracle, and the closed-form count
     prod_x (1 + sum_y P(a_x, a_y) P(b_x, b_y)) gives the size."""
 
     @staticmethod

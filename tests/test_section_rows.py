@@ -20,6 +20,7 @@ from helpers import (
     section_algebra_oracle,
     small_test_algebras,
     space_from_fibers,
+    validate_space_morphism_oracle,
 )
 from skewstone import (
     SizeCapError,
@@ -117,7 +118,7 @@ def catalog_spectra():
 
 class TestMorphismGathers:
     """hom_of_space_morphism and classify_space_morphism read a morphism as
-    one band map per fiber (_fiber_maps): the first gathers preimages off
+    one band map per fiber (_decoded): the first gathers preimages off
     the section rows, the second counts fiber sizes for section lifting.
     The tuple loops they replaced are their oracles."""
 
@@ -142,7 +143,7 @@ class TestMorphismGathers:
         commute, g not a bijection from a piece onto its target fiber, or
         a band that g does not keep: two g-values swapped in a piece over a
         fiber of two rows and two columns or more, kept only when
-        validate_space_morphism refuses the swap."""
+        validate_space_morphism_oracle refuses the swap."""
         sp, tp = m.source, m.target
         g, h = m.g.as_dict(), m.h.as_dict()
         if kind == "outside_dom_h":
@@ -174,7 +175,7 @@ class TestMorphismGathers:
             y1, y2 = rng.sample([y for y in sorted(g) if sp.p[y] == x], 2)
             g[y1], g[y2] = g[y2], g[y1]
             swapped = SpaceMorphism(sp, tp, partial_map(g), partial_map(h))
-            return None if validate_space_morphism(swapped).ok else swapped
+            return None if validate_space_morphism_oracle(swapped).ok else swapped
         return SpaceMorphism(sp, tp, partial_map(g), partial_map(h))
 
     @pytest.mark.parametrize("kind", ["outside_dom_h", "square", "bijection", "band"])
@@ -238,7 +239,7 @@ class TestMorphismGathers:
                                           for x in sp.p]):
                     g = {y: e for y, e in enumerate(g_choice) if e is not None}
                     m = SpaceMorphism(sp, tp, partial_map(g), partial_map(h))
-                    if not validate_space_morphism(m).ok:
+                    if not validate_space_morphism_oracle(m).ok:
                         with pytest.raises(RuntimeError):
                             classify_space_morphism(m)
                         continue
@@ -269,3 +270,89 @@ class TestMorphismGathers:
         # target sections, and its flags need none of them
         m = identity_space_morphism(space_from_fibers((16, 240)))
         assert classify_space_morphism(m) == SpaceMorphismFlags(True, True, True, True)
+
+
+class TestMorphismCheck:
+    """validate_space_morphism reports from the per-fiber decode of
+    hom_of_space_morphism and classify_space_morphism: one band map
+    comparison per fiber, with pairs listed only where a fiber fails.  The
+    walk over every pair of points in a fiber is its oracle, and the two
+    reports must be equal, failures in the same order."""
+
+    @staticmethod
+    def mutants(m, rng):
+        """m with one entry changed, in each of five ways where it can be: a
+        g-value moved, an h-entry dropped, a g-point dropped, an h-value
+        moved, and two g-values swapped."""
+        sp, tp = m.source, m.target
+        g, h = m.g.as_dict(), m.h.as_dict()
+        out = []
+        if g and tp.size_e:
+            out.append(({**g, rng.choice(sorted(g)): rng.randrange(tp.size_e)}, h))
+        if h:
+            out.append((g, {x: t for x, t in h.items() if x != rng.choice(sorted(h))}))
+        if g:
+            out.append(({y: e for y, e in g.items() if y != rng.choice(sorted(g))}, h))
+        if h and tp.size_b:
+            out.append((g, {**h, rng.choice(sorted(h)): rng.randrange(tp.size_b)}))
+        if len(g) > 1:
+            y1, y2 = rng.sample(sorted(g), 2)
+            out.append(({**g, y1: g[y2], y2: g[y1]}, h))
+        return [SpaceMorphism(sp, tp, partial_map(g2), partial_map(h2)) for g2, h2 in out]
+
+    @staticmethod
+    def random_map(sp, tp, rng):
+        """A partial map pair, g mostly over h and sometimes anywhere."""
+        h = {x: rng.randrange(tp.size_b) for x in range(sp.size_b)
+             if tp.size_b and rng.random() < 0.8}
+        g = {}
+        for y in range(sp.size_e):
+            over = fibers(tp)[h[sp.p[y]]] if sp.p[y] in h else ()
+            if over and rng.random() < 0.8:
+                g[y] = rng.choice(over)
+            elif tp.size_e and rng.random() < 0.3:
+                g[y] = rng.randrange(tp.size_e)
+        return SpaceMorphism(sp, tp, partial_map(g), partial_map(h))
+
+    @staticmethod
+    def assert_same_reports(maps):
+        """The reports are equal, and where m is invalid the functions that
+        read it, taken in turn, raise naming the first failure."""
+        kinds, valid = set(), 0
+        for i, m in enumerate(maps):
+            report = validate_space_morphism(m)
+            assert report == validate_space_morphism_oracle(m), m
+            kinds.update(law for law, _ in report.failures)
+            valid += report.ok
+            if not report.ok:
+                with pytest.raises(RuntimeError) as caught:
+                    (hom_of_space_morphism, classify_space_morphism)[i % 2](m)
+                assert str(caught.value) == f"invalid space morphism: {report.failures[0]}"
+        assert kinds == {"square_commutes", "fiber_bijection", "band_preserved"}
+        assert 0 < valid < len(maps)
+        return len(maps)
+
+    def test_seeded_mutants_and_random_maps_report_as_the_walk(self):
+        rng = random.Random(34)
+        maps = []
+        for sp, tp in itertools.product(row_column_spaces(), repeat=2):
+            morphisms = enumerate_space_morphisms(sp, tp)
+            for m in rng.sample(morphisms, min(2, len(morphisms))):
+                maps += [m, *self.mutants(m, rng), self.random_map(sp, tp, rng)]
+        assert self.assert_same_reports(maps) > 8000
+
+    def test_every_map_between_tiny_spaces_reports_as_the_walk(self):
+        # empty fibers, plain against right, left and mixed bands, and the
+        # 2 x 2 grid; g ranges over every partial map, over h or not
+        spaces = [make_space(2, 3, [0, 2]), make_space(3, 3, [0, 0, 2]), make_space(1, 2, [1]),
+                  make_space(0, 1, []), make_space(2, 2, [0, 1]),
+                  make_space(2, 2, [0, 0], band=[[0, 1], [0, 1]]),
+                  make_space(2, 1, [0, 0], band=[[0, 0], [1, 1]]),
+                  mixed_space([(2, 1), (1, 1)], seed=3),
+                  random_space(1, 1, seed=0, band=("product", 2, 2))]
+        maps = [SpaceMorphism(sp, tp, partial_map({y: e for y, e in enumerate(g) if e is not None}),
+                              partial_map({x: t for x, t in enumerate(h) if t is not None}))
+                for sp, tp in itertools.product(spaces, repeat=2)
+                for h in product([None, *range(tp.size_b)], repeat=sp.size_b)
+                for g in product([None, *range(tp.size_e)], repeat=sp.size_e)]
+        assert self.assert_same_reports(maps) > 20000
