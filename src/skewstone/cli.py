@@ -1,9 +1,14 @@
 """Command-line surface: validation, spectra, dualization, round trips,
 morphism analysis, corpus generation, and DOT export.
 
+COMMANDS is the one table of the CLI: each command takes the files, the
+kinds of file and the options its row lists, and nothing else.  Every file
+goes through one reader, _read.
+
 Exit codes: 0 on success, 1 on a domain failure (invalid instance, failed
-check), 2 on unreadable input, 3 when a size limit stops the work.  All
-randomness flows from --seed; identical invocations print identical bytes.
+check, a file of a kind the command does not take), 2 on unreadable input
+or a usage error, 3 when a size limit stops the work.  All randomness flows
+from --seed; identical invocations print identical bytes.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import gc
 import json
 import os
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -54,50 +60,56 @@ def _print_report(report, fmt):
             print(f"WARN {law} witness={witness}")
 
 
-def cmd_validate(cfg):
-    obj = jsonio.load(cfg.paths[0])
-    kind = jsonio.sniff_kind(obj)
+def _report(cfg, kind, x):
+    """The validation report on x, the object a file of kind describes."""
     if kind == "algebra":
-        report = validate_algebra(jsonio.algebra_from_dict(obj), max_n=cfg.max_size)
+        return validate_algebra(x, max_n=cfg.max_size)
+    if kind == "space":
+        return validate_space(x)
+    if kind == "morphism":
+        return validate_space_morphism(x)
+    return validate_hom(x)
+
+
+def _valid(cfg, kind, x):
+    report = _report(cfg, kind, x)
+    if not report.ok:
+        raise ValueError(f"input {kind} is invalid: {report.failures[0]}")
+    return x
+
+
+def _read(cfg, path, check=True):
+    """The kind of the file at path and the object it describes.  A kind
+    the command does not take is refused before anything is built.  The two
+    spaces of a morphism and the two algebras of a hom are checked, and with
+    check the object itself."""
+    obj = jsonio.load(path)
+    kind = jsonio.sniff_kind(obj)
+    kinds = COMMANDS[cfg.command].kinds
+    if kind not in kinds:
+        raise StructuralError(f"{cfg.command} reads {' or '.join(kinds)} files, "
+                              f"not {kind} files")
+    if kind == "algebra":
+        x = jsonio.algebra_from_dict(obj)
     elif kind == "space":
-        report = validate_space(jsonio.space_from_dict(obj))
-    elif kind == "morphism":
-        report = validate_space_morphism(_morphism_of_valid_spaces(cfg, obj))
-    elif kind == "hom":
-        f = jsonio.hom_from_dict(obj, os.path.dirname(cfg.paths[0]) or ".")
-        _valid_algebra(cfg, f.source)
-        _valid_algebra(cfg, f.target)
-        report = validate_hom(f)
+        x = jsonio.space_from_dict(obj)
     else:
-        raise StructuralError(f"cannot validate objects of kind {kind}")
+        build, part = ((jsonio.morphism_from_dict, "space") if kind == "morphism"
+                       else (jsonio.hom_from_dict, "algebra"))
+        x = build(obj, os.path.dirname(path) or ".")
+        _valid(cfg, part, x.source)
+        _valid(cfg, part, x.target)
+    return kind, _valid(cfg, kind, x) if check else x
+
+
+def cmd_validate(cfg):
+    report = _report(cfg, *_read(cfg, cfg.paths[0], check=False))
     _print_report(report, cfg.fmt)
     return 0 if report.ok else 1
 
 
-def _valid_algebra(cfg, A):
-    report = validate_algebra(A, max_n=cfg.max_size)
-    if not report.ok:
-        raise ValueError(f"input algebra is invalid: {report.failures[0]}")
-    return A
-
-
-def _valid_space(sp):
-    report = validate_space(sp)
-    if not report.ok:
-        raise ValueError(f"input space is invalid: {report.failures[0]}")
-    return sp
-
-
-def _morphism_of_valid_spaces(cfg, obj):
-    m = jsonio.morphism_from_dict(obj, os.path.dirname(cfg.paths[0]) or ".")
-    _valid_space(m.source)
-    _valid_space(m.target)
-    return m
-
-
 def cmd_spectrum(cfg):
-    A = _valid_algebra(cfg, jsonio.algebra_from_dict(jsonio.load(cfg.paths[0])))
-    space, points = skew_spectrum(A)
+    space, points = skew_spectrum(_read(cfg, cfg.paths[0])[1])
     out = jsonio.space_to_dict(space)
     out.update(jsonio.points_to_dict(points))
     jsonio.dump(out)
@@ -105,8 +117,7 @@ def cmd_spectrum(cfg):
 
 
 def cmd_dualize(cfg):
-    sp = _valid_space(jsonio.space_from_dict(jsonio.load(cfg.paths[0])))
-    algebra, sections = dual_algebra(sp)
+    algebra, sections = dual_algebra(_read(cfg, cfg.paths[0])[1])
     out = jsonio.algebra_to_dict(algebra)
     if cfg.with_sections:
         out.update(jsonio.sections_to_dict(sections))
@@ -115,31 +126,25 @@ def cmd_dualize(cfg):
 
 
 def cmd_roundtrip(cfg):
-    obj = jsonio.load(cfg.paths[0])
-    kind = jsonio.sniff_kind(obj)
+    kind, x = _read(cfg, cfg.paths[0])
     if kind == "algebra":
-        A = _valid_algebra(cfg, jsonio.algebra_from_dict(obj))
-        image = _roundtrip_map(A)         # the checked map; the target is not printed
+        image = _roundtrip_map(x)         # the checked map; the target is not printed
         if cfg.fmt == "json":
-            jsonio.dump({"isomorphic": True, "size": A.n, "map": image.tolist()})
+            jsonio.dump({"isomorphic": True, "size": x.n, "map": image.tolist()})
         else:
-            print(f"isomorphic, |A|={A.n}")
-    elif kind == "space":
-        sp = _valid_space(jsonio.space_from_dict(obj))
-        iso = space_roundtrip_iso(sp)
+            print(f"isomorphic, |A|={x.n}")
+    else:
+        iso = space_roundtrip_iso(x)
         if cfg.fmt == "json":
-            jsonio.dump({"isomorphic": True, "E": sp.size_e, "B": sp.size_b,
+            jsonio.dump({"isomorphic": True, "E": x.size_e, "B": x.size_b,
                          "g": list(iso.g.values), "h": list(iso.h.values)})
         else:
-            print(f"isomorphic, |E|={sp.size_e}, |B|={sp.size_b}")
-    else:
-        raise StructuralError(f"cannot round-trip objects of kind {kind}")
+            print(f"isomorphic, |E|={x.size_e}, |B|={x.size_b}")
     return 0
 
 
 def cmd_homs(cfg):
-    A = _valid_algebra(cfg, jsonio.algebra_from_dict(jsonio.load(cfg.paths[0])))
-    B = _valid_algebra(cfg, jsonio.algebra_from_dict(jsonio.load(cfg.paths[1])))
+    A, B = (_read(cfg, path)[1] for path in cfg.paths)
     rows = []
     for f in enumerate_homs(A, B):
         flags = classify_hom(f)
@@ -161,10 +166,7 @@ def cmd_homs(cfg):
 
 
 def cmd_decompose(cfg):
-    if cfg.out is None:
-        raise ValueError("decompose needs --out DIR for its two output files")
-    morphism = _morphism_of_valid_spaces(cfg, jsonio.load(cfg.paths[0]))
-    part_identity, pullback_part = decompose_morphism(morphism)
+    part_identity, pullback_part = decompose_morphism(_read(cfg, cfg.paths[0])[1])
     os.makedirs(cfg.out, exist_ok=True)
     for name, part in (("partial_identity", part_identity), ("pullback_part", pullback_part)):
         path = os.path.join(cfg.out, f"{name}.json")
@@ -175,22 +177,15 @@ def cmd_decompose(cfg):
 
 
 def cmd_section(cfg):
-    obj = jsonio.load(cfg.paths[0])
-    kind = jsonio.sniff_kind(obj)
+    kind, x = _read(cfg, cfg.paths[0])
     if kind == "algebra":
-        A = _valid_algebra(cfg, jsonio.algebra_from_dict(obj))
-        jsonio.dump({"choice": list(find_lattice_section(A).choice)})
-    elif kind == "space":
-        sp = _valid_space(jsonio.space_from_dict(obj))
-        jsonio.dump({"section": list(find_global_section(sp).points)})
+        jsonio.dump({"choice": list(find_lattice_section(x).choice)})
     else:
-        raise StructuralError(f"no section search for objects of kind {kind}")
+        jsonio.dump({"section": list(find_global_section(x).points)})
     return 0
 
 
 def cmd_generate(cfg):
-    if cfg.out is None:
-        raise ValueError("generate needs --out DIR")
     band = cfg.band
     if band == "product":
         band = ("product", cfg.k_left, cfg.k_right)
@@ -216,45 +211,66 @@ def _hasse_edges(A):
 
 
 def cmd_export_dot(cfg):
-    obj = jsonio.load(cfg.paths[0])
-    kind = jsonio.sniff_kind(obj)
+    kind, x = _read(cfg, cfg.paths[0])
     lines = []
     if kind == "algebra":
-        A = _valid_algebra(cfg, jsonio.algebra_from_dict(obj))
         lines.append("digraph hasse {")
         lines.append("  rankdir=BT;")
-        for x in A.elements:
-            shape = ' shape=doublecircle' if x == A.zero else ""
-            lines.append(f'  n{x} [label="{x}"{shape}];')
-        for x, y in _hasse_edges(A):
-            lines.append(f"  n{x} -> n{y};")
-        lines.append("}")
-    elif kind == "space":
-        sp = _valid_space(jsonio.space_from_dict(obj))
-        lines.append("graph fibration {")
-        for b in range(sp.size_b):
-            lines.append(f'  b{b} [label="b{b}" shape=box];')
-        for e in range(sp.size_e):
-            lines.append(f'  e{e} [label="e{e}"];')
-        for e in range(sp.size_e):
-            lines.append(f"  e{e} -- b{sp.p[e]};")
+        for a in x.elements:
+            shape = ' shape=doublecircle' if a == x.zero else ""
+            lines.append(f'  n{a} [label="{a}"{shape}];')
+        for a, c in _hasse_edges(x):
+            lines.append(f"  n{a} -> n{c};")
         lines.append("}")
     else:
-        raise StructuralError(f"no DOT export for objects of kind {kind}")
+        lines.append("graph fibration {")
+        for b in range(x.size_b):
+            lines.append(f'  b{b} [label="b{b}" shape=box];')
+        for e in range(x.size_e):
+            lines.append(f'  e{e} [label="e{e}"];')
+        for e in range(x.size_e):
+            lines.append(f"  e{e} -- b{x.p[e]};")
+        lines.append("}")
     print("\n".join(lines))
     return 0
 
 
+# One row per command: its handler, its positional file arguments, the
+# kinds of file each of them may be, and the options the handler reads.
+Command = namedtuple("Command", "handler files kinds options")
+
+
+OPTIONS = {
+    "--seed": dict(type=int, default=0, help="seed for anything random"),
+    "--max-size": dict(type=int, default=EXHAUSTIVE_N,
+                       help="cap on n for the exhaustive report on an input algebra "
+                            "that the certificate refuses"),
+    "--format": dict(dest="fmt", choices=("json", "text"), default="text",
+                     help="output format"),
+    "--out": dict(required=True, help="output directory"),
+    "--sections": dict(dest="with_sections", action="store_true",
+                       help="embed the section labels in the output"),
+    "--size-b": dict(type=int, default=2),
+    "--max-fiber": dict(type=int, default=2),
+    "--band": dict(choices=("none", "right", "left", "product"), default="none"),
+    "--k-left": dict(type=int, default=2),
+    "--k-right": dict(type=int, default=1),
+    "--count": dict(type=int, default=1),
+}
+
+ONE_FILE, ALGEBRA_OR_SPACE = ("path",), ("algebra", "space")
 COMMANDS = {
-    "validate": (cmd_validate, 1),
-    "spectrum": (cmd_spectrum, 1),
-    "dualize": (cmd_dualize, 1),
-    "roundtrip": (cmd_roundtrip, 1),
-    "homs": (cmd_homs, 2),
-    "decompose": (cmd_decompose, 1),
-    "section": (cmd_section, 1),
-    "generate": (cmd_generate, 0),
-    "export-dot": (cmd_export_dot, 1),
+    "validate": Command(cmd_validate, ONE_FILE, ("algebra", "space", "morphism", "hom"),
+                        ("--max-size", "--format")),
+    "spectrum": Command(cmd_spectrum, ONE_FILE, ("algebra",), ("--max-size",)),
+    "dualize": Command(cmd_dualize, ONE_FILE, ("space",), ("--sections",)),
+    "roundtrip": Command(cmd_roundtrip, ONE_FILE, ALGEBRA_OR_SPACE, ("--max-size", "--format")),
+    "homs": Command(cmd_homs, ("path0", "path1"), ("algebra",), ("--max-size", "--format")),
+    "decompose": Command(cmd_decompose, ONE_FILE, ("morphism",), ("--out",)),
+    "section": Command(cmd_section, ONE_FILE, ALGEBRA_OR_SPACE, ("--max-size",)),
+    "generate": Command(cmd_generate, (), (), ("--seed", "--out", "--size-b", "--max-fiber",
+                                               "--band", "--k-left", "--k-right", "--count")),
+    "export-dot": Command(cmd_export_dot, ONE_FILE, ALGEBRA_OR_SPACE, ("--max-size",)),
 }
 
 
@@ -262,40 +278,22 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="skewstone",
         description="Finite skew Boolean algebras with intersections and their dual spaces.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for anything random")
-    common.add_argument("--max-size", type=int, default=EXHAUSTIVE_N,
-                        help="cap on n for the exhaustive report on an input algebra "
-                             "that the certificate refuses")
-    common.add_argument("--format", dest="fmt", choices=("json", "text"),
-                        default="text", help="output format where applicable")
-    common.add_argument("--out", default=None, help="output directory for file-producing commands")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, arity) in COMMANDS.items():
-        p = sub.add_parser(name, parents=[common])
-        for i in range(arity):
-            p.add_argument(f"path{i}" if arity > 1 else "path", nargs=None)
-        if name == "dualize":
-            p.add_argument("--sections", dest="with_sections", action="store_true",
-                           help="embed the section labels in the output")
-        if name == "generate":
-            p.add_argument("--size-b", type=int, default=2)
-            p.add_argument("--max-fiber", type=int, default=2)
-            p.add_argument("--band", choices=("none", "right", "left", "product"),
-                           default="none")
-            p.add_argument("--k-left", type=int, default=2)
-            p.add_argument("--k-right", type=int, default=1)
-            p.add_argument("--count", type=int, default=1)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name)
+        for file in command.files:
+            p.add_argument(file)
+        for option in command.options:
+            p.add_argument(option, **OPTIONS[option])
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    func, arity = COMMANDS[args.command]
-    args.paths = tuple(getattr(args, f"path{i}" if arity > 1 else "path")
-                       for i in range(arity))
+    cfg = build_parser().parse_args(argv)
+    command = COMMANDS[cfg.command]
+    cfg.paths = tuple(getattr(cfg, file) for file in command.files)
     try:
-        return func(args)
+        return command.handler(cfg)
     except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

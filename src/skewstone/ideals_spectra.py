@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_algebra import (
+    MAX_CARRIER,
+    SizeCapError,
     StructuralError,
     _certified_form,
     _elements,
@@ -69,6 +71,10 @@ class RectSkewSpace:
                 raise StructuralError(f"{name} = {size} is not an integer")
         if self.size_b < 0:
             raise StructuralError(f"B = {self.size_b} is negative")
+        if self.size_b > max(self.size_e, MAX_CARRIER):
+            # such a p cannot be onto: refused before any per-base-point work
+            raise SizeCapError(f"B = {self.size_b} is past both E = {self.size_e} and "
+                               f"MAX_CARRIER = {MAX_CARRIER}, so p cannot be onto")
         if len(self.p) != self.size_e:
             raise StructuralError(f"p has length {len(self.p)}, expected {self.size_e}")
         for e, b in enumerate(self.p):
@@ -124,16 +130,20 @@ def fibers(sp):
 @per_object
 def fiber_bands(sp):
     """Each fiber's band as a table on the positions 0..m-1 of its points; a
-    plain fiber carries the right band x y = y.  The band must stay inside
-    fibers (validate_space checks that before it asks)."""
+    plain fiber carries the right band x y = y.  ValueError naming the first
+    pair whose product leaves its fiber (validate_space reports it)."""
     out = []
-    for f in fibers(sp):
+    for b, f in enumerate(fibers(sp)):
         if sp.band is None:
             table = np.tile(np.arange(len(f)), (len(f), 1))
         else:
             pos = {e: i for i, e in enumerate(f)}
-            table = np.array([[pos[sp.band[x][y]] for y in f] for x in f],
-                             dtype=np.intp).reshape(len(f), len(f))
+            rows = [[pos.get(sp.band[x][y], -1) for y in f] for x in f]
+            table = np.array(rows, dtype=np.intp).reshape(len(f), len(f))
+            if (table < 0).any():
+                i, j = np.argwhere(table < 0)[0].tolist()
+                raise ValueError(f"band[{f[i]}][{f[j]}] = {sp.band[f[i]][f[j]]!r} is not "
+                                 f"a point of the fiber over {b}")
         table.setflags(write=False)
         out.append(table)
     return tuple(out)

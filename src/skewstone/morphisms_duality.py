@@ -218,17 +218,19 @@ def validate_space_morphism(m):
     return ValidationReport(ok=not failures, failures=failures)
 
 
+@per_object
 def _decoded(m):
     """m : sp -> tp read in _choices form, with every failure of the three
-    conditions, as (pieces, failures).  pieces has one entry per base point
-    x of sp: (h(x), at) where x passes, at[i] the position in x's fiber of
-    the point that g sends to point i of h(x)'s fiber, and None elsewhere.
-    failures names square_commutes for each y in dom g that g does not
-    send into the fiber over h(p(y)), by y; fiber_bijection for each x in
-    dom h whose piece g does not map one to one onto the fiber over h(x),
-    by x; and band_preserved for each pair (y1, y2) in dom g over one base
-    point whose product g leaves undefined or does not send to g(y1) g(y2),
-    in C order.
+    conditions, as (pieces, failures), decoded once per morphism.  pieces
+    has one entry per base point x of sp: (h(x), at) where x passes, at[i]
+    (read-only) the position in x's fiber of the point that g sends to
+    point i of h(x)'s fiber, and None elsewhere.  failures names
+    square_commutes for each y in dom g that g does not send into the fiber
+    over h(p(y)), by y; fiber_bijection for each x in dom h whose piece g
+    does not map one to one onto the fiber over h(x), by x; and
+    band_preserved for each pair (y1, y2) in dom g over one base point
+    whose product g leaves undefined or does not send to g(y1) g(y2), in C
+    order.
 
     A piece that g maps one to one onto its fiber keeps the band exactly
     when band_x[at, at] == at[band_t], one comparison per fiber, and then
@@ -251,10 +253,11 @@ def _decoded(m):
             if [e for e, _ in image] != list(fibers(tp)[h[x]]):
                 failures.append(("fiber_bijection", (x,)))
             elif (fiber_bands(sp)[x][at[:, None], at] == at[fiber_bands(tp)[h[x]]]).all():
+                at.setflags(write=False)
                 pieces[x] = (h[x], at)
                 continue
         pairs += _band_failures(sp, tp, g, x)
-    return pieces, tuple(failures + [("band_preserved", pair) for pair in sorted(pairs)])
+    return tuple(pieces), tuple(failures + [("band_preserved", pair) for pair in sorted(pairs)])
 
 
 def _band_failures(sp, tp, g, x):

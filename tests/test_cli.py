@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import importlib.util
@@ -6,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 import tempfile
@@ -17,10 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catalog import boolean_algebra, right_three
-from skewstone import jsonio, make_space
+from skewstone import SizeCapError, jsonio, make_space
 from skewstone.morphisms_duality import dual_of_hom, identity_hom
 from skewstone.spaces_sections import dual_algebra, random_space
-from skewstone.cli import main
+from skewstone.cli import COMMANDS, OPTIONS, build_parser, main
 from skewstone.lattice_sections import is_lattice_section
 
 
@@ -85,14 +87,19 @@ class TestExitCodes:
     def test_missing_file_exits_two(self, capsys):
         assert run(capsys, "validate", "/nonexistent/nowhere.json")[0] == 2
 
-    @pytest.mark.parametrize("command", ["validate", "roundtrip", "export-dot"])
-    def test_dot_format_is_a_usage_error(self, capsys, three_file, command):
-        # --format dot printed the text bytes; export-dot writes DOT anyway
+    @pytest.mark.parametrize("command, message", [
+        pytest.param("validate", "argument --format: invalid choice: 'dot'", id="validate"),
+        pytest.param("roundtrip", "argument --format: invalid choice: 'dot'", id="roundtrip"),
+        # export-dot writes DOT and takes no --format at all
+        pytest.param("export-dot", "unrecognized arguments: --format dot", id="export-dot"),
+    ])
+    def test_dot_format_is_a_usage_error(self, capsys, three_file, command, message):
+        # --format dot printed the text bytes
         with pytest.raises(SystemExit) as exc:
-            main([command, "--format", "dot", three_file])
+            main([command, three_file, "--format", "dot"])
         captured = capsys.readouterr()
         assert exc.value.code == 2 and captured.out == ""
-        assert "argument --format: invalid choice: 'dot'" in captured.err
+        assert message in captured.err
 
     def test_wrong_table_shape_exits_one(self, capsys, tmp_path):
         obj = jsonio.algebra_to_dict(right_three())
@@ -246,7 +253,8 @@ class TestExitCodes:
                                     "h": {"domain": [0], "values": [0]},
                                     "source": source, "target": target}))
         out_dir = tmp_path / "parts"
-        code = main([command, str(path), "--out", str(out_dir)])
+        code = main([command, str(path)] + (["--out", str(out_dir)] if command == "decompose"
+                                            else []))
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
         assert captured.err == f"error: input space is invalid: {failure}\n"
@@ -283,6 +291,176 @@ class TestExitCodes:
             assert captured.err == ("error: input morphism is invalid: "
                                     f"('band_preserved', {witnesses[0]})\n")
             assert not (tmp_path / "parts").exists()
+
+
+def full_argv(name, tmp_path, algebra, space, morphism):
+    """An invocation of the command that exits 0 and passes every option the
+    command reads."""
+    return {
+        "validate": ["validate", algebra, "--max-size", "9", "--format", "json"],
+        "spectrum": ["spectrum", algebra, "--max-size", "9"],
+        "dualize": ["dualize", space, "--sections"],
+        "roundtrip": ["roundtrip", algebra, "--max-size", "9", "--format", "json"],
+        "homs": ["homs", algebra, algebra, "--max-size", "9", "--format", "json"],
+        "decompose": ["decompose", morphism, "--out", str(tmp_path / "parts")],
+        "section": ["section", algebra, "--max-size", "9"],
+        "generate": ["generate", "--seed", "1", "--out", str(tmp_path / "gen"), "--size-b", "1",
+                     "--max-fiber", "2", "--band", "product", "--k-left", "1", "--k-right", "2",
+                     "--count", "1"],
+        "export-dot": ["export-dot", algebra, "--max-size", "9"],
+    }[name]
+
+
+class RecordingNamespace(argparse.Namespace):
+    """An argparse namespace that records the name of every attribute read
+    from it, in its own attribute _read."""
+
+    def __getattribute__(self, name):
+        object.__getattribute__(self, "__dict__").setdefault("_read", set()).add(name)
+        return object.__getattribute__(self, name)
+
+
+def option_dests(name):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {option: action.dest for action in sub.choices[name]._actions
+            for option in action.option_strings if option not in ("-h", "--help")}
+
+
+class TestOneTable:
+    """cli.COMMANDS is the CLI: each command takes the files and options
+    its row lists, every file through one reader that refuses a kind the
+    command does not take before it builds anything."""
+
+    @pytest.fixture
+    def argv_of(self, tmp_path, three_file, space_file):
+        path = tmp_path / "morphism.json"
+        path.write_text(jsonio.dumps(jsonio.morphism_to_dict(dual_of_hom(identity_hom(
+            right_three())))))
+        return lambda name: full_argv(name, tmp_path, three_file, space_file, str(path))
+
+    @pytest.fixture
+    def kind_files(self, tmp_path, three_file, space_file):
+        """One file of each kind and one of no kind.  The parts of the hom
+        and of the morphism are files that do not exist, so reading either
+        exits 2 unless it is refused first."""
+        morphism = jsonio.morphism_to_dict(dual_of_hom(identity_hom(right_three())))
+        morphism.update(source="missing.json", target="missing.json")
+        files = {"algebra": three_file, "space": space_file}
+        for kind, obj in (("morphism", morphism), ("shapeless", {"x": 1}),
+                          ("hom", {"map": [0, 1, 2], "source": "missing.json",
+                                   "target": "missing.json"})):
+            (tmp_path / f"{kind}.json").write_text(jsonio.dumps(obj))
+            files[kind] = str(tmp_path / f"{kind}.json")
+        return files
+
+    def test_the_parser_offers_the_options_of_the_table(self):
+        slots = {(name, option) for name in COMMANDS for option in option_dests(name)}
+        assert slots == {(name, option) for name, command in COMMANDS.items()
+                         for option in command.options}
+        assert len(slots) == 19
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_the_handler_reads_each_of_its_options(self, capsys, argv_of, name):
+        command = COMMANDS[name]
+        cfg = build_parser().parse_args(argv_of(name), namespace=RecordingNamespace())
+        cfg.paths = tuple(getattr(cfg, file) for file in command.files)
+        cfg._read.clear()
+        assert command.handler(cfg) == 0
+        capsys.readouterr()
+        assert set(option_dests(name).values()) <= cfg._read
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_an_option_the_command_does_not_read_is_refused(self, capsys, argv_of, name):
+        assert run(capsys, *argv_of(name))[0] == 0
+        others = [option for option in OPTIONS if option not in COMMANDS[name].options]
+        assert len(others) == len(OPTIONS) - len(COMMANDS[name].options)
+        for option in others:
+            extra = [option] if OPTIONS[option].get("action") == "store_true" else [option, "1"]
+            with pytest.raises(SystemExit) as exc:
+                main(argv_of(name) + extra)
+            captured = capsys.readouterr()
+            assert (exc.value.code, captured.out) == (2, "")
+            assert captured.err.endswith(f": error: unrecognized arguments: {' '.join(extra)}\n")
+
+    @pytest.mark.parametrize("name", ["decompose", "generate"])
+    def test_out_is_required(self, capsys, argv_of, name):
+        argv = argv_of(name)
+        at = argv.index("--out")
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:at] + argv[at + 2:])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert captured.err.endswith("error: the following arguments are required: --out\n")
+
+    @pytest.mark.parametrize("name", [name for name, c in COMMANDS.items() if c.files])
+    def test_a_kind_the_command_does_not_take_is_refused(self, capsys, tmp_path, kind_files,
+                                                        name):
+        command = COMMANDS[name]
+        out = ["--out", str(tmp_path / "parts")] if "--out" in command.options else []
+        refused = 0
+        for at in range(len(command.files)):
+            for kind in ("algebra", "space", "morphism", "hom", "shapeless"):
+                if kind in command.kinds:
+                    continue
+                paths = [kind_files["algebra"]] * len(command.files)
+                paths[at] = kind_files[kind]
+                code = main([name, *paths, *out])
+                captured = capsys.readouterr()
+                message = ("object matches no known artifact shape" if kind == "shapeless" else
+                           f"{name} reads {' or '.join(command.kinds)} files, not {kind} files")
+                assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
+                refused += 1
+        assert refused == len(command.files) * (5 - len(command.kinds))
+        assert not (tmp_path / "parts").exists()
+
+
+def limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+class TestBaseCap:
+    """A base past both E and MAX_CARRIER cannot be covered by p, and is
+    refused before any per-base-point work."""
+
+    def test_make_space_refuses_a_base_past_the_cap(self):
+        with pytest.raises(SizeCapError, match="MAX_CARRIER = 4096"):
+            make_space(2, 10 ** 9, [0, 1])
+        with pytest.raises(SizeCapError, match="MAX_CARRIER = 4096"):
+            make_space(1, 4097, [0])
+        for e, b in ((1, 4096), (1, 2), (0, 1), (4097, 4097)):
+            assert make_space(e, b, [0] * e).size_b == b
+
+    def test_every_command_that_reads_a_space_exits_three(self, tmp_path):
+        # each child limits its own address space to 2 GiB; the space used
+        # to end validate, dualize and roundtrip in a MemoryError traceback
+        big, small, empty = ({"E": 2, "B": 10 ** 9, "p": [0, 1]}, {"E": 1, "B": 1, "p": [0]},
+                             {"domain": [], "values": []})
+        files = {"space": big,
+                 "from_big": {"g": empty, "h": empty, "source": big, "target": small},
+                 "to_big": {"g": empty, "h": empty, "source": small, "target": big}}
+        for name, obj in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        space, morphisms = str(tmp_path / "space.json"), [str(tmp_path / f"{name}.json")
+                                                          for name in ("from_big", "to_big")]
+        calls = ([[c, space] for c in ("validate", "dualize", "roundtrip", "section", "export-dot")]
+                 + [["validate", m] for m in morphisms]
+                 + [["decompose", m, "--out", str(tmp_path / "parts")] for m in morphisms])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        for argv in calls:
+            proc = subprocess.run([sys.executable, "-m", "skewstone", *argv], env=env,
+                                  preexec_fn=limit_address_space, capture_output=True,
+                                  text=True, timeout=60)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                3, "", "error: limit: B = 1000000000 is past both E = 2 and MAX_CARRIER = 4096,"
+                " so p cannot be onto\n"), argv
+        assert not (tmp_path / "parts").exists()
+
+    def test_a_base_just_under_the_cap_is_reported(self, capsys, tmp_path):
+        path = tmp_path / "under.json"
+        path.write_text(json.dumps({"E": 1, "B": 4096, "p": [0]}))
+        code, out = run(capsys, "validate", str(path))
+        assert code == 1
+        assert out.splitlines() == [f"FAIL p_surjective witness=({b},)" for b in range(1, 4096)]
 
 
 class TestCommands:

@@ -5,6 +5,7 @@ classify_space_morphism, each against an independent oracle."""
 
 import itertools
 import random
+import re
 import tracemalloc
 from itertools import product
 
@@ -23,11 +24,14 @@ from helpers import (
     validate_space_morphism_oracle,
 )
 from skewstone import (
+    PartialMap,
     SizeCapError,
     SpaceMorphism,
     SpaceMorphismFlags,
+    check_variant_dualities,
     classify_space_morphism,
     dual_algebra,
+    enumerate_homs,
     enumerate_sections,
     enumerate_space_morphisms,
     hom_of_space_morphism,
@@ -35,9 +39,11 @@ from skewstone import (
     make_space,
     random_space,
     skew_spectrum,
+    validate_space,
     validate_space_morphism,
 )
 from skewstone.ideals_spectra import fibers
+from skewstone.morphisms_duality import _decoded
 from skewstone.spaces_sections import _section_rows, partial_map
 
 
@@ -356,3 +362,46 @@ class TestMorphismCheck:
                 for h in product([None, *range(tp.size_b)], repeat=sp.size_b)
                 for g in product([None, *range(tp.size_e)], repeat=sp.size_e)]
         assert self.assert_same_reports(maps) > 20000
+
+
+class TestDecodedOnce:
+    """A band that leaves its fiber is named by the decode, and each
+    morphism is decoded once."""
+
+    @pytest.mark.parametrize("band, pair, message", [
+        ([[1, None], [None, 1]], (0, 0), "band[0][0] = 1 is not a point of the fiber over 0"),
+        ([[0, None], [None, 0]], (1, 1), "band[1][1] = 0 is not a point of the fiber over 1"),
+    ], ids=["first_fiber", "second_fiber"])
+    @pytest.mark.parametrize("call", [
+        validate_space_morphism, hom_of_space_morphism,
+        lambda m: enumerate_space_morphisms(m.source, m.target),
+    ], ids=["validate", "hom_of_space_morphism", "enumerate"])
+    def test_a_band_that_leaves_its_fiber_is_named(self, band, pair, message, call):
+        # validate_space refuses such a space; the three calls raised a bare KeyError
+        sp = make_space(2, 2, [0, 1], band=band)
+        assert ("band_in_fiber", pair) in validate_space(sp).failures
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(identity_space_morphism(sp))
+
+    def test_a_missing_product_in_a_fiber_is_named(self):
+        sp = make_space(2, 1, [0, 0], band=[[0, None], [1, 1]])
+        with pytest.raises(ValueError, match=re.escape("band[0][1] = None is not a point")):
+            validate_space_morphism(identity_space_morphism(sp))
+
+    def test_check_variant_dualities_decodes_its_dual_once(self, monkeypatch):
+        # a decode reads g and h as dicts once; dual_of_hom checks the dual
+        # and classify_space_morphism reads its pieces from the same decode
+        A = dual_algebra(random_space(2, 2, seed=3, band="right"))[0]
+        f = enumerate_homs(A, A)[5]
+        calls = []
+        as_dict = PartialMap.as_dict
+        monkeypatch.setattr(PartialMap, "as_dict", lambda pm: calls.append(pm) or as_dict(pm))
+        assert check_variant_dualities(f) is True
+        assert len(calls) == 2
+
+    def test_pieces_are_read_only(self):
+        pieces = _decoded(identity_space_morphism(random_space(2, 3, seed=1, band="left")))[0]
+        assert isinstance(pieces, tuple) and len(pieces) == 2
+        for _, at in pieces:
+            with pytest.raises(ValueError):
+                at[0] = 0
