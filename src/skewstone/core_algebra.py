@@ -301,15 +301,17 @@ def _atoms(leq, zero):
 # ---------------------------------------------------------------------------
 
 def _rectangle(T):
-    """Decode T, an m x m table on 0..m-1, as a rectangular band: the row
-    and the column of each element, as two int arrays, or None if T is not a
-    rectangular band.  In a rectangular band R x C, x y = (row(x), col(y)):
-    rows are equal exactly when their first entries are, and columns when
-    their first entries are.  So x is placed at (T[x, 0], T[0, x]), and T is
-    a rectangular band exactly when these places are a bijection onto R x C
-    (R the values of column 0, C those of row 0) and T[x, y] is the element
-    placed at (T[x, 0], T[0, y]).  Anything that is not an integer table on
-    0..m-1 gives None."""
+    """Decode T, an m x m table on 0..m-1, as a rectangular band, or None if
+    T is not one: (row, col, grid), with row and col the row and the column
+    of each element as int arrays, rows and columns numbered in the order of
+    their first element, and grid[row, col] the element there, grid.shape
+    the band's (rows, columns).  In a rectangular band R x C,
+    x y = (row(x), col(y)): rows are equal exactly when their first entries
+    are, and columns when their first entries are.  So x is placed at
+    (T[x, 0], T[0, x]), and T is a rectangular band exactly when these
+    places are a bijection onto R x C (R the values of column 0, C those of
+    row 0) and T[x, y] is the element placed at (T[x, 0], T[0, y]).
+    Anything that is not an integer table on 0..m-1 gives None."""
     m = len(T)
     if m == 0 or T.shape != (m, m) or T.dtype.kind not in "iu" or T.min() < 0 or T.max() >= m:
         return None
@@ -317,11 +319,16 @@ def _rectangle(T):
     at = np.full((m, m), -1)
     at[row, col] = np.arange(m)
     placed = at >= 0
-    if (np.count_nonzero(placed) == m
+    if not (np.count_nonzero(placed) == m
             and np.count_nonzero(placed.any(axis=1)) * np.count_nonzero(placed.any(axis=0)) == m
             and np.array_equal(T, at[row[:, None], col])):
-        return row, col
-    return None
+        return None
+    row, col = (np.array(partition_from_labels(keys.tolist()).labels) for keys in (row, col))
+    grid = np.empty((1 + row.max(), 1 + col.max()), dtype=np.intp)
+    grid[row, col] = np.arange(m)
+    for array in (row, col, grid):
+        array.setflags(write=False)
+    return row, col, grid
 
 
 def band_law_witness(table):
@@ -360,13 +367,14 @@ def _product_algebra(bands, digits):
     if it has point i.  The caller's element x stays element x, so the rows
     of digits, read as mixed-radix codes, must number the product's
     prod(1 + m) elements once each; ValueError otherwise."""
-    zero, tables = _product_tables(bands, digits)
-    return SkewAlgebra(len(digits), zero, *tables)
+    _, rank, tables = _product_tables(bands, digits)
+    return SkewAlgebra(len(digits), int(rank[0]), *tables)
 
 
 def _product_tables(bands, digits):
-    """The zero of _product_algebra(bands, digits), and an iterator that
-    makes its four tables one at a time, in _OPS order.
+    """The codec of _product_algebra(bands, digits) and an iterator that
+    makes its four tables one at a time, in _OPS order, as (radix, rank,
+    tables): rank[digits[x] @ radix] is x, so rank[0] is the zero.
 
     Every operation acts digitwise; with s the left operand and r the right:
     meet is band(s, r) where both are present, join keeps a lone point and
@@ -416,33 +424,41 @@ def _product_tables(bands, digits):
             np.take(rank, code, out=out[start:start + rows], mode="clip")
         return out
 
-    return int(rank[0]), map(table, range(4))
+    return radix, rank, map(table, range(4))
 
 
 @dataclass(frozen=True, eq=False)
 class _ProductForm:
     """A read as a product of rectangular bands with a zero adjoined, one
-    factor per fiber of atoms.  bands[b] is the meet table on the atoms of
-    fiber b, on their positions 0..m-1 in increasing order.  digits is the
-    (n, len(bands)) array of each element's digits: 0 where no atom of the
-    fiber lies below it, 1 + i where atom i does.  refused is None when the
-    product rebuilt from this form equals A table for table, and otherwise
-    the name of the check that refused A (_certificate); a refused form
-    holds nothing else."""
+    factor per fiber of atoms, numbered as A's spectrum numbers its primes
+    and points (spectrum_data): fibers by the bytes of their supports'
+    masks, (digits[:, b] > 0).tobytes(), and each fiber's atoms by the
+    least element above them.  bands[b] is the meet table on the atoms of
+    fiber b, on their positions 0..m-1, and rectangles[b] its decode
+    (_rectangle).  digits is the (n, len(bands)) array of each element's
+    digits: 0 where no atom of the fiber lies below it, 1 + i where atom i
+    does.  radix and rank are the codec of the digit rows (_product_tables).
+    refused is None when the product rebuilt from this form equals A table
+    for table, and otherwise the name of the check that refused A
+    (_certificate); a refused form holds nothing else."""
 
     bands: tuple = ()
+    rectangles: tuple = ()
     digits: np.ndarray | None = None
+    radix: np.ndarray | None = None
+    rank: np.ndarray | None = None
     refused: str | None = None
 
 
 @per_object
 def _product_form(A):
     """A's product form, decoded from A's own tables and checked against
-    them (validate_algebra's docstring has the argument).  It is memoized
-    on A and never handed in by a builder: _product_tables both builds the
-    section and partial-map algebras and rebuilds the product compared here,
-    so a form the builder supplied would let a fault of the builder certify
-    itself."""
+    them (validate_algebra's docstring has the argument).  The fibers are
+    checked in the order of their first atom and numbered afterwards; the
+    order is no part of the argument.  It is memoized on A and never handed
+    in by a builder: _product_tables both builds the section and
+    partial-map algebras and rebuilds the product compared here, so a form
+    the builder supplied would let a fault of the builder certify itself."""
     n, M, zero = A.n, A.meet_table, A.zero
     leq = leq_matrix(A)
     atoms = np.array(_atoms(leq, zero), dtype=np.intp)
@@ -453,31 +469,41 @@ def _product_form(A):
         if not np.array_equal(meets, first[:, None] == first[None, :]):
             return _ProductForm(refused="fibers")
         fibers = [atoms[first == i] for i in np.flatnonzero(first == np.arange(len(atoms)))]
-    bands, digits = [], np.zeros((n, len(fibers)), dtype=np.int64)
+    rectangles, bands, digits = [], [], np.zeros((n, len(fibers)), dtype=np.int64)
     for b, f in enumerate(fibers):
-        where = np.full(n, -1, dtype=np.intp)
+        below = leq[f]                               # [i, x]: atom i of fiber b is below x
+        by_least = np.argsort(np.argmax(below, axis=1), kind="stable")   # least element above
+        f, below = f[by_least], below[by_least]
+        where = np.full(n, -1, dtype=np.intp)        # a meet that leaves the fiber stays -1
         where[f] = np.arange(len(f))
         band = where[M[np.ix_(f, f)]]
-        if _rectangle(band) is None:
+        rectangle = _rectangle(band)
+        if rectangle is None:
             return _ProductForm(refused="band")
+        rectangles.append(rectangle)
         bands.append(band)
-        below = leq[f]                               # [i, x]: point i of fiber b is below x
         count = below.sum(axis=0)
         if count.max() > 1:
             return _ProductForm(refused="digits")
         digits[:, b] = np.where(count > 0, np.argmax(below, axis=0) + 1, 0)
+    # the fibers in the order of their primes' members (spectrum_data): P_b
+    # comes before P_c when the first element in only one of them is in P_b,
+    # so the masks of the elements outside them compare as bytes in that order
+    order = sorted(range(len(fibers)), key=lambda b: (digits[:, b] > 0).tobytes())
+    bands, rectangles = ([items[b] for b in order] for items in (bands, rectangles))
+    digits = digits[:, order]
     try:
-        product_zero, tables = _product_tables(bands, digits)
+        radix, rank, tables = _product_tables(bands, digits)
     except ValueError:                               # the digits do not number the product
         return _ProductForm(refused="digits")
-    if product_zero != zero:
+    if rank[0] != zero:
         return _ProductForm(refused="zero")
     for name, T in zip(_OPS, tables):
         if not np.array_equal(T, getattr(A, name + "_table")):
             return _ProductForm(refused=name)
-    for array in [digits] + bands:
+    for array in [digits, radix, rank, *bands]:
         array.setflags(write=False)
-    return _ProductForm(tuple(bands), digits)
+    return _ProductForm(tuple(bands), tuple(rectangles), digits, radix, rank)
 
 
 def _certified_form(A):
@@ -502,15 +528,15 @@ def _order_keys(A):
     preorder exactly when supp(x) lies in supp(y).  Read-only (supports,
     keys): supports[x] is supp(x) as a bit mask, bit b for fiber b, and
     keys[:, x, b] number the row and the column of x's point at b (the
-    band's column 0 and row 0, _rectangle), or its absence, apart from
-    those of other fibers, all below n."""
+    band's decode, _rectangle), or its absence, apart from those of other
+    fibers, all below n."""
     form = _certified_form(A)
     keys = np.empty((2,) + form.digits.shape, dtype=np.intp)
     start = 0
-    for b, band in enumerate(form.bands):
-        first = np.stack((np.r_[0, band[:, 0] + 1], np.r_[0, band[0] + 1]))
+    for b, (row, col, _) in enumerate(form.rectangles):
+        first = np.stack((np.r_[0, row + 1], np.r_[0, col + 1]))
         keys[:, :, b] = start + first[:, form.digits[:, b]]
-        start += 1 + len(band)
+        start += 1 + len(row)
     supports = (form.digits > 0) @ (1 << np.arange(len(form.bands), dtype=np.int64))
     for array in (supports, keys):
         array.setflags(write=False)
@@ -780,10 +806,9 @@ def handedness(A):
     is read off the band shapes: all 1 x 1 (or no fiber) is commutative,
     all with one row right (x ^ y ^ x = y ^ x), all with one column left
     (x ^ y ^ x = x ^ y), anything else neither."""
-    form = _certified_form(A)
-    # a band has one row when its row keys T[:, 0] are all equal
-    one_row = all((band[:, 0] == band[0, 0]).all() for band in form.bands)
-    one_col = all((band[0] == band[0, 0]).all() for band in form.bands)
+    shapes = [grid.shape for _, _, grid in _certified_form(A).rectangles]
+    one_row = all(rows == 1 for rows, _ in shapes)
+    one_col = all(cols == 1 for _, cols in shapes)
     if one_row and one_col:
         return "commutative"
     return "right" if one_row else "left" if one_col else "neither"

@@ -237,29 +237,21 @@ def spectrum_data(A):
     bands with a zero adjoined (_certified_form): fiber b gives the prime
     P_b of the elements without a digit there, and P_b generates the
     congruence "same digit at b", as (x \\ (x cap y)) v (y \\ (x cap y)) has
-    a digit at b exactly where x and y differ there.  So the points over
-    P_b are the nonzero digits at b, ordered by their least element, the
-    point's rep, and the band is A's meet on the reps, read back through
-    the rows; it does not come from the form's band, so _basic_rows_witness
-    compares two routes."""
+    a digit at b exactly where x and y differ there.  The form numbers its
+    fibers in the order of these primes and each fiber's points by their
+    least element, the point's rep, so the basic rows are A's digits.  The
+    band is A's meet on the reps, read back through the digits; it does
+    not come from the form's band, so _basic_rows_witness compares two
+    routes."""
     form = _certified_form(A)
-    # the primes sorted by their members: P_b comes before P_c when the first
-    # element in only one of them is in P_b, so the masks of the elements
-    # outside them compare as bytes in that order
-    order = sorted(range(len(form.bands)), key=lambda b: (form.digits[:, b] > 0).tobytes())
-    rows = np.zeros((A.n, len(order)), dtype=np.int64)
     primes, points, bands = [], [], []
-    for pi, b in enumerate(order):
-        digits, m = form.digits[:, b], len(form.bands[b])
-        first = np.argmax(digits[:, None] == np.arange(1, 1 + m), axis=0)   # least x per digit
-        reps = np.sort(first)
-        rows[:, pi] = np.concatenate(([0], 1 + np.searchsorted(reps, first)))[digits]
+    for pi, (digits, band) in enumerate(zip(form.digits.T, form.bands)):
+        reps = np.argmax(digits[:, None] == np.arange(1, 1 + len(band)), axis=0)   # least x
         primes.append(PrimeIdeal(tuple(np.flatnonzero(digits == 0).tolist()), pi))
         points += (SpectrumPoint(prime=pi, rep=int(r)) for r in reps)
-        bands.append((rows[A.meet_table[reps[:, None], reps], pi] - 1).tolist())
-    rows.setflags(write=False)
+        bands.append((digits[A.meet_table[reps[:, None], reps]] - 1).tolist())
     space = _banded_space(len(primes), [pt.prime for pt in points], bands)
-    return SpectrumData(primes=tuple(primes), space=space, points=tuple(points), rows=rows)
+    return SpectrumData(primes=tuple(primes), space=space, points=tuple(points), rows=form.digits)
 
 
 @per_object

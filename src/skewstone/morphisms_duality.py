@@ -32,7 +32,6 @@ from .core_algebra import (
     _order_keys,
     _rectangle,
     _take,
-    partition_from_labels,
     per_object,
     subalgebra_on,
 )
@@ -160,8 +159,10 @@ def enumerate_homs(A, B, max_candidates=MAX_CANDIDATES):
     max_candidates bounds the number of choice combinations, and past it
     SizeCapError is raised before any map is built.
     """
-    choices = _choices(_certified_form(B).bands, _certified_form(A).bands, max_candidates)
-    return tuple(Homomorphism(A, B, tuple(row.tolist())) for row in _maps(A, B, choices))
+    target, source = _certified_form(B), _certified_form(A)
+    choices = _choices(target.rectangles, source.rectangles, max_candidates)
+    return tuple(Homomorphism(A, B, tuple(row.tolist()))
+                 for row in _maps(source.digits, target.radix, target.rank, choices))
 
 
 def algebras_isomorphic(A, B):
@@ -174,33 +175,32 @@ def algebras_isomorphic(A, B):
     """
     if A.n != B.n:
         return None
-    matched = _band_isomorphism(*(_rectangles(_certified_form(X).bands) for X in (A, B)))
+    source, target = _certified_form(A), _certified_form(B)
+    matched = _band_isomorphism(source.rectangles, target.rectangles)
     if matched is None:
         return None
     choices = [None] * len(matched)
     for y, x, at in matched:
         choices[x] = [(y, at)]
-    return tuple(_maps(A, B, choices)[0].tolist())
+    return tuple(_maps(source.digits, target.radix, target.rank, choices)[0].tolist())
 
 
-def _maps(A, B, choices):
-    """The maps A -> B of every combination of choices, one list of None or
-    (y, at) per fiber x of B, as the sorted rows of an int32 array.  At x
-    an element's digit is 0 for None, and for (y, at) 0 where its digit at
-    A's fiber y is 0 and 1 + at[i] where that digit is 1 + i.  Each choice
-    is one column of mixed-radix codes of B's digits, and the codes of a
-    combination are the sum of its columns, renumbered into B's order."""
-    digits, form = _certified_form(A).digits, _certified_form(B)
-    radix = np.cumprod([1] + [1 + len(band) for band in form.bands])[:-1]
-    rank = np.empty(B.n, dtype=np.int32)
-    rank[form.digits @ radix] = np.arange(B.n)
-    codes = np.zeros((1, A.n), dtype=np.int32)
+def _maps(digits, radix, rank, choices):
+    """The maps of every combination of choices, one list of None or (y, at)
+    per target fiber x, as the sorted rows of an int32 array: source
+    element a goes to the target element whose digit at x is 0 for None,
+    and for (y, at) 0 where digits[a, y] is 0 and 1 + at[i] where it is
+    1 + i.  Each choice is one column of mixed-radix codes of the target's
+    digits (radix), and the codes of a combination are the sum of its
+    columns, renumbered into the target's order (rank)."""
+    n = len(digits)
+    codes = np.zeros((1, n), dtype=np.int32)
     for x, pieces in enumerate(choices):
-        column = np.zeros((len(pieces), A.n), dtype=np.int32)
+        column = np.zeros((len(pieces), n), dtype=np.int32)
         for i, piece in enumerate(pieces):
             if piece is not None:
                 column[i] = np.r_[0, 1 + piece[1]][digits[:, piece[0]]] * radix[x]
-        codes = (codes[:, None] + column).reshape(-1, A.n)
+        codes = (codes[:, None] + column).reshape(-1, n)
     np.take(rank, codes, out=codes)
     return codes[np.lexsort(codes.T[::-1])]
 
@@ -303,32 +303,25 @@ def compose_space_morphisms(outer, inner):
     return SpaceMorphism(inner.source, outer.target, partial_map(g), partial_map(h))
 
 
-def _rectangles(bands):
-    """For each band, the (row, column) of each of its points, as two int
-    arrays with rows and columns numbered in the order of their first point,
-    and its grid: grid[row, column] is the point there, and grid.shape is
-    the band's (rows, columns).  ValueError if a band is not rectangular."""
-    out = []
-    for table in bands:
-        rect = _rectangle(table)
-        if rect is None:
-            raise ValueError("a fiber band is not a rectangular band")
-        row, col = (np.array(partition_from_labels(keys.tolist()).labels) for keys in rect)
-        grid = np.empty((1 + row.max(), 1 + col.max()), dtype=np.intp)
-        grid[row, col] = np.arange(len(row))
-        out.append((row, col, grid))
-    return out
+@per_object
+def _fiber_rectangles(sp):
+    """The decode (_rectangle) of each fiber band of sp, made once per
+    space.  ValueError if a band is not rectangular."""
+    rects = tuple(map(_rectangle, fiber_bands(sp)))
+    if any(rect is None for rect in rects):
+        raise ValueError("a fiber band is not a rectangular band")
+    return rects
 
 
-def _choices(x_bands, y_bands, max_candidates):
+def _choices(x_rects, y_rects, max_candidates):
     """For each x band, [None] + [(y, at)]: each y band with each injective
     band map of it into the x band, at[i] the point that y's point i goes
-    to.  Between rectangles such a map is an injective row map times an
-    injective column map (a plain band is one row), so x has
+    to; the bands are given by their decodes (_rectangle).  Between
+    rectangles such a map is an injective row map times an injective
+    column map (a plain band is one row), so x has
     1 + sum_y P(a_x, a_y) * P(b_x, b_y) choices, a x b the band's shape.
     Past max_candidates combinations SizeCapError is raised before any
     choice is built."""
-    x_rects, y_rects = _rectangles(x_bands), _rectangles(y_bands)
     y_shapes = [grid.shape for _, _, grid in y_rects]
     if math.prod(1 + sum(math.perm(a, c) * math.perm(b, d) for c, d in y_shapes)
                  for a, b in (grid.shape for _, _, grid in x_rects)) > max_candidates:
@@ -351,16 +344,17 @@ def enumerate_space_morphisms(sp, tp, max_candidates=MAX_CANDIDATES):
     built.  A band that is not rectangular raises ValueError.
     """
     choices = [[c if c is None else (c[0], c[1].tolist()) for c in options]
-               for options in _choices(fiber_bands(sp), fiber_bands(tp), max_candidates)]
+               for options in _choices(_fiber_rectangles(sp), _fiber_rectangles(tp),
+                                       max_candidates)]
     out = [_space_morphism(sp, tp, pieces) for pieces in product(*choices)]
     return tuple(sorted(out, key=lambda m: (m.h.domain, m.h.values, m.g.domain, m.g.values)))
 
 
 def _band_isomorphism(rects1, rects2):
-    """A bijection of bands given by _rectangles, as (b1, b2, at) with at[i]
-    the point of band b2 that band b1's point i goes to, or None.  Bands
-    are matched by shape, in order within a shape, and points by their
-    (row, column); None if the shapes differ."""
+    """A bijection of bands given by their decodes (_rectangle), as
+    (b1, b2, at) with at[i] the point of band b2 that band b1's point i
+    goes to, or None.  Bands are matched by shape, in order within a shape,
+    and points by their (row, column); None if the shapes differ."""
     shapes1, shapes2 = ([grid.shape for _, _, grid in rects] for rects in (rects1, rects2))
     if sorted(shapes1) != sorted(shapes2):
         return None
@@ -381,7 +375,7 @@ def spaces_isomorphic(sp1, sp2):
     """
     if (sp1.size_e, sp1.size_b) != (sp2.size_e, sp2.size_b):
         return None
-    matched = _band_isomorphism(*(_rectangles(fiber_bands(sp)) for sp in (sp1, sp2)))
+    matched = _band_isomorphism(_fiber_rectangles(sp1), _fiber_rectangles(sp2))
     if matched is None:
         return None
     pieces = [None] * sp1.size_b
@@ -446,8 +440,9 @@ def dual_of_hom(f):
 
 def hom_of_space_morphism(m):
     """Dual homomorphism (sections of target) -> (sections of source) acting
-    by preimage under g, one gather of the target's section rows
-    (_section_rows).  m is read by _decoded, and RuntimeError names its
+    by preimage under g: the one combination of m's pieces, read by _maps
+    on the section rows (_section_rows) of the target into the codec of the
+    source's.  m is read by _decoded, and RuntimeError names its
     first failure unless it is a valid space morphism.  Over x in dom h
     the preimage's digit is 1 + at[i] where the section's digit at h(x) is
     1 + i, and 0 where that digit is 0; outside dom h it is 0.  That map is a
@@ -465,12 +460,9 @@ def hom_of_space_morphism(m):
     So the map is checked on no table of either algebra."""
     pieces = _pieces(m)
     (_, radix, rank, _), (tgt_rows, _, _, _) = _section_rows(m.source), _section_rows(m.target)
-    code = np.zeros(len(tgt_rows), dtype=np.int64)
-    for x, piece in enumerate(pieces):
-        if piece is not None:
-            code += np.r_[0, 1 + piece[1]][tgt_rows[:, piece[0]]] * radix[x]
+    image = _maps(tgt_rows, radix, rank, [[piece] for piece in pieces])[0]
     return Homomorphism(dual_algebra(m.target)[0], dual_algebra(m.source)[0],
-                        tuple(rank[code].tolist()))
+                        tuple(image.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -489,31 +481,17 @@ def _basic_labels(A):
 
 
 def _basic_rows_witness(A):
-    """None if the basic rows are A's digits carried fiber by fiber through
-    band isomorphisms, else what fails.  Fiber pi of the spectrum is matched
-    with the fiber b of A's product form (_certified_form) that has the same
-    support, the elements outside the prime; the match must be a bijection
-    of fibers.  The pairs (A's digit at b, the basic row's digit at pi) must
-    form a bijection sigma of 0..m, which fixes 0 as the supports are the
-    same, and sigma less one must carry A's band of b onto the spectrum's
-    band of pi.  O(n k + sum m^2)."""
-    form, rows = _certified_form(A), spectrum_data(A).rows
-    fiber_of = {(d > 0).tobytes(): b for b, d in enumerate(form.digits.T)}
-    matched = []
-    for pi, band in enumerate(fiber_bands(spectrum_data(A).space)):
-        b = fiber_of.get((rows[:, pi] > 0).tobytes())
-        if b is None or len(form.bands[b]) != len(band):
-            return f"spectrum fiber {pi} has no fiber of A with its support and size"
-        digits, sigma = form.digits[:, b], np.zeros(1 + len(band), dtype=np.intp)
-        sigma[digits] = rows[:, pi]
-        s = sigma[1:] - 1
-        if ((sigma[digits] != rows[:, pi]).any()
-                or not np.array_equal(np.sort(s), np.arange(len(band)))
-                or not np.array_equal(band[np.ix_(s, s)], s[form.bands[b]])):
-            return f"spectrum fiber {pi} is no band isomorphism of A's fiber {b}"
-        matched.append(b)
-    if sorted(matched) != list(range(len(form.bands))):
-        return f"spectrum fibers {matched} do not match A's {len(form.bands)} fibers one to one"
+    """None if the basic rows are A's digits and each fiber band of the
+    spectrum is the band of A's product form (_certified_form), else what
+    fails.  The spectrum's band is read off meet on the points' reps
+    (spectrum_data), the form's off meet on A's atoms, so the two routes
+    are compared.  O(n k + sum m^2)."""
+    form, sd = _certified_form(A), spectrum_data(A)
+    if sd.rows is not form.digits:
+        return "the basic rows are not A's digits"
+    for pi, (band, form_band) in enumerate(zip(fiber_bands(sd.space), form.bands)):
+        if not np.array_equal(band, form_band):
+            return f"spectrum fiber {pi} does not carry the band of A's fiber {pi}"
     return None
 
 
@@ -535,10 +513,10 @@ def algebra_roundtrip_iso(A):
 
     _roundtrip_map checks, with _basic_labels, that the map is a bijection
     onto the sections, and with _basic_rows_witness that the basic rows are
-    A's digits carried through band isomorphisms, one per fiber, onto the
-    spectrum's fibers.  That
-    makes the map an isomorphism, and the section algebra is A's tables
-    relabelled through it: T'[image[x], image[y]] = image[T[x, y]].
+    A's digits and that each fiber of the spectrum carries the band of A's
+    fiber of the same index.  That makes the map an isomorphism, and the
+    section algebra is A's tables relabelled through it:
+    T'[image[x], image[y]] = image[T[x, y]].
 
     - The certificate has compared A's tables with the product built from
       A's form, so A computes every operation digitwise on its digits.
@@ -547,9 +525,8 @@ def algebra_roundtrip_iso(A):
       operation on two sections is the section whose digit row is the
       digitwise operation on theirs (_product_tables).
     - Each digit operation is read off the band, presence (digit 0) and
-      equality of digits.  A bijection of digits that fixes 0 and is a
-      band isomorphism keeps all three, so it carries each of the four
-      digit operations of A's fiber b to those of the spectrum's fiber pi.
+      equality of digits.  With the same band at fiber b, the four digit
+      operations of A's fiber b are those of the spectrum's fiber b.
     - So the basic row of x * y is the digitwise x * y on the basic rows of
       x and y, for each operation *, and image[x * y] is the section
       image[x] * image[y].  With the bijection, every pair of sections is
@@ -604,7 +581,7 @@ def to_space_pair(sp):
     component collapses onto the base and the second keeps the total space."""
     if sp.band is None:
         raise ValueError("pair decomposition needs a band")
-    shapes = [grid.shape for _, _, grid in _rectangles(fiber_bands(sp))]
+    shapes = [grid.shape for _, _, grid in _fiber_rectangles(sp)]
 
     def quotient(side):
         p_q = [b for b, shape in enumerate(shapes) for _ in range(shape[side])]

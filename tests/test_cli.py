@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catalog import boolean_algebra, right_three
-from skewstone import SizeCapError, jsonio, make_space
-from skewstone.morphisms_duality import dual_of_hom, identity_hom
+from skewstone import SizeCapError, StructuralError, jsonio, make_space
+from skewstone.morphisms_duality import dual_of_hom, identity_hom, validate_space_morphism
 from skewstone.spaces_sections import dual_algebra, random_space
 from skewstone.cli import COMMANDS, OPTIONS, build_parser, main
 from skewstone.lattice_sections import is_lattice_section
@@ -150,6 +150,39 @@ class TestExitCodes:
             code = main(argv + [str(path)])
             captured = capsys.readouterr()
             assert (code, captured.out, captured.err) == (1, "", "error: B = -1 is negative\n")
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"n": 1, "zero": 1, "meet": [[0]], "join": [[0]], "diff": [[0]], "cap": [[0]]},
+         "zero index 1 out of range"),
+        ({"n": 0, "zero": 0, "meet": [], "join": [], "diff": [], "cap": []},
+         "carrier must be non-empty"),
+    ], ids=["zero_is_n", "n_is_0"])
+    def test_algebra_at_the_carrier_boundary_exits_one(self, capsys, tmp_path, obj, message):
+        path = tmp_path / "boundary.json"
+        path.write_text(json.dumps(obj))
+        code = main(["validate", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("side, part", [
+        ("g", {"domain": [0, 2], "values": [0, 1]}), ("g", {"domain": [0, 1], "values": [0, 2]}),
+        ("h", {"domain": [0, 1], "values": [0, 0]}), ("h", {"domain": [0], "values": [1]}),
+    ], ids=["g_domain", "g_values", "h_domain", "h_values"])
+    def test_morphism_value_equal_to_the_size_exits_one(self, capsys, tmp_path, side, part):
+        # two points over one base point on each side: 2 and 1 are the sizes
+        space = {"E": 2, "B": 1, "p": [0, 0]}
+        obj = {"g": {"domain": [0, 1], "values": [0, 1]}, "h": {"domain": [0], "values": [0]},
+               "source": space, "target": space}
+        obj[side] = part
+        message = "morphism maps reference out-of-range points"
+        with pytest.raises(StructuralError) as err:
+            validate_space_morphism(jsonio.morphism_from_dict(obj))
+        assert str(err.value) == message
+        path = tmp_path / "morphism.json"
+        path.write_text(json.dumps(obj))
+        code = main(["validate", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
 
     def test_identity_hom_validates(self, capsys, three_file, tmp_path):
         path = tmp_path / "id.json"

@@ -51,6 +51,7 @@ from skewstone import (
     identity_space_morphism,
     make_space,
     mirror,
+    morphisms_duality,
     random_space,
     skew_spectrum,
     space_roundtrip_iso,
@@ -543,6 +544,24 @@ class TestRowColumnSearch:
         semilattice = make_space(2, 1, [0, 0], [[0, 0], [0, 1]])
         with pytest.raises(ValueError, match="not a rectangular band"):
             enumerate_space_morphisms(semilattice, semilattice)
+
+    def test_each_fiber_band_is_decoded_once(self, monkeypatch):
+        # a space keeps its fiber decodes: two enumerations, an isomorphism
+        # search and a pair split decode each band of sp and tp once
+        decoded = []
+
+        def counted(table):
+            decoded.append(table)
+            return decode(table)
+
+        decode = morphisms_duality._rectangle
+        monkeypatch.setattr(morphisms_duality, "_rectangle", counted)
+        sp, tp = random_space(3, 2, 5, "left"), random_space(2, 3, 7, "right")
+        for _ in range(2):
+            assert enumerate_space_morphisms(sp, tp)
+        assert spaces_isomorphic(sp, sp) is not None
+        to_space_pair(sp)
+        assert sorted(map(id, decoded)) == sorted(map(id, fiber_bands(sp) + fiber_bands(tp)))
 
 
 class TestEnumerationCaps:

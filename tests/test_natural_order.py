@@ -203,12 +203,13 @@ def test_reflection_check_matches_the_loop():
 
 
 def test_reflection_check_names_the_fibers_by_their_atoms():
-    """The section algebra's fibers come in the order of their first atom,
-    the base points in index order, so with p shuffled the bijection sigma
-    between them that reflection_check reads off the atoms is not the
-    identity, and the images still match sigma of the supports."""
-    spaces = [make_space(len(p), 1 + max(p), p) for p in ([1, 0], [2, 0, 1, 1], [1, 2, 0, 2, 0])]
-    spaces += [random_space(3, 2, seed, "left") for seed in range(3)]
+    """The section algebra's fibers come in the order of their primes, by
+    the bytes of their supports' masks, the base points in index order, so
+    on these spaces the bijection sigma between them that reflection_check
+    reads off the atoms is not the identity, and the images still match
+    sigma of the supports."""
+    spaces = [make_space(len(p), 1 + max(p), p) for p in ([0, 1], [2, 0, 1, 1], [1, 2, 0, 2, 0])]
+    spaces += [random_space(3, 2, seed, "left") for seed in (0, 2, 3)]
     for sp in spaces:
         A, labels = dual_algebra(sp)
         digits = _certified_form(A).digits

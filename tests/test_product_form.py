@@ -41,9 +41,9 @@ from skewstone import (
     skew_spectrum,
     validate_algebra,
 )
-from skewstone.core_algebra import _certificate
+from skewstone.core_algebra import _certificate, _certified_form
 from skewstone.lattice_sections import is_lattice_section
-from skewstone.ideals_spectra import spectrum_data
+from skewstone.ideals_spectra import fiber_bands, spectrum_data
 
 FIELDS = ("primes", "points", "space")
 
@@ -118,6 +118,22 @@ def test_renumbered_algebras():
         B = renumbered(A, seed=i)
         assert validate_algebra(B).ok
         check_against_oracles(B)
+
+
+def test_the_spectrum_is_the_forms_numbering():
+    """The product form numbers its fibers and points as the spectrum does,
+    so the basic rows are the form's digits, the same array, and the form's
+    bands are the oracle's fiber bands, on the 200 corpus algebras and a
+    renumbered copy of each, whose element order is not the builder's."""
+    for i, A in enumerate(corpus_dual_algebras(200)):
+        for B in (A, renumbered(A, seed=i)):
+            form, sd, expected = _certified_form(B), spectrum_data(B), spectrum_data_oracle(B)
+            assert sd.rows is form.digits
+            for name in FIELDS:
+                assert getattr(sd, name) == getattr(expected, name), name
+            assert sd.rows.tolist() == oracle_rows(B, expected)
+            assert ([band.tolist() for band in form.bands]
+                    == [band.tolist() for band in fiber_bands(expected.space)])
 
 
 def test_one_entry_mutant_is_refused_by_name():

@@ -423,6 +423,11 @@ class TestPartialMapAlgebra:
             with pytest.raises(ValueError, match="not a rectangular band: band_idempotent"):
                 partial_map_algebra(2, 2, bands)
 
+    def test_band_refusal_names_the_law_and_its_witness(self):
+        with pytest.raises(ValueError) as err:
+            partial_map_algebra(2, 2, BandOnY(((1, 1), (0, 0))))
+        assert str(err.value) == "not a rectangular band: band_idempotent at (0,)"
+
     def test_band_table_validator(self):
         assert band_law_witness(right_band(3).table) is None
         assert band_law_witness(((1, 1), (0, 0))) == ("band_idempotent", (0,))

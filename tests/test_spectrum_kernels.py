@@ -11,6 +11,7 @@ ideals and their congruences, Green's relations, the pullback check) is
 refused by the certificate, by name.  Each of the pullback check's three
 checks is seen to refuse on Green's relations seeded into the memo."""
 
+import itertools
 import random
 import re
 
@@ -30,6 +31,7 @@ from helpers import (
     outcome,
     quotient_by_oracle,
     refusal,
+    renumbered,
     retabled,
     second_decomposition_check_oracle,
     small_test_algebras,
@@ -41,6 +43,7 @@ from skewstone import (
     enumerate_prime_ideals,
     green_partitions,
     ideal_congruence,
+    make_space,
     quotient_by,
     random_space,
     second_decomposition_check,
@@ -52,7 +55,7 @@ from skewstone.core_algebra import (
     partition_from_labels,
     subalgebra_on,
 )
-from skewstone.ideals_spectra import is_ideal
+from skewstone.ideals_spectra import fibers, is_ideal, spectrum_data
 
 OPS = ("meet", "join", "diff", "cap")
 
@@ -210,6 +213,29 @@ def test_pullback_check_matches_the_loop(algebras):
     for i, A in enumerate(a for a in algebras if 3 <= a.n <= 16):
         for B in mutants(A, 20, seed=300 + i):
             assert outcome(second_decomposition_check, B) == refusal(B)
+
+
+def test_ideal_congruences_and_the_pullback_check_at_n_4096_and_3125():
+    """Six plain fibers of three and five 2 x 2 grid fibers, and a
+    renumbered copy of each: the pullback check holds, and each prime's
+    congruence has 1 + |fiber| classes with the prime as its zero class.
+    Each algebra is built afresh and dropped before the next, so at most
+    two are held at once, while one is renumbered."""
+    spaces = (lambda: make_space(18, 6, [b for b in range(6) for _ in range(3)]),
+              lambda: mixed_space([(2, 2)] * 5, seed=1))
+    sizes, parts = [], 0
+    for (i, space), copy in itertools.product(enumerate(spaces), (False, True)):
+        A = dual_algebra(space())[0]
+        if copy:
+            A = renumbered(A, seed=i)
+        sizes.append(A.n)
+        assert second_decomposition_check(A) is True
+        for p, f in zip(spectrum_data(A).primes, fibers(spectrum_data(A).space)):
+            c = ideal_congruence(A, p)
+            assert len(c.blocks) == 1 + len(f) and c.blocks[c.labels[A.zero]] == p.members
+            parts += 1
+    assert sizes == [4096, 4096, 3125, 3125]
+    assert parts == 22
 
 
 def test_pullback_check_refuses_seeded_relations():

@@ -119,6 +119,17 @@ def test_direct_constructor_refuses_bools(n, zero, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("n, zero, table, message", [
+    (1, 1, [[0]], "zero index 1 out of range"),
+    (2, 2, [[0, 0], [0, 1]], "zero index 2 out of range"),
+    (0, 0, [], "carrier must be non-empty"),
+], ids=["zero_is_n_1", "zero_is_n_2", "n_is_0"])
+def test_make_algebra_refuses_a_zero_or_carrier_at_the_boundary(n, zero, table, message):
+    with pytest.raises(StructuralError) as err:
+        make_algebra(n, zero, table, table, table, table)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("n, zero, meet", [
     (True, 0, [[0]]), (1, False, [[0]]), (1, 0, [[False]]), (2, 0, [[0, 0], [0, True]]),
 ], ids=["n", "zero", "table", "entry_among_ints"])
