@@ -274,11 +274,30 @@ COMMANDS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """The parser of one command.  An option it does not take is a usage
+    error under the command's own usage line: the first such option is
+    named, with the value that follows it when OPTIONS gives that option
+    one, as argparse may have read that value as the command's file.  Other
+    stray arguments are left to the top-level parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        option = next((arg for arg in extras if arg.startswith("-")), None)
+        if option is not None:
+            at = args.index(option) + 1
+            takes_value = option in OPTIONS and OPTIONS[option].get("action") != "store_true"
+            if takes_value and at < len(args):
+                option += " " + args[at]
+            self.error(f"unrecognized arguments: {option}")
+        return namespace, extras
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="skewstone",
         description="Finite skew Boolean algebras with intersections and their dual spaces.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name)
         for file in command.files:

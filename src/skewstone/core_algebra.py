@@ -250,30 +250,37 @@ def natural_preceq(A, x, y):
     return A.meet(A.meet(x, y), x) == x
 
 
+# The most entries in one block of rows of an n x n array.  Tables are
+# built, checked and gathered a block of rows at a time, so that the
+# temporaries of each block (an intp index is 512 KiB) stay in cache.
+ROW_BLOCK = 2 ** 16
+
+
 def _take(table, index):
-    """np.take(table, index) for an n x n index.  take gathers faster than
-    fancy indexing, but through an intp copy of its index, so it runs one
-    block of rows at a time (_by_row_blocks)."""
-    return _by_row_blocks(len(index), table.dtype, lambda b: np.take(table, index[b]))
+    """np.take(table, index) for an n x n index of entries in range.  take
+    gathers faster than fancy indexing, but through an intp copy of its
+    index, so it runs one block of rows at a time (_by_row_blocks)."""
+    return _by_row_blocks(np.empty(index.shape, dtype=table.dtype),
+                          lambda b, out: np.take(table, index[b], out=out, mode="clip"))
 
 
-def _by_row_blocks(n, dtype, make_rows):
-    """The n x n array whose rows b are make_rows(b), made one block of rows
-    at a time, so that a block's intp index stays near n x n bytes, or near
-    256 KiB on small carriers.  A single block is returned as made."""
-    size = max(1, max(n * n, 2**18) // (8 * n))
-    if size >= n:
-        return make_rows(slice(0, n))
-    out = np.empty((n, n), dtype=dtype)
+def _by_row_blocks(out, fill):
+    """out, an n x n array, filled one block b of rows of at most ROW_BLOCK
+    entries at a time by fill(b, out[b]).  fill writes its rows in place:
+    its gathers take mode="clip", as take buffers out under mode="raise"."""
+    n = len(out)
+    size = max(1, ROW_BLOCK // n)
     for lo in range(0, n, size):
-        out[lo:lo + size] = make_rows(slice(lo, lo + size))
+        fill(slice(lo, lo + size), out[lo:lo + size])
     return out
 
 
 @per_object
 def leq_matrix(A):
     """leq[x, y] is natural_leq(A, x, y): the natural partial order as a
-    read-only boolean array, the one every module reads."""
+    read-only boolean array, which the exhaustive report and the Hasse
+    diagram read.  The certificate makes no n x n array and does not read
+    it (_atoms)."""
     M = A.meet_table
     rows = np.arange(A.n)[:, None]
     leq = (M == rows) & (M.T == rows)
@@ -289,10 +296,21 @@ def _first_bad(mask):
     return tuple(int(v) for v in np.unravel_index(np.argmax(mask), mask.shape))
 
 
-def _atoms(leq, zero):
-    """The atoms of a natural order leq, as a list: each a != zero with no
-    b other than zero and a below it."""
-    others = leq.sum(axis=0) - leq[zero] - np.diagonal(leq)   # [a]: b < a, b != zero
+def _atoms(M, zero):
+    """The atoms of the natural order of the meet table M, as a list: each
+    a != zero with no b other than zero and a below it.  The elements below
+    each a, b with M[b, a] = b = M[a, b], are counted a block of rows b at
+    a time, so no n x n array is made."""
+    n = len(M)
+    rows = max(1, ROW_BLOCK // n)
+    count = np.zeros(n, dtype=np.intp)
+    for lo in range(0, n, rows):
+        b = np.arange(lo, min(n, lo + rows), dtype=M.dtype)[:, None]
+        below = M[lo:lo + rows] == b                 # [b, a]: b ^ a = b
+        below &= M[:, lo:lo + rows].T == b           # and a ^ b = b
+        count += np.count_nonzero(below, axis=0)
+    others = (count - ((M[zero] == zero) & (M[:, zero] == zero))   # [a]: b < a, b != zero
+              - (np.diagonal(M) == np.arange(n)))
     return [a for a in np.flatnonzero(others == 0).tolist() if a != zero]
 
 
@@ -356,9 +374,6 @@ def band_law_witness(table):
     return None
 
 
-ROW_BLOCK = 2 ** 16
-
-
 def _product_algebra(bands, digits):
     """Algebra of independent choices, one per coordinate: nothing, or a
     point of that coordinate's rectangular band.  bands[b] is the band of
@@ -367,14 +382,16 @@ def _product_algebra(bands, digits):
     if it has point i.  The caller's element x stays element x, so the rows
     of digits, read as mixed-radix codes, must number the product's
     prod(1 + m) elements once each; ValueError otherwise."""
-    _, rank, tables = _product_tables(bands, digits)
+    rank, tables = _product_tables(bands, digits)
     return SkewAlgebra(len(digits), int(rank[0]), *tables)
 
 
 def _product_tables(bands, digits):
-    """The codec of _product_algebra(bands, digits) and an iterator that
-    makes its four tables one at a time, in _OPS order, as (radix, rank,
-    tables): rank[digits[x] @ radix] is x, so rank[0] is the zero.
+    """The four tables of _product_algebra(bands, digits) and the rank of
+    its digit rows, as (rank, tables): rank[digits[x] @ radix] is x, radix
+    the mixed radix of the sizes 1 + m, so rank[0] is the zero; tables is
+    one read-only (4, n, n) int32 block whose k-th C-contiguous table is
+    that of _OPS[k].
 
     Every operation acts digitwise; with s the left operand and r the right:
     meet is band(s, r) where both are present, join keeps a lone point and
@@ -382,8 +399,10 @@ def _product_tables(bands, digits):
     keeps s where the two agree.  A table row is these digit tables read at
     the row's digits and summed as mixed-radix codes, then renumbered into
     the caller's order.  The codes lie below n, so they are int32 like the
-    tables.  Rows are made in blocks of at most ROW_BLOCK entries into the
-    int32 table, so no other n x n array exists.
+    tables.  The digit tables are made once per distinct band.  Rows are
+    made in blocks of at most ROW_BLOCK entries straight into the block, so
+    besides it a call holds two such blocks and, for one table at a time, a
+    (1 + m) x n array per coordinate of a band of m points.
     """
     digits = np.asarray(digits, dtype=np.int64)
     n = len(digits)
@@ -395,26 +414,29 @@ def _product_tables(bands, digits):
     rank[digits @ radix] = np.arange(n)
     if (rank < 0).any():
         raise ValueError("two digit rows give the same element")
-    ops = []
+    made, ops = {}, []
     for band in bands:
         m = len(band)
-        s, r = np.ogrid[:m + 1, :m + 1]
-        both = np.zeros((m + 1, m + 1), dtype=np.int64)
-        both[1:, 1:] = np.reshape(band, (m, m)) + 1
-        ops.append((np.where((s > 0) & (r > 0), both, 0),
-                    np.where(r == 0, s, np.where(s == 0, r, both.T)),
-                    np.where(r == 0, s, 0),
-                    np.where(s == r, s, 0)))
+        band = np.reshape(np.asarray(band, dtype=np.int64), (m, m))
+        key = band.tobytes()
+        if key not in made:
+            s, r = np.ogrid[:m + 1, :m + 1]
+            both = np.zeros((m + 1, m + 1), dtype=np.int64)
+            both[1:, 1:] = band + 1
+            made[key] = (np.where((s > 0) & (r > 0), both, 0),
+                         np.where(r == 0, s, np.where(s == 0, r, both.T)),
+                         np.where(r == 0, s, 0),
+                         np.where(s == r, s, 0))
+        ops.append(made[key])
+    tables = np.empty((4, n, n), dtype=np.int32)
     rows = max(1, ROW_BLOCK // n)
     # two block buffers, made once: malloc maps a fresh 256 KiB block anew
     code_buffer, term_buffer = (np.empty((min(rows, n), n), dtype=np.int32) for _ in range(2))
-
-    def table(k):
+    for k, out in enumerate(tables):
         # per coordinate, the code each digit of a row gives each column; this
         # take refuses a digit past its band, so the clip takes stay in range
         parts = [np.take(op[k] * weight, col, axis=1).astype(np.int32)
                  for col, op, weight in zip(digits.T, ops, radix)]
-        out = np.empty((n, n), dtype=np.int32)
         for start in range(0, n, rows):
             block = digits[start:start + rows]
             code, term = code_buffer[:len(block)], term_buffer[:len(block)]
@@ -422,9 +444,8 @@ def _product_tables(bands, digits):
             for part, d in zip(parts, block.T):
                 code += np.take(part, d, axis=0, out=term, mode="clip")
             np.take(rank, code, out=out[start:start + rows], mode="clip")
-        return out
-
-    return radix, rank, map(table, range(4))
+    tables.setflags(write=False)
+    return rank, tables
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,10 +458,11 @@ class _ProductForm:
     fiber b, on their positions 0..m-1, and rectangles[b] its decode
     (_rectangle).  digits is the (n, len(bands)) array of each element's
     digits: 0 where no atom of the fiber lies below it, 1 + i where atom i
-    does.  radix and rank are the codec of the digit rows (_product_tables).
-    refused is None when the product rebuilt from this form equals A table
-    for table, and otherwise the name of the check that refused A
-    (_certificate); a refused form holds nothing else."""
+    does.  radix and rank are the codec of the digit rows:
+    rank[digits[x] @ radix] is x.  refused is None when A's tables are,
+    entry for entry, those of the product this form describes, and
+    otherwise the name of the check that refused A (_certificate); a
+    refused form holds nothing else."""
 
     bands: tuple = ()
     rectangles: tuple = ()
@@ -455,13 +477,14 @@ def _product_form(A):
     """A's product form, decoded from A's own tables and checked against
     them (validate_algebra's docstring has the argument).  The fibers are
     checked in the order of their first atom and numbered afterwards; the
-    order is no part of the argument.  It is memoized on A and never handed
-    in by a builder: _product_tables both builds the section and
-    partial-map algebras and rebuilds the product compared here, so a form
-    the builder supplied would let a fault of the builder certify itself."""
+    order is no part of the argument.  The check builds no product: it
+    reads A's tables in place, a block of rows at a time, against digit
+    operations written out here (_differing_table), and calls nothing that
+    the builder (_product_tables) makes tables with, so a fault of the
+    builder cannot certify itself.  The form is memoized on A and never
+    handed in by a builder, for the same reason."""
     n, M, zero = A.n, A.meet_table, A.zero
-    leq = leq_matrix(A)
-    atoms = np.array(_atoms(leq, zero), dtype=np.intp)
+    atoms = np.array(_atoms(M, zero), dtype=np.intp)
     fibers = []
     if len(atoms):
         meets = M[np.ix_(atoms, atoms)] != zero      # [a, b]: a ^ b is not zero
@@ -471,7 +494,7 @@ def _product_form(A):
         fibers = [atoms[first == i] for i in np.flatnonzero(first == np.arange(len(atoms)))]
     rectangles, bands, digits = [], [], np.zeros((n, len(fibers)), dtype=np.int64)
     for b, f in enumerate(fibers):
-        below = leq[f]                               # [i, x]: atom i of fiber b is below x
+        below = (M[f] == f[:, None]) & (M[:, f].T == f[:, None])   # [i, x]: atom i <= x
         by_least = np.argsort(np.argmax(below, axis=1), kind="stable")   # least element above
         f, below = f[by_least], below[by_least]
         where = np.full(n, -1, dtype=np.intp)        # a meet that leaves the fiber stays -1
@@ -492,24 +515,78 @@ def _product_form(A):
     order = sorted(range(len(fibers)), key=lambda b: (digits[:, b] > 0).tobytes())
     bands, rectangles = ([items[b] for b in order] for items in (bands, rectangles))
     digits = digits[:, order]
-    try:
-        radix, rank, tables = _product_tables(bands, digits)
-    except ValueError:                               # the digits do not number the product
+    # the codec: distinct codes below prod(1 + m) = n number the product once each
+    sizes = [1 + len(band) for band in bands]
+    radix = np.cumprod([1] + sizes)[:-1]
+    code = digits @ radix
+    rank = np.full(n, -1, dtype=np.int32)
+    if math.prod(sizes) == n:
+        rank[code] = np.arange(n)
+    if (rank < 0).any():
         return _ProductForm(refused="digits")
     if rank[0] != zero:
         return _ProductForm(refused="zero")
-    for name, T in zip(_OPS, tables):
-        if not np.array_equal(T, getattr(A, name + "_table")):
-            return _ProductForm(refused=name)
+    refused = _differing_table(A, bands, digits, radix, code)
+    if refused is not None:
+        return _ProductForm(refused=refused)
     for array in [digits, radix, rank, *bands]:
         array.setflags(write=False)
     return _ProductForm(tuple(bands), tuple(rectangles), digits, radix, rank)
 
 
+def _differing_table(A, bands, digits, radix, code):
+    """The first of _OPS whose table in A differs anywhere from the product
+    of the bands with a zero adjoined on these digit rows, or None.  code
+    is digits @ radix, each element's mixed-radix code, one to one onto
+    0..n-1.  The digit operations are written out here from their
+    definitions (_product_tables' docstring), with s the left digit and r
+    the right, 0 for absent: meet is the band on two present digits and
+    absent otherwise; join is the other digit where one is absent and the
+    band reversed, band(r, s), on two; diff is s where r is absent; cap is
+    s where s = r.  Each row block x of A's table T is checked by the
+    forward route: the code of T[x, y] equals the sum over the coordinates
+    of the code of the digit operation at (x, y).  The tables are checked
+    in _OPS order, each to its first differing block, in buffers of at most
+    ROW_BLOCK entries, reused for every block and table."""
+    n = len(digits)
+    rows = min(n, max(1, ROW_BLOCK // n))
+    codes = code.astype(np.int32)
+    want, term, got = (np.empty((rows, n), dtype=np.int32) for _ in range(3))
+    index = np.empty((rows, n), dtype=np.intp)
+    differs = np.empty((rows, n), dtype=bool)
+    digit_rows = np.ascontiguousarray(digits.T)
+    ops = []
+    for band in bands:
+        m = len(band)
+        meet = np.zeros((m + 1, m + 1), dtype=np.int64)
+        meet[1:, 1:] = band + 1
+        join = meet.T.copy()
+        join[0], join[:, 0] = np.arange(m + 1), np.arange(m + 1)
+        diff = np.zeros_like(meet)
+        diff[:, 0] = np.arange(m + 1)
+        ops.append((meet, join, diff, np.diag(np.arange(m + 1))))
+    for k, name in enumerate(_OPS):
+        T = getattr(A, name + "_table")
+        # [s, y]: the code of the digit operation of s and y's digit
+        parts = [(op[k] * weight)[:, column].astype(np.int32)
+                 for op, weight, column in zip(ops, radix, digit_rows)]
+        for lo in range(0, n, rows):
+            hi = min(n, lo + rows)
+            w, t, g, i, d = (buffer[:hi - lo] for buffer in (want, term, got, index, differs))
+            w.fill(0)
+            for part, column in zip(parts, digit_rows):
+                w += np.take(part, column[lo:hi], axis=0, out=t, mode="clip")
+            np.copyto(i, T[lo:hi])
+            np.take(codes, i, out=g, mode="clip")
+            if np.not_equal(w, g, out=d).any():
+                return name
+    return None
+
+
 def _certified_form(A):
     """A's product form, the one source of A's derived structure.  Whatever
     is read off it holds of A itself: the certificate has compared every
-    entry of A's four tables with the product built from this same form, so
+    entry of A's four tables with the product this same form describes, so
     A is that product, in A's own element order.  The certificate is
     complete, so an A it refuses is no skew Boolean algebra with
     intersections, and has no derived structure: ValueError, naming the
@@ -550,7 +627,7 @@ def _certificate(A):
     (meeting is not an equivalence on the atoms), "band" (a fiber's meet
     table is not a rectangular band), "digits" (the atoms below the elements
     do not number the product), or the first of "zero", "meet", "join",
-    "diff" and "cap" that differs from the rebuilt product."""
+    "diff" and "cap" that differs anywhere from the product."""
     return _product_form(A).refused
 
 
@@ -565,16 +642,18 @@ def validate_algebra(A, max_n=EXHAUSTIVE_N):
     of join are implied by the axioms, so violations of those are reported
     as warnings (useful when hunting for which axiom a broken table loses).
 
-    A certificate (``_certificate``) decides, at every n, at the cost of
-    building four tables and comparing them.  On a finite discrete base the
+    A certificate (``_certificate``) decides, at every n, in about the time
+    of building four tables but with none built: it reads A's tables in
+    place, a block of rows at a time.  On a finite discrete base the
     section algebra of a rectangular space is the product over the base
     points of the fiber bands, each with a zero adjoined.  The certificate
     reads such a product off A's atoms: two atoms lie in one fiber when
     their meet is not the zero, which must be an equivalence; a fiber's
     band is the meet table on its atoms; an element's digits are the atoms
-    below it, at most one per fiber.  It builds that product in A's element
-    order and compares the zero and the four tables with A's.  If all five
-    agree, A is valid, and the report is ok with no warnings:
+    below it, at most one per fiber.  It checks that the zero has no digit
+    and that each entry of A's four tables has the digits that the
+    product's operation, applied digit by digit, gives its operands'.  If
+    all five agree, A is valid, and the report is ok with no warnings:
 
     - Every band is checked to be rectangular, so each factor, a
       rectangular band with a zero adjoined, is a skew Boolean algebra with
@@ -585,9 +664,9 @@ def validate_algebra(A, max_n=EXHAUSTIVE_N):
       is the greatest lower bound.  Normality and regularity are theorems
       of the axioms (Leech 1990), so there are no warnings.
     - n = prod(1 + |fiber|) and the elements' digits, read as mixed-radix
-      codes, are distinct (the builder refuses them otherwise), so they
-      number the product's elements once each.  With the five
-      comparisons, A is isomorphic to the product.
+      codes, are distinct (refused as "digits" otherwise), so they number
+      the product's elements once each.  With the five comparisons, A is
+      isomorphic to the product.
 
     Soundness rests on these checks alone; how the fibers and digits were
     read needs no proof.  Completeness: every valid A passes.  It is the

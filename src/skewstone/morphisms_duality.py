@@ -144,8 +144,8 @@ def enumerate_homs(A, B, max_candidates=MAX_CANDIDATES):
     at y), or 0 where x is left out (_maps), and that map is a
     homomorphism:
 
-    - The certificate has compared B's tables with the product built from
-      B's form, so B computes every operation digitwise on its digits, as
+    - The certificate has compared B's tables with the product of B's
+      form, so B computes every operation digitwise on its digits, as
       A does on its own.
     - Each digit operation is read off the band, presence (digit 0) and
       equality of digits (_product_tables).  An injective band map that
@@ -516,10 +516,11 @@ def algebra_roundtrip_iso(A):
     A's digits and that each fiber of the spectrum carries the band of A's
     fiber of the same index.  That makes the map an isomorphism, and the
     section algebra is A's tables relabelled through it:
-    T'[image[x], image[y]] = image[T[x, y]].
+    T'[image[x], image[y]] = image[T[x, y]], written block of rows by block
+    of rows into one (4, n, n) int32 block, as the builder does.
 
-    - The certificate has compared A's tables with the product built from
-      A's form, so A computes every operation digitwise on its digits.
+    - The certificate has compared A's tables with the product of A's form,
+      so A computes every operation digitwise on its digits.
     - The section algebra of the spectrum is the product of its fiber
       bands with a zero adjoined, on the sections' digit rows: an
       operation on two sections is the section whose digit row is the
@@ -536,12 +537,13 @@ def algebra_roundtrip_iso(A):
     image = _roundtrip_map(A)
     inverse = np.argsort(image)                      # the element sent to each section
     relabel = image.astype(np.int32)
-
-    def relabelled(T):
-        return _by_row_blocks(A.n, np.int32, lambda b: np.take(
-            relabel, np.take(np.take(T, inverse[b], axis=0), inverse, axis=1)))
-
-    tables = (relabelled(getattr(A, name + "_table")) for name in _OPS)
+    tables = np.empty((4, A.n, A.n), dtype=np.int32)
+    for name, out in zip(_OPS, tables):
+        T = getattr(A, name + "_table")
+        _by_row_blocks(out, lambda b, rows: np.take(
+            relabel, np.take(np.take(T, inverse[b], axis=0), inverse, axis=1),
+            out=rows, mode="clip"))
+    tables.setflags(write=False)
     return Homomorphism(A, SkewAlgebra(A.n, int(image[A.zero]), *tables), tuple(image.tolist()))
 
 

@@ -201,7 +201,7 @@ def reflection_check(sp):
     certificate refuses raises its ValueError first.
 
     Meet and join need no pass over the tables.  The certificate has
-    compared A's tables with the product built from its form, where a meet
+    compared A's tables with the product of its form, where a meet
     has a digit where both arguments have one and a join where either has:
     supp(x ^ y) = supp x & supp y and supp(x v y) = supp x | supp y.  With
     img = sigma(supp) and sigma one to one onto single bits,

@@ -415,6 +415,22 @@ class TestOneTable:
             assert (exc.value.code, captured.out) == (2, "")
             assert captured.err.endswith(f": error: unrecognized arguments: {' '.join(extra)}\n")
 
+    @pytest.mark.parametrize("argv, stray", [
+        (["--seed", "3", "--out", "x", "--format", "json"], "--seed 3"),
+        (["--sections", "--seed", "3"], "--sections"),
+        (["--bogus", "3"], "--bogus"),
+    ])
+    def test_a_stray_option_is_named_under_the_command(self, capsys, three_file, argv, stray):
+        # argparse reads a stray option's value as the command's file; the
+        # command's parser names the option, not the real file
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", *argv, three_file])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert captured.err.startswith("usage: skewstone spectrum [-h]")
+        assert captured.err.endswith(
+            f"\nskewstone spectrum: error: unrecognized arguments: {stray}\n")
+
     @pytest.mark.parametrize("name", ["decompose", "generate"])
     def test_out_is_required(self, capsys, argv_of, name):
         argv = argv_of(name)

@@ -275,27 +275,36 @@ class TestDerivedStructureLifetime:
             gc.enable()
 
     def test_product_form_is_decoded_from_the_tables(self, monkeypatch):
-        # dual_algebra builds A with _product_tables and hands it no form:
-        # the first consumer decodes A and rebuilds the product to compare,
-        # and later readers of the form, the validator too, share that one
+        # dual_algebra builds A with _product_tables, once, and hands it no
+        # form: the first consumer decodes A's own tables and checks them
+        # without the builder, and later readers of the form, the validator
+        # too, share that one decode
+        calls = {"_product_tables": 0, "_atoms": 0}
+
+        def counting(name):
+            fn = getattr(core_algebra, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(core_algebra, name, counting(name))
         A, _ = dual_algebra(random_space(2, 3, seed=6, band="left"))
+        assert calls == {"_product_tables": 1, "_atoms": 0}
         assert "_memo__product_form" not in A.__dict__
-        calls = []
-        build = core_algebra._product_tables
-
-        def counted(bands, digits):
-            calls.append(len(digits))
-            return build(bands, digits)
-
-        monkeypatch.setattr(core_algebra, "_product_tables", counted)
         green_partitions(A)
-        assert calls == [A.n]
+        form = A.__dict__["_memo__product_form"]
+        assert form.refused is None
+        assert calls == {"_product_tables": 1, "_atoms": 1}
         assert validate_algebra(A).ok
         for consume in (handedness, spectrum_data,
                         lambda A: quotient_by(A, green_partitions(A)[0]),
                         lambda A: basic_copen(A, A.zero)):
             consume(A)
-        assert calls == [A.n]
+        assert calls == {"_product_tables": 1, "_atoms": 1}
+        assert A.__dict__["_memo__product_form"] is form
 
     @pytest.mark.parametrize("search", [
         find_lattice_section,

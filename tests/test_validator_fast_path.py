@@ -1,5 +1,5 @@
 """validate_algebra accepts an algebra that its product certificate
-(core_algebra._certificate) rebuilds table for table; the exhaustive check
+(core_algebra._certificate) checks table for table; the exhaustive check
 (core_algebra._exhaustive_report) gives the report on any algebra the
 certificate refuses.  These tests hold the two to the same verdicts, and
 validate_algebra to the exhaustive report, on inputs that break each law
@@ -38,12 +38,16 @@ from skewstone import (
     random_space,
     validate_algebra,
 )
+from skewstone import core_algebra
 from skewstone.core_algebra import (
+    ROW_BLOCK,
     _certificate,
     _exhaustive_report,
     _product_algebra,
     band_law_witness,
+    leq_matrix,
 )
+from skewstone.morphisms_duality import algebra_roundtrip_iso
 
 OPS = ("meet", "join", "diff", "cap")
 
@@ -438,3 +442,62 @@ def test_band_check_agrees_with_the_triple_loop():
         assert band_law_witness(tuple(map(tuple, T))) == band_law_witness_oracle(T)
         assert band_law_witness(np.array(T)) == band_law_witness_oracle(T)
     assert outcomes == {True, False}
+
+
+def block_edge_swap(k, seed):
+    """A builder that makes _product_tables' tables with two differing
+    entries of table k swapped in one row at the edge of a row block (the
+    first row of a block or the last of the one before), all chosen by
+    seed."""
+    build = core_algebra._product_tables
+
+    def faulty(bands, digits):
+        rank, tables = build(bands, digits)
+        tables = tables.copy()
+        T, n = tables[k], len(tables[k])
+        rows = ROW_BLOCK // n
+        rng = random.Random(seed)
+        x = rows * rng.randrange(1, n // rows) - rng.randrange(2)
+        y = rng.randrange(n)
+        z = rng.choice(np.flatnonzero(T[x] != T[x, y]).tolist())
+        T[x, y], T[x, z] = T[x, z], T[x, y]
+        return rank, tables
+
+    return faulty
+
+
+@pytest.mark.parametrize("k, name", enumerate(OPS))
+def test_a_fault_of_the_builder_is_refused(monkeypatch, k, name):
+    """The certificate shares no code with the builder: with a block-edge
+    swap in each table in turn built into the section algebra of five
+    plain fibers of three (n = 1024), it names that table, and past the
+    exhaustive report's cap validate_algebra says so."""
+    monkeypatch.setattr(core_algebra, "_product_tables", block_edge_swap(k, seed=1024 + k))
+    A = dual_algebra(space_from_fibers((3,) * 5))[0]
+    assert A.n == 1024
+    assert _certificate(A) == name
+    with pytest.raises(SizeCapError) as exc:
+        validate_algebra(A)
+    assert str(exc.value).endswith(
+        f"fails certificate check {name}; the exhaustive report is capped at n=256")
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_certificate_and_the_round_trip_work_in_row_blocks():
+    """On five plain fibers of three (n = 1024, 4 MiB per int32 table) the
+    certificate checks A's tables in buffers of ROW_BLOCK entries, and the
+    round trip relabels them into its target's one block of tables a block
+    of rows at a time: neither makes another n x n array."""
+    A = dual_algebra(space_from_fibers((3,) * 5))[0]
+    leq_matrix(A)
+    assert traced_peak(validate_algebra, A) < 4 * 2 ** 20
+    assert _certificate(A) is None
+    assert traced_peak(algebra_roundtrip_iso, A) < (16 + 4) * 2 ** 20
