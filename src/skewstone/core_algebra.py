@@ -31,10 +31,14 @@ class SizeCapError(RuntimeError):
 # enumerate (sections, partial maps).  Homomorphisms and space morphisms are
 # combinations of per-fiber choices, and MAX_CANDIDATES, the default
 # max_candidates of enumerate_homs and enumerate_space_morphisms, bounds how
-# many combinations are built.
+# many combinations are built.  TABLE_N is the most elements an algebra can
+# have: INDEX_DTYPE, the one dtype of element indices in operation tables
+# and in the labels gathered through them, holds 0..TABLE_N - 1.
 EXHAUSTIVE_N = 256
 MAX_CARRIER = 4096
 MAX_CANDIDATES = 10 ** 6
+INDEX_DTYPE = np.int16
+TABLE_N = np.iinfo(INDEX_DTYPE).max + 1
 
 _OPS = ("meet", "join", "diff", "cap")
 
@@ -105,9 +109,18 @@ def _elements(values, n, what="an element"):
 _BOOLS = frozenset((bool, np.bool_))
 
 
+def _within_table_n(n):
+    """SizeCapError if n is past TABLE_N, so no table of n elements is read."""
+    if n > TABLE_N:
+        raise SizeCapError(f"n = {n} is past TABLE_N = {TABLE_N}: operation tables "
+                           f"hold element indices as {np.dtype(INDEX_DTYPE)}")
+
+
 def _check_table(name, table, n):
-    """table as a read-only, C-contiguous int32 n x n array.  Such an array
-    is kept as given and made read-only; anything else is copied into one.
+    """table as a read-only, C-contiguous int16 n x n array, n at most
+    TABLE_N.  Such an array is kept as given and made read-only; anything
+    else is copied into one.  The range scan below is what puts the entries
+    in int16's range and in range of every gather that reads them.
     A table that is not n x n integers in 0..n-1 raises StructuralError,
     naming its first fault in row order.  Bools are not integers here: an
     array of them is not an integer table, and rows given as lists are
@@ -130,7 +143,7 @@ def _check_table(name, table, n):
                 if not (isinstance(v, int) and 0 <= v < n) or (listed and isinstance(v, bool)):
                     raise StructuralError(f"{name}[{i}] contains invalid entry {v!r}")
         raise StructuralError(f"{name} table is not an integer table")
-    T = np.ascontiguousarray(T, dtype=np.int32)
+    T = np.ascontiguousarray(T, dtype=INDEX_DTYPE)
     T.setflags(write=False)
     return T
 
@@ -139,9 +152,10 @@ def _check_table(name, table, n):
 class SkewAlgebra:
     """Carrier 0..n-1 with designated zero and the four operation tables.
 
-    Each table is a read-only, C-contiguous int32 n x n array, made so on
-    construction.  Algebras compare by value: equal n, zero and tables make
-    equal algebras, with equal hashes."""
+    Each table is a read-only, C-contiguous int16 n x n array, made so on
+    construction; n past TABLE_N raises SizeCapError before any table is
+    read.  Algebras compare by value: equal n, zero and tables make equal
+    algebras, with equal hashes."""
 
     n: int
     zero: int
@@ -155,6 +169,7 @@ class SkewAlgebra:
             raise StructuralError(f"n = {self.n} is not an integer")
         if self.n < 1:
             raise StructuralError("carrier must be non-empty")
+        _within_table_n(self.n)
         if isinstance(self.zero, bool) or not (0 <= self.zero < self.n):
             raise StructuralError(f"zero index {self.zero} out of range")
         for name in _OPS:
@@ -192,16 +207,20 @@ class SkewAlgebra:
 
 def make_algebra(n, zero, meet, join, diff, cap):
     """Build a SkewAlgebra from list-of-list tables.  Entries must be
-    integers (TypeError otherwise, also for 1.9, "0" or True).  The rows,
-    checked here, reach SkewAlgebra as one array per table, so it does not
-    look through them for bools again."""
+    integers (TypeError otherwise, also for 1.9, "0" or True).  n past
+    TABLE_N raises SizeCapError before any row is read.  The rows, checked
+    here, reach SkewAlgebra as one array per table, so it does not look
+    through them for bools again."""
+    n = as_int(n)
+    _within_table_n(n)
+
     def as_table(t):
         rows = [as_ints(row) for row in t]
         try:
             return np.array(rows)
         except ValueError:                       # ragged rows: SkewAlgebra names them
             return rows
-    return SkewAlgebra(as_int(n), as_int(zero), as_table(meet),
+    return SkewAlgebra(n, as_int(zero), as_table(meet),
                        as_table(join), as_table(diff), as_table(cap))
 
 
@@ -390,7 +409,7 @@ def _product_tables(bands, digits):
     """The four tables of _product_algebra(bands, digits) and the rank of
     its digit rows, as (rank, tables): rank[digits[x] @ radix] is x, radix
     the mixed radix of the sizes 1 + m, so rank[0] is the zero; tables is
-    one read-only (4, n, n) int32 block whose k-th C-contiguous table is
+    one read-only (4, n, n) int16 block whose k-th C-contiguous table is
     that of _OPS[k].
 
     Every operation acts digitwise; with s the left operand and r the right:
@@ -398,7 +417,7 @@ def _product_tables(bands, digits):
     combines two as band(r, s), diff keeps s where r is absent, and cap
     keeps s where the two agree.  A table row is these digit tables read at
     the row's digits and summed as mixed-radix codes, then renumbered into
-    the caller's order.  The codes lie below n, so they are int32 like the
+    the caller's order.  The codes lie below n, so they are int16 like the
     tables.  The digit tables are made once per distinct band.  Rows are
     made in blocks of at most ROW_BLOCK entries straight into the block, so
     besides it a call holds two such blocks and, for one table at a time, a
@@ -410,7 +429,7 @@ def _product_tables(bands, digits):
     if math.prod(sizes) != n:
         raise ValueError(f"{n} digit rows for a product of {math.prod(sizes)} elements")
     radix = np.cumprod([1] + sizes)[:-1]
-    rank = np.full(n, -1, dtype=np.int32)
+    rank = np.full(n, -1, dtype=INDEX_DTYPE)
     rank[digits @ radix] = np.arange(n)
     if (rank < 0).any():
         raise ValueError("two digit rows give the same element")
@@ -428,14 +447,14 @@ def _product_tables(bands, digits):
                          np.where(r == 0, s, 0),
                          np.where(s == r, s, 0))
         ops.append(made[key])
-    tables = np.empty((4, n, n), dtype=np.int32)
+    tables = np.empty((4, n, n), dtype=INDEX_DTYPE)
     rows = max(1, ROW_BLOCK // n)
-    # two block buffers, made once: malloc maps a fresh 256 KiB block anew
-    code_buffer, term_buffer = (np.empty((min(rows, n), n), dtype=np.int32) for _ in range(2))
+    # two block buffers, made once: malloc maps a fresh 128 KiB block anew
+    code_buffer, term_buffer = (np.empty((min(rows, n), n), dtype=INDEX_DTYPE) for _ in range(2))
     for k, out in enumerate(tables):
         # per coordinate, the code each digit of a row gives each column; this
         # take refuses a digit past its band, so the clip takes stay in range
-        parts = [np.take(op[k] * weight, col, axis=1).astype(np.int32)
+        parts = [np.take(op[k] * weight, col, axis=1).astype(INDEX_DTYPE)
                  for col, op, weight in zip(digits.T, ops, radix)]
         for start in range(0, n, rows):
             block = digits[start:start + rows]
@@ -550,8 +569,8 @@ def _differing_table(A, bands, digits, radix, code):
     ROW_BLOCK entries, reused for every block and table."""
     n = len(digits)
     rows = min(n, max(1, ROW_BLOCK // n))
-    codes = code.astype(np.int32)
-    want, term, got = (np.empty((rows, n), dtype=np.int32) for _ in range(3))
+    codes = code.astype(INDEX_DTYPE)
+    want, term, got = (np.empty((rows, n), dtype=INDEX_DTYPE) for _ in range(3))
     index = np.empty((rows, n), dtype=np.intp)
     differs = np.empty((rows, n), dtype=bool)
     digit_rows = np.ascontiguousarray(digits.T)
@@ -568,7 +587,7 @@ def _differing_table(A, bands, digits, radix, code):
     for k, name in enumerate(_OPS):
         T = getattr(A, name + "_table")
         # [s, y]: the code of the digit operation of s and y's digit
-        parts = [(op[k] * weight)[:, column].astype(np.int32)
+        parts = [(op[k] * weight)[:, column].astype(INDEX_DTYPE)
                  for op, weight, column in zip(ops, radix, digit_rows)]
         for lo in range(0, n, rows):
             hi = min(n, lo + rows)
@@ -785,7 +804,7 @@ def is_congruence(A, part, op_names=("meet", "join", "diff")):
     column with its least element's column.  Only a failing op pays for
     the search of the witness.
     """
-    lab = np.asarray(part.labels, dtype=np.int32)
+    lab = np.asarray(part.labels, dtype=INDEX_DTYPE)
     reps = np.array([block[0] for block in part.blocks])
     if len(reps) == len(lab):
         return None
@@ -831,7 +850,7 @@ def green_partitions(A):
 
 def glb_cap_table(n, meet, join):
     """Intersection table computed as greatest lower bounds of the order
-    induced by meet, as an int32 array.  Lower bounds of a pair commute, so
+    induced by meet, as an int16 array.  Lower bounds of a pair commute, so
     folding them with join, in increasing order, yields the candidate
     maximum, which is then verified.  Each z takes two passes over the
     pairs above it: one folds z into their candidates, one checks that z
@@ -841,7 +860,7 @@ def glb_cap_table(n, meet, join):
     rows = np.arange(n)[:, None]
     leq = (M == rows) & (M.T == rows)
     above = [np.ix_(up, up) for up in map(np.flatnonzero, leq)]
-    cap = np.full((n, n), -1, dtype=np.int32)    # -1: no lower bound yet
+    cap = np.full((n, n), -1, dtype=INDEX_DTYPE)    # -1: no lower bound yet
     for z, pairs in enumerate(above):
         m = cap[pairs]
         cap[pairs] = np.where(m < 0, z, J[m, z])   # J[-1, z] is read and dropped
@@ -870,7 +889,7 @@ def quotient_by(A, part):
     if bad is not None:
         raise CongruenceError(bad[0], bad[1:])
     reps = [block[0] for block in part.blocks]
-    lab = np.asarray(part.labels, dtype=np.int32)
+    lab = np.asarray(part.labels, dtype=INDEX_DTYPE)
     meet, join, diff, cap = (lab[getattr(A, name + "_table")[np.ix_(reps, reps)]]
                              for name in _OPS)
     if is_congruence(A, part, op_names=("cap",)) is not None:
@@ -941,7 +960,7 @@ def subalgebra_on(A, subset):
     members = tuple(sorted(set(subset)))
     if A.zero not in members:
         raise ValueError("subset does not contain zero")
-    pos = np.full(A.n, -1, dtype=np.int32)
+    pos = np.full(A.n, -1, dtype=INDEX_DTYPE)
     pos[list(members)] = np.arange(len(members))
     both = np.ix_(members, members)
     tables = [pos[getattr(A, name + "_table")[both]] for name in _OPS]

@@ -18,14 +18,14 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .core_algebra import StructuralError, as_ints, make_algebra
+from .core_algebra import INDEX_DTYPE, StructuralError, as_ints, make_algebra
 from .ideals_spectra import make_space
 from .morphisms_duality import Homomorphism, SpaceMorphism
 from .spaces_sections import PartialMap
 
 
 def algebra_to_dict(A):
-    """The algebra's own read-only int32 tables, which dump writes as rows."""
+    """The algebra's own read-only int16 tables, which dump writes as rows."""
     return {"n": A.n, "zero": A.zero, "meet": A.meet_table, "join": A.join_table,
             "diff": A.diff_table, "cap": A.cap_table}
 
@@ -134,7 +134,7 @@ def dump(obj, fh=None):
     json.dumps(obj, indent=2, sort_keys=True) followed by a newline.
 
     Covers what the CLI writes: dicts with str keys, lists, tuples, str, int,
-    float, bool and None, and operation tables: non-empty 2-D int32 arrays
+    float, bool and None, and operation tables: non-empty 2-D int16 arrays
     whose entries lie in 0..cols-1, written as the list of their rows.  Any
     other value, any other ndarray included, raises TypeError.  A list of
     plain ints is formatted in one join, a table row in one gather and one
@@ -207,7 +207,7 @@ def _write_table(table, write, newline):
     """Write an operation table at the nesting level of newline.  Entry v
     of a row is the text comma[v] (its line break, indent, digits and ","),
     or close[v] for a row's last entry, so a row is one gather and one join."""
-    if not (table.ndim == 2 and table.dtype == np.int32 and table.size
+    if not (table.ndim == 2 and table.dtype == INDEX_DTYPE and table.size
             and 0 <= table.min() and table.max() < table.shape[1]):
         raise TypeError(f"ndarray of {table.dtype} and shape {table.shape} is not "
                         "a table with entries in 0..cols-1")

@@ -19,6 +19,7 @@ from itertools import permutations, product
 import numpy as np
 
 from .core_algebra import (
+    INDEX_DTYPE,
     MAX_CANDIDATES,
     SizeCapError,
     SkewAlgebra,
@@ -100,13 +101,15 @@ class HomFlags:
 
 def validate_hom(f):
     """Exhaustive preservation check for zero, meet, join, diff and cap.
-    Each operation is one gather, m[T_A] against T_B[m x m]; the witness is
-    the first violated pair in C order.  The map must be n_A integers in
-    0..n_B-1 (StructuralError otherwise, also for 1.5, "1" or True)."""
+    Each operation is one gather, m[T_A] against T_B[m x m], both of the
+    tables' dtype; the witness is the first violated pair in C order.  The
+    map must be n_A integers in 0..n_B-1 (StructuralError otherwise, also
+    for 1.5, "1" or True)."""
     A, B = f.source, f.target
     m = _indices(f.map, B.n)
     if m is None or m.shape != (A.n,):
         raise StructuralError("homomorphism map is not a total map into the target")
+    m = m.astype(INDEX_DTYPE)
     failures = []
     if m[A.zero] != B.zero:
         failures.append(("preserves_zero", (A.zero,)))
@@ -517,7 +520,7 @@ def algebra_roundtrip_iso(A):
     fiber of the same index.  That makes the map an isomorphism, and the
     section algebra is A's tables relabelled through it:
     T'[image[x], image[y]] = image[T[x, y]], written block of rows by block
-    of rows into one (4, n, n) int32 block, as the builder does.
+    of rows into one (4, n, n) int16 block, as the builder does.
 
     - The certificate has compared A's tables with the product of A's form,
       so A computes every operation digitwise on its digits.
@@ -536,8 +539,8 @@ def algebra_roundtrip_iso(A):
     Any failed check here means a bug, so failures raise with a witness."""
     image = _roundtrip_map(A)
     inverse = np.argsort(image)                      # the element sent to each section
-    relabel = image.astype(np.int32)
-    tables = np.empty((4, A.n, A.n), dtype=np.int32)
+    relabel = image.astype(INDEX_DTYPE)
+    tables = np.empty((4, A.n, A.n), dtype=INDEX_DTYPE)
     for name, out in zip(_OPS, tables):
         T = getattr(A, name + "_table")
         _by_row_blocks(out, lambda b, rows: np.take(

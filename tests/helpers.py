@@ -1020,8 +1020,8 @@ def basic_copens_oracle(A, sd):
 def renumbered(A, seed):
     """A isomorphic copy of A, its elements renumbered by a seeded
     permutation: element x of A is element perm[x] of the copy.  The tables
-    are made as int32, the type SkewAlgebra keeps without a copy."""
-    perm = np.random.default_rng(seed).permutation(A.n).astype(np.int32)
+    are made as int16, the type SkewAlgebra keeps without a copy."""
+    perm = np.random.default_rng(seed).permutation(A.n).astype(np.int16)
     inverse = np.argsort(perm)
     both = np.ix_(inverse, inverse)
     return SkewAlgebra(A.n, int(perm[A.zero]),

@@ -512,6 +512,30 @@ class TestBaseCap:
         assert out.splitlines() == [f"FAIL p_surjective witness=({b},)" for b in range(1, 4096)]
 
 
+class TestTableCap:
+    """An algebra of more than 2**15 elements, past int16's range of
+    element indices, is refused before its tables are read."""
+
+    def test_validate_exits_three_past_the_cap(self, tmp_path):
+        one = [[0]]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": 32769, "zero": 0, "meet": one, "join": one,
+                                    "diff": one, "cap": one}))
+        proc = subprocess.run([sys.executable, "-m", "skewstone", "validate", str(path)],
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3, "", "error: limit: n = 32769 is past TABLE_N = 32768: operation tables hold"
+            " element indices as int16\n")
+
+    def test_the_cap_itself_reaches_the_table_check(self, capsys, tmp_path):
+        one = [[0]]
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"n": 32768, "zero": 0, "meet": one, "join": one,
+                                    "diff": one, "cap": one}))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == "error: meet table has 1 rows, expected 32768\n"
+
+
 class TestCommands:
     def test_spectrum_values(self, capsys, three_file):
         code, out = run(capsys, "spectrum", three_file)
@@ -726,7 +750,7 @@ class TestMaxSizeOverride:
 
 
 def table_of(rows):
-    return np.array([list(row) for row in rows], dtype=np.int32)
+    return np.array([list(row) for row in rows], dtype=np.int16)
 
 
 class TestJsonOutput:
@@ -805,8 +829,9 @@ class TestJsonOutput:
 
     @pytest.mark.parametrize("array", [
         np.zeros((2, 2)), np.zeros((2, 2), dtype=bool), np.zeros((2, 2), dtype=np.int64),
-        np.zeros(2, dtype=np.int32), np.zeros((2, 2, 2), dtype=np.int32),
-        np.zeros((2, 0), dtype=np.int32), table_of([[0, 2], [1, 0]]), table_of([[0, -1], [1, 0]]),
+        np.zeros((2, 2), dtype=np.int32), np.zeros((2, 2), dtype=np.uint16),
+        np.zeros(2, dtype=np.int16), np.zeros((2, 2, 2), dtype=np.int16),
+        np.zeros((2, 0), dtype=np.int16), table_of([[0, 2], [1, 0]]), table_of([[0, -1], [1, 0]]),
     ])
     def test_writer_refuses_arrays_that_are_not_tables(self, array):
         for obj in (array, {"t": array}):

@@ -155,7 +155,7 @@ class TestIsLatticeSection:
     def test_the_section_check_builds_no_class_table(self):
         # on the 1024-element Boolean algebra (1024 D-classes), with the form,
         # Green's relations and the spectrum built, the check holds rows of
-        # ten digits: no 1024 x 1024 array (a 4 MiB int32 table) is made
+        # ten digits: no 1024 x 1024 array (a 2 MiB int16 table) is made
         A = dual_algebra(make_space(10, 10, range(10)))[0]
         green_partitions(A)
         spectrum_data(A)
@@ -165,7 +165,7 @@ class TestIsLatticeSection:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2 ** 20
+        assert peak < 2 * 2 ** 20
 
 
 class TestGlobalSectionSearch:

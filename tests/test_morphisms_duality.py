@@ -275,7 +275,7 @@ class TestRoundTripIsos:
     def test_target_is_the_section_algebra_of_the_spectrum(self):
         # the target is A's tables relabelled; dual_algebra builds the same
         # algebra from the spectrum's bands with _product_tables.  On
-        # round_trip_algebras with 20 corpus algebras (up to n = 1024, eight
+        # round_trip_algebras with 20 corpus algebras (up to n = 1024, sixteen
         # row blocks of the target), each also renumbered
         algebras = round_trip_algebras(20)
         assert max(A.n for A in algebras) >= 1024

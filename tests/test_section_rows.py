@@ -259,7 +259,7 @@ class TestMorphismGathers:
     def test_dual_of_the_identity_makes_no_square_array(self):
         # five plain fibers of three (n = 1024), the algebra built first: the
         # identity's dual is one gather of the rows, with no 1024 x 1024
-        # array (4 MiB as int32) and no check of the tables
+        # array (2 MiB as int16) and no check of the tables
         sp = make_space(15, 5, [b for b in range(5) for _ in range(3)])
         A = dual_algebra(sp)[0]
         tracemalloc.start()

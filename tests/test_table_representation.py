@@ -1,5 +1,5 @@
 """The table representation: every algebra holds its four operation tables
-as read-only, C-contiguous int32 n x n arrays, whatever built it; algebras
+as read-only, C-contiguous int16 n x n arrays, whatever built it; algebras
 compare and hash by value; malformed tables are refused with fixed
 messages; and no NumPy scalar reaches a value the CLI prints."""
 
@@ -13,6 +13,7 @@ from catalog import boolean_algebra, right_three
 from helpers import retabled
 from skewstone import (
     Homomorphism,
+    SizeCapError,
     SkewAlgebra,
     StructuralError,
     algebra_roundtrip_iso,
@@ -30,7 +31,7 @@ from skewstone import (
     validate_algebra,
     validate_hom,
 )
-from skewstone.core_algebra import subalgebra_on
+from skewstone.core_algebra import TABLE_N, subalgebra_on
 from skewstone.jsonio import algebra_from_dict, algebra_to_dict, dumps
 
 OPS = ("meet", "join", "diff", "cap")
@@ -58,12 +59,12 @@ def built():
 
 
 @pytest.mark.parametrize("route", ROUTES)
-def test_every_route_gives_read_only_int32_tables(built, route):
+def test_every_route_gives_read_only_int16_tables(built, route):
     algebra = built[route]
     for op in OPS:
         table = getattr(algebra, op + "_table")
         assert isinstance(table, np.ndarray)
-        assert table.dtype == np.int32
+        assert table.dtype == np.int16
         assert table.shape == (algebra.n, algebra.n)
         assert table.flags.c_contiguous
         assert not table.flags.writeable
@@ -128,6 +129,27 @@ def test_make_algebra_refuses_a_zero_or_carrier_at_the_boundary(n, zero, table, 
     with pytest.raises(StructuralError) as err:
         make_algebra(n, zero, table, table, table, table)
     assert str(err.value) == message
+
+
+TOO_MANY = "n = 32769 is past TABLE_N = 32768: operation tables hold element indices as int16"
+
+
+@pytest.mark.parametrize("route", ["SkewAlgebra", "make_algebra", "algebra_from_dict"])
+def test_a_carrier_past_int16_is_refused_before_its_tables(route):
+    """Tables hold element indices as int16, so n is at most 2**15.  Past
+    it, every route refuses n with SizeCapError before it reads a table:
+    entries that are no integers are not reached.  n = 2**15 passes the cap
+    and fails at the row count."""
+    build = {"SkewAlgebra": SkewAlgebra, "make_algebra": make_algebra,
+             "algebra_from_dict": lambda n, zero, *tables: algebra_from_dict(
+                 dict(zip(("n", "zero") + OPS, (n, zero) + tables)))}[route]
+    assert TABLE_N == 2 ** 15 == np.iinfo(np.int16).max + 1
+    with pytest.raises(SizeCapError) as err:
+        build(TABLE_N + 1, 0, [["x"]], [["x"]], [["x"]], [["x"]])
+    assert str(err.value) == TOO_MANY
+    with pytest.raises(StructuralError) as err:
+        build(TABLE_N, 0, [[0]], [[0]], [[0]], [[0]])
+    assert str(err.value) == "meet table has 1 rows, expected 32768"
 
 
 @pytest.mark.parametrize("n, zero, meet", [

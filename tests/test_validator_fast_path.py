@@ -37,6 +37,7 @@ from skewstone import (
     product_band,
     random_space,
     validate_algebra,
+    validate_hom,
 )
 from skewstone import core_algebra
 from skewstone.core_algebra import (
@@ -145,8 +146,8 @@ def test_proof_at_n_512():
 
 def test_proof_with_every_element_a_generator_stays_small():
     """One fiber of 255 points: every element but the zero is an atom
-    (n = 256).  The certificate decodes one band of 255 points and builds
-    the product's tables one at a time, in blocks of rows; it stays under
+    (n = 256).  The certificate decodes one band of 255 points and checks
+    A's tables in place, one at a time, in blocks of rows; it stays under
     32 MiB traced."""
     A = dual_algebra(space_from_fibers((255,)))[0]
     assert A.n == 256
@@ -492,12 +493,23 @@ def traced_peak(fn, *args):
 
 
 def test_the_certificate_and_the_round_trip_work_in_row_blocks():
-    """On five plain fibers of three (n = 1024, 4 MiB per int32 table) the
+    """On five plain fibers of three (n = 1024, 2 MiB per int16 table) the
     certificate checks A's tables in buffers of ROW_BLOCK entries, and the
-    round trip relabels them into its target's one block of tables a block
-    of rows at a time: neither makes another n x n array."""
+    round trip relabels them into its target's one int16 block of tables a
+    block of rows at a time: neither makes another n x n array."""
     A = dual_algebra(space_from_fibers((3,) * 5))[0]
     leq_matrix(A)
     assert traced_peak(validate_algebra, A) < 4 * 2 ** 20
     assert _certificate(A) is None
-    assert traced_peak(algebra_roundtrip_iso, A) < (16 + 4) * 2 ** 20
+    assert traced_peak(algebra_roundtrip_iso, A) < (8 + 4) * 2 ** 20
+
+
+def test_validate_hom_gathers_int16_labels():
+    """On the round-trip map of five plain fibers of three (n = 1024)
+    validate_hom gathers the map through each table of A as int16, the
+    type of the target's tables it is compared with: the two n x n images
+    of each operation take 2 MiB each, where an intp gather took 8 MiB."""
+    A = dual_algebra(space_from_fibers((3,) * 5))[0]
+    iso = algebra_roundtrip_iso(A)
+    assert validate_hom(iso).ok
+    assert traced_peak(validate_hom, iso) < 8 * 2 ** 20
