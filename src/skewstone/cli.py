@@ -212,26 +212,17 @@ def _hasse_edges(A):
 
 def cmd_export_dot(cfg):
     kind, x = _read(cfg, cfg.paths[0])
-    lines = []
     if kind == "algebra":
-        lines.append("digraph hasse {")
-        lines.append("  rankdir=BT;")
-        for a in x.elements:
-            shape = ' shape=doublecircle' if a == x.zero else ""
-            lines.append(f'  n{a} [label="{a}"{shape}];')
-        for a, c in _hasse_edges(x):
-            lines.append(f"  n{a} -> n{c};")
-        lines.append("}")
+        lines = (["digraph hasse {", "  rankdir=BT;"]
+                 + [f'  n{a} [label="{a}"{" shape=doublecircle" if a == x.zero else ""}];'
+                    for a in x.elements]
+                 + [f"  n{a} -> n{c};" for a, c in _hasse_edges(x)])
     else:
-        lines.append("graph fibration {")
-        for b in range(x.size_b):
-            lines.append(f'  b{b} [label="b{b}" shape=box];')
-        for e in range(x.size_e):
-            lines.append(f'  e{e} [label="e{e}"];')
-        for e in range(x.size_e):
-            lines.append(f"  e{e} -- b{x.p[e]};")
-        lines.append("}")
-    print("\n".join(lines))
+        lines = (["graph fibration {"]
+                 + [f'  b{b} [label="b{b}" shape=box];' for b in range(x.size_b)]
+                 + [f'  e{e} [label="e{e}"];' for e in range(x.size_e)]
+                 + [f"  e{e} -- b{b};" for e, b in enumerate(x.p)])
+    print("\n".join(lines + ["}"]))
     return 0
 
 

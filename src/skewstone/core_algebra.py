@@ -586,8 +586,9 @@ def _differing_table(A, bands, digits, radix, code):
         ops.append((meet, join, diff, np.diag(np.arange(m + 1))))
     for k, name in enumerate(_OPS):
         T = getattr(A, name + "_table")
-        # [s, y]: the code of the digit operation of s and y's digit
-        parts = [(op[k] * weight)[:, column].astype(INDEX_DTYPE)
+        # [s, y]: the code of the digit operation of s and y's digit, C-ordered
+        # (the gather alone is F-ordered), so the takes below copy nothing
+        parts = [(op[k] * weight)[:, column].astype(INDEX_DTYPE, order="C")
                  for op, weight, column in zip(ops, radix, digit_rows)]
         for lo in range(0, n, rows):
             hi = min(n, lo + rows)

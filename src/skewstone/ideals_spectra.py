@@ -10,6 +10,8 @@ generated by P, and carries a rectangular band.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -52,70 +54,126 @@ class SpectrumPoint:
     rep: int
 
 
-@dataclass(frozen=True)
-class RectSkewSpace:
-    """Map p : E -> B of finite sets, with an optional fiberwise band table.
+_INT_OR_NONE = frozenset((int, type(None)))
 
-    band[x][y] is meaningful only when p[x] == p[y]; entries across fibers
-    are None.  With band omitted this doubles as a plain skew Boolean space.
+
+@dataclass(frozen=True, eq=False, init=False)
+class RectSkewSpace:
+    """Map p : E -> B of finite sets, with an optional fiberwise band.
+
+    The band is kept as one read-only intp table per fiber: tables[b][i, j]
+    is the position of the product of the i-th and j-th points of the fiber
+    over b, its points taken in index order.  A plain space keeps none
+    (tables is None) and is read as carrying the right band x y = y.
+
+    RectSkewSpace(E, B, p, band) reads band in the E x E form, band[x][y]
+    meaningful only when p[x] == p[y] and None across fibers, and sp.band
+    gives that form back, made from the tables on its first read and kept
+    on the space.  A cell the tables cannot hold, a value across fibers,
+    None inside a fiber or a value outside its fiber, is invalid input: it
+    is kept in stray, the sorted tuple of such (x, y, value), with -1 at
+    its place in its fiber's table.  validate_space reports these cells,
+    so a space it accepts has none.  Spaces compare and hash by value.
     """
 
     size_e: int
     size_b: int
     p: tuple[int, ...]
-    band: tuple[tuple[int | None, ...], ...] | None = None
+    tables: tuple[np.ndarray, ...] | None
+    stray: tuple[tuple[int, int, int | None], ...]
 
-    def __post_init__(self):
-        for name, size in (("E", self.size_e), ("B", self.size_b)):
+    def __init__(self, size_e, size_b, p, band=None):
+        for name, size in (("E", size_e), ("B", size_b)):
             if isinstance(size, bool):
                 raise StructuralError(f"{name} = {size} is not an integer")
-        if self.size_b < 0:
-            raise StructuralError(f"B = {self.size_b} is negative")
-        if self.size_b > max(self.size_e, MAX_CARRIER):
+        if size_b < 0:
+            raise StructuralError(f"B = {size_b} is negative")
+        if size_b > max(size_e, MAX_CARRIER):
             # such a p cannot be onto: refused before any per-base-point work
-            raise SizeCapError(f"B = {self.size_b} is past both E = {self.size_e} and "
+            raise SizeCapError(f"B = {size_b} is past both E = {size_e} and "
                                f"MAX_CARRIER = {MAX_CARRIER}, so p cannot be onto")
-        if len(self.p) != self.size_e:
-            raise StructuralError(f"p has length {len(self.p)}, expected {self.size_e}")
-        for e, b in enumerate(self.p):
-            if not (isinstance(b, int) and not isinstance(b, bool) and 0 <= b < self.size_b):
+        if len(p) != size_e:
+            raise StructuralError(f"p has length {len(p)}, expected {size_e}")
+        for e, b in enumerate(p):
+            if not (isinstance(b, int) and not isinstance(b, bool) and 0 <= b < size_b):
                 raise StructuralError(f"p[{e}] = {b!r} out of range")
-        if self.band is not None:
-            if len(self.band) != self.size_e:
-                raise StructuralError("band has wrong number of rows")
-            for x, row in enumerate(self.band):
-                if len(row) != self.size_e:
-                    raise StructuralError(f"band row {x} has wrong length")
-                for v in row:
-                    if v is not None and not (isinstance(v, int) and not isinstance(v, bool)
-                                              and 0 <= v < self.size_e):
-                        raise StructuralError(f"band[{x}] contains invalid entry {v!r}")
+        self.__dict__.update(size_e=size_e, size_b=size_b, p=tuple(p), tables=None, stray=())
+        if band is not None:
+            self.__dict__.update(_read_band(self, band, typed=False).__dict__)
+
+    @cached_property
+    def band(self):
+        """The E x E form: the rows of _band_rows as tuples, None for -1."""
+        if self.tables is not None:
+            return tuple(tuple(None if v < 0 else v for v in row.tolist())
+                         for row in _band_rows(self))
+
+    def __eq__(self, other):
+        key = lambda sp: (sp.size_e, sp.size_b, sp.p, sp.stray, sp.tables is None)
+        same = isinstance(other, RectSkewSpace) and key(self) == key(other)
+        return self is other or same and all(
+            map(np.array_equal, self.tables or (), other.tables or ()))
+
+    def __hash__(self):
+        return hash((self.size_e, self.size_b, self.p, self.stray))
 
 
 def make_space(size_e, size_b, p, band=None):
     """Build a RectSkewSpace from plain lists (None entries allowed in band).
-    Entries must be integers (TypeError otherwise, also for 2.5, "0" or True)."""
-    frozen_band = None
+    Entries must be integers (TypeError otherwise, also for 2.5, "0" or True):
+    a band row holding anything but ints and None is converted entry by entry."""
     if band is not None:
-        frozen_band = tuple(tuple(None if v is None else as_int(v) for v in row)
-                            for row in band)
-    return RectSkewSpace(as_int(size_e), as_int(size_b), tuple(as_ints(p)), frozen_band)
+        band = [row if isinstance(row, (list, tuple)) and _INT_OR_NONE.issuperset(map(type, row))
+                else [None if v is None else as_int(v) for v in row] for row in band]
+    sp = RectSkewSpace(as_int(size_e), as_int(size_b), tuple(as_ints(p)))
+    return sp if band is None else _read_band(sp, band, typed=True)
 
 
-def _banded_space(size_b, p, bands):
-    """The space p : E -> B whose fiber over b carries bands[b], a table of
-    ints on the positions 0..m-1 of that fiber's points in index order.
-    This is the one builder that fills a band table cell by cell."""
-    size_e = len(p)
-    fib = [[] for _ in range(size_b)]
-    for e, b in enumerate(p):
-        fib[b].append(e)
-    band = [[None] * size_e for _ in range(size_e)]
-    for f, table in zip(fib, bands):
-        for x, row in zip(f, table):
-            for y, v in zip(f, row):
-                band[x][y] = f[v]
-    return make_space(size_e, size_b, p, band)
+def _read_band(sp, band, typed):
+    """The space sp with the fiber tables and stray cells of band, E x E
+    rows, as a new space (_banded_space).  Each row is checked in order for
+    its length, the types of its entries (unless typed: make_space made them
+    all ints or None) and their range, a pass at C speed per check; only a
+    row that fails one is looked through for its first invalid entry, so
+    StructuralError names the first fault in row order.  The cells are then
+    read in NumPy, and each fiber's table is one gather of positions."""
+    if len(band) != sp.size_e:
+        raise StructuralError("band has wrong number of rows")
+    allowed = {None, *range(sp.size_e)}
+    for x, row in enumerate(band):
+        if len(row) != sp.size_e:
+            raise StructuralError(f"band row {x} has wrong length")
+        if not (typed or _INT_OR_NONE.issuperset(map(type, row))) or not allowed.issuperset(row):
+            bad = [v for v in row if v is not None and not (
+                isinstance(v, int) and not isinstance(v, bool) and 0 <= v < sp.size_e)]
+            if bad:
+                raise StructuralError(f"band[{x}] contains invalid entry {bad[0]!r}")
+    try:
+        cells = np.fromiter(chain.from_iterable(band), dtype=np.intp).reshape(sp.size_e, sp.size_e)
+    except TypeError:                            # a None, read as -1
+        cells = np.fromiter(chain.from_iterable(band), dtype=object).reshape(sp.size_e, sp.size_e)
+        cells = np.where(np.equal(cells, None), -1, cells).astype(np.intp)
+    stray, tables = cells >= 0, []
+    for f in map(list, fibers(sp)):
+        where = np.full(sp.size_e + 1, -1, dtype=np.intp)     # where[-1] reads a None
+        where[f] = np.arange(len(f))
+        # on a space of one fiber the positions are the points: cells is the table
+        tables.append(cells if len(f) == sp.size_e else where[cells[np.ix_(f, f)]])
+        stray[np.ix_(f, f)] = tables[-1] < 0
+    x, y = np.nonzero(stray)
+    values = [None if v < 0 else v for v in cells[x, y].tolist()]
+    return _banded_space(sp.size_b, sp.p, tables, tuple(zip(x.tolist(), y.tolist(), values)))
+
+
+def _banded_space(size_b, p, tables, stray=()):
+    """The space p : E -> B whose fiber over b carries tables[b], an int
+    table on the positions 0..m-1 of that fiber's points in index order,
+    kept as read-only intp arrays (views where they are intp), with these
+    stray cells: the per-fiber constructor, which reads no E x E band."""
+    sp = RectSkewSpace(len(p), size_b, p)
+    sp.__dict__.update(stray=stray, tables=tuple(
+        np.broadcast_to(np.asarray(t, dtype=np.intp), np.shape(t)) for t in tables))
+    return sp
 
 
 @per_object
@@ -129,24 +187,32 @@ def fibers(sp):
 
 @per_object
 def fiber_bands(sp):
-    """Each fiber's band as a table on the positions 0..m-1 of its points; a
-    plain fiber carries the right band x y = y.  ValueError naming the first
-    pair whose product leaves its fiber (validate_space reports it)."""
-    out = []
-    for b, f in enumerate(fibers(sp)):
-        if sp.band is None:
-            table = np.tile(np.arange(len(f)), (len(f), 1))
-        else:
-            pos = {e: i for i, e in enumerate(f)}
-            rows = [[pos.get(sp.band[x][y], -1) for y in f] for x in f]
-            table = np.array(rows, dtype=np.intp).reshape(len(f), len(f))
-            if (table < 0).any():
-                i, j = np.argwhere(table < 0)[0].tolist()
-                raise ValueError(f"band[{f[i]}][{f[j]}] = {sp.band[f[i]][f[j]]!r} is not "
-                                 f"a point of the fiber over {b}")
-        table.setflags(write=False)
-        out.append(table)
-    return tuple(out)
+    """Each fiber's band as a read-only table on the positions 0..m-1 of its
+    points: the space's own tables, or for a plain fiber a broadcast view of
+    the right band x y = y.  ValueError naming the first pair, by fiber and
+    then in C order, whose product is None or leaves its fiber (a stray cell
+    inside a fiber; validate_space reports it)."""
+    if sp.tables is None:
+        return tuple(np.broadcast_to(np.arange(len(f)), (len(f), len(f))) for f in fibers(sp))
+    bad = min(((sp.p[x], x, y, v) for x, y, v in sp.stray if sp.p[x] == sp.p[y]), default=None)
+    if bad:
+        raise ValueError("band[{1}][{2}] = {3!r} is not a point of the fiber over {0}"
+                         .format(*bad))
+    return sp.tables
+
+
+def _band_rows(sp):
+    """The rows of sp.band, one intp array at a time with -1 for None, made
+    from the fiber tables and the stray cells: the one writer of the E x E
+    form (sp.band, and the JSON writer, which streams them)."""
+    fib = [np.array(f, dtype=np.intp) for f in fibers(sp)]
+    stray = {x: list(cells) for x, cells in groupby(sp.stray, lambda cell: cell[0])}
+    for x, f in enumerate(fib[b] for b in sp.p):
+        row = np.full(sp.size_e, -1, dtype=np.intp)
+        row[f] = f[sp.tables[sp.p[x]][np.searchsorted(f, x)]]
+        for _, y, v in stray.get(x, ()):
+            row[y] = -1 if v is None else v
+        yield row
 
 
 def _row_points(sp, rows):
@@ -249,7 +315,7 @@ def spectrum_data(A):
         reps = np.argmax(digits[:, None] == np.arange(1, 1 + len(band)), axis=0)   # least x
         primes.append(PrimeIdeal(tuple(np.flatnonzero(digits == 0).tolist()), pi))
         points += (SpectrumPoint(prime=pi, rep=int(r)) for r in reps)
-        bands.append((digits[A.meet_table[reps[:, None], reps]] - 1).tolist())
+        bands.append(digits[A.meet_table[reps[:, None], reps]] - 1)
     space = _banded_space(len(primes), [pt.prime for pt in points], bands)
     return SpectrumData(primes=tuple(primes), space=space, points=tuple(points), rows=form.digits)
 

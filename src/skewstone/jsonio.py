@@ -1,8 +1,11 @@
 """JSON interchange for every artifact the CLI reads or writes.
 
 Algebra: {"n", "zero", "meet", "join", "diff", "cap"} with row-major tables.
-Space: {"E", "B", "p", "band"}, band entries null across fibers, key omitted
-for plain spaces.  Partial map: {"domain", "values"} aligned by position.
+Space: {"E", "B", "p", "band"}, band the E x E rows with entries null across
+fibers, key omitted for plain spaces.  A space keeps one band table per
+fiber (RectSkewSpace); the reader splits the rows into those tables, and the
+writer streams the rows back from them one at a time, so a space's E x E
+band is never built here.  Partial map: {"domain", "values"} aligned by position.
 Homomorphism / space morphism carry "source" and "target" either inline or
 as a file path.  Extra keys are tolerated so annotated outputs re-validate.
 """
@@ -15,11 +18,12 @@ import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
+from types import GeneratorType
 
 import numpy as np
 
 from .core_algebra import INDEX_DTYPE, StructuralError, as_ints, make_algebra
-from .ideals_spectra import make_space
+from .ideals_spectra import _band_rows, make_space
 from .morphisms_duality import Homomorphism, SpaceMorphism
 from .spaces_sections import PartialMap
 
@@ -39,9 +43,11 @@ def algebra_from_dict(obj):
 
 
 def space_to_dict(sp):
+    """The space's fields; "band", for a space with one, is the generator of
+    its rows (_band_rows), which dump writes a row at a time."""
     out = {"E": sp.size_e, "B": sp.size_b, "p": list(sp.p)}
-    if sp.band is not None:
-        out["band"] = [list(r) for r in sp.band]
+    if sp.tables is not None:
+        out["band"] = _band_rows(sp)
     return out
 
 
@@ -134,12 +140,13 @@ def dump(obj, fh=None):
     json.dumps(obj, indent=2, sort_keys=True) followed by a newline.
 
     Covers what the CLI writes: dicts with str keys, lists, tuples, str, int,
-    float, bool and None, and operation tables: non-empty 2-D int16 arrays
-    whose entries lie in 0..cols-1, written as the list of their rows.  Any
-    other value, any other ndarray included, raises TypeError.  A list of
-    plain ints is formatted in one join, a table row in one gather and one
-    join, and each row goes to fh as soon as it is formatted, so a large
-    document is never held whole.
+    float, bool and None, operation tables: non-empty 2-D int16 arrays
+    whose entries lie in 0..cols-1, written as the list of their rows, and
+    a space's band rows (space_to_dict), written as the list of those rows
+    with null for -1.  Any other value, any other ndarray included, raises
+    TypeError.  A list of plain ints is formatted in one join, a table row
+    or a band row in one gather and one join, and each row goes to fh as
+    soon as it is formatted, so a large document is never held whole.
     """
     write = (sys.stdout if fh is None else fh).write
     _write(obj, write, "\n")
@@ -197,30 +204,31 @@ def _write(obj, write, newline):
             _write(value, write, inner)
             sep = "," + inner
         write(newline + "}")
-    elif isinstance(obj, np.ndarray):
+    elif isinstance(obj, (np.ndarray, GeneratorType)):
         _write_table(obj, write, newline)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _write_table(table, write, newline):
-    """Write an operation table at the nesting level of newline.  Entry v
-    of a row is the text comma[v] (its line break, indent, digits and ","),
-    or close[v] for a row's last entry, so a row is one gather and one join."""
-    if not (table.ndim == 2 and table.dtype == INDEX_DTYPE and table.size
-            and 0 <= table.min() and table.max() < table.shape[1]):
-        raise TypeError(f"ndarray of {table.dtype} and shape {table.shape} is not "
+def _write_table(rows, write, newline):
+    """Write the rows of an operation table, or a space's band rows
+    (_band_rows), at the nesting level of newline.  Entry v of a row, in
+    0..cols-1 or -1 for null, is the text texts[v] (its line break, indent,
+    digits or null, and ","), so a row is one gather and one join."""
+    if isinstance(rows, np.ndarray) and not (
+            rows.ndim == 2 and rows.dtype == INDEX_DTYPE and rows.size
+            and 0 <= rows.min() and rows.max() < rows.shape[1]):
+        raise TypeError(f"ndarray of {rows.dtype} and shape {rows.shape} is not "
                         "a table with entries in 0..cols-1")
     inner = newline + "  "
-    cell = inner + "  "
-    texts = [cell + str(v) for v in range(table.shape[1])]
-    comma = np.array([text + "," for text in texts], dtype=object)
-    close = [text + inner + "]" for text in texts]
-    sep = "[" + inner + "["
-    for row in table:
-        write(sep + "".join(comma[row[:-1]].tolist()) + close[row[-1]])
+    sep, texts = "[" + inner + "[", None
+    for row in rows:
+        if texts is None:
+            texts = np.array([f"{inner}  {v}," for v in range(len(row))] + [inner + "  null,"],
+                             dtype=object)
+        write(sep + "".join(texts[row].tolist())[:-1] + inner + "]")
         sep = "," + inner + "["
-    write(newline + "]")
+    write("[]" if texts is None else newline + "]")
 
 
 def _float_text(x):

@@ -49,9 +49,9 @@ from .ideals_spectra import (
 from .spaces_sections import (
     PartialMap,
     _section_rows,
+    _product_table,
     dual_algebra,
     partial_map,
-    product_band,
 )
 
 
@@ -272,7 +272,7 @@ def _band_failures(sp, tp, g, x):
     gx = np.array([g.get(y, -1) for y in fiber.tolist()], dtype=np.intp)
     kept = np.flatnonzero(gx >= 0)
     image, got = gx[kept], gx[fiber_bands(sp)[x][np.ix_(kept, kept)]]
-    want = np.tile(image, (len(image), 1)) if tp.band is None else np.full_like(got, -1)
+    want = np.tile(image, (len(image), 1)) if tp.tables is None else np.full_like(got, -1)
     over = np.take(tp.p, image)
     for t in set(over.tolist()):
         i = np.flatnonzero(over == t)
@@ -584,7 +584,7 @@ def to_space_pair(sp):
     base, the fiberwise coequalizers of the band's Green relations.  With a
     right band R is the full fiber relation and L is equality, so the first
     component collapses onto the base and the second keeps the total space."""
-    if sp.band is None:
+    if sp.tables is None:
         raise ValueError("pair decomposition needs a band")
     shapes = [grid.shape for _, _, grid in _fiber_rectangles(sp)]
 
@@ -601,11 +601,11 @@ def from_space_pair(left, right):
     sits at u * |V| + v, and that is product_band(|V|, |U|)."""
     if left.size_b != right.size_b:
         raise ValueError("pair components have different bases")
-    if left.band is not None or right.band is not None:
+    if left.tables is not None or right.tables is not None:
         raise ValueError("pair components must be plain spaces")
     shapes = [(len(u), len(v)) for u, v in zip(fibers(left), fibers(right))]
     p = [b for b, (u, v) in enumerate(shapes) for _ in range(u * v)]
-    return _banded_space(left.size_b, p, [product_band(v, u).table for u, v in shapes])
+    return _banded_space(left.size_b, p, [_product_table(v, u) for u, v in shapes])
 
 
 # ---------------------------------------------------------------------------
@@ -619,19 +619,16 @@ def restrict_space(sp, e_subset, b_subset):
     b_list = tuple(sorted(b_subset))
     b_pos = {b: i for i, b in enumerate(b_list)}
     p = [b_pos[sp.p[e]] for e in e_list]
-    if sp.band is None:
+    if sp.tables is None:
         return make_space(len(e_list), len(b_list), p), e_list, b_list
-    kept = set(e_list)
-    tables = []
+    kept, tables = set(e_list), []
     for b in b_list:
-        table = fiber_bands(sp)[b]
         keep = [i for i, e in enumerate(fibers(sp)[b]) if e in kept]
-        renumber = np.full(len(table), -1)
+        renumber = np.full(len(fibers(sp)[b]), -1)
         renumber[keep] = np.arange(len(keep))
-        sub = renumber[table[np.ix_(keep, keep)]]
-        if (sub < 0).any():
+        tables.append(renumber[fiber_bands(sp)[b][np.ix_(keep, keep)]])
+        if (tables[-1] < 0).any():
             raise ValueError(f"the points kept over {b} are not closed under the band")
-        tables.append(sub.tolist())
     return _banded_space(len(b_list), p, tables), e_list, b_list
 
 

@@ -98,12 +98,13 @@ def product_band(k_left, k_right):
     Green L relation and k_right classes of R.  Point r * k_left + l has
     coordinates (r, l); the operation keeps r from the left operand and l
     from the right one."""
-    m = k_left * k_right
-    table = []
-    for e1 in range(m):
-        r1 = e1 // k_left
-        table.append(tuple(r1 * k_left + (e2 % k_left) for e2 in range(m)))
-    return BandOnY(tuple(table))
+    return BandOnY(tuple(map(tuple, _product_table(k_left, k_right).tolist())))
+
+
+def _product_table(k_left, k_right):
+    """product_band's table as an intp array."""
+    e = np.arange(k_left * k_right)
+    return (e // k_left * k_left)[:, None] + e % k_left
 
 
 # ---------------------------------------------------------------------------
@@ -113,27 +114,17 @@ def product_band(k_left, k_right):
 def validate_space(sp):
     """Check surjectivity and, when a band is present, that it is defined on
     exactly the fiber-diagonal pairs, stays inside fibers, and makes every
-    fiber a rectangular band."""
-    failures = []
-    fib = fibers(sp)
-    for b in range(sp.size_b):
-        if not fib[b]:
-            failures.append(("p_surjective", (b,)))
-    if sp.band is not None:
-        for x in range(sp.size_e):
-            for y in range(sp.size_e):
-                v = sp.band[x][y]
-                same = sp.p[x] == sp.p[y]
-                if (v is None) == same:
-                    failures.append(("band_defined_iff_same_fiber", (x, y)))
-                elif v is not None and sp.p[v] != sp.p[x]:
-                    failures.append(("band_in_fiber", (x, y)))
-        if not failures:
-            for f, table in zip(fib, fiber_bands(sp)):
-                bad = band_law_witness(table)
-                if bad is not None:
-                    law, w = bad
-                    failures.append((law, tuple(f[i] for i in w)))
+    fiber a rectangular band.  The cells that break the first two are the
+    space's stray cells (RectSkewSpace), in C order: a value inside a fiber
+    that lies outside it fails band_in_fiber, any other
+    band_defined_iff_same_fiber."""
+    failures = [("p_surjective", (b,)) for b, f in enumerate(fibers(sp)) if not f]
+    failures += [("band_in_fiber" if v is not None and sp.p[x] == sp.p[y]
+                  else "band_defined_iff_same_fiber", (x, y)) for x, y, v in sp.stray]
+    if sp.tables is not None and not failures:
+        for f, bad in zip(fibers(sp), map(band_law_witness, fiber_bands(sp))):
+            if bad is not None:
+                failures.append((bad[0], tuple(f[i] for i in bad[1])))
     return ValidationReport(ok=not failures, failures=tuple(failures))
 
 
@@ -283,20 +274,16 @@ def random_space(size_b, max_fiber, seed, band="none"):
         for name, k in (("k_left", k_left), ("k_right", k_right)):
             if k < 1:
                 raise ValueError(f"{name} must be at least 1, got {k}")
-        grid = product_band(k_left, k_right)
-        sizes = [grid.m] * size_b
+        sizes = [k_left * k_right] * size_b
+        tables = [_product_table(k_left, k_right)] * size_b
     else:
         if band not in ("none", "right", "left"):
             raise ValueError(f"unknown band kind {band!r}")
         if max_fiber < 1:
             raise ValueError(f"max_fiber must be at least 1, got {max_fiber}")
         sizes = [rng.randint(1, max_fiber) for _ in range(size_b)]
+        tables = [(right_band if band == "right" else left_band)(s).table
+                  for s in sizes if band != "none"]
     p = [b for b, s in enumerate(sizes) for _ in range(s)]
     rng.shuffle(p)
-    if band == "none":
-        return make_space(len(p), size_b, p)
-    if isinstance(band, tuple):
-        tables = [grid.table] * size_b
-    else:
-        tables = [(right_band if band == "right" else left_band)(s).table for s in sizes]
-    return _banded_space(size_b, p, tables)
+    return make_space(len(p), size_b, p) if band == "none" else _banded_space(size_b, p, tables)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product
@@ -220,6 +221,94 @@ def mixed_space(grids, seed):
             for j, y in enumerate(f):
                 band[x][y] = f[local(i, j)]
     return make_space(len(p), len(grids), p, band)
+
+
+# ---------------------------------------------------------------------------
+# The E x E band of the interchange format, read and written cell by cell:
+# oracles for RectSkewSpace, which keeps one band table per fiber.
+# ---------------------------------------------------------------------------
+
+def traced_peak(fn, *args):
+    """The tracemalloc peak of fn(*args), in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def band_rows_oracle(sp):
+    """sp.band from its definition, or None for a plain space: band[x][y]
+    is the point of x's fiber at position tables[b][i][j] when x and y are
+    its i-th and j-th points, None across fibers, and a stray cell's own
+    value where the space keeps one."""
+    if sp.tables is None:
+        return None
+    band = [[None] * sp.size_e for _ in range(sp.size_e)]
+    for b in range(sp.size_b):
+        f = [e for e in range(sp.size_e) if sp.p[e] == b]
+        for i, x in enumerate(f):
+            for j, y in enumerate(f):
+                band[x][y] = f[int(sp.tables[b][i][j])]
+    for x, y, v in sp.stray:
+        band[x][y] = v
+    return tuple(tuple(row) for row in band)
+
+
+def band_error_oracle(size_e, band):
+    """The StructuralError text RectSkewSpace gives on an E x E band, or
+    None: the walk over the rows, each for its length and then its entries,
+    stopping at the first entry that is no int 0..E-1 and not None."""
+    if len(band) != size_e:
+        return "band has wrong number of rows"
+    for x, row in enumerate(band):
+        if len(row) != size_e:
+            return f"band row {x} has wrong length"
+        for v in row:
+            if v is not None and not (isinstance(v, int) and not isinstance(v, bool)
+                                      and 0 <= v < size_e):
+                return f"band[{x}] contains invalid entry {v!r}"
+    return None
+
+
+def fiber_bands_error_oracle(size_e, size_b, p, band):
+    """The ValueError text of fiber_bands on an E x E band, or None: the
+    first pair of one fiber, by fiber and then in C order, whose product is
+    None or a point of another fiber."""
+    for b in range(size_b):
+        f = [e for e in range(size_e) if p[e] == b]
+        for x in f:
+            for y in f:
+                if band[x][y] not in f:
+                    return f"band[{x}][{y}] = {band[x][y]!r} is not a point of the fiber over {b}"
+    return None
+
+
+def validate_space_oracle(size_e, size_b, p, band):
+    """validate_space's failures by the pairwise walk over an E x E band
+    (None for a plain space): p_surjective by base point, then
+    band_defined_iff_same_fiber and band_in_fiber over every pair (x, y) in
+    C order, then, only if none failed, the first band law each fiber's
+    table breaks (band_law_witness_oracle)."""
+    failures = [("p_surjective", (b,)) for b in range(size_b) if b not in p]
+    if band is None:
+        return tuple(failures)
+    for x in range(size_e):
+        for y in range(size_e):
+            v = band[x][y]
+            same = p[x] == p[y]
+            if (v is None) == same:
+                failures.append(("band_defined_iff_same_fiber", (x, y)))
+            elif v is not None and p[v] != p[x]:
+                failures.append(("band_in_fiber", (x, y)))
+    if not failures:
+        for b in range(size_b):
+            f = [e for e in range(size_e) if p[e] == b]
+            bad = band_law_witness_oracle([[f.index(band[x][y]) for y in f] for x in f])
+            if bad is not None:
+                failures.append((bad[0], tuple(f[i] for i in bad[1])))
+    return tuple(failures)
 
 
 # ---------------------------------------------------------------------------

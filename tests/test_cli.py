@@ -614,6 +614,69 @@ class TestCommands:
             assert validate_space_morphism(reloaded).ok
 
 
+def one_fiber_files(directory, k_left, k_right):
+    """One fiber of k_left * k_right points with the product band
+    (k_left = 1: the right band; plain: no band at all), written with the
+    standard library from E x E rows made here, and its section algebra
+    (n = 1 + E).  Returns the two paths and the algebra."""
+    size_e = k_left * k_right
+    if k_left == 0:
+        size_e, obj = k_right, {"E": k_right, "B": 1, "p": [0] * k_right}
+    else:
+        # point r * k_left + l of the grid: x y keeps x's r and y's l
+        obj = {"E": size_e, "B": 1, "p": [0] * size_e, "band": [
+            [x // k_left * k_left + y % k_left for y in range(size_e)] for x in range(size_e)]}
+    sp = make_space(obj["E"], obj["B"], obj["p"], obj.get("band"))
+    A, labels = dual_algebra(sp)
+    paths = directory / "space.json", directory / "algebra.json"
+    paths[0].write_text(json.dumps(obj))
+    paths[1].write_text(json.dumps({"n": A.n, "zero": A.zero, **{
+        name: getattr(A, name + "_table").tolist() for name in ("meet", "join", "diff", "cap")}}))
+    return sp, A, labels, [str(path) for path in paths]
+
+
+class TestOneFiberInstances:
+    """Every command that reads or writes a space, on one fiber of 1023
+    points, plain or a 31 x 33 band (n = 1024), prints what the standard
+    library prints for the E x E form and the values made here: the band
+    rows are streamed from the fiber table, not from an E x E band."""
+
+    @pytest.mark.parametrize("k_left, k_right", [(0, 1023), (31, 33)], ids=["plain", "band"])
+    def test_output_is_the_standard_librarys(self, capsys, tmp_path, k_left, k_right):
+        sp, A, labels, (space_path, algebra_path) = one_fiber_files(tmp_path, k_left, k_right)
+        stdlib = lambda obj: json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        # the spectrum: the nonzero elements, each its own class, with A's meet
+        points = list(range(1, A.n))
+        band = [[A.meet(x, y) - 1 for y in points] for x in points]
+        expected = {
+            ("spectrum", algebra_path): stdlib({
+                "E": A.n - 1, "B": 1, "p": [0] * (A.n - 1), "band": band,
+                "points": [{"prime": 0, "rep": x} for x in points]}),
+            ("dualize", "--sections", space_path): stdlib({
+                "n": A.n, "zero": A.zero, "sections": [list(s) for s in labels],
+                **{name: getattr(A, name + "_table").tolist()
+                   for name in ("meet", "join", "diff", "cap")}}),
+            ("roundtrip", "--format", "json", algebra_path): stdlib({
+                "isomorphic": True, "size": A.n, "map": list(range(A.n))}),
+            ("roundtrip", "--format", "json", space_path): stdlib({
+                "isomorphic": True, "E": sp.size_e, "B": 1,
+                "g": list(range(sp.size_e)), "h": [0]}),
+            ("section", space_path): stdlib({"section": [0]}),
+            # a two-sided algebra has no lattice section: exit 1, nothing printed
+            ("section", algebra_path): stdlib({"choice": [0, 1]}) if k_left == 0 else "",
+            ("export-dot", algebra_path): "\n".join(
+                ["digraph hasse {", "  rankdir=BT;", '  n0 [label="0" shape=doublecircle];']
+                + [f'  n{x} [label="{x}"];' for x in points]
+                + [f"  n0 -> n{x};" for x in points] + ["}"]) + "\n",
+            ("export-dot", space_path): "\n".join(
+                ["graph fibration {", '  b0 [label="b0" shape=box];']
+                + [f'  e{e} [label="e{e}"];' for e in range(sp.size_e)]
+                + [f"  e{e} -- b0;" for e in range(sp.size_e)] + ["}"]) + "\n",
+        }
+        for argv, want in expected.items():
+            assert run(capsys, *argv) == (0 if want else 1, want), argv
+
+
 class TestDeterminism:
     def test_generate_is_reproducible_and_revalidates(self, capsys, tmp_path):
         args = ["generate", "--seed", "7", "--size-b", "2", "--max-fiber", "2",

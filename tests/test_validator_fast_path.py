@@ -24,6 +24,7 @@ from helpers import (
     retabled,
     seeded_rect_space,
     space_from_fibers,
+    traced_peak,
 )
 from skewstone import (
     SizeCapError,
@@ -483,15 +484,6 @@ def test_a_fault_of_the_builder_is_refused(monkeypatch, k, name):
         f"fails certificate check {name}; the exhaustive report is capped at n=256")
 
 
-def traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_the_certificate_and_the_round_trip_work_in_row_blocks():
     """On five plain fibers of three (n = 1024, 2 MiB per int16 table) the
     certificate checks A's tables in buffers of ROW_BLOCK entries, and the
@@ -502,6 +494,32 @@ def test_the_certificate_and_the_round_trip_work_in_row_blocks():
     assert traced_peak(validate_algebra, A) < 4 * 2 ** 20
     assert _certificate(A) is None
     assert traced_peak(algebra_roundtrip_iso, A) < (8 + 4) * 2 ** 20
+
+
+def test_the_certificate_gathers_in_place_on_one_fiber(monkeypatch):
+    """On one plain fiber of 1023 points (n = 1024) each part of the
+    certificate, the codes of one digit operation, is a 1024 x 1024 int16
+    array of 2 MiB.  The parts are C-ordered, so each row-block take reads
+    its part in place and allocates nothing: an F-ordered part was copied
+    whole by each of its takes, one per block of ROW_BLOCK entries and table."""
+    A = dual_algebra(space_from_fibers((1023,)))[0]
+    take, peaks = np.take, []
+
+    def traced_take(*args, **kwargs):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = take(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return out
+
+    monkeypatch.setattr(core_algebra.np, "take", traced_take)
+    tracemalloc.start()
+    try:
+        assert _certificate(A) is None
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 2 * 4 * 1024 // (ROW_BLOCK // 1024)
+    assert max(peaks) < 64 * 2 ** 10
 
 
 def test_validate_hom_gathers_int16_labels():
