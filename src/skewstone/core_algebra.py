@@ -344,25 +344,25 @@ def _rectangle(T):
     their first element, and grid[row, col] the element there, grid.shape
     the band's (rows, columns).  In a rectangular band R x C,
     x y = (row(x), col(y)): rows are equal exactly when their first entries
-    are, and columns when their first entries are.  So x is placed at
-    (T[x, 0], T[0, x]), and T is a rectangular band exactly when these
-    places are a bijection onto R x C (R the values of column 0, C those of
-    row 0) and T[x, y] is the element placed at (T[x, 0], T[0, y]).
-    Anything that is not an integer table on 0..m-1 gives None."""
+    are, and columns when their first entries are.  So x is placed at the
+    row of T[x, 0] among the values of column 0 and the column of T[0, x]
+    among those of row 0, and T is a rectangular band exactly when these
+    places fill the R x C grid, R C = m, and T[x, y] is the element placed
+    at (row(x), col(y)), gathered in the least dtype that holds 0..m-1 for
+    the one m x m comparison.  Anything that is not an integer table on
+    0..m-1 gives None."""
     m = len(T)
     if m == 0 or T.shape != (m, m) or T.dtype.kind not in "iu" or T.min() < 0 or T.max() >= m:
         return None
-    row, col = T[:, 0], T[0]
-    at = np.full((m, m), -1)
-    at[row, col] = np.arange(m)
-    placed = at >= 0
-    if not (np.count_nonzero(placed) == m
-            and np.count_nonzero(placed.any(axis=1)) * np.count_nonzero(placed.any(axis=0)) == m
-            and np.array_equal(T, at[row[:, None], col])):
+    row, col = (np.array(partition_from_labels(keys.tolist()).labels) for keys in (T[:, 0], T[0]))
+    shape = (1 + row.max(), 1 + col.max())
+    if shape[0] * shape[1] != m:
         return None
-    row, col = (np.array(partition_from_labels(keys.tolist()).labels) for keys in (row, col))
-    grid = np.empty((1 + row.max(), 1 + col.max()), dtype=np.intp)
+    grid = np.full(shape, -1, dtype=np.intp)
     grid[row, col] = np.arange(m)
+    if (grid < 0).any() or not np.array_equal(
+            T, grid.astype(np.min_scalar_type(m - 1))[row[:, None], col]):
+        return None
     for array in (row, col, grid):
         array.setflags(write=False)
     return row, col, grid
@@ -415,13 +415,16 @@ def _product_tables(bands, digits):
     Every operation acts digitwise; with s the left operand and r the right:
     meet is band(s, r) where both are present, join keeps a lone point and
     combines two as band(r, s), diff keeps s where r is absent, and cap
-    keeps s where the two agree.  A table row is these digit tables read at
-    the row's digits and summed as mixed-radix codes, then renumbered into
-    the caller's order.  The codes lie below n, so they are int16 like the
-    tables.  The digit tables are made once per distinct band.  Rows are
-    made in blocks of at most ROW_BLOCK entries straight into the block, so
-    besides it a call holds two such blocks and, for one table at a time, a
-    (1 + m) x n array per coordinate of a band of m points.
+    keeps s where the two agree.  The part of an operation at a coordinate
+    is the (1 + m) x n array of the mixed-radix codes of that operation on
+    each digit s and each element's digit there, gathered from the band's
+    codes (meet and join) or written from the digits (diff and cap).  A
+    table row is the sum over the coordinates of the part's row at the
+    row's digit, renumbered into the caller's order.  The codes
+    lie below n, so they are int16 like the tables.  Rows are made in blocks
+    of at most ROW_BLOCK entries straight into the block, so besides it a
+    call holds two such blocks, each band's codes as an m x m int16 array,
+    and the parts of one table at a time.
     """
     digits = np.asarray(digits, dtype=np.int64)
     n = len(digits)
@@ -433,29 +436,28 @@ def _product_tables(bands, digits):
     rank[digits @ radix] = np.arange(n)
     if (rank < 0).any():
         raise ValueError("two digit rows give the same element")
-    made, ops = {}, []
-    for band in bands:
-        m = len(band)
-        band = np.reshape(np.asarray(band, dtype=np.int64), (m, m))
-        key = band.tobytes()
-        if key not in made:
-            s, r = np.ogrid[:m + 1, :m + 1]
-            both = np.zeros((m + 1, m + 1), dtype=np.int64)
-            both[1:, 1:] = band + 1
-            made[key] = (np.where((s > 0) & (r > 0), both, 0),
-                         np.where(r == 0, s, np.where(s == 0, r, both.T)),
-                         np.where(r == 0, s, 0),
-                         np.where(s == r, s, 0))
-        ops.append(made[key])
+    # per coordinate: the codes of band(s, r) as int16, the digits, the
+    # present digits less one, and the code of each digit s
+    coordinates = [((np.reshape(np.array(band, dtype=INDEX_DTYPE), (len(band),) * 2) + 1) * weight,
+                    column, column[column > 0] - 1, np.arange(1 + len(band)) * weight)
+                   for band, column, weight in zip(bands, digits.T, radix.tolist())]
     tables = np.empty((4, n, n), dtype=INDEX_DTYPE)
     rows = max(1, ROW_BLOCK // n)
     # two block buffers, made once: malloc maps a fresh 128 KiB block anew
     code_buffer, term_buffer = (np.empty((min(rows, n), n), dtype=INDEX_DTYPE) for _ in range(2))
     for k, out in enumerate(tables):
-        # per coordinate, the code each digit of a row gives each column; this
-        # take refuses a digit past its band, so the clip takes stay in range
-        parts = [np.take(op[k] * weight, col, axis=1).astype(INDEX_DTYPE)
-                 for col, op, weight in zip(digits.T, ops, radix)]
+        # per coordinate, the code each digit s of a row gives each column y;
+        # the gathers refuse a digit past its band, so the clip takes stay in range
+        parts = []
+        for coded, column, at, codes in coordinates:
+            part = np.zeros((len(codes), n), dtype=INDEX_DTYPE)
+            if k in (0, 1):              # meet: band(s, r), join: band(r, s), on two points
+                part[1:, column > 0] = (coded, coded.T)[k][:, at]
+            if k in (1, 2):              # join and diff: s where r is absent
+                part[:, column == 0] = codes[:, None]
+            if k in (1, 3):              # join: r where s is absent; cap: s where s = r
+                part[0 if k == 1 else column, np.arange(n)] = codes[column]
+            parts.append(part)
         for start in range(0, n, rows):
             block = digits[start:start + rows]
             code, term = code_buffer[:len(block)], term_buffer[:len(block)]
@@ -473,17 +475,16 @@ class _ProductForm:
     factor per fiber of atoms, numbered as A's spectrum numbers its primes
     and points (spectrum_data): fibers by the bytes of their supports'
     masks, (digits[:, b] > 0).tobytes(), and each fiber's atoms by the
-    least element above them.  bands[b] is the meet table on the atoms of
-    fiber b, on their positions 0..m-1, and rectangles[b] its decode
-    (_rectangle).  digits is the (n, len(bands)) array of each element's
-    digits: 0 where no atom of the fiber lies below it, 1 + i where atom i
-    does.  radix and rank are the codec of the digit rows:
-    rank[digits[x] @ radix] is x.  refused is None when A's tables are,
-    entry for entry, those of the product this form describes, and
-    otherwise the name of the check that refused A (_certificate); a
-    refused form holds nothing else."""
+    least element above them.  rectangles[b] is the band of fiber b, the
+    meet on its atoms at their positions 0..m-1, held as its decode
+    (_rectangle): band(i, j) is grid[row[i], col[j]].  digits is the
+    (n, len(rectangles)) array of each element's digits: 0 where no atom of
+    the fiber lies below it, 1 + i where atom i does.  radix and rank are
+    the codec of the digit rows: rank[digits[x] @ radix] is x.  refused is
+    None when A's tables are, entry for entry, those of the product this
+    form describes, and otherwise the name of the check that refused A
+    (_certificate); a refused form holds nothing else."""
 
-    bands: tuple = ()
     rectangles: tuple = ()
     digits: np.ndarray | None = None
     radix: np.ndarray | None = None
@@ -496,12 +497,14 @@ def _product_form(A):
     """A's product form, decoded from A's own tables and checked against
     them (validate_algebra's docstring has the argument).  The fibers are
     checked in the order of their first atom and numbered afterwards; the
-    order is no part of the argument.  The check builds no product: it
-    reads A's tables in place, a block of rows at a time, against digit
-    operations written out here (_differing_table), and calls nothing that
-    the builder (_product_tables) makes tables with, so a fault of the
-    builder cannot certify itself.  The form is memoized on A and never
-    handed in by a builder, for the same reason."""
+    order is no part of the argument.  Each fiber's meet table on its atoms
+    is made as int16 only for its decode to read.  The check builds no
+    product: it reads A's tables in place, a block of rows at a time,
+    against digit operations written out here from the decodes
+    (_differing_table), and calls nothing that the builder (_product_tables)
+    makes tables with, so a fault of the builder cannot certify itself.
+    The form is memoized on A and never handed in by a builder, for the
+    same reason."""
     n, M, zero = A.n, A.meet_table, A.zero
     atoms = np.array(_atoms(M, zero), dtype=np.intp)
     fibers = []
@@ -511,19 +514,17 @@ def _product_form(A):
         if not np.array_equal(meets, first[:, None] == first[None, :]):
             return _ProductForm(refused="fibers")
         fibers = [atoms[first == i] for i in np.flatnonzero(first == np.arange(len(atoms)))]
-    rectangles, bands, digits = [], [], np.zeros((n, len(fibers)), dtype=np.int64)
+    rectangles, digits = [], np.zeros((n, len(fibers)), dtype=np.int64)
     for b, f in enumerate(fibers):
         below = (M[f] == f[:, None]) & (M[:, f].T == f[:, None])   # [i, x]: atom i <= x
         by_least = np.argsort(np.argmax(below, axis=1), kind="stable")   # least element above
         f, below = f[by_least], below[by_least]
-        where = np.full(n, -1, dtype=np.intp)        # a meet that leaves the fiber stays -1
+        where = np.full(n, -1, dtype=INDEX_DTYPE)    # a meet that leaves the fiber stays -1
         where[f] = np.arange(len(f))
-        band = where[M[np.ix_(f, f)]]
-        rectangle = _rectangle(band)
+        rectangle = _rectangle(where[M[np.ix_(f, f)]])
         if rectangle is None:
             return _ProductForm(refused="band")
         rectangles.append(rectangle)
-        bands.append(band)
         count = below.sum(axis=0)
         if count.max() > 1:
             return _ProductForm(refused="digits")
@@ -532,10 +533,10 @@ def _product_form(A):
     # comes before P_c when the first element in only one of them is in P_b,
     # so the masks of the elements outside them compare as bytes in that order
     order = sorted(range(len(fibers)), key=lambda b: (digits[:, b] > 0).tobytes())
-    bands, rectangles = ([items[b] for b in order] for items in (bands, rectangles))
+    rectangles = [rectangles[b] for b in order]
     digits = digits[:, order]
     # the codec: distinct codes below prod(1 + m) = n number the product once each
-    sizes = [1 + len(band) for band in bands]
+    sizes = [1 + len(row) for row, _, _ in rectangles]
     radix = np.cumprod([1] + sizes)[:-1]
     code = digits @ radix
     rank = np.full(n, -1, dtype=np.int32)
@@ -545,51 +546,60 @@ def _product_form(A):
         return _ProductForm(refused="digits")
     if rank[0] != zero:
         return _ProductForm(refused="zero")
-    refused = _differing_table(A, bands, digits, radix, code)
+    refused = _differing_table(A, rectangles, digits, radix, code)
     if refused is not None:
         return _ProductForm(refused=refused)
-    for array in [digits, radix, rank, *bands]:
+    for array in (digits, radix, rank):
         array.setflags(write=False)
-    return _ProductForm(tuple(bands), tuple(rectangles), digits, radix, rank)
+    return _ProductForm(tuple(rectangles), digits, radix, rank)
 
 
-def _differing_table(A, bands, digits, radix, code):
+def _differing_table(A, rectangles, digits, radix, code):
     """The first of _OPS whose table in A differs anywhere from the product
-    of the bands with a zero adjoined on these digit rows, or None.  code
-    is digits @ radix, each element's mixed-radix code, one to one onto
-    0..n-1.  The digit operations are written out here from their
-    definitions (_product_tables' docstring), with s the left digit and r
-    the right, 0 for absent: meet is the band on two present digits and
-    absent otherwise; join is the other digit where one is absent and the
-    band reversed, band(r, s), on two; diff is s where r is absent; cap is
-    s where s = r.  Each row block x of A's table T is checked by the
-    forward route: the code of T[x, y] equals the sum over the coordinates
-    of the code of the digit operation at (x, y).  The tables are checked
-    in _OPS order, each to its first differing block, in buffers of at most
-    ROW_BLOCK entries, reused for every block and table."""
+    of the bands, given by their decodes (_rectangle), with a zero adjoined
+    on these digit rows, or None.  code is digits @ radix, each element's
+    mixed-radix code, one to one onto 0..n-1.  The digit operations are
+    written out here from their definitions (_product_tables' docstring),
+    with s the left digit and r the right, 0 for absent: meet is the band
+    on two present digits and absent otherwise; join is the other digit
+    where one is absent and the band reversed, band(r, s), on two; diff is
+    s where r is absent; cap is s where s = r.  The band is read off its
+    decode padded with an absent row and column: the code of band(s, r) at
+    (1 + row(s), 1 + col(r)), and 0 at row or column 0.  Each row block x of
+    A's table T is checked by the forward route: the code of T[x, y] equals
+    the sum over the coordinates of the code of the digit operation at
+    (x, y).  The tables are checked in _OPS order, each to its first
+    differing block, in buffers of at most ROW_BLOCK entries, reused for
+    every block and table."""
     n = len(digits)
     rows = min(n, max(1, ROW_BLOCK // n))
-    codes = code.astype(INDEX_DTYPE)
+    element_codes = code.astype(INDEX_DTYPE)
     want, term, got = (np.empty((rows, n), dtype=INDEX_DTYPE) for _ in range(3))
     index = np.empty((rows, n), dtype=np.intp)
     differs = np.empty((rows, n), dtype=bool)
     digit_rows = np.ascontiguousarray(digits.T)
-    ops = []
-    for band in bands:
-        m = len(band)
-        meet = np.zeros((m + 1, m + 1), dtype=np.int64)
-        meet[1:, 1:] = band + 1
-        join = meet.T.copy()
-        join[0], join[:, 0] = np.arange(m + 1), np.arange(m + 1)
-        diff = np.zeros_like(meet)
-        diff[:, 0] = np.arange(m + 1)
-        ops.append((meet, join, diff, np.diag(np.arange(m + 1))))
+    coordinates = []
+    for (row, col, grid), column, weight in zip(rectangles, digit_rows, radix.tolist()):
+        padded = np.zeros((1 + len(grid), 1 + grid.shape[1]), dtype=INDEX_DTYPE)
+        padded[1:, 1:] = (grid + 1) * weight
+        codes = (np.arange(1 + len(row))[:, None] * weight).astype(INDEX_DTYPE)   # [s]: s's code
+        coordinates.append((padded, [np.concatenate(([0], 1 + key)) for key in (row, col)],
+                            column, codes))
     for k, name in enumerate(_OPS):
         T = getattr(A, name + "_table")
-        # [s, y]: the code of the digit operation of s and y's digit, C-ordered
-        # (the gather alone is F-ordered), so the takes below copy nothing
-        parts = [(op[k] * weight)[:, column].astype(INDEX_DTYPE, order="C")
-                 for op, weight, column in zip(ops, radix, digit_rows)]
+        # [s, y]: the code of the digit operation of s and y's digit r, each
+        # gathered or made C-ordered, so the takes below copy nothing
+        parts = []
+        for padded, (row_key, col_key), column, codes in coordinates:
+            if k == 0:                   # band(s, r), absent at the padding
+                parts.append(padded[row_key[:, None], col_key[column]])
+            elif k == 1:                 # band(r, s), and a lone digit kept
+                part = padded[row_key[column], col_key[:, None]]
+                part += codes * (column == 0)
+                part[0] = codes[column, 0]
+                parts.append(part)
+            else:                        # s where r is absent, s where s = r
+                parts.append(codes * (column == 0 if k == 2 else codes == codes[column, 0]))
         for lo in range(0, n, rows):
             hi = min(n, lo + rows)
             w, t, g, i, d = (buffer[:hi - lo] for buffer in (want, term, got, index, differs))
@@ -597,7 +607,7 @@ def _differing_table(A, bands, digits, radix, code):
             for part, column in zip(parts, digit_rows):
                 w += np.take(part, column[lo:hi], axis=0, out=t, mode="clip")
             np.copyto(i, T[lo:hi])
-            np.take(codes, i, out=g, mode="clip")
+            np.take(element_codes, i, out=g, mode="clip")
             if np.not_equal(w, g, out=d).any():
                 return name
     return None
@@ -634,7 +644,7 @@ def _order_keys(A):
         first = np.stack((np.r_[0, row + 1], np.r_[0, col + 1]))
         keys[:, :, b] = start + first[:, form.digits[:, b]]
         start += 1 + len(row)
-    supports = (form.digits > 0) @ (1 << np.arange(len(form.bands), dtype=np.int64))
+    supports = (form.digits > 0) @ (1 << np.arange(len(form.rectangles), dtype=np.int64))
     for array in (supports, keys):
         array.setflags(write=False)
     return supports, keys

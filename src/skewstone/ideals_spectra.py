@@ -311,8 +311,8 @@ def spectrum_data(A):
     routes."""
     form = _certified_form(A)
     primes, points, bands = [], [], []
-    for pi, (digits, band) in enumerate(zip(form.digits.T, form.bands)):
-        reps = np.argmax(digits[:, None] == np.arange(1, 1 + len(band)), axis=0)   # least x
+    for pi, (digits, (row, _, _)) in enumerate(zip(form.digits.T, form.rectangles)):
+        reps = np.argmax(digits[:, None] == np.arange(1, 1 + len(row)), axis=0)   # least x
         primes.append(PrimeIdeal(tuple(np.flatnonzero(digits == 0).tolist()), pi))
         points += (SpectrumPoint(prime=pi, rep=int(r)) for r in reps)
         bands.append(digits[A.meet_table[reps[:, None], reps]] - 1)

@@ -487,13 +487,13 @@ def _basic_rows_witness(A):
     """None if the basic rows are A's digits and each fiber band of the
     spectrum is the band of A's product form (_certified_form), else what
     fails.  The spectrum's band is read off meet on the points' reps
-    (spectrum_data), the form's off meet on A's atoms, so the two routes
-    are compared.  O(n k + sum m^2)."""
+    (spectrum_data), the form's decode off meet on A's atoms, so the two
+    routes are compared.  O(n k + sum m^2)."""
     form, sd = _certified_form(A), spectrum_data(A)
     if sd.rows is not form.digits:
         return "the basic rows are not A's digits"
-    for pi, (band, form_band) in enumerate(zip(fiber_bands(sd.space), form.bands)):
-        if not np.array_equal(band, form_band):
+    for pi, (band, (row, col, grid)) in enumerate(zip(fiber_bands(sd.space), form.rectangles)):
+        if not np.array_equal(band, grid.astype(INDEX_DTYPE)[row[:, None], col]):
             return f"spectrum fiber {pi} does not carry the band of A's fiber {pi}"
     return None
 

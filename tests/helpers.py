@@ -1268,6 +1268,32 @@ def glb_cap_table_oracle(n, meet, join):
     return cap
 
 
+def rectangle_oracle(T):
+    """Oracle for core_algebra._rectangle, which decodes a table as a
+    rectangular band: each x is placed at (T[x, 0], T[0, x]) in an m x m
+    placement grid, and T is a band exactly when the places are one to one,
+    the rows used times the columns used is m, and T[x, y] is the element
+    placed at (T[x, 0], T[0, y]).  It returns (row, col, grid) as the
+    decode does, or None."""
+    m = len(T)
+    if m == 0 or T.shape != (m, m) or T.dtype.kind not in "iu" or T.min() < 0 or T.max() >= m:
+        return None
+    row, col = T[:, 0], T[0]
+    at = np.full((m, m), -1)
+    at[row, col] = np.arange(m)
+    placed = at >= 0
+    if not (np.count_nonzero(placed) == m
+            and np.count_nonzero(placed.any(axis=1)) * np.count_nonzero(placed.any(axis=0)) == m
+            and np.array_equal(T, at[row[:, None], col])):
+        return None
+    row, col = (np.array(partition_from_labels(keys.tolist()).labels) for keys in (row, col))
+    grid = np.empty((1 + row.max(), 1 + col.max()), dtype=np.intp)
+    grid[row, col] = np.arange(m)
+    for array in (row, col, grid):
+        array.setflags(write=False)
+    return row, col, grid
+
+
 def band_law_witness_oracle(table):
     """Oracle for band_law_witness: the first violated law among
     idempotency, associativity and the rectangle identity x y z = x z,

@@ -31,6 +31,7 @@ from skewstone import (
     hom_of_space_morphism,
     identity_space_morphism,
     make_space,
+    random_space,
     reflection_check,
     skew_spectrum,
     validate_space,
@@ -214,6 +215,16 @@ class TestLargeFibers:
             assert validate_space(make_space(4095, 1, p)).ok
 
         assert traced_peak(read_and_validate) < 2 ** 20
+
+    def test_one_band_fiber_of_4095_is_decoded_without_a_placement_grid(self):
+        # one 63 x 65 band fiber: validate_space decodes its 128 MiB intp
+        # table with one comparison, against the band gathered as uint16
+        # from the 63 x 65 grid (32 MiB); the m x m placement grid and its
+        # gather took 128 MiB each
+        sp = random_space(1, 1, 0, ("product", 63, 65))
+        assert sp.size_e == 4095
+        assert traced_peak(lambda: validate_space(sp).ok) < 64 * 2 ** 20
+        assert validate_space(sp).ok
 
     def test_space_morphisms_at_n_4096_stay_small(self):
         # six plain fibers of three (n = 4096), the algebra and its product

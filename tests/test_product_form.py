@@ -122,9 +122,10 @@ def test_renumbered_algebras():
 
 def test_the_spectrum_is_the_forms_numbering():
     """The product form numbers its fibers and points as the spectrum does,
-    so the basic rows are the form's digits, the same array, and the form's
-    bands are the oracle's fiber bands, on the 200 corpus algebras and a
-    renumbered copy of each, whose element order is not the builder's."""
+    so the basic rows are the form's digits, the same array, and the bands
+    the form's decodes give are the oracle's fiber bands, on the 200 corpus
+    algebras and a renumbered copy of each, whose element order is not the
+    builder's."""
     for i, A in enumerate(corpus_dual_algebras(200)):
         for B in (A, renumbered(A, seed=i)):
             form, sd, expected = _certified_form(B), spectrum_data(B), spectrum_data_oracle(B)
@@ -132,7 +133,7 @@ def test_the_spectrum_is_the_forms_numbering():
             for name in FIELDS:
                 assert getattr(sd, name) == getattr(expected, name), name
             assert sd.rows.tolist() == oracle_rows(B, expected)
-            assert ([band.tolist() for band in form.bands]
+            assert ([grid[row[:, None], col].tolist() for row, col, grid in form.rectangles]
                     == [band.tolist() for band in fiber_bands(expected.space)])
 
 

@@ -6,6 +6,7 @@ classify_space_morphism, each against an independent oracle."""
 import itertools
 import random
 import re
+import time
 import tracemalloc
 from itertools import product
 
@@ -39,6 +40,7 @@ from skewstone import (
     make_space,
     random_space,
     skew_spectrum,
+    space_roundtrip_iso,
     validate_space,
     validate_space_morphism,
 )
@@ -346,6 +348,28 @@ class TestMorphismCheck:
             for m in rng.sample(morphisms, min(2, len(morphisms))):
                 maps += [m, *self.mutants(m, rng), self.random_map(sp, tp, rng)]
         assert self.assert_same_reports(maps) > 8000
+
+    def test_one_plain_fiber_of_1023_reports_as_the_walk(self):
+        # n = 1024: the space round trip holds; on three one-entry mutants
+        # of its morphism the report equals the pairwise walk of the oracle,
+        # and the per-fiber check takes a fifth of the walk's time or less
+        sp = make_space(1023, 1, [0] * 1023)
+        iso = space_roundtrip_iso(sp)
+        assert iso.target.size_e == 1023
+        g, h = iso.g.as_dict(), iso.h.as_dict()
+        y1, y2, y3 = random.Random(1).sample(sorted(g), 3)
+        mutants = [SpaceMorphism(sp, iso.target, partial_map(gm), partial_map(hm))
+                   for gm, hm in (({**g, y1: g[y2]}, h),
+                                  ({y: e for y, e in g.items() if y != y3}, h), (g, {}))]
+        fast = slow = 0.0
+        for m in [iso] + mutants:
+            t0 = time.perf_counter()
+            got = validate_space_morphism(m)
+            t1 = time.perf_counter()
+            want = validate_space_morphism_oracle(m)
+            fast, slow = fast + t1 - t0, slow + time.perf_counter() - t1
+            assert got == want and got.ok == (m is iso), (got.failures[:3], want.failures[:3])
+        assert 5 * fast < slow, (fast, slow)
 
     def test_every_map_between_tiny_spaces_reports_as_the_walk(self):
         # empty fibers, plain against right, left and mixed bands, and the

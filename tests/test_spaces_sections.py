@@ -223,6 +223,12 @@ class TestSectionAlgebraOracle:
         for sp in (plain, left):
             self.assert_matches_oracle(sp)
 
+    def test_one_large_fiber(self):
+        # one plain fiber of 255 points and one 15 x 17 band fiber (n = 256):
+        # each part the builder gathers from a band is 256 x 256
+        for sp in (space_from_fibers((255,)), random_space(1, 1, 33, ("product", 15, 17))):
+            self.assert_matches_oracle(sp)
+
     def test_partial_maps(self):
         cases = [(y_size, band) for y_size in (1, 2, 3)
                  for band in (right_band(y_size), left_band(y_size))]

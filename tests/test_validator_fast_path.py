@@ -18,9 +18,11 @@ from catalog import boolean_algebra, one_element
 from helpers import (
     band_law_witness_oracle,
     corpus_dual_algebras,
+    corpus_spaces,
     glb_law_holds_oracle,
     law_holds_at,
     pinned_refusals,
+    rectangle_oracle,
     retabled,
     seeded_rect_space,
     space_from_fibers,
@@ -37,6 +39,7 @@ from skewstone import (
     partial_map_algebra,
     product_band,
     random_space,
+    skew_spectrum,
     validate_algebra,
     validate_hom,
 )
@@ -46,9 +49,11 @@ from skewstone.core_algebra import (
     _certificate,
     _exhaustive_report,
     _product_algebra,
+    _rectangle,
     band_law_witness,
     leq_matrix,
 )
+from skewstone.ideals_spectra import fiber_bands, spectrum_data
 from skewstone.morphisms_duality import algebra_roundtrip_iso
 
 OPS = ("meet", "join", "diff", "cap")
@@ -446,11 +451,75 @@ def test_band_check_agrees_with_the_triple_loop():
     assert outcomes == {True, False}
 
 
+def rectangle_mutants(T, rng):
+    """Seeded tables near the rectangular band T that are no band: an entry
+    out of range, two elements placed at one (row, column), a row key too
+    many (rows times columns past m), one wrong entry off row 0 and column
+    0, T without its last column, and T as bools."""
+    m = len(T)
+    out = []
+    x, y = rng.randrange(m), rng.randrange(m)
+    for value in (m, -1) if T.dtype.kind == "i" else (m,):
+        mutant = T.copy()
+        mutant[x, y] = value
+        out.append(mutant)
+    if m >= 3:
+        x, z = rng.sample(range(1, m), 2)
+        mutant = T.copy()
+        mutant[x, 0], mutant[0, x] = T[z, 0], T[0, z]
+        out.append(mutant)
+    keys = T[:, 0].tolist()
+    spare = [v for v in range(m) if v not in keys]
+    twice = [x for x in range(1, m) if keys.count(keys[x]) > 1]
+    if spare and twice:
+        mutant = T.copy()
+        mutant[twice[0], 0] = spare[0]
+        out.append(mutant)
+    if m >= 2:
+        x, y = rng.randrange(1, m), rng.randrange(1, m)
+        mutant = T.copy()
+        mutant[x, y] = (T[x, y] + rng.randrange(1, m)) % m
+        out.append(mutant)
+    return out + [T[:, :-1], T.astype(bool)]
+
+
+def test_the_rectangle_decode_agrees_with_the_placement_grid(catalog):
+    """_rectangle labels the rows and columns first and fills an R x C grid;
+    rectangle_oracle places each element in an m x m grid.  They give the
+    same decode, or both None, on every fiber band of the catalog's spectra
+    and of the corpus spaces, as intp, int16 and uint8 tables, and on seeded
+    mutants of each and of rectangular bands a x b renumbered, and on empty
+    tables."""
+    def same(T):
+        got, want = _rectangle(T), rectangle_oracle(T)
+        if want is None:
+            return got is None
+        return got is not None and all(g.dtype == w.dtype and np.array_equal(g, w)
+                                       for g, w in zip(got, want))
+
+    spaces = [skew_spectrum(A)[0] for _, A in catalog] + corpus_spaces()
+    bands = [np.asarray(band) for sp in spaces for band in fiber_bands(sp)]
+    rng = random.Random(20261020)
+    for a, b in itertools.product(range(1, 6), repeat=2):
+        perm = rng.sample(range(a * b), a * b)
+        old = np.argsort(perm)
+        band = np.reshape(product_band(a, b).table, (a * b, a * b))
+        bands.append(np.take(perm, band[np.ix_(old, old)]))
+    tables = [np.empty((0, 0), dtype=np.intp), np.empty(0, dtype=np.intp)]
+    for T in bands:
+        for typed in (T.astype(np.intp), T.astype(np.int16), T.astype(np.uint8)):
+            tables += [typed] + rectangle_mutants(typed, rng)
+    outcomes = {rectangle_oracle(T) is None for T in tables}
+    assert outcomes == {True, False}
+    for T in tables:
+        assert same(T), T.tolist()
+
+
 def block_edge_swap(k, seed):
     """A builder that makes _product_tables' tables with two differing
     entries of table k swapped in one row at the edge of a row block (the
-    first row of a block or the last of the one before), all chosen by
-    seed."""
+    first row of a block or the last of the one before), or, where that
+    row is constant, in its column, all chosen by seed."""
     build = core_algebra._product_tables
 
     def faulty(bands, digits):
@@ -461,8 +530,12 @@ def block_edge_swap(k, seed):
         rng = random.Random(seed)
         x = rows * rng.randrange(1, n // rows) - rng.randrange(2)
         y = rng.randrange(n)
-        z = rng.choice(np.flatnonzero(T[x] != T[x, y]).tolist())
-        T[x, y], T[x, z] = T[x, z], T[x, y]
+        if (T[x] != T[x, y]).any():
+            z = rng.choice(np.flatnonzero(T[x] != T[x, y]).tolist())
+            T[x, y], T[x, z] = T[x, z], T[x, y]
+        else:                    # x v y = x on one plain fiber: swap in column y
+            z = rng.choice(np.flatnonzero(T[:, y] != T[x, y]).tolist())
+            T[x, y], T[z, y] = T[z, y], T[x, y]
         return rank, tables
 
     return faulty
@@ -472,16 +545,20 @@ def block_edge_swap(k, seed):
 def test_a_fault_of_the_builder_is_refused(monkeypatch, k, name):
     """The certificate shares no code with the builder: with a block-edge
     swap in each table in turn built into the section algebra of five
-    plain fibers of three (n = 1024), it names that table, and past the
-    exhaustive report's cap validate_algebra says so."""
+    plain fibers of three, and of one plain fiber of 1023 (n = 1024), it
+    names that table, and past the exhaustive report's cap validate_algebra
+    says so.  On the one fiber every element but the zero is an atom, so
+    the decode reads every meet entry off the zero's row and column, and a
+    meet swap is refused by the band check, which reads meet."""
     monkeypatch.setattr(core_algebra, "_product_tables", block_edge_swap(k, seed=1024 + k))
-    A = dual_algebra(space_from_fibers((3,) * 5))[0]
-    assert A.n == 1024
-    assert _certificate(A) == name
-    with pytest.raises(SizeCapError) as exc:
-        validate_algebra(A)
-    assert str(exc.value).endswith(
-        f"fails certificate check {name}; the exhaustive report is capped at n=256")
+    for sizes, refused in (((3,) * 5, name), ((1023,), "band" if name == "meet" else name)):
+        A = dual_algebra(space_from_fibers(sizes))[0]
+        assert A.n == 1024
+        assert _certificate(A) == refused
+        with pytest.raises(SizeCapError) as exc:
+            validate_algebra(A)
+        assert str(exc.value).endswith(
+            f"fails certificate check {refused}; the exhaustive report is capped at n=256")
 
 
 def test_the_certificate_and_the_round_trip_work_in_row_blocks():
@@ -494,6 +571,74 @@ def test_the_certificate_and_the_round_trip_work_in_row_blocks():
     assert traced_peak(validate_algebra, A) < 4 * 2 ** 20
     assert _certificate(A) is None
     assert traced_peak(algebra_roundtrip_iso, A) < (8 + 4) * 2 ** 20
+
+
+LADDER_1024 = {
+    "five plain fibers of three": lambda: space_from_fibers((3,) * 5),
+    "the Boolean algebra on ten points": lambda: space_from_fibers((1,) * 10),
+    "one plain fiber of 1023": lambda: space_from_fibers((1023,)),
+    "one 31 x 33 band fiber": lambda: random_space(1, 1, 0, ("product", 31, 33)),
+}
+
+
+@pytest.mark.parametrize("shape", LADDER_1024)
+def test_the_pipeline_stays_small_on_every_shape(shape):
+    """At n = 1024, on many small fibers and on one large one alike: the
+    builder holds its 8 MiB of tables and one band's int16 codes and parts,
+    no (1 + m)^2 digit table (8 MiB as int64 at m = 1023); the certificate,
+    on a copy with nothing memoized, reads the decode of each band; and the
+    round trip, after the spectrum, holds its target's 8 MiB of tables."""
+    sp = LADDER_1024[shape]()
+    A = dual_algebra(sp)[0]
+    assert A.n == 1024
+    assert traced_peak(dual_algebra.__wrapped__, sp) < 20 * 2 ** 20
+    copy = SkewAlgebra(A.n, A.zero, A.meet_table, A.join_table, A.diff_table, A.cap_table)
+    assert traced_peak(validate_algebra, copy) < 16 * 2 ** 20
+    assert validate_algebra(copy).ok
+    spectrum_data(A)
+    assert traced_peak(algebra_roundtrip_iso, A) < (8 + 4) * 2 ** 20
+
+
+LADDER_4096 = {
+    "six plain fibers of three": lambda: space_from_fibers((3,) * 6),
+    "one plain fiber of 4095": lambda: space_from_fibers((4095,)),
+    "one 63 x 65 band fiber": lambda: random_space(1, 1, 0, ("product", 63, 65)),
+}
+
+
+@pytest.mark.parametrize("shape", LADDER_4096)
+def test_the_certificate_checks_the_tables_in_place_at_n_4096(shape):
+    """At n = 4096, one shape at a time.  dual_algebra writes the four
+    tables into one 128 MiB block and, besides it, holds one band's int16
+    codes and parts: under 128 + 160 MiB.  validate_algebra finds the atoms
+    and checks the tables in row blocks of at most ROW_BLOCK entries, with
+    no n x n array (32 MiB as int16) on six fibers of three, so it stays
+    under 16 MiB there; on one fiber it holds one fiber's masks and band,
+    and its decode, under 256 MiB.  One swap of two diff entries, in the
+    first row of the second row block, is refused by name, also past the
+    exhaustive report's cap."""
+    sp = LADDER_4096[shape]()
+    tracemalloc.start()
+    try:
+        A = dual_algebra(sp)[0]
+        built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert validate_algebra(A).ok
+        checked = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert A.n == 4096
+    assert built < (128 + 160) * 2 ** 20, built
+    assert checked < (16 if shape.startswith("six") else 256) * 2 ** 20, checked
+    diff = A.diff_table.copy()
+    x = ROW_BLOCK // A.n
+    diff[x, [0, x]] = diff[x, [x, 0]]
+    B = SkewAlgebra(A.n, A.zero, A.meet_table, A.join_table, diff, A.cap_table)
+    assert _certificate(B) == "diff"
+    with pytest.raises(SizeCapError) as exc:
+        validate_algebra(B)
+    assert str(exc.value).startswith("n=4096 fails certificate check diff; ")
 
 
 def test_the_certificate_gathers_in_place_on_one_fiber(monkeypatch):
