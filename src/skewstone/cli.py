@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from collections import namedtuple
+from dataclasses import asdict
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .core_algebra import (
     SizeCapError,
     StructuralError,
     _certified_form,
-    leq_matrix,
     validate_algebra,
 )
 from .ideals_spectra import skew_spectrum
@@ -147,13 +147,7 @@ def cmd_homs(cfg):
     A, B = (_read(cfg, path)[1] for path in cfg.paths)
     rows = []
     for f in enumerate_homs(A, B):
-        flags = classify_hom(f)
-        rows.append({"map": list(f.map),
-                     "flags": {"leq_cofinal": flags.leq_cofinal,
-                               "preceq_cofinal": flags.preceq_cofinal,
-                               "D_saturated": flags.D_saturated,
-                               "leq_ideal_inclusion": flags.leq_ideal_inclusion,
-                               "image_ideal_preceq_closed": flags.image_ideal_preceq_closed},
+        rows.append({"map": list(f.map), "flags": asdict(classify_hom(f)),
                      "dual_agrees": check_variant_dualities(f)})
     if cfg.fmt == "json":
         jsonio.dump({"homs": rows})
@@ -201,13 +195,14 @@ def cmd_generate(cfg):
 
 def _hasse_edges(A):
     """The covering pairs x < y of the natural order of a valid A, in C
-    order, read off the support sizes of A's product form.  x < y forces
-    supp x to be a proper subset of supp y, and y covers x exactly when supp
-    y has one fiber more: with two or more, y restricted to supp x and one
-    of them lies strictly between x and y."""
-    size = (_certified_form(A).digits > 0).sum(axis=1)
-    covers = leq_matrix(A) & (size[None, :] == size[:, None] + 1)
-    return [(x, y) for x, y in np.argwhere(covers).tolist()]
+    order, read off A's product form.  x <= y exactly when x is y restricted
+    to supp x, so y covers x exactly when x is y with one digit dropped: for
+    each digit of y, the element whose code is y's less that digit's."""
+    form = _certified_form(A)
+    y, b = np.nonzero(form.digits)
+    x = form.rank[(form.digits @ form.radix)[y] - form.digits[y, b] * form.radix[b]]
+    order = np.lexsort((y, x))
+    return list(zip(x[order].tolist(), y[order].tolist()))
 
 
 def cmd_export_dot(cfg):

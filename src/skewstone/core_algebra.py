@@ -294,19 +294,6 @@ def _by_row_blocks(out, fill):
     return out
 
 
-@per_object
-def leq_matrix(A):
-    """leq[x, y] is natural_leq(A, x, y): the natural partial order as a
-    read-only boolean array, which the exhaustive report and the Hasse
-    diagram read.  The certificate makes no n x n array and does not read
-    it (_atoms)."""
-    M = A.meet_table
-    rows = np.arange(A.n)[:, None]
-    leq = (M == rows) & (M.T == rows)
-    leq.setflags(write=False)
-    return leq
-
-
 def _first_bad(mask):
     """First index tuple (C order) where a boolean violation mask is True,
     or None.  A mask with no True entry costs one any()."""
@@ -760,7 +747,7 @@ def _exhaustive_report(A):
     law("complement_meet_zero", M[D, W] != A.zero)
     law("complement_join_restore", J[D, W] != rows)
 
-    leq = leq_matrix(A)
+    leq = (M == rows) & (M.T == rows)                   # [x, y]: x <= y
     law("cap_is_lower_bound", ~(leq[C, rows] & leq[C, cols]))
     leq_t = leq.T
     # premise: z <= x and z <= y; conclusion: z <= x cap y

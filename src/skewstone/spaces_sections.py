@@ -86,11 +86,13 @@ class BandOnY:
 
 
 def right_band(m):
-    return BandOnY(tuple(tuple(y for y in range(m)) for _ in range(m)))
+    """The right band x y = y on m points."""
+    return product_band(m, 1)
 
 
 def left_band(m):
-    return BandOnY(tuple(tuple(x for _ in range(m)) for x in range(m)))
+    """The left band x y = x on m points."""
+    return product_band(1, m)
 
 
 def product_band(k_left, k_right):
@@ -263,7 +265,9 @@ def random_space(size_b, max_fiber, seed, band="none"):
 
     band is one of "none", "right", "left", or ("product", k_left, k_right);
     product bands fix every fiber to the k_left * k_right grid (max_fiber is
-    ignored in that case).  A max_fiber, k_left or k_right below 1 raises
+    ignored in that case).  Every band is made as product_band's table, an
+    m x m intp array: a right fiber of m points is the m x 1 grid, a left
+    one the 1 x m grid.  A max_fiber, k_left or k_right below 1 raises
     ValueError.  Identical arguments give identical spaces.
     """
     rng = random.Random(seed)
@@ -282,7 +286,7 @@ def random_space(size_b, max_fiber, seed, band="none"):
         if max_fiber < 1:
             raise ValueError(f"max_fiber must be at least 1, got {max_fiber}")
         sizes = [rng.randint(1, max_fiber) for _ in range(size_b)]
-        tables = [(right_band if band == "right" else left_band)(s).table
+        tables = [_product_table(s, 1) if band == "right" else _product_table(1, s)
                   for s in sizes if band != "none"]
     p = [b for b, s in enumerate(sizes) for _ in range(s)]
     rng.shuffle(p)

@@ -52,7 +52,6 @@ from skewstone import (
 from skewstone.core_algebra import (
     MAX_CANDIDATES,
     _certificate,
-    leq_matrix,
     partition_from_labels,
 )
 from skewstone.ideals_spectra import SpectrumPoint, fibers
@@ -813,7 +812,7 @@ def enumerate_homs_search(A, B, max_candidates=10 ** 6):
 
 
 def _iso_invariants(A):
-    leq = leq_matrix(A)
+    leq = leq_oracle(A)
     pre = [[natural_preceq(A, x, y) for y in A.elements] for x in A.elements]
     d, l, r = green_partitions(A)
     out = []
@@ -1200,11 +1199,19 @@ def reflection_check_oracle(sp):
     return True
 
 
+def leq_oracle(A):
+    """The natural partial order of A from its definition on the meet
+    table, as an n x n boolean array: [x, y] is True when x ^ y = y ^ x = x."""
+    M = np.asarray(A.meet_table)
+    x = np.arange(A.n)[:, None]
+    return (M == x) & (M.T == x)
+
+
 def hasse_edges_oracle(A):
-    """Oracle for cli._hasse_edges, which reads the covers off the support
-    sizes: the strict pairs x < y of leq_matrix with no w strictly between
-    them, each pair tested against a column, in C order."""
-    strict = leq_matrix(A) & ~np.eye(A.n, dtype=bool)
+    """Oracle for cli._hasse_edges, which reads the covers off the digit
+    codec of A's product form: the strict pairs x < y of leq_oracle with no
+    w strictly between them, each pair tested against a column, in C order."""
+    strict = leq_oracle(A) & ~np.eye(A.n, dtype=bool)
     return [(x, y) for x, y in np.argwhere(strict).tolist()
             if not (strict[x] & strict[:, y]).any()]
 
@@ -1214,8 +1221,9 @@ def hasse_edges_oracle(A):
 # ---------------------------------------------------------------------------
 
 def join_closure_oracle(A, seed):
-    """Oracle for ideals_spectra._join_closure: join every closed element
-    with every new one, both ways, until nothing new appears."""
+    """The closure of seed under join, as the generated-ideal oracles take
+    it: join every closed element with every new one, both ways, until
+    nothing new appears."""
     closed = set(seed)
     frontier = list(closed)
     while frontier:

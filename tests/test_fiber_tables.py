@@ -30,9 +30,11 @@ from skewstone import (
     dual_algebra,
     hom_of_space_morphism,
     identity_space_morphism,
+    left_band,
     make_space,
     random_space,
     reflection_check,
+    right_band,
     skew_spectrum,
     validate_space,
 )
@@ -225,6 +227,21 @@ class TestLargeFibers:
         assert sp.size_e == 4095
         assert traced_peak(lambda: validate_space(sp).ok) < 64 * 2 ** 20
         assert validate_space(sp).ok
+
+    @pytest.mark.parametrize("kind", ["right", "left"])
+    def test_a_right_or_left_fiber_of_1730_is_made_as_one_array(self, kind):
+        # random_space makes each band as an intp table, where a tuple of
+        # m^2 ints per fiber took 146 MiB traced at m = 1730; right_band and
+        # left_band are the same tables as tuples
+        assert traced_peak(random_space, 1, 2000, 0, kind) < 32 * 2 ** 20
+        (band,) = random_space(1, 2000, 0, kind).tables
+        m = len(band)
+        assert m == 1730 and band.shape == (m, m)
+        positions = np.arange(m)
+        assert (band == (positions if kind == "right" else positions[:, None])).all()
+        small = (right_band if kind == "right" else left_band)(4).table
+        assert small == tuple(tuple(y if kind == "right" else x for y in range(4))
+                              for x in range(4))
 
     def test_space_morphisms_at_n_4096_stay_small(self):
         # six plain fibers of three (n = 4096), the algebra and its product

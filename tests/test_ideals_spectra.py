@@ -9,6 +9,7 @@ from helpers import (
     enumerate_prime_ideals_bruteforce,
     is_leq_cofinal,
     is_preceq_cofinal,
+    leq_oracle,
     prime_reflection_bijection,
     renumbered,
     round_trip_algebras,
@@ -28,7 +29,7 @@ from skewstone import (
     skew_spectrum,
     validate_space,
 )
-from skewstone.core_algebra import is_congruence, leq_matrix, partition_from_labels
+from skewstone.core_algebra import is_congruence, partition_from_labels
 from skewstone.ideals_spectra import (
     fibers,
     is_ideal,
@@ -164,7 +165,7 @@ class TestBasicSectionIdentities:
             copens = [basic_copen(A, a) for a in A.elements]
             assert len(set(copens)) == A.n
             assert set(copens) == set(enumerate_sections(sd.space))
-            leq = leq_matrix(A)
+            leq = leq_oracle(A)
             for a in A.elements:
                 for b in A.elements:
                     assert leq[a][b] == (set(copens[a]) <= set(copens[b]))
@@ -221,7 +222,7 @@ class TestPrimeLemmas:
     def test_lower_elements_outside_prime_are_congruent(self, catalog):
         for _, A in catalog:
             sd = spectrum_data(A)
-            leq = leq_matrix(A)
+            leq = leq_oracle(A)
             for pi, p in enumerate(sd.primes):
                 digit = sd.rows[:, pi]
                 mem = set(p.members)
@@ -273,7 +274,7 @@ class TestGeneratedIdeals:
         A, _ = dual_algebra(random_space(size_b, max_fiber, seed, kind))
         subset = {x for x in A.elements if mask & (1 << (x % 8))}
         leq_ideal = leq_ideal_generated(A, subset)
-        leq = leq_matrix(A)
+        leq = leq_oracle(A)
         assert all(y in set(leq_ideal)
                    for x in leq_ideal for y in A.elements if leq[y][x])
         assert all(A.join(x, y) in set(leq_ideal) for x in leq_ideal for y in leq_ideal)

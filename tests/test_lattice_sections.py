@@ -153,19 +153,28 @@ class TestIsLatticeSection:
                 lattice_section_to_global(A, LatticeSection(choice))
 
     def test_the_section_check_builds_no_class_table(self):
-        # on the 1024-element Boolean algebra (1024 D-classes), with the form,
-        # Green's relations and the spectrum built, the check holds rows of
-        # ten digits: no 1024 x 1024 array (a 2 MiB int16 table) is made
-        A = dual_algebra(make_space(10, 10, range(10)))[0]
-        green_partitions(A)
-        spectrum_data(A)
-        tracemalloc.start()
-        try:
-            assert section_equivalence_check(A)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2 ** 20
+        # on the Boolean algebras of 1024 and 4096 elements (ten and twelve
+        # one-point fibers, as many D-classes), with the form, Green's
+        # relations and the spectrum built, the check holds rows of digits:
+        # no n x n class table (2 MiB as int16 at n = 1024, 32 MiB at 4096)
+        # is made.  The lattice section read off the form converts to a
+        # global section and back to itself, and at n = 4096 it is the
+        # section the depth-first search of the oracle finds
+        for atoms, bound in ((10, 2 * 2 ** 20), (12, 64 * 2 ** 20)):
+            A = dual_algebra(make_space(atoms, atoms, range(atoms)))[0]
+            assert A.n == 2 ** atoms
+            green_partitions(A)
+            spectrum_data(A)
+            tracemalloc.start()
+            try:
+                assert section_equivalence_check(A)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
+            section = find_lattice_section(A)
+            assert global_section_to_lattice(A, lattice_section_to_global(A, section)) == section
+        assert section == find_lattice_section_oracle(A)
 
 
 class TestGlobalSectionSearch:

@@ -45,6 +45,7 @@ from skewstone import (
     enumerate_homs,
     enumerate_space_morphisms,
     from_space_pair,
+    handedness,
     hom_factorization,
     hom_of_space_morphism,
     identity_hom,
@@ -276,8 +277,11 @@ class TestRoundTripIsos:
         # the target is A's tables relabelled; dual_algebra builds the same
         # algebra from the spectrum's bands with _product_tables.  On
         # round_trip_algebras with 20 corpus algebras (up to n = 1024, sixteen
-        # row blocks of the target), each also renumbered
-        algebras = round_trip_algebras(20)
+        # row blocks of the target) and a second left-banded algebra of five
+        # fibers of three (n = 1024), each also renumbered
+        left = dual_algebra(mixed_space([(1, 3)] * 5, seed=1))[0]
+        assert left.n == 1024 and handedness(left) == "left"
+        algebras = round_trip_algebras(20) + [left]
         assert max(A.n for A in algebras) >= 1024
         for i, A in enumerate(algebras):
             for B in (A, renumbered(A, i)):

@@ -1,17 +1,16 @@
-"""The natural order is held once per algebra, as the array leq_matrix,
-which the certificate, the exhaustive report and export-dot read; on a
-certified algebra the generated ideals, is_ideal, classify_hom and
-reflection_check read the order and the preorder off the product form
-instead, and no preorder array is held; export-dot reads the covers of
-the order off the form's support sizes.  Each reader is checked against
-the pairwise loop it replaced, kept as an oracle in helpers: the generated
-ideals, classify_hom, reflection_check and the Hasse edges of export-dot
-give equal results, and raise the same exception types with the same
-messages, on the catalog, seeded section algebras of every band kind and
-spaces whose bands are not rectangular; on an algebra the certificate
-refuses (one-entry mutants, section algebras of those spaces), the
-generated ideals, reflection_check and the Hasse edges raise the
-certificate's refusal instead."""
+"""The natural order has no n x n home in the library: on a certified
+algebra the generated ideals, is_ideal, classify_hom and reflection_check
+read the order and the preorder off the product form, and export-dot reads
+the covers of the order off the form's digit codec; only the exhaustive
+report on a refused algebra makes an order mask, from the meet table it
+reads.  Each reader is checked against the pairwise loop it replaced, kept
+as an oracle in helpers: the generated ideals, classify_hom,
+reflection_check and the Hasse edges of export-dot give equal results,
+and raise the same exception types with the same messages, on the catalog,
+seeded section algebras of every band kind and spaces whose bands are not
+rectangular; on an algebra the certificate refuses (one-entry mutants,
+section algebras of those spaces), the generated ideals, reflection_check
+and the Hasse edges raise the certificate's refusal instead."""
 
 import random
 
@@ -33,6 +32,7 @@ from helpers import (
     round_trip_algebras,
     small_test_algebras,
     space_from_fibers,
+    traced_peak,
 )
 from skewstone import (
     HomFlags,
@@ -43,20 +43,16 @@ from skewstone import (
     handedness,
     leq_ideal_generated,
     make_space,
-    natural_leq,
     preceq_ideal_generated,
     quotient_by,
     random_space,
     reflection_check,
 )
 from skewstone.cli import _hasse_edges
-from skewstone.core_algebra import (
-    _certificate,
-    _certified_form,
-    leq_matrix,
-)
+from skewstone.core_algebra import _certificate, _certified_form
 from skewstone.ideals_spectra import is_ideal
 from skewstone.morphisms_duality import classify_hom
+from test_validator_fast_path import LADDER_1024
 
 OPS = ("meet", "join", "diff", "cap")
 
@@ -77,17 +73,6 @@ def mutants(algebras, count, seed):
         table, x, y = rng.choice(OPS), rng.randrange(A.n), rng.randrange(A.n)
         value = (getattr(A, table + "_table")[x][y] + rng.randrange(1, A.n)) % A.n
         yield retabled(A, table, [(x, y, value)])
-
-
-@pytest.mark.parametrize("order, related", [(leq_matrix, natural_leq)])
-def test_each_order_is_one_read_only_boolean_array(algebras, order, related):
-    for A in algebras + list(mutants(algebras, 20, 3)):
-        held = order(A)
-        assert isinstance(held, np.ndarray) and held.dtype == np.bool_
-        assert held.shape == (A.n, A.n)
-        assert not held.flags.writeable
-        assert order(A) is held
-        assert held.tolist() == [[related(A, x, y) for y in A.elements] for x in A.elements]
 
 
 def test_generated_ideals_match_the_loop(algebras):
@@ -131,15 +116,45 @@ def test_hasse_edges_match_the_loop(algebras):
 
 
 def test_hasse_edges_are_read_off_the_support_sizes():
-    """Every catalog and corpus algebra (all four band kinds), the Boolean
-    algebras of 0 to 10 atoms, the benchmark ladder's shapes, two spaces of
-    mixed bands (n = 40 and 45) and plain fibers (3, 3, 3, 3, 3), n = 1024."""
+    """The digit codec's covers: every catalog and corpus algebra (all four
+    band kinds), the Boolean algebras of 0 to 10 atoms, the benchmark
+    ladder's shapes, two spaces of mixed bands (n = 40 and 45) and plain
+    fibers (3, 3, 3, 3, 3), n = 1024."""
     mixed = [mixed_space(grids, seed=i) for i, grids in enumerate((
         [(1, 3), (2, 2), (1, 1)], [(2, 1), (1, 2), (2, 2)]))]
     extra = [dual_algebra(sp)[0] for sp in mixed + [space_from_fibers((3,) * 5)]]
     assert [A.n for A in extra] == [40, 45, 1024]
     for A in round_trip_algebras(200) + extra:
         assert _hasse_edges(A) == hasse_edges_oracle(A)
+
+
+@pytest.mark.parametrize("shape", LADDER_1024)
+def test_the_hasse_edges_make_no_n_by_n_array(shape):
+    """At n = 1024, on many small fibers and on one large one alike, the
+    covers of a certified algebra take under 1 MiB: a 1024 x 1024 boolean
+    array alone is 1 MiB."""
+    A = dual_algebra(LADDER_1024[shape]())[0]
+    assert A.n == 1024
+    _certified_form(A)
+    assert traced_peak(_hasse_edges, A) < 2 ** 20
+    assert _hasse_edges(A) == hasse_edges_oracle(A)
+
+
+def test_the_hasse_edges_of_4096_elements():
+    """On six plain fibers of three (n = 4096) there is one cover per digit
+    of each element, sum over y of |supp y| = 6 * 3 * 4^5 = 18432 of them,
+    found in under 4 MiB (a 4096 x 4096 boolean array is 16 MiB).  Each
+    drops one digit of its upper element, and they come in C order."""
+    A = dual_algebra(space_from_fibers((3,) * 6))[0]
+    assert A.n == 4096
+    digits = _certified_form(A).digits
+    assert traced_peak(_hasse_edges, A) < 4 * 2 ** 20
+    edges = _hasse_edges(A)
+    assert len(edges) == 6 * 3 * 4 ** 5 == 18432
+    assert edges == sorted(set(edges))
+    x, y = np.array(edges).T
+    assert ((digits[x] == digits[y]) | (digits[x] == 0)).all()
+    assert ((digits[y] > 0).sum(axis=1) == (digits[x] > 0).sum(axis=1) + 1).all()
 
 
 def test_classify_hom_matches_the_loop():

@@ -13,6 +13,7 @@ from helpers import (
     all_surjection_spaces,
     corpus_params,
     corpus_spaces,
+    leq_oracle,
     partial_map_oracle_tables,
     pointwise_family,
     section_algebra_oracle,
@@ -44,7 +45,6 @@ from skewstone import core_algebra
 from skewstone.core_algebra import (
     ROW_BLOCK,
     green_partitions,
-    leq_matrix,
     mirror,
     quotient_by,
 )
@@ -171,7 +171,7 @@ class TestDualAlgebras:
     def test_natural_order_is_inclusion(self):
         for sp in all_surjection_spaces(5):
             algebra, labels = dual_algebra(sp)
-            leq = leq_matrix(algebra)
+            leq = leq_oracle(algebra)
             for i, s in enumerate(labels):
                 for j, r in enumerate(labels):
                     assert leq[i][j] == (set(s) <= set(r))
@@ -253,7 +253,7 @@ class TestDerivedStructureLifetime:
     def test_derived_structure_is_freed_with_its_objects(self):
         sp = random_space(2, 2, seed=3, band="right")
         A, _ = dual_algebra(sp)
-        for derive in (leq_matrix, green_partitions, spectrum_data):
+        for derive in (green_partitions, spectrum_data):
             derive(A)
         fibers(sp)
         refs = (weakref.ref(A), weakref.ref(sp))
@@ -359,7 +359,7 @@ class TestPartialMapAlgebra:
 
     def test_natural_order_is_graph_inclusion(self):
         algebra, maps = partial_map_algebra(2, 2, left_band(2))
-        leq = leq_matrix(algebra)
+        leq = leq_oracle(algebra)
         for i, f in enumerate(maps):
             for j, g in enumerate(maps):
                 assert leq[i][j] == (f.graph() <= g.graph())
