@@ -914,11 +914,11 @@ def second_decomposition_check(A):
     """Check that A -> A/R x_{A/D} A/L (canonical map into the pullback of the
     Green quotients) is an isomorphism of skew algebras (Leech 1990).
 
-    Three checks suffice, on Green's relations and A's own tables, with no
-    quotient algebra, glb table or pullback built:
-    - R and L are congruences for meet, join and diff (is_congruence), so
-      A/R and A/L carry those operations and x -> ([x]_R, [x]_L) is a
-      homomorphism for them into A/R x A/L;
+    On a certified A, R and L are congruences for meet, join and diff
+    (green_partitions), so A/R and A/L carry those operations and
+    x -> ([x]_R, [x]_L) is a homomorphism for them into A/R x A/L.  Two
+    checks then suffice, on Green's relations alone, with no quotient
+    algebra, glb table or pullback built:
     - every x lands in the pullback (its R-class and its L-class lie in one
       D-class), and no two elements share an image;
     - the pullback has n pairs: the sum over the D-classes of the number of
@@ -928,11 +928,9 @@ def second_decomposition_check(A):
     them too.  The natural order is read off meet, so the map preserves it
     both ways, and carries A's cap, the greatest lower bound, to the
     greatest lower bound of the pullback.  Conversely, if the map is such an
-    isomorphism, the three checks hold.
+    isomorphism, both checks hold.
     """
     d, l, r = green_partitions(A)
-    if is_congruence(A, r) is not None or is_congruence(A, l) is not None:
-        return False
     d_label = np.asarray(d.labels)
     r_label, l_label = np.asarray(r.labels), np.asarray(l.labels)
     r_to_d = d_label[[block[0] for block in r.blocks]]     # the D-class of each R-class

@@ -66,14 +66,16 @@ class RectSkewSpace:
     over b, its points taken in index order.  A plain space keeps none
     (tables is None) and is read as carrying the right band x y = y.
 
-    RectSkewSpace(E, B, p, band) reads band in the E x E form, band[x][y]
-    meaningful only when p[x] == p[y] and None across fibers, and sp.band
-    gives that form back, made from the tables on its first read and kept
-    on the space.  A cell the tables cannot hold, a value across fibers,
-    None inside a fiber or a value outside its fiber, is invalid input: it
-    is kept in stray, the sorted tuple of such (x, y, value), with -1 at
-    its place in its fiber's table.  validate_space reports these cells,
-    so a space it accepts has none.  Spaces compare and hash by value.
+    RectSkewSpace(E, B, p, tables=..., stray=...) takes the tables as they
+    are, kept as read-only intp arrays (views where they are intp).
+    make_space reads the band in the E x E form, band[x][y] meaningful only
+    when p[x] == p[y] and None across fibers, and sp.band gives that form
+    back, made from the tables on its first read and kept on the space.  A
+    cell the tables cannot hold, a value across fibers, None inside a fiber
+    or a value outside its fiber, is invalid input: it is kept in stray, the
+    sorted tuple of such (x, y, value), with -1 at its place in its fiber's
+    table.  validate_space reports these cells, so a space it accepts has
+    none.  Spaces compare and hash by value.
     """
 
     size_e: int
@@ -82,7 +84,7 @@ class RectSkewSpace:
     tables: tuple[np.ndarray, ...] | None
     stray: tuple[tuple[int, int, int | None], ...]
 
-    def __init__(self, size_e, size_b, p, band=None):
+    def __init__(self, size_e, size_b, p, *, tables=None, stray=()):
         for name, size in (("E", size_e), ("B", size_b)):
             if isinstance(size, bool):
                 raise StructuralError(f"{name} = {size} is not an integer")
@@ -97,9 +99,11 @@ class RectSkewSpace:
         for e, b in enumerate(p):
             if not (isinstance(b, int) and not isinstance(b, bool) and 0 <= b < size_b):
                 raise StructuralError(f"p[{e}] = {b!r} out of range")
-        self.__dict__.update(size_e=size_e, size_b=size_b, p=tuple(p), tables=None, stray=())
-        if band is not None:
-            self.__dict__.update(_read_band(self, band, typed=False).__dict__)
+        if tables is not None:
+            tables = tuple(np.broadcast_to(np.asarray(t, dtype=np.intp), np.shape(t))
+                           for t in tables)
+        self.__dict__.update(size_e=size_e, size_b=size_b, p=tuple(p), tables=tables,
+                             stray=stray)
 
     @cached_property
     def band(self):
@@ -126,28 +130,26 @@ def make_space(size_e, size_b, p, band=None):
         band = [row if isinstance(row, (list, tuple)) and _INT_OR_NONE.issuperset(map(type, row))
                 else [None if v is None else as_int(v) for v in row] for row in band]
     sp = RectSkewSpace(as_int(size_e), as_int(size_b), tuple(as_ints(p)))
-    return sp if band is None else _read_band(sp, band, typed=True)
+    return sp if band is None else _read_band(sp, band)
 
 
-def _read_band(sp, band, typed):
+def _read_band(sp, band):
     """The space sp with the fiber tables and stray cells of band, E x E
-    rows, as a new space (_banded_space).  Each row is checked in order for
-    its length, the types of its entries (unless typed: make_space made them
-    all ints or None) and their range, a pass at C speed per check; only a
-    row that fails one is looked through for its first invalid entry, so
-    StructuralError names the first fault in row order.  The cells are then
-    read in NumPy, and each fiber's table is one gather of positions."""
+    rows of ints and None (make_space), as a new space.  Each row is checked
+    in order for its length and the range of its entries, a pass at C speed
+    per check; only a row that fails one is looked through for its first
+    invalid entry, so StructuralError names the first fault in row order.
+    The cells are then read in NumPy, and each fiber's table is one gather
+    of positions."""
     if len(band) != sp.size_e:
         raise StructuralError("band has wrong number of rows")
     allowed = {None, *range(sp.size_e)}
     for x, row in enumerate(band):
         if len(row) != sp.size_e:
             raise StructuralError(f"band row {x} has wrong length")
-        if not (typed or _INT_OR_NONE.issuperset(map(type, row))) or not allowed.issuperset(row):
-            bad = [v for v in row if v is not None and not (
-                isinstance(v, int) and not isinstance(v, bool) and 0 <= v < sp.size_e)]
-            if bad:
-                raise StructuralError(f"band[{x}] contains invalid entry {bad[0]!r}")
+        if not allowed.issuperset(row):
+            bad = next(v for v in row if v not in allowed)
+            raise StructuralError(f"band[{x}] contains invalid entry {bad!r}")
     try:
         cells = np.fromiter(chain.from_iterable(band), dtype=np.intp).reshape(sp.size_e, sp.size_e)
     except TypeError:                            # a None, read as -1
@@ -162,18 +164,8 @@ def _read_band(sp, band, typed):
         stray[np.ix_(f, f)] = tables[-1] < 0
     x, y = np.nonzero(stray)
     values = [None if v < 0 else v for v in cells[x, y].tolist()]
-    return _banded_space(sp.size_b, sp.p, tables, tuple(zip(x.tolist(), y.tolist(), values)))
-
-
-def _banded_space(size_b, p, tables, stray=()):
-    """The space p : E -> B whose fiber over b carries tables[b], an int
-    table on the positions 0..m-1 of that fiber's points in index order,
-    kept as read-only intp arrays (views where they are intp), with these
-    stray cells: the per-fiber constructor, which reads no E x E band."""
-    sp = RectSkewSpace(len(p), size_b, p)
-    sp.__dict__.update(stray=stray, tables=tuple(
-        np.broadcast_to(np.asarray(t, dtype=np.intp), np.shape(t)) for t in tables))
-    return sp
+    return RectSkewSpace(sp.size_e, sp.size_b, sp.p, tables=tables,
+                         stray=tuple(zip(x.tolist(), y.tolist(), values)))
 
 
 @per_object
@@ -316,7 +308,7 @@ def spectrum_data(A):
         primes.append(PrimeIdeal(tuple(np.flatnonzero(digits == 0).tolist()), pi))
         points += (SpectrumPoint(prime=pi, rep=int(r)) for r in reps)
         bands.append(digits[A.meet_table[reps[:, None], reps]] - 1)
-    space = _banded_space(len(primes), [pt.prime for pt in points], bands)
+    space = RectSkewSpace(len(points), len(primes), [pt.prime for pt in points], tables=bands)
     return SpectrumData(primes=tuple(primes), space=space, points=tuple(points), rows=form.digits)
 
 

@@ -22,8 +22,6 @@ import numpy as np
 
 from .core_algebra import _certified_form, _elements, _indices, green_partitions, handedness
 from .ideals_spectra import _row_tuples, fibers, spectrum_data
-from .morphisms_duality import _basic_labels
-from .spaces_sections import _section_rows
 
 
 @dataclass(frozen=True)
@@ -121,18 +119,19 @@ def lattice_section_to_global(A, section):
 
 def global_section_to_lattice(A, section):
     """Carve the global section of the spectrum into basic pieces, one per
-    D-class (its row masked by the class's support), and read the chosen
-    elements back through the section bijection."""
-    sp = spectrum_data(A).space
+    D-class (its digit row masked by the class's support), and read the
+    chosen elements off the codec of A's product form (_certified_form),
+    which numbers its fibers and points as the spectrum does: a point's
+    digit is 1 + its place in its fiber."""
+    form, sp = _certified_form(A), spectrum_data(A).space
     points = _elements(section.points, sp.size_e, "a point")
-    _, radix, rank, digit = _section_rows(sp)
     row = np.zeros(sp.size_b, dtype=np.int64)
     for e in sorted(set(points.tolist())):
         if row[sp.p[e]]:
             raise ValueError(f"section has two points over base point {sp.p[e]}")
-        row[sp.p[e]] = digit[e]
+        row[sp.p[e]] = 1 + fibers(sp)[sp.p[e]].index(e)
     pieces = np.where(_class_supports(A), row, 0)
-    choice = np.argsort(_basic_labels(A))[rank[pieces @ radix]]
+    choice = form.rank[pieces @ form.radix]
     result = LatticeSection(tuple(choice.tolist()))
     if not is_lattice_section(A, result.choice):
         raise ValueError("converted choice is not a lattice section")

@@ -37,7 +37,7 @@ from .core_algebra import (
     subalgebra_on,
 )
 from .ideals_spectra import (
-    _banded_space,
+    RectSkewSpace,
     _generated,
     _prime_index,
     fiber_bands,
@@ -605,7 +605,7 @@ def from_space_pair(left, right):
         raise ValueError("pair components must be plain spaces")
     shapes = [(len(u), len(v)) for u, v in zip(fibers(left), fibers(right))]
     p = [b for b, (u, v) in enumerate(shapes) for _ in range(u * v)]
-    return _banded_space(left.size_b, p, [_product_table(v, u) for u, v in shapes])
+    return RectSkewSpace(len(p), left.size_b, p, tables=[_product_table(v, u) for u, v in shapes])
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +629,7 @@ def restrict_space(sp, e_subset, b_subset):
         tables.append(renumber[fiber_bands(sp)[b][np.ix_(keep, keep)]])
         if (tables[-1] < 0).any():
             raise ValueError(f"the points kept over {b} are not closed under the band")
-    return _banded_space(len(b_list), p, tables), e_list, b_list
+    return RectSkewSpace(len(p), len(b_list), p, tables=tables), e_list, b_list
 
 
 def decompose_morphism(m):

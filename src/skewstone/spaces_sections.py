@@ -28,12 +28,11 @@ from .core_algebra import (
     per_object,
 )
 from .ideals_spectra import (
-    _banded_space,
+    RectSkewSpace,
     _row_points,
     _row_tuples,
     fiber_bands,
     fibers,
-    make_space,
 )
 
 
@@ -290,4 +289,4 @@ def random_space(size_b, max_fiber, seed, band="none"):
                   for s in sizes if band != "none"]
     p = [b for b, s in enumerate(sizes) for _ in range(s)]
     rng.shuffle(p)
-    return make_space(len(p), size_b, p) if band == "none" else _banded_space(size_b, p, tables)
+    return RectSkewSpace(len(p), size_b, p, tables=None if band == "none" else tables)

@@ -4,6 +4,9 @@ import sys
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
+# the benchmark's oracles (perfbench/oracles.py), which the tests' oracles
+# (definitions.py) read the facts they share from
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 
 from catalog import (
     boolean_algebra,

@@ -3,18 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (
-    corpus_params,
+from definitions import (
     enumerate_ideals,
     enumerate_prime_ideals_bruteforce,
-    is_leq_cofinal,
-    is_preceq_cofinal,
+    green_partitions_oracle,
     leq_oracle,
-    prime_reflection_bijection,
-    renumbered,
-    round_trip_algebras,
+    quotient_by_oracle,
     saturate,
 )
+from helpers import corpus_params, renumbered, round_trip_algebras
 from skewstone import (
     Ideal,
     StructuralError,
@@ -61,9 +58,14 @@ class TestIdeals:
         assert not is_ideal(three, (1, 2))          # no zero
 
     def test_reflection_bijection(self, catalog):
+        # each prime of A maps, by its blockwise image, to a prime of A/D,
+        # one to one and onto
         for name, A in catalog:
-            mapping = prime_reflection_bijection(A)
-            assert sorted(mapping) == list(range(len(mapping))), name
+            Q, to_d = quotient_by_oracle(A, green_partitions_oracle(A)[0])
+            index_q = {p.members: p.index for p in enumerate_prime_ideals(Q)}
+            mapping = [index_q[tuple(sorted({to_d[x] for x in p.members}))]
+                       for p in enumerate_prime_ideals(A)]
+            assert sorted(mapping) == list(range(len(index_q))), name
 
 
 class TestIdealCongruence:
@@ -260,12 +262,15 @@ class TestGeneratedIdeals:
         assert preceq_ideal_generated(three, {1}).members == (0, 1, 2)
 
     def test_cofinality_examples(self, three, bool4):
-        assert is_leq_cofinal(three, set(three.elements))
-        assert is_preceq_cofinal(three, set(three.elements))
-        assert not is_leq_cofinal(three, {1})
-        assert is_preceq_cofinal(three, {1})
-        assert not is_leq_cofinal(bool4, {0})
-        assert not is_preceq_cofinal(bool4, {0})
+        # a subset is cofinal when the ideal it generates is the algebra
+        leq_cofinal = lambda A, subset: len(leq_ideal_generated(A, subset)) == A.n
+        preceq_cofinal = lambda A, subset: len(preceq_ideal_generated(A, subset).members) == A.n
+        assert leq_cofinal(three, set(three.elements))
+        assert preceq_cofinal(three, set(three.elements))
+        assert not leq_cofinal(three, {1})
+        assert preceq_cofinal(three, {1})
+        assert not leq_cofinal(bool4, {0})
+        assert not preceq_cofinal(bool4, {0})
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(0, 255))

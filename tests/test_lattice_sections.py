@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catalog import boolean_algebra
-from helpers import (
-    corpus_dual_algebras,
-    corpus_params,
+from definitions import (
     find_lattice_section_oracle,
     global_section_to_lattice_oracle,
     is_lattice_section_oracle,
     lattice_section_to_global_oracle,
+)
+from helpers import (
+    corpus_dual_algebras,
+    corpus_params,
     mixed_space,
     outcome,
     renumbered,

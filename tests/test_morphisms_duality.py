@@ -6,15 +6,21 @@ import numpy as np
 import pytest
 
 from catalog import boolean_algebra
-from helpers import (
+from definitions import (
     algebras_isomorphic_search,
-    all_surjection_spaces,
-    corpus_dual_algebras,
     dual_of_hom_oracle,
     enumerate_homs_bruteforce,
     enumerate_homs_search,
-    enumerate_homs_transport_oracle,
     enumerate_space_morphisms_search,
+    spectrum_data_oracle,
+    validate_hom_oracle,
+    validate_space_morphism_oracle,
+)
+from helpers import (
+    all_surjection_spaces,
+    corpus_dual_algebras,
+    corpus_spaces,
+    enumerate_homs_transport_route,
     mixed_space,
     outcome,
     renumbered,
@@ -22,10 +28,8 @@ from helpers import (
     seeded_rect_space,
     small_test_algebras,
     space_from_fibers,
-    space_morphism_count,
-    validate_hom_oracle,
-    validate_space_morphism_oracle,
 )
+from oracles import hom_count, is_hom, space_morphism_count, tables_of
 from skewstone import (
     Homomorphism,
     SizeCapError,
@@ -651,11 +655,21 @@ class TestPlainSpaceIsTheRightBand:
         assert len(enumerate_space_morphisms(plain, plain)) == (1 + 6 + 6) * (1 + 0 + 2)
 
 
+def assert_all_homs(homs, A, B, sp_a, sp_b):
+    """homs is Hom(A, B), for A and B the section algebras of sp_a and sp_b:
+    as many distinct maps as the closed-form count (hom_count), each a
+    homomorphism (is_hom)."""
+    ta, tb = tables_of(A), tables_of(B)
+    assert len({f.map for f in homs}) == len(homs) == hom_count(sp_a, sp_b)
+    assert all(is_hom(ta, A.zero, tb, B.zero, f.map) for f in homs)
+
+
 class TestDualRouteMatchesSearch:
     """enumerate_homs and algebras_isomorphic read per-fiber choices off the
-    two product forms; the element-wise backtracking searches in helpers
-    and the route through the spectra (enumerate_homs_transport_oracle) are
-    their oracles."""
+    two product forms; the element-wise backtracking searches and the
+    closed-form count (hom_count) are their oracles.  The route through the
+    spectra (helpers.enumerate_homs_transport_route) is a second route,
+    compared beside the count and a check of every member (is_hom)."""
 
     def test_homs_equal_search_on_catalog_pairs(self, catalog):
         for (_, A), (_, B) in itertools.product(catalog, repeat=2):
@@ -700,28 +714,35 @@ class TestDualRouteMatchesSearch:
         """Homs and isomorphisms are read off the two product forms: after
         enumerate_homs and algebras_isomorphic no algebra holds its
         spectrum."""
-        A = dual_algebra(space_from_fibers((2, 1)))[0]
-        B = dual_algebra(random_space(2, 1, seed=5, band=("product", 2, 2)))[0]
+        sp_a, sp_b = space_from_fibers((2, 1)), random_space(2, 1, seed=5, band=("product", 2, 2))
+        A, B = dual_algebra(sp_a)[0], dual_algebra(sp_b)[0]
         C = renumbered(B, seed=3)
         homs = enumerate_homs(A, B)
         iso = algebras_isomorphic(B, C)
         assert iso is not None and validate_hom(Homomorphism(B, C, iso)).ok
         assert not any("_memo_spectrum_data" in X.__dict__ for X in (A, B, C))
-        assert homs == enumerate_homs_transport_oracle(A, B) and len(homs) > 10
+        assert homs == enumerate_homs_transport_route(A, B) and len(homs) > 10
+        assert_all_homs(homs, A, B, sp_a, sp_b)
 
     def test_homs_equal_the_transport_oracle_on_corpus_pairs(self):
-        algebras = corpus_dual_algebras(20)
-        for A, B in itertools.product(algebras, repeat=2):
-            assert enumerate_homs(A, B) == enumerate_homs_transport_oracle(A, B)
+        spaces = corpus_spaces(20)
+        algebras = [dual_algebra(sp)[0] for sp in spaces]
+        for (A, sp_a), (B, sp_b) in itertools.product(zip(algebras, spaces), repeat=2):
+            homs = enumerate_homs(A, B)
+            assert homs == enumerate_homs_transport_route(A, B)
+            assert_all_homs(homs, A, B, sp_a, sp_b)
 
     def test_homs_equal_the_transport_oracle_on_mirrored_and_renumbered_copies(self):
+        # the closed-form count, on the spaces of the oracle's spectra
         algebras = corpus_dual_algebras(20)[::4]
         algebras += [mirror(A) for A in algebras] + [renumbered(A, seed=i)
                                                      for i, A in enumerate(algebras)]
         found = 0
         for A, B in itertools.product(algebras, repeat=2):
             homs = enumerate_homs(A, B)
-            assert homs == enumerate_homs_transport_oracle(A, B)
+            assert homs == enumerate_homs_transport_route(A, B)
+            assert_all_homs(homs, A, B, spectrum_data_oracle(A).space,
+                            spectrum_data_oracle(B).space)
             found += len(homs)
         assert found > len(algebras) ** 2
 

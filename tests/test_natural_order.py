@@ -4,7 +4,7 @@ read the order and the preorder off the product form, and export-dot reads
 the covers of the order off the form's digit codec; only the exhaustive
 report on a refused algebra makes an order mask, from the meet table it
 reads.  Each reader is checked against the pairwise loop it replaced, kept
-as an oracle in helpers: the generated ideals, classify_hom,
+as an oracle in definitions.py: the generated ideals, classify_hom,
 reflection_check and the Hasse edges of export-dot give equal results,
 and raise the same exception types with the same messages, on the catalog,
 seeded section algebras of every band kind and spaces whose bands are not
@@ -17,16 +17,18 @@ import random
 import numpy as np
 import pytest
 
-from helpers import (
+from definitions import (
     classify_hom_oracle,
-    corpus_dual_algebras,
-    corpus_spaces,
     hasse_edges_oracle,
     leq_ideal_generated_oracle,
-    mixed_space,
-    outcome,
     preceq_ideal_generated_oracle,
     reflection_check_oracle,
+)
+from helpers import (
+    corpus_dual_algebras,
+    corpus_spaces,
+    mixed_space,
+    outcome,
     refusal,
     retabled,
     round_trip_algebras,

@@ -10,21 +10,24 @@ the certificate's check that refused it."""
 import pytest
 
 from catalog import boolean_algebra, one_element
-from helpers import (
+from definitions import (
     basic_copens_oracle,
-    corpus_dual_algebras,
+    basic_rows_oracle,
     green_partitions_oracle,
     handedness_oracle,
+    quotient_by_oracle,
+    spectrum_data_oracle,
+)
+from helpers import (
+    corpus_dual_algebras,
     mixed_space,
     outcome,
     pinned_refusals,
-    quotient_by_oracle,
     refusal,
     renumbered,
     retabled,
     small_test_algebras,
     space_from_fibers,
-    spectrum_data_oracle,
 )
 from skewstone import (
     algebra_roundtrip_iso,
@@ -48,16 +51,6 @@ from skewstone.ideals_spectra import fiber_bands, spectrum_data
 FIELDS = ("primes", "points", "space")
 
 
-def oracle_rows(A, expected):
-    """The basic rows the oracle's congruences give: over prime pi, 0 on the
-    prime, else 1 + the position of the element's class among the points."""
-    start = {}
-    for e, pt in enumerate(expected.points):
-        start.setdefault(pt.prime, e)
-    return [[0 if a in prime.members else 1 + expected.point_of(pi, a) - start[pi]
-             for pi, prime in enumerate(expected.primes)] for a in A.elements]
-
-
 def check_against_oracles(A):
     assert _certificate(A) is None
     green = green_partitions_oracle(A)
@@ -67,7 +60,7 @@ def check_against_oracles(A):
     sd, expected = spectrum_data(A), spectrum_data_oracle(A)
     for name in FIELDS:
         assert getattr(sd, name) == getattr(expected, name), name
-    assert sd.rows.tolist() == oracle_rows(A, expected)
+    assert sd.rows.tolist() == basic_rows_oracle(A, expected)
     assert tuple(basic_copen(A, a) for a in A.elements) == basic_copens_oracle(A, expected)
 
 
@@ -132,7 +125,7 @@ def test_the_spectrum_is_the_forms_numbering():
             assert sd.rows is form.digits
             for name in FIELDS:
                 assert getattr(sd, name) == getattr(expected, name), name
-            assert sd.rows.tolist() == oracle_rows(B, expected)
+            assert sd.rows.tolist() == basic_rows_oracle(B, expected)
             assert ([grid[row[:, None], col].tolist() for row, col, grid in form.rectangles]
                     == [band.tolist() for band in fiber_bands(expected.space)])
 

@@ -14,16 +14,18 @@ import numpy as np
 import pytest
 
 import test_morphisms_duality
-from helpers import (
-    band_shape_oracle,
+from definitions import (
     classify_space_morphism_oracle,
     hom_of_space_morphism_oracle,
-    mixed_space,
-    section_algebra_oracle,
-    small_test_algebras,
-    space_from_fibers,
+    section_algebra,
     validate_space_morphism_oracle,
 )
+from helpers import (
+    mixed_space,
+    small_test_algebras,
+    space_from_fibers,
+)
+from oracles import fiber_classes, sorted_labels
 from skewstone import (
     PartialMap,
     SizeCapError,
@@ -66,12 +68,6 @@ def seeded_spaces():
     return out
 
 
-def sorted_tuple_sections(sp):
-    """Every section as a sorted tuple, in sorted order, by product and sorted."""
-    choices = product(*[(None,) + f for f in fibers(sp)])
-    return tuple(sorted(tuple(sorted(e for e in c if e is not None)) for c in choices))
-
-
 class TestSectionRows:
     def test_spaces_have_shuffled_projections(self):
         spaces = seeded_spaces()
@@ -81,7 +77,7 @@ class TestSectionRows:
 
     def test_labels_and_tables_equal_the_oracle(self):
         for sp in seeded_spaces():
-            oracle, labels = section_algebra_oracle(sp)
+            oracle, labels = section_algebra(sp)
             assert enumerate_sections(sp) == labels
             assert dual_algebra(sp) == (oracle, labels)
 
@@ -103,7 +99,7 @@ class TestSectionRows:
         assert list(sp.p) != sorted(sp.p)
         labels = enumerate_sections(sp)
         assert len(labels) == 4096
-        assert labels == sorted_tuple_sections(sp)
+        assert list(labels) == sorted_labels(sp)
 
     def test_one_section_past_the_cap(self):
         # fibers of 16 and 240 points: 17 * 241 = 4097 sections
@@ -175,8 +171,8 @@ class TestMorphismGathers:
             else:
                 del g[y]                                 # misses a point
         else:
-            two_sided = [x for x, t in sorted(h.items())
-                         if min(band_shape_oracle(tp, fibers(tp)[t])) > 1]
+            classes = fiber_classes(tp)               # (size, rows, columns)
+            two_sided = [x for x, t in sorted(h.items()) if min(classes[t][1:]) > 1]
             if not two_sided:
                 return None
             x = rng.choice(two_sided)

@@ -9,16 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catalog import boolean_algebra
+from definitions import (
+    leq_oracle,
+    partial_map_oracle_tables,
+    section_algebra,
+    validate_coherent_family,
+)
 from helpers import (
     all_surjection_spaces,
     corpus_params,
     corpus_spaces,
-    leq_oracle,
-    partial_map_oracle_tables,
     pointwise_family,
-    section_algebra_oracle,
     space_from_fibers,
-    validate_coherent_family,
 )
 from skewstone import (
     RectSkewSpace,
@@ -108,8 +110,7 @@ class TestValidateSpace:
         ((True, 1, (0,)), "E = True is not an integer"),
         ((1, True, (0,)), "B = True is not an integer"),
         ((2, 1, (0, False)), "p[1] = False out of range"),
-        ((2, 1, (0, 0), ((0, True), (0, 1))), "band[0] contains invalid entry True"),
-    ], ids=["E", "B", "p", "band"])
+    ], ids=["E", "B", "p"])
     def test_direct_constructor_refuses_bools(self, args, message):
         # RectSkewSpace(2, 1, (0, False)) once kept False in p
         with pytest.raises(StructuralError) as err:
@@ -191,12 +192,13 @@ class TestDualAlgebras:
 
 
 class TestSectionAlgebraOracle:
-    """The product builder against the enumerative set-formula oracles."""
+    """The product builder against the section algebra of the benchmark's
+    oracles (definitions.section_algebra), built by mixed-radix digits."""
 
     @staticmethod
     def assert_matches_oracle(sp):
         algebra, labels = dual_algebra(sp)
-        assert (algebra, labels) == section_algebra_oracle(sp)
+        assert (algebra, labels) == section_algebra(sp)
 
     def test_seeded_corpus(self):
         for sp in corpus_spaces():

@@ -1,5 +1,5 @@
 """The whole-table kernels and the readings of the product form against
-the pairwise loops they replaced, kept as oracles in helpers: is_ideal,
+the pairwise loops they replaced, kept as oracles in definitions.py: is_ideal,
 enumerate_prime_ideals, ideal_congruence, is_congruence, green_partitions,
 the basic sections, quotients, subalgebras, the pullback check and
 glb_cap_table give equal results, and raise the same exception types with
@@ -19,23 +19,27 @@ import numpy as np
 import pytest
 
 from catalog import boolean_algebra
-from helpers import (
-    basic_copen_oracle,
+from definitions import (
+    basic_copens_oracle,
     enumerate_prime_ideals_oracle,
     glb_cap_table_oracle,
     green_partitions_oracle,
     ideal_congruence_oracle,
     is_congruence_oracle,
     is_ideal_oracle,
+    quotient_by_oracle,
+    second_decomposition_check_oracle,
+    spectrum_data_oracle,
+    subalgebra_on_oracle,
+)
+from helpers import (
     mixed_space,
     outcome,
-    quotient_by_oracle,
     refusal,
     renumbered,
     retabled,
-    second_decomposition_check_oracle,
     small_test_algebras,
-    subalgebra_on_oracle,
+    traced_peak,
 )
 from skewstone import (
     basic_copen,
@@ -174,7 +178,7 @@ def test_green_partitions_on_mutants_fail_as_the_loop(algebras):
 
 def test_basic_sections_match_the_scan(algebras):
     for A in algebras:
-        expected = tuple(basic_copen_oracle(A, a) for a in A.elements)
+        expected = basic_copens_oracle(A, spectrum_data_oracle(A))
         assert tuple(basic_copen(A, a) for a in A.elements) == expected
 
 
@@ -219,8 +223,10 @@ def test_ideal_congruences_and_the_pullback_check_at_n_4096_and_3125():
     """Six plain fibers of three and five 2 x 2 grid fibers, and a
     renumbered copy of each: the pullback check holds, and each prime's
     congruence has 1 + |fiber| classes with the prime as its zero class.
-    Each algebra is built afresh and dropped before the next, so at most
-    two are held at once, while one is renumbered."""
+    With Green's relations made, the check makes no n x n array: its
+    traced peak stays under 4 MiB.  Each algebra is built afresh and
+    dropped before the next, so at most two are held at once, while one is
+    renumbered."""
     spaces = (lambda: make_space(18, 6, [b for b in range(6) for _ in range(3)]),
               lambda: mixed_space([(2, 2)] * 5, seed=1))
     sizes, parts = [], 0
@@ -229,6 +235,8 @@ def test_ideal_congruences_and_the_pullback_check_at_n_4096_and_3125():
         if copy:
             A = renumbered(A, seed=i)
         sizes.append(A.n)
+        green_partitions(A)
+        assert traced_peak(second_decomposition_check, A) < 4 * 2 ** 20
         assert second_decomposition_check(A) is True
         for p, f in zip(spectrum_data(A).primes, fibers(spectrum_data(A).space)):
             c = ideal_congruence(A, p)
@@ -240,27 +248,22 @@ def test_ideal_congruences_and_the_pullback_check_at_n_4096_and_3125():
 
 def test_pullback_check_refuses_seeded_relations():
     """Green's relations seeded into the memo of a copy.  Every case but
-    R = L = D breaks one condition of the check and keeps the others, so no
-    condition can be dropped.  A 2 x 2 grid fiber (n = 5) with R replaced
-    by the diagonal pairing of its D-class, which is not a congruence; then
-    R = L = D on it.  On the four-element Boolean algebra (0, a = 1, b = 2,
-    top = 3), with partitions that are congruences: one D-class with
-    discrete R and L, a pullback of 16 pairs; one D-class with
-    R = L = "same b", a map that is not one-to-one; D = "same a",
-    L = "same b" and discrete R, an element whose R-class and L-class lie in
-    different D-classes."""
+    R = L = D breaks one count of the check and keeps the other, so neither
+    can be dropped.  On a 2 x 2 grid fiber (n = 5), R = L = D.  On the
+    four-element Boolean algebra (0, a = 1, b = 2, top = 3), with
+    partitions that are congruences: one D-class with discrete R and L, a
+    pullback of 16 pairs; one D-class with R = L = "same b", a map that is
+    not one-to-one; D = "same a", L = "same b" and discrete R, an element
+    whose R-class and L-class lie in different D-classes.  The check reads
+    no table: on a certified algebra R and L are congruences."""
     grid = dual_algebra(mixed_space([(2, 2)], seed=0))[0]
-    d, l, r = green_partitions(grid)
-    first = [d.blocks[label][0] for label in d.labels]
-    diagonal = partition_from_labels(
-        [(d.labels[x], (r.labels[x] == r.labels[f]) == (l.labels[x] == l.labels[f]))
-         for x, f in zip(grid.elements, first)])
-    assert grid.n == 5 and is_congruence(grid, diagonal) is not None
+    d = green_partitions(grid)[0]
+    assert grid.n == 5
     B4 = boolean_algebra(2)
     one, discrete = partition_from_labels([0] * 4), partition_from_labels(range(4))
     same_a, same_b = partition_from_labels([0, 1, 0, 1]), partition_from_labels([0, 0, 1, 1])
     assert is_congruence(B4, same_a) is is_congruence(B4, same_b) is None
-    cases = [(grid, (d, l, diagonal)), (grid, (d, d, d)),
+    cases = [(grid, (d, d, d)),
              (B4, (one, discrete, discrete)), (B4, (one, same_b, same_b)),
              (B4, (same_a, same_b, discrete))]
     for A, green in cases:
