@@ -29,7 +29,7 @@ from skewstone import (
     space_roundtrip_iso,
     validate_algebra,
 )
-from skewstone.ideals_spectra import fibers
+from skewstone.spaces_sections import fibers
 
 KINDS = ("none", "right", "left", ("product", 2, 1), ("product", 2, 2))
 

@@ -951,9 +951,10 @@ def subalgebra_on(A, subset):
     """Restrict A to a subset closed under all operations.
 
     Returns (algebra, embedding) where embedding[i] is the element of A that
-    the i-th subalgebra element came from.
+    the i-th subalgebra element came from.  StructuralError naming the first
+    member of the subset that is not an element (_elements).
     """
-    members = tuple(sorted(set(subset)))
+    members = tuple(np.unique(_elements(list(subset), A.n)).tolist())
     if A.zero not in members:
         raise ValueError("subset does not contain zero")
     pos = np.full(A.n, -1, dtype=INDEX_DTYPE)

@@ -1,33 +1,28 @@
 """Ideals, prime ideals, the congruences they generate, and the skew spectrum.
 
-A finite "Boolean space" is a finite discrete space, so a skew Boolean space
-degenerates to a surjection p : E -> B of finite sets and a copen set is any
-subset.  The skew spectrum of an algebra lives over its prime ideals: the
-fiber over a prime P consists of the non-zero classes of the congruence
-generated by P, and carries a rectangular band.
+The skew spectrum of an algebra is a space (spaces_sections.RectSkewSpace)
+over its prime ideals: the fiber over a prime P consists of the non-zero
+classes of the congruence generated by P, and carries a rectangular band.
+On a finite discrete base a copen set is any subset, so the basic copen set
+of an element is one point over each prime that does not hold it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, groupby
 
 import numpy as np
 
 from .core_algebra import (
-    MAX_CARRIER,
-    SizeCapError,
     StructuralError,
     _certified_form,
     _elements,
     _indices,
     _order_keys,
-    as_int,
-    as_ints,
     partition_from_labels,
     per_object,
 )
+from .spaces_sections import RectSkewSpace, _row_tuples
 
 
 @dataclass(frozen=True)
@@ -52,177 +47,6 @@ class SpectrumPoint:
 
     prime: int
     rep: int
-
-
-_INT_OR_NONE = frozenset((int, type(None)))
-
-
-@dataclass(frozen=True, eq=False, init=False)
-class RectSkewSpace:
-    """Map p : E -> B of finite sets, with an optional fiberwise band.
-
-    The band is kept as one read-only intp table per fiber: tables[b][i, j]
-    is the position of the product of the i-th and j-th points of the fiber
-    over b, its points taken in index order.  A plain space keeps none
-    (tables is None) and is read as carrying the right band x y = y.
-
-    RectSkewSpace(E, B, p, tables=..., stray=...) takes the tables as they
-    are, kept as read-only intp arrays (views where they are intp).
-    make_space reads the band in the E x E form, band[x][y] meaningful only
-    when p[x] == p[y] and None across fibers, and sp.band gives that form
-    back, made from the tables on its first read and kept on the space.  A
-    cell the tables cannot hold, a value across fibers, None inside a fiber
-    or a value outside its fiber, is invalid input: it is kept in stray, the
-    sorted tuple of such (x, y, value), with -1 at its place in its fiber's
-    table.  validate_space reports these cells, so a space it accepts has
-    none.  Spaces compare and hash by value.
-    """
-
-    size_e: int
-    size_b: int
-    p: tuple[int, ...]
-    tables: tuple[np.ndarray, ...] | None
-    stray: tuple[tuple[int, int, int | None], ...]
-
-    def __init__(self, size_e, size_b, p, *, tables=None, stray=()):
-        for name, size in (("E", size_e), ("B", size_b)):
-            if isinstance(size, bool):
-                raise StructuralError(f"{name} = {size} is not an integer")
-        if size_b < 0:
-            raise StructuralError(f"B = {size_b} is negative")
-        if size_b > max(size_e, MAX_CARRIER):
-            # such a p cannot be onto: refused before any per-base-point work
-            raise SizeCapError(f"B = {size_b} is past both E = {size_e} and "
-                               f"MAX_CARRIER = {MAX_CARRIER}, so p cannot be onto")
-        if len(p) != size_e:
-            raise StructuralError(f"p has length {len(p)}, expected {size_e}")
-        for e, b in enumerate(p):
-            if not (isinstance(b, int) and not isinstance(b, bool) and 0 <= b < size_b):
-                raise StructuralError(f"p[{e}] = {b!r} out of range")
-        if tables is not None:
-            tables = tuple(np.broadcast_to(np.asarray(t, dtype=np.intp), np.shape(t))
-                           for t in tables)
-        self.__dict__.update(size_e=size_e, size_b=size_b, p=tuple(p), tables=tables,
-                             stray=stray)
-
-    @cached_property
-    def band(self):
-        """The E x E form: the rows of _band_rows as tuples, None for -1."""
-        if self.tables is not None:
-            return tuple(tuple(None if v < 0 else v for v in row.tolist())
-                         for row in _band_rows(self))
-
-    def __eq__(self, other):
-        key = lambda sp: (sp.size_e, sp.size_b, sp.p, sp.stray, sp.tables is None)
-        same = isinstance(other, RectSkewSpace) and key(self) == key(other)
-        return self is other or same and all(
-            map(np.array_equal, self.tables or (), other.tables or ()))
-
-    def __hash__(self):
-        return hash((self.size_e, self.size_b, self.p, self.stray))
-
-
-def make_space(size_e, size_b, p, band=None):
-    """Build a RectSkewSpace from plain lists (None entries allowed in band).
-    Entries must be integers (TypeError otherwise, also for 2.5, "0" or True):
-    a band row holding anything but ints and None is converted entry by entry."""
-    if band is not None:
-        band = [row if isinstance(row, (list, tuple)) and _INT_OR_NONE.issuperset(map(type, row))
-                else [None if v is None else as_int(v) for v in row] for row in band]
-    sp = RectSkewSpace(as_int(size_e), as_int(size_b), tuple(as_ints(p)))
-    return sp if band is None else _read_band(sp, band)
-
-
-def _read_band(sp, band):
-    """The space sp with the fiber tables and stray cells of band, E x E
-    rows of ints and None (make_space), as a new space.  Each row is checked
-    in order for its length and the range of its entries, a pass at C speed
-    per check; only a row that fails one is looked through for its first
-    invalid entry, so StructuralError names the first fault in row order.
-    The cells are then read in NumPy, and each fiber's table is one gather
-    of positions."""
-    if len(band) != sp.size_e:
-        raise StructuralError("band has wrong number of rows")
-    allowed = {None, *range(sp.size_e)}
-    for x, row in enumerate(band):
-        if len(row) != sp.size_e:
-            raise StructuralError(f"band row {x} has wrong length")
-        if not allowed.issuperset(row):
-            bad = next(v for v in row if v not in allowed)
-            raise StructuralError(f"band[{x}] contains invalid entry {bad!r}")
-    try:
-        cells = np.fromiter(chain.from_iterable(band), dtype=np.intp).reshape(sp.size_e, sp.size_e)
-    except TypeError:                            # a None, read as -1
-        cells = np.fromiter(chain.from_iterable(band), dtype=object).reshape(sp.size_e, sp.size_e)
-        cells = np.where(np.equal(cells, None), -1, cells).astype(np.intp)
-    stray, tables = cells >= 0, []
-    for f in map(list, fibers(sp)):
-        where = np.full(sp.size_e + 1, -1, dtype=np.intp)     # where[-1] reads a None
-        where[f] = np.arange(len(f))
-        # on a space of one fiber the positions are the points: cells is the table
-        tables.append(cells if len(f) == sp.size_e else where[cells[np.ix_(f, f)]])
-        stray[np.ix_(f, f)] = tables[-1] < 0
-    x, y = np.nonzero(stray)
-    values = [None if v < 0 else v for v in cells[x, y].tolist()]
-    return RectSkewSpace(sp.size_e, sp.size_b, sp.p, tables=tables,
-                         stray=tuple(zip(x.tolist(), y.tolist(), values)))
-
-
-@per_object
-def fibers(sp):
-    """E-points of each fiber, in index order, indexed by base point."""
-    out = [[] for _ in range(sp.size_b)]
-    for e, b in enumerate(sp.p):
-        out[b].append(e)
-    return tuple(tuple(f) for f in out)
-
-
-@per_object
-def fiber_bands(sp):
-    """Each fiber's band as a read-only table on the positions 0..m-1 of its
-    points: the space's own tables, or for a plain fiber a broadcast view of
-    the right band x y = y.  ValueError naming the first pair, by fiber and
-    then in C order, whose product is None or leaves its fiber (a stray cell
-    inside a fiber; validate_space reports it)."""
-    if sp.tables is None:
-        return tuple(np.broadcast_to(np.arange(len(f)), (len(f), len(f))) for f in fibers(sp))
-    bad = min(((sp.p[x], x, y, v) for x, y, v in sp.stray if sp.p[x] == sp.p[y]), default=None)
-    if bad:
-        raise ValueError("band[{1}][{2}] = {3!r} is not a point of the fiber over {0}"
-                         .format(*bad))
-    return sp.tables
-
-
-def _band_rows(sp):
-    """The rows of sp.band, one intp array at a time with -1 for None, made
-    from the fiber tables and the stray cells: the one writer of the E x E
-    form (sp.band, and the JSON writer, which streams them)."""
-    fib = [np.array(f, dtype=np.intp) for f in fibers(sp)]
-    stray = {x: list(cells) for x, cells in groupby(sp.stray, lambda cell: cell[0])}
-    for x, f in enumerate(fib[b] for b in sp.p):
-        row = np.full(sp.size_e, -1, dtype=np.intp)
-        row[f] = f[sp.tables[sp.p[x]][np.searchsorted(f, x)]]
-        for _, y, v in stray.get(x, ()):
-            row[y] = -1 if v is None else v
-        yield row
-
-
-def _row_points(sp, rows):
-    """The points of each digit row of sp (0 for no point, 1 + i for the i-th
-    point of that fiber), in increasing order and padded at the end with -1."""
-    fib = fibers(sp)
-    absent = sp.size_e                           # sorts after every point
-    lookup = np.array([e for f in fib for e in (absent, *f)], dtype=np.int64)
-    starts = np.cumsum([0] + [1 + len(f) for f in fib[:-1]])
-    points = np.sort(np.take(lookup, rows + starts), axis=1)
-    points[points == absent] = -1
-    return points
-
-
-def _row_tuples(sp, rows):
-    """Digit rows in their public form, each as the sorted tuple of its points."""
-    counts = np.count_nonzero(rows, axis=1).tolist()
-    return tuple(tuple(row[:k]) for row, k in zip(_row_points(sp, rows).tolist(), counts))
 
 
 # ---------------------------------------------------------------------------

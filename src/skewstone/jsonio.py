@@ -23,9 +23,8 @@ from types import GeneratorType
 import numpy as np
 
 from .core_algebra import INDEX_DTYPE, StructuralError, as_ints, make_algebra
-from .ideals_spectra import _band_rows, make_space
 from .morphisms_duality import Homomorphism, SpaceMorphism
-from .spaces_sections import PartialMap
+from .spaces_sections import PartialMap, _band_rows, make_space
 
 
 def algebra_to_dict(A):

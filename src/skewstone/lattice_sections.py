@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_algebra import _certified_form, _elements, _indices, green_partitions, handedness
-from .ideals_spectra import _row_tuples, fibers, spectrum_data
+from .ideals_spectra import spectrum_data
+from .spaces_sections import _row_tuples, fibers
 
 
 @dataclass(frozen=True)

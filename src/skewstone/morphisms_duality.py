@@ -7,7 +7,10 @@ the right band x y = y.  One pass (_decoded) decides and reports all three
 conditions, reading a morphism as one band map per fiber; every check of
 a space morphism, validate_space_morphism among them, is that pass.
 The dual of a homomorphism acts by preimages; the dual of a space morphism
-acts on sections by preimage under g.
+acts on sections by preimage under g.  The round-trip isomorphisms on both
+sides, and the decomposition and classification of morphisms, live here
+too; the spaces themselves, and the constructions on them, live in
+spaces_sections.
 """
 
 from __future__ import annotations
@@ -31,27 +34,20 @@ from .core_algebra import (
     _first_bad,
     _indices,
     _order_keys,
-    _rectangle,
     _take,
     per_object,
     subalgebra_on,
 )
-from .ideals_spectra import (
-    RectSkewSpace,
-    _generated,
-    _prime_index,
-    fiber_bands,
-    fibers,
-    leq_ideal_generated,
-    make_space,
-    spectrum_data,
-)
+from .ideals_spectra import _generated, _prime_index, leq_ideal_generated, spectrum_data
 from .spaces_sections import (
     PartialMap,
+    _rectangular,
     _section_rows,
-    _product_table,
     dual_algebra,
+    fiber_bands,
+    fibers,
     partial_map,
+    restrict_space,
 )
 
 
@@ -104,12 +100,9 @@ def validate_hom(f):
     Each operation is one gather, m[T_A] against T_B[m x m], both of the
     tables' dtype; the witness is the first violated pair in C order.  The
     map must be n_A integers in 0..n_B-1 (StructuralError otherwise, also
-    for 1.5, "1" or True)."""
+    for 1.5, "1" or True; _hom_map)."""
     A, B = f.source, f.target
-    m = _indices(f.map, B.n)
-    if m is None or m.shape != (A.n,):
-        raise StructuralError("homomorphism map is not a total map into the target")
-    m = m.astype(INDEX_DTYPE)
+    m = _hom_map(f).astype(INDEX_DTYPE)
     failures = []
     if m[A.zero] != B.zero:
         failures.append(("preserves_zero", (A.zero,)))
@@ -120,6 +113,15 @@ def validate_hom(f):
         if witness is not None:
             failures.append((f"preserves_{name}", witness))
     return ValidationReport(ok=not failures, failures=tuple(failures))
+
+
+def _hom_map(f):
+    """f's map as an intp array; StructuralError unless it is n_A integers
+    in 0..n_B-1 (_indices)."""
+    m = _indices(f.map, f.target.n)
+    if m is None or m.shape != (f.source.n,):
+        raise StructuralError("homomorphism map is not a total map into the target")
+    return m
 
 
 def identity_hom(A):
@@ -306,16 +308,6 @@ def compose_space_morphisms(outer, inner):
     return SpaceMorphism(inner.source, outer.target, partial_map(g), partial_map(h))
 
 
-@per_object
-def _fiber_rectangles(sp):
-    """The decode (_rectangle) of each fiber band of sp, made once per
-    space.  ValueError if a band is not rectangular."""
-    rects = tuple(map(_rectangle, fiber_bands(sp)))
-    if any(rect is None for rect in rects):
-        raise ValueError("a fiber band is not a rectangular band")
-    return rects
-
-
 def _choices(x_rects, y_rects, max_candidates):
     """For each x band, [None] + [(y, at)]: each y band with each injective
     band map of it into the x band, at[i] the point that y's point i goes
@@ -347,7 +339,7 @@ def enumerate_space_morphisms(sp, tp, max_candidates=MAX_CANDIDATES):
     built.  A band that is not rectangular raises ValueError.
     """
     choices = [[c if c is None else (c[0], c[1].tolist()) for c in options]
-               for options in _choices(_fiber_rectangles(sp), _fiber_rectangles(tp),
+               for options in _choices(_rectangular(sp), _rectangular(tp),
                                        max_candidates)]
     out = [_space_morphism(sp, tp, pieces) for pieces in product(*choices)]
     return tuple(sorted(out, key=lambda m: (m.h.domain, m.h.values, m.g.domain, m.g.values)))
@@ -378,7 +370,7 @@ def spaces_isomorphic(sp1, sp2):
     """
     if (sp1.size_e, sp1.size_b) != (sp2.size_e, sp2.size_b):
         return None
-    matched = _band_isomorphism(_fiber_rectangles(sp1), _fiber_rectangles(sp2))
+    matched = _band_isomorphism(_rectangular(sp1), _rectangular(sp2))
     if matched is None:
         return None
     pieces = [None] * sp1.size_b
@@ -414,10 +406,11 @@ def dual_of_hom(f):
     total-space map sends (P, t) to (preimage P, a) whenever t is congruent
     mod P to some value f(a) outside P.  Both read the basic rows: column j
     of the target's rows at f(a) is 0 on the preimage of prime j, and pairs
-    its digits with the source's at h(j).  The result is validated in full.
+    its digits with the source's at h(j).  The map is read as validate_hom
+    reads it (_hom_map), and the result is validated in full.
     """
     sd_a, sd_b = spectrum_data(f.source), spectrum_data(f.target)
-    rows_a, rows_b = sd_a.rows, sd_b.rows[list(f.map)]
+    rows_a, rows_b = sd_a.rows, sd_b.rows[_hom_map(f)]
     prime_of = _prime_index(sd_a)
     inside = (rows_b == 0).T
     h = {}
@@ -576,61 +569,8 @@ def space_roundtrip_iso(sp):
 
 
 # ---------------------------------------------------------------------------
-# Rectangular spaces versus pairs of plain spaces
-# ---------------------------------------------------------------------------
-
-def to_space_pair(sp):
-    """Split a rectangular space into (R-quotient, L-quotient) over the same
-    base, the fiberwise coequalizers of the band's Green relations.  With a
-    right band R is the full fiber relation and L is equality, so the first
-    component collapses onto the base and the second keeps the total space."""
-    if sp.tables is None:
-        raise ValueError("pair decomposition needs a band")
-    shapes = [grid.shape for _, _, grid in _fiber_rectangles(sp)]
-
-    def quotient(side):
-        p_q = [b for b, shape in enumerate(shapes) for _ in range(shape[side])]
-        return make_space(len(p_q), sp.size_b, p_q)
-
-    return quotient(0), quotient(1)
-
-
-def from_space_pair(left, right):
-    """Fiber product of two plain spaces over their common base, with the
-    grid band (u1, v1) ^ (u2, v2) = (u1, v2): the point (u, v) of a fiber
-    sits at u * |V| + v, and that is product_band(|V|, |U|)."""
-    if left.size_b != right.size_b:
-        raise ValueError("pair components have different bases")
-    if left.tables is not None or right.tables is not None:
-        raise ValueError("pair components must be plain spaces")
-    shapes = [(len(u), len(v)) for u, v in zip(fibers(left), fibers(right))]
-    p = [b for b, (u, v) in enumerate(shapes) for _ in range(u * v)]
-    return RectSkewSpace(len(p), left.size_b, p, tables=[_product_table(v, u) for u, v in shapes])
-
-
-# ---------------------------------------------------------------------------
 # Decomposition and classification of morphisms
 # ---------------------------------------------------------------------------
-
-def restrict_space(sp, e_subset, b_subset):
-    """Subspace on the given points with reindexed projection and band;
-    ValueError if the points kept in a fiber are not closed under its band."""
-    e_list = tuple(sorted(e_subset))
-    b_list = tuple(sorted(b_subset))
-    b_pos = {b: i for i, b in enumerate(b_list)}
-    p = [b_pos[sp.p[e]] for e in e_list]
-    if sp.tables is None:
-        return make_space(len(e_list), len(b_list), p), e_list, b_list
-    kept, tables = set(e_list), []
-    for b in b_list:
-        keep = [i for i, e in enumerate(fibers(sp)[b]) if e in kept]
-        renumber = np.full(len(fibers(sp)[b]), -1)
-        renumber[keep] = np.arange(len(keep))
-        tables.append(renumber[fiber_bands(sp)[b][np.ix_(keep, keep)]])
-        if (tables[-1] < 0).any():
-            raise ValueError(f"the points kept over {b} are not closed under the band")
-    return RectSkewSpace(len(p), len(b_list), p, tables=tables), e_list, b_list
-
 
 def decompose_morphism(m):
     """Split a morphism into a partial identity onto the restriction to its

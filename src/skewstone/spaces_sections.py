@@ -1,7 +1,16 @@
-"""Finite skew Boolean spaces, their section algebras, and partial-map algebras.
+"""Finite skew Boolean spaces: the space, its bands, its checks, its sections.
 
-A section of p : E -> B is a subset of E meeting each fiber at most once:
-one independent choice per base point, either no point or a point of that
+A finite "Boolean space" is a finite discrete space, so a rectangular skew
+Boolean space degenerates to a surjection p : E -> B of finite sets with a
+rectangular band on each fiber.  This module holds that object: its type
+and its reader (RectSkewSpace, make_space), its fibers and fiber tables,
+its bands (product_band, each band an m x m integer table) and their
+decodes, its check (validate_space), the constructions on it
+(restrict_space, to_space_pair, from_space_pair), its sections and their
+algebra, and seeded instances (random_space).
+
+A section of p is a subset of E meeting each fiber at most once: one
+independent choice per base point, either no point or a point of that
 fiber.  All four operations act base point by base point through the fiber
 band (a plain space carries the right band, and its sections form a
 right-handed algebra; other bands give two-sided ones).  So the section
@@ -15,24 +24,23 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, groupby
 
 import numpy as np
 
 from .core_algebra import (
     MAX_CARRIER,
     SizeCapError,
+    StructuralError,
     ValidationReport,
     _certified_form,
     _product_algebra,
+    _rectangle,
+    as_int,
+    as_ints,
     band_law_witness,
     per_object,
-)
-from .ideals_spectra import (
-    RectSkewSpace,
-    _row_points,
-    _row_tuples,
-    fiber_bands,
-    fibers,
 )
 
 
@@ -70,19 +78,209 @@ def partial_map(mapping):
     return PartialMap(dom, tuple(mapping[x] for x in dom))
 
 
-@dataclass(frozen=True)
-class BandOnY:
-    """Total rectangular band table on a value set."""
+# ---------------------------------------------------------------------------
+# The space and its fiber tables
+# ---------------------------------------------------------------------------
 
-    table: tuple[tuple[int, ...], ...]
+_INT_OR_NONE = frozenset((int, type(None)))
 
-    @property
-    def m(self):
-        return len(self.table)
 
-    def __call__(self, x, y):
-        return self.table[x][y]
+@dataclass(frozen=True, eq=False, init=False)
+class RectSkewSpace:
+    """Map p : E -> B of finite sets, with an optional fiberwise band.
 
+    The band is kept as one read-only intp table per fiber: tables[b][i, j]
+    is the position of the product of the i-th and j-th points of the fiber
+    over b, its points taken in index order.  A plain space keeps none
+    (tables is None) and is read as carrying the right band x y = y.
+
+    RectSkewSpace(E, B, p, tables=..., stray=...) checks the tables
+    (_checked_tables) and keeps them as read-only intp arrays (views where
+    they are intp).  make_space reads the band in the E x E form,
+    band[x][y] meaningful only when p[x] == p[y] and None across fibers,
+    and sp.band gives that form back, made from the tables on its first
+    read and kept on the space.  A cell the tables cannot hold, a value
+    across fibers, None inside a fiber or a value outside its fiber, is
+    invalid input: it is kept in stray, the sorted tuple of such
+    (x, y, value), with -1 at its place in its fiber's table.
+    validate_space reports these cells, so a space it accepts has none.
+    Spaces compare and hash by value.
+    """
+
+    size_e: int
+    size_b: int
+    p: tuple[int, ...]
+    tables: tuple[np.ndarray, ...] | None
+    stray: tuple[tuple[int, int, int | None], ...]
+
+    def __init__(self, size_e, size_b, p, *, tables=None, stray=()):
+        for name, size in (("E", size_e), ("B", size_b)):
+            if isinstance(size, bool):
+                raise StructuralError(f"{name} = {size} is not an integer")
+        if size_b < 0:
+            raise StructuralError(f"B = {size_b} is negative")
+        if size_b > max(size_e, MAX_CARRIER):
+            # such a p cannot be onto: refused before any per-base-point work
+            raise SizeCapError(f"B = {size_b} is past both E = {size_e} and "
+                               f"MAX_CARRIER = {MAX_CARRIER}, so p cannot be onto")
+        if len(p) != size_e:
+            raise StructuralError(f"p has length {len(p)}, expected {size_e}")
+        for e, b in enumerate(p):
+            if not (isinstance(b, int) and not isinstance(b, bool) and 0 <= b < size_b):
+                raise StructuralError(f"p[{e}] = {b!r} out of range")
+        self.__dict__.update(size_e=size_e, size_b=size_b, p=tuple(p), tables=None,
+                             stray=stray)
+        if tables is not None:
+            self.__dict__["tables"] = _checked_tables(self, tables)
+
+    @cached_property
+    def band(self):
+        """The E x E form: the rows of _band_rows as tuples, None for -1."""
+        if self.tables is not None:
+            return tuple(tuple(None if v < 0 else v for v in row.tolist())
+                         for row in _band_rows(self))
+
+    def __eq__(self, other):
+        key = lambda sp: (sp.size_e, sp.size_b, sp.p, sp.stray, sp.tables is None)
+        same = isinstance(other, RectSkewSpace) and key(self) == key(other)
+        return self is other or same and all(
+            map(np.array_equal, self.tables or (), other.tables or ()))
+
+    def __hash__(self):
+        return hash((self.size_e, self.size_b, self.p, self.stray))
+
+
+def _checked_tables(sp, tables):
+    """tables as the fiber tables of sp, read-only intp arrays (views where
+    they are intp).  StructuralError naming the fiber unless there are B
+    tables, each an m x m integer table, m the size of its fiber, whose
+    entries lie in 0..m-1 but for a -1 at a cell that sp.stray lists.  A
+    table in range costs one max, of its entries read as unsigned; only one
+    past it is looked through, in NumPy, for its first bad entry in C order."""
+    if len(tables) != sp.size_b:
+        raise StructuralError(f"{len(tables)} band tables for B = {sp.size_b}")
+    listed = np.array([x * sp.size_e + y for x, y, _ in sp.stray], dtype=np.int64)
+    out = []
+    for b, (f, t) in enumerate(zip(fibers(sp), tables)):
+        m = len(f)
+        try:
+            t = np.asarray(t)
+        except ValueError:                       # ragged rows
+            t = np.empty(0)
+        if t.shape != (m, m) or t.dtype.kind not in "iu":
+            raise StructuralError(f"band table over {b} is not a {m} x {m} integer table")
+        out.append(np.broadcast_to(t.astype(np.intp, copy=False), t.shape))
+        if m and out[-1].view(np.uintp).max() >= m:     # a negative entry reads as past m
+            i, j = np.nonzero((t < 0) | (t >= m))
+            bad = (t[i, j] != -1) | ~np.isin(np.take(f, i) * sp.size_e + np.take(f, j), listed)
+            if bad.any():
+                raise StructuralError(f"band table over {b} has entry {t[i, j][bad][0]} "
+                                      f"outside 0..{m - 1}")
+    return tuple(out)
+
+
+def make_space(size_e, size_b, p, band=None):
+    """Build a RectSkewSpace from plain lists (None entries allowed in band).
+    Entries must be integers (TypeError otherwise, also for 2.5, "0" or True):
+    a band row holding anything but ints and None is converted entry by entry."""
+    if band is not None:
+        band = [row if isinstance(row, (list, tuple)) and _INT_OR_NONE.issuperset(map(type, row))
+                else [None if v is None else as_int(v) for v in row] for row in band]
+    sp = RectSkewSpace(as_int(size_e), as_int(size_b), tuple(as_ints(p)))
+    return sp if band is None else _read_band(sp, band)
+
+
+def _read_band(sp, band):
+    """The space sp with the fiber tables and stray cells of band, E x E
+    rows of ints and None (make_space), as a new space.  Each row is checked
+    in order for its length and the range of its entries, a pass at C speed
+    per check; only a row that fails one is looked through for its first
+    invalid entry, so StructuralError names the first fault in row order.
+    The cells are then read in NumPy, and each fiber's table is one gather
+    of positions."""
+    if len(band) != sp.size_e:
+        raise StructuralError("band has wrong number of rows")
+    allowed = {None, *range(sp.size_e)}
+    for x, row in enumerate(band):
+        if len(row) != sp.size_e:
+            raise StructuralError(f"band row {x} has wrong length")
+        if not allowed.issuperset(row):
+            bad = next(v for v in row if v not in allowed)
+            raise StructuralError(f"band[{x}] contains invalid entry {bad!r}")
+    try:
+        cells = np.fromiter(chain.from_iterable(band), dtype=np.intp).reshape(sp.size_e, sp.size_e)
+    except TypeError:                            # a None, read as -1
+        cells = np.fromiter(chain.from_iterable(band), dtype=object).reshape(sp.size_e, sp.size_e)
+        cells = np.where(np.equal(cells, None), -1, cells).astype(np.intp)
+    stray, tables = cells >= 0, []
+    for f in map(list, fibers(sp)):
+        where = np.full(sp.size_e + 1, -1, dtype=np.intp)     # where[-1] reads a None
+        where[f] = np.arange(len(f))
+        # on a space of one fiber the positions are the points: cells is the table
+        tables.append(cells if len(f) == sp.size_e else where[cells[np.ix_(f, f)]])
+        stray[np.ix_(f, f)] = tables[-1] < 0
+    x, y = np.nonzero(stray)
+    values = [None if v < 0 else v for v in cells[x, y].tolist()]
+    return RectSkewSpace(sp.size_e, sp.size_b, sp.p, tables=tables,
+                         stray=tuple(zip(x.tolist(), y.tolist(), values)))
+
+
+@per_object
+def fibers(sp):
+    """E-points of each fiber, in index order, indexed by base point."""
+    out = [[] for _ in range(sp.size_b)]
+    for e, b in enumerate(sp.p):
+        out[b].append(e)
+    return tuple(tuple(f) for f in out)
+
+
+@per_object
+def fiber_bands(sp):
+    """Each fiber's band as a read-only table on the positions 0..m-1 of its
+    points: the space's own tables, or for a plain fiber a broadcast view of
+    the right band x y = y.  ValueError naming the first pair, by fiber and
+    then in C order, whose product is None or leaves its fiber (a stray cell
+    inside a fiber; validate_space reports it)."""
+    if sp.tables is None:
+        return tuple(np.broadcast_to(np.arange(len(f)), (len(f), len(f))) for f in fibers(sp))
+    bad = min(((sp.p[x], x, y, v) for x, y, v in sp.stray if sp.p[x] == sp.p[y]), default=None)
+    if bad:
+        raise ValueError("band[{1}][{2}] = {3!r} is not a point of the fiber over {0}"
+                         .format(*bad))
+    return sp.tables
+
+
+@per_object
+def _fiber_rectangles(sp):
+    """The decode (_rectangle) of each fiber band of sp, None for a band
+    that is not rectangular, made once per space."""
+    return tuple(map(_rectangle, fiber_bands(sp)))
+
+
+def _rectangular(sp):
+    """_fiber_rectangles(sp); ValueError if a band is not rectangular."""
+    if any(rect is None for rect in _fiber_rectangles(sp)):
+        raise ValueError("a fiber band is not a rectangular band")
+    return _fiber_rectangles(sp)
+
+
+def _band_rows(sp):
+    """The rows of sp.band, one intp array at a time with -1 for None, made
+    from the fiber tables and the stray cells: the one writer of the E x E
+    form (sp.band, and the JSON writer, which streams them)."""
+    fib = [np.array(f, dtype=np.intp) for f in fibers(sp)]
+    stray = {x: list(cells) for x, cells in groupby(sp.stray, lambda cell: cell[0])}
+    for x, f in enumerate(fib[b] for b in sp.p):
+        row = np.full(sp.size_e, -1, dtype=np.intp)
+        row[f] = f[sp.tables[sp.p[x]][np.searchsorted(f, x)]]
+        for _, y, v in stray.get(x, ()):
+            row[y] = -1 if v is None else v
+        yield row
+
+
+# ---------------------------------------------------------------------------
+# Bands
+# ---------------------------------------------------------------------------
 
 def right_band(m):
     """The right band x y = y on m points."""
@@ -96,16 +294,12 @@ def left_band(m):
 
 def product_band(k_left, k_right):
     """Rectangular band on k_left * k_right points with k_left classes of the
-    Green L relation and k_right classes of R.  Point r * k_left + l has
-    coordinates (r, l); the operation keeps r from the left operand and l
-    from the right one."""
-    return BandOnY(tuple(map(tuple, _product_table(k_left, k_right).tolist())))
-
-
-def _product_table(k_left, k_right):
-    """product_band's table as an intp array."""
+    Green L relation and k_right classes of R, as a read-only m x m intp
+    table.  Point r * k_left + l has coordinates (r, l); the operation keeps
+    r from the left operand and l from the right one."""
     e = np.arange(k_left * k_right)
-    return (e // k_left * k_left)[:, None] + e % k_left
+    table = (e // k_left * k_left)[:, None] + e % k_left
+    return np.broadcast_to(table, table.shape)     # a read-only view
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +312,17 @@ def validate_space(sp):
     fiber a rectangular band.  The cells that break the first two are the
     space's stray cells (RectSkewSpace), in C order: a value inside a fiber
     that lies outside it fails band_in_fiber, any other
-    band_defined_iff_same_fiber."""
+    band_defined_iff_same_fiber.  Each band is decoded once, in the space's
+    memo (_fiber_rectangles); only one that does not decode is searched for
+    its first failed law (band_law_witness)."""
     failures = [("p_surjective", (b,)) for b, f in enumerate(fibers(sp)) if not f]
     failures += [("band_in_fiber" if v is not None and sp.p[x] == sp.p[y]
                   else "band_defined_iff_same_fiber", (x, y)) for x, y, v in sp.stray]
     if sp.tables is not None and not failures:
-        for f, bad in zip(fibers(sp), map(band_law_witness, fiber_bands(sp))):
-            if bad is not None:
-                failures.append((bad[0], tuple(f[i] for i in bad[1])))
+        for f, band, rect in zip(fibers(sp), fiber_bands(sp), _fiber_rectangles(sp)):
+            if rect is None:
+                law, witness = band_law_witness(band)
+                failures.append((law, tuple(f[i] for i in witness)))
     return ValidationReport(ok=not failures, failures=tuple(failures))
 
 
@@ -140,6 +337,24 @@ def _mixed_rows(sizes, what):
             raise SizeCapError(f"more than {MAX_CARRIER} {what}")
     radix = np.cumprod([1] + sizes, dtype=np.int64)[:-1]
     return np.arange(n)[:, None] // radix % np.array(sizes, dtype=np.int64), radix
+
+
+def _row_points(sp, rows):
+    """The points of each digit row of sp (0 for no point, 1 + i for the i-th
+    point of that fiber), in increasing order and padded at the end with -1."""
+    fib = fibers(sp)
+    absent = sp.size_e                           # sorts after every point
+    lookup = np.array([e for f in fib for e in (absent, *f)], dtype=np.int64)
+    starts = np.cumsum([0] + [1 + len(f) for f in fib[:-1]])
+    points = np.sort(np.take(lookup, rows + starts), axis=1)
+    points[points == absent] = -1
+    return points
+
+
+def _row_tuples(sp, rows):
+    """Digit rows in their public form, each as the sorted tuple of its points."""
+    counts = np.count_nonzero(rows, axis=1).tolist()
+    return tuple(tuple(row[:k]) for row, k in zip(_row_points(sp, rows).tolist(), counts))
 
 
 @per_object
@@ -213,13 +428,67 @@ def reflection_check(sp):
 
 
 # ---------------------------------------------------------------------------
+# Constructions on spaces: subspaces, and rectangular spaces versus pairs of
+# plain spaces
+# ---------------------------------------------------------------------------
+
+def restrict_space(sp, e_subset, b_subset):
+    """Subspace on the given points with reindexed projection and band.  A
+    product of kept points that is not kept is -1 in its table, so points
+    not closed under a fiber's band are refused by the constructor
+    (StructuralError, a ValueError, naming the fiber's new index)."""
+    e_list = tuple(sorted(e_subset))
+    b_list = tuple(sorted(b_subset))
+    b_pos = {b: i for i, b in enumerate(b_list)}
+    p = [b_pos[sp.p[e]] for e in e_list]
+    if sp.tables is None:
+        return make_space(len(e_list), len(b_list), p), e_list, b_list
+    kept, tables = set(e_list), []
+    for b in b_list:
+        keep = [i for i, e in enumerate(fibers(sp)[b]) if e in kept]
+        renumber = np.full(len(fibers(sp)[b]), -1)
+        renumber[keep] = np.arange(len(keep))
+        tables.append(renumber[fiber_bands(sp)[b][np.ix_(keep, keep)]])
+    return RectSkewSpace(len(p), len(b_list), p, tables=tables), e_list, b_list
+
+
+def to_space_pair(sp):
+    """Split a rectangular space into (R-quotient, L-quotient) over the same
+    base, the fiberwise coequalizers of the band's Green relations.  With a
+    right band R is the full fiber relation and L is equality, so the first
+    component collapses onto the base and the second keeps the total space."""
+    if sp.tables is None:
+        raise ValueError("pair decomposition needs a band")
+    shapes = [grid.shape for _, _, grid in _rectangular(sp)]
+
+    def quotient(side):
+        p_q = [b for b, shape in enumerate(shapes) for _ in range(shape[side])]
+        return make_space(len(p_q), sp.size_b, p_q)
+
+    return quotient(0), quotient(1)
+
+
+def from_space_pair(left, right):
+    """Fiber product of two plain spaces over their common base, with the
+    grid band (u1, v1) ^ (u2, v2) = (u1, v2): the point (u, v) of a fiber
+    sits at u * |V| + v, and that is product_band(|V|, |U|)."""
+    if left.size_b != right.size_b:
+        raise ValueError("pair components have different bases")
+    if left.tables is not None or right.tables is not None:
+        raise ValueError("pair components must be plain spaces")
+    shapes = [(len(u), len(v)) for u, v in zip(fibers(left), fibers(right))]
+    p = [b for b, (u, v) in enumerate(shapes) for _ in range(u * v)]
+    return RectSkewSpace(len(p), left.size_b, p, tables=[product_band(v, u) for u, v in shapes])
+
+
+# ---------------------------------------------------------------------------
 # Partial-map algebras
 # ---------------------------------------------------------------------------
 
 def partial_map_algebra(x_size, y_size, band):
     """Skew algebra on all partial maps X -> Y, with a band on the values
-    applied pointwise on overlaps: band is one BandOnY for every point, or a
-    sequence of x_size of them, bands[x] at the point x.
+    applied pointwise on overlaps: band is one m x m table for every point,
+    or a sequence of x_size of them, bands[x] at the point x.
     f ^ g = f|c sand g|c on c = dom f & dom g,
     f v g = f|(F-G) | g|(G-F) | (g ^ f),
     f \\ g = f|(F-G), and cap is graph intersection.
@@ -233,15 +502,15 @@ def partial_map_algebra(x_size, y_size, band):
     applies the table it gives on the maps defined at x alone.  The band
     laws themselves are checked here.
     """
-    single = isinstance(band, BandOnY)
+    single = np.ndim(band[:1]) == 2              # the first row of one table
     bands = [band] if single else list(band)
     if not single and len(bands) != x_size:
         raise ValueError(f"{len(bands)} bands for {x_size} points")
     for b in bands:
-        bad = band_law_witness(b.table)
+        bad = band_law_witness(b)
         if bad is not None:
             raise ValueError(f"not a rectangular band: {bad[0]} at {bad[1]}")
-        if b.m != y_size:
+        if len(b) != y_size:
             raise ValueError("band size does not match the value set")
     rows, _ = _mixed_rows([1 + y_size] * x_size, "partial maps")
     defined = np.argsort(rows == 0, axis=1, kind="stable")   # the domain first
@@ -251,8 +520,7 @@ def partial_map_algebra(x_size, y_size, band):
     order = np.lexsort(np.concatenate((domains, values), axis=1).T[::-1]) if x_size else [0]
     labels = tuple(PartialMap(tuple(d[:k]), tuple(v[:k])) for d, v, k in zip(
         domains[order].tolist(), values[order].tolist(), present[order].sum(axis=1).tolist()))
-    tables = [band.table] * x_size if single else [b.table for b in bands]
-    return _product_algebra(tables, rows[order]), labels
+    return _product_algebra(bands * x_size if single else bands, rows[order]), labels
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +546,14 @@ def random_space(size_b, max_fiber, seed, band="none"):
             if k < 1:
                 raise ValueError(f"{name} must be at least 1, got {k}")
         sizes = [k_left * k_right] * size_b
-        tables = [_product_table(k_left, k_right)] * size_b
+        tables = [product_band(k_left, k_right)] * size_b
     else:
         if band not in ("none", "right", "left"):
             raise ValueError(f"unknown band kind {band!r}")
         if max_fiber < 1:
             raise ValueError(f"max_fiber must be at least 1, got {max_fiber}")
         sizes = [rng.randint(1, max_fiber) for _ in range(size_b)]
-        tables = [_product_table(s, 1) if band == "right" else _product_table(1, s)
+        tables = [(right_band if band == "right" else left_band)(s)
                   for s in sizes if band != "none"]
     p = [b for b, s in enumerate(sizes) for _ in range(s)]
     rng.shuffle(p)

@@ -9,8 +9,7 @@ from skewstone.core_algebra import (
     mirror,
     quotient_by,
 )
-from skewstone.ideals_spectra import make_space
-from skewstone.spaces_sections import dual_algebra
+from skewstone.spaces_sections import dual_algebra, make_space
 
 
 def one_element():

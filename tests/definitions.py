@@ -31,8 +31,6 @@ Each fast path and its oracle:
     subalgebra_on ................. subalgebra_on_oracle
     second_decomposition_check .... second_decomposition_check_oracle
   ideals_spectra
-    make_space, sp.band ........... band_rows_oracle, band_error_oracle
-    fiber_bands ................... fiber_bands_error_oracle
     is_ideal ...................... is_ideal_oracle
     enumerate_prime_ideals ........ enumerate_prime_ideals_oracle,
                                     enumerate_prime_ideals_bruteforce
@@ -43,6 +41,8 @@ Each fast path and its oracle:
     leq_ideal_generated ........... leq_ideal_generated_oracle
     preceq_ideal_generated ........ preceq_ideal_generated_oracle
   spaces_sections
+    make_space, sp.band ........... band_rows_oracle, band_error_oracle
+    fiber_bands ................... fiber_bands_error_oracle
     validate_space ................ validate_space_oracle
     dual_algebra, enumerate_sections  section_algebra
     partial_map_algebra ........... partial_map_oracle_tables,
@@ -368,7 +368,7 @@ def reflection_check_oracle(sp):
 
 
 def _o_meet(f, g, bands):
-    return {x: bands[x](f[x], g[x]) for x in f if x in g}
+    return {x: int(bands[x][f[x]][g[x]]) for x in f if x in g}
 
 
 def _o_join(f, g, bands):
@@ -397,11 +397,11 @@ def all_partial_maps(x_size, y_size):
 
 
 def partial_map_oracle_tables(x_size, y_size, bands=None):
-    """Operation tables of the partial-map algebra with band bands[x] at
-    point x (by default the right band everywhere) computed by a
-    from-scratch dict implementation, over the canonical carrier order."""
+    """Operation tables of the partial-map algebra with band bands[x], an
+    m x m table, at point x (by default the right band everywhere) computed
+    by a from-scratch dict implementation, over the canonical carrier order."""
     if bands is None:
-        bands = [lambda u, v: v] * x_size
+        bands = [[range(y_size)] * y_size] * x_size
     maps = all_partial_maps(x_size, y_size)
     dicts = [m.as_dict() for m in maps]
     index = {tuple(sorted(d.items())): i for i, d in enumerate(dicts)}

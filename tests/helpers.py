@@ -194,7 +194,7 @@ def mixed_space(grids, seed):
         local = product_band(*grid)
         for i, x in enumerate(f):
             for j, y in enumerate(f):
-                band[x][y] = f[local(i, j)]
+                band[x][y] = f[local[i, j]]
     return make_space(len(p), len(grids), p, band)
 
 
@@ -224,7 +224,7 @@ def pointwise_family(bands):
     """The family on partial maps X -> Y that applies bands[x] to the
     values at each point x of the common domain."""
     def sand(f, g):
-        return PartialMap(f.domain, tuple(bands[x](u, v)
+        return PartialMap(f.domain, tuple(int(bands[x][u][v])
                                           for x, u, v in zip(f.domain, f.values, g.values)))
     return sand
 

@@ -568,6 +568,39 @@ class TestCommands:
         code, out = run(capsys, "homs", three_file, three_file, "--format", "json")
         assert len(json.loads(out)["homs"]) == 3
 
+    @staticmethod
+    def dualized_plain_fibers(capsys, tmp_path, sizes):
+        """The file that dualize writes for the plain space of the given
+        fiber sizes."""
+        p = [b for b, size in enumerate(sizes) for _ in range(size)]
+        space, algebra = (tmp_path / f"{kind}{len(p)}.json" for kind in ("s", "a"))
+        space.write_text(json.dumps({"E": len(p), "B": len(sizes), "p": p}))
+        code, out = run(capsys, "dualize", str(space))
+        assert code == 0
+        algebra.write_text(out)
+        return str(algebra)
+
+    def test_hom_sets_off_the_product_forms(self, capsys, tmp_path):
+        # plain fibers (3, 3, 3) -> (4, 4), n = 64 -> 25: each fiber of the
+        # target is left out or takes one of three fibers through one of 24
+        # injections, 73^2 = 5329 homs, each dual agreeing
+        source, target = (self.dualized_plain_fibers(capsys, tmp_path, sizes)
+                          for sizes in ((3, 3, 3), (4, 4)))
+        code, out = run(capsys, "homs", "--format", "json", source, target)
+        rows = json.loads(out)["homs"]
+        assert code == 0
+        assert len(rows) == 5329 and all(row["dual_agrees"] for row in rows)
+
+    def test_hom_budget_is_refused_before_anything_is_built(self, capsys, tmp_path):
+        # plain fibers (3, 3, 3) -> (4, 4, 4, 4), n = 64 -> 625: 73^4 choice
+        # combinations, past the default budget of 10^6
+        source, target = (self.dualized_plain_fibers(capsys, tmp_path, sizes)
+                          for sizes in ((3, 3, 3), (4, 4, 4, 4)))
+        code = main(["homs", source, target])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert "more than 1000000 candidate assignments" in captured.err
+
     def test_section_lattice_and_global(self, capsys, three_file, space_file):
         assert json.loads(run(capsys, "section", three_file)[1]) == {"choice": [0, 1]}
         assert json.loads(run(capsys, "section", space_file)[1]) == {"section": [0]}

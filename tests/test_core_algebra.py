@@ -277,6 +277,16 @@ class TestIsomorphismSearch:
         with pytest.raises(ValueError):
             subalgebra_on(three, (1, 2))
 
+    def test_subalgebra_refuses_a_member_that_is_not_an_element(self):
+        # -1 used to gather row 2, and 5 to end in a bare IndexError
+        A = dual_algebra(random_space(1, 2, 0))[0]
+        assert A.n == 3
+        for subset, bad in (([0, -1], "-1"), ([0, 5], "5"), ((0, 1, 2.0, 7), "2.0"),
+                            ([0, True], "True")):
+            with pytest.raises(StructuralError, match=f"^{bad} is not an element 0..2$"):
+                subalgebra_on(A, subset)
+        assert subalgebra_on(A, {2, 0})[1] == (0, 2)
+
     def test_mirror_involution(self, catalog):
         for _, A in catalog:
             assert mirror(mirror(A)) == A

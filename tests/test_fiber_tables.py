@@ -27,6 +27,7 @@ from helpers import (
     traced_peak,
 )
 from skewstone import (
+    RectSkewSpace,
     StructuralError,
     dual_algebra,
     hom_of_space_morphism,
@@ -40,7 +41,7 @@ from skewstone import (
     validate_space,
 )
 from skewstone.core_algebra import _certified_form
-from skewstone.ideals_spectra import fiber_bands
+from skewstone.spaces_sections import fiber_bands
 from skewstone.jsonio import dumps, space_to_dict
 
 
@@ -193,6 +194,40 @@ class TestAgainstTheOracles:
             assert validate_space(got).failures == want
 
 
+class TestTheConstructorChecksItsTables:
+    """RectSkewSpace(E, B, p, tables=...) refuses what is not one table per
+    fiber on its points, naming the fiber, where a bad entry used to surface
+    later as a bare IndexError from validate_space and sp.band."""
+
+    @pytest.mark.parametrize("p, tables, stray, message", [
+        ((0, 0), [[[0, 5], [0, 1]]], (), "band table over 0 has entry 5 outside 0..1"),
+        ((0, 0), [[[0.0, 1.0], [0.0, 1.0]]], (),
+         "band table over 0 is not a 2 x 2 integer table"),
+        ((0, 0, 1), [[[0, 1], [0, 1]], [[0, 0]]], (),
+         "band table over 1 is not a 1 x 1 integer table"),
+        ((0, 0), [[[0, 1], [0]]], (), "band table over 0 is not a 2 x 2 integer table"),
+        ((0, 0), [[[0, 1], [0, 1]]] * 2, (), "2 band tables for B = 1"),
+        ((0, 0), [[[0, -1], [0, 1]]], ((1, 0, None),),
+         "band table over 0 has entry -1 outside 0..1"),
+        ((0, 0), [[[0, -2], [0, 1]]], ((0, 1, None),),
+         "band table over 0 has entry -2 outside 0..1"),
+    ], ids=["out_of_range", "float", "shape", "ragged", "count", "unlisted", "below_minus_one"])
+    def test_a_table_that_is_not_a_fiber_table_is_refused(self, p, tables, stray, message):
+        with pytest.raises(StructuralError) as exc:
+            RectSkewSpace(len(p), 1 + max(p), p, tables=tables, stray=stray)
+        assert str(exc.value) == message
+
+    def test_the_stray_cells_of_make_space_are_accepted(self):
+        # a None inside a fiber and a value outside it are -1 in the table
+        sp = make_space(3, 2, [0, 0, 1], [[0, None, None], [2, 1, None], [None, None, 2]])
+        assert sp.stray == ((0, 1, None), (1, 0, 2))
+        twin = RectSkewSpace(3, 2, (0, 0, 1), tables=[[[0, -1], [-1, 1]], [[0]]],
+                             stray=sp.stray)
+        assert twin == sp and twin.band == sp.band
+        assert validate_space(twin).failures == (("band_defined_iff_same_fiber", (0, 1)),
+                                                 ("band_in_fiber", (1, 0)))
+
+
 class TestLargeFibers:
     def test_a_plain_fiber_band_is_a_view(self, spaces):
         # one plain fiber of 4095 points: the right band is a broadcast view
@@ -230,16 +265,16 @@ class TestLargeFibers:
     def test_a_right_or_left_fiber_of_1730_is_made_as_one_array(self, kind):
         # random_space makes each band as an intp table, where a tuple of
         # m^2 ints per fiber took 146 MiB traced at m = 1730; right_band and
-        # left_band are the same tables as tuples
+        # left_band are the same tables
         assert traced_peak(random_space, 1, 2000, 0, kind) < 32 * 2 ** 20
         (band,) = random_space(1, 2000, 0, kind).tables
         m = len(band)
         assert m == 1730 and band.shape == (m, m)
         positions = np.arange(m)
         assert (band == (positions if kind == "right" else positions[:, None])).all()
-        small = (right_band if kind == "right" else left_band)(4).table
-        assert small == tuple(tuple(y if kind == "right" else x for y in range(4))
-                              for x in range(4))
+        small = (right_band if kind == "right" else left_band)(4)
+        assert small.tolist() == [[y if kind == "right" else x for y in range(4)]
+                                  for x in range(4)]
 
     def test_space_morphisms_at_n_4096_stay_small(self):
         # six plain fibers of three (n = 4096), the algebra and its product

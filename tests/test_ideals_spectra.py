@@ -27,11 +27,8 @@ from skewstone import (
     validate_space,
 )
 from skewstone.core_algebra import is_congruence, partition_from_labels
-from skewstone.ideals_spectra import (
-    fibers,
-    is_ideal,
-    spectrum_data,
-)
+from skewstone.ideals_spectra import is_ideal, spectrum_data
+from skewstone.spaces_sections import fibers
 
 OPS = ("meet", "join", "diff", "cap")
 

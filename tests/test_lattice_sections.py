@@ -35,7 +35,8 @@ from skewstone import (
     random_space,
     section_equivalence_check,
 )
-from skewstone.ideals_spectra import fibers, spectrum_data
+from skewstone.ideals_spectra import spectrum_data
+from skewstone.spaces_sections import fibers
 from skewstone.lattice_sections import (
     GlobalSection,
     LatticeSection,

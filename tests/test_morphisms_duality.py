@@ -43,6 +43,7 @@ from skewstone import (
     classify_space_morphism,
     compose_homs,
     compose_space_morphisms,
+    core_algebra,
     decompose_morphism,
     dual_algebra,
     dual_of_hom,
@@ -56,19 +57,20 @@ from skewstone import (
     identity_space_morphism,
     make_space,
     mirror,
-    morphisms_duality,
     random_space,
     skew_spectrum,
     space_roundtrip_iso,
     spaces_isomorphic,
+    spaces_sections,
     to_space_pair,
     validate_hom,
+    validate_space,
     validate_space_morphism,
     zero_hom,
 )
-from skewstone.ideals_spectra import fiber_bands, spectrum_data
+from skewstone.ideals_spectra import spectrum_data
 from skewstone.morphisms_duality import is_partial_identity_up_to_iso
-from skewstone.spaces_sections import partial_map
+from skewstone.spaces_sections import fiber_bands, partial_map
 
 
 def two():
@@ -161,6 +163,17 @@ class TestDualOfHom:
             assert got == outcome(dual_of_hom_oracle, f)
             outcomes.add(got[0] if got[0] == "ok" else next(k for k in kinds if k in got[2]))
         assert outcomes == {"ok", *kinds}
+
+    def test_a_map_is_read_as_validate_hom_reads_it(self):
+        # (0, 1, -1) used to be read as (0, 1, 2), 2.0 to end in a bare
+        # IndexError and True in "dual point is not well defined"
+        A = dual_algebra(make_space(2, 1, [0, 0]))[0]
+        assert A.n == 3
+        for m in ((0, 1, -1), (0, 1, 2.0), (0, 1, True), (0, 1, 3), (0, 1)):
+            for check in (validate_hom, dual_of_hom):
+                with pytest.raises(StructuralError, match="^homomorphism map is not a total "
+                                                          "map into the target$"):
+                    check(Homomorphism(A, A, m))
 
     def test_functoriality_on_identities(self, catalog):
         for _, A in catalog:
@@ -562,14 +575,33 @@ class TestRowColumnSearch:
             decoded.append(table)
             return decode(table)
 
-        decode = morphisms_duality._rectangle
-        monkeypatch.setattr(morphisms_duality, "_rectangle", counted)
+        decode = spaces_sections._rectangle
+        monkeypatch.setattr(spaces_sections, "_rectangle", counted)
         sp, tp = random_space(3, 2, 5, "left"), random_space(2, 3, 7, "right")
         for _ in range(2):
             assert enumerate_space_morphisms(sp, tp)
         assert spaces_isomorphic(sp, sp) is not None
         to_space_pair(sp)
         assert sorted(map(id, decoded)) == sorted(map(id, fiber_bands(sp) + fiber_bands(tp)))
+
+    def test_a_validated_space_decodes_each_band_once(self, monkeypatch):
+        # validate_space reads the decodes that enumerate_space_morphisms
+        # reads; band_law_witness, the one other decoder, is left to a band
+        # that does not decode
+        decoded = []
+
+        def counted(table):
+            decoded.append(table)
+            return decode(table)
+
+        decode = spaces_sections._rectangle
+        for module in (core_algebra, spaces_sections):
+            monkeypatch.setattr(module, "_rectangle", counted)
+        sp = random_space(3, 2, 5, "left")
+        assert sp.tables is not None
+        assert validate_space(sp).ok
+        assert enumerate_space_morphisms(sp, sp)
+        assert sorted(map(id, decoded)) == sorted(map(id, fiber_bands(sp)))
 
 
 class TestEnumerationCaps:

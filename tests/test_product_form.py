@@ -46,7 +46,8 @@ from skewstone import (
 )
 from skewstone.core_algebra import _certificate, _certified_form
 from skewstone.lattice_sections import is_lattice_section
-from skewstone.ideals_spectra import fiber_bands, spectrum_data
+from skewstone.ideals_spectra import spectrum_data
+from skewstone.spaces_sections import fiber_bands
 
 FIELDS = ("primes", "points", "space")
 

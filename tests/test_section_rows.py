@@ -46,9 +46,8 @@ from skewstone import (
     validate_space,
     validate_space_morphism,
 )
-from skewstone.ideals_spectra import fibers
 from skewstone.morphisms_duality import _decoded
-from skewstone.spaces_sections import _section_rows, partial_map
+from skewstone.spaces_sections import _section_rows, fibers, partial_map
 
 
 def seeded_spaces():

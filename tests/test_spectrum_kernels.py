@@ -59,7 +59,8 @@ from skewstone.core_algebra import (
     partition_from_labels,
     subalgebra_on,
 )
-from skewstone.ideals_spectra import fibers, is_ideal, spectrum_data
+from skewstone.ideals_spectra import is_ideal, spectrum_data
+from skewstone.spaces_sections import fibers
 
 OPS = ("meet", "join", "diff", "cap")
 
