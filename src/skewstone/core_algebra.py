@@ -119,8 +119,9 @@ def _within_table_n(n):
 def _check_table(name, table, n):
     """table as a read-only, C-contiguous int16 n x n array, n at most
     TABLE_N.  Such an array is kept as given and made read-only; anything
-    else is copied into one.  The range scan below is what puts the entries
-    in int16's range and in range of every gather that reads them.
+    else is copied into one.  The range scan below, one maximum of the
+    entries read as unsigned (a negative entry reads as past n), is what
+    puts them in int16's range and in range of every gather that reads them.
     A table that is not n x n integers in 0..n-1 raises StructuralError,
     naming its first fault in row order.  Bools are not integers here: an
     array of them is not an integer table, and rows given as lists are
@@ -131,7 +132,7 @@ def _check_table(name, table, n):
     except ValueError:                           # ragged rows
         T = None
     if (T is None or T.shape != (n, n) or T.dtype.kind not in "iu"
-            or T.min() < 0 or T.max() >= n
+            or T.view(T.dtype.str.replace("i", "u")).max() >= n
             or (listed and any(not _BOOLS.isdisjoint(map(type, row)) for row in table))):
         rows = table if listed else table.tolist()
         if len(rows) != n:
@@ -321,7 +322,7 @@ def _atoms(M, zero):
 
 
 # ---------------------------------------------------------------------------
-# Products of rectangular bands with a zero adjoined
+# A as a product of rectangular bands with a zero adjoined: the certificate
 # ---------------------------------------------------------------------------
 
 def _rectangle(T):
@@ -353,107 +354,6 @@ def _rectangle(T):
     for array in (row, col, grid):
         array.setflags(write=False)
     return row, col, grid
-
-
-def band_law_witness(table):
-    """First violated rectangular-band law, or None: idempotency,
-    associativity, and the rectangle identity x ^ y ^ z = x ^ z.  A table
-    that decodes as a rectangle (_rectangle) has none; only one that does
-    not pays for the search of the first witness over m^3 triples."""
-    try:
-        T = np.asarray(table)
-    except ValueError:                           # ragged rows
-        T = np.empty(0)
-    if _rectangle(T) is not None:
-        return None
-    m = len(table)
-    for x in range(m):
-        if table[x][x] != x:
-            return ("band_idempotent", (x,))
-    for x in range(m):
-        for y in range(m):
-            for z in range(m):
-                if table[table[x][y]][z] != table[x][table[y][z]]:
-                    return ("band_associative", (x, y, z))
-                if table[table[x][y]][z] != table[x][z]:
-                    return ("band_rectangular", (x, y, z))
-    return None
-
-
-def _product_algebra(bands, digits):
-    """Algebra of independent choices, one per coordinate: nothing, or a
-    point of that coordinate's rectangular band.  bands[b] is the band of
-    coordinate b as a table on 0..m-1.  digits is an (n, k) integer array:
-    digits[x, b] is 0 if element x has no point at coordinate b and 1 + i
-    if it has point i.  The caller's element x stays element x, so the rows
-    of digits, read as mixed-radix codes, must number the product's
-    prod(1 + m) elements once each; ValueError otherwise."""
-    rank, tables = _product_tables(bands, digits)
-    return SkewAlgebra(len(digits), int(rank[0]), *tables)
-
-
-def _product_tables(bands, digits):
-    """The four tables of _product_algebra(bands, digits) and the rank of
-    its digit rows, as (rank, tables): rank[digits[x] @ radix] is x, radix
-    the mixed radix of the sizes 1 + m, so rank[0] is the zero; tables is
-    one read-only (4, n, n) int16 block whose k-th C-contiguous table is
-    that of _OPS[k].
-
-    Every operation acts digitwise; with s the left operand and r the right:
-    meet is band(s, r) where both are present, join keeps a lone point and
-    combines two as band(r, s), diff keeps s where r is absent, and cap
-    keeps s where the two agree.  The part of an operation at a coordinate
-    is the (1 + m) x n array of the mixed-radix codes of that operation on
-    each digit s and each element's digit there, gathered from the band's
-    codes (meet and join) or written from the digits (diff and cap).  A
-    table row is the sum over the coordinates of the part's row at the
-    row's digit, renumbered into the caller's order.  The codes
-    lie below n, so they are int16 like the tables.  Rows are made in blocks
-    of at most ROW_BLOCK entries straight into the block, so besides it a
-    call holds two such blocks, each band's codes as an m x m int16 array,
-    and the parts of one table at a time.
-    """
-    digits = np.asarray(digits, dtype=np.int64)
-    n = len(digits)
-    sizes = [1 + len(band) for band in bands]
-    if math.prod(sizes) != n:
-        raise ValueError(f"{n} digit rows for a product of {math.prod(sizes)} elements")
-    radix = np.cumprod([1] + sizes)[:-1]
-    rank = np.full(n, -1, dtype=INDEX_DTYPE)
-    rank[digits @ radix] = np.arange(n)
-    if (rank < 0).any():
-        raise ValueError("two digit rows give the same element")
-    # per coordinate: the codes of band(s, r) as int16, the digits, the
-    # present digits less one, and the code of each digit s
-    coordinates = [((np.reshape(np.array(band, dtype=INDEX_DTYPE), (len(band),) * 2) + 1) * weight,
-                    column, column[column > 0] - 1, np.arange(1 + len(band)) * weight)
-                   for band, column, weight in zip(bands, digits.T, radix.tolist())]
-    tables = np.empty((4, n, n), dtype=INDEX_DTYPE)
-    rows = max(1, ROW_BLOCK // n)
-    # two block buffers, made once: malloc maps a fresh 128 KiB block anew
-    code_buffer, term_buffer = (np.empty((min(rows, n), n), dtype=INDEX_DTYPE) for _ in range(2))
-    for k, out in enumerate(tables):
-        # per coordinate, the code each digit s of a row gives each column y;
-        # the gathers refuse a digit past its band, so the clip takes stay in range
-        parts = []
-        for coded, column, at, codes in coordinates:
-            part = np.zeros((len(codes), n), dtype=INDEX_DTYPE)
-            if k in (0, 1):              # meet: band(s, r), join: band(r, s), on two points
-                part[1:, column > 0] = (coded, coded.T)[k][:, at]
-            if k in (1, 2):              # join and diff: s where r is absent
-                part[:, column == 0] = codes[:, None]
-            if k in (1, 3):              # join: r where s is absent; cap: s where s = r
-                part[0 if k == 1 else column, np.arange(n)] = codes[column]
-            parts.append(part)
-        for start in range(0, n, rows):
-            block = digits[start:start + rows]
-            code, term = code_buffer[:len(block)], term_buffer[:len(block)]
-            code.fill(0)
-            for part, d in zip(parts, block.T):
-                code += np.take(part, d, axis=0, out=term, mode="clip")
-            np.take(rank, code, out=out[start:start + rows], mode="clip")
-    tables.setflags(write=False)
-    return rank, tables
 
 
 @dataclass(frozen=True, eq=False)
@@ -488,8 +388,9 @@ def _product_form(A):
     is made as int16 only for its decode to read.  The check builds no
     product: it reads A's tables in place, a block of rows at a time,
     against digit operations written out here from the decodes
-    (_differing_table), and calls nothing that the builder (_product_tables)
-    makes tables with, so a fault of the builder cannot certify itself.
+    (_differing_table), and calls nothing that the builder
+    (spaces_sections._product_tables) makes tables with, so a fault of the
+    builder cannot certify itself: this module imports no other.
     The form is memoized on A and never handed in by a builder, for the
     same reason."""
     n, M, zero = A.n, A.meet_table, A.zero
@@ -546,18 +447,18 @@ def _differing_table(A, rectangles, digits, radix, code):
     of the bands, given by their decodes (_rectangle), with a zero adjoined
     on these digit rows, or None.  code is digits @ radix, each element's
     mixed-radix code, one to one onto 0..n-1.  The digit operations are
-    written out here from their definitions (_product_tables' docstring),
-    with s the left digit and r the right, 0 for absent: meet is the band
-    on two present digits and absent otherwise; join is the other digit
-    where one is absent and the band reversed, band(r, s), on two; diff is
-    s where r is absent; cap is s where s = r.  The band is read off its
-    decode padded with an absent row and column: the code of band(s, r) at
-    (1 + row(s), 1 + col(r)), and 0 at row or column 0.  Each row block x of
-    A's table T is checked by the forward route: the code of T[x, y] equals
-    the sum over the coordinates of the code of the digit operation at
-    (x, y).  The tables are checked in _OPS order, each to its first
-    differing block, in buffers of at most ROW_BLOCK entries, reused for
-    every block and table."""
+    written out here from their definitions (the builder's docstring,
+    spaces_sections._product_tables), with s the left digit and r the
+    right, 0 for absent: meet is the band on two present digits and absent
+    otherwise; join is the other digit where one is absent and the band
+    reversed, band(r, s), on two; diff is s where r is absent; cap is s
+    where s = r.  The band is read off its decode padded with an absent row
+    and column: the code of band(s, r) at (1 + row(s), 1 + col(r)), and 0
+    at row or column 0.  Each row block x of A's table T is checked by the
+    forward route: the code of T[x, y] equals the sum over the coordinates
+    of the code of the digit operation at (x, y).  The tables are checked
+    in _OPS order, each to its first differing block, in buffers of at most
+    ROW_BLOCK entries, reused for every block and table."""
     n = len(digits)
     rows = min(n, max(1, ROW_BLOCK // n))
     element_codes = code.astype(INDEX_DTYPE)
@@ -800,8 +701,17 @@ def is_congruence(A, part, op_names=("meet", "join", "diff")):
     position.  A congruence costs two comparisons per op: every row with
     its least element's row, then, in the rows of least elements, every
     column with its least element's column.  Only a failing op pays for
-    the search of the witness.
+    the search of the witness.  A part that does not partition A's elements
+    raises StructuralError: its non-empty blocks list A.n elements in all,
+    and its A.n labels are each the index of the block that lists it.
     """
+    members = _indices([x for block in part.blocks for x in block], A.n)
+    listed = np.full(A.n, -1, dtype=np.intp)     # [x]: the block that lists x
+    if members is not None and len(members) == A.n and all(part.blocks):
+        listed[members] = np.repeat(np.arange(len(part.blocks)), list(map(len, part.blocks)))
+    labels = _indices(part.labels, len(part.blocks))
+    if labels is None or not np.array_equal(listed, labels):
+        raise StructuralError(f"not a partition of the {A.n} elements")
     lab = np.asarray(part.labels, dtype=INDEX_DTYPE)
     reps = np.array([block[0] for block in part.blocks])
     if len(reps) == len(lab):

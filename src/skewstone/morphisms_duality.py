@@ -9,8 +9,8 @@ a space morphism, validate_space_morphism among them, is that pass.
 The dual of a homomorphism acts by preimages; the dual of a space morphism
 acts on sections by preimage under g.  The round-trip isomorphisms on both
 sides, and the decomposition and classification of morphisms, live here
-too; the spaces themselves, and the constructions on them, live in
-spaces_sections.
+too; the spaces themselves, the constructions on them and the builder of
+their section algebras live in spaces_sections.
 """
 
 from __future__ import annotations
@@ -153,11 +153,11 @@ def enumerate_homs(A, B, max_candidates=MAX_CANDIDATES):
       form, so B computes every operation digitwise on its digits, as
       A does on its own.
     - Each digit operation is read off the band, presence (digit 0) and
-      equality of digits (_product_tables).  An injective band map that
-      fixes 0 keeps all three, so digit x of f(a * b) is digit x of
-      f(a) * f(b); the constant 0 of a left-out fiber keeps them too, as
-      each operation sends two absent digits to 0.  The zero, with no
-      digit, goes to B's zero.
+      equality of digits (spaces_sections._product_tables).  An injective
+      band map that fixes 0 keeps all three, so digit x of f(a * b) is
+      digit x of f(a) * f(b); the constant 0 of a left-out fiber keeps
+      them too, as each operation sends two absent digits to 0.  The
+      zero, with no digit, goes to B's zero.
 
     A and B must be valid algebras; one that the certificate refuses
     raises ValueError, naming the refusing check (see validate_algebra).
@@ -520,7 +520,7 @@ def algebra_roundtrip_iso(A):
     - The section algebra of the spectrum is the product of its fiber
       bands with a zero adjoined, on the sections' digit rows: an
       operation on two sections is the section whose digit row is the
-      digitwise operation on theirs (_product_tables).
+      digitwise operation on theirs (spaces_sections._product_tables).
     - Each digit operation is read off the band, presence (digit 0) and
       equality of digits.  With the same band at fiber b, the four digit
       operations of A's fiber b are those of the spectrum's fiber b.

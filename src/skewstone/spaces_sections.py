@@ -4,10 +4,13 @@ A finite "Boolean space" is a finite discrete space, so a rectangular skew
 Boolean space degenerates to a surjection p : E -> B of finite sets with a
 rectangular band on each fiber.  This module holds that object: its type
 and its reader (RectSkewSpace, make_space), its fibers and fiber tables,
-its bands (product_band, each band an m x m integer table) and their
-decodes, its check (validate_space), the constructions on it
-(restrict_space, to_space_pair, from_space_pair), its sections and their
-algebra, and seeded instances (random_space).
+its bands (product_band, each band an m x m integer table), their
+decodes and the search for a failed band law (band_law_witness), its check
+(validate_space), the constructions on it (restrict_space, to_space_pair,
+from_space_pair), its sections, the one builder of products of bands with
+a zero adjoined (_product_algebra) and the algebras it makes, and seeded
+instances (random_space).  core_algebra, which certifies an algebra, does
+not import this module, so its certificate cannot reach the builder.
 
 A section of p is a subset of E meeting each fiber at most once: one
 independent choice per base point, either no point or a point of that
@@ -30,16 +33,18 @@ from itertools import chain, groupby
 import numpy as np
 
 from .core_algebra import (
+    INDEX_DTYPE,
     MAX_CARRIER,
+    ROW_BLOCK,
     SizeCapError,
+    SkewAlgebra,
     StructuralError,
     ValidationReport,
     _certified_form,
-    _product_algebra,
+    _elements,
     _rectangle,
     as_int,
     as_ints,
-    band_law_witness,
     per_object,
 )
 
@@ -302,6 +307,101 @@ def product_band(k_left, k_right):
     return np.broadcast_to(table, table.shape)     # a read-only view
 
 
+def band_law_witness(table):
+    """First violated rectangular-band law, or None: idempotency,
+    associativity, and the rectangle identity x ^ y ^ z = x ^ z.  A table
+    that decodes as a rectangle (_rectangle) has none; only one that does
+    not pays for the search of the first witness over m^3 triples."""
+    try:
+        T = np.asarray(table)
+    except ValueError:                           # ragged rows
+        T = np.empty(0)
+    if _rectangle(T) is not None:
+        return None
+    m = len(table)
+    for x in range(m):
+        if table[x][x] != x:
+            return ("band_idempotent", (x,))
+    for x in range(m):
+        for y in range(m):
+            for z in range(m):
+                if table[table[x][y]][z] != table[x][table[y][z]]:
+                    return ("band_associative", (x, y, z))
+                if table[table[x][y]][z] != table[x][z]:
+                    return ("band_rectangular", (x, y, z))
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Products of bands with a zero adjoined: the one builder
+# ---------------------------------------------------------------------------
+
+def _product_algebra(bands, digits, radix, rank):
+    """Algebra of independent choices, one per coordinate: nothing, or a
+    point of that coordinate's rectangular band.  bands[b] is the band of
+    coordinate b as a table on 0..m-1.  digits is an (n, k) integer array:
+    digits[x, b] is 0 if element x has no point at coordinate b and 1 + i
+    if it has point i.  radix and rank are the caller's codec of the digit
+    rows, which number the product's prod(1 + m) elements once each:
+    rank[digits[x] @ radix] is x, radix the mixed radix of the sizes 1 + m.
+    So the caller's element x stays element x, and rank[0] is the zero."""
+    return SkewAlgebra(len(digits), int(rank[0]), *_product_tables(bands, digits, radix, rank))
+
+
+def _product_tables(bands, digits, radix, rank):
+    """The four tables of _product_algebra(bands, digits, radix, rank) as
+    one read-only (4, n, n) int16 block of C-contiguous tables: meet, join,
+    diff and cap.
+
+    Every operation acts digitwise; with s the left operand and r the right:
+    meet is band(s, r) where both are present, join keeps a lone point and
+    combines two as band(r, s), diff keeps s where r is absent, and cap
+    keeps s where the two agree.  The part of an operation at a coordinate
+    is the (1 + m) x n array of the mixed-radix codes of that operation on
+    each digit s and each element's digit there, gathered from the band's
+    codes (meet and join) or written from the digits (diff and cap).  A
+    table row is the sum over the coordinates of the part's row at the
+    row's digit, renumbered by rank into the caller's order.  The codes lie
+    below n, so they are int16 like the tables.  Rows are made in blocks of
+    at most ROW_BLOCK entries straight into the block, so besides it a call
+    holds two such blocks, each band's codes as an m x m int16 array, and
+    the parts of one table at a time.
+    """
+    n = len(digits)
+    rank = np.asarray(rank, dtype=INDEX_DTYPE)
+    # per coordinate: the codes of band(s, r) as int16, the digits, the
+    # present digits less one, and the code of each digit s
+    coordinates = [((np.array(band, dtype=INDEX_DTYPE) + 1) * weight,
+                    column, column[column > 0] - 1, np.arange(1 + len(band)) * weight)
+                   for band, column, weight in zip(bands, digits.T, radix.tolist())]
+    tables = np.empty((4, n, n), dtype=INDEX_DTYPE)
+    rows = max(1, ROW_BLOCK // n)
+    # two block buffers, made once: malloc maps a fresh 128 KiB block anew
+    code_buffer, term_buffer = (np.empty((min(rows, n), n), dtype=INDEX_DTYPE) for _ in range(2))
+    for k, out in enumerate(tables):
+        # per coordinate, the code each digit s of a row gives each column y;
+        # the gathers refuse a digit past its band, so the clip takes stay in range
+        parts = []
+        for coded, column, at, codes in coordinates:
+            part = np.zeros((len(codes), n), dtype=INDEX_DTYPE)
+            if k in (0, 1):              # meet: band(s, r), join: band(r, s), on two points
+                part[1:, column > 0] = (coded, coded.T)[k][:, at]
+            if k in (1, 2):              # join and diff: s where r is absent
+                part[:, column == 0] = codes[:, None]
+            if k in (1, 3):              # join: r where s is absent; cap: s where s = r
+                part[0 if k == 1 else column, np.arange(n)] = codes[column]
+            parts.append(part)
+        for start in range(0, n, rows):
+            block = digits[start:start + rows]
+            code, term = code_buffer[:len(block)], term_buffer[:len(block)]
+            code.fill(0)
+            for part, d in zip(parts, block.T):
+                code += np.take(part, d, axis=0, out=term, mode="clip")
+            np.take(rank, code, out=out[start:start + rows], mode="clip")
+    tables.setflags(write=False)
+    return tables
+
+
 # ---------------------------------------------------------------------------
 # Space validation and sections
 # ---------------------------------------------------------------------------
@@ -390,8 +490,8 @@ def dual_algebra(sp):
     a plain space).  Returns the algebra and the section labels: element i
     is labels[i], in lexicographic order, so element 0 is the empty section.
     """
-    rows = _section_rows(sp)[0]
-    return _product_algebra(fiber_bands(sp), rows), _row_tuples(sp, rows)
+    rows, radix, rank, _ = _section_rows(sp)
+    return _product_algebra(fiber_bands(sp), rows, radix, rank), _row_tuples(sp, rows)
 
 
 def reflection_check(sp):
@@ -434,12 +534,20 @@ def reflection_check(sp):
 
 def restrict_space(sp, e_subset, b_subset):
     """Subspace on the given points with reindexed projection and band.  A
-    product of kept points that is not kept is -1 in its table, so points
-    not closed under a fiber's band are refused by the constructor
-    (StructuralError, a ValueError, naming the fiber's new index)."""
-    e_list = tuple(sorted(e_subset))
-    b_list = tuple(sorted(b_subset))
+    value of e_subset that is no point of sp, or then of b_subset that is
+    no base point, raises StructuralError naming the first (_elements), and
+    a kept point over a base point that is not kept ValueError naming the
+    first such point.  A product of kept points that is not kept is -1 in
+    its table, so points not closed under a fiber's band are refused by the
+    constructor (StructuralError, a ValueError, naming the fiber's new
+    index)."""
+    e_list = tuple(np.unique(_elements(list(e_subset), sp.size_e, "a point")).tolist())
+    b_list = tuple(np.unique(_elements(list(b_subset), sp.size_b, "a base point")).tolist())
     b_pos = {b: i for i, b in enumerate(b_list)}
+    dropped = next((e for e in e_list if sp.p[e] not in b_pos), None)
+    if dropped is not None:
+        raise ValueError(f"point {dropped} lies over base point {sp.p[dropped]}, "
+                         "which is not kept")
     p = [b_pos[sp.p[e]] for e in e_list]
     if sp.tables is None:
         return make_space(len(e_list), len(b_list), p), e_list, b_list
@@ -499,28 +607,32 @@ def partial_map_algebra(x_size, y_size, band):
     each padded with -1 (a tuple comes before the longer ones it begins).
     A pointwise lift commutes with restrictions by construction, so the
     family is coherent, and a coherent family is pointwise: at each x it
-    applies the table it gives on the maps defined at x alone.  The band
-    laws themselves are checked here.
+    applies the table it gives on the maps defined at x alone.  The bands
+    are those of the space X x Y -> X, its point (x, y) numbered
+    x * y_size + y, so its constructor refuses a band that is not a
+    y_size x y_size integer table on 0..y_size-1 (StructuralError naming
+    the point x); the band laws themselves are checked here.
     """
     single = np.ndim(band[:1]) == 2              # the first row of one table
-    bands = [band] if single else list(band)
-    if not single and len(bands) != x_size:
-        raise ValueError(f"{len(bands)} bands for {x_size} points")
-    for b in bands:
+    if not single and len(band) != x_size:
+        raise ValueError(f"{len(band)} bands for {x_size} points")
+    p = [x for x in range(x_size) for _ in range(y_size)]
+    space = RectSkewSpace(len(p), x_size, p, tables=[band] * x_size if single else band)
+    for b in fiber_bands(space):
         bad = band_law_witness(b)
         if bad is not None:
             raise ValueError(f"not a rectangular band: {bad[0]} at {bad[1]}")
-        if len(b) != y_size:
-            raise ValueError("band size does not match the value set")
-    rows, _ = _mixed_rows([1 + y_size] * x_size, "partial maps")
+    rows, radix = _mixed_rows([1 + y_size] * x_size, "partial maps")
     defined = np.argsort(rows == 0, axis=1, kind="stable")   # the domain first
     values = np.take_along_axis(rows, defined, axis=1) - 1
     present = values >= 0
     domains = np.where(present, defined, -1)
     order = np.lexsort(np.concatenate((domains, values), axis=1).T[::-1]) if x_size else [0]
+    rank = np.empty(len(rows), dtype=np.intp)
+    rank[order] = np.arange(len(rows))
     labels = tuple(PartialMap(tuple(d[:k]), tuple(v[:k])) for d, v, k in zip(
         domains[order].tolist(), values[order].tolist(), present[order].sum(axis=1).tolist()))
-    return _product_algebra(bands * x_size if single else bands, rows[order]), labels
+    return _product_algebra(fiber_bands(space), rows[order], radix, rank), labels
 
 
 # ---------------------------------------------------------------------------

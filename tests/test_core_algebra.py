@@ -15,12 +15,14 @@ from helpers import corpus_params, retabled
 from oracles import law_holds, tables_of
 from skewstone import (
     CongruenceError,
+    Partition,
     StructuralError,
     algebras_isomorphic,
     dual_algebra,
     green_partitions,
     handedness,
     make_algebra,
+    make_space,
     mirror,
     natural_leq,
     natural_preceq,
@@ -31,6 +33,7 @@ from skewstone import (
 )
 from skewstone.core_algebra import (
     _first_bad,
+    is_congruence,
     partition_from_labels,
     subalgebra_on,
 )
@@ -200,6 +203,25 @@ class TestQuotients:
         lab = part.labels
         assert lab[x] == lab[x2]
         assert lab[f(x, y)] != lab[f(x2, y)] or lab[f(y, x)] != lab[f(y, x2)]
+
+    @pytest.mark.parametrize("part", [
+        Partition((0, 1), ((0,), (1,))),
+        Partition((0,) * 5, (tuple(range(5)),)),
+        Partition((0,) * 5 + (7,), (tuple(range(6)),)),
+        Partition((0,) * 6, (tuple(range(5)),)),
+        Partition((0, 0, 0, 0, 0, 1), ((0, 1, 2, 3), (4, 5))),
+        Partition((0, 0, 0, 0, 1, 1), ((0, 1, 2, 3, 4), (4,))),
+        Partition((0,) * 6, (tuple(range(6)), ())),
+    ], ids=["two_labels", "five_labels", "label_past_blocks", "element_in_no_block",
+            "label_names_another_block", "element_listed_twice", "empty_block"])
+    def test_a_partition_of_other_elements_is_refused(self, part):
+        # the first was quotiented to a 2-element algebra, the second raised
+        # NumPy's broadcast ValueError and the third a bare IndexError
+        A = dual_algebra(make_space(3, 2, [0, 0, 1]))[0]
+        assert A.n == 6
+        for check in (is_congruence, quotient_by):
+            with pytest.raises(StructuralError, match="^not a partition of the 6 elements$"):
+                check(A, part)
 
 
 class TestHandedness:

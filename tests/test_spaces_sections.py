@@ -43,7 +43,7 @@ from skewstone import (
     validate_hom,
     validate_space,
 )
-from skewstone import core_algebra
+from skewstone import core_algebra, spaces_sections
 from skewstone.core_algebra import (
     ROW_BLOCK,
     green_partitions,
@@ -58,6 +58,7 @@ from skewstone.spaces_sections import (
     PartialMap,
     band_law_witness,
     fibers,
+    restrict_space,
 )
 
 
@@ -116,6 +117,33 @@ class TestValidateSpace:
         with pytest.raises(StructuralError) as err:
             RectSkewSpace(*args)
         assert str(err.value) == message
+
+
+class TestRestrictSpace:
+    def test_kept_points_are_renumbered_with_their_bands(self):
+        sp = make_space(5, 2, [0, 1, 0, 1, 0], [
+            [0, None, 2, None, 4], [None, 1, None, 3, None], [0, None, 2, None, 4],
+            [None, 1, None, 3, None], [0, None, 2, None, 4]])     # right bands
+        sub, e_list, b_list = restrict_space(sp, [4, 1, 0, 4], {1, 0})
+        assert (e_list, b_list, sub.p) == ((0, 1, 4), (0, 1), (0, 1, 0))
+        assert sub.band == ((0, None, 2), (None, 1, None), (0, None, 2))
+        assert restrict_space(make_space(3, 2, [0, 0, 1]), [2], [1])[0].p == (0,)
+
+    @pytest.mark.parametrize("e_subset, b_subset, error, message", [
+        ([0, 9], [0], StructuralError, "9 is not a point 0..2"),
+        ([0], [5], StructuralError, "5 is not a base point 0..1"),
+        ([-1], [0], StructuralError, "-1 is not a point 0..2"),
+        ([0.0], [0], StructuralError, "0.0 is not a point 0..2"),
+        ([2, 0], [0], ValueError, "point 2 lies over base point 1, which is not kept"),
+        ([0], [1], ValueError, "point 0 lies over base point 0, which is not kept"),
+    ], ids=["point_past_E", "base_point_past_B", "negative_point", "float_point",
+            "dropped_base_point", "only_base_point_dropped"])
+    def test_what_is_no_point_or_no_base_point_is_refused(self, e_subset, b_subset, error,
+                                                          message):
+        # these were a bare IndexError and KeyErrors, one after reading p[-1]
+        with pytest.raises(ValueError) as err:
+            restrict_space(make_space(3, 2, [0, 0, 1]), e_subset, b_subset)
+        assert (type(err.value), str(err.value)) == (error, message)
 
 
 class TestSections:
@@ -283,22 +311,22 @@ class TestDerivedStructureLifetime:
             gc.enable()
 
     def test_product_form_is_decoded_from_the_tables(self, monkeypatch):
-        # dual_algebra builds A with _product_tables, once, and hands it no
-        # form: the first consumer decodes A's own tables and checks them
-        # without the builder, and later readers of the form, the validator
-        # too, share that one decode
+        # dual_algebra builds A with spaces_sections._product_tables, once,
+        # and hands it no form: the first consumer decodes A's own tables
+        # (core_algebra._atoms) and checks them without the builder, and
+        # later readers of the form, the validator too, share that one decode
         calls = {"_product_tables": 0, "_atoms": 0}
 
-        def counting(name):
-            fn = getattr(core_algebra, name)
+        def counting(module, name):
+            fn = getattr(module, name)
 
             def counted(*args):
                 calls[name] += 1
                 return fn(*args)
             return counted
 
-        for name in calls:
-            monkeypatch.setattr(core_algebra, name, counting(name))
+        for module, name in ((spaces_sections, "_product_tables"), (core_algebra, "_atoms")):
+            monkeypatch.setattr(module, name, counting(module, name))
         A, _ = dual_algebra(random_space(2, 3, seed=6, band="left"))
         assert calls == {"_product_tables": 1, "_atoms": 0}
         assert "_memo__product_form" not in A.__dict__
@@ -433,12 +461,29 @@ class TestPartialMapAlgebra:
             partial_map_algebra(2, 2, [left_band(2)])
         with pytest.raises(ValueError, match="3 bands for 2 points"):
             partial_map_algebra(2, 2, [left_band(2)] * 3)
-        with pytest.raises(ValueError, match="band size"):
+        with pytest.raises(StructuralError, match="band table over 1 is not a 2 x 2 integer"):
             partial_map_algebra(2, 2, [left_band(2), right_band(3)])
         for bands in ([((1, 1), (0, 0)), left_band(2)],
                       [left_band(2), ((1, 1), (0, 0))]):
             with pytest.raises(ValueError, match="not a rectangular band: band_idempotent"):
                 partial_map_algebra(2, 2, bands)
+
+    @pytest.mark.parametrize("x_size, band, message", [
+        (2, [[0, 5], [1, 1]], "band table over 0 has entry 5 outside 0..1"),
+        (2, [[0, -1], [1, 1]], "band table over 0 has entry -1 outside 0..1"),
+        (2, [[0, 1.5], [1, 1]], "band table over 0 is not a 2 x 2 integer table"),
+        (2, [[0, 1], [1]], "band table over 0 is not a 2 x 2 integer table"),
+        (2, [left_band(2), [[0], [1, 1]]], "band table over 1 is not a 2 x 2 integer table"),
+        (-1, left_band(2), "B = -1 is negative"),
+    ], ids=["entry_past_y", "negative_entry", "float_entry", "ragged", "ragged_second",
+            "negative_x_size"])
+    def test_a_malformed_band_is_refused_by_the_space_constructor(self, x_size, band, message):
+        # the bands are those of the space X x Y -> X, so its constructor
+        # names the point x whose band it refuses; these were bare
+        # IndexError and TypeError, and the -1 was read as an index
+        with pytest.raises(StructuralError) as err:
+            partial_map_algebra(x_size, 2, band)
+        assert str(err.value) == message
 
     def test_band_refusal_names_the_law_and_its_witness(self):
         with pytest.raises(ValueError) as err:

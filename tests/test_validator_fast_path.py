@@ -6,7 +6,9 @@ validate_algebra to the exhaustive report, on inputs that break each law
 and each of the certificate's checks.
 """
 
+import ast
 import itertools
+import pathlib
 import random
 import re
 import tracemalloc
@@ -45,18 +47,16 @@ from skewstone import (
     validate_algebra,
     validate_hom,
 )
-from skewstone import core_algebra
+from skewstone import core_algebra, spaces_sections
 from skewstone.core_algebra import (
     ROW_BLOCK,
     _certificate,
     _exhaustive_report,
-    _product_algebra,
     _rectangle,
-    band_law_witness,
 )
 from skewstone.ideals_spectra import spectrum_data
 from skewstone.morphisms_duality import algebra_roundtrip_iso
-from skewstone.spaces_sections import fiber_bands
+from skewstone.spaces_sections import RectSkewSpace, band_law_witness, fiber_bands
 
 OPS = ("meet", "join", "diff", "cap")
 
@@ -381,18 +381,6 @@ def test_certificate_compares_every_table():
         assert validate_algebra(B) == _exhaustive_report(B)
 
 
-def test_product_builder_refuses_digits_that_do_not_number_it():
-    """Two one-point coordinates give a product of four elements: the
-    builder refuses three or five digit rows, and two equal ones."""
-    bands = [[[0]], [[0]]]
-    assert _product_algebra(bands, [[0, 0], [1, 0], [0, 1], [1, 1]]).n == 4
-    for digits in ([[0, 0], [1, 0], [0, 1]], [[0, 0], [1, 0], [0, 1], [1, 1], [1, 1]]):
-        with pytest.raises(ValueError, match="digit rows for a product of 4 elements"):
-            _product_algebra(bands, digits)
-    with pytest.raises(ValueError, match="two digit rows give the same element"):
-        _product_algebra(bands, [[0, 0], [1, 0], [0, 1], [0, 1]])
-
-
 def test_certificate_refuses_elements_with_the_same_atoms():
     """The four-element Boolean algebra with a ^ top moved to 0: a is no
     longer below top, so top has the same atoms below it as b, though there
@@ -419,10 +407,11 @@ def test_certificate_checks_that_each_band_is_rectangular():
     """One fiber of three points whose meet is the third point: idempotent,
     commutative, no point below another, but not associative.  The product
     built from that table decodes and compares equal to itself; only the
-    band check refuses it."""
+    band check refuses it.  The space constructor checks a band's range,
+    not its laws, so dual_algebra builds it."""
     steiner = [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
     assert band_law_witness(steiner) == ("band_associative", (0, 0, 1))
-    B = _product_algebra([steiner], [[0], [1], [2], [3]])
+    B = dual_algebra(RectSkewSpace(3, 1, (0, 0, 0), tables=[steiner]))[0]
     assert _certificate(B) == "band"
     assert verdicts(B) == (False, False)
     assert validate_algebra(B) == _exhaustive_report(B)
@@ -523,11 +512,10 @@ def block_edge_swap(k, seed):
     entries of table k swapped in one row at the edge of a row block (the
     first row of a block or the last of the one before), or, where that
     row is constant, in its column, all chosen by seed."""
-    build = core_algebra._product_tables
+    build = spaces_sections._product_tables
 
-    def faulty(bands, digits):
-        rank, tables = build(bands, digits)
-        tables = tables.copy()
+    def faulty(bands, digits, radix, rank):
+        tables = build(bands, digits, radix, rank).copy()
         T, n = tables[k], len(tables[k])
         rows = ROW_BLOCK // n
         rng = random.Random(seed)
@@ -539,7 +527,7 @@ def block_edge_swap(k, seed):
         else:                    # x v y = x on one plain fiber: swap in column y
             z = rng.choice(np.flatnonzero(T[:, y] != T[x, y]).tolist())
             T[x, y], T[z, y] = T[z, y], T[x, y]
-        return rank, tables
+        return tables
 
     return faulty
 
@@ -553,7 +541,7 @@ def test_a_fault_of_the_builder_is_refused(monkeypatch, k, name):
     says so.  On the one fiber every element but the zero is an atom, so
     the decode reads every meet entry off the zero's row and column, and a
     meet swap is refused by the band check, which reads meet."""
-    monkeypatch.setattr(core_algebra, "_product_tables", block_edge_swap(k, seed=1024 + k))
+    monkeypatch.setattr(spaces_sections, "_product_tables", block_edge_swap(k, seed=1024 + k))
     for sizes, refused in (((3,) * 5, name), ((1023,), "band" if name == "meet" else name)):
         A = dual_algebra(space_from_fibers(sizes))[0]
         assert A.n == 1024
@@ -562,6 +550,27 @@ def test_a_fault_of_the_builder_is_refused(monkeypatch, k, name):
             validate_algebra(A)
         assert str(exc.value).endswith(
             f"fails certificate check {refused}; the exhaustive report is capped at n=256")
+
+
+def test_the_certificate_cannot_reach_the_builder():
+    """core_algebra, the home of the certificate, defines neither the
+    builder nor the band-law search, and imports no skewstone module at any
+    depth: both live in spaces_sections, which imports core_algebra, so
+    nothing the certificate calls makes tables the way the builder does.
+    The source is read with ast."""
+    tree = ast.parse(pathlib.Path(core_algebra.__file__).read_text())
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    builder = {"_product_algebra", "_product_tables", "band_law_witness"}
+    assert not defined & builder
+    assert builder <= set(vars(spaces_sections))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += ["." * node.level + (node.module or "") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert modules
+    for module in modules:
+        assert not module.startswith(".") and module.split(".")[0] != "skewstone", module
 
 
 def test_the_certificate_and_the_round_trip_work_in_row_blocks():
