@@ -120,8 +120,9 @@ def _check_table(name, table, n):
     """table as a read-only, C-contiguous int16 n x n array, n at most
     TABLE_N.  Such an array is kept as given and made read-only; anything
     else is copied into one.  The range scan below, one maximum of the
-    entries read as unsigned (a negative entry reads as past n), is what
-    puts them in int16's range and in range of every gather that reads them.
+    entries read as unsigned at two bytes or more (a negative entry then
+    reads as TABLE_N or more, so n or more), is what puts them in int16's range
+    and in range of every gather that reads them.
     A table that is not n x n integers in 0..n-1 raises StructuralError,
     naming its first fault in row order.  Bools are not integers here: an
     array of them is not an integer table, and rows given as lists are
@@ -131,6 +132,8 @@ def _check_table(name, table, n):
         T = np.asarray(table)
     except ValueError:                           # ragged rows
         T = None
+    if T is not None and T.dtype.kind in "iu" and T.dtype.itemsize == 1:
+        T = T.astype(INDEX_DTYPE)                # an int8 -100 would read as 156
     if (T is None or T.shape != (n, n) or T.dtype.kind not in "iu"
             or T.view(T.dtype.str.replace("i", "u")).max() >= n
             or (listed and any(not _BOOLS.isdisjoint(map(type, row)) for row in table))):

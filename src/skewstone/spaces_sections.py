@@ -611,18 +611,20 @@ def partial_map_algebra(x_size, y_size, band):
     are those of the space X x Y -> X, its point (x, y) numbered
     x * y_size + y, so its constructor refuses a band that is not a
     y_size x y_size integer table on 0..y_size-1 (StructuralError naming
-    the point x); the band laws themselves are checked here.
+    the point x); the band laws themselves are checked here.  A count of
+    maps past MAX_CARRIER, known from the sizes, is refused before that
+    space is built.
     """
     single = np.ndim(band[:1]) == 2              # the first row of one table
     if not single and len(band) != x_size:
         raise ValueError(f"{len(band)} bands for {x_size} points")
+    rows, radix = _mixed_rows([1 + y_size] * x_size, "partial maps")
     p = [x for x in range(x_size) for _ in range(y_size)]
     space = RectSkewSpace(len(p), x_size, p, tables=[band] * x_size if single else band)
     for b in fiber_bands(space):
         bad = band_law_witness(b)
         if bad is not None:
             raise ValueError(f"not a rectangular band: {bad[0]} at {bad[1]}")
-    rows, radix = _mixed_rows([1 + y_size] * x_size, "partial maps")
     defined = np.argsort(rows == 0, axis=1, kind="stable")   # the domain first
     values = np.take_along_axis(rows, defined, axis=1) - 1
     present = values >= 0

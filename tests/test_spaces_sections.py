@@ -485,6 +485,19 @@ class TestPartialMapAlgebra:
             partial_map_algebra(x_size, 2, band)
         assert str(err.value) == message
 
+    def test_partial_maps_past_the_cap_are_refused_before_the_space_is_built(
+            self, monkeypatch):
+        # 13 points with two values give 3**13 maps, past MAX_CARRIER; the
+        # count is known from the sizes alone, so no per-point work is done
+        def no_space(*args, **kwargs):
+            raise AssertionError("the space X x Y -> X was built")
+
+        monkeypatch.setattr(spaces_sections, "RectSkewSpace", no_space)
+        with pytest.raises(SizeCapError, match="more than 4096 partial maps"):
+            partial_map_algebra(13, 2, left_band(2))
+        with pytest.raises(SizeCapError, match="more than 4096 partial maps"):
+            partial_map_algebra(10**6, 1, [[0]])
+
     def test_band_refusal_names_the_law_and_its_witness(self):
         with pytest.raises(ValueError) as err:
             partial_map_algebra(2, 2, ((1, 1), (0, 0)))

@@ -112,6 +112,23 @@ def test_malformed_table_messages(tables, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint16, np.int32,
+                                   np.uint32, np.int64, np.uint64])
+def test_an_entry_out_of_range_is_refused_at_every_integer_width(dtype):
+    # the range check reads each table as unsigned; a one-byte -100 read
+    # at its own width is 156, inside 0..199, so it must be widened first
+    n = 200
+    good = np.tile(np.arange(n) % 128, (n, 1)).astype(dtype)    # int8 holds these
+    assert SkewAlgebra(n, 0, good, good, good, good).meet_table.dtype == np.int16
+    bad = [-100, -1] if np.issubdtype(dtype, np.signedinteger) else [n, np.iinfo(dtype).max]
+    for v in bad:
+        table = good.copy()
+        table[3, 7] = v
+        with pytest.raises(StructuralError) as err:
+            SkewAlgebra(n, 0, good, table, good, good)
+        assert str(err.value) == f"join[3] contains invalid entry {v}"
+
+
 @pytest.mark.parametrize("n, zero, message", [
     (True, 0, "n = True is not an integer"), (1, False, "zero index False out of range"),
 ], ids=["n", "zero"])
